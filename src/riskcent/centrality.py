@@ -170,17 +170,9 @@ def rank(values, tie_rule="node-index"):
         out[order] = np.arange(1, values.size + 1)
         return out
     if tie_rule == "average":
-        order = np.argsort(-values, kind="stable")
-        sorted_vals = values[order]
-        out = np.empty(values.size)
-        pos = 0
-        while pos < values.size:
-            end = pos
-            while end + 1 < values.size and sorted_vals[end + 1] == sorted_vals[pos]:
-                end += 1
-            out[order[pos:end + 1]] = 0.5 * (pos + end) + 1.0
-            pos = end + 1
-        return out
+        from scipy.stats import rankdata
+
+        return rankdata(-values)
     raise ValueError("tie_rule must be 'node-index' or 'average'")
 
 

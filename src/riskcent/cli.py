@@ -23,7 +23,7 @@ from . import __version__
 from .centrality import default_zeta_grid, ranking_sweep, sweep
 from .epidemics import (SIParams, si_exact, si_lee, si_lee_general,
                         si_linearized, si_meanfield)
-from .experiments import RATIOS, ratio_study, read_config, spearman_table
+from .experiments import RATIOS, read_config, spearman_table
 from .finance import (build_market_window, delta_rank, lda_fit, load_returns,
                       load_svc, rolling_windows, svc_trend,
                       window_rank_report)
@@ -156,7 +156,7 @@ def cmd_epidemics(args):
                      "tmax": args.tmax, "steps": args.steps,
                      "solvers": solvers},
                     [args.graph], outputs)
-    dec = decompose(g)
+    dec = decompose(g) if {"lee", "linearized"} & set(solvers) else None
     trajectories = {}
     for s in solvers:
         if s == "exact":
@@ -204,6 +204,14 @@ def _parse_pairs(spec, n):
 
 
 def cmd_interlace(args):
+    """One ``events.csv`` row per crossing or tangency of each pair.
+
+    A crossing row gives the bisected ``zeta_star`` and its bracket.  A
+    tangency row gives as ``zeta_star`` the grid value where |M_i - M_j|
+    has a local minimum below the tangency tolerance without a sign
+    change; it has no bracket, so ``bracket_lo`` and ``bracket_hi`` are
+    empty.
+    """
     g = _load_graph(args.graph, weighted=args.weighted)
     if args.measure not in _MEASURES:
         raise ValueError("measure must be one of %s" % (_MEASURES,))
@@ -240,10 +248,8 @@ def cmd_interlace(args):
                          repr(event.bracket[1]),
                          "" if linear is None else repr(linear),
                          "" if poly_root is None else repr(poly_root)])
-        for event in result.tangencies:
-            rows.append([i, j, args.measure, "tangency",
-                         repr(event.zeta_star), repr(event.bracket[0]),
-                         repr(event.bracket[1]),
+        for zeta in result.tangencies:
+            rows.append([i, j, args.measure, "tangency", repr(zeta), "", "",
                          "" if linear is None else repr(linear),
                          "" if poly_root is None else repr(poly_root)])
     with open(os.path.join(args.out, "events.csv"), "w", newline="") as fh:
@@ -271,20 +277,19 @@ def cmd_experiments(args):
                      "ratios": bool(args.ratios)},
                     [args.config], outputs, seed=config.seed)
     budget.check("start")
-    table = spearman_table(config, jobs=args.jobs)
-    budget.check("correlation table")
+    table = spearman_table(config, jobs=args.jobs,
+                           ratios=RATIOS if args.ratios else ())
+    budget.check("replications")
     table.to_csv(os.path.join(args.out, "table_value.csv"), "value")
     table.to_csv(os.path.join(args.out, "table_rank.csv"), "rank")
     if args.ratios:
-        study = ratio_study(config, ratios=RATIOS, jobs=args.jobs)
-        budget.check("ratio study")
         with open(os.path.join(args.out, "ratios.csv"), "w",
                   newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["ratio", "density", "zeta", "mean", "std",
                         "q1", "q25", "q50", "q75", "q99"])
             for ratio in RATIOS:
-                for (density, zeta), s in study[ratio].items():
+                for (density, zeta), s in table.ratios[ratio].items():
                     w.writerow([ratio, repr(density), repr(zeta),
                                 repr(s.mean), repr(s.std)]
                                + [repr(s.quantiles[q])
@@ -411,9 +416,9 @@ def build_parser():
     def add_common(p, budget=False):
         p.add_argument("--out", required=True, help="output directory")
         if budget:
-            p.add_argument("--jobs", type=int, default=os.cpu_count(),
-                           help="worker threads (results are identical for "
-                                "any value)")
+            p.add_argument("--jobs", type=int, default=1,
+                           help="worker threads (default 1; results are "
+                                "identical for any value)")
             p.add_argument("--budget", type=float, default=None,
                            help="wall-clock budget in seconds, checked "
                                 "between phases; exceeding it exits 3")

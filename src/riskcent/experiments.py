@@ -13,8 +13,9 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import betainc
 
-from .centrality import spearman, sweep
+from .centrality import sweep
 from .graph import generate_er
 from .spectral import decompose
 
@@ -130,52 +131,82 @@ def _map_replications(func, count, jobs):
         return list(pool.map(func, range(count)))
 
 
-def ratio_study(config, ratios=("R/E[R]",), jobs=1):
-    """Distributions of node-level measure ratios over ER replications.
-
-    ``ratios`` may hold any of 'R/E[R]', 'C/E[C]', 'T/E[T]' (value against
-    the graph mean of the same measure) and 'C/R'.  Samples pool all nodes
-    of all replications of one (density, zeta) cell.  Returns
-    ``{ratio: {(density, zeta): DistributionSummary}}``.
-    """
+def _check_ratios(ratios):
     if isinstance(ratios, str):
         ratios = (ratios,)
     for r in ratios:
         if r not in RATIOS:
             raise ValueError("unknown ratio %r; options: %s"
                              % (r, ", ".join(RATIOS)))
-    out = {r: {} for r in ratios}
-    for d_idx, density in enumerate(config.densities):
-        rows = _map_replications(
-            lambda rep: _replication_measures(config, d_idx, rep),
-            config.replications, jobs)
-        for z_idx, zeta in enumerate(config.zetas):
-            pools = {r: [] for r in ratios}
-            for rr, cc, tt in rows:
-                r_z, c_z, t_z = rr[z_idx], cc[z_idx], tt[z_idx]
-                for ratio in ratios:
-                    if ratio == "R/E[R]":
-                        pools[ratio].append(r_z / r_z.mean())
-                    elif ratio == "C/E[C]":
-                        pools[ratio].append(c_z / c_z.mean())
-                    elif ratio == "T/E[T]":
-                        pools[ratio].append(t_z / t_z.mean())
-                    else:
-                        pools[ratio].append(c_z / r_z)
-            for ratio in ratios:
-                out[ratio][(density, zeta)] = DistributionSummary.from_samples(
-                    np.concatenate(pools[ratio]))
+    return tuple(ratios)
+
+
+def _row_corr(x, y):
+    """Pearson correlation of matching rows of two ``(..., n)`` arrays.
+
+    Rows with zero variance give NaN, where the coefficient is undefined;
+    the rest are clipped to [-1, 1] as ``np.corrcoef`` does.
+    """
+    x = x - x.mean(axis=-1, keepdims=True)
+    y = y - y.mean(axis=-1, keepdims=True)
+    sxy = np.einsum("...i,...i->...", x, y)
+    sxx = np.einsum("...i,...i->...", x, x)
+    syy = np.einsum("...i,...i->...", y, y)
+    out = np.full(sxy.shape, np.nan)
+    ok = (sxx > 0.0) & (syy > 0.0)
+    out[ok] = np.clip(sxy[ok] / np.sqrt(sxx[ok] * syy[ok]), -1.0, 1.0)
     return out
+
+
+def _row_spearman(x, y):
+    """Spearman correlation of matching rows, on average ranks.
+
+    Equals :func:`riskcent.centrality.spearman` row by row, NaN rule
+    included: a constant row has zero rank variance.
+    """
+    from scipy.stats import rankdata
+
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("values must be finite to rank")
+    # ranking ascending instead of descending negates the centred ranks of
+    # both inputs, which leaves the coefficient unchanged
+    return _row_corr(rankdata(x, axis=-1), rankdata(y, axis=-1))
+
+
+def _ratio_samples(ratio, R, C, T):
+    """Node-level ratio values for ``(..., n)`` measure arrays."""
+    if ratio == "C/R":
+        return C / R
+    m = {"R/E[R]": R, "C/E[C]": C, "T/E[T]": T}[ratio]
+    return m / m.mean(axis=-1, keepdims=True)
+
+
+def ratio_study(config, ratios=("R/E[R]",), jobs=1):
+    """Distributions of node-level measure ratios over ER replications.
+
+    ``ratios`` may hold any of 'R/E[R]', 'C/E[C]', 'T/E[T]' (value against
+    the graph mean of the same measure) and 'C/R'.  Samples pool all nodes
+    of all replications of one (density, zeta) cell.  Returns
+    ``{ratio: {(density, zeta): DistributionSummary}}``, the ``ratios`` of
+    the :func:`spearman_table` pass that draws the replications.
+    """
+    return spearman_table(config, jobs=jobs, ratios=ratios).ratios
 
 
 @dataclass
 class CorrelationTable:
-    """Mean C-vs-R agreement per (density, zeta) cell, rank and value based."""
+    """Mean C-vs-R agreement per (density, zeta) cell, rank and value based.
+
+    ``ratios`` holds the pooled ratio summaries the same pass computed,
+    ``{ratio: {(density, zeta): DistributionSummary}}`` (empty when none
+    were requested).
+    """
 
     densities: tuple
     zetas: tuple
     rank_corr: np.ndarray  # shape (len(densities), len(zetas))
     value_corr: np.ndarray  # same shape
+    ratios: dict = field(default_factory=dict)
 
     def matrix(self, statistic="value"):
         if statistic == "value":
@@ -196,7 +227,7 @@ class CorrelationTable:
                 w.writerow(["%g" % d] + [repr(float(x)) for x in row])
 
 
-def spearman_table(config, jobs=1):
+def spearman_table(config, jobs=1, ratios=()):
     """Mean correlation of C against R per (density, zeta) cell.
 
     Both statistics are computed over the same replications: ``rank_corr``
@@ -206,22 +237,32 @@ def spearman_table(config, jobs=1):
     the rank statistic saturates at exactly 1.0; the value statistic keeps
     resolving the curvature difference between C and R and stays strictly
     below 1, which makes it the informative summary at moderate zeta.
+
+    This is the one replication pass: every replication is drawn and
+    decomposed once, its measures are stacked per density into
+    ``(replications, zetas, n)`` arrays, and the correlations and the
+    ``ratios`` summaries (see :func:`ratio_study`) are computed from them.
     """
+    ratios = _check_ratios(ratios)
     shape = (len(config.densities), len(config.zetas))
     rank_corr = np.empty(shape)
     value_corr = np.empty(shape)
-    for d_idx in range(len(config.densities)):
+    pooled = {r: {} for r in ratios}
+    for d_idx, density in enumerate(config.densities):
         rows = _map_replications(
             lambda rep: _replication_measures(config, d_idx, rep),
             config.replications, jobs)
-        for z_idx in range(len(config.zetas)):
-            rank_vals = [spearman(cc[z_idx], rr[z_idx]) for rr, cc, _ in rows]
-            val_vals = [np.corrcoef(cc[z_idx], rr[z_idx])[0, 1]
-                        for rr, cc, _ in rows]
-            rank_corr[d_idx, z_idx] = float(np.mean(rank_vals))
-            value_corr[d_idx, z_idx] = float(np.mean(val_vals))
+        R, C, T = (np.stack(m) for m in zip(*rows))
+        rank_corr[d_idx] = _row_spearman(C, R).mean(axis=0)
+        value_corr[d_idx] = _row_corr(C, R).mean(axis=0)
+        for ratio in ratios:
+            samples = _ratio_samples(ratio, R, C, T)
+            for z_idx, zeta in enumerate(config.zetas):
+                pooled[ratio][(density, zeta)] = (
+                    DistributionSummary.from_samples(
+                        samples[:, z_idx].reshape(-1)))
     return CorrelationTable(config.densities, config.zetas,
-                            rank_corr, value_corr)
+                            rank_corr, value_corr, ratios=pooled)
 
 
 def er_ratio_limit_check(n_values, density, zeta, replications, seed, jobs=1):
@@ -259,7 +300,7 @@ def ratio_derivative_curve(kbar, zeta_grid):
     return num / den
 
 
-# -- paired t-test (self-contained p-value) -----------------------------------
+# -- paired t-test ------------------------------------------------------------
 
 
 @dataclass
@@ -269,60 +310,18 @@ class TTestResult:
     df: int
 
 
-def _betacf(a, b, x, max_iter=300, eps=3e-16, fpmin=1e-300):
-    """Continued fraction for the incomplete beta (modified Lentz)."""
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < fpmin:
-        d = fpmin
-    d = 1.0 / d
-    h = d
-    for m in range(1, max_iter + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < fpmin:
-            d = fpmin
-        c = 1.0 + aa / c
-        if abs(c) < fpmin:
-            c = fpmin
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < fpmin:
-            d = fpmin
-        c = 1.0 + aa / c
-        if abs(c) < fpmin:
-            c = fpmin
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < eps:
-            return h
-    raise RuntimeError("incomplete beta continued fraction did not converge "
-                       "for a=%g b=%g x=%g" % (a, b, x))
-
-
 def regularized_incomplete_beta(a, b, x):
-    """I_x(a, b) via the continued fraction, accurate to ~1e-14."""
+    """I_x(a, b), the regularized incomplete beta (``scipy.special.betainc``)."""
     if not 0.0 <= x <= 1.0:
         raise ValueError("x must lie in [0, 1]")
-    if x == 0.0 or x == 1.0:
-        return float(x)
-    front = math.exp(math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-                     + a * math.log(x) + b * math.log1p(-x))
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _betacf(a, b, x) / a
-    return 1.0 - front * _betacf(b, a, 1.0 - x) / b
+    return float(betainc(a, b, x))
 
 
 def paired_t_test(a, b):
-    """Two-sided paired t-test with a self-contained p-value.
+    """Two-sided paired t-test.
 
     The p-value is the regularized incomplete beta
-    I_{df/(df + t^2)}(df/2, 1/2); no statistics library is involved.
+    I_{df/(df + t^2)}(df/2, 1/2).
     Degenerate pairs (zero variance of the differences) are an error.
     """
     a = np.asarray(a, dtype=float)

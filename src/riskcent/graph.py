@@ -26,6 +26,37 @@ class GraphError(ValueError):
 _INT64_CAP = 2**63 - 1
 
 
+def _edge_columns(edges):
+    """Endpoint and weight columns ``(u, v, w)`` of an edge input.
+
+    An ndarray is read column-wise; anything else row by row, so rows may
+    mix the two- and three-entry forms.  Endpoints are truncated to
+    integers as ``int()`` does.
+    """
+    if isinstance(edges, np.ndarray):
+        if edges.size == 0:
+            edges = edges.reshape(0, 2)
+        if edges.ndim != 2 or edges.shape[1] not in (2, 3):
+            raise GraphError("edge array must have shape (m, 2) or (m, 3), "
+                             "got %r" % (edges.shape,))
+        ends = edges[:, :2]
+        if not np.isfinite(ends).all():
+            raise GraphError("edge endpoints must be finite integers")
+        u = ends[:, 0].astype(np.int64)
+        v = ends[:, 1].astype(np.int64)
+        w = (edges[:, 2].astype(np.float64) if edges.shape[1] == 3
+             else np.ones(len(edges)))
+        return u, v, w
+    rows = [(int(e[0]), int(e[1]), float(e[2]) if len(e) > 2 else 1.0)
+            for e in edges]
+    if not rows:
+        return (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
+                np.zeros(0, dtype=np.float64))
+    return (np.array([r[0] for r in rows], dtype=np.int64),
+            np.array([r[1] for r in rows], dtype=np.int64),
+            np.array([r[2] for r in rows], dtype=np.float64))
+
+
 class Graph:
     """Simple undirected weighted graph.
 
@@ -34,10 +65,12 @@ class Graph:
     n : int
         Number of nodes.  Isolated nodes are allowed, so ``n`` may exceed
         the largest endpoint appearing in ``edges``.
-    edges : iterable
+    edges : iterable or ndarray
         Iterable of ``(u, v)`` or ``(u, v, w)`` with integer endpoints in
-        ``0..n-1`` and weight ``w > 0`` (default 1).  Each undirected edge
-        appears once; duplicates are an error, not merged.
+        ``0..n-1`` and weight ``w > 0`` (default 1), or an ``(m, 2)`` or
+        ``(m, 3)`` array of the same columns, read without a per-edge
+        Python object.  Each undirected edge appears once; duplicates are
+        an error, not merged.
     labels : sequence of str, optional
         External node names.  Defaults to ``str(i)``.
     """
@@ -46,16 +79,7 @@ class Graph:
         n = int(n)
         if n <= 0:
             raise GraphError("graph needs at least one node, got n=%d" % n)
-        rows = [(int(e[0]), int(e[1]), float(e[2]) if len(e) > 2 else 1.0)
-                for e in edges]
-        if rows:
-            u = np.array([r[0] for r in rows], dtype=np.int64)
-            v = np.array([r[1] for r in rows], dtype=np.int64)
-            w = np.array([r[2] for r in rows], dtype=np.float64)
-        else:
-            u = np.zeros(0, dtype=np.int64)
-            v = np.zeros(0, dtype=np.int64)
-            w = np.zeros(0, dtype=np.float64)
+        u, v, w = _edge_columns(edges)
         if u.size:
             if (u < 0).any() or (u >= n).any() or (v < 0).any() or (v >= n).any():
                 raise GraphError("edge endpoint out of range 0..%d" % (n - 1))
@@ -120,7 +144,8 @@ class Graph:
             u = np.concatenate([self._u, self._v])
             v = np.concatenate([self._v, self._u])
             w = np.concatenate([self._w, self._w])
-            self._csr = sp.csr_array((w, (u, v)), shape=(self.n, self.n))
+            self._csr = sp.coo_array((w, (u, v)),
+                                     shape=(self.n, self.n)).tocsr()
         return self._csr
 
     def degrees(self):
@@ -299,8 +324,7 @@ def generate_er(n, p, seed, require_connected=False, max_retries=1000):
     iu, ju = np.triu_indices(n, k=1)
     for _ in range(max_retries):
         mask = rng.random(iu.size) < p
-        edges = np.column_stack([iu[mask], ju[mask]])
-        g = Graph(n, edges.tolist())
+        g = Graph(n, np.column_stack([iu[mask], ju[mask]]))
         if not require_connected or g.is_connected():
             return g
     raise GraphError(
@@ -321,8 +345,7 @@ def generate_er_m(n, m, seed, require_connected=False, max_retries=1000):
     iu, ju = np.triu_indices(n, k=1)
     for _ in range(max_retries):
         idx = rng.choice(limit, size=m, replace=False)
-        edges = np.column_stack([iu[idx], ju[idx]])
-        g = Graph(n, edges.tolist())
+        g = Graph(n, np.column_stack([iu[idx], ju[idx]]))
         if not require_connected or g.is_connected():
             return g
     raise GraphError(
@@ -333,7 +356,7 @@ def generate_er_m(n, m, seed, require_connected=False, max_retries=1000):
 def generate_complete(n):
     """Complete graph K_n."""
     iu, ju = np.triu_indices(n, k=1)
-    return Graph(n, np.column_stack([iu, ju]).tolist())
+    return Graph(n, np.column_stack([iu, ju]))
 
 
 def generate_star(n):
@@ -375,8 +398,7 @@ def project_bipartite(memberships, binary=False):
 
 def binarize(g):
     """Copy of ``g`` with every weight set to 1."""
-    edges = [(int(a), int(b), 1.0) for a, b in zip(g._u, g._v)]
-    return Graph(g.n, edges, labels=g.labels)
+    return Graph(g.n, np.column_stack([g._u, g._v]), labels=g.labels)
 
 
 def largest_component(g):
@@ -391,10 +413,9 @@ def largest_component(g):
     keep = np.nonzero(lab == best)[0]
     remap = -np.ones(g.n, dtype=np.int64)
     remap[keep] = np.arange(keep.size)
-    edges = []
-    for a, b, w in zip(g._u, g._v, g._w):
-        if remap[a] >= 0 and remap[b] >= 0:
-            edges.append((int(remap[a]), int(remap[b]), float(w)))
+    inside = (remap[g._u] >= 0) & (remap[g._v] >= 0)
+    edges = np.column_stack([remap[g._u[inside]], remap[g._v[inside]],
+                             g._w[inside]])
     return Graph(keep.size, edges, labels=[g.labels[i] for i in keep])
 
 
@@ -406,8 +427,7 @@ def relabel(g, perm):
     labels = [None] * g.n
     for i in range(g.n):
         labels[perm[i]] = g.labels[i]
-    edges = [(int(perm[a]), int(perm[b]), float(w))
-             for a, b, w in zip(g._u, g._v, g._w)]
+    edges = np.column_stack([perm[g._u], perm[g._v], g._w])
     return Graph(g.n, edges, labels=labels)
 
 

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 import riskcent
-from riskcent.cli import main
+import riskcent.cli
+from riskcent.cli import build_parser, main
 from riskcent.graph import Graph, load_json, save_json
 
 
@@ -218,6 +219,22 @@ def test_epidemics_trajectories_and_means(tmp_path):
     assert len(traj) == 6 and len(traj[0]) == 13
 
 
+def test_epidemics_skips_decompose_when_no_solver_needs_it(tmp_path,
+                                                           monkeypatch):
+    def refuse(g, *args, **kwargs):
+        raise AssertionError("decompose called")
+
+    monkeypatch.setattr(riskcent.cli, "decompose", refuse)
+    graph = write_clique_plus_hub(tmp_path / "g.json")
+    out = str(tmp_path / "out")
+    rc = main(["epidemics", graph, "--out", out, "--beta", "0.01",
+               "--gamma", "0.002", "--tmax", "10", "--steps", "6",
+               "--solvers", "exact,mean-field"])
+    assert rc == 0
+    header, rows = read_csv(os.path.join(out, "mean_curves.csv"))
+    assert header == ["t", "exact", "mean-field"] and len(rows) == 6
+
+
 def test_epidemics_unknown_solver_exits_2(tmp_path, capsys):
     graph = write_k4(tmp_path / "k4.txt")
     rc = main(["epidemics", graph, "--out", str(tmp_path / "out"),
@@ -267,6 +284,22 @@ def test_interlace_all_pairs_on_path(tmp_path):
     assert rc == 0
     _, rows = read_csv(os.path.join(out, "events.csv"))
     assert rows == []  # centre dominates and the leaves are automorphic
+
+
+def test_interlace_writes_tangency_rows(tmp_path, monkeypatch):
+    from riskcent.interlacement import DetectionResult
+
+    monkeypatch.setattr(riskcent.cli, "detect",
+                        lambda *args, **kwargs: DetectionResult([], [0.25]))
+    graph = write_k4(tmp_path / "k4.txt")
+    out = str(tmp_path / "out")
+    rc = main(["interlace", graph, "--out", out, "--pairs", "0,1",
+               "--measure", "C", "--zeta-grid", "0.05:1:20"])
+    assert rc == 0
+    header, rows = read_csv(os.path.join(out, "events.csv"))
+    assert header[3:7] == ["kind", "zeta_star", "bracket_lo", "bracket_hi"]
+    assert len(rows) == 1
+    assert rows[0][:7] == ["0", "1", "C", "tangency", "0.25", "", ""]
 
 
 def test_interlace_bad_pair_exits_2(tmp_path, capsys):
@@ -334,6 +367,13 @@ def test_experiments_bad_config_exits_2(tmp_path, capsys):
     rc = main(["experiments", str(cfg), "--out", str(tmp_path / "out")])
     assert rc == 2
     assert "bad.cfg:2" in capsys.readouterr().err
+
+
+def test_jobs_default_is_one():
+    parser = build_parser()
+    for argv in (["experiments", "exp.cfg"], ["market", "returns.csv"],
+                 ["corporate", "boards.csv", "svc.csv"]):
+        assert parser.parse_args(argv + ["--out", "o"]).jobs == 1
 
 
 def test_experiments_jobs_do_not_change_results(tmp_path):

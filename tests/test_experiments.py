@@ -7,7 +7,10 @@ import scipy.stats
 
 from riskcent.centrality import spearman, sweep
 from riskcent.experiments import (
+    RATIOS,
     ExperimentConfig,
+    _row_corr,
+    _row_spearman,
     child_seed,
     er_ratio_limit_check,
     paired_t_test,
@@ -186,6 +189,94 @@ def test_table_matrix_selector_and_csv(tmp_path):
     assert len(lines) == 3
     got = np.array([[float(x) for x in ln.split(",")[1:]] for ln in lines[1:]])
     assert np.array_equal(got, table.value_corr)
+
+
+def per_replication_measures(cfg, d_idx):
+    zetas = np.asarray(cfg.zetas)
+    out = []
+    for rep in range(cfg.replications):
+        g = generate_er(cfg.n, cfg.densities[d_idx],
+                        seed=child_seed(cfg.seed, d_idx, rep),
+                        require_connected=True)
+        prof = sweep(g, zetas)
+        out.append((prof.R, prof.C, prof.T))
+    return out
+
+
+def test_row_statistics_match_per_vector_functions():
+    rng = np.random.default_rng(21)
+    x = rng.random((6, 3, 15))
+    y = x + 0.3 * rng.random((6, 3, 15))
+    y[0, 1] = np.round(y[0, 1], 1)  # ties
+    x[2, 0] = 4.0  # constant row: both coefficients undefined
+    y[4, 2] = -x[4, 2]
+    got_rank, got_value = _row_spearman(x, y), _row_corr(x, y)
+    for idx in np.ndindex(x.shape[:2]):
+        want_rank = spearman(x[idx], y[idx])
+        with np.errstate(invalid="ignore", divide="ignore"):
+            want_value = np.corrcoef(x[idx], y[idx])[0, 1]
+        if idx == (2, 0):
+            assert np.isnan(want_rank) and np.isnan(want_value)
+            assert np.isnan(got_rank[idx]) and np.isnan(got_value[idx])
+            continue
+        assert got_rank[idx] == pytest.approx(want_rank, abs=1e-12)
+        assert got_value[idx] == pytest.approx(want_value, abs=1e-12)
+    assert got_rank[4, 2] == -1.0
+
+
+def test_row_spearman_rejects_non_finite():
+    x = np.ones((2, 4))
+    x[1, 2] = np.inf
+    with pytest.raises(ValueError, match="finite"):
+        _row_spearman(x, np.ones((2, 4)))
+
+
+def test_spearman_table_cells_match_per_replication_loop():
+    cfg = ExperimentConfig(n=25, densities=(0.2, 0.6), zetas=(0.3, 1.0),
+                           replications=7, seed=5)
+    table = spearman_table(cfg)
+    for d_idx in range(len(cfg.densities)):
+        rows = per_replication_measures(cfg, d_idx)
+        for z_idx in range(len(cfg.zetas)):
+            rank_vals = [spearman(c[z_idx], r[z_idx]) for r, c, _ in rows]
+            val_vals = [np.corrcoef(c[z_idx], r[z_idx])[0, 1]
+                        for r, c, _ in rows]
+            assert table.rank_corr[d_idx, z_idx] == pytest.approx(
+                np.mean(rank_vals), abs=1e-12)
+            assert table.value_corr[d_idx, z_idx] == pytest.approx(
+                np.mean(val_vals), abs=1e-12)
+
+
+def test_one_pass_ratio_summaries_match_ratio_study(small_config):
+    table = spearman_table(small_config, ratios=RATIOS)
+    study = ratio_study(small_config, ratios=RATIOS)
+    assert list(table.ratios) == list(RATIOS)
+    rows = per_replication_measures(small_config, 0)
+    density = small_config.densities[0]
+    for ratio in RATIOS:
+        assert list(table.ratios[ratio]) == list(study[ratio])
+        for z_idx, zeta in enumerate(small_config.zetas):
+            got = table.ratios[ratio][(density, zeta)]
+            other = study[ratio][(density, zeta)]
+            assert np.array_equal(got.samples, other.samples)
+            assert (got.mean, got.std, got.quantiles) == (
+                other.mean, other.std, other.quantiles)
+            # the pooled samples of the per-replication loop
+            want = []
+            for r, c, t in rows:
+                r_z, c_z, t_z = r[z_idx], c[z_idx], t[z_idx]
+                want.append({"R/E[R]": r_z / r_z.mean(),
+                             "C/E[C]": c_z / c_z.mean(),
+                             "T/E[T]": t_z / t_z.mean(),
+                             "C/R": c_z / r_z}[ratio])
+            np.testing.assert_allclose(got.samples, np.concatenate(want),
+                                       rtol=1e-12, atol=0)
+
+
+def test_spearman_table_without_ratios_has_none(small_config):
+    assert spearman_table(small_config).ratios == {}
+    with pytest.raises(ValueError, match="unknown ratio"):
+        spearman_table(small_config, ratios=("C/T",))
 
 
 def test_r_vs_t_value_correlation_floor():

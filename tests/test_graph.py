@@ -81,6 +81,40 @@ def test_rejects_bad_weights_and_range():
         Graph(2, [(0, 2)])
 
 
+@pytest.mark.parametrize("edges", [
+    [(0, 1), (3, 2), (1, 4), (0, 4)],
+    [(0, 1, 0.5), (3, 2, 2.0), (1, 4, 1.0), (0, 4, 7.25)],
+])
+def test_graph_from_array_equals_graph_from_rows(edges):
+    rows = Graph(5, edges)
+    assert Graph(5, np.array(edges)) == rows  # int64 or float64 columns
+    assert Graph(5, rows.edge_array()) == rows
+
+
+def test_graph_from_empty_array():
+    assert Graph(3, np.zeros((0, 2), dtype=np.int64)) == Graph(3, [])
+    assert Graph(3, np.zeros((0, 3))) == Graph(3)
+
+
+@pytest.mark.parametrize("edges", [
+    [(0, 5)], [(-1, 2)], [(1, 1)], [(0, 2), (2, 0)],
+    [(0, 1, 0.5), (1, 0, 0.7)], [(0, 1, 0.0)], [(0, 1, -2.0)],
+    [(0, 1, np.inf)], [(0, 1, np.nan)],
+])
+def test_graph_from_array_rejects_like_rows(edges):
+    with pytest.raises(GraphError) as from_rows:
+        Graph(3, edges)
+    with pytest.raises(GraphError) as from_array:
+        Graph(3, np.array(edges, dtype=float))
+    assert str(from_array.value) == str(from_rows.value)
+
+
+def test_graph_from_array_rejects_bad_shapes():
+    for edges in (np.zeros((2, 4)), np.zeros(6), np.array([[0.0, np.nan]])):
+        with pytest.raises(GraphError):
+            Graph(3, edges)
+
+
 def test_known_graph_adjacency():
     # 7-node graph with 14 edges, adjacency written out by hand
     edges = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (2, 3), (2, 4),
@@ -188,6 +222,41 @@ def test_generate_er_deterministic():
     assert a == b
     c = generate_er(40, 0.2, seed=124)
     assert c != a
+
+
+# SHA-256 prefixes of the (u, v) int64 edge columns drawn by the generators
+# when they still built every sample from a list of per-edge tuples; the
+# array path must draw and keep exactly the same edges.
+ER_SAMPLES = [((30, 0.2, 1), 88, "5077897ef24fe626"),
+              ((100, 0.1, 7), 496, "30d7d0652b9d63ee"),
+              ((100, 0.9, 11), 4472, "fe94d3900398cd0f")]
+ER_M_SAMPLES = [((40, 60, 3), 60, "9af8e9b4be7b61cf"),
+                ((100, 495, 4000), 495, "2a897b4045a5070e")]
+
+
+def edge_digest(g):
+    import hashlib
+
+    ends = np.column_stack([g._u, g._v]).astype("<i8")
+    return hashlib.sha256(ends.tobytes()).hexdigest()[:16]
+
+
+def test_generate_er_samples_unchanged():
+    for (n, p, seed), m, digest in ER_SAMPLES:
+        g = generate_er(n, p, seed=seed, require_connected=True)
+        assert (g.m, edge_digest(g)) == (m, digest)
+        # the documented rule, built through per-edge tuples
+        rng = np.random.default_rng(seed)
+        iu, ju = np.triu_indices(n, k=1)
+        while True:
+            keep = rng.random(iu.size) < p
+            ref = Graph(n, list(zip(iu[keep].tolist(), ju[keep].tolist())))
+            if ref.is_connected():
+                break
+        assert g == ref
+    for (n, m, seed), count, digest in ER_M_SAMPLES:
+        g = generate_er_m(n, m, seed=seed, require_connected=True)
+        assert (g.m, edge_digest(g)) == (count, digest)
 
 
 def test_generate_er_density_monte_carlo():
