@@ -29,8 +29,9 @@ from .finance import (build_market_window, delta_rank, lda_fit, load_returns,
                       window_rank_report)
 from .graph import (GraphError, load_edge_list, load_json, load_memberships,
                     project_bipartite, save_json, walk_counts)
-from .interlacement import (InterlacementError, detect, heuristic_linear,
-                            heuristic_poly)
+from .interlacement import (InterlacementError, SeriesPolynomial,
+                            detect_pairs, heuristic_linear_pairs,
+                            heuristic_poly_pairs)
 from .spectral import decompose
 
 _MEASURES = ("R", "C", "T")
@@ -230,18 +231,21 @@ def cmd_interlace(args):
                      "measure": args.measure, "zeta_grid": grid.tolist(),
                      "pairs": [list(p) for p in pairs]},
                     [args.graph], ["events.csv"])
-    dec = decompose(g)
+    results = detect_pairs(g, pairs, measure=args.measure, zeta_grid=grid,
+                           dec=decompose(g))
+    # the heuristics fill columns of event rows only: skip quiet pairs
+    found = [(pair, result) for pair, result in zip(pairs, results)
+             if result.events or result.tangencies]
     walks = walk_counts(g, 60)
+    found_pairs = [pair for pair, _ in found]
+    linears = heuristic_linear_pairs(g, found_pairs, measure=args.measure,
+                                     walks=walks)
+    polys = heuristic_poly_pairs(g, found_pairs, measure=args.measure,
+                                 walks=walks)
     rows = []
-    for i, j in pairs:
-        linear = heuristic_linear(g, i, j, measure=args.measure, walks=walks)
-        try:
-            poly = heuristic_poly(g, i, j, measure=args.measure, walks=walks)
-            poly_root = float(poly.roots[0]) if poly.roots.size else None
-        except InterlacementError:
-            poly_root = None
-        result = detect(g, i, j, measure=args.measure, zeta_grid=grid,
-                        dec=dec)
+    for ((i, j), result), linear, poly in zip(found, linears, polys):
+        poly_root = (float(poly.roots[0]) if isinstance(poly, SeriesPolynomial)
+                     and poly.roots.size else None)
         for event in result.events:
             rows.append([i, j, args.measure, "crossing",
                          repr(event.zeta_star), repr(event.bracket[0]),

@@ -171,7 +171,7 @@ def si_lee_general(g, params, x0, order=60):
     x0 = _initial_state(g, params, x0)
     if (x0 >= 1.0).any():
         raise ValueError("series path needs x0 < 1 at every node")
-    a = g.adjacency()
+    a = g.sparse_adjacency()
     surv = 1.0 - x0
     u0 = x0 / surv
     y0 = -np.log(surv)
@@ -179,7 +179,8 @@ def si_lee_general(g, params, x0, order=60):
     x = np.empty((t.size, g.n))
     y = np.empty((t.size, g.n))
     tails = np.empty(t.size)
-    row_norm = np.abs(a * surv).sum(axis=1).max() if g.n else 0.0
+    # row sums of |A D|, D = diag(surv) with surv > 0
+    row_norm = (abs(a) @ surv).max() if g.n else 0.0
     for k, tk in enumerate(t):
         coef = params.gamma * tk
         term = u0.copy()

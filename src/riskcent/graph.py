@@ -454,23 +454,23 @@ class WalkCounts:
 def walk_counts(g, kmax):
     """Walk totals and closed-walk counts for orders ``0..kmax``.
 
-    Uses repeated matrix-vector products; A^k is never formed by repeated
-    dense matrix powers beyond the running products themselves.  Unweighted
-    graphs accumulate in int64 until the next product could overflow, then
-    continue in float64 with ``exact=False``.
+    Each order costs one sparse product of the CSR adjacency with the
+    running total and with the running power A^k, O(m n) in all.
+    Unweighted graphs accumulate in int64 until the next product could
+    overflow, then continue in float64 with ``exact=False``.
     """
     if kmax < 0:
         raise GraphError("kmax must be nonnegative")
     n = g.n
     integer = not g.is_weighted
+    a = g.sparse_adjacency()
     if integer:
-        a = g.adjacency().astype(np.int64)
+        a = a.astype(np.int64)
         # one product grows entries by at most the largest row sum
         growth = int(g.degrees().max(initial=0))
         total = np.ones(n, dtype=np.int64)
         closed = np.eye(n, dtype=np.int64)
     else:
-        a = g.adjacency()
         total = np.ones(n)
         closed = np.eye(n)
     exact = integer

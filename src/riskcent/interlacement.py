@@ -10,7 +10,9 @@ zeta* the analysis sits.  This module locates crossings numerically
 (``detect``), predicts them from leading walk counts (``heuristic_linear``,
 ``heuristic_poly``), continues past a known crossing (``shifted_expansion``),
 and certifies an upper bound beyond which the ranking is frozen
-(``finiteness_check``).
+(``finiteness_check``).  Detection and the heuristics also come in batched
+forms over a list of pairs (``detect_pairs``, ``heuristic_linear_pairs``,
+``heuristic_poly_pairs``); the single-pair functions call into them.
 
 All computations run on the scaled difference exp(-zeta*lam_1) * f, whose
 sign pattern is identical and which stays finite for any zeta.
@@ -101,9 +103,18 @@ class FinitenessReport:
 
 # -- spectral difference -------------------------------------------------------
 
+# Entries (about 2 MB of float64) that one block of pairs may hold in a
+# (pairs x n) or (pairs x grid) temporary: bounds the memory of the batched
+# detector and series heuristics whatever the number of pairs.
+_BLOCK_ENTRIES = 1 << 18
+
 
 def _pair_coefficients(dec, i, j, measure):
-    """Coefficients d_k with M_i - M_j = sum_k d_k exp(zeta lam_k)."""
+    """Coefficients d_k with M_i - M_j = sum_k d_k exp(zeta lam_k).
+
+    With index arrays ``i`` and ``j``, row p holds the coefficients of the
+    pair (i[p], j[p]).
+    """
     u = dec.eigenvectors
     if measure == "C":
         return u[i] ** 2 - u[j] ** 2
@@ -114,17 +125,15 @@ def _pair_coefficients(dec, i, j, measure):
     raise ValueError("measure must be one of %r, got %r" % (_MEASURES, measure))
 
 
-def _check_pair(g, i, j):
-    if not (0 <= i < g.n and 0 <= j < g.n):
+def _pair_index(g, pairs):
+    """Endpoint arrays ``(i, j)`` of a sequence of node pairs, validated."""
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    i, j = pairs[:, 0], pairs[:, 1]
+    if ((i < 0) | (i >= g.n) | (j < 0) | (j >= g.n)).any():
         raise ValueError("node indices out of range 0..%d" % (g.n - 1))
-    if i == j:
+    if (i == j).any():
         raise ValueError("need two distinct nodes")
-
-
-def _scaled_difference(coef, lam, zetas):
-    """exp(-zeta lam_1) * f(zeta), vectorized over a zeta array."""
-    zetas = np.atleast_1d(np.asarray(zetas, dtype=float))
-    return np.exp(np.outer(zetas, lam - lam[0])) @ coef
+    return i, j
 
 
 def difference_derivatives(g, i, j, measure, zeta, max_order, dec=None):
@@ -134,7 +143,7 @@ def difference_derivatives(g, i, j, measure, zeta, max_order, dec=None):
     exp(zeta lam_k).  Unscaled, so ``zeta * lam_1`` must stay within
     floating range.
     """
-    _check_pair(g, i, j)
+    _pair_index(g, [(i, j)])
     d = dec if dec is not None else decompose(g)
     coef = _pair_coefficients(d, i, j, measure)
     lam = d.eigenvalues
@@ -149,12 +158,31 @@ def detect(g, i, j, measure="C", zeta_grid=None, dec=None,
            bracket_tol=BRACKET_TOL_DEFAULT, tangency_tol=TANGENCY_TOL_DEFAULT):
     """Scan a zeta grid for sign changes of M_i - M_j and bisect each one.
 
-    Grid values within the numerical noise floor count as zero: exactly
-    tied pairs (automorphic nodes) produce no spurious events.  A local
-    minimum of |difference| below ``tangency_tol`` without a sign flip is
-    reported as a tangency candidate rather than a crossing.
+    The single-pair form of ``detect_pairs``, which documents the rules.
     """
-    _check_pair(g, i, j)
+    return detect_pairs(g, [(i, j)], measure=measure, zeta_grid=zeta_grid,
+                        dec=dec, bracket_tol=bracket_tol,
+                        tangency_tol=tangency_tol)[0]
+
+
+def detect_pairs(g, pairs, measure="C", zeta_grid=None, dec=None,
+                 bracket_tol=BRACKET_TOL_DEFAULT,
+                 tangency_tol=TANGENCY_TOL_DEFAULT):
+    """``DetectionResult`` of every node pair (i, j) in ``pairs``, in order.
+
+    Each pair's scaled difference exp(-zeta lam_1) (M_i - M_j) is
+    evaluated on the grid.  Grid values within the numerical noise floor
+    1e-12 * max(1, sum_k |d_k|) count as zero: exactly tied pairs
+    (automorphic nodes) produce no spurious events.  Every sign change
+    between consecutive nonzero grid values is bisected until its bracket
+    is at most ``bracket_tol`` wide.  A grid-local minimum of
+    |M_i - M_j| below ``tangency_tol`` without a sign flip is reported as
+    a tangency candidate rather than a crossing.
+
+    Pairs run in blocks: one matrix product evaluates a block on the grid,
+    and all of its brackets are bisected together.
+    """
+    ii, jj = _pair_index(g, pairs)
     grid = np.asarray(default_zeta_grid() if zeta_grid is None else zeta_grid,
                       dtype=float)
     if grid.ndim != 1 or grid.size < 2 or (np.diff(grid) <= 0).any():
@@ -163,45 +191,71 @@ def detect(g, i, j, measure="C", zeta_grid=None, dec=None,
         raise ValueError("zeta grid must be positive: the difference "
                          "vanishes identically at zeta = 0")
     d = dec if dec is not None else decompose(g)
-    coef = _pair_coefficients(d, i, j, measure)
     lam = d.eigenvalues
-    vals = _scaled_difference(coef, lam, grid)
-    floor = 1e-12 * max(1.0, float(np.abs(coef).sum()))
-    signs = np.where(np.abs(vals) <= floor, 0, np.sign(vals)).astype(int)
+    shift = lam - lam[0]
+    scale = np.exp(np.outer(grid, shift))  # (grid, n)
+    block = max(1, _BLOCK_ENTRIES // max(g.n, grid.size))
+    results = []
+    for s in range(0, ii.size, block):
+        bi, bj = ii[s:s + block], jj[s:s + block]
+        coef = _pair_coefficients(d, bi, bj, measure)
+        results += _detect_block(bi, bj, measure, coef, grid, scale, shift,
+                                 float(lam[0]), bracket_tol, tangency_tol)
+    return results
 
-    events = []
-    nz = np.nonzero(signs)[0]
-    for a, b in zip(nz[:-1], nz[1:]):
-        if signs[a] == signs[b]:
-            continue
-        lo, hi = float(grid[a]), float(grid[b])
-        flo = float(vals[a])
-        while hi - lo > bracket_tol:
-            mid = 0.5 * (lo + hi)
-            fm = float(_scaled_difference(coef, lam, mid)[0])
-            if fm != 0.0 and np.sign(fm) == np.sign(flo):
-                lo, flo = mid, fm
-            else:
-                hi = mid
-        events.append(InterlacementEvent(
-            i=i, j=j, measure=measure, zeta_star=0.5 * (lo + hi),
-            bracket=(lo, hi), sign_before=int(signs[a]),
-            sign_after=int(signs[b])))
 
-    tangencies = []
-    log_tol = math.log(tangency_tol)
+def _detect_block(ii, jj, measure, coef, grid, scale, shift, lam1,
+                  bracket_tol, tangency_tol):
+    """``detect_pairs`` on one block, ``coef`` holding its (pairs x n) rows."""
+    vals = coef @ scale.T  # (pairs, grid)
+    floor = 1e-12 * np.maximum(1.0, np.abs(coef).sum(axis=1))
     absvals = np.abs(vals)
-    for m in range(1, grid.size - 1):
-        if signs[m - 1] == 0 or signs[m + 1] == 0 or signs[m - 1] != signs[m + 1]:
-            continue
-        if not (absvals[m] <= absvals[m - 1] and absvals[m] <= absvals[m + 1]):
-            continue
-        # |f| = exp(zeta lam_1) * |scaled|, compared in log space
-        logf = grid[m] * lam[0] + (math.log(absvals[m]) if absvals[m] > 0
-                                   else -math.inf)
-        if logf < log_tol:
-            tangencies.append(float(grid[m]))
-    return DetectionResult(events, tangencies)
+    signs = np.where(absvals <= floor[:, None], 0,
+                     np.sign(vals)).astype(np.int8)
+
+    # consecutive nonzero grid values of one pair with opposite signs, read
+    # off the pairs whose grid values take both signs
+    mixed = np.flatnonzero((signs > 0).any(axis=1) & (signs < 0).any(axis=1))
+    p, m = np.nonzero(signs[mixed])  # row-major: grid indices ascend
+    p = mixed[p]
+    flip = np.flatnonzero((p[1:] == p[:-1])
+                          & (signs[p[1:], m[1:]] != signs[p[:-1], m[:-1]]))
+    owner, a, b = p[flip], m[flip], m[flip + 1]
+    lo, hi, flo = grid[a], grid[b], vals[owner, a]
+    active = np.flatnonzero(hi - lo > bracket_tol)
+    while active.size:
+        mid = 0.5 * (lo[active] + hi[active])
+        fm = np.einsum("bk,bk->b", np.exp(np.outer(mid, shift)),
+                       coef[owner[active]])
+        up = (fm != 0.0) & (np.sign(fm) == np.sign(flo[active]))
+        lo[active[up]] = mid[up]
+        flo[active[up]] = fm[up]
+        hi[active[~up]] = mid[~up]
+        active = active[hi[active] - lo[active] > bracket_tol]
+
+    # no flip across a grid-local minimum of |f| = exp(zeta lam_1) |scaled|,
+    # compared with the tolerance in log space
+    inner = absvals[:, 1:-1]
+    near = ((signs[:, :-2] != 0) & (signs[:, :-2] == signs[:, 2:])
+            & (inner <= absvals[:, :-2]) & (inner <= absvals[:, 2:]))
+    tp, tm = np.nonzero(near)
+    tm += 1
+    with np.errstate(divide="ignore"):
+        logf = grid[tm] * lam1 + np.log(absvals[tp, tm])
+    keep = logf < math.log(tangency_tol)
+
+    events = [[] for _ in range(ii.size)]
+    for x, left, right, before, after in zip(
+            owner.tolist(), lo.tolist(), hi.tolist(),
+            signs[owner, a].tolist(), signs[owner, b].tolist()):
+        events[x].append(InterlacementEvent(
+            i=int(ii[x]), j=int(jj[x]), measure=measure,
+            zeta_star=0.5 * (left + right), bracket=(left, right),
+            sign_before=before, sign_after=after))
+    tangencies = [[] for _ in range(ii.size)]
+    for x, zeta in zip(tp[keep].tolist(), grid[tm[keep]].tolist()):
+        tangencies[x].append(zeta)
+    return [DetectionResult(e, t) for e, t in zip(events, tangencies)]
 
 
 # -- series heuristics -------------------------------------------------------------
@@ -211,8 +265,9 @@ def _series_coefficients(g, measure, kmax, walks=None):
     """Per-order walk-count differences feeding the measure's series.
 
     C draws on closed walks from order 2; R on walk totals from order 1; T
-    on open walks (total minus closed) from order 1.  Returns (orders,
-    per-node array list) with orders[m] the walk order of coefficient m.
+    on open walks (total minus closed) from order 1.  Returns (start,
+    series) with series[m] the per-node float counts of walk order
+    start + m.
     """
     wc = walks if walks is not None else walk_counts(g, kmax)
     if len(wc) <= kmax:
@@ -231,7 +286,7 @@ def _series_coefficients(g, measure, kmax, walks=None):
     else:
         raise ValueError("measure must be one of %r, got %r"
                          % (_MEASURES, measure))
-    return start, seq
+    return start, np.array(seq)
 
 
 def heuristic_linear(g, i, j, measure="C", walks=None):
@@ -243,15 +298,22 @@ def heuristic_linear(g, i, j, measure="C", walks=None):
     two leading differences do not have strictly opposite signs, i.e. the
     minimal-order truncation has no positive root.
     """
-    _check_pair(g, i, j)
-    start, seq = _series_coefficients(g, measure, 3 if measure == "C" else 2,
-                                      walks=walks)
-    a = float(seq[0][i] - seq[0][j])
-    b = float(seq[1][i] - seq[1][j])
-    if a == 0.0 or b == 0.0 or np.sign(a) == np.sign(b):
-        return None
+    return heuristic_linear_pairs(g, [(i, j)], measure=measure,
+                                  walks=walks)[0]
+
+
+def heuristic_linear_pairs(g, pairs, measure="C", walks=None):
+    """``heuristic_linear`` of every pair in ``pairs``: floats and Nones."""
+    ii, jj = _pair_index(g, pairs)
+    start, series = _series_coefficients(g, measure, 3 if measure == "C" else 2,
+                                         walks=walks)
+    a = series[0, ii] - series[0, jj]
+    b = series[1, ii] - series[1, jj]
     # reduced linear truncation: a/start! + b zeta/(start+1)! = 0
-    return -(start + 1) * a / b
+    with np.errstate(divide="ignore", invalid="ignore"):
+        est = -(start + 1) * a / b
+    absent = (a == 0.0) | (b == 0.0) | (np.sign(a) == np.sign(b))
+    return [None if no else x for no, x in zip(absent.tolist(), est.tolist())]
 
 
 def heuristic_poly(g, i, j, measure="C", k=6, walks=None):
@@ -265,31 +327,55 @@ def heuristic_poly(g, i, j, measure="C", k=6, walks=None):
     companion matrix; only positive real roots with small normalized
     residual are kept.
     """
-    _check_pair(g, i, j)
+    result = heuristic_poly_pairs(g, [(i, j)], measure=measure, k=k,
+                                  walks=walks)[0]
+    if isinstance(result, InterlacementError):
+        raise result
+    return result
+
+
+def heuristic_poly_pairs(g, pairs, measure="C", k=6, walks=None):
+    """``heuristic_poly`` of every pair in ``pairs``.
+
+    One entry per pair: its ``SeriesPolynomial``, or the
+    ``InterlacementError`` that ``heuristic_poly`` raises for it.  Roots
+    are sought only for the pairs that pass ``k >= k0``.
+    """
+    ii, jj = _pair_index(g, pairs)
     horizon = max(k, 60)
-    start, seq = _series_coefficients(g, measure, horizon, walks=walks)
-    deltas = np.array([row[i] - row[j] for row in seq])
-    pos = deltas >= 0  # zero counts as positive
-    change = np.nonzero(pos[1:] != pos[:-1])[0]
-    if change.size == 0:
-        raise InterlacementError(
-            "pair (%d, %d): the %s series coefficients never change sign "
-            "through order %d; no crossing is indicated at series level"
-            % (i, j, measure, horizon))
-    k0 = int(change[0]) + 1 + start
-    if k < k0:
-        raise InterlacementError(
-            "pair (%d, %d): truncation order k=%d is below the first sign "
-            "change k0=%d" % (i, j, k, k0))
+    start, series = _series_coefficients(g, measure, horizon, walks=walks)
     orders = np.arange(start, k + 1)
-    coeffs = deltas[:k - start + 1] / np.array(
-        [math.factorial(m) for m in orders])
-    nz = np.abs(coeffs) > 0
-    descartes = int(np.count_nonzero(np.diff(np.sign(coeffs[nz])) != 0))
-    roots, residuals = _positive_real_roots(coeffs)
-    return SeriesPolynomial(i=i, j=j, measure=measure, k=k, k0=k0,
-                            coefficients=coeffs, roots=roots,
-                            residuals=residuals, descartes_bound=descartes)
+    factorials = np.array([float(math.factorial(m)) for m in orders])
+    block = max(1, _BLOCK_ENTRIES // series.shape[0])
+    out = []
+    for s in range(0, ii.size, block):
+        bi, bj = ii[s:s + block], jj[s:s + block]
+        deltas = series[:, bi] - series[:, bj]  # (orders, pairs)
+        pos = deltas >= 0  # zero counts as positive
+        change = pos[1:] != pos[:-1]
+        never = ~change.any(axis=0)
+        k0 = (change.argmax(axis=0) + 1 + start).tolist()
+        coeffs = (deltas[:orders.size] / factorials[:, None]).T
+        for p, (i, j) in enumerate(zip(bi.tolist(), bj.tolist())):
+            if never[p]:
+                out.append(InterlacementError(
+                    "pair (%d, %d): the %s series coefficients never change "
+                    "sign through order %d; no crossing is indicated at "
+                    "series level" % (i, j, measure, horizon)))
+            elif k < k0[p]:
+                out.append(InterlacementError(
+                    "pair (%d, %d): truncation order k=%d is below the first "
+                    "sign change k0=%d" % (i, j, k, k0[p])))
+            else:
+                c = coeffs[p].copy()
+                nz = np.abs(c) > 0
+                descartes = int(np.count_nonzero(np.diff(np.sign(c[nz])) != 0))
+                roots, residuals = _positive_real_roots(c)
+                out.append(SeriesPolynomial(
+                    i=i, j=j, measure=measure, k=k, k0=k0[p], coefficients=c,
+                    roots=roots, residuals=residuals,
+                    descartes_bound=descartes))
+    return out
 
 
 def _positive_real_roots(ascending, imag_tol=1e-8, residual_tol=1e-10):
@@ -333,7 +419,7 @@ def shifted_expansion(g, i, j, measure, zeta_star, k=6, dec=None,
     zeta_star + eta* with a local ``detect``.  Returns the refined event,
     or None when no positive root exists or the candidate fails validation.
     """
-    _check_pair(g, i, j)
+    _pair_index(g, [(i, j)])
     if zeta_star < 0:
         raise ValueError("zeta_star must be nonnegative")
     if k < 1:
@@ -372,7 +458,7 @@ def finiteness_check(g, i, j, measure="C", dec=None):
     difference keeps the sign of d_1 and no further crossing can occur.
     Pairs with equal Perron entries (within 1e-12) are undecidable here.
     """
-    _check_pair(g, i, j)
+    _pair_index(g, [(i, j)])
     d = dec if dec is not None else decompose(g)
     u = d.eigenvectors
     lam = d.eigenvalues

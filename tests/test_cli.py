@@ -289,8 +289,9 @@ def test_interlace_all_pairs_on_path(tmp_path):
 def test_interlace_writes_tangency_rows(tmp_path, monkeypatch):
     from riskcent.interlacement import DetectionResult
 
-    monkeypatch.setattr(riskcent.cli, "detect",
-                        lambda *args, **kwargs: DetectionResult([], [0.25]))
+    monkeypatch.setattr(riskcent.cli, "detect_pairs",
+                        lambda g, pairs, **kwargs: [DetectionResult([], [0.25])
+                                                    for _ in pairs])
     graph = write_k4(tmp_path / "k4.txt")
     out = str(tmp_path / "out")
     rc = main(["interlace", graph, "--out", out, "--pairs", "0,1",

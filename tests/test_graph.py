@@ -46,6 +46,34 @@ def enumerate_walks(adj, kmax):
     return total, closed
 
 
+def dense_walk_counts(g, kmax):
+    """Reference: walk counts from dense int64 matrix products.
+
+    ``(total, closed, exact)`` per order 0..kmax, with the overflow switch
+    of ``walk_counts``: float64 once the next product could wrap int64.
+    """
+    cap = 2**63 - 1
+    n = g.n
+    a = g.adjacency().astype(np.int64)
+    growth = int(g.degrees().max(initial=0))
+    total = np.ones(n, dtype=np.int64)
+    closed = np.eye(n, dtype=np.int64)
+    exact = True
+    out = [(total.copy(), np.ones(n, dtype=np.int64), exact)]
+    for k in range(1, kmax + 1):
+        if exact:
+            peak = int(max(total.max(initial=0), closed.max(initial=0)))
+            if growth and peak > cap // growth:
+                a = a.astype(np.float64)
+                total = total.astype(np.float64)
+                closed = closed.astype(np.float64)
+                exact = False
+        total = a @ total
+        closed = a @ closed
+        out.append((total.copy(), np.diagonal(closed).copy(), exact))
+    return out
+
+
 # -- construction and validation ------------------------------------------
 
 
@@ -398,6 +426,28 @@ def test_walk_counts_overflow_switches_to_float():
     assert np.isfinite(wc[60].per_node_total).all()
     rel = wc[60].per_node_total[0] / float(19**60)
     assert abs(rel - 1) < 1e-9
+
+
+@pytest.mark.parametrize("make", [
+    lambda: generate_er(60, 0.1, seed=7, require_connected=True),
+    lambda: generate_complete(20),
+], ids=["er60", "k20"])
+def test_walk_counts_match_dense_reference(make):
+    g = make()
+    ref = dense_walk_counts(g, 60)
+    wc = walk_counts(g, 60)
+    assert [w.exact for w in wc] == [exact for _, _, exact in ref]
+    assert not wc[60].exact  # both modes are compared
+    for w, (total, closed, exact) in zip(wc, ref):
+        if exact:
+            assert w.per_node_total.dtype == np.int64
+            assert np.array_equal(w.per_node_total, total)
+            assert np.array_equal(w.per_node_closed, closed)
+        else:
+            np.testing.assert_allclose(w.per_node_total, total, rtol=1e-12,
+                                       atol=0)
+            np.testing.assert_allclose(w.per_node_closed, closed, rtol=1e-12,
+                                       atol=0)
 
 
 def test_walk_counts_weighted_not_exact():

@@ -6,15 +6,23 @@ from riskcent.centrality import (
     risk_centrality,
     transmissibility,
 )
+import math
+
+from riskcent import interlacement
 from riskcent.graph import Graph, generate_complete, generate_er, generate_star, walk_counts
 from riskcent.interlacement import (
     InterlacementError,
+    SeriesPolynomial,
+    _positive_real_roots,
     detect,
+    detect_pairs,
     difference_derivatives,
     events_to_csv,
     finiteness_check,
     heuristic_linear,
+    heuristic_linear_pairs,
     heuristic_poly,
+    heuristic_poly_pairs,
     shifted_expansion,
 )
 from riskcent.spectral import decompose
@@ -56,6 +64,94 @@ def double_crossing():
 
 
 WIDE_GRID = np.linspace(0.002, 4.0, 2500)
+
+
+# -- per-pair references for the batched detector and heuristics -----------------
+
+
+def reference_coefficients(dec, i, j, measure):
+    u = dec.eigenvectors
+    closed = u[i] ** 2 - u[j] ** 2
+    total = u.sum(axis=0) * (u[i] - u[j])
+    return {"C": closed, "R": total, "T": total - closed}[measure]
+
+
+def reference_detect(dec, i, j, measure, grid, bracket_tol, tangency_tol):
+    """One pair's scan and bisection, one grid value and one midpoint at a
+    time: ``(events, tangencies)`` with events as (lo, hi, before, after)."""
+    coef = reference_coefficients(dec, i, j, measure)
+    lam = dec.eigenvalues
+
+    def scaled(z):
+        return np.exp(np.outer(np.atleast_1d(z), lam - lam[0])) @ coef
+
+    vals = scaled(grid)
+    floor = 1e-12 * max(1.0, float(np.abs(coef).sum()))
+    signs = np.where(np.abs(vals) <= floor, 0, np.sign(vals)).astype(int)
+    events = []
+    nz = np.nonzero(signs)[0]
+    for a, b in zip(nz[:-1], nz[1:]):
+        if signs[a] == signs[b]:
+            continue
+        lo, hi = float(grid[a]), float(grid[b])
+        flo = float(vals[a])
+        while hi - lo > bracket_tol:
+            mid = 0.5 * (lo + hi)
+            fm = float(scaled(mid)[0])
+            if fm != 0.0 and np.sign(fm) == np.sign(flo):
+                lo, flo = mid, fm
+            else:
+                hi = mid
+        events.append((lo, hi, int(signs[a]), int(signs[b])))
+    tangencies = []
+    absvals = np.abs(vals)
+    for m in range(1, grid.size - 1):
+        if signs[m - 1] == 0 or signs[m + 1] == 0 or signs[m - 1] != signs[m + 1]:
+            continue
+        if not (absvals[m] <= absvals[m - 1] and absvals[m] <= absvals[m + 1]):
+            continue
+        logf = grid[m] * lam[0] + (math.log(absvals[m]) if absvals[m] > 0
+                                   else -math.inf)
+        if logf < math.log(tangency_tol):
+            tangencies.append(float(grid[m]))
+    return events, tangencies
+
+
+def reference_deltas(walks, i, j, measure, kmax):
+    """``(start, deltas)``: the pair's series count differences by order."""
+    start = 2 if measure == "C" else 1
+    deltas = []
+    for m in range(start, kmax + 1):
+        total = walks[m].per_node_total.astype(float)
+        closed = walks[m].per_node_closed.astype(float)
+        counts = {"C": closed, "R": total, "T": total - closed}[measure]
+        deltas.append(counts[i] - counts[j])
+    return start, np.array(deltas)
+
+
+def reference_linear(walks, i, j, measure):
+    start, (a, b) = reference_deltas(walks, i, j, measure,
+                                     3 if measure == "C" else 2)
+    if a == 0.0 or b == 0.0 or np.sign(a) == np.sign(b):
+        return None
+    return -(start + 1) * a / b
+
+
+def reference_poly(walks, i, j, measure, k):
+    """``(k0, coefficients, descartes)``, or None where ``heuristic_poly``
+    rejects the pair."""
+    start, deltas = reference_deltas(walks, i, j, measure, max(k, 60))
+    pos = deltas >= 0
+    change = np.nonzero(pos[1:] != pos[:-1])[0]
+    if change.size == 0:
+        return None
+    k0 = int(change[0]) + 1 + start
+    if k < k0:
+        return None
+    coeffs = deltas[:k - start + 1] / np.array(
+        [math.factorial(m) for m in range(start, k + 1)])
+    nz = np.abs(coeffs) > 0
+    return k0, coeffs, int(np.count_nonzero(np.diff(np.sign(coeffs[nz])) != 0))
 
 
 # -- detect ---------------------------------------------------------------------
@@ -147,6 +243,98 @@ def test_walk_dominance_means_no_events():
     grid = np.linspace(1e-3, rep.zeta_bar + 5.0, 3000)
     res = detect(g, 0, 1, measure="C", zeta_grid=grid)
     assert res.events == []
+
+
+BATCH_CASES = [
+    ("clique_plus_hub", clique_plus_hub, WIDE_GRID),
+    ("double_crossing", double_crossing, WIDE_GRID),
+    ("er40", lambda: generate_er(40, 0.15, seed=4, require_connected=True),
+     np.linspace(0.01, 3.0, 300)),
+]
+
+
+@pytest.mark.parametrize("make,grid", [c[1:] for c in BATCH_CASES],
+                         ids=[c[0] for c in BATCH_CASES])
+@pytest.mark.parametrize("measure", "RCT")
+def test_detect_pairs_matches_per_pair_reference(make, grid, measure,
+                                                 monkeypatch):
+    g = make()
+    dec = decompose(g)
+    pairs = [(i, j) for i in range(g.n) for j in range(i + 1, g.n)]
+    tol = 1e-8
+
+    def interval(lo, hi):
+        return (int(np.searchsorted(grid, lo, side="right")) - 1,
+                int(np.searchsorted(grid, hi, side="left")))
+
+    # the default tolerance and a loose one that reports tangencies
+    for tangency_tol in (1e-10, 1e3):
+        ref = [reference_detect(dec, i, j, measure, grid, tol, tangency_tol)
+               for i, j in pairs]
+        want = {(pair, interval(lo, hi), before, after)
+                for pair, (events, _) in zip(pairs, ref)
+                for lo, hi, before, after in events}
+        # one block, and blocks of a few pairs
+        for entries in (interlacement._BLOCK_ENTRIES, 700):
+            monkeypatch.setattr(interlacement, "_BLOCK_ENTRIES", entries)
+            got = detect_pairs(g, pairs, measure=measure, zeta_grid=grid,
+                               dec=dec, bracket_tol=tol,
+                               tangency_tol=tangency_tol)
+            assert len(got) == len(pairs)
+            assert {((e.i, e.j), interval(*e.bracket), e.sign_before,
+                     e.sign_after) for res in got for e in res.events} == want
+            for (events, tangencies), res in zip(ref, got):
+                assert len(res.events) == len(events)
+                for (lo, hi, _, _), e in zip(events, res.events):
+                    assert e.measure == measure and e.bracket[1] - e.bracket[0] <= tol
+                    assert abs(e.zeta_star - 0.5 * (lo + hi)) <= tol
+                assert res.tangencies == tangencies
+    assert want  # every case crosses somewhere
+
+
+@pytest.mark.parametrize("make", [c[1] for c in BATCH_CASES],
+                         ids=[c[0] for c in BATCH_CASES])
+@pytest.mark.parametrize("measure", "RCT")
+def test_batched_heuristics_match_per_pair_reference(make, measure,
+                                                     monkeypatch):
+    g = make()
+    walks = walk_counts(g, 60)
+    pairs = [(i, j) for i in range(g.n) for j in range(i + 1, g.n)]
+    for k in (3, 6):
+        linear_ref = [reference_linear(walks, i, j, measure) for i, j in pairs]
+        poly_ref = [reference_poly(walks, i, j, measure, k) for i, j in pairs]
+        assert 0 < poly_ref.count(None) < len(pairs)
+        # one block, and blocks of a few pairs
+        for entries in (interlacement._BLOCK_ENTRIES, 700):
+            monkeypatch.setattr(interlacement, "_BLOCK_ENTRIES", entries)
+            assert heuristic_linear_pairs(g, pairs, measure=measure,
+                                          walks=walks) == linear_ref
+            polys = heuristic_poly_pairs(g, pairs, measure=measure, k=k,
+                                         walks=walks)
+            assert len(polys) == len(pairs)
+            for (i, j), poly, ref in zip(pairs, polys, poly_ref):
+                if ref is None:
+                    assert isinstance(poly, InterlacementError)
+                    continue
+                k0, coeffs, descartes = ref
+                assert isinstance(poly, SeriesPolynomial)
+                assert (poly.i, poly.j, poly.measure, poly.k, poly.k0) == (
+                    i, j, measure, k, k0)
+                assert np.array_equal(poly.coefficients, coeffs)
+                assert poly.descartes_bound == descartes
+                roots, residuals = _positive_real_roots(coeffs)
+                assert np.array_equal(poly.roots, roots)
+                assert np.array_equal(poly.residuals, residuals)
+        # the single-pair forms agree, rejections and messages included
+        for (i, j), linear, poly in zip(pairs, linear_ref, polys):
+            assert heuristic_linear(g, i, j, measure, walks=walks) == linear
+            if isinstance(poly, InterlacementError):
+                with pytest.raises(InterlacementError) as exc:
+                    heuristic_poly(g, i, j, measure, k=k, walks=walks)
+                assert str(exc.value) == str(poly)
+            else:
+                single = heuristic_poly(g, i, j, measure, k=k, walks=walks)
+                assert np.array_equal(single.roots, poly.roots)
 
 
 # -- linear heuristic -------------------------------------------------------------
