@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import Graph
-from .spectral import decompose
+from .spectral import _as_decomposition, _check_zeta, exp_rows
 
 DEFAULT_ZETA_MAX = 1.0
 DEFAULT_ZETA_STEP = 0.01
@@ -49,31 +49,21 @@ def _grid(zeta_grid):
     return grid
 
 
-def _dec(g, dec):
-    return dec if dec is not None else decompose(g)
-
-
 def risk_centrality(g, zeta, dec=None):
     """Row sums of exp(zeta A): R_i = (exp(zeta A) 1)_i."""
-    d = _dec(g, dec)
-    if float(zeta) < 0:
-        raise ValueError("zeta must be nonnegative")
-    u = d.eigenvectors
-    c = u.sum(axis=0)  # psi_j^T 1
-    return 1.0 + u @ (np.expm1(zeta * d.eigenvalues) * c)
+    zeta = _check_zeta(zeta)
+    return exp_rows(_as_decomposition(g, dec), zeta, np.ones(g.n))
 
 
 def circulability(g, zeta, dec=None):
     """Diagonal of exp(zeta A): C_i = (exp(zeta A))_ii."""
-    d = _dec(g, dec)
-    if float(zeta) < 0:
-        raise ValueError("zeta must be nonnegative")
-    return 1.0 + (d.eigenvectors**2) @ np.expm1(zeta * d.eigenvalues)
+    zeta = _check_zeta(zeta)
+    return exp_rows(_as_decomposition(g, dec), zeta)
 
 
 def transmissibility(g, zeta, dec=None):
     """T_i = R_i - C_i, defined by subtraction of the other two measures."""
-    d = _dec(g, dec)
+    d = _as_decomposition(g, dec)
     return risk_centrality(g, zeta, dec=d) - circulability(g, zeta, dec=d)
 
 
@@ -84,15 +74,10 @@ def measures_scaled(g, zeta, dec=None):
     returned arrays.  Rankings are unaffected by the common positive scale,
     so this form supports extreme zeta without overflow.
     """
-    d = _dec(g, dec)
-    z = float(zeta)
-    if z < 0:
-        raise ValueError("zeta must be nonnegative")
-    u = d.eigenvectors
-    s = z * d.eigenvalues[0]
-    e = np.exp(z * d.eigenvalues - s)
-    r = u @ (e * u.sum(axis=0))
-    c = (u**2) @ e
+    zeta = _check_zeta(zeta)
+    d = _as_decomposition(g, dec)
+    r, s = exp_rows(d, zeta, np.ones(g.n), scaled=True)
+    c, _ = exp_rows(d, zeta, scaled=True)
     return r, c, r - c, s
 
 
@@ -132,11 +117,9 @@ def sweep(g, zeta_grid=None, dec=None):
     The default grid is 0.01, 0.02, ..., 1.00.
     """
     grid = _grid(zeta_grid)
-    d = _dec(g, dec)
-    u = d.eigenvectors
-    e = np.expm1(np.outer(grid, d.eigenvalues))  # (grid, n)
-    r = 1.0 + e @ (u * u.sum(axis=0)).T
-    c = 1.0 + e @ (u**2).T
+    d = _as_decomposition(g, dec)
+    r = exp_rows(d, grid, np.ones(g.n))
+    c = exp_rows(d, grid)
     return RiskProfile(grid, r, c, r - c, labels=list(g.labels))
 
 
@@ -234,5 +217,5 @@ def limit_rankings(g, dec=None):
     if not g.is_connected():
         raise ValueError("limit rankings need a connected graph "
                          "(the Perron vector is not unique otherwise)")
-    d = _dec(g, dec)
+    d = _as_decomposition(g, dec)
     return rank(g.strengths()), rank(d.eigenvectors[:, 0])

@@ -229,7 +229,10 @@ def cmd_interlace(args):
     _write_manifest(args.out, "interlace",
                     {"graph": args.graph, "weighted": args.weighted,
                      "measure": args.measure, "zeta_grid": grid.tolist(),
-                     "pairs": [list(p) for p in pairs]},
+                     # all n(n-1)/2 pairs would dominate the manifest's size
+                     "all_pairs": args.all_pairs,
+                     "pairs": (None if args.all_pairs
+                               else [list(p) for p in pairs])},
                     [args.graph], ["events.csv"])
     results = detect_pairs(g, pairs, measure=args.measure, zeta_grid=grid,
                            dec=decompose(g))

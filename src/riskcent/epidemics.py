@@ -20,7 +20,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .graph import Graph
-from .spectral import decompose
+from .spectral import _as_decomposition, exp_rows
 from .centrality import risk_centrality
 
 
@@ -131,10 +131,7 @@ def si_linearized(g, params, x0=None, dec=None):
     [0, 1] and are reported unclipped.
     """
     x0 = _initial_state(g, params, x0)
-    d = dec if dec is not None else decompose(g)
-    c = d.eigenvectors.T @ x0
-    e = np.exp(np.outer(params.gamma * params.t_grid, d.eigenvalues))
-    x = e @ (d.eigenvectors * c).T
+    x = exp_rows(_as_decomposition(g, dec), params.gamma * params.t_grid, x0)
     return SITrajectory(params.t_grid, x, "linearized", labels=list(g.labels))
 
 
@@ -146,11 +143,8 @@ def si_lee(g, params, dec=None):
         y_i(t) = -log(alpha) + (beta/alpha) * (R_i - 1)
         x_i(t) = 1 - alpha * exp(-(beta/alpha) * (R_i - 1)) = 1 - exp(-y_i).
     """
-    d = dec if dec is not None else decompose(g)
-    u = d.eigenvectors
-    c = u.sum(axis=0)
-    zetas = params.zeta_at(params.t_grid)
-    r = 1.0 + np.expm1(np.outer(zetas, d.eigenvalues)) @ (u * c).T
+    r = exp_rows(_as_decomposition(g, dec), params.zeta_at(params.t_grid),
+                 np.ones(g.n))
     beta, alpha = params.beta, params.alpha
     y = -np.log(alpha) + (beta / alpha) * (r - 1.0)
     x = 1.0 - alpha * np.exp(-(beta / alpha) * (r - 1.0))

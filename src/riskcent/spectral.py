@@ -5,9 +5,12 @@ the diagonal ``diag(exp(z*A))`` for a symmetric adjacency A and z >= 0.  Two
 routes are provided:
 
 * a dense route through one full symmetric eigendecomposition, reusable
-  across many z values, and
-* a Krylov route (Lanczos with full reorthogonalization) that only touches
-  A through matrix-vector products, for graphs too large to decompose.
+  across many z values: one kernel, ``exp_rows``, serves every dense
+  caller (the measures, ``sweep``, the SI bounds and the actions below);
+* a Krylov route that only touches A through matrix-vector products, for
+  graphs too large to decompose: one Lanczos loop with full
+  reorthogonalization (``_lanczos``) serves the action and the
+  Gauss-quadrature diagonal, which differ in start vector and stopping rule.
 
 The dense formulas are written with ``expm1`` so that the small-z signal
 ``exp(z*A) - I`` is not lost to cancellation: since the eigenvectors are
@@ -94,7 +97,7 @@ def decompose(g, dense_limit=DENSE_LIMIT_DEFAULT):
     return SpectralDecomposition(lam, u)
 
 
-def _as_decomposition(g, dec, dense_limit):
+def _as_decomposition(g, dec, dense_limit=DENSE_LIMIT_DEFAULT):
     if dec is not None:
         return dec
     return decompose(g, dense_limit=dense_limit)
@@ -118,28 +121,27 @@ def _check_vector(v, n):
 # -- dense route -----------------------------------------------------------
 
 
-def _action_dense(dec, zeta, v):
-    u = dec.eigenvectors
-    c = u.T @ v
-    return v + u @ (np.expm1(zeta * dec.eigenvalues) * c)
+def exp_rows(dec, zetas, v=None, scaled=False):
+    """Rows ``exp(zetas[k]*A) @ v``, or ``diag(exp(zetas[k]*A))`` if v is None.
 
-
-def _action_dense_scaled(dec, zeta, v):
-    u = dec.eigenvectors
-    c = u.T @ v
-    s = zeta * dec.eigenvalues[0]
-    return u @ (np.exp(zeta * dec.eigenvalues - s) * c), s
-
-
-def _diagonal_dense(dec, zeta):
-    u2 = dec.eigenvectors**2
-    return 1.0 + u2 @ np.expm1(zeta * dec.eigenvalues)
-
-
-def _diagonal_dense_scaled(dec, zeta):
-    u2 = dec.eigenvectors**2
-    s = zeta * dec.eigenvalues[0]
-    return u2 @ np.exp(zeta * dec.eigenvalues - s), s
+    The one dense evaluator of the exponential.  ``zetas`` is a 1-D grid,
+    giving one row per value, or a scalar, giving one 1-D result.  Unscaled
+    rows are ``v + (expm1(z*lam) * (U^T v)) U^T`` (``1 + expm1(z*lam) (U*U)^T``
+    for the diagonal).  With ``scaled=True`` returns ``(rows, s)`` with
+    ``s = zetas * lam_1`` and each row ``exp(-s)`` times the unscaled one,
+    finite for any z >= 0.
+    """
+    z = np.asarray(zetas, dtype=float)
+    lam, u = dec.eigenvalues, dec.eigenvectors
+    if scaled:
+        e = np.exp(np.multiply.outer(z, lam - lam[0]))
+    else:
+        e = np.expm1(np.multiply.outer(z, lam))
+    # scaling e by U^T v, not U, keeps the action free of an (n, n) temporary
+    rows = e @ (u**2).T if v is None else (e * (u.T @ v)) @ u.T
+    if scaled:
+        return rows, z * lam[0]
+    return (1.0 if v is None else v) + rows
 
 
 # -- Krylov route ------------------------------------------------------------
@@ -158,24 +160,22 @@ def _expm_tridiag_e1(alphas, betas, zeta):
     return s @ (np.exp(zeta * theta - top) * s[0]), top
 
 
-def _lanczos_expm_action(matvec, zeta, v, tol, max_dim):
-    """exp(zeta*A) v through the Lanczos process with full reorthogonalization.
+def _lanczos(matvec, q, max_dim):
+    """Lanczos process from the unit vector ``q`` with full reorthogonalization.
 
-    The error estimate is the magnitude of the first neglected term,
-    ``beta_m * |[exp(zeta*T_m)]_{m,1}|``; iteration stops once two
-    consecutive estimates fall below ``tol`` relative to the current
-    approximation (measured on the scaled exponential to stay finite).
+    After step m yields ``(alphas, betas, b, basis)``: the m diagonal and
+    m - 1 off-diagonal entries of the tridiagonal T_m, the norm b of the
+    next residual and the orthonormal basis ``(m, n)``.  b is reported as 0
+    when the residual vanishes: the Krylov space is then invariant, T_m is
+    exact and the process stops.  It also stops after ``min(max_dim, n)``
+    steps.
     """
-    n = v.size
-    beta0 = np.linalg.norm(v)
-    if beta0 == 0.0:
-        return np.zeros(n), 0.0
+    n = q.size
     m_cap = min(max_dim, n)
     vs = np.empty((m_cap, n))
-    vs[0] = v / beta0
+    vs[0] = q
     alphas = []
     betas = []
-    good = 0
     for m in range(1, m_cap + 1):
         w = matvec(vs[m - 1])
         if m > 1:
@@ -186,28 +186,41 @@ def _lanczos_expm_action(matvec, zeta, v, tol, max_dim):
         # full reorthogonalization keeps the basis numerically orthogonal
         w = w - vs[:m].T @ (vs[:m] @ w)
         b = float(np.linalg.norm(w))
-        small, shift = _expm_tridiag_e1(alphas, betas, zeta)
-        scale = float(np.linalg.norm(small))
         norm_est = max(max(abs(x) for x in alphas), max(betas, default=0.0))
-        if b < 1e-12 * max(1.0, norm_est):
-            break  # invariant subspace: the small solve is exact
-        rel = b * abs(small[-1]) / max(scale, 1e-300)
-        if rel <= tol:
-            good += 1
-            if good >= 2:
-                break
-        else:
-            good = 0
-        if m == m_cap:
-            raise KrylovConvergenceError(
-                "Lanczos exp action did not reach rel tol %g in %d "
-                "dimensions (achieved %g)" % (tol, m_cap, rel),
-                achieved=rel, dimension=m_cap)
+        exact = b < 1e-12 * max(1.0, norm_est)
+        yield alphas, betas, 0.0 if exact else b, vs[:m]
+        if exact or m == m_cap:
+            return
         betas.append(b)
         vs[m] = w / b
-    m = len(alphas)
-    y = vs[:m].T @ (beta0 * small)
-    return y, shift
+
+
+def _lanczos_expm_action(matvec, zeta, v, tol, max_dim):
+    """exp(zeta*A) v through the Lanczos process started from v/|v|.
+
+    The error estimate is the magnitude of the first neglected term,
+    ``beta_m * |[exp(zeta*T_m)]_{m,1}|``; iteration stops once two
+    consecutive estimates fall below ``tol`` relative to the current
+    approximation (measured on the scaled exponential to stay finite).
+    """
+    beta0 = np.linalg.norm(v)
+    if beta0 == 0.0:
+        return np.zeros(v.size), 0.0
+    good = 0
+    for alphas, betas, b, basis in _lanczos(matvec, v / beta0, max_dim):
+        small, shift = _expm_tridiag_e1(alphas, betas, zeta)
+        if b == 0.0:
+            break  # invariant subspace: the small solve is exact
+        rel = b * abs(small[-1]) / max(float(np.linalg.norm(small)), 1e-300)
+        good = good + 1 if rel <= tol else 0
+        if good >= 2:
+            break
+    else:
+        raise KrylovConvergenceError(
+            "Lanczos exp action did not reach rel tol %g in %d "
+            "dimensions (achieved %g)" % (tol, len(alphas), rel),
+            achieved=rel, dimension=len(alphas))
+    return basis.T @ (beta0 * small), shift
 
 
 def _lanczos_diag_entry(matvec, zeta, i, n, tol, max_dim):
@@ -216,47 +229,28 @@ def _lanczos_diag_entry(matvec, zeta, i, n, tol, max_dim):
     Convergence is declared when two consecutive iterates agree to ``tol``
     relatively; returns the scaled value and the log scale used.
     """
-    v = np.zeros(n)
-    v[i] = 1.0
-    m_cap = min(max_dim, n)
-    vs = np.empty((m_cap, n))
-    vs[0] = v
-    alphas = []
-    betas = []
+    q = np.zeros(n)
+    q[i] = 1.0
     prev = None
     good = 0
     rel = np.inf
-    for m in range(1, m_cap + 1):
-        w = matvec(vs[m - 1])
-        if m > 1:
-            w = w - betas[-1] * vs[m - 2]
-        a = float(vs[m - 1] @ w)
-        alphas.append(a)
-        w = w - a * vs[m - 1]
-        w = w - vs[:m].T @ (vs[:m] @ w)
-        b = float(np.linalg.norm(w))
+    for alphas, betas, b, _ in _lanczos(matvec, q, max_dim):
         col, shift = _expm_tridiag_e1(alphas, betas, zeta)
         val = float(col[0])
+        if b == 0.0:
+            break  # invariant subspace: the quadrature is exact
         if prev is not None:
             # compare on a common scale: prev carried its own shift
             rel = abs(val - prev[0] * np.exp(prev[1] - shift)) / max(abs(val), 1e-300)
-            if rel <= tol:
-                good += 1
-                if good >= 2:
-                    return val, shift
-            else:
-                good = 0
+            good = good + 1 if rel <= tol else 0
+            if good >= 2:
+                break
         prev = (val, shift)
-        norm_est = max(max(abs(x) for x in alphas), max(betas, default=0.0))
-        if b < 1e-12 * max(1.0, norm_est):
-            return val, shift
-        if m == m_cap:
-            raise KrylovConvergenceError(
-                "Lanczos quadrature for node %d did not reach rel tol %g "
-                "in %d dimensions" % (i, tol, m_cap),
-                achieved=rel, dimension=m_cap)
-        betas.append(b)
-        vs[m] = w / b
+    else:
+        raise KrylovConvergenceError(
+            "Lanczos quadrature for node %d did not reach rel tol %g "
+            "in %d dimensions" % (i, tol, len(alphas)),
+            achieved=rel, dimension=len(alphas))
     return val, shift
 
 
@@ -283,7 +277,7 @@ def expm_action(g, zeta, v, dec=None, method="auto", tol=KRYLOV_TOL_DEFAULT,
     v = _check_vector(v, g.n)
     route = _resolve_method(g, dec, method, dense_limit)
     if route == "dense":
-        return _action_dense(_as_decomposition(g, dec, dense_limit), zeta, v)
+        return exp_rows(_as_decomposition(g, dec, dense_limit), zeta, v)
     a = g.sparse_adjacency()
     y, log_scale = _lanczos_expm_action(lambda x: a @ x, zeta, v, tol, max_dim)
     return y * np.exp(log_scale)
@@ -301,7 +295,8 @@ def expm_action_scaled(g, zeta, v, dec=None, method="auto",
     v = _check_vector(v, g.n)
     route = _resolve_method(g, dec, method, dense_limit)
     if route == "dense":
-        return _action_dense_scaled(_as_decomposition(g, dec, dense_limit), zeta, v)
+        return exp_rows(_as_decomposition(g, dec, dense_limit), zeta, v,
+                        scaled=True)
     a = g.sparse_adjacency()
     return _lanczos_expm_action(lambda x: a @ x, zeta, v, tol, max_dim)
 
@@ -317,7 +312,7 @@ def expm_diagonal(g, zeta, dec=None, method="auto", tol=KRYLOV_TOL_DEFAULT,
     zeta = _check_zeta(zeta)
     route = _resolve_method(g, dec, method, dense_limit)
     if route == "dense":
-        return _diagonal_dense(_as_decomposition(g, dec, dense_limit), zeta)
+        return exp_rows(_as_decomposition(g, dec, dense_limit), zeta)
     a = g.sparse_adjacency()
     mv = lambda x: a @ x
     out = np.empty(g.n)
@@ -333,4 +328,4 @@ def expm_diagonal_scaled(g, zeta, dec=None, dense_limit=DENSE_LIMIT_DEFAULT):
     Dense route only; the common scale is ``zeta * lam_1``.
     """
     zeta = _check_zeta(zeta)
-    return _diagonal_dense_scaled(_as_decomposition(g, dec, dense_limit), zeta)
+    return exp_rows(_as_decomposition(g, dec, dense_limit), zeta, scaled=True)

@@ -124,7 +124,7 @@ def test_c03_published_table_within_001():
                               densities=(0.1, 0.3, 0.5, 0.7, 0.9),
                               zetas=(0.1, 0.5, 1.0),
                               replications=1000, seed=0)
-    table = spearman_table(config, jobs=os.cpu_count())
+    table = spearman_table(config)
     for d_idx, density in enumerate(config.densities):
         for z_idx in range(3):
             published = PUBLISHED_TABLE[density][z_idx]
@@ -170,8 +170,7 @@ def test_c04_ratio_dispersion_claims():
 def test_c05_ratio_limit_strictly_decreasing_in_n():
     for zeta in (0.1, 1.0):
         devs = er_ratio_limit_check((50, 100, 200, 400), density=0.5,
-                                    zeta=zeta, replications=20, seed=7,
-                                    jobs=os.cpu_count())
+                                    zeta=zeta, replications=20, seed=7)
         assert (np.diff(devs) < 0).all(), (
             "zeta=%g: %s" % (zeta, np.array2string(devs)))
 

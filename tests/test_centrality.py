@@ -68,6 +68,15 @@ def test_zeta_zero_baseline():
     assert np.allclose(transmissibility(g, 0.0), 0.0, atol=1e-14)
 
 
+def test_measures_reject_bad_zeta():
+    g = generate_er(15, 0.3, seed=1)
+    for zeta in (float("nan"), float("inf"), -0.5):
+        for fn in (risk_centrality, circulability, transmissibility,
+                   measures_scaled):
+            with pytest.raises(ValueError, match="zeta"):
+                fn(g, zeta)
+
+
 def test_transmissibility_positive_on_connected():
     for seed in range(4):
         g = generate_er(30, 0.15, seed=seed, require_connected=True)

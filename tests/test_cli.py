@@ -256,6 +256,9 @@ def test_interlace_symmetric_pair_empty_events(tmp_path):
     header, rows = read_csv(os.path.join(out, "events.csv"))
     assert header[:4] == ["i", "j", "measure", "kind"]
     assert rows == []
+    with open(os.path.join(out, "manifest.json")) as fh:
+        settings = json.load(fh)["settings"]
+    assert settings["all_pairs"] is False and settings["pairs"] == [[0, 1]]
 
 
 def test_interlace_clique_hub_crossing(tmp_path):
@@ -284,6 +287,10 @@ def test_interlace_all_pairs_on_path(tmp_path):
     assert rc == 0
     _, rows = read_csv(os.path.join(out, "events.csv"))
     assert rows == []  # centre dominates and the leaves are automorphic
+    # the manifest records the flag, not the n(n-1)/2 pairs it expands to
+    with open(os.path.join(out, "manifest.json")) as fh:
+        settings = json.load(fh)["settings"]
+    assert settings["all_pairs"] is True and settings["pairs"] is None
 
 
 def test_interlace_writes_tangency_rows(tmp_path, monkeypatch):

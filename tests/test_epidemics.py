@@ -113,6 +113,7 @@ def test_linearized_explicit_form():
     import scipy.linalg
     lin = si_linearized(g, p)
     x0 = np.full(10, 0.1)
+    assert np.array_equal(lin.x[0], x0)  # exactly x0 at t = 0
     for k, t in enumerate(p.t_grid):
         want = scipy.linalg.expm(0.7 * t * g.adjacency()) @ x0
         assert np.allclose(lin.x[k], want, rtol=1e-10)

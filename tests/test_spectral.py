@@ -5,7 +5,9 @@ import scipy.linalg
 from riskcent.graph import Graph, generate_complete, generate_er, generate_star
 from riskcent.spectral import (
     KrylovConvergenceError,
+    _lanczos,
     decompose,
+    exp_rows,
     expm_action,
     expm_action_scaled,
     expm_diagonal,
@@ -90,11 +92,21 @@ def test_action_matches_taylor_oracle():
 
 
 def test_action_matches_pade_oracle():
-    g = generate_er(25, 0.2, seed=12)
-    e = scipy.linalg.expm(0.7 * g.adjacency())
-    v = np.random.default_rng(1).normal(size=25)
-    assert np.allclose(expm_action(g, 0.7, v), e @ v, rtol=1e-10, atol=1e-12)
-    assert np.allclose(expm_diagonal(g, 0.7), np.diag(e), rtol=1e-10)
+    weighted = Graph(6, [(0, 1, 0.5), (1, 2, 2.0), (2, 3, 1.5), (3, 4, 0.25),
+                         (4, 5, 1.0), (0, 5, 3.0), (1, 4, 0.7)])
+    zetas = [0.0, 0.3, 0.7]
+    for g in (generate_er(25, 0.2, seed=12), weighted):
+        dec = decompose(g)
+        v = np.random.default_rng(1).normal(size=g.n)
+        # the grid form of the kernel, one row per zeta
+        rows, diags = exp_rows(dec, zetas, v), exp_rows(dec, zetas)
+        for k, zeta in enumerate(zetas):
+            e = scipy.linalg.expm(zeta * g.adjacency())
+            assert np.allclose(expm_action(g, zeta, v), e @ v,
+                               rtol=1e-10, atol=1e-12)
+            assert np.allclose(expm_diagonal(g, zeta), np.diag(e), rtol=1e-10)
+            assert np.allclose(rows[k], e @ v, rtol=1e-10, atol=1e-12)
+            assert np.allclose(diags[k], np.diag(e), rtol=1e-10)
 
 
 def test_small_zeta_signal_not_lost():
@@ -158,6 +170,13 @@ def test_scaled_action_survives_huge_zeta():
     d, sd = expm_diagonal_scaled(g, 50.0)
     assert np.isfinite(d).all() and (d > 0).all()
     assert s == pytest.approx(50.0 * 59.0, rel=1e-12)
+    dec = decompose(g)
+    for v in (np.ones(60), None):
+        rows, scales = exp_rows(dec, [0.0, 1.0, 50.0], v, scaled=True)
+        assert np.isfinite(rows).all() and (rows > 0).all()
+        assert np.allclose(scales, [0.0, 59.0, 50.0 * 59.0], rtol=1e-12)
+        assert np.allclose(rows[:2] * np.exp(scales[:2, None]),
+                           exp_rows(dec, [0.0, 1.0], v), rtol=1e-12)
 
 
 # -- Krylov route -------------------------------------------------------------
@@ -193,3 +212,30 @@ def test_krylov_reports_nonconvergence():
         expm_action(g, 3.0, v, method="krylov", max_dim=3)
     assert err.value.dimension == 3
     assert err.value.achieved > 0
+    with pytest.raises(KrylovConvergenceError) as err:
+        expm_diagonal(g, 3.0, method="krylov", max_dim=3)
+    assert err.value.dimension == 3
+    assert err.value.achieved > 0
+
+
+def test_krylov_invariant_subspace_exit():
+    # 1 is an eigenvector of K_n: the Krylov space from it is invariant
+    # after one step; from the hub of a star it is after two
+    g = generate_complete(12)
+    a = g.sparse_adjacency()
+    steps = list(_lanczos(lambda x: a @ x, np.ones(12) / np.sqrt(12), 50))
+    assert len(steps) == 1 and steps[-1][2] == 0.0
+    for zeta in (0.3, 2.0):
+        kry = expm_action(g, zeta, np.ones(12), method="krylov")
+        dense = expm_action(g, zeta, np.ones(12), method="dense")
+        assert np.allclose(kry, dense, rtol=1e-12)
+    star = generate_star(9)
+    hub = np.zeros(9)
+    hub[0] = 1.0
+    a = star.sparse_adjacency()
+    steps = list(_lanczos(lambda x: a @ x, hub, 50))
+    assert len(steps) == 2 and steps[-1][2] == 0.0
+    kry = expm_diagonal(star, 1.3, method="krylov")
+    dense = expm_diagonal(star, 1.3, method="dense")
+    assert np.allclose(kry, dense, rtol=1e-12)
+    assert kry[0] == pytest.approx(np.cosh(1.3 * np.sqrt(8.0)), rel=1e-12)
