@@ -50,6 +50,7 @@ from .centrality import (  # noqa: F401
     sweep,
 )
 from .epidemics import (  # noqa: F401
+    SIIntegrationError,
     SIParams,
     SITrajectory,
     si_exact,
@@ -67,7 +68,6 @@ from .interlacement import (  # noqa: F401
     SeriesPolynomial,
     detect,
     difference_derivatives,
-    events_to_csv,
     finiteness_check,
     heuristic_linear,
     heuristic_poly,

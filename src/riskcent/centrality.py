@@ -99,7 +99,8 @@ class RiskProfile:
                              % (name,)) from None
 
     def to_csv(self, path, measure):
-        _write_grid_csv(path, self.zeta_grid, self.measure(measure), self.labels)
+        write_grid_csv(path, "zeta", self.zeta_grid, self.measure(measure),
+                       self.labels)
 
     def to_json_dict(self):
         return {
@@ -123,12 +124,16 @@ def sweep(g, zeta_grid=None, dec=None):
     return RiskProfile(grid, r, c, r - c, labels=list(g.labels))
 
 
-def _write_grid_csv(path, grid, matrix, labels):
+def write_grid_csv(path, head, grid, matrix, labels):
+    """Write a header of ``head`` and ``labels`` (quoted by ``csv.writer``),
+    then one row per grid value: the value and its matrix row, each cell
+    ``repr`` of a float (integer ranks read ``3.0``), ending in CRLF.
+    """
+    rows = np.asarray(matrix, dtype=float).tolist()
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["zeta"] + list(labels))
-        for z, row in zip(grid, matrix):
-            w.writerow([repr(float(z))] + [repr(float(x)) for x in row])
+        csv.writer(fh).writerow([head] + list(labels))
+        for z, row in zip(np.asarray(grid, dtype=float).tolist(), rows):
+            fh.write(",".join(map(repr, [z] + row)) + "\r\n")
 
 
 # -- rankings ----------------------------------------------------------------
@@ -170,7 +175,8 @@ class RankingSweep:
     labels: list = field(default_factory=list)
 
     def to_csv(self, path):
-        _write_grid_csv(path, self.zeta_grid, self.rank_matrix, self.labels)
+        write_grid_csv(path, "zeta", self.zeta_grid, self.rank_matrix,
+                       self.labels)
 
     def std_to_csv(self, path):
         with open(path, "w", newline="") as fh:

@@ -3,7 +3,7 @@
 Every command validates its inputs, writes a ``manifest.json`` (command,
 settings, input digests, declared outputs) into the output directory
 before any result file, then emits plain CSV/JSON reports.  Exit codes:
-0 success, 2 invalid input, 3 runtime budget exceeded.
+0 success, 2 invalid input or a failed solver, 3 runtime budget exceeded.
 """
 
 from __future__ import annotations
@@ -15,14 +15,13 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import __version__
-from .centrality import default_zeta_grid, ranking_sweep, sweep
-from .epidemics import (SIParams, si_exact, si_lee, si_lee_general,
-                        si_linearized, si_meanfield)
+from .centrality import _grid, ranking_sweep, sweep, write_grid_csv
+from .epidemics import (SIIntegrationError, SIParams, si_exact, si_lee,
+                        si_lee_general, si_linearized, si_meanfield)
 from .experiments import RATIOS, read_config, spearman_table
 from .finance import (build_market_window, delta_rank, lda_fit, load_returns,
                       load_svc, rolling_windows, svc_trend,
@@ -32,7 +31,7 @@ from .graph import (GraphError, load_edge_list, load_json, load_memberships,
 from .interlacement import (InterlacementError, SeriesPolynomial,
                             detect_pairs, heuristic_linear_pairs,
                             heuristic_poly_pairs)
-from .spectral import decompose
+from .spectral import EigensolverError, KrylovConvergenceError, decompose
 
 _MEASURES = ("R", "C", "T")
 _SOLVERS = ("exact", "lee", "lee-general", "linearized", "mean-field")
@@ -78,7 +77,7 @@ def _load_graph(path, weighted=False):
 def _parse_grid(spec):
     """Grid spec: 'lo:hi:count' for linspace or a comma list of values."""
     if spec is None:
-        return default_zeta_grid()
+        return _grid(None)
     if ":" in spec:
         parts = spec.split(":")
         if len(parts) != 3:
@@ -88,10 +87,8 @@ def _parse_grid(spec):
             raise ValueError("grid spec %r has an empty range" % spec)
         grid = np.linspace(lo, hi, count)
     else:
-        grid = np.array([float(tok) for tok in spec.split(",") if tok.strip()])
-    if grid.size == 0 or (grid <= 0).any() or (np.diff(grid) <= 0).any():
-        raise ValueError("zeta grid must be positive and strictly increasing")
-    return grid
+        grid = [float(tok) for tok in spec.split(",") if tok.strip()]
+    return _grid(grid)
 
 
 def _write_manifest(out_dir, command, settings, inputs, outputs, seed=None):
@@ -145,6 +142,8 @@ def cmd_epidemics(args):
               else np.linspace(0.0, args.tmax, args.steps))
     params = SIParams(gamma=args.gamma, beta=args.beta, t_grid=t_grid)
     solvers = [s.strip() for s in args.solvers.split(",") if s.strip()]
+    if not solvers:
+        raise ValueError("no solver given; options: %s" % ", ".join(_SOLVERS))
     for s in solvers:
         if s not in _SOLVERS:
             raise ValueError("unknown solver %r; options: %s"
@@ -158,7 +157,7 @@ def cmd_epidemics(args):
                      "solvers": solvers},
                     [args.graph], outputs)
     dec = decompose(g) if {"lee", "linearized"} & set(solvers) else None
-    trajectories = {}
+    means = []
     for s in solvers:
         if s == "exact":
             traj = si_exact(g, params)
@@ -170,15 +169,10 @@ def cmd_epidemics(args):
             traj = si_linearized(g, params, dec=dec)
         else:
             traj = si_meanfield(g.mean_degree(), params)
-        trajectories[s] = traj
         traj.to_csv(os.path.join(args.out, "trajectory_%s.csv" % s))
-    with open(os.path.join(args.out, "mean_curves.csv"), "w",
-              newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t"] + solvers)
-        means = [trajectories[s].mean_curve() for s in solvers]
-        for k, t in enumerate(t_grid):
-            w.writerow([repr(float(t))] + [repr(float(m[k])) for m in means])
+        means.append(traj.mean_curve())
+    write_grid_csv(os.path.join(args.out, "mean_curves.csv"), "t", t_grid,
+                   np.column_stack(means), solvers)
     return 0
 
 
@@ -277,15 +271,14 @@ def cmd_experiments(args):
     if args.ratios:
         outputs.append("ratios.csv")
     _write_manifest(args.out, "experiments",
-                    {"config": args.config, "jobs": args.jobs,
-                     "n": config.n, "densities": list(config.densities),
+                    {"config": args.config, "n": config.n,
+                     "densities": list(config.densities),
                      "zetas": list(config.zetas),
                      "replications": config.replications,
                      "ratios": bool(args.ratios)},
                     [args.config], outputs, seed=config.seed)
     budget.check("start")
-    table = spearman_table(config, jobs=args.jobs,
-                           ratios=RATIOS if args.ratios else ())
+    table = spearman_table(config, ratios=RATIOS if args.ratios else ())
     budget.check("replications")
     table.to_csv(os.path.join(args.out, "table_value.csv"), "value")
     table.to_csv(os.path.join(args.out, "table_rank.csv"), "rank")
@@ -327,25 +320,15 @@ def cmd_market(args):
                      "step_months": args.step_months,
                      "min_obs": args.min_obs, "measure": args.measure,
                      "weight_mode": args.weight_mode,
-                     "zeta_grid": grid.tolist(), "jobs": args.jobs},
+                     "zeta_grid": grid.tolist()},
                     [args.returns], outputs)
     budget.check("start")
-
-    def one(window):
+    summary = []
+    for window in windows:
         market = build_market_window(window)
         report = window_rank_report(market, zeta_grid=grid,
                                     measure=args.measure,
                                     weight_mode=args.weight_mode)
-        return market, report
-
-    if args.jobs and args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(one, windows))
-    else:
-        results = [one(w) for w in windows]
-    budget.check("window reports")
-    summary = []
-    for market, report in results:
         wdir = os.path.join(args.out, "windows", market.window_id)
         os.makedirs(wdir, exist_ok=True)
         report.to_csv(os.path.join(wdir, "ranks.csv"))
@@ -353,6 +336,7 @@ def cmd_market(args):
         save_json(market.tree, os.path.join(wdir, "mst.json"))
         summary.append([market.window_id, len(market.assets),
                         repr(float(report.per_node_std.mean()))])
+    budget.check("window reports")
     with open(os.path.join(args.out, "summary.csv"), "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["window", "assets", "mean_rank_std"])
@@ -424,8 +408,8 @@ def build_parser():
         p.add_argument("--out", required=True, help="output directory")
         if budget:
             p.add_argument("--jobs", type=int, default=1,
-                           help="worker threads (default 1; results are "
-                                "identical for any value)")
+                           help="accepted and ignored: every command runs "
+                                "serially")
             p.add_argument("--budget", type=float, default=None,
                            help="wall-clock budget in seconds, checked "
                                 "between phases; exceeding it exits 3")
@@ -511,7 +495,9 @@ def main(argv=None):
     except _BudgetExceeded as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3
-    except (GraphError, InterlacementError, ValueError, OSError) as exc:
+    except (GraphError, InterlacementError, ValueError, OSError,
+            EigensolverError, KrylovConvergenceError,
+            SIIntegrationError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

@@ -13,7 +13,6 @@ linearized flow both dominate the exact solution componentwise.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,7 +20,11 @@ from scipy.integrate import solve_ivp
 
 from .graph import Graph
 from .spectral import _as_decomposition, exp_rows
-from .centrality import risk_centrality
+from .centrality import risk_centrality, write_grid_csv
+
+
+class SIIntegrationError(RuntimeError):
+    """The adaptive integrator of the exact SI equations failed."""
 
 
 @dataclass
@@ -78,12 +81,8 @@ class SITrajectory:
         return self.x.mean(axis=1)
 
     def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            names = self.labels or [str(i) for i in range(self.x.shape[1])]
-            w.writerow(["t"] + list(names))
-            for t, row in zip(self.t_grid, self.x):
-                w.writerow([repr(float(t))] + [repr(float(v)) for v in row])
+        names = self.labels or [str(i) for i in range(self.x.shape[1])]
+        write_grid_csv(path, "t", self.t_grid, self.x, names)
 
 
 def _initial_state(g, params, x0):
@@ -102,7 +101,8 @@ def si_exact(g, params, x0=None, rtol=1e-10, atol=1e-12):
 
     ``x0`` defaults to the uniform seeding ``beta``.  The trajectory is
     reported on ``params.t_grid``; integration always starts from t = 0
-    where ``x0`` is defined.
+    where ``x0`` is defined.  A failed integration raises
+    ``SIIntegrationError``.
     """
     x0 = _initial_state(g, params, x0)
     t = params.t_grid
@@ -119,7 +119,7 @@ def si_exact(g, params, x0=None, rtol=1e-10, atol=1e-12):
     sol = solve_ivp(rhs, (0.0, t_end), x0, method="DOP853",
                     t_eval=t[t > 0], rtol=rtol, atol=atol)
     if not sol.success:
-        raise RuntimeError("SI integration failed: %s" % sol.message)
+        raise SIIntegrationError("SI integration failed: %s" % sol.message)
     rows = [x0[None, :]] * int((t == 0).sum()) + [sol.y.T]
     return SITrajectory(t, np.vstack(rows), "exact", labels=list(g.labels))
 

@@ -2,14 +2,12 @@
 
 All experiments draw connected Erdos-Renyi samples.  Replication r of
 density block d uses the substream seed ``child_seed(master, d, r)``, so
-serial and parallel runs produce bit-identical results and any replication
-can be regenerated in isolation.
+any replication can be regenerated in isolation.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,7 +15,6 @@ from scipy.special import betainc
 
 from .centrality import sweep
 from .graph import generate_er
-from .spectral import decompose
 
 RATIOS = ("R/E[R]", "C/E[C]", "T/E[T]", "C/R")
 _QUANTILES = (1, 25, 50, 75, 99)
@@ -124,13 +121,6 @@ def _replication_measures(config, d_idx, rep):
     return prof.R, prof.C, prof.T
 
 
-def _map_replications(func, count, jobs):
-    if jobs is None or jobs <= 1:
-        return [func(r) for r in range(count)]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(func, range(count)))
-
-
 def _check_ratios(ratios):
     if isinstance(ratios, str):
         ratios = (ratios,)
@@ -181,7 +171,7 @@ def _ratio_samples(ratio, R, C, T):
     return m / m.mean(axis=-1, keepdims=True)
 
 
-def ratio_study(config, ratios=("R/E[R]",), jobs=1):
+def ratio_study(config, ratios=("R/E[R]",)):
     """Distributions of node-level measure ratios over ER replications.
 
     ``ratios`` may hold any of 'R/E[R]', 'C/E[C]', 'T/E[T]' (value against
@@ -190,7 +180,7 @@ def ratio_study(config, ratios=("R/E[R]",), jobs=1):
     ``{ratio: {(density, zeta): DistributionSummary}}``, the ``ratios`` of
     the :func:`spearman_table` pass that draws the replications.
     """
-    return spearman_table(config, jobs=jobs, ratios=ratios).ratios
+    return spearman_table(config, ratios=ratios).ratios
 
 
 @dataclass
@@ -227,7 +217,7 @@ class CorrelationTable:
                 w.writerow(["%g" % d] + [repr(float(x)) for x in row])
 
 
-def spearman_table(config, jobs=1, ratios=()):
+def spearman_table(config, ratios=()):
     """Mean correlation of C against R per (density, zeta) cell.
 
     Both statistics are computed over the same replications: ``rank_corr``
@@ -249,9 +239,8 @@ def spearman_table(config, jobs=1, ratios=()):
     value_corr = np.empty(shape)
     pooled = {r: {} for r in ratios}
     for d_idx, density in enumerate(config.densities):
-        rows = _map_replications(
-            lambda rep: _replication_measures(config, d_idx, rep),
-            config.replications, jobs)
+        rows = [_replication_measures(config, d_idx, rep)
+                for rep in range(config.replications)]
         R, C, T = (np.stack(m) for m in zip(*rows))
         rank_corr[d_idx] = _row_spearman(C, R).mean(axis=0)
         value_corr[d_idx] = _row_corr(C, R).mean(axis=0)
@@ -265,7 +254,7 @@ def spearman_table(config, jobs=1, ratios=()):
                             rank_corr, value_corr, ratios=pooled)
 
 
-def er_ratio_limit_check(n_values, density, zeta, replications, seed, jobs=1):
+def er_ratio_limit_check(n_values, density, zeta, replications, seed):
     """Mean deviation |n * C_i / R_i - 1| along a ladder of graph sizes.
 
     The measures concentrate as n grows: C/R approaches 1/n node by node,
@@ -274,13 +263,12 @@ def er_ratio_limit_check(n_values, density, zeta, replications, seed, jobs=1):
     n_values = [int(n) for n in n_values]
     out = np.empty(len(n_values))
     for b, n in enumerate(n_values):
-        def one(rep, n=n, b=b):
+        devs = []
+        for rep in range(replications):
             g = generate_er(n, density, seed=child_seed(seed, b, rep),
                             require_connected=True)
-            dec = decompose(g)
-            prof = sweep(g, [zeta], dec=dec)
-            return np.abs(n * prof.C[0] / prof.R[0] - 1.0).mean()
-        devs = _map_replications(one, replications, jobs)
+            prof = sweep(g, [zeta])
+            devs.append(np.abs(n * prof.C[0] / prof.R[0] - 1.0).mean())
         out[b] = float(np.mean(devs))
     return out
 

@@ -20,13 +20,12 @@ sign pattern is identical and which stays finite for any zeta.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .centrality import default_zeta_grid
+from .centrality import _grid
 from .graph import walk_counts
 from .spectral import decompose
 
@@ -183,13 +182,9 @@ def detect_pairs(g, pairs, measure="C", zeta_grid=None, dec=None,
     and all of its brackets are bisected together.
     """
     ii, jj = _pair_index(g, pairs)
-    grid = np.asarray(default_zeta_grid() if zeta_grid is None else zeta_grid,
-                      dtype=float)
-    if grid.ndim != 1 or grid.size < 2 or (np.diff(grid) <= 0).any():
-        raise ValueError("zeta grid must be increasing with >= 2 points")
-    if (grid <= 0).any():
-        raise ValueError("zeta grid must be positive: the difference "
-                         "vanishes identically at zeta = 0")
+    grid = _grid(zeta_grid)
+    if grid.size < 2:
+        raise ValueError("zeta grid must have >= 2 points")
     d = dec if dec is not None else decompose(g)
     lam = d.eigenvalues
     shift = lam - lam[0]
@@ -506,17 +501,3 @@ def finiteness_check(g, i, j, measure="C", dec=None):
         i=i, j=j, measure=measure, decidable=True, zeta_bar=hi,
         perron_gap=perron_gap, tail_at_zero=tail0,
         message="no crossing is possible beyond zeta_bar")
-
-
-# -- export ----------------------------------------------------------------------
-
-
-def events_to_csv(events, path):
-    """Write events with columns i, j, measure, method, zeta_star, bracket."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["i", "j", "measure", "method", "zeta_star",
-                    "bracket_lo", "bracket_hi"])
-        for e in events:
-            w.writerow([e.i, e.j, e.measure, e.method, repr(e.zeta_star),
-                        repr(e.bracket[0]), repr(e.bracket[1])])

@@ -16,6 +16,7 @@ from riskcent.centrality import (
     spearman,
     sweep,
     transmissibility,
+    write_grid_csv,
 )
 from riskcent.graph import Graph, generate_complete, generate_er, generate_star
 from riskcent.spectral import decompose
@@ -140,6 +141,34 @@ def test_profile_csv_layout(tmp_path):
     assert len(rows) == 3
     back = np.array([[float(x) for x in row[1:]] for row in rows[1:]])
     assert np.array_equal(back, prof.R)
+
+
+def loop_grid_csv(path, head, grid, matrix, labels):
+    """Reference writer: every cell through ``csv.writer``."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow([head] + list(labels))
+        for z, row in zip(grid, matrix):
+            w.writerow([repr(float(z))] + [repr(float(x)) for x in row])
+
+
+def test_write_grid_csv_matches_csv_writer_loop(tmp_path):
+    grid = np.array([5e-324, 0.1, 1.0 / 3.0, 1e22])
+    extreme = np.array([[0.0, -0.0, 2.2250738585072014e-308, 1e-300],
+                        [1.7976931348623157e308, np.inf, -np.inf, np.nan],
+                        [123456789.125, -1e-5, 1e16, 0.1 + 0.2],
+                        [np.nextafter(1.0, 2.0), -2.5, 7.0, 1e100]])
+    ranks = np.array([[1, 2, 3, 4], [4, 3, 2, 1], [2, 1, 4, 3],
+                      [3, 4, 1, 2]], dtype=np.int64)
+    labels = ["a", 'x,"y"', "c d", "7"]
+    for head, matrix in (("zeta", extreme), ("t", extreme), ("t", ranks)):
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        write_grid_csv(new, head, grid, matrix, labels)
+        loop_grid_csv(old, head, grid, matrix, labels)
+        assert new.read_bytes() == old.read_bytes()
+    lines = new.read_bytes().split(b"\r\n")
+    assert lines[0] == b't,a,"x,""y""",c d,7'
+    assert lines[1] == b"5e-324,1.0,2.0,3.0,4.0"
 
 
 # -- scaled forms -------------------------------------------------------------

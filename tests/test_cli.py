@@ -163,11 +163,19 @@ def test_missing_graph_file_exits_2(tmp_path, capsys):
 
 def test_bad_zeta_grid_exits_2(tmp_path, capsys):
     graph = write_k4(tmp_path / "k4.txt")
-    for spec in ("1.0,0.5", "0,1", "1:0.5:5", "1:2:3:4"):
-        rc = main(["centrality", graph, "--out", str(tmp_path / "out"),
-                   "--zeta-grid", spec])
-        assert rc == 2
-    assert capsys.readouterr().err.count("error:") == 4
+    specs = ("1.0,0.5", "0,1", "1:0.5:5", "1:2:3:4", "0.1,0.5,inf",
+             "0.1,0.2,nan", "0.1:nan:3")
+    commands = (["centrality"], ["interlace", "--pairs", "0,1"])
+    for k, spec in enumerate(specs):
+        for command in commands:
+            out = tmp_path / ("out%d%s" % (k, command[0]))
+            rc = main([command[0], graph, "--out", str(out), "--zeta-grid",
+                       spec] + command[1:])
+            assert rc == 2
+            assert not (out / "manifest.json").exists()
+    err = capsys.readouterr().err
+    assert err.count("error:") == len(specs) * len(commands)
+    assert "Traceback" not in err
 
 
 # -- epidemics ----------------------------------------------------------------
@@ -242,6 +250,12 @@ def test_epidemics_unknown_solver_exits_2(tmp_path, capsys):
                "--solvers", "exact,euler"])
     assert rc == 2
     assert "euler" in capsys.readouterr().err
+    out = tmp_path / "none"
+    rc = main(["epidemics", graph, "--out", str(out), "--beta", "0.01",
+               "--gamma", "0.1", "--tmax", "1", "--solvers", ","])
+    assert rc == 2
+    assert "no solver given" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # -- interlace ----------------------------------------------------------------
@@ -308,6 +322,29 @@ def test_interlace_writes_tangency_rows(tmp_path, monkeypatch):
     assert header[3:7] == ["kind", "zeta_star", "bracket_lo", "bracket_hi"]
     assert len(rows) == 1
     assert rows[0][:7] == ["0", "1", "C", "tangency", "0.25", "", ""]
+
+
+@pytest.mark.parametrize("error", [
+    riskcent.EigensolverError("eigh did not converge"),
+    riskcent.KrylovConvergenceError("Lanczos stalled", 1e-3, 200),
+    riskcent.SIIntegrationError("SI integration failed: step too small"),
+])
+def test_solver_failures_exit_2(tmp_path, capsys, monkeypatch, error):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(riskcent.cli, "decompose", fail)
+    monkeypatch.setattr(riskcent.cli, "si_exact", fail)
+    graph = write_k4(tmp_path / "k4.txt")
+    rc = main(["interlace", graph, "--out", str(tmp_path / "i"),
+               "--pairs", "0,1"])
+    assert rc == 2
+    rc = main(["epidemics", graph, "--out", str(tmp_path / "e"), "--beta",
+               "0.01", "--gamma", "0.1", "--tmax", "1",
+               "--solvers", "exact"])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: %s" % error] * 2
 
 
 def test_interlace_bad_pair_exits_2(tmp_path, capsys):

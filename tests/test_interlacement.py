@@ -17,7 +17,6 @@ from riskcent.interlacement import (
     detect,
     detect_pairs,
     difference_derivatives,
-    events_to_csv,
     finiteness_check,
     heuristic_linear,
     heuristic_linear_pairs,
@@ -194,6 +193,9 @@ def test_double_crossing_pair():
     assert second.zeta_star == pytest.approx(2.342520, abs=1e-4)
     assert (first.sign_before, first.sign_after) == (1, -1)
     assert (second.sign_before, second.sign_after) == (-1, 1)
+    for ev in res.events:
+        assert (ev.i, ev.j, ev.measure, ev.method) == (1, 4, "C", "detect")
+        assert ev.bracket[0] <= ev.zeta_star <= ev.bracket[1]
 
 
 def test_detect_rejects_bad_input():
@@ -204,6 +206,11 @@ def test_detect_rejects_bad_input():
         detect(g, 0, 1, zeta_grid=[0.0, 0.5])
     with pytest.raises(ValueError, match="increasing"):
         detect(g, 0, 1, zeta_grid=[0.5, 0.2])
+    for grid in ([0.1, 0.5, np.inf], [0.1, 0.2, np.nan]):
+        with pytest.raises(ValueError, match="finite"):
+            detect(g, 0, 1, zeta_grid=grid)
+    with pytest.raises(ValueError, match="2 points"):
+        detect(g, 0, 1, zeta_grid=[0.5])
     with pytest.raises(ValueError, match="measure"):
         detect(g, 0, 1, measure="Q", zeta_grid=[0.1, 0.2])
 
@@ -503,19 +510,3 @@ def test_finiteness_undecidable_for_tied_perron_entries():
     assert not rep.decidable
     assert rep.zeta_bar is None
     assert "1e-12" in rep.message
-
-
-# -- export -------------------------------------------------------------------------
-
-
-def test_events_csv(tmp_path):
-    g = double_crossing()
-    events = detect(g, 1, 4, "C", zeta_grid=WIDE_GRID).events
-    path = tmp_path / "events.csv"
-    events_to_csv(events, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "i,j,measure,method,zeta_star,bracket_lo,bracket_hi"
-    assert len(lines) == 3
-    cells = lines[1].split(",")
-    assert cells[:4] == ["1", "4", "C", "detect"]
-    assert float(cells[5]) <= float(cells[4]) <= float(cells[6])
