@@ -510,3 +510,29 @@ def test_finiteness_undecidable_for_tied_perron_entries():
     assert not rep.decidable
     assert rep.zeta_bar is None
     assert "1e-12" in rep.message
+
+
+def test_events_csv(tmp_path):
+    # events.csv of `interlace` is the one events schema: its crossing rows
+    # carry the detect events of the pair, bracket included
+    from riskcent.cli import main
+    from riskcent.graph import save_json
+
+    g = double_crossing()
+    events = detect(g, 1, 4, "C", zeta_grid=WIDE_GRID).events
+    graph = str(tmp_path / "g.json")
+    save_json(g, graph)
+    out = tmp_path / "out"
+    assert main(["interlace", graph, "--out", str(out), "--pairs", "1,4",
+                 "--measure", "C", "--zeta-grid", "0.002:4.0:2500"]) == 0
+    lines = (out / "events.csv").read_text().strip().splitlines()
+    assert lines[0].split(",")[:7] == ["i", "j", "measure", "kind",
+                                       "zeta_star", "bracket_lo",
+                                       "bracket_hi"]
+    assert len(lines) == 3
+    for line, ev in zip(lines[1:], events):
+        cells = line.split(",")
+        assert cells[:4] == ["1", "4", "C", "crossing"]
+        assert float(cells[4]) == ev.zeta_star
+        assert (float(cells[5]), float(cells[6])) == ev.bracket
+        assert float(cells[5]) <= float(cells[4]) <= float(cells[6])
