@@ -34,10 +34,7 @@ from .spectral import (  # noqa: F401
     KrylovConvergenceError,
     SpectralDecomposition,
     decompose,
-    expm_action,
-    expm_action_scaled,
-    expm_diagonal,
-    expm_diagonal_scaled,
+    expm,
 )
 from .centrality import (  # noqa: F401
     RankingSweep,

@@ -3,13 +3,15 @@
 Three measures are derived from the matrix exponential of the adjacency at
 an effective coupling ``zeta``:
 
-* ``risk_centrality``   R_i = (exp(zeta A) 1)_i, walks of any length leaving i;
-* ``circulability``     C_i = (exp(zeta A))_ii, walks returning to i;
-* ``transmissibility``  T_i = R_i - C_i, walks leaving i that end elsewhere.
+* risk centrality   R_i = (exp(zeta A) 1)_i, walks of any length leaving i;
+* circulability     C_i = (exp(zeta A))_ii, walks returning to i;
+* transmissibility  T_i = R_i - C_i, walks leaving i that end elsewhere.
 
-In the SI reading, ``zeta = (1 - beta) * gamma * t`` couples the infection
-rate and horizon; R_i orders nodes by how exposed they are.  Rankings use
-the convention rank 1 = largest value.
+``sweep`` evaluates all three on a zeta grid (``spectral.expm`` gives R or C
+alone, at one zeta or a grid, on either route).  In the SI reading,
+``zeta = (1 - beta) * gamma * t`` couples the infection rate and horizon;
+R_i orders nodes by how exposed they are.  ``rank`` is the one ranking:
+rank 1 = largest value, ties (up to ``tie_tol``) broken by node index.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import Graph
-from .spectral import _as_decomposition, _check_zeta, exp_rows
+from .spectral import _as_decomposition, exp_rows
 
 DEFAULT_ZETA_MAX = 1.0
 DEFAULT_ZETA_STEP = 0.01
@@ -47,38 +49,6 @@ def _grid(zeta_grid):
     if (np.diff(grid) <= 0).any():
         raise ValueError("zeta grid must be strictly increasing")
     return grid
-
-
-def risk_centrality(g, zeta, dec=None):
-    """Row sums of exp(zeta A): R_i = (exp(zeta A) 1)_i."""
-    zeta = _check_zeta(zeta)
-    return exp_rows(_as_decomposition(g, dec), zeta, np.ones(g.n))
-
-
-def circulability(g, zeta, dec=None):
-    """Diagonal of exp(zeta A): C_i = (exp(zeta A))_ii."""
-    zeta = _check_zeta(zeta)
-    return exp_rows(_as_decomposition(g, dec), zeta)
-
-
-def transmissibility(g, zeta, dec=None):
-    """T_i = R_i - C_i, defined by subtraction of the other two measures."""
-    d = _as_decomposition(g, dec)
-    return risk_centrality(g, zeta, dec=d) - circulability(g, zeta, dec=d)
-
-
-def measures_scaled(g, zeta, dec=None):
-    """All three measures scaled by exp(-zeta*lam_1), with the log scale.
-
-    Returns ``(R, C, T, s)`` where the unscaled values are exp(s) times the
-    returned arrays.  Rankings are unaffected by the common positive scale,
-    so this form supports extreme zeta without overflow.
-    """
-    zeta = _check_zeta(zeta)
-    d = _as_decomposition(g, dec)
-    r, s = exp_rows(d, zeta, np.ones(g.n), scaled=True)
-    c, _ = exp_rows(d, zeta, scaled=True)
-    return r, c, r - c, s
 
 
 @dataclass
@@ -139,29 +109,37 @@ def write_grid_csv(path, head, grid, matrix, labels):
 # -- rankings ----------------------------------------------------------------
 
 
-def rank(values, tie_rule="node-index"):
-    """Ranks with 1 = largest value.
+def rank(values, tie_tol=0.0):
+    """Integer ranks along the last axis, 1 = largest value.
 
-    ``tie_rule='node-index'`` breaks ties toward the smaller node index and
-    returns an integer permutation of 1..n.  ``tie_rule='average'`` assigns
-    tied values the mean of their positions (fractional ranks, as used by
-    the rank correlation).
+    Sorted values fall into tie groups: a new group starts wherever the gap
+    to the next larger value exceeds ``tie_tol * max|row|``.  Groups rank in
+    value order and the nodes of one group in node-index order, so each row
+    is a permutation of 1..n.  With ``tie_tol=0`` only equal values tie.
     """
     values = np.asarray(values, dtype=float)
-    if values.ndim != 1 or values.size == 0:
-        raise ValueError("values must be a nonempty 1-D array")
+    if values.ndim == 0 or values.shape[-1] == 0:
+        raise ValueError("values must be a nonempty array")
     if not np.isfinite(values).all():
         raise ValueError("values must be finite to rank")
-    if tie_rule == "node-index":
-        order = np.argsort(-values, kind="stable")
-        out = np.empty(values.size, dtype=np.int64)
-        out[order] = np.arange(1, values.size + 1)
-        return out
-    if tie_rule == "average":
-        from scipy.stats import rankdata
-
-        return rankdata(-values)
-    raise ValueError("tie_rule must be 'node-index' or 'average'")
+    if not tie_tol >= 0.0:
+        raise ValueError("tie_tol must be nonnegative")
+    n = values.shape[-1]
+    order = np.argsort(-values, axis=-1)
+    desc = np.take_along_axis(values, order, axis=-1)
+    scale = np.maximum(np.abs(values).max(axis=-1, keepdims=True), 1e-300)
+    step = desc[..., :-1] - desc[..., 1:] > tie_tol * scale
+    group = np.zeros(values.shape, dtype=np.int64)
+    group[..., 1:] = np.cumsum(step, axis=-1)
+    # equal values share a group whatever order the sort left them in;
+    # sorting group * n + node index puts each group in node-index order
+    key = np.empty_like(group)
+    np.put_along_axis(key, order, group * n, axis=-1)
+    ranked = np.sort(key + np.arange(n), axis=-1) % n
+    out = np.empty_like(group)
+    np.put_along_axis(out, ranked, np.broadcast_to(np.arange(1, n + 1),
+                                                   values.shape), axis=-1)
+    return out
 
 
 @dataclass
@@ -188,8 +166,7 @@ class RankingSweep:
 
 def ranking_sweep(profile, measure="R"):
     """Rank every grid row of a measure; std uses the population convention."""
-    values = profile.measure(measure)
-    ranks = np.vstack([rank(row) for row in values])
+    ranks = rank(profile.measure(measure))
     return RankingSweep(profile.zeta_grid, measure, ranks,
                         ranks.std(axis=0, ddof=0), labels=list(profile.labels))
 
@@ -204,8 +181,12 @@ def spearman(x, y):
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1 or x.size < 2:
         raise ValueError("need two equal-length 1-D arrays with >= 2 entries")
-    rx = rank(x, tie_rule="average")
-    ry = rank(y, tie_rule="average")
+    from scipy.stats import rankdata
+
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("values must be finite to rank")
+    rx = rankdata(-x)
+    ry = rankdata(-y)
     if rx.std() == 0.0 or ry.std() == 0.0:
         return float("nan")
     rx = rx - rx.mean()

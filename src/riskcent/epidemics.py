@@ -19,8 +19,8 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .graph import Graph
-from .spectral import _as_decomposition, exp_rows
-from .centrality import risk_centrality, write_grid_csv
+from .spectral import _as_decomposition, exp_rows, expm
+from .centrality import write_grid_csv
 
 
 class SIIntegrationError(RuntimeError):
@@ -216,6 +216,6 @@ def survival_ratio(g, zeta, beta, i, j, dec=None):
     """
     if not 0.0 < beta < 1.0:
         raise ValueError("beta must lie strictly inside (0, 1)")
-    r = risk_centrality(g, zeta, dec=dec)
+    r = expm(g, zeta, np.ones(g.n), dec=dec)
     alpha = 1.0 - beta
     return float(np.exp((beta / alpha) * (r[j] - r[i])))

@@ -235,13 +235,14 @@ def correlation_and_distance(returns, min_periods=2):
         iu = np.triu_indices(rho.shape[0], k=1)
         rho[(iu[1], iu[0])] = rho[iu]
 
+    # the diagonal is 1 by definition; only off-diagonal drift is reported
+    np.fill_diagonal(rho, 1.0)
     drift = np.abs(rho) - 1.0
     if (drift > 0.0).any():
         warnings.warn("clamped %d correlations outside [-1, 1] "
                       "(worst drift %.3g)" % (int((drift > 0).sum()),
                                               float(drift.max())))
         rho = np.clip(rho, -1.0, 1.0)
-    np.fill_diagonal(rho, 1.0)
     dist = np.sqrt(np.maximum(2.0 * (1.0 - rho), 0.0))
     np.fill_diagonal(dist, 0.0)
     return rho, dist, kept
@@ -347,30 +348,6 @@ def window_rank_report(market_window, zeta_grid=None, measure="R",
 # -- delta rank ------------------------------------------------------------
 
 
-def _ranks_with_tie_snap(values, rel_tol):
-    """Node-index ranks after clustering values closer than ``rel_tol``.
-
-    Values whose descending-order gaps stay below ``rel_tol * scale`` rank
-    in node order, so nodes that are tied up to floating-point noise (for
-    example by graph symmetry) always receive the same relative ranks.
-    """
-    values = np.asarray(values, dtype=float)
-    order = np.argsort(-values, kind="stable")
-    sv = values[order]
-    cluster = np.zeros(values.size, dtype=np.int64)
-    scale = max(float(np.abs(values).max()), 1e-300)
-    for k in range(1, values.size):
-        step = sv[k - 1] - sv[k] > rel_tol * scale
-        cluster[k] = cluster[k - 1] + (1 if step else 0)
-    out = np.empty(values.size, dtype=np.int64)
-    pos = 1
-    for c in range(cluster[-1] + 1):
-        members = np.sort(order[cluster == c])
-        out[members] = np.arange(pos, pos + members.size)
-        pos += members.size
-    return out
-
-
 def delta_rank(profile, zeta_hi=1.0, zeta_lo=0.01, measure="R",
                tie_tol=1e-9):
     """Rank shift between two risk regimes: rank(zeta_lo) - rank(zeta_hi).
@@ -391,8 +368,7 @@ def delta_rank(profile, zeta_hi=1.0, zeta_lo=0.01, measure="R",
             raise ValueError("zeta %g is not on the profile grid" % z)
         return values[hits[0]]
 
-    return (_ranks_with_tie_snap(grid_row(zeta_lo), tie_tol)
-            - _ranks_with_tie_snap(grid_row(zeta_hi), tie_tol))
+    return rank(grid_row(zeta_lo), tie_tol) - rank(grid_row(zeta_hi), tie_tol)
 
 
 # -- linear discriminant ---------------------------------------------------

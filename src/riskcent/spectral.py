@@ -1,12 +1,13 @@
-"""Spectral engine: eigendecompositions and matrix-exponential actions.
+"""Spectral engine: eigendecompositions and the matrix exponential.
 
 Everything downstream reduces to evaluating the action ``exp(z*A) @ v`` and
-the diagonal ``diag(exp(z*A))`` for a symmetric adjacency A and z >= 0.  Two
-routes are provided:
+the diagonal ``diag(exp(z*A))`` for a symmetric adjacency A and z >= 0.
+``expm`` is the one public evaluator, for a scalar z or a grid of them, and
+routes between two kernels:
 
 * a dense route through one full symmetric eigendecomposition, reusable
-  across many z values: one kernel, ``exp_rows``, serves every dense
-  caller (the measures, ``sweep``, the SI bounds and the actions below);
+  across many z values: ``exp_rows``, which ``sweep`` and the SI bounds
+  also call directly on their grids;
 * a Krylov route that only touches A through matrix-vector products, for
   graphs too large to decompose: one Lanczos loop with full
   reorthogonalization (``_lanczos``) serves the action and the
@@ -15,7 +16,7 @@ routes are provided:
 The dense formulas are written with ``expm1`` so that the small-z signal
 ``exp(z*A) - I`` is not lost to cancellation: since the eigenvectors are
 orthonormal, ``exp(zA)v = v + U diag(expm1(z*lam)) U^T v`` holds exactly.
-Scaled variants return ``(value * exp(-log_scale), log_scale)`` so rankings
+The scaled form returns ``(value * exp(-log_scale), log_scale)`` so rankings
 stay finite when ``z * lam_1`` would overflow ``exp``.
 """
 
@@ -76,12 +77,12 @@ def decompose(g, dense_limit=DENSE_LIMIT_DEFAULT):
     """Dense eigendecomposition of the adjacency of ``g``.
 
     Refuses graphs larger than ``dense_limit`` nodes; use the Krylov
-    variants of the exponential actions instead.
+    route of ``expm`` instead.
     """
     if g.n > dense_limit:
         raise ValueError(
             "graph has %d nodes, above the dense limit %d; "
-            "use method='krylov' actions" % (g.n, dense_limit))
+            "use expm(..., method='krylov')" % (g.n, dense_limit))
     try:
         lam, u = np.linalg.eigh(g.adjacency())
     except np.linalg.LinAlgError as exc:
@@ -97,18 +98,8 @@ def decompose(g, dense_limit=DENSE_LIMIT_DEFAULT):
     return SpectralDecomposition(lam, u)
 
 
-def _as_decomposition(g, dec, dense_limit=DENSE_LIMIT_DEFAULT):
-    if dec is not None:
-        return dec
-    return decompose(g, dense_limit=dense_limit)
-
-
-def _check_zeta(zeta):
-    z = float(zeta)
-    if z < 0 or not np.isfinite(z):
-        raise ValueError("zeta must be a finite nonnegative number, got %r"
-                         % (zeta,))
-    return z
+def _as_decomposition(g, dec):
+    return decompose(g) if dec is None else dec
 
 
 def _check_vector(v, n):
@@ -254,78 +245,51 @@ def _lanczos_diag_entry(matvec, zeta, i, n, tol, max_dim):
     return val, shift
 
 
-# -- public actions ----------------------------------------------------------
+# -- the routed evaluator ----------------------------------------------------
 
 
-def _resolve_method(g, dec, method, dense_limit):
+def expm(g, zetas, v=None, scaled=False, dec=None, method="auto",
+         tol=KRYLOV_TOL_DEFAULT, max_dim=KRYLOV_MAX_DIM_DEFAULT):
+    """``exp(zetas[k]*A) @ v`` on the adjacency of ``g``, or the diagonal
+    ``diag(exp(zetas[k]*A))`` if v is None.
+
+    The one public evaluator; it returns what ``exp_rows`` returns: one row
+    per value of a 1-D grid ``zetas`` or one 1-D result for a scalar, and
+    with ``scaled=True`` the pair ``(rows, s)`` with the unscaled rows equal
+    to ``exp(s)`` times ``rows``.  ``method='dense'``, or 'auto' when
+    ``dec`` is given or the graph is within the dense limit, runs
+    ``exp_rows`` on one eigendecomposition (``dec`` amortizes it across
+    calls).  ``method='krylov'`` never forms a dense matrix: one Lanczos
+    run per zeta for the action and one quadrature per node and zeta for
+    the diagonal, each to relative ``tol`` within ``max_dim`` dimensions.
+    The Krylov diagonal has no scaled form.
+    """
+    z = np.asarray(zetas, dtype=float)
+    if z.ndim > 1 or (z < 0).any() or not np.isfinite(z).all():
+        raise ValueError("zeta must be a finite nonnegative scalar or 1-D "
+                         "grid, got %r" % (zetas,))
+    if v is not None:
+        v = _check_vector(v, g.n)
     if method not in ("auto", "dense", "krylov"):
         raise ValueError("method must be 'auto', 'dense', or 'krylov'")
-    if method == "auto":
-        return "dense" if (dec is not None or g.n <= dense_limit) else "krylov"
-    return method
-
-
-def expm_action(g, zeta, v, dec=None, method="auto", tol=KRYLOV_TOL_DEFAULT,
-                max_dim=KRYLOV_MAX_DIM_DEFAULT, dense_limit=DENSE_LIMIT_DEFAULT):
-    """Action ``exp(zeta*A) @ v`` on the adjacency of ``g``.
-
-    With ``method='dense'`` (or 'auto' on small graphs) one shared
-    eigendecomposition ``dec`` may be passed to amortize repeated calls.
-    ``method='krylov'`` never forms a dense matrix.
-    """
-    zeta = _check_zeta(zeta)
-    v = _check_vector(v, g.n)
-    route = _resolve_method(g, dec, method, dense_limit)
-    if route == "dense":
-        return exp_rows(_as_decomposition(g, dec, dense_limit), zeta, v)
-    a = g.sparse_adjacency()
-    y, log_scale = _lanczos_expm_action(lambda x: a @ x, zeta, v, tol, max_dim)
-    return y * np.exp(log_scale)
-
-
-def expm_action_scaled(g, zeta, v, dec=None, method="auto",
-                       tol=KRYLOV_TOL_DEFAULT, max_dim=KRYLOV_MAX_DIM_DEFAULT,
-                       dense_limit=DENSE_LIMIT_DEFAULT):
-    """Overflow-safe action: returns ``(y, s)`` with exp(zeta*A) v = exp(s) * y.
-
-    The scale ``s`` is ``zeta * lam_1`` on the dense route.  Rankings and
-    ratios of the entries of ``y`` equal those of the unscaled action.
-    """
-    zeta = _check_zeta(zeta)
-    v = _check_vector(v, g.n)
-    route = _resolve_method(g, dec, method, dense_limit)
-    if route == "dense":
-        return exp_rows(_as_decomposition(g, dec, dense_limit), zeta, v,
-                        scaled=True)
-    a = g.sparse_adjacency()
-    return _lanczos_expm_action(lambda x: a @ x, zeta, v, tol, max_dim)
-
-
-def expm_diagonal(g, zeta, dec=None, method="auto", tol=KRYLOV_TOL_DEFAULT,
-                  max_dim=KRYLOV_MAX_DIM_DEFAULT,
-                  dense_limit=DENSE_LIMIT_DEFAULT):
-    """Diagonal of ``exp(zeta*A)``.
-
-    Dense route: ``1 + (U*U) expm1(zeta*lam)``.  Krylov route: one Lanczos
-    quadrature per node, each started from the node's indicator vector.
-    """
-    zeta = _check_zeta(zeta)
-    route = _resolve_method(g, dec, method, dense_limit)
-    if route == "dense":
-        return exp_rows(_as_decomposition(g, dec, dense_limit), zeta)
+    if method == "dense" or (method == "auto" and (
+            dec is not None or g.n <= DENSE_LIMIT_DEFAULT)):
+        return exp_rows(_as_decomposition(g, dec), z, v, scaled)
+    if scaled and v is None:
+        raise ValueError("the scaled diagonal has no Krylov route")
     a = g.sparse_adjacency()
     mv = lambda x: a @ x
-    out = np.empty(g.n)
-    for i in range(g.n):
-        val, s = _lanczos_diag_entry(mv, zeta, i, g.n, tol, max_dim)
-        out[i] = val * np.exp(s)
-    return out
-
-
-def expm_diagonal_scaled(g, zeta, dec=None, dense_limit=DENSE_LIMIT_DEFAULT):
-    """Overflow-safe diagonal ``(d, s)`` with diag(exp(zeta*A)) = exp(s) * d.
-
-    Dense route only; the common scale is ``zeta * lam_1``.
-    """
-    zeta = _check_zeta(zeta)
-    return exp_rows(_as_decomposition(g, dec, dense_limit), zeta, scaled=True)
+    grid = np.atleast_1d(z)
+    rows = np.empty((grid.size, g.n))
+    shifts = np.empty(grid.size)
+    for k, zeta in enumerate(grid):
+        if v is None:
+            for i in range(g.n):
+                val, s = _lanczos_diag_entry(mv, zeta, i, g.n, tol, max_dim)
+                rows[k, i] = val * np.exp(s)
+        else:
+            y, shifts[k] = _lanczos_expm_action(mv, zeta, v, tol, max_dim)
+            rows[k] = y if scaled else y * np.exp(shifts[k])
+    if z.ndim == 0:
+        rows, shifts = rows[0], shifts[0]
+    return (rows, shifts) if scaled else rows

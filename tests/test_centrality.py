@@ -3,23 +3,28 @@ import csv
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.stats import rankdata
 
 from riskcent.centrality import (
     RiskProfile,
     default_zeta_grid,
-    circulability,
     limit_rankings,
-    measures_scaled,
     rank,
     ranking_sweep,
-    risk_centrality,
     spearman,
     sweep,
-    transmissibility,
     write_grid_csv,
 )
+from riskcent.finance import delta_rank
 from riskcent.graph import Graph, generate_complete, generate_er, generate_star
-from riskcent.spectral import decompose
+from riskcent.spectral import decompose, expm
+
+
+def measures(g, zeta, dec=None):
+    """R, C and T at one zeta through the one evaluator."""
+    r = expm(g, zeta, np.ones(g.n), dec=dec)
+    c = expm(g, zeta, dec=dec)
+    return r, c, r - c
 
 
 def complete_closed_forms(n, zeta):
@@ -35,10 +40,11 @@ def complete_closed_forms(n, zeta):
 
 def test_k3_values_at_unit_zeta():
     g = generate_complete(3)
-    assert np.allclose(risk_centrality(g, 1.0), np.e**2, rtol=1e-12)
+    r, c, t = measures(g, 1.0)
+    assert np.allclose(r, np.e**2, rtol=1e-12)
     want_c = np.e**2 / 3 + (2 / 3) * np.exp(-1.0)
-    assert np.allclose(circulability(g, 1.0), want_c, rtol=1e-12)
-    assert np.allclose(transmissibility(g, 1.0), np.e**2 - want_c, rtol=1e-12)
+    assert np.allclose(c, want_c, rtol=1e-12)
+    assert np.allclose(t, np.e**2 - want_c, rtol=1e-12)
 
 
 def test_complete_graph_closed_forms():
@@ -47,41 +53,43 @@ def test_complete_graph_closed_forms():
         dec = decompose(g)
         for zeta in (0.1, 0.7, 2.0):
             r, c, t = complete_closed_forms(n, zeta)
-            assert np.allclose(risk_centrality(g, zeta, dec=dec), r, rtol=1e-11)
-            assert np.allclose(circulability(g, zeta, dec=dec), c, rtol=1e-11)
-            assert np.allclose(transmissibility(g, zeta, dec=dec), t, rtol=1e-11)
+            got_r, got_c, got_t = measures(g, zeta, dec=dec)
+            assert np.allclose(got_r, r, rtol=1e-11)
+            assert np.allclose(got_c, c, rtol=1e-11)
+            assert np.allclose(got_t, t, rtol=1e-11)
 
 
 def test_measures_match_full_exponential():
     g = generate_er(25, 0.2, seed=2)
     zeta = 0.8
     e = scipy.linalg.expm(zeta * g.adjacency())
-    assert np.allclose(risk_centrality(g, zeta), e.sum(axis=1), rtol=1e-10)
-    assert np.allclose(circulability(g, zeta), np.diag(e), rtol=1e-10)
-    assert np.allclose(transmissibility(g, zeta),
-                       e.sum(axis=1) - np.diag(e), rtol=1e-10)
+    r, c, t = measures(g, zeta)
+    assert np.allclose(r, e.sum(axis=1), rtol=1e-10)
+    assert np.allclose(c, np.diag(e), rtol=1e-10)
+    assert np.allclose(t, e.sum(axis=1) - np.diag(e), rtol=1e-10)
 
 
 def test_zeta_zero_baseline():
     g = generate_er(15, 0.3, seed=1)
-    assert np.allclose(risk_centrality(g, 0.0), 1.0, atol=1e-14)
-    assert np.allclose(circulability(g, 0.0), 1.0, atol=1e-14)
-    assert np.allclose(transmissibility(g, 0.0), 0.0, atol=1e-14)
+    r, c, t = measures(g, 0.0)
+    assert np.allclose(r, 1.0, atol=1e-14)
+    assert np.allclose(c, 1.0, atol=1e-14)
+    assert np.allclose(t, 0.0, atol=1e-14)
 
 
 def test_measures_reject_bad_zeta():
     g = generate_er(15, 0.3, seed=1)
     for zeta in (float("nan"), float("inf"), -0.5):
-        for fn in (risk_centrality, circulability, transmissibility,
-                   measures_scaled):
-            with pytest.raises(ValueError, match="zeta"):
-                fn(g, zeta)
+        for v in (np.ones(g.n), None):
+            for scaled in (False, True):
+                with pytest.raises(ValueError, match="zeta"):
+                    expm(g, zeta, v, scaled=scaled)
 
 
 def test_transmissibility_positive_on_connected():
     for seed in range(4):
         g = generate_er(30, 0.15, seed=seed, require_connected=True)
-        assert (transmissibility(g, 0.5) > 0).all()
+        assert (measures(g, 0.5)[2] > 0).all()
 
 
 def test_small_zeta_series_structure():
@@ -89,8 +97,9 @@ def test_small_zeta_series_structure():
     g = generate_er(30, 0.2, seed=4)
     k = g.degrees().astype(float)
     z = 1e-7
-    assert np.allclose(risk_centrality(g, z) - 1.0, z * k, rtol=1e-5)
-    assert np.allclose(circulability(g, z) - 1.0, 0.5 * z**2 * k, rtol=1e-4)
+    r, c, _ = measures(g, z)
+    assert np.allclose(r - 1.0, z * k, rtol=1e-5)
+    assert np.allclose(c - 1.0, 0.5 * z**2 * k, rtol=1e-4)
 
 
 # -- sweep --------------------------------------------------------------------
@@ -109,8 +118,9 @@ def test_sweep_matches_pointwise():
     dec = decompose(g)
     prof = sweep(g, [0.05, 0.3, 0.9], dec=dec)
     for row, zeta in enumerate([0.05, 0.3, 0.9]):
-        assert np.allclose(prof.R[row], risk_centrality(g, zeta, dec=dec), rtol=1e-12)
-        assert np.allclose(prof.C[row], circulability(g, zeta, dec=dec), rtol=1e-12)
+        r, c, _ = measures(g, zeta, dec=dec)
+        assert np.allclose(prof.R[row], r, rtol=1e-12)
+        assert np.allclose(prof.C[row], c, rtol=1e-12)
         assert np.allclose(prof.T[row], prof.R[row] - prof.C[row])
 
 
@@ -176,18 +186,20 @@ def test_write_grid_csv_matches_csv_writer_loop(tmp_path):
 
 def test_scaled_measures_agree_with_plain():
     g = generate_er(20, 0.3, seed=9)
-    r, c, t, s = measures_scaled(g, 0.6)
+    r, s = expm(g, 0.6, np.ones(g.n), scaled=True)
+    c, _ = expm(g, 0.6, scaled=True)
     f = np.exp(s)
-    assert np.allclose(r * f, risk_centrality(g, 0.6), rtol=1e-10)
-    assert np.allclose(c * f, circulability(g, 0.6), rtol=1e-10)
-    assert np.allclose(t * f, transmissibility(g, 0.6), rtol=1e-10)
+    want_r, want_c, want_t = measures(g, 0.6)
+    assert np.allclose(r * f, want_r, rtol=1e-10)
+    assert np.allclose(c * f, want_c, rtol=1e-10)
+    assert np.allclose((r - c) * f, want_t, rtol=1e-10)
 
 
 def test_scaled_measures_rank_at_extreme_zeta():
     # at zeta=50 the unscaled values overflow for K_60; the scaled ranking
     # must match the eigenvector ranking exactly
     g = generate_er(60, 0.3, seed=0, require_connected=True)
-    r, c, t, s = measures_scaled(g, 50.0)
+    r, s = expm(g, 50.0, np.ones(g.n), scaled=True)
     assert np.isfinite(r).all()
     dec = decompose(g)
     assert np.array_equal(rank(r), rank(dec.eigenvectors[:, 0]))
@@ -199,12 +211,14 @@ def test_scaled_measures_rank_at_extreme_zeta():
 def test_rank_conventions():
     vals = np.array([3.0, 1.0, 3.0, 5.0])
     assert list(rank(vals)) == [2, 4, 3, 1]
-    assert list(rank(vals, tie_rule="average")) == [2.5, 4.0, 2.5, 1.0]
     assert list(rank(np.array([7.0]))) == [1]
-    with pytest.raises(ValueError):
-        rank(vals, tie_rule="median")
+    # a gap of exactly tie_tol * max|row| still ties, so node index decides
+    assert list(rank(np.array([0.5, 1.0]), tie_tol=0.5)) == [1, 2]
+    assert list(rank(np.array([0.5, 1.0]), tie_tol=0.4)) == [2, 1]
     with pytest.raises(ValueError):
         rank(np.array([1.0, np.nan]))
+    with pytest.raises(ValueError, match="tie_tol"):
+        rank(vals, tie_tol=-1e-9)
 
 
 def test_rank_is_permutation():
@@ -215,14 +229,98 @@ def test_rank_is_permutation():
         assert sorted(r) == list(range(1, 18))
 
 
+def tie_snap_loop_ranks(values, rel_tol):
+    """Reference: the two-loop tie snap that ``rank(values, tie_tol)``
+    replaced; values closer than ``rel_tol * max|values|`` rank by node
+    index."""
+    values = np.asarray(values, dtype=float)
+    order = np.argsort(-values, kind="stable")
+    sv = values[order]
+    cluster = np.zeros(values.size, dtype=np.int64)
+    scale = max(float(np.abs(values).max()), 1e-300)
+    for k in range(1, values.size):
+        step = sv[k - 1] - sv[k] > rel_tol * scale
+        cluster[k] = cluster[k - 1] + (1 if step else 0)
+    out = np.empty(values.size, dtype=np.int64)
+    pos = 1
+    for c in range(cluster[-1] + 1):
+        members = np.sort(order[cluster == c])
+        out[members] = np.arange(pos, pos + members.size)
+        pos += members.size
+    return out
+
+
+def per_row_ranking_sweep(profile, measure):
+    """Reference: the per-row loop ``ranking_sweep`` ran before ``rank``
+    took whole matrices; returns the rank matrix and the rank std."""
+    rows = []
+    for row in profile.measure(measure):
+        order = np.argsort(-row, kind="stable")
+        out = np.empty(row.size, dtype=np.int64)
+        out[order] = np.arange(1, row.size + 1)
+        rows.append(out)
+    ranks = np.vstack(rows)
+    return ranks, ranks.std(axis=0, ddof=0)
+
+
+TIE_TOLS = (0.0, 1e-12, 1e-9, 1e-3)
+
+
+def test_rank_matches_tie_snap_loop_on_tie_heavy_rows():
+    rng = np.random.default_rng(23)
+    ints = rng.integers(-3, 4, size=(40, 17)).astype(float)
+    # exact ties, ties up to relative noise of 1e-13 to 1e-4, and one
+    # constant row
+    noisy = ints * (1.0 + rng.choice([0.0, 1e-13, 1e-10, 1e-4],
+                                     size=ints.shape))
+    noisy[0] = 2.5
+    # rows of different magnitude: the tolerance scales with each row's max
+    spread = noisy * 10.0 ** rng.integers(-3, 4, size=(40, 1))
+    for values in (ints, noisy, spread, 1e-200 * ints):
+        for tol in TIE_TOLS:
+            want = np.vstack([tie_snap_loop_ranks(row, tol) for row in values])
+            assert np.array_equal(rank(values, tol), want)
+            assert np.array_equal(rank(values[3], tol), want[3])
+            # any leading shape: ranks run along the last axis
+            assert np.array_equal(rank(values.reshape(4, 10, 17), tol),
+                                  want.reshape(4, 10, 17))
+        assert np.array_equal(rank(values),
+                              per_row_ranking_sweep(
+                                  RiskProfile(np.arange(40.0), values,
+                                              values, values), "R")[0])
+
+
+def test_rank_matches_references_on_symmetric_sweeps():
+    # K30, C8 and the star's leaves are tied by symmetry up to noise
+    cycle = Graph(8, [(i, (i + 1) % 8) for i in range(8)])
+    for g in (generate_complete(30), cycle, generate_star(9)):
+        prof = sweep(g)
+        for m in "RCT":
+            values = prof.measure(m)
+            ranks, std = per_row_ranking_sweep(prof, m)
+            rs = ranking_sweep(prof, measure=m)
+            assert rs.rank_matrix.dtype == ranks.dtype
+            assert np.array_equal(rs.rank_matrix, ranks)
+            assert np.array_equal(rs.per_node_std, std)
+            for tol in TIE_TOLS:
+                want = np.vstack([tie_snap_loop_ranks(row, tol)
+                                  for row in values])
+                assert np.array_equal(rank(values, tol), want)
+            for tol in (0.0, 1e-9):
+                assert np.array_equal(
+                    delta_rank(prof, measure=m, tie_tol=tol),
+                    tie_snap_loop_ranks(values[0], tol)
+                    - tie_snap_loop_ranks(values[-1], tol))
+
+
 def test_spearman_textbook_cases():
     x = np.arange(10.0)
     assert spearman(x, x) == pytest.approx(1.0)
     assert spearman(x, -x) == pytest.approx(-1.0)
     # hand case: d^2 formula for untied data
     y = np.array([2.0, 1.0, 4.0, 3.0])
-    dx = rank(np.arange(4.0), tie_rule="average")
-    dy = rank(y, tie_rule="average")
+    dx = rankdata(-np.arange(4.0))
+    dy = rankdata(-y)
     d2 = ((dx - dy) ** 2).sum()
     want = 1 - 6 * d2 / (4 * 15)
     assert spearman(np.arange(4.0), y) == pytest.approx(want)
@@ -235,8 +333,8 @@ def test_spearman_constant_is_nan():
 def test_spearman_with_ties_matches_pearson_of_ranks():
     x = np.array([1.0, 2.0, 2.0, 3.0, 5.0])
     y = np.array([0.5, 0.5, 2.0, 1.0, 4.0])
-    rx = rank(x, tie_rule="average")
-    ry = rank(y, tie_rule="average")
+    rx = rankdata(-x)
+    ry = rankdata(-y)
     want = np.corrcoef(rx, ry)[0, 1]
     assert spearman(x, y) == pytest.approx(want, abs=1e-12)
 
@@ -289,13 +387,13 @@ def test_limit_rankings_bracket_sweep():
     g = generate_er(40, 0.15, seed=21, require_connected=True)
     dec = decompose(g)
     deg_ranks, eig_ranks = limit_rankings(g, dec=dec)
-    r_small = risk_centrality(g, 1e-6, dec=dec)
+    r_small = expm(g, 1e-6, np.ones(g.n), dec=dec)
     k = g.strengths()
     # refinement: any strict degree gap is preserved at small zeta
     gap = np.subtract.outer(k, k)
     small = np.subtract.outer(r_small, r_small)
     assert (np.sign(small[gap > 0]) > 0).all()
-    r_big, _, _, _ = measures_scaled(g, 60.0, dec=dec)
+    r_big, _ = expm(g, 60.0, np.ones(g.n), scaled=True, dec=dec)
     assert np.array_equal(rank(r_big), eig_ranks)
 
 

@@ -178,6 +178,18 @@ def test_bad_zeta_grid_exits_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_centrality_above_dense_limit_exits_2(tmp_path, capsys):
+    n = 5001
+    ring = np.column_stack([np.arange(n), (np.arange(n) + 1) % n])
+    graph = str(tmp_path / "ring.json")
+    save_json(Graph(n, ring), graph)
+    rc = main(["centrality", graph, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "above the dense limit 5000" in err
+    assert "Traceback" not in err
+
+
 # -- epidemics ----------------------------------------------------------------
 
 

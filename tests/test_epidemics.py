@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from riskcent.centrality import risk_centrality
+from riskcent.spectral import expm
 from riskcent.epidemics import (
     SIParams,
     si_exact,
@@ -211,7 +211,7 @@ def test_survival_ratio_symmetry_and_bound_consistency():
     p = SIParams(gamma, beta, [0.0, t])
     lee = si_lee(g, p)
     surv = 1.0 - lee.x[1]
-    r = risk_centrality(g, zeta)
+    r = expm(g, zeta, np.ones(g.n))
     i, j = int(np.argmax(r)), int(np.argmin(r))
     got = survival_ratio(g, zeta, beta, i, j)
     assert got == pytest.approx(surv[i] / surv[j], rel=1e-9)

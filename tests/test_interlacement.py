@@ -1,11 +1,7 @@
 import numpy as np
 import pytest
 
-from riskcent.centrality import (
-    circulability,
-    risk_centrality,
-    transmissibility,
-)
+from riskcent.centrality import sweep
 import math
 
 from riskcent import interlacement
@@ -24,7 +20,7 @@ from riskcent.interlacement import (
     heuristic_poly_pairs,
     shifted_expansion,
 )
-from riskcent.spectral import decompose
+from riskcent.spectral import decompose, expm
 
 
 def clique_plus_hub():
@@ -169,7 +165,6 @@ def test_symmetric_pair_has_no_events():
 def test_clique_hub_crossing_each_measure():
     g = clique_plus_hub()
     dec = decompose(g)
-    funcs = {"R": risk_centrality, "C": circulability, "T": transmissibility}
     for m in "RCT":
         res = detect(g, 5, 1, measure=m, zeta_grid=WIDE_GRID, dec=dec)
         assert len(res.events) == 1
@@ -180,7 +175,7 @@ def test_clique_hub_crossing_each_measure():
         assert hi - lo <= 1e-8
         assert lo <= ev.zeta_star <= hi
         # root contract: the measures actually tie at zeta_star
-        vals = funcs[m](g, ev.zeta_star, dec=dec)
+        vals = sweep(g, [ev.zeta_star], dec=dec).measure(m)[0]
         assert abs(vals[5] - vals[1]) < 1e-6 * max(vals.max(), 1.0)
 
 
@@ -448,7 +443,7 @@ def test_derivatives_match_finite_differences():
     der = difference_derivatives(g, 1, 4, "C", z0, 2, dec=dec)
 
     def f(z):
-        c = circulability(g, z, dec=dec)
+        c = expm(g, z, dec=dec)
         return c[1] - c[4]
 
     h = 1e-5

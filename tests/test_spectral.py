@@ -4,14 +4,12 @@ import scipy.linalg
 
 from riskcent.graph import Graph, generate_complete, generate_er, generate_star
 from riskcent.spectral import (
+    DENSE_LIMIT_DEFAULT,
     KrylovConvergenceError,
     _lanczos,
     decompose,
     exp_rows,
-    expm_action,
-    expm_action_scaled,
-    expm_diagonal,
-    expm_diagonal_scaled,
+    expm,
 )
 
 
@@ -70,14 +68,14 @@ def test_dense_limit_refused():
 def test_action_zeta_zero_identity():
     g = generate_er(20, 0.3, seed=1)
     v = np.random.default_rng(0).normal(size=20)
-    assert np.allclose(expm_action(g, 0.0, v), v, atol=1e-14)
-    assert np.allclose(expm_diagonal(g, 0.0), 1.0, atol=1e-14)
+    assert np.allclose(expm(g, 0.0, v), v, atol=1e-14)
+    assert np.allclose(expm(g, 0.0), 1.0, atol=1e-14)
 
 
 def test_k3_action_closed_form():
     # K_3 at zeta=1: exp(A) 1 = e^2 * 1 since 1 is the Perron direction
     g = generate_complete(3)
-    y = expm_action(g, 1.0, np.ones(3))
+    y = expm(g, 1.0, np.ones(3))
     assert np.allclose(y, np.e**2, rtol=1e-12)
 
 
@@ -87,7 +85,7 @@ def test_action_matches_taylor_oracle():
     rng = np.random.default_rng(4)
     v = rng.normal(size=8)
     want = taylor_expm_action(a, 0.3, v)
-    got = expm_action(g, 0.3, v)
+    got = expm(g, 0.3, v)
     assert np.abs(got - want).max() < 1e-9
 
 
@@ -102,9 +100,9 @@ def test_action_matches_pade_oracle():
         rows, diags = exp_rows(dec, zetas, v), exp_rows(dec, zetas)
         for k, zeta in enumerate(zetas):
             e = scipy.linalg.expm(zeta * g.adjacency())
-            assert np.allclose(expm_action(g, zeta, v), e @ v,
+            assert np.allclose(expm(g, zeta, v), e @ v,
                                rtol=1e-10, atol=1e-12)
-            assert np.allclose(expm_diagonal(g, zeta), np.diag(e), rtol=1e-10)
+            assert np.allclose(expm(g, zeta), np.diag(e), rtol=1e-10)
             assert np.allclose(rows[k], e @ v, rtol=1e-10, atol=1e-12)
             assert np.allclose(diags[k], np.diag(e), rtol=1e-10)
 
@@ -113,7 +111,7 @@ def test_small_zeta_signal_not_lost():
     # exp(zeta A) 1 - 1 is of order zeta*deg; expm1 keeps it to full precision
     g = generate_er(30, 0.3, seed=2)
     z = 1e-9
-    y = expm_action(g, z, np.ones(30))
+    y = expm(g, z, np.ones(30))
     want = 1.0 + z * g.degrees() + 0.5 * z**2 * (g.adjacency() @ g.degrees())
     assert np.abs((y - want) / (y - 1.0)).max() < 1e-6
 
@@ -123,8 +121,8 @@ def test_semigroup_property():
     rng = np.random.default_rng(8)
     v = rng.normal(size=15)
     dec = decompose(g)
-    one_shot = expm_action(g, 0.9, v, dec=dec)
-    two_step = expm_action(g, 0.5, expm_action(g, 0.4, v, dec=dec), dec=dec)
+    one_shot = expm(g, 0.9, v, dec=dec)
+    two_step = expm(g, 0.5, expm(g, 0.4, v, dec=dec), dec=dec)
     assert np.allclose(one_shot, two_step, rtol=1e-10)
 
 
@@ -132,22 +130,22 @@ def test_diagonal_bounds():
     # diag entries of exp(zeta A) are >= 1 (even closed-walk series)
     for seed in range(4):
         g = generate_er(20, 0.25, seed=seed)
-        d = expm_diagonal(g, 0.8)
+        d = expm(g, 0.8)
         assert (d >= 1.0 - 1e-12).all()
 
 
 def test_negative_zeta_rejected():
     g = generate_complete(3)
     with pytest.raises(ValueError, match="zeta"):
-        expm_action(g, -0.1, np.ones(3))
+        expm(g, -0.1, np.ones(3))
     with pytest.raises(ValueError, match="zeta"):
-        expm_diagonal(g, -1.0)
+        expm(g, -1.0)
 
 
 def test_vector_shape_checked():
     g = generate_complete(3)
     with pytest.raises(ValueError, match="shape"):
-        expm_action(g, 1.0, np.ones(4))
+        expm(g, 1.0, np.ones(4))
 
 
 # -- scaled variants ----------------------------------------------------------
@@ -156,18 +154,18 @@ def test_vector_shape_checked():
 def test_scaled_action_consistent():
     g = generate_er(20, 0.3, seed=3)
     v = np.abs(np.random.default_rng(2).normal(size=20)) + 0.1
-    y, s = expm_action_scaled(g, 0.8, v)
-    assert np.allclose(y * np.exp(s), expm_action(g, 0.8, v), rtol=1e-10)
-    d, sd = expm_diagonal_scaled(g, 0.8)
-    assert np.allclose(d * np.exp(sd), expm_diagonal(g, 0.8), rtol=1e-10)
+    y, s = expm(g, 0.8, v, scaled=True)
+    assert np.allclose(y * np.exp(s), expm(g, 0.8, v), rtol=1e-10)
+    d, sd = expm(g, 0.8, scaled=True)
+    assert np.allclose(d * np.exp(sd), expm(g, 0.8), rtol=1e-10)
 
 
 def test_scaled_action_survives_huge_zeta():
     # zeta lam_1 ~ 50 * 59 would overflow exp; the scaled form stays finite
     g = generate_complete(60)
-    y, s = expm_action_scaled(g, 50.0, np.ones(60))
+    y, s = expm(g, 50.0, np.ones(60), scaled=True)
     assert np.isfinite(y).all() and y.max() > 0
-    d, sd = expm_diagonal_scaled(g, 50.0)
+    d, sd = expm(g, 50.0, scaled=True)
     assert np.isfinite(d).all() and (d > 0).all()
     assert s == pytest.approx(50.0 * 59.0, rel=1e-12)
     dec = decompose(g)
@@ -187,21 +185,21 @@ def test_krylov_matches_dense():
         g = generate_er(120, 0.05, seed=seed)
         rng = np.random.default_rng(seed + 10)
         v = rng.normal(size=120)
-        dense = expm_action(g, zeta, v, method="dense")
-        kry = expm_action(g, zeta, v, method="krylov")
+        dense = expm(g, zeta, v, method="dense")
+        kry = expm(g, zeta, v, method="krylov")
         assert np.abs(kry - dense).max() < 1e-8 * np.abs(dense).max()
 
 
 def test_krylov_diagonal_matches_dense():
     g = generate_er(60, 0.1, seed=4)
-    dense = expm_diagonal(g, 1.0, method="dense")
-    kry = expm_diagonal(g, 1.0, method="krylov")
+    dense = expm(g, 1.0, method="dense")
+    kry = expm(g, 1.0, method="krylov")
     assert np.abs(kry - dense).max() < 1e-8 * dense.max()
 
 
 def test_krylov_zero_vector():
     g = generate_er(30, 0.2, seed=5)
-    y = expm_action(g, 1.0, np.zeros(30), method="krylov")
+    y = expm(g, 1.0, np.zeros(30), method="krylov")
     assert np.array_equal(y, np.zeros(30))
 
 
@@ -209,11 +207,11 @@ def test_krylov_reports_nonconvergence():
     g = generate_er(200, 0.05, seed=7)
     v = np.random.default_rng(3).normal(size=200)
     with pytest.raises(KrylovConvergenceError) as err:
-        expm_action(g, 3.0, v, method="krylov", max_dim=3)
+        expm(g, 3.0, v, method="krylov", max_dim=3)
     assert err.value.dimension == 3
     assert err.value.achieved > 0
     with pytest.raises(KrylovConvergenceError) as err:
-        expm_diagonal(g, 3.0, method="krylov", max_dim=3)
+        expm(g, 3.0, method="krylov", max_dim=3)
     assert err.value.dimension == 3
     assert err.value.achieved > 0
 
@@ -226,8 +224,8 @@ def test_krylov_invariant_subspace_exit():
     steps = list(_lanczos(lambda x: a @ x, np.ones(12) / np.sqrt(12), 50))
     assert len(steps) == 1 and steps[-1][2] == 0.0
     for zeta in (0.3, 2.0):
-        kry = expm_action(g, zeta, np.ones(12), method="krylov")
-        dense = expm_action(g, zeta, np.ones(12), method="dense")
+        kry = expm(g, zeta, np.ones(12), method="krylov")
+        dense = expm(g, zeta, np.ones(12), method="dense")
         assert np.allclose(kry, dense, rtol=1e-12)
     star = generate_star(9)
     hub = np.zeros(9)
@@ -235,7 +233,78 @@ def test_krylov_invariant_subspace_exit():
     a = star.sparse_adjacency()
     steps = list(_lanczos(lambda x: a @ x, hub, 50))
     assert len(steps) == 2 and steps[-1][2] == 0.0
-    kry = expm_diagonal(star, 1.3, method="krylov")
-    dense = expm_diagonal(star, 1.3, method="dense")
+    kry = expm(star, 1.3, method="krylov")
+    dense = expm(star, 1.3, method="dense")
     assert np.allclose(kry, dense, rtol=1e-12)
     assert kry[0] == pytest.approx(np.cosh(1.3 * np.sqrt(8.0)), rel=1e-12)
+
+
+# -- the routed evaluator -------------------------------------------------------
+
+
+def test_expm_krylov_grid_rows_equal_single_zeta_calls():
+    g = generate_er(60, 0.1, seed=4)
+    v = np.random.default_rng(6).normal(size=60)
+    zetas = [0.0, 0.5, 1.3]
+    rows = expm(g, zetas, v, method="krylov")
+    scaled, shifts = expm(g, zetas, v, scaled=True, method="krylov")
+    diags = expm(g, zetas, method="krylov")
+    for k, zeta in enumerate(zetas):
+        assert np.array_equal(rows[k], expm(g, zeta, v, method="krylov"))
+        y, s = expm(g, zeta, v, scaled=True, method="krylov")
+        assert np.array_equal(scaled[k], y) and shifts[k] == s
+        assert np.array_equal(diags[k], expm(g, zeta, method="krylov"))
+
+
+def test_expm_result_shapes():
+    g = generate_er(20, 0.3, seed=3)
+    v = np.ones(20)
+    for method in ("dense", "krylov"):
+        for w in (v, None):
+            assert expm(g, 0.4, w, method=method).shape == (20,)
+            assert expm(g, [0.1, 0.4], w, method=method).shape == (2, 20)
+        y, s = expm(g, 0.4, v, scaled=True, method=method)
+        assert y.shape == (20,) and np.ndim(s) == 0
+        y, s = expm(g, [0.1, 0.4], v, scaled=True, method=method)
+        assert y.shape == (2, 20) and s.shape == (2,)
+    y, s = expm(g, [0.1, 0.4], scaled=True, method="dense")
+    assert y.shape == (2, 20) and s.shape == (2,)
+
+
+def test_expm_scaled_krylov_action_matches_unscaled():
+    g = generate_er(120, 0.05, seed=1)
+    v = np.random.default_rng(11).normal(size=120)
+    for zeta in (0.0, 0.5, 1.3, 50.0):
+        y, s = expm(g, zeta, v, scaled=True, method="krylov")
+        assert np.array_equal(y * np.exp(s), expm(g, zeta, v, method="krylov"))
+    rows, shifts = expm(g, [0.5, 1.3], v, scaled=True, method="krylov")
+    plain = expm(g, [0.5, 1.3], v, method="krylov")
+    for k in range(2):
+        assert np.array_equal(rows[k] * np.exp(shifts[k]), plain[k])
+
+
+def test_expm_rejects_bad_input():
+    g = generate_complete(4)
+    bad = (float("nan"), float("inf"), -0.5, [0.1, float("nan")],
+           [0.2, -0.1], [[0.1, 0.2]])
+    for zeta in bad:
+        for method in ("dense", "krylov"):
+            with pytest.raises(ValueError, match="zeta"):
+                expm(g, zeta, np.ones(4), method=method)
+    with pytest.raises(ValueError, match="method"):
+        expm(g, 0.5, np.ones(4), method="pade")
+    with pytest.raises(ValueError, match="shape"):
+        expm(g, 0.5, np.ones(3), method="krylov")
+    # the scaled diagonal is dense only
+    with pytest.raises(ValueError, match="Krylov"):
+        expm(g, 0.5, scaled=True, method="krylov")
+
+
+def test_expm_auto_routes_large_graphs_to_krylov():
+    n = DENSE_LIMIT_DEFAULT + 1
+    ring = np.column_stack([np.arange(n), (np.arange(n) + 1) % n])
+    g = Graph(n, ring)
+    v = np.random.default_rng(2).normal(size=n)
+    assert np.array_equal(expm(g, 0.5, v), expm(g, 0.5, v, method="krylov"))
+    with pytest.raises(ValueError, match="dense limit"):
+        decompose(g)
