@@ -21,20 +21,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Graph
-from .spectral import _as_decomposition, exp_rows
-
-DEFAULT_ZETA_MAX = 1.0
-DEFAULT_ZETA_STEP = 0.01
+from .spectral import _exp_rows, decompose
 
 
-def default_zeta_grid(zeta_max=DEFAULT_ZETA_MAX, step=DEFAULT_ZETA_STEP):
-    """Evenly spaced grid ``step, 2*step, ..., zeta_max`` (endpoints included)."""
-    if step <= 0 or zeta_max < step:
-        raise ValueError("need 0 < step <= zeta_max")
-    count = int(round(zeta_max / step))
-    grid = step * np.arange(1, count + 1)
-    grid[-1] = zeta_max
+def default_zeta_grid():
+    """The default grid ``0.01, 0.02, ..., 1.00`` (100 values)."""
+    grid = 0.01 * np.arange(1, 101)
+    grid[-1] = 1.0
     return grid
 
 
@@ -82,15 +75,15 @@ class RiskProfile:
         }
 
 
-def sweep(g, zeta_grid=None, dec=None):
+def sweep(g, zeta_grid=None):
     """Evaluate all three measures on a zeta grid with one decomposition.
 
     The default grid is 0.01, 0.02, ..., 1.00.
     """
     grid = _grid(zeta_grid)
-    d = _as_decomposition(g, dec)
-    r = exp_rows(d, grid, np.ones(g.n))
-    c = exp_rows(d, grid)
+    d = decompose(g)
+    r = _exp_rows(d, grid, np.ones(g.n))
+    c = _exp_rows(d, grid)
     return RiskProfile(grid, r, c, r - c, labels=list(g.labels))
 
 
@@ -194,7 +187,7 @@ def spearman(x, y):
     return float((rx @ ry) / np.sqrt((rx @ rx) * (ry @ ry)))
 
 
-def limit_rankings(g, dec=None):
+def limit_rankings(g):
     """Rankings at the two extremes of zeta for a connected graph.
 
     Returns ``(degree_ranks, eigenvector_ranks)``:  as zeta -> 0 the
@@ -204,5 +197,4 @@ def limit_rankings(g, dec=None):
     if not g.is_connected():
         raise ValueError("limit rankings need a connected graph "
                          "(the Perron vector is not unique otherwise)")
-    d = _as_decomposition(g, dec)
-    return rank(g.strengths()), rank(d.eigenvectors[:, 0])
+    return rank(g.strengths()), rank(decompose(g).eigenvectors[:, 0])

@@ -31,7 +31,7 @@ from .graph import (GraphError, load_edge_list, load_json, load_memberships,
 from .interlacement import (InterlacementError, SeriesPolynomial,
                             detect_pairs, heuristic_linear_pairs,
                             heuristic_poly_pairs)
-from .spectral import EigensolverError, KrylovConvergenceError, decompose
+from .spectral import EigensolverError, KrylovConvergenceError
 
 _MEASURES = ("R", "C", "T")
 _SOLVERS = ("exact", "lee", "lee-general", "linearized", "mean-field")
@@ -134,8 +134,8 @@ def cmd_centrality(args):
 
 def cmd_epidemics(args):
     g = _load_graph(args.graph, weighted=args.weighted)
-    if args.tmax < 0:
-        raise ValueError("tmax must be nonnegative")
+    if not 0 <= args.tmax < np.inf:
+        raise ValueError("tmax must be finite and nonnegative")
     if args.steps < 2:
         raise ValueError("need at least 2 time steps")
     t_grid = (np.array([0.0]) if args.tmax == 0
@@ -156,17 +156,16 @@ def cmd_epidemics(args):
                      "tmax": args.tmax, "steps": args.steps,
                      "solvers": solvers},
                     [args.graph], outputs)
-    dec = decompose(g) if {"lee", "linearized"} & set(solvers) else None
     means = []
     for s in solvers:
         if s == "exact":
             traj = si_exact(g, params)
         elif s == "lee":
-            traj = si_lee(g, params, dec=dec)
+            traj = si_lee(g, params)
         elif s == "lee-general":
             traj = si_lee_general(g, params, np.full(g.n, params.beta))
         elif s == "linearized":
-            traj = si_linearized(g, params, dec=dec)
+            traj = si_linearized(g, params)
         else:
             traj = si_meanfield(g.mean_degree(), params)
         traj.to_csv(os.path.join(args.out, "trajectory_%s.csv" % s))
@@ -228,8 +227,7 @@ def cmd_interlace(args):
                      "pairs": (None if args.all_pairs
                                else [list(p) for p in pairs])},
                     [args.graph], ["events.csv"])
-    results = detect_pairs(g, pairs, measure=args.measure, zeta_grid=grid,
-                           dec=decompose(g))
+    results = detect_pairs(g, pairs, measure=args.measure, zeta_grid=grid)
     # the heuristics fill columns of event rows only: skip quiet pairs
     found = [(pair, result) for pair, result in zip(pairs, results)
              if result.events or result.tangencies]

@@ -18,8 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .graph import Graph
-from .spectral import _as_decomposition, exp_rows, expm
+from .spectral import _exp_rows, decompose, expm
 from .centrality import write_grid_csv
 
 
@@ -46,6 +45,8 @@ class SIParams:
                              % self.beta)
         if self.t_grid.ndim != 1 or self.t_grid.size == 0:
             raise ValueError("t_grid must be a nonempty 1-D array")
+        if not np.isfinite(self.t_grid).all():
+            raise ValueError("t_grid must be finite")
         if (self.t_grid < 0).any() or (np.diff(self.t_grid) <= 0).any():
             raise ValueError("t_grid must be nonnegative and strictly increasing")
 
@@ -124,18 +125,18 @@ def si_exact(g, params, x0=None, rtol=1e-10, atol=1e-12):
     return SITrajectory(t, np.vstack(rows), "exact", labels=list(g.labels))
 
 
-def si_linearized(g, params, x0=None, dec=None):
+def si_linearized(g, params, x0=None):
     """Linearized flow x(t) = exp(gamma t A) x0.
 
     Accurate only for small t and small x0; the values eventually leave
     [0, 1] and are reported unclipped.
     """
     x0 = _initial_state(g, params, x0)
-    x = exp_rows(_as_decomposition(g, dec), params.gamma * params.t_grid, x0)
+    x = _exp_rows(decompose(g), params.gamma * params.t_grid, x0)
     return SITrajectory(params.t_grid, x, "linearized", labels=list(g.labels))
 
 
-def si_lee(g, params, dec=None):
+def si_lee(g, params):
     """Survival-function upper bound for the uniform seeding.
 
     With R_i evaluated at zeta(t) = alpha*gamma*t,
@@ -143,8 +144,7 @@ def si_lee(g, params, dec=None):
         y_i(t) = -log(alpha) + (beta/alpha) * (R_i - 1)
         x_i(t) = 1 - alpha * exp(-(beta/alpha) * (R_i - 1)) = 1 - exp(-y_i).
     """
-    r = exp_rows(_as_decomposition(g, dec), params.zeta_at(params.t_grid),
-                 np.ones(g.n))
+    r = _exp_rows(decompose(g), params.zeta_at(params.t_grid), np.ones(g.n))
     beta, alpha = params.beta, params.alpha
     y = -np.log(alpha) + (beta / alpha) * (r - 1.0)
     x = 1.0 - alpha * np.exp(-(beta / alpha) * (r - 1.0))
@@ -208,7 +208,7 @@ def si_meanfield(kbar, params):
                         labels=["mean"])
 
 
-def survival_ratio(g, zeta, beta, i, j, dec=None):
+def survival_ratio(g, zeta, beta, i, j):
     """Relative survival odds of node i against node j under the bound.
 
     (1 - x_i) / (1 - x_j) = exp((beta/alpha) * (R_j - R_i)) at the given
@@ -216,6 +216,6 @@ def survival_ratio(g, zeta, beta, i, j, dec=None):
     """
     if not 0.0 < beta < 1.0:
         raise ValueError("beta must lie strictly inside (0, 1)")
-    r = expm(g, zeta, np.ones(g.n), dec=dec)
+    r = expm(g, zeta, np.ones(g.n))
     alpha = 1.0 - beta
     return float(np.exp((beta / alpha) * (r[j] - r[i])))

@@ -177,7 +177,7 @@ def rolling_windows(panel, width_months=6, step_months=1, min_obs=0.9):
 # -- correlations and distances --------------------------------------------
 
 
-def correlation_and_distance(returns, min_periods=2):
+def correlation_and_distance(returns):
     """Pairwise-complete correlations and Mantegna distances.
 
     ``returns`` is an (observations x assets) array with NaN for missing
@@ -215,11 +215,11 @@ def correlation_and_distance(returns, min_periods=2):
         x0 = np.where(present, x - shift, 0.0)
         m = present.astype(float)
         counts = m.T @ m
-        if (counts < max(2, min_periods)).any():
+        if (counts < 2).any():
             i, j = np.unravel_index(int(np.argmin(counts)), counts.shape)
             raise ValueError(
-                "columns %d and %d share only %d observations (< %d)"
-                % (kept[i], kept[j], int(counts[i, j]), max(2, min_periods)))
+                "columns %d and %d share only %d observations (< 2)"
+                % (kept[i], kept[j], int(counts[i, j])))
         sums = x0.T @ m          # sums[i, j] = sum of x_i over overlap(i, j)
         sqs = (x0 * x0).T @ m
         cross = x0.T @ x0
@@ -318,10 +318,9 @@ class MarketWindow:
     tree: Graph
 
 
-def build_market_window(window, min_periods=2):
+def build_market_window(window):
     """Correlations, distances, and MST for one window slice."""
-    rho, dist, kept = correlation_and_distance(window.returns,
-                                               min_periods=min_periods)
+    rho, dist, kept = correlation_and_distance(window.returns)
     assets = [window.assets[j] for j in kept]
     return MarketWindow(window_id=window.window_id, assets=assets,
                         rho=rho, dist=dist,

@@ -111,6 +111,7 @@ class Graph:
         self.labels = labels if labels is not None else [str(i) for i in range(n)]
         self._adj = None
         self._csr = None
+        self._dec = None  # spectral.decompose caches the eigensystem here
 
     # -- basic structure -------------------------------------------------
 

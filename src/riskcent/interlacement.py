@@ -135,7 +135,7 @@ def _pair_index(g, pairs):
     return i, j
 
 
-def difference_derivatives(g, i, j, measure, zeta, max_order, dec=None):
+def difference_derivatives(g, i, j, measure, zeta, max_order):
     """Derivatives d^m/dzeta^m of M_i - M_j at ``zeta``, orders 0..max_order.
 
     Computed spectrally: the m-th derivative is sum_k lam_k^m d_k
@@ -143,7 +143,7 @@ def difference_derivatives(g, i, j, measure, zeta, max_order, dec=None):
     floating range.
     """
     _pair_index(g, [(i, j)])
-    d = dec if dec is not None else decompose(g)
+    d = decompose(g)
     coef = _pair_coefficients(d, i, j, measure)
     lam = d.eigenvalues
     powers = np.vander(lam, max_order + 1, increasing=True).T  # (orders, n)
@@ -153,18 +153,17 @@ def difference_derivatives(g, i, j, measure, zeta, max_order, dec=None):
 # -- detection -------------------------------------------------------------------
 
 
-def detect(g, i, j, measure="C", zeta_grid=None, dec=None,
+def detect(g, i, j, measure="C", zeta_grid=None,
            bracket_tol=BRACKET_TOL_DEFAULT, tangency_tol=TANGENCY_TOL_DEFAULT):
     """Scan a zeta grid for sign changes of M_i - M_j and bisect each one.
 
     The single-pair form of ``detect_pairs``, which documents the rules.
     """
     return detect_pairs(g, [(i, j)], measure=measure, zeta_grid=zeta_grid,
-                        dec=dec, bracket_tol=bracket_tol,
-                        tangency_tol=tangency_tol)[0]
+                        bracket_tol=bracket_tol, tangency_tol=tangency_tol)[0]
 
 
-def detect_pairs(g, pairs, measure="C", zeta_grid=None, dec=None,
+def detect_pairs(g, pairs, measure="C", zeta_grid=None,
                  bracket_tol=BRACKET_TOL_DEFAULT,
                  tangency_tol=TANGENCY_TOL_DEFAULT):
     """``DetectionResult`` of every node pair (i, j) in ``pairs``, in order.
@@ -185,7 +184,7 @@ def detect_pairs(g, pairs, measure="C", zeta_grid=None, dec=None,
     grid = _grid(zeta_grid)
     if grid.size < 2:
         raise ValueError("zeta grid must have >= 2 points")
-    d = dec if dec is not None else decompose(g)
+    d = decompose(g)
     lam = d.eigenvalues
     shift = lam - lam[0]
     scale = np.exp(np.outer(grid, shift))  # (grid, n)
@@ -404,7 +403,7 @@ def _positive_real_roots(ascending, imag_tol=1e-8, residual_tol=1e-10):
     return np.array(xs), np.array(rs)
 
 
-def shifted_expansion(g, i, j, measure, zeta_star, k=6, dec=None,
+def shifted_expansion(g, i, j, measure, zeta_star, k=6,
                       bracket_tol=BRACKET_TOL_DEFAULT):
     """Predict the crossing after ``zeta_star`` by re-expanding there.
 
@@ -419,7 +418,7 @@ def shifted_expansion(g, i, j, measure, zeta_star, k=6, dec=None,
         raise ValueError("zeta_star must be nonnegative")
     if k < 1:
         raise ValueError("need k >= 1 derivative orders")
-    d = dec if dec is not None else decompose(g)
+    d = decompose(g)
     coef = _pair_coefficients(d, i, j, measure)
     lam = d.eigenvalues
     # scaled derivatives: common factor exp(zeta* lam_1) drops out of roots
@@ -433,7 +432,7 @@ def shifted_expansion(g, i, j, measure, zeta_star, k=6, dec=None,
     lo = zeta_star + max(10 * bracket_tol, 0.05 * eta)
     hi = zeta_star + 1.6 * eta
     local = np.linspace(lo, hi, 400)
-    found = detect(g, i, j, measure=measure, zeta_grid=local, dec=d,
+    found = detect(g, i, j, measure=measure, zeta_grid=local,
                    bracket_tol=bracket_tol)
     if not found.events:
         return None
@@ -445,7 +444,7 @@ def shifted_expansion(g, i, j, measure, zeta_star, k=6, dec=None,
 # -- finiteness ------------------------------------------------------------------
 
 
-def finiteness_check(g, i, j, measure="C", dec=None):
+def finiteness_check(g, i, j, measure="C"):
     """Certify a zeta_bar beyond which the pair's order is frozen.
 
     Beyond zeta_bar the leading term |d_1| dominates the (monotonically
@@ -454,7 +453,7 @@ def finiteness_check(g, i, j, measure="C", dec=None):
     Pairs with equal Perron entries (within 1e-12) are undecidable here.
     """
     _pair_index(g, [(i, j)])
-    d = dec if dec is not None else decompose(g)
+    d = decompose(g)
     u = d.eigenvectors
     lam = d.eigenvalues
     perron_gap = float(abs(u[i, 0] - u[j, 0]))

@@ -2,14 +2,15 @@
 
 Everything downstream reduces to evaluating the action ``exp(z*A) @ v`` and
 the diagonal ``diag(exp(z*A))`` for a symmetric adjacency A and z >= 0.
-``expm`` is the one public evaluator, for a scalar z or a grid of them, and
-routes between two kernels:
+``expm`` is the one public evaluator, for a scalar z or a grid of them; the
+node count alone picks one of two kernels:
 
-* a dense route through one full symmetric eigendecomposition, reusable
-  across many z values: ``exp_rows``, which ``sweep`` and the SI bounds
-  also call directly on their grids;
-* a Krylov route that only touches A through matrix-vector products, for
-  graphs too large to decompose: one Lanczos loop with full
+* up to ``DENSE_LIMIT_DEFAULT`` nodes, a dense route through the graph's
+  one eigendecomposition (``decompose``, computed once and cached on the
+  ``Graph``): ``_exp_rows``, which ``sweep`` and the SI bounds also call
+  directly on their grids;
+* above it, a Krylov route that only touches A through matrix-vector
+  products (``_expm_krylov``): one Lanczos loop with full
   reorthogonalization (``_lanczos``) serves the action and the
   Gauss-quadrature diagonal, which differ in start vector and stopping rule.
 
@@ -26,8 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-
-from .graph import Graph
 
 DENSE_LIMIT_DEFAULT = 5000
 KRYLOV_TOL_DEFAULT = 1e-10
@@ -47,7 +46,7 @@ class KrylovConvergenceError(RuntimeError):
         self.dimension = dimension
 
 
-@dataclass
+@dataclass(frozen=True)
 class SpectralDecomposition:
     """Full eigensystem of a symmetric adjacency matrix.
 
@@ -73,16 +72,20 @@ class SpectralDecomposition:
         return float(self.eigenvalues[0] - self.eigenvalues[1])
 
 
-def decompose(g, dense_limit=DENSE_LIMIT_DEFAULT):
+def decompose(g):
     """Dense eigendecomposition of the adjacency of ``g``.
 
-    Refuses graphs larger than ``dense_limit`` nodes; use the Krylov
-    route of ``expm`` instead.
+    Computed on the first call and cached on the graph, read-only, so every
+    measure of one graph reads the same ``U exp(zeta Lam) U^T``.  Refuses
+    graphs above ``DENSE_LIMIT_DEFAULT`` nodes, which only ``expm`` can
+    evaluate (by Lanczos).
     """
-    if g.n > dense_limit:
+    if g._dec is not None:
+        return g._dec
+    if g.n > DENSE_LIMIT_DEFAULT:
         raise ValueError(
-            "graph has %d nodes, above the dense limit %d; "
-            "use expm(..., method='krylov')" % (g.n, dense_limit))
+            "graph has %d nodes, above the dense limit %d; only expm "
+            "evaluates such graphs, by Lanczos" % (g.n, DENSE_LIMIT_DEFAULT))
     try:
         lam, u = np.linalg.eigh(g.adjacency())
     except np.linalg.LinAlgError as exc:
@@ -95,11 +98,10 @@ def decompose(g, dense_limit=DENSE_LIMIT_DEFAULT):
     piv = np.argmax(np.abs(u), axis=0)
     flip = u[piv, np.arange(u.shape[1])] < 0
     u[:, flip] *= -1.0
-    return SpectralDecomposition(lam, u)
-
-
-def _as_decomposition(g, dec):
-    return decompose(g) if dec is None else dec
+    lam.setflags(write=False)
+    u.setflags(write=False)
+    g._dec = SpectralDecomposition(lam, u)
+    return g._dec
 
 
 def _check_vector(v, n):
@@ -112,7 +114,7 @@ def _check_vector(v, n):
 # -- dense route -----------------------------------------------------------
 
 
-def exp_rows(dec, zetas, v=None, scaled=False):
+def _exp_rows(dec, zetas, v=None, scaled=False):
     """Rows ``exp(zetas[k]*A) @ v``, or ``diag(exp(zetas[k]*A))`` if v is None.
 
     The one dense evaluator of the exponential.  ``zetas`` is a 1-D grid,
@@ -248,21 +250,17 @@ def _lanczos_diag_entry(matvec, zeta, i, n, tol, max_dim):
 # -- the routed evaluator ----------------------------------------------------
 
 
-def expm(g, zetas, v=None, scaled=False, dec=None, method="auto",
-         tol=KRYLOV_TOL_DEFAULT, max_dim=KRYLOV_MAX_DIM_DEFAULT):
+def expm(g, zetas, v=None, scaled=False):
     """``exp(zetas[k]*A) @ v`` on the adjacency of ``g``, or the diagonal
     ``diag(exp(zetas[k]*A))`` if v is None.
 
-    The one public evaluator; it returns what ``exp_rows`` returns: one row
-    per value of a 1-D grid ``zetas`` or one 1-D result for a scalar, and
-    with ``scaled=True`` the pair ``(rows, s)`` with the unscaled rows equal
-    to ``exp(s)`` times ``rows``.  ``method='dense'``, or 'auto' when
-    ``dec`` is given or the graph is within the dense limit, runs
-    ``exp_rows`` on one eigendecomposition (``dec`` amortizes it across
-    calls).  ``method='krylov'`` never forms a dense matrix: one Lanczos
-    run per zeta for the action and one quadrature per node and zeta for
-    the diagonal, each to relative ``tol`` within ``max_dim`` dimensions.
-    The Krylov diagonal has no scaled form.
+    The one public evaluator: one row per value of a 1-D grid ``zetas`` or
+    one 1-D result for a scalar, and with ``scaled=True`` the pair
+    ``(rows, s)`` with the unscaled rows equal to ``exp(s)`` times
+    ``rows``.  A graph of at most ``DENSE_LIMIT_DEFAULT`` nodes takes the
+    dense route, ``_exp_rows`` on its cached eigendecomposition.  A larger
+    one takes the Krylov route, which never forms a dense matrix; its
+    diagonal has no scaled form.
     """
     z = np.asarray(zetas, dtype=float)
     if z.ndim > 1 or (z < 0).any() or not np.isfinite(z).all():
@@ -270,11 +268,17 @@ def expm(g, zetas, v=None, scaled=False, dec=None, method="auto",
                          "grid, got %r" % (zetas,))
     if v is not None:
         v = _check_vector(v, g.n)
-    if method not in ("auto", "dense", "krylov"):
-        raise ValueError("method must be 'auto', 'dense', or 'krylov'")
-    if method == "dense" or (method == "auto" and (
-            dec is not None or g.n <= DENSE_LIMIT_DEFAULT)):
-        return exp_rows(_as_decomposition(g, dec), z, v, scaled)
+    if g.n <= DENSE_LIMIT_DEFAULT:
+        return _exp_rows(decompose(g), z, v, scaled)
+    return _expm_krylov(g, z, v, scaled)
+
+
+def _expm_krylov(g, z, v, scaled, tol=KRYLOV_TOL_DEFAULT,
+                 max_dim=KRYLOV_MAX_DIM_DEFAULT):
+    """``expm`` by Lanczos: one run per zeta for the action and one
+    quadrature per node and zeta for the diagonal, each to relative ``tol``
+    within ``max_dim`` dimensions.
+    """
     if scaled and v is None:
         raise ValueError("the scaled diagonal has no Krylov route")
     a = g.sparse_adjacency()
@@ -290,6 +294,6 @@ def expm(g, zetas, v=None, scaled=False, dec=None, method="auto",
         else:
             y, shifts[k] = _lanczos_expm_action(mv, zeta, v, tol, max_dim)
             rows[k] = y if scaled else y * np.exp(shifts[k])
-    if z.ndim == 0:
+    if np.ndim(z) == 0:
         rows, shifts = rows[0], shifts[0]
     return (rows, shifts) if scaled else rows

@@ -97,7 +97,7 @@ def test_c02_limit_rankings_on_er_graphs():
     for s in range(50):
         g = generate_er(60, 0.1, seed=3000 + s, require_connected=True)
         dec = decompose(g)
-        prof = sweep(g, np.array([1e-6, 50.0]), dec=dec)
+        prof = sweep(g, np.array([1e-6, 50.0]))
         deg_groups = groups_by_value(g.degrees())
         psi = np.abs(dec.eigenvectors[:, np.argmax(dec.eigenvalues)])
         psi_groups = groups_by_value(psi, snap=1e-9)
@@ -209,10 +209,9 @@ def test_c07_refined_crossings_and_linear_heuristic():
     while len(suite) < 20 and seed < 200:
         g = weighted_er(10, 0.35, 7000 + seed)
         seed += 1
-        dec = decompose(g)
         for i in range(g.n):
             for j in range(i + 1, g.n):
-                res = detect(g, i, j, measure="C", zeta_grid=grid, dec=dec)
+                res = detect(g, i, j, measure="C", zeta_grid=grid)
                 if len(res.events) != 1 or res.tangencies:
                     continue
                 zeta_star = res.events[0].zeta_star
@@ -221,11 +220,11 @@ def test_c07_refined_crossings_and_linear_heuristic():
                 linear = heuristic_linear(g, i, j, measure="C")
                 if linear is None:
                     continue
-                suite.append((g, dec, i, j, zeta_star, linear))
+                suite.append((g, i, j, zeta_star, linear))
     assert len(suite) >= 20
-    for g, dec, i, j, zeta_star, linear in suite:
+    for g, i, j, zeta_star, linear in suite:
         assert 0.0 < zeta_star < 0.5
-        prof = sweep(g, np.array([zeta_star]), dec=dec)
+        prof = sweep(g, np.array([zeta_star]))
         ci, cj = prof.C[0, i], prof.C[0, j]
         assert abs(ci - cj) < 1e-6 * max(abs(ci), abs(cj))
         assert abs(linear - zeta_star) < 0.05, (

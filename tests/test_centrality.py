@@ -20,10 +20,10 @@ from riskcent.graph import Graph, generate_complete, generate_er, generate_star
 from riskcent.spectral import decompose, expm
 
 
-def measures(g, zeta, dec=None):
+def measures(g, zeta):
     """R, C and T at one zeta through the one evaluator."""
-    r = expm(g, zeta, np.ones(g.n), dec=dec)
-    c = expm(g, zeta, dec=dec)
+    r = expm(g, zeta, np.ones(g.n))
+    c = expm(g, zeta)
     return r, c, r - c
 
 
@@ -50,10 +50,9 @@ def test_k3_values_at_unit_zeta():
 def test_complete_graph_closed_forms():
     for n in (3, 6, 11):
         g = generate_complete(n)
-        dec = decompose(g)
         for zeta in (0.1, 0.7, 2.0):
             r, c, t = complete_closed_forms(n, zeta)
-            got_r, got_c, got_t = measures(g, zeta, dec=dec)
+            got_r, got_c, got_t = measures(g, zeta)
             assert np.allclose(got_r, r, rtol=1e-11)
             assert np.allclose(got_c, c, rtol=1e-11)
             assert np.allclose(got_t, t, rtol=1e-11)
@@ -115,10 +114,9 @@ def test_default_grid():
 
 def test_sweep_matches_pointwise():
     g = generate_er(20, 0.25, seed=7)
-    dec = decompose(g)
-    prof = sweep(g, [0.05, 0.3, 0.9], dec=dec)
+    prof = sweep(g, [0.05, 0.3, 0.9])
     for row, zeta in enumerate([0.05, 0.3, 0.9]):
-        r, c, _ = measures(g, zeta, dec=dec)
+        r, c, _ = measures(g, zeta)
         assert np.allclose(prof.R[row], r, rtol=1e-12)
         assert np.allclose(prof.C[row], c, rtol=1e-12)
         assert np.allclose(prof.T[row], prof.R[row] - prof.C[row])
@@ -385,15 +383,14 @@ def test_limit_rankings_bracket_sweep():
     # tiny zeta ranking refines the degree ranking; huge zeta follows the
     # Perron vector
     g = generate_er(40, 0.15, seed=21, require_connected=True)
-    dec = decompose(g)
-    deg_ranks, eig_ranks = limit_rankings(g, dec=dec)
-    r_small = expm(g, 1e-6, np.ones(g.n), dec=dec)
+    deg_ranks, eig_ranks = limit_rankings(g)
+    r_small = expm(g, 1e-6, np.ones(g.n))
     k = g.strengths()
     # refinement: any strict degree gap is preserved at small zeta
     gap = np.subtract.outer(k, k)
     small = np.subtract.outer(r_small, r_small)
     assert (np.sign(small[gap > 0]) > 0).all()
-    r_big, _ = expm(g, 60.0, np.ones(g.n), scaled=True, dec=dec)
+    r_big, _ = expm(g, 60.0, np.ones(g.n), scaled=True)
     assert np.array_equal(rank(r_big), eig_ranks)
 
 

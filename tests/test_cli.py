@@ -241,10 +241,10 @@ def test_epidemics_trajectories_and_means(tmp_path):
 
 def test_epidemics_skips_decompose_when_no_solver_needs_it(tmp_path,
                                                            monkeypatch):
-    def refuse(g, *args, **kwargs):
-        raise AssertionError("decompose called")
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigh called")
 
-    monkeypatch.setattr(riskcent.cli, "decompose", refuse)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
     graph = write_clique_plus_hub(tmp_path / "g.json")
     out = str(tmp_path / "out")
     rc = main(["epidemics", graph, "--out", out, "--beta", "0.01",
@@ -268,6 +268,20 @@ def test_epidemics_unknown_solver_exits_2(tmp_path, capsys):
     assert rc == 2
     assert "no solver given" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_epidemics_nonfinite_tmax_exits_2(tmp_path, capsys):
+    graph = write_k4(tmp_path / "k4.txt")
+    for k, tmax in enumerate(("nan", "inf")):
+        out = tmp_path / ("out%d" % k)
+        rc = main(["epidemics", graph, "--out", str(out), "--beta", "0.1",
+                   "--gamma", "0.1", "--tmax", tmax,
+                   "--solvers", "mean-field"])
+        assert rc == 2
+        assert not (out / "manifest.json").exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: tmax must be finite")
+        assert err.count("\n") == 1
 
 
 # -- interlace ----------------------------------------------------------------
@@ -345,7 +359,7 @@ def test_solver_failures_exit_2(tmp_path, capsys, monkeypatch, error):
     def fail(*args, **kwargs):
         raise error
 
-    monkeypatch.setattr(riskcent.cli, "decompose", fail)
+    monkeypatch.setattr(riskcent.cli, "detect_pairs", fail)
     monkeypatch.setattr(riskcent.cli, "si_exact", fail)
     graph = write_k4(tmp_path / "k4.txt")
     rc = main(["interlace", graph, "--out", str(tmp_path / "i"),

@@ -31,6 +31,10 @@ def test_siparams_validation():
         SIParams(-1.0, 0.5, [0.0, 1.0])
     with pytest.raises(ValueError, match="increasing"):
         SIParams(1.0, 0.5, [1.0, 0.5])
+    for bad in (np.nan, np.inf):
+        for t_grid in ([0.0, bad], [bad], [0.0, 1.0, bad]):
+            with pytest.raises(ValueError, match="finite"):
+                SIParams(0.1, 0.1, t_grid)
     p = SIParams(2.0, 0.2, [0.0, 1.0])
     assert p.alpha == pytest.approx(0.8)
     assert p.zeta_at(1.0) == pytest.approx(1.6)

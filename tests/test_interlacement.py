@@ -164,9 +164,8 @@ def test_symmetric_pair_has_no_events():
 
 def test_clique_hub_crossing_each_measure():
     g = clique_plus_hub()
-    dec = decompose(g)
     for m in "RCT":
-        res = detect(g, 5, 1, measure=m, zeta_grid=WIDE_GRID, dec=dec)
+        res = detect(g, 5, 1, measure=m, zeta_grid=WIDE_GRID)
         assert len(res.events) == 1
         ev = res.events[0]
         # hub leads at small zeta, clique node wins in the end
@@ -175,7 +174,7 @@ def test_clique_hub_crossing_each_measure():
         assert hi - lo <= 1e-8
         assert lo <= ev.zeta_star <= hi
         # root contract: the measures actually tie at zeta_star
-        vals = sweep(g, [ev.zeta_star], dec=dec).measure(m)[0]
+        vals = sweep(g, [ev.zeta_star]).measure(m)[0]
         assert abs(vals[5] - vals[1]) < 1e-6 * max(vals.max(), 1.0)
 
 
@@ -225,10 +224,10 @@ def test_opposite_limit_orderings_give_odd_event_count():
                     continue
                 if abs(k[i] - k[j]) < 1:
                     continue
-                rep = finiteness_check(g, i, j, measure="C", dec=dec)
+                rep = finiteness_check(g, i, j, measure="C")
                 assert rep.decidable
                 grid = np.linspace(1e-3, rep.zeta_bar + 0.5, 3000)
-                res = detect(g, i, j, measure="C", zeta_grid=grid, dec=dec)
+                res = detect(g, i, j, measure="C", zeta_grid=grid)
                 assert len(res.events) % 2 == 1
                 checked += 1
         assert checked > 0
@@ -280,8 +279,7 @@ def test_detect_pairs_matches_per_pair_reference(make, grid, measure,
         for entries in (interlacement._BLOCK_ENTRIES, 700):
             monkeypatch.setattr(interlacement, "_BLOCK_ENTRIES", entries)
             got = detect_pairs(g, pairs, measure=measure, zeta_grid=grid,
-                               dec=dec, bracket_tol=tol,
-                               tangency_tol=tangency_tol)
+                               bracket_tol=tol, tangency_tol=tangency_tol)
             assert len(got) == len(pairs)
             assert {((e.i, e.j), interval(*e.bracket), e.sign_before,
                      e.sign_after) for res in got for e in res.events} == want
@@ -399,8 +397,7 @@ def test_poly_first_order_has_single_root():
 
 def test_poly_roots_sharpen_with_order():
     g = clique_plus_hub()
-    dec = decompose(g)
-    true = detect(g, 5, 1, "C", zeta_grid=WIDE_GRID, dec=dec).events[0].zeta_star
+    true = detect(g, 5, 1, "C", zeta_grid=WIDE_GRID).events[0].zeta_star
     errs = []
     for k in (3, 6, 9, 12):
         hp = heuristic_poly(g, 5, 1, "C", k=k)
@@ -438,12 +435,11 @@ def test_poly_double_crossing_bound():
 
 def test_derivatives_match_finite_differences():
     g = double_crossing()
-    dec = decompose(g)
     z0 = 0.8
-    der = difference_derivatives(g, 1, 4, "C", z0, 2, dec=dec)
+    der = difference_derivatives(g, 1, 4, "C", z0, 2)
 
     def f(z):
-        c = expm(g, z, dec=dec)
+        c = expm(g, z)
         return c[1] - c[4]
 
     h = 1e-5
@@ -456,9 +452,8 @@ def test_derivatives_match_finite_differences():
 
 def test_shifted_expansion_finds_second_crossing():
     g = double_crossing()
-    dec = decompose(g)
-    events = detect(g, 1, 4, "C", zeta_grid=WIDE_GRID, dec=dec).events
-    ev = shifted_expansion(g, 1, 4, "C", events[0].zeta_star, k=8, dec=dec)
+    events = detect(g, 1, 4, "C", zeta_grid=WIDE_GRID).events
+    ev = shifted_expansion(g, 1, 4, "C", events[0].zeta_star, k=8)
     assert ev is not None
     assert ev.method == "shifted-expansion"
     assert ev.zeta_star == pytest.approx(events[1].zeta_star, abs=1e-6)
@@ -466,10 +461,8 @@ def test_shifted_expansion_finds_second_crossing():
 
 def test_shifted_expansion_stops_after_last_crossing():
     g = double_crossing()
-    dec = decompose(g)
-    events = detect(g, 1, 4, "C", zeta_grid=WIDE_GRID, dec=dec).events
-    assert shifted_expansion(g, 1, 4, "C", events[1].zeta_star, k=8,
-                             dec=dec) is None
+    events = detect(g, 1, 4, "C", zeta_grid=WIDE_GRID).events
+    assert shifted_expansion(g, 1, 4, "C", events[1].zeta_star, k=8) is None
 
 
 # -- finiteness --------------------------------------------------------------------
@@ -477,19 +470,18 @@ def test_shifted_expansion_stops_after_last_crossing():
 
 def test_finiteness_bounds_all_crossings():
     g = double_crossing()
-    dec = decompose(g)
-    rep = finiteness_check(g, 1, 4, "C", dec=dec)
+    rep = finiteness_check(g, 1, 4, "C")
     assert rep.decidable
-    events = detect(g, 1, 4, "C", zeta_grid=WIDE_GRID, dec=dec).events
+    events = detect(g, 1, 4, "C", zeta_grid=WIDE_GRID).events
     assert all(e.zeta_star < rep.zeta_bar for e in events)
     beyond = np.linspace(rep.zeta_bar, rep.zeta_bar + 20.0, 2000)
-    assert detect(g, 1, 4, "C", zeta_grid=beyond, dec=dec).events == []
+    assert detect(g, 1, 4, "C", zeta_grid=beyond).events == []
 
 
 def test_finiteness_boundary_is_tight():
     g = clique_plus_hub()
     dec = decompose(g)
-    rep = finiteness_check(g, 5, 1, "C", dec=dec)
+    rep = finiteness_check(g, 5, 1, "C")
     lam = dec.eigenvalues
     u = dec.eigenvectors
     coef = u[5] ** 2 - u[1] ** 2

@@ -2,13 +2,18 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import riskcent.spectral
+from riskcent.centrality import limit_rankings, sweep
+from riskcent.epidemics import SIParams, si_lee, si_linearized
 from riskcent.graph import Graph, generate_complete, generate_er, generate_star
+from riskcent.interlacement import detect_pairs
 from riskcent.spectral import (
     DENSE_LIMIT_DEFAULT,
     KrylovConvergenceError,
+    _exp_rows,
+    _expm_krylov,
     _lanczos,
     decompose,
-    exp_rows,
     expm,
 )
 
@@ -56,10 +61,47 @@ def test_perron_vector_positive():
         assert (dec.eigenvectors[:, 0] > 0).all()
 
 
-def test_dense_limit_refused():
+def test_decomposition_cached_on_graph(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(a):
+        calls.append(a.shape)
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    g = generate_er(30, 0.2, seed=0, require_connected=True)
+    params = SIParams(0.1, 0.1, np.linspace(0.0, 2.0, 5))
+    sweep(g)
+    detect_pairs(g, [(0, 1), (2, 3)])
+    si_lee(g, params)
+    si_linearized(g, params)
+    limit_rankings(g)
+    expm(g, 0.5, np.ones(g.n))
+    expm(g, [0.1, 0.5])
+    assert calls == [(30, 30)]
+    dec = decompose(g)
+    assert decompose(g) is dec
+    with pytest.raises(ValueError):
+        dec.eigenvalues[0] = 0.0
+    with pytest.raises(ValueError):
+        dec.eigenvectors[:, 0] *= -1.0
+    with pytest.raises(AttributeError):
+        dec.eigenvalues = -dec.eigenvalues
+    # an equal but distinct graph owns its own decomposition
+    twin = Graph(g.n, g.edge_array(), labels=g.labels)
+    assert twin == g
+    other = decompose(twin)
+    assert other is not dec and len(calls) == 2
+    assert np.array_equal(other.eigenvalues, dec.eigenvalues)
+    assert np.array_equal(other.eigenvectors, dec.eigenvectors)
+
+
+def test_dense_limit_refused(monkeypatch):
     g = generate_er(30, 0.2, seed=0)
+    monkeypatch.setattr(riskcent.spectral, "DENSE_LIMIT_DEFAULT", 10)
     with pytest.raises(ValueError, match="dense limit"):
-        decompose(g, dense_limit=10)
+        decompose(g)
 
 
 # -- dense exponential action ------------------------------------------------
@@ -97,7 +139,7 @@ def test_action_matches_pade_oracle():
         dec = decompose(g)
         v = np.random.default_rng(1).normal(size=g.n)
         # the grid form of the kernel, one row per zeta
-        rows, diags = exp_rows(dec, zetas, v), exp_rows(dec, zetas)
+        rows, diags = _exp_rows(dec, zetas, v), _exp_rows(dec, zetas)
         for k, zeta in enumerate(zetas):
             e = scipy.linalg.expm(zeta * g.adjacency())
             assert np.allclose(expm(g, zeta, v), e @ v,
@@ -120,9 +162,8 @@ def test_semigroup_property():
     g = generate_er(15, 0.3, seed=6)
     rng = np.random.default_rng(8)
     v = rng.normal(size=15)
-    dec = decompose(g)
-    one_shot = expm(g, 0.9, v, dec=dec)
-    two_step = expm(g, 0.5, expm(g, 0.4, v, dec=dec), dec=dec)
+    one_shot = expm(g, 0.9, v)
+    two_step = expm(g, 0.5, expm(g, 0.4, v))
     assert np.allclose(one_shot, two_step, rtol=1e-10)
 
 
@@ -170,11 +211,11 @@ def test_scaled_action_survives_huge_zeta():
     assert s == pytest.approx(50.0 * 59.0, rel=1e-12)
     dec = decompose(g)
     for v in (np.ones(60), None):
-        rows, scales = exp_rows(dec, [0.0, 1.0, 50.0], v, scaled=True)
+        rows, scales = _exp_rows(dec, [0.0, 1.0, 50.0], v, scaled=True)
         assert np.isfinite(rows).all() and (rows > 0).all()
         assert np.allclose(scales, [0.0, 59.0, 50.0 * 59.0], rtol=1e-12)
         assert np.allclose(rows[:2] * np.exp(scales[:2, None]),
-                           exp_rows(dec, [0.0, 1.0], v), rtol=1e-12)
+                           _exp_rows(dec, [0.0, 1.0], v), rtol=1e-12)
 
 
 # -- Krylov route -------------------------------------------------------------
@@ -185,21 +226,21 @@ def test_krylov_matches_dense():
         g = generate_er(120, 0.05, seed=seed)
         rng = np.random.default_rng(seed + 10)
         v = rng.normal(size=120)
-        dense = expm(g, zeta, v, method="dense")
-        kry = expm(g, zeta, v, method="krylov")
+        dense = expm(g, zeta, v)
+        kry = _expm_krylov(g, zeta, v, False)
         assert np.abs(kry - dense).max() < 1e-8 * np.abs(dense).max()
 
 
 def test_krylov_diagonal_matches_dense():
     g = generate_er(60, 0.1, seed=4)
-    dense = expm(g, 1.0, method="dense")
-    kry = expm(g, 1.0, method="krylov")
+    dense = expm(g, 1.0)
+    kry = _expm_krylov(g, 1.0, None, False)
     assert np.abs(kry - dense).max() < 1e-8 * dense.max()
 
 
 def test_krylov_zero_vector():
     g = generate_er(30, 0.2, seed=5)
-    y = expm(g, 1.0, np.zeros(30), method="krylov")
+    y = _expm_krylov(g, 1.0, np.zeros(30), False)
     assert np.array_equal(y, np.zeros(30))
 
 
@@ -207,11 +248,11 @@ def test_krylov_reports_nonconvergence():
     g = generate_er(200, 0.05, seed=7)
     v = np.random.default_rng(3).normal(size=200)
     with pytest.raises(KrylovConvergenceError) as err:
-        expm(g, 3.0, v, method="krylov", max_dim=3)
+        _expm_krylov(g, 3.0, v, False, max_dim=3)
     assert err.value.dimension == 3
     assert err.value.achieved > 0
     with pytest.raises(KrylovConvergenceError) as err:
-        expm(g, 3.0, method="krylov", max_dim=3)
+        _expm_krylov(g, 3.0, None, False, max_dim=3)
     assert err.value.dimension == 3
     assert err.value.achieved > 0
 
@@ -224,8 +265,8 @@ def test_krylov_invariant_subspace_exit():
     steps = list(_lanczos(lambda x: a @ x, np.ones(12) / np.sqrt(12), 50))
     assert len(steps) == 1 and steps[-1][2] == 0.0
     for zeta in (0.3, 2.0):
-        kry = expm(g, zeta, np.ones(12), method="krylov")
-        dense = expm(g, zeta, np.ones(12), method="dense")
+        kry = _expm_krylov(g, zeta, np.ones(12), False)
+        dense = expm(g, zeta, np.ones(12))
         assert np.allclose(kry, dense, rtol=1e-12)
     star = generate_star(9)
     hub = np.zeros(9)
@@ -233,8 +274,8 @@ def test_krylov_invariant_subspace_exit():
     a = star.sparse_adjacency()
     steps = list(_lanczos(lambda x: a @ x, hub, 50))
     assert len(steps) == 2 and steps[-1][2] == 0.0
-    kry = expm(star, 1.3, method="krylov")
-    dense = expm(star, 1.3, method="dense")
+    kry = _expm_krylov(star, 1.3, None, False)
+    dense = expm(star, 1.3)
     assert np.allclose(kry, dense, rtol=1e-12)
     assert kry[0] == pytest.approx(np.cosh(1.3 * np.sqrt(8.0)), rel=1e-12)
 
@@ -246,58 +287,60 @@ def test_expm_krylov_grid_rows_equal_single_zeta_calls():
     g = generate_er(60, 0.1, seed=4)
     v = np.random.default_rng(6).normal(size=60)
     zetas = [0.0, 0.5, 1.3]
-    rows = expm(g, zetas, v, method="krylov")
-    scaled, shifts = expm(g, zetas, v, scaled=True, method="krylov")
-    diags = expm(g, zetas, method="krylov")
+    rows = _expm_krylov(g, zetas, v, False)
+    scaled, shifts = _expm_krylov(g, zetas, v, True)
+    diags = _expm_krylov(g, zetas, None, False)
     for k, zeta in enumerate(zetas):
-        assert np.array_equal(rows[k], expm(g, zeta, v, method="krylov"))
-        y, s = expm(g, zeta, v, scaled=True, method="krylov")
+        assert np.array_equal(rows[k], _expm_krylov(g, zeta, v, False))
+        y, s = _expm_krylov(g, zeta, v, True)
         assert np.array_equal(scaled[k], y) and shifts[k] == s
-        assert np.array_equal(diags[k], expm(g, zeta, method="krylov"))
+        assert np.array_equal(diags[k], _expm_krylov(g, zeta, None, False))
 
 
-def test_expm_result_shapes():
+def test_expm_result_shapes(monkeypatch):
     g = generate_er(20, 0.3, seed=3)
     v = np.ones(20)
-    for method in ("dense", "krylov"):
-        for w in (v, None):
-            assert expm(g, 0.4, w, method=method).shape == (20,)
-            assert expm(g, [0.1, 0.4], w, method=method).shape == (2, 20)
-        y, s = expm(g, 0.4, v, scaled=True, method=method)
-        assert y.shape == (20,) and np.ndim(s) == 0
-        y, s = expm(g, [0.1, 0.4], v, scaled=True, method=method)
-        assert y.shape == (2, 20) and s.shape == (2,)
-    y, s = expm(g, [0.1, 0.4], scaled=True, method="dense")
+    y, s = expm(g, [0.1, 0.4], scaled=True)
     assert y.shape == (2, 20) and s.shape == (2,)
+    # the dense route, then the Krylov route with the limit below n
+    for limit in (DENSE_LIMIT_DEFAULT, 10):
+        monkeypatch.setattr(riskcent.spectral, "DENSE_LIMIT_DEFAULT", limit)
+        for w in (v, None):
+            assert expm(g, 0.4, w).shape == (20,)
+            assert expm(g, [0.1, 0.4], w).shape == (2, 20)
+        y, s = expm(g, 0.4, v, scaled=True)
+        assert y.shape == (20,) and np.ndim(s) == 0
+        y, s = expm(g, [0.1, 0.4], v, scaled=True)
+        assert y.shape == (2, 20) and s.shape == (2,)
 
 
 def test_expm_scaled_krylov_action_matches_unscaled():
     g = generate_er(120, 0.05, seed=1)
     v = np.random.default_rng(11).normal(size=120)
     for zeta in (0.0, 0.5, 1.3, 50.0):
-        y, s = expm(g, zeta, v, scaled=True, method="krylov")
-        assert np.array_equal(y * np.exp(s), expm(g, zeta, v, method="krylov"))
-    rows, shifts = expm(g, [0.5, 1.3], v, scaled=True, method="krylov")
-    plain = expm(g, [0.5, 1.3], v, method="krylov")
+        y, s = _expm_krylov(g, zeta, v, True)
+        assert np.array_equal(y * np.exp(s), _expm_krylov(g, zeta, v, False))
+    rows, shifts = _expm_krylov(g, [0.5, 1.3], v, True)
+    plain = _expm_krylov(g, [0.5, 1.3], v, False)
     for k in range(2):
         assert np.array_equal(rows[k] * np.exp(shifts[k]), plain[k])
 
 
-def test_expm_rejects_bad_input():
+def test_expm_rejects_bad_input(monkeypatch):
     g = generate_complete(4)
     bad = (float("nan"), float("inf"), -0.5, [0.1, float("nan")],
            [0.2, -0.1], [[0.1, 0.2]])
-    for zeta in bad:
-        for method in ("dense", "krylov"):
+    # the dense route, then the Krylov route with the limit below n
+    for limit in (DENSE_LIMIT_DEFAULT, 3):
+        monkeypatch.setattr(riskcent.spectral, "DENSE_LIMIT_DEFAULT", limit)
+        for zeta in bad:
             with pytest.raises(ValueError, match="zeta"):
-                expm(g, zeta, np.ones(4), method=method)
-    with pytest.raises(ValueError, match="method"):
-        expm(g, 0.5, np.ones(4), method="pade")
+                expm(g, zeta, np.ones(4))
     with pytest.raises(ValueError, match="shape"):
-        expm(g, 0.5, np.ones(3), method="krylov")
+        expm(g, 0.5, np.ones(3))
     # the scaled diagonal is dense only
     with pytest.raises(ValueError, match="Krylov"):
-        expm(g, 0.5, scaled=True, method="krylov")
+        expm(g, 0.5, scaled=True)
 
 
 def test_expm_auto_routes_large_graphs_to_krylov():
@@ -305,6 +348,6 @@ def test_expm_auto_routes_large_graphs_to_krylov():
     ring = np.column_stack([np.arange(n), (np.arange(n) + 1) % n])
     g = Graph(n, ring)
     v = np.random.default_rng(2).normal(size=n)
-    assert np.array_equal(expm(g, 0.5, v), expm(g, 0.5, v, method="krylov"))
+    assert np.array_equal(expm(g, 0.5, v), _expm_krylov(g, 0.5, v, False))
     with pytest.raises(ValueError, match="dense limit"):
         decompose(g)
