@@ -8,7 +8,9 @@ and three approximations are provided: the linearized flow exp(gamma t A) x0,
 the survival-function upper bound built from the risk centrality R_i at
 zeta = (1-beta)*gamma*t (exact SI solution of the linearized infection
 pressure), and the homogeneous mean-field logistic.  The bound and the
-linearized flow both dominate the exact solution componentwise.
+linearized flow both dominate the exact solution componentwise.  Both are
+``expm`` actions on the time grid and the exact model multiplies by the
+sparse adjacency, so no solver decomposes A or forms it densely.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .spectral import _exp_rows, decompose, expm
+from .spectral import expm
 from .centrality import write_grid_csv
 
 
@@ -107,7 +109,7 @@ def si_exact(g, params, x0=None, rtol=1e-10, atol=1e-12):
     """
     x0 = _initial_state(g, params, x0)
     t = params.t_grid
-    a = g.adjacency()
+    a = g.sparse_adjacency()
     gamma = params.gamma
 
     def rhs(_, x):
@@ -129,10 +131,15 @@ def si_linearized(g, params, x0=None):
     """Linearized flow x(t) = exp(gamma t A) x0.
 
     Accurate only for small t and small x0; the values eventually leave
-    [0, 1] and are reported unclipped.
+    [0, 1] and are reported unclipped.  A flow that overflows float range
+    raises ``ValueError`` naming the first such t.
     """
     x0 = _initial_state(g, params, x0)
-    x = _exp_rows(decompose(g), params.gamma * params.t_grid, x0)
+    x = expm(g, params.gamma * params.t_grid, x0)
+    bad = ~np.isfinite(x).all(axis=1)
+    if bad.any():
+        raise ValueError("linearized: exp(gamma t A) x0 overflows at t = %r"
+                         % float(params.t_grid[bad][0]))
     return SITrajectory(params.t_grid, x, "linearized", labels=list(g.labels))
 
 
@@ -143,11 +150,14 @@ def si_lee(g, params):
 
         y_i(t) = -log(alpha) + (beta/alpha) * (R_i - 1)
         x_i(t) = 1 - alpha * exp(-(beta/alpha) * (R_i - 1)) = 1 - exp(-y_i).
+
+    Where R_i passes float range, y_i is inf and x_i its limit 1.
     """
-    r = _exp_rows(decompose(g), params.zeta_at(params.t_grid), np.ones(g.n))
+    r = expm(g, params.zeta_at(params.t_grid), np.ones(g.n))
     beta, alpha = params.beta, params.alpha
-    y = -np.log(alpha) + (beta / alpha) * (r - 1.0)
-    x = 1.0 - alpha * np.exp(-(beta / alpha) * (r - 1.0))
+    pressure = (beta / alpha) * (r - 1.0)
+    y = -np.log(alpha) + pressure
+    x = 1.0 - alpha * np.exp(-pressure)
     return SITrajectory(params.t_grid, x, "lee", labels=list(g.labels), y=y)
 
 

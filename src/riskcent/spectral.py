@@ -2,23 +2,24 @@
 
 Everything downstream reduces to evaluating the action ``exp(z*A) @ v`` and
 the diagonal ``diag(exp(z*A))`` for a symmetric adjacency A and z >= 0.
-``expm`` is the one public evaluator, for a scalar z or a grid of them; the
-node count alone picks one of two kernels:
+``expm`` is the one public evaluator, for a scalar z or a grid of them:
 
-* up to ``DENSE_LIMIT_DEFAULT`` nodes, a dense route through the graph's
-  one eigendecomposition (``decompose``, computed once and cached on the
-  ``Graph``): ``_exp_rows``, which ``sweep`` and the SI bounds also call
-  directly on their grids;
-* above it, a Krylov route that only touches A through matrix-vector
-  products (``_expm_krylov``): one Lanczos loop with full
-  reorthogonalization (``_lanczos``) serves the action and the
-  Gauss-quadrature diagonal, which differ in start vector and stopping rule.
+* the action takes one Krylov route at every graph size
+  (``_krylov_action``): one Lanczos run (``_lanczos``, full
+  reorthogonalization) from v/|v| on the sparse adjacency, whose basis
+  serves every z of the grid, so it never decomposes;
+* the diagonal of a graph of up to ``DENSE_LIMIT_DEFAULT`` nodes comes
+  from the graph's one eigendecomposition (``decompose``, computed once
+  and cached on the ``Graph``) through ``_exp_rows``, which ``sweep`` also
+  calls directly for R and C on its grid; above the limit, from one
+  Gauss-quadrature Lanczos run per node and z (``_lanczos_diag_entry``).
 
-The dense formulas are written with ``expm1`` so that the small-z signal
-``exp(z*A) - I`` is not lost to cancellation: since the eigenvectors are
-orthonormal, ``exp(zA)v = v + U diag(expm1(z*lam)) U^T v`` holds exactly.
-The scaled form returns ``(value * exp(-log_scale), log_scale)`` so rankings
-stay finite when ``z * lam_1`` would overflow ``exp``.
+The unscaled formulas are written with ``expm1`` so that the small-z
+signal ``exp(z*A) - I`` is not lost to cancellation: with orthonormal
+eigenvectors, ``exp(zA)v = v + U diag(expm1(z*lam)) U^T v`` holds exactly,
+and likewise in the Lanczos basis.  The scaled form returns
+``(value * exp(-log_scale), log_scale)`` so rankings stay finite when
+``z * lam_1`` would overflow ``exp``.
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ from scipy.linalg import eigh_tridiagonal
 DENSE_LIMIT_DEFAULT = 5000
 KRYLOV_TOL_DEFAULT = 1e-10
 KRYLOV_MAX_DIM_DEFAULT = 200
+_BASIS_BLOCK = 16  # first Lanczos basis allocation, in rows
+_EXP_MAX = float(np.log(np.finfo(float).max))  # largest finite exp argument
 
 
 class EigensolverError(RuntimeError):
@@ -140,17 +143,16 @@ def _exp_rows(dec, zetas, v=None, scaled=False):
 # -- Krylov route ------------------------------------------------------------
 
 
-def _expm_tridiag_e1(alphas, betas, zeta):
-    """Scaled first column of exp(zeta*T) for symmetric tridiagonal T.
+def _ritz_exp(alphas, betas, z):
+    """exp(z*T_m) e_1 in the eigenbasis of the Lanczos tridiagonal T_m.
 
-    Returns ``(col, s)`` with ``exp(zeta*T) e_1 = exp(s) * col`` and
-    ``s = zeta * theta_max``, keeping the small solve finite for any zeta.
+    Returns ``(theta, s, w, shift)`` with ``T_m = s diag(theta) s^T``,
+    ``shift = z * theta_max`` and ``w = s^T exp(z*T_m) e_1 / exp(shift)``,
+    finite for any z >= 0; a 1-D grid z gives one row of w per value.
     """
-    if len(alphas) == 1:
-        return np.array([1.0]), zeta * alphas[0]
     theta, s = eigh_tridiagonal(np.asarray(alphas), np.asarray(betas))
-    top = zeta * theta[-1]
-    return s @ (np.exp(zeta * theta - top) * s[0]), top
+    w = np.exp(np.multiply.outer(z, theta - theta[-1])) * s[0]
+    return theta, s, w, z * theta[-1]
 
 
 def _lanczos(matvec, q, max_dim):
@@ -161,11 +163,12 @@ def _lanczos(matvec, q, max_dim):
     next residual and the orthonormal basis ``(m, n)``.  b is reported as 0
     when the residual vanishes: the Krylov space is then invariant, T_m is
     exact and the process stops.  It also stops after ``min(max_dim, n)``
-    steps.
+    steps.  The basis buffer starts at ``_BASIS_BLOCK`` rows and doubles
+    when full, so a run of m steps holds O(m n) memory, not O(max_dim n).
     """
     n = q.size
     m_cap = min(max_dim, n)
-    vs = np.empty((m_cap, n))
+    vs = np.empty((min(_BASIS_BLOCK, m_cap), n))
     vs[0] = q
     alphas = []
     betas = []
@@ -185,35 +188,63 @@ def _lanczos(matvec, q, max_dim):
         if exact or m == m_cap:
             return
         betas.append(b)
+        if m == vs.shape[0]:
+            grown = np.empty((min(2 * m, m_cap), n))
+            grown[:m] = vs
+            vs = grown
         vs[m] = w / b
 
 
-def _lanczos_expm_action(matvec, zeta, v, tol, max_dim):
-    """exp(zeta*A) v through the Lanczos process started from v/|v|.
+def _krylov_action(matvec, z, v, scaled, tol, max_dim):
+    """Rows ``exp(z[k]*A) @ v`` for a 1-D grid ``z`` from one Lanczos basis.
 
-    The error estimate is the magnitude of the first neglected term,
-    ``beta_m * |[exp(zeta*T_m)]_{m,1}|``; iteration stops once two
-    consecutive estimates fall below ``tol`` relative to the current
-    approximation (measured on the scaled exponential to stay finite).
+    K_m(A, v) does not depend on zeta, so one Lanczos run from v/|v| serves
+    every grid point.  After each step T_m = S diag(theta) S^T is
+    diagonalized once; the error estimate at each zeta is the first
+    neglected term relative to the approximation,
+    ``beta_m |[exp(zeta T_m)]_{m,1}| / |exp(zeta T_m) e_1|`` (scale-free,
+    so it is computed on the shifted exponential).  The run stops once it
+    is at most ``tol`` at every grid point on two consecutive steps, or
+    when the Krylov space is invariant.
+
+    Scaled rows are ``|v| V S (exp(z (theta - theta_max)) S[0])`` with the
+    shift ``z * theta_max``.  Unscaled rows are
+    ``v + |v| V S (expm1(z theta) S[0])``: exactly v at zeta = 0, and
+    ``exp(zA)v - v`` keeps its small-zeta signal.  A row whose shift passes
+    exp's range is ``exp(shift)`` times its scaled row, with no overflow
+    warning: every entry is +-inf, even one whose exact value is finite (a
+    node off the component that sets theta_max).
     """
-    beta0 = np.linalg.norm(v)
+    beta0 = float(np.linalg.norm(v))
     if beta0 == 0.0:
-        return np.zeros(v.size), 0.0
+        rows = np.zeros((z.size, v.size))
+        return (rows, np.zeros(z.size)) if scaled else rows
     good = 0
     for alphas, betas, b, basis in _lanczos(matvec, v / beta0, max_dim):
-        small, shift = _expm_tridiag_e1(alphas, betas, zeta)
+        theta, s, w, shift = _ritz_exp(alphas, betas, z)
         if b == 0.0:
-            break  # invariant subspace: the small solve is exact
-        rel = b * abs(small[-1]) / max(float(np.linalg.norm(small)), 1e-300)
-        good = good + 1 if rel <= tol else 0
+            break  # invariant subspace: the small exponential is exact
+        rel = b * np.abs(w @ s[-1]) / np.maximum(
+            np.linalg.norm(w, axis=1), 1e-300)
+        worst = float(rel.max(initial=0.0))
+        good = good + 1 if worst <= tol else 0
         if good >= 2:
             break
     else:
         raise KrylovConvergenceError(
             "Lanczos exp action did not reach rel tol %g in %d "
-            "dimensions (achieved %g)" % (tol, len(alphas), rel),
-            achieved=rel, dimension=len(alphas))
-    return basis.T @ (beta0 * small), shift
+            "dimensions (achieved %g)" % (tol, len(alphas), worst),
+            achieved=worst, dimension=len(alphas))
+    if scaled:
+        return beta0 * (w @ s.T) @ basis, shift
+    safe = shift <= _EXP_MAX
+    e = np.expm1(np.multiply.outer(np.where(safe, z, 0.0), theta)) * s[0]
+    rows = v + beta0 * (e @ s.T) @ basis
+    if not safe.all():
+        with np.errstate(over="ignore"):
+            big = np.exp(shift[~safe])[:, None]
+            rows[~safe] = beta0 * (w[~safe] @ s.T) @ basis * big
+    return rows
 
 
 def _lanczos_diag_entry(matvec, zeta, i, n, tol, max_dim):
@@ -228,8 +259,8 @@ def _lanczos_diag_entry(matvec, zeta, i, n, tol, max_dim):
     good = 0
     rel = np.inf
     for alphas, betas, b, _ in _lanczos(matvec, q, max_dim):
-        col, shift = _expm_tridiag_e1(alphas, betas, zeta)
-        val = float(col[0])
+        _, s, w, shift = _ritz_exp(alphas, betas, zeta)
+        val = float(s[0] @ w)
         if b == 0.0:
             break  # invariant subspace: the quadrature is exact
         if prev is not None:
@@ -257,10 +288,11 @@ def expm(g, zetas, v=None, scaled=False):
     The one public evaluator: one row per value of a 1-D grid ``zetas`` or
     one 1-D result for a scalar, and with ``scaled=True`` the pair
     ``(rows, s)`` with the unscaled rows equal to ``exp(s)`` times
-    ``rows``.  A graph of at most ``DENSE_LIMIT_DEFAULT`` nodes takes the
-    dense route, ``_exp_rows`` on its cached eigendecomposition.  A larger
-    one takes the Krylov route, which never forms a dense matrix; its
-    diagonal has no scaled form.
+    ``rows``.  The action takes one Lanczos basis for the whole grid at
+    every graph size (``_krylov_action``), so it never decomposes.  The
+    diagonal of a graph of at most ``DENSE_LIMIT_DEFAULT`` nodes comes from
+    ``_exp_rows`` on its cached eigendecomposition; above that, from
+    per-node Lanczos quadrature, which has no scaled form.
     """
     z = np.asarray(zetas, dtype=float)
     if z.ndim > 1 or (z < 0).any() or not np.isfinite(z).all():
@@ -268,32 +300,30 @@ def expm(g, zetas, v=None, scaled=False):
                          "grid, got %r" % (zetas,))
     if v is not None:
         v = _check_vector(v, g.n)
-    if g.n <= DENSE_LIMIT_DEFAULT:
-        return _exp_rows(decompose(g), z, v, scaled)
+    elif g.n <= DENSE_LIMIT_DEFAULT:
+        return _exp_rows(decompose(g), z, None, scaled)
     return _expm_krylov(g, z, v, scaled)
 
 
 def _expm_krylov(g, z, v, scaled, tol=KRYLOV_TOL_DEFAULT,
                  max_dim=KRYLOV_MAX_DIM_DEFAULT):
-    """``expm`` by Lanczos: one run per zeta for the action and one
-    quadrature per node and zeta for the diagonal, each to relative ``tol``
-    within ``max_dim`` dimensions.
+    """``expm`` by Lanczos on the cached CSR adjacency: one basis for the
+    action on the whole grid, and one quadrature per node and zeta for the
+    diagonal, each to relative ``tol`` within ``max_dim`` dimensions.
     """
     if scaled and v is None:
         raise ValueError("the scaled diagonal has no Krylov route")
     a = g.sparse_adjacency()
     mv = lambda x: a @ x
     grid = np.atleast_1d(z)
+    if v is not None:
+        out = _krylov_action(mv, grid, v, scaled, tol, max_dim)
+        if np.ndim(z) == 0:
+            out = (out[0][0], out[1][0]) if scaled else out[0]
+        return out
     rows = np.empty((grid.size, g.n))
-    shifts = np.empty(grid.size)
     for k, zeta in enumerate(grid):
-        if v is None:
-            for i in range(g.n):
-                val, s = _lanczos_diag_entry(mv, zeta, i, g.n, tol, max_dim)
-                rows[k, i] = val * np.exp(s)
-        else:
-            y, shifts[k] = _lanczos_expm_action(mv, zeta, v, tol, max_dim)
-            rows[k] = y if scaled else y * np.exp(shifts[k])
-    if np.ndim(z) == 0:
-        rows, shifts = rows[0], shifts[0]
-    return (rows, shifts) if scaled else rows
+        for i in range(g.n):
+            val, s = _lanczos_diag_entry(mv, zeta, i, g.n, tol, max_dim)
+            rows[k, i] = val * np.exp(s)
+    return rows[0] if np.ndim(z) == 0 else rows

@@ -8,12 +8,14 @@ import csv
 import hashlib
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
 
 import riskcent
 import riskcent.cli
+import riskcent.spectral
 from riskcent.cli import build_parser, main
 from riskcent.graph import Graph, load_json, save_json
 
@@ -241,18 +243,71 @@ def test_epidemics_trajectories_and_means(tmp_path):
 
 def test_epidemics_skips_decompose_when_no_solver_needs_it(tmp_path,
                                                            monkeypatch):
+    # no solver decomposes or forms the dense adjacency: the SI bounds
+    # take the Krylov action, si_exact the sparse adjacency
     def refuse(*args, **kwargs):
-        raise AssertionError("eigh called")
+        raise AssertionError("eigh or Graph.adjacency called")
 
     monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(Graph, "adjacency", refuse)
     graph = write_clique_plus_hub(tmp_path / "g.json")
-    out = str(tmp_path / "out")
-    rc = main(["epidemics", graph, "--out", out, "--beta", "0.01",
-               "--gamma", "0.002", "--tmax", "10", "--steps", "6",
-               "--solvers", "exact,mean-field"])
+    for k, solvers in enumerate(("exact,mean-field",
+                                 "exact,lee,lee-general,linearized,"
+                                 "mean-field")):
+        out = str(tmp_path / ("out%d" % k))
+        rc = main(["epidemics", graph, "--out", out, "--beta", "0.01",
+                   "--gamma", "0.002", "--tmax", "10", "--steps", "6",
+                   "--solvers", solvers])
+        assert rc == 0
+        header, rows = read_csv(os.path.join(out, "mean_curves.csv"))
+        assert header == ["t"] + solvers.split(",") and len(rows) == 6
+
+
+def test_epidemics_linearized_overflow_exits_2(tmp_path, capsys):
+    # gamma t lam_1 reaches 2000 on the 4-cycle: exp overflows float range
+    graph = tmp_path / "c4.txt"
+    graph.write_text("0 1\n1 2\n2 3\n3 0\n")
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["epidemics", str(graph), "--beta", "0.1", "--gamma",
+                   "1000", "--tmax", "1", "--steps", "3", "--solvers",
+                   "lee,linearized,lee-general", "--out", str(out)])
+    assert rc == 2
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert err == "error: linearized: exp(gamma t A) x0 overflows at t = 0.5\n"
+    # lee ran first and wrote its exact limit where R overflows
+    _, rows = read_csv(out / "trajectory_lee.csv")
+    vals = np.array(rows, dtype=float)
+    assert np.array_equal(vals[:, 0], [0.0, 0.5, 1.0])
+    assert np.allclose(vals[0, 1:], 0.1, rtol=1e-15)
+    assert (vals[1:, 1:] == 1.0).all()
+    assert not (out / "trajectory_linearized.csv").exists()
+
+
+def test_epidemics_above_dense_limit(tmp_path, sparse_er):
+    # a real graph above DENSE_LIMIT_DEFAULT: the SI bounds need no
+    # eigendecomposition, so the command runs where centrality exits 2
+    n = riskcent.spectral.DENSE_LIMIT_DEFAULT + 1000
+    g = sparse_er(n, 10.0, seed=0)
+    assert g.is_connected()
+    graph = str(tmp_path / "er.json")
+    save_json(g, graph)
+    out = tmp_path / "out"
+    rc = main(["epidemics", graph, "--out", str(out), "--beta", "0.01",
+               "--gamma", "0.1", "--tmax", "2", "--steps", "5",
+               "--solvers", "lee,linearized,lee-general,mean-field"])
     assert rc == 0
-    header, rows = read_csv(os.path.join(out, "mean_curves.csv"))
-    assert header == ["t", "exact", "mean-field"] and len(rows) == 6
+    with open(out / "manifest.json") as fh:
+        declared = json.load(fh)["outputs"]
+    assert len(declared) == 5
+    for name in declared:
+        assert (out / name).is_file()
+    x = {s: np.array(read_csv(out / ("trajectory_%s.csv" % s))[1],
+                     dtype=float)[:, 1:] for s in ("lee", "lee-general")}
+    assert x["lee"].shape == (5, n)
+    assert np.abs(x["lee"] - x["lee-general"]).max() < 1e-9
 
 
 def test_epidemics_unknown_solver_exits_2(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -9,10 +11,13 @@ from riskcent.graph import Graph, generate_complete, generate_er, generate_star
 from riskcent.interlacement import detect_pairs
 from riskcent.spectral import (
     DENSE_LIMIT_DEFAULT,
+    KRYLOV_MAX_DIM_DEFAULT,
+    KRYLOV_TOL_DEFAULT,
     KrylovConvergenceError,
     _exp_rows,
     _expm_krylov,
     _lanczos,
+    _lanczos_diag_entry,
     decompose,
     expm,
 )
@@ -280,21 +285,79 @@ def test_krylov_invariant_subspace_exit():
     assert kry[0] == pytest.approx(np.cosh(1.3 * np.sqrt(8.0)), rel=1e-12)
 
 
+def test_lanczos_basis_memory_grows_with_steps(sparse_er):
+    # one quadrature node on a 20 000-node graph: the basis buffer holds
+    # O(steps) rows, not KRYLOV_MAX_DIM_DEFAULT (200) rows
+    g = sparse_er(20000, 8.0, seed=0)
+    a = g.sparse_adjacency()
+    steps = []
+
+    def matvec(x):
+        steps.append(1)
+        return a @ x
+
+    tracemalloc.start()
+    try:
+        _lanczos_diag_entry(matvec, 1.0, 0, g.n, KRYLOV_TOL_DEFAULT,
+                            KRYLOV_MAX_DIM_DEFAULT)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    m = len(steps)
+    assert 2 < m < 50
+    # the buffer doubles, so a growth step briefly holds 3m rows
+    assert peak <= (3 * m + 24) * g.n * 8
+    assert peak < KRYLOV_MAX_DIM_DEFAULT * g.n * 8 / 2
+
+
 # -- the routed evaluator -------------------------------------------------------
+
+
+def assert_action_rows_match_dense(g, zetas, v, rtol=1e-10):
+    """Krylov grid rows, unscaled and scaled, against the dense rows."""
+    dec = decompose(g)
+    rows = _expm_krylov(g, zetas, v, False)
+    scaled, shifts = _expm_krylov(g, zetas, v, True)
+    want = _exp_rows(dec, zetas, v)
+    want_scaled, want_shifts = _exp_rows(dec, zetas, v, scaled=True)
+    for k, zeta in enumerate(zetas):
+        err = np.abs(rows[k] - want[k]).max() / np.abs(want[k]).max()
+        assert err <= rtol, (g, zeta, err)
+        # the two routes shift by their own top eigenvalue estimate
+        got = scaled[k] * np.exp(shifts[k] - want_shifts[k])
+        err = (np.abs(got - want_scaled[k]).max()
+               / np.abs(want_scaled[k]).max())
+        assert err <= rtol, (g, zeta, err)
+        if zeta == 0.0:
+            assert np.array_equal(rows[k], v)
 
 
 def test_expm_krylov_grid_rows_equal_single_zeta_calls():
     g = generate_er(60, 0.1, seed=4)
     v = np.random.default_rng(6).normal(size=60)
     zetas = [0.0, 0.5, 1.3]
-    rows = _expm_krylov(g, zetas, v, False)
-    scaled, shifts = _expm_krylov(g, zetas, v, True)
     diags = _expm_krylov(g, zetas, None, False)
     for k, zeta in enumerate(zetas):
-        assert np.array_equal(rows[k], _expm_krylov(g, zeta, v, False))
-        y, s = _expm_krylov(g, zeta, v, True)
-        assert np.array_equal(scaled[k], y) and shifts[k] == s
         assert np.array_equal(diags[k], _expm_krylov(g, zeta, None, False))
+    # one basis serves the whole action grid, so its rows agree with the
+    # dense rows rather than bit for bit with one run per zeta
+    assert_action_rows_match_dense(g, zetas, v)
+
+
+def test_krylov_grid_action_matches_dense_rows():
+    weighted = generate_er(40, 0.15, seed=3)
+    w = np.random.default_rng(5).uniform(0.2, 3.0, size=weighted.m)
+    weighted = Graph(40, np.column_stack([weighted.edge_array()[:, :2], w]))
+    graphs = [generate_er(30, 0.2, seed=1), generate_er(300, 0.03, seed=2),
+              generate_er(1999, 8.0 / 1998, seed=3), weighted,
+              generate_complete(12), generate_star(9)]
+    zetas = np.concatenate([[0.0, 1e-9, 1e-4], np.linspace(0.01, 1.0, 100),
+                            [2.0, 5.0, 20.0]])
+    for g in graphs:
+        rng = np.random.default_rng(g.n)
+        assert_action_rows_match_dense(g, zetas, np.ones(g.n))
+        # the basis must serve every grid point, not only the last one
+        assert_action_rows_match_dense(g, zetas[::-1], rng.normal(size=g.n))
 
 
 def test_expm_result_shapes(monkeypatch):
@@ -315,15 +378,19 @@ def test_expm_result_shapes(monkeypatch):
 
 
 def test_expm_scaled_krylov_action_matches_unscaled():
+    # the unscaled rows use the expm1 form, the scaled ones exp(z theta - s):
+    # the two agree to rounding, not bit for bit
     g = generate_er(120, 0.05, seed=1)
     v = np.random.default_rng(11).normal(size=120)
     for zeta in (0.0, 0.5, 1.3, 50.0):
         y, s = _expm_krylov(g, zeta, v, True)
-        assert np.array_equal(y * np.exp(s), _expm_krylov(g, zeta, v, False))
+        plain = _expm_krylov(g, zeta, v, False)
+        assert np.abs(y * np.exp(s) - plain).max() <= 1e-13 * np.abs(plain).max()
     rows, shifts = _expm_krylov(g, [0.5, 1.3], v, True)
     plain = _expm_krylov(g, [0.5, 1.3], v, False)
     for k in range(2):
-        assert np.array_equal(rows[k] * np.exp(shifts[k]), plain[k])
+        err = np.abs(rows[k] * np.exp(shifts[k]) - plain[k]).max()
+        assert err <= 1e-13 * np.abs(plain[k]).max()
 
 
 def test_expm_rejects_bad_input(monkeypatch):
