@@ -5,9 +5,11 @@ the diagonal ``diag(exp(z*A))`` for a symmetric adjacency A and z >= 0.
 ``expm`` is the one public evaluator, for a scalar z or a grid of them:
 
 * the action takes one Krylov route at every graph size
-  (``_krylov_action``): one Lanczos run (``_lanczos``, full
-  reorthogonalization) from v/|v| on the sparse adjacency, whose basis
-  serves every z of the grid, so it never decomposes;
+  (``_krylov_action``), so it never decomposes: per connected component
+  of the sparse adjacency, one Lanczos run (``_lanczos``, full
+  reorthogonalization) from v/|v| whose basis serves every z of the grid
+  (``_lanczos_action``), restarted from a computed row only when a run
+  reaches ``KRYLOV_MAX_DIM_DEFAULT`` dimensions;
 * the diagonal of a graph of up to ``DENSE_LIMIT_DEFAULT`` nodes comes
   from the graph's one eigendecomposition (``decompose``, computed once
   and cached on the ``Graph``) through ``_exp_rows``, which ``sweep`` also
@@ -17,7 +19,7 @@ the diagonal ``diag(exp(z*A))`` for a symmetric adjacency A and z >= 0.
 The unscaled formulas are written with ``expm1`` so that the small-z
 signal ``exp(z*A) - I`` is not lost to cancellation: with orthonormal
 eigenvectors, ``exp(zA)v = v + U diag(expm1(z*lam)) U^T v`` holds exactly,
-and likewise in the Lanczos basis.  The scaled form returns
+and likewise in the Lanczos basis (``_basis_rows``).  The scaled form returns
 ``(value * exp(-log_scale), log_scale)`` so rankings stay finite when
 ``z * lam_1`` would overflow ``exp``.
 """
@@ -33,6 +35,8 @@ DENSE_LIMIT_DEFAULT = 5000
 KRYLOV_TOL_DEFAULT = 1e-10
 KRYLOV_MAX_DIM_DEFAULT = 200
 _BASIS_BLOCK = 16  # first Lanczos basis allocation, in rows
+_TAIL_RATIO_MAX = 0.9  # largest term ratio the action's tail estimate uses
+_SUBSTEPS = (0.5, 0.25, 0.125)  # fractions of a step a stuck run may take
 _EXP_MAX = float(np.log(np.finfo(float).max))  # largest finite exp argument
 
 
@@ -195,56 +199,138 @@ def _lanczos(matvec, q, max_dim):
         vs[m] = w / b
 
 
-def _krylov_action(matvec, z, v, scaled, tol, max_dim):
-    """Rows ``exp(z[k]*A) @ v`` for a 1-D grid ``z`` from one Lanczos basis.
+def _basis_rows(x, beta0, basis, theta, s, h):
+    """Scaled rows ``exp(-sig) exp(h[k]*A) x`` from a Lanczos basis of x.
 
-    K_m(A, v) does not depend on zeta, so one Lanczos run from v/|v| serves
-    every grid point.  After each step T_m = S diag(theta) S^T is
-    diagonalized once; the error estimate at each zeta is the first
-    neglected term relative to the approximation,
-    ``beta_m |[exp(zeta T_m)]_{m,1}| / |exp(zeta T_m) e_1|`` (scale-free,
-    so it is computed on the shifted exponential).  The run stops once it
-    is at most ``tol`` at every grid point on two consecutive steps, or
-    when the Krylov space is invariant.
-
-    Scaled rows are ``|v| V S (exp(z (theta - theta_max)) S[0])`` with the
-    shift ``z * theta_max``.  Unscaled rows are
-    ``v + |v| V S (expm1(z theta) S[0])``: exactly v at zeta = 0, and
-    ``exp(zA)v - v`` keeps its small-zeta signal.  A row whose shift passes
-    exp's range is ``exp(shift)`` times its scaled row, with no overflow
-    warning: every entry is +-inf, even one whose exact value is finite (a
-    node off the component that sets theta_max).
+    ``exp(-sig) x + |x| V S c`` with ``sig = h theta_max`` and
+    ``c = expm1(h theta) exp(-sig) S[0]`` (``exp(h theta - sig) -
+    exp(-sig)`` where ``|h theta| >= 1``, which neither overflows nor
+    cancels): h = 0 gives x exactly, and ``exp(sig)`` times a row keeps the
+    expm1 form's small-h signal ``exp(hA)x - x``.
     """
-    beta0 = float(np.linalg.norm(v))
-    if beta0 == 0.0:
-        rows = np.zeros((z.size, v.size))
-        return (rows, np.zeros(z.size)) if scaled else rows
-    good = 0
-    for alphas, betas, b, basis in _lanczos(matvec, v / beta0, max_dim):
-        theta, s, w, shift = _ritz_exp(alphas, betas, z)
-        if b == 0.0:
-            break  # invariant subspace: the small exponential is exact
-        rel = b * np.abs(w @ s[-1]) / np.maximum(
-            np.linalg.norm(w, axis=1), 1e-300)
-        worst = float(rel.max(initial=0.0))
-        good = good + 1 if worst <= tol else 0
-        if good >= 2:
+    sig = np.multiply.outer(h, theta[-1:])
+    e = np.exp(-sig)
+    ht = np.multiply.outer(h, theta)
+    small = np.abs(ht) < 1.0
+    c = np.where(small, np.expm1(np.where(small, ht, 0.0)) * e,
+                 np.exp(ht - sig) - e)
+    return e * x + beta0 * ((c * s[0]) @ s.T) @ basis, sig[:, 0]
+
+
+def _lanczos_action(matvec, z, v, tol, max_dim):
+    """Scaled rows ``exp(-shifts[k]) exp(z[k]*A) @ v`` for an ascending grid z.
+
+    K_m(A, x) does not depend on zeta, so one Lanczos run from x/|x| serves
+    every grid point.  After each step T_m = S diag(theta) S^T is
+    diagonalized once.  The error estimate at each point is the first
+    neglected term relative to the approximation, in the 2-norm,
+    ``beta_m |[exp(h T_m)]_{m,1}| / |exp(h T_m) e_1|`` with h the step from
+    the run's start x (scale-free, so computed on the shifted exponential),
+    divided by ``1 - q`` for the geometric tail of the neglected terms, q
+    being the term's last ratio capped at ``_TAIL_RATIO_MAX``.  The run ends
+    once the estimate is at most ``tol`` at every remaining point on two
+    consecutive steps, or when the Krylov space is invariant.
+
+    A run that reaches ``max_dim`` dimensions keeps the leading points that
+    passed and restarts from the last of them.  If not even the next point
+    passed, it steps the largest of ``_SUBSTEPS`` of the way to it that did
+    (the candidates are tracked alongside the grid) and restarts there; if
+    none did, it raises ``KrylovConvergenceError``.  Each restart halves the
+    tolerance, so the errors the runs pass on sum to at most 2 ``tol``.
+    """
+    rows = np.empty((z.size, v.size))
+    shifts = np.empty(z.size)
+    x, base, scale, k, runs = v, 0.0, 0.0, 0, 0
+    while k < z.size:
+        beta0 = float(np.linalg.norm(x))
+        if beta0 == 0.0:
+            rows[k:] = 0.0
+            shifts[k:] = scale
             break
-    else:
-        raise KrylovConvergenceError(
-            "Lanczos exp action did not reach rel tol %g in %d "
-            "dimensions (achieved %g)" % (tol, len(alphas), worst),
-            achieved=worst, dimension=len(alphas))
-    if scaled:
-        return beta0 * (w @ s.T) @ basis, shift
-    safe = shift <= _EXP_MAX
-    e = np.expm1(np.multiply.outer(np.where(safe, z, 0.0), theta)) * s[0]
-    rows = v + beta0 * (e @ s.T) @ basis
-    if not safe.all():
-        with np.errstate(over="ignore"):
-            big = np.exp(shift[~safe])[:, None]
-            rows[~safe] = beta0 * (w[~safe] @ s.T) @ basis * big
-    return rows
+        run_tol = tol * 0.5**runs
+        runs += 1
+        h = z[k:] - base
+        # the sub-step candidates lead the grid: they pass no later than h[0]
+        hs = np.concatenate([np.multiply(_SUBSTEPS[::-1], h[0]), h])
+        good = np.zeros(hs.size, dtype=int)
+        prev = np.full(hs.size, np.inf)
+        for alphas, betas, b, basis in _lanczos(matvec, x / beta0, max_dim):
+            theta, s, w, _ = _ritz_exp(alphas, betas, hs)
+            if b == 0.0:
+                good[:] = 2  # invariant subspace: T_m is exact
+                break
+            term = b * np.abs(w @ s[-1]) / np.maximum(
+                np.linalg.norm(w, axis=1), 1e-300)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                q = np.minimum(np.nan_to_num(term / prev), _TAIL_RATIO_MAX)
+            prev = term
+            rel = term / (1.0 - q)
+            good = np.where(rel <= run_tol, good + 1, 0)
+            if (good[len(_SUBSTEPS):] >= 2).all():
+                break
+        else:
+            if len(alphas) == x.size:
+                good[:] = 2  # the basis spans the whole space
+        real = good[len(_SUBSTEPS):] >= 2
+        done = h.size if real.all() else int(np.argmin(real))
+        if done == 0:
+            hops = np.flatnonzero(good[:len(_SUBSTEPS)] >= 2)
+            if not hops.size:
+                raise KrylovConvergenceError(
+                    "Lanczos exp action did not reach rel tol %g at zeta = "
+                    "%g in %d dimensions (achieved %g)"
+                    % (run_tol, z[k], len(alphas), rel[len(_SUBSTEPS)]),
+                    achieved=float(rel[len(_SUBSTEPS)]),
+                    dimension=len(alphas))
+            y, sig = _basis_rows(x, beta0, basis, theta, s, hs[hops[-1:]])
+            x, base, scale = y[0], base + hs[hops[-1]], scale + sig[0]
+            continue
+        y, sig = _basis_rows(x, beta0, basis, theta, s, h[:done])
+        rows[k:k + done] = y
+        shifts[k:k + done] = scale + sig
+        k += done
+        x, base, scale = rows[k - 1], z[k - 1], shifts[k - 1]
+    return rows, shifts
+
+
+def _krylov_action(a, labels, z, v, scaled, tol, max_dim):
+    """Rows ``exp(z[k]*A) @ v`` for a 1-D grid z, one component at a time.
+
+    exp(zA) is block diagonal over the connected components (``labels``),
+    so each component runs its own ``_lanczos_action`` on its block of the
+    CSR adjacency ``a``, with its own shift; isolated nodes, where A is 0,
+    keep v.  Scaled rows share the largest component shift.  Unscaled rows
+    are ``exp(shift)`` times the scaled ones; where that passes exp's range
+    each component is unscaled on its own, entry by entry, so only entries
+    whose value passes float range become +-inf.
+    """
+    order = np.argsort(z, kind="stable")
+    zs = z[order]
+    single = np.bincount(labels)[labels] == 1
+    iso = np.flatnonzero(single)
+    parts = [(iso, np.broadcast_to(v[iso], (z.size, iso.size)),
+              np.zeros(z.size))] if iso.size else []
+    rest = np.flatnonzero(~single)
+    rest = rest[np.argsort(labels[rest], kind="stable")]
+    for idx in np.split(rest, np.flatnonzero(np.diff(labels[rest])) + 1):
+        if idx.size:
+            sub = a if idx.size == v.size else a[idx][:, idx]
+            y, s = _lanczos_action(lambda x: sub @ x, zs, v[idx], tol, max_dim)
+            parts.append((idx, y, s))
+    shift = np.max([s for _, _, s in parts], axis=0)
+    rows = np.empty((z.size, v.size))
+    for idx, y, s in parts:
+        rows[:, idx] = y * np.exp(s - shift)[:, None]
+    if not scaled:
+        safe = shift <= _EXP_MAX
+        rows[safe] *= np.exp(shift[safe])[:, None]
+        with np.errstate(over="ignore", divide="ignore"):
+            for idx, y, s in parts if not safe.all() else []:
+                y = y[~safe]
+                rows[np.ix_(~safe, idx)] = np.sign(y) * np.exp(
+                    np.log(np.abs(y)) + s[~safe, None])
+    back = np.argsort(order)
+    return (rows[back], shift[back]) if scaled else rows[back]
 
 
 def _lanczos_diag_entry(matvec, zeta, i, n, tol, max_dim):
@@ -288,8 +374,10 @@ def expm(g, zetas, v=None, scaled=False):
     The one public evaluator: one row per value of a 1-D grid ``zetas`` or
     one 1-D result for a scalar, and with ``scaled=True`` the pair
     ``(rows, s)`` with the unscaled rows equal to ``exp(s)`` times
-    ``rows``.  The action takes one Lanczos basis for the whole grid at
-    every graph size (``_krylov_action``), so it never decomposes.  The
+    ``rows``.  The action takes one Lanczos basis per connected component
+    for the whole grid at every graph size (``_krylov_action``), so it
+    never decomposes; past exp's range only the entries whose value passes
+    float range are +-inf.  The
     diagonal of a graph of at most ``DENSE_LIMIT_DEFAULT`` nodes comes from
     ``_exp_rows`` on its cached eigendecomposition; above that, from
     per-node Lanczos quadrature, which has no scaled form.
@@ -307,9 +395,10 @@ def expm(g, zetas, v=None, scaled=False):
 
 def _expm_krylov(g, z, v, scaled, tol=KRYLOV_TOL_DEFAULT,
                  max_dim=KRYLOV_MAX_DIM_DEFAULT):
-    """``expm`` by Lanczos on the cached CSR adjacency: one basis for the
-    action on the whole grid, and one quadrature per node and zeta for the
-    diagonal, each to relative ``tol`` within ``max_dim`` dimensions.
+    """``expm`` by Lanczos on the cached CSR adjacency: one basis per
+    component for the action on the whole grid, and one quadrature per
+    node and zeta for the diagonal, each to relative ``tol`` with at most
+    ``max_dim`` dimensions per basis.
     """
     if scaled and v is None:
         raise ValueError("the scaled diagonal has no Krylov route")
@@ -317,7 +406,8 @@ def _expm_krylov(g, z, v, scaled, tol=KRYLOV_TOL_DEFAULT,
     mv = lambda x: a @ x
     grid = np.atleast_1d(z)
     if v is not None:
-        out = _krylov_action(mv, grid, v, scaled, tol, max_dim)
+        out = _krylov_action(a, g.component_labels(), grid, v, scaled, tol,
+                             max_dim)
         if np.ndim(z) == 0:
             out = (out[0][0], out[1][0]) if scaled else out[0]
         return out

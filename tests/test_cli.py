@@ -286,6 +286,26 @@ def test_epidemics_linearized_overflow_exits_2(tmp_path, capsys):
     assert not (out / "trajectory_linearized.csv").exists()
 
 
+def test_epidemics_disconnected_graph_past_overflow(tmp_path):
+    # K4 plus an isolated node: R overflows on K4 only, so the isolated
+    # node keeps its exact value beta while K4 takes the limit 1
+    graph = str(tmp_path / "k4i.json")
+    save_json(Graph(5, [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]),
+              graph)
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["epidemics", graph, "--beta", "0.1", "--gamma", "1000",
+                   "--tmax", "1", "--steps", "3", "--solvers", "lee",
+                   "--out", str(out)])
+    assert rc == 0
+    assert [str(w.message) for w in caught] == []
+    _, rows = read_csv(out / "trajectory_lee.csv")
+    vals = np.array(rows, dtype=float)
+    assert (vals[1:, 1:5] == 1.0).all()
+    assert np.allclose(vals[:, 5], 0.1, rtol=1e-15)
+
+
 def test_epidemics_above_dense_limit(tmp_path, sparse_er):
     # a real graph above DENSE_LIMIT_DEFAULT: the SI bounds need no
     # eigendecomposition, so the command runs where centrality exits 2

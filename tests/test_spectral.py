@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -313,21 +314,31 @@ def test_lanczos_basis_memory_grows_with_steps(sparse_er):
 # -- the routed evaluator -------------------------------------------------------
 
 
-def assert_action_rows_match_dense(g, zetas, v, rtol=1e-10):
-    """Krylov grid rows, unscaled and scaled, against the dense rows."""
+def assert_action_rows_match_dense(g, zetas, v, rtol=1e-10, entrywise=True):
+    """Krylov grid rows, scaled and unscaled, against the dense rows.
+
+    Each row agrees within ``rtol`` of its 2-norm, the norm the Lanczos
+    estimate controls, and with ``entrywise`` within ``rtol`` of its
+    largest entry too.  Rows whose dense value passes exp's range are
+    compared scaled only.
+    """
     dec = decompose(g)
     rows = _expm_krylov(g, zetas, v, False)
     scaled, shifts = _expm_krylov(g, zetas, v, True)
-    want = _exp_rows(dec, zetas, v)
     want_scaled, want_shifts = _exp_rows(dec, zetas, v, scaled=True)
+    norms = [np.linalg.norm] + ([lambda x: np.abs(x).max()] if entrywise
+                                else [])
     for k, zeta in enumerate(zetas):
-        err = np.abs(rows[k] - want[k]).max() / np.abs(want[k]).max()
-        assert err <= rtol, (g, zeta, err)
         # the two routes shift by their own top eigenvalue estimate
-        got = scaled[k] * np.exp(shifts[k] - want_shifts[k])
-        err = (np.abs(got - want_scaled[k]).max()
-               / np.abs(want_scaled[k]).max())
-        assert err <= rtol, (g, zeta, err)
+        pairs = [(scaled[k] * np.exp(shifts[k] - want_shifts[k]),
+                  want_scaled[k])]
+        if want_shifts[k] < 700.0:
+            pairs.append((rows[k], _exp_rows(dec, zeta, v)))
+        for got, want in pairs:
+            big = np.abs(want).max()  # keeps the squares of the 2-norm finite
+            for norm in norms:
+                err = norm((got - want) / big) / norm(want / big)
+                assert err <= rtol, (g, zeta, err)
         if zeta == 0.0:
             assert np.array_equal(rows[k], v)
 
@@ -360,6 +371,87 @@ def test_krylov_grid_action_matches_dense_rows():
         assert_action_rows_match_dense(g, zetas[::-1], rng.normal(size=g.n))
 
 
+def path_graph(n):
+    return Graph(n, np.column_stack([np.arange(n - 1), np.arange(1, n)]))
+
+
+def lattice_graph(k):
+    idx = np.arange(k * k).reshape(k, k)
+    return Graph(k * k, np.vstack([
+        np.column_stack([idx[:, :-1].ravel(), idx[:, 1:].ravel()]),
+        np.column_stack([idx[:-1].ravel(), idx[1:].ravel()])]))
+
+
+def test_krylov_action_past_overflow(monkeypatch):
+    # zeta * lam_1 runs to 1e4, far past exp's range (~709.78).  The ER graphs
+    # converge in one short basis at every zeta; the lattice and the path,
+    # whose top eigenvalues cluster, need long ones, and the path passes
+    # the dimension cap: its runs restart at grid points, and on the coarse
+    # grid at sub-steps between them
+    sizes = []
+    lanczos = riskcent.spectral._lanczos
+
+    def counted(matvec, q, max_dim):
+        sizes.append(0)
+        for step in lanczos(matvec, q, max_dim):
+            sizes[-1] += 1
+            yield step
+
+    monkeypatch.setattr(riskcent.spectral, "_lanczos", counted)
+    weighted = generate_er(300, 0.03, seed=2)
+    w = np.random.default_rng(8).uniform(0.2, 3.0, size=weighted.m)
+    weighted = Graph(300, np.column_stack([weighted.edge_array()[:, :2], w]))
+    cases = [(generate_er(1999, 8.0 / 1998, seed=3), 40), (weighted, 40),
+             (lattice_graph(30), 150), (path_graph(500), None)]
+    for g, longest in cases:
+        fine = np.linspace(0.0, 1e4 / decompose(g).eigenvalues[0], 51)
+        rand = np.random.default_rng(g.n).normal(size=g.n)
+        for zetas, v in ((fine, np.ones(g.n)), (fine[::-1], rand),
+                         (fine[[50, 0, 25]], rand)):
+            sizes.clear()
+            assert_action_rows_match_dense(g, zetas, v, entrywise=False)
+            if longest is None:
+                assert max(sizes) == KRYLOV_MAX_DIM_DEFAULT
+            else:
+                assert max(sizes) <= longest, sizes
+        # v = 1 is positive on every component: past the range only the
+        # entries that pass it overflow, to +inf
+        rows = _expm_krylov(g, fine, np.ones(g.n), False)
+        assert (rows > 0).all()
+        assert not np.isnan(rows).any()
+
+
+def test_krylov_action_overflows_by_component_and_entry():
+    # K4 plus an isolated node: exp(zeta A) 1 is exp(3 zeta) on K4 and 1 on
+    # the isolated node, whatever zeta
+    g = Graph(5, [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]])
+    zetas = [0.0, 100.0, 236.6, 300.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow or 0 * inf warning
+        rows = expm(g, zetas, np.ones(5))
+        scaled, shifts = expm(g, zetas, np.ones(5), scaled=True)
+        # 0.1 exp(709.8) is finite though its shift passes exp's range
+        near = expm(g, 236.6, np.full(5, 0.1))
+    # rows within exp's range are exp(shift) times the scaled ones, to
+    # rounding off the top component; past it each component is unscaled
+    # on its own
+    assert rows[:2, 4] == pytest.approx(1.0, rel=1e-15)
+    assert np.array_equal(rows[2:, 4], [1.0, 1.0])
+    assert rows[1, :4] == pytest.approx(np.exp(300.0), rel=1e-12)
+    assert np.isposinf(rows[2:, :4]).all()
+    assert np.array_equal(shifts, 3.0 * np.asarray(zetas))
+    assert scaled[:, :4] == pytest.approx(1.0, rel=1e-12)
+    assert scaled[:, 4] == pytest.approx(np.exp(-shifts), rel=1e-12)
+    assert 3.0 * 236.6 > np.log(np.finfo(float).max)
+    assert np.isfinite(near).all()
+    assert near[:4] == pytest.approx(np.exp(709.8 + np.log(0.1)), rel=1e-12)
+    assert near[4] == pytest.approx(0.1, rel=1e-15)
+    # the SI bound writes the isolated node's exact value, not the limit 1
+    traj = si_lee(g, SIParams(1000.0, 0.1, [0.0, 0.5, 1.0]))
+    assert (traj.x[1:, :4] == 1.0).all()
+    assert np.array_equal(traj.x[:, 4], np.full(3, 1.0 - 0.9))
+
+
 def test_expm_result_shapes(monkeypatch):
     g = generate_er(20, 0.3, seed=3)
     v = np.ones(20)
@@ -378,19 +470,15 @@ def test_expm_result_shapes(monkeypatch):
 
 
 def test_expm_scaled_krylov_action_matches_unscaled():
-    # the unscaled rows use the expm1 form, the scaled ones exp(z theta - s):
-    # the two agree to rounding, not bit for bit
     g = generate_er(120, 0.05, seed=1)
     v = np.random.default_rng(11).normal(size=120)
     for zeta in (0.0, 0.5, 1.3, 50.0):
         y, s = _expm_krylov(g, zeta, v, True)
-        plain = _expm_krylov(g, zeta, v, False)
-        assert np.abs(y * np.exp(s) - plain).max() <= 1e-13 * np.abs(plain).max()
+        assert np.array_equal(y * np.exp(s), _expm_krylov(g, zeta, v, False))
     rows, shifts = _expm_krylov(g, [0.5, 1.3], v, True)
     plain = _expm_krylov(g, [0.5, 1.3], v, False)
     for k in range(2):
-        err = np.abs(rows[k] * np.exp(shifts[k]) - plain[k]).max()
-        assert err <= 1e-13 * np.abs(plain[k]).max()
+        assert np.array_equal(rows[k] * np.exp(shifts[k]), plain[k])
 
 
 def test_expm_rejects_bad_input(monkeypatch):
