@@ -80,7 +80,6 @@ from .experiments import (  # noqa: F401
     ratio_derivative_curve,
     ratio_study,
     read_config,
-    regularized_incomplete_beta,
     spearman_table,
     write_config,
 )

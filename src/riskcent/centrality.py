@@ -23,6 +23,8 @@ import numpy as np
 
 from .spectral import _exp_rows, decompose
 
+MEASURES = ("R", "C", "T")
+
 
 def default_zeta_grid():
     """The default grid ``0.01, 0.02, ..., 1.00`` (100 values)."""
@@ -55,11 +57,10 @@ class RiskProfile:
     labels: list = field(default_factory=list)
 
     def measure(self, name):
-        try:
-            return {"R": self.R, "C": self.C, "T": self.T}[name]
-        except KeyError:
-            raise ValueError("measure must be 'R', 'C', or 'T', got %r"
-                             % (name,)) from None
+        if name not in MEASURES:
+            raise ValueError("measure must be one of %r, got %r"
+                             % (MEASURES, name))
+        return getattr(self, name)
 
     def to_csv(self, path, measure):
         write_grid_csv(path, "zeta", self.zeta_grid, self.measure(measure),
@@ -165,7 +166,7 @@ def ranking_sweep(profile, measure="R"):
 
 
 def spearman(x, y):
-    """Spearman rank correlation with average ranks for ties.
+    """Spearman rank correlation of two 1-D arrays, on average ranks.
 
     Returns NaN when either input has zero rank variance (constant
     vector), where the coefficient is undefined.
@@ -174,17 +175,38 @@ def spearman(x, y):
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1 or x.size < 2:
         raise ValueError("need two equal-length 1-D arrays with >= 2 entries")
+    return float(_row_spearman(x, y))
+
+
+def _row_spearman(x, y):
+    """Spearman correlation of matching rows of two ``(..., n)`` arrays.
+
+    A constant row has zero rank variance and gives NaN.
+    """
     from scipy.stats import rankdata
 
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise ValueError("values must be finite to rank")
-    rx = rankdata(-x)
-    ry = rankdata(-y)
-    if rx.std() == 0.0 or ry.std() == 0.0:
-        return float("nan")
-    rx = rx - rx.mean()
-    ry = ry - ry.mean()
-    return float((rx @ ry) / np.sqrt((rx @ rx) * (ry @ ry)))
+    # ranking ascending instead of descending negates the centred ranks of
+    # both inputs, which leaves the coefficient unchanged
+    return _row_corr(rankdata(x, axis=-1), rankdata(y, axis=-1))
+
+
+def _row_corr(x, y):
+    """Pearson correlation of matching rows of two ``(..., n)`` arrays.
+
+    Rows with zero variance give NaN, where the coefficient is undefined;
+    the rest are clipped to [-1, 1] as ``np.corrcoef`` does.
+    """
+    x = x - x.mean(axis=-1, keepdims=True)
+    y = y - y.mean(axis=-1, keepdims=True)
+    sxy = np.einsum("...i,...i->...", x, y)
+    sxx = np.einsum("...i,...i->...", x, x)
+    syy = np.einsum("...i,...i->...", y, y)
+    out = np.full(sxy.shape, np.nan)
+    ok = (sxx > 0.0) & (syy > 0.0)
+    out[ok] = np.clip(sxy[ok] / np.sqrt(sxx[ok] * syy[ok]), -1.0, 1.0)
+    return out
 
 
 def limit_rankings(g):

@@ -19,7 +19,8 @@ import time
 import numpy as np
 
 from . import __version__
-from .centrality import _grid, ranking_sweep, sweep, write_grid_csv
+from .centrality import (MEASURES, _grid, ranking_sweep, sweep,
+                         write_grid_csv)
 from .epidemics import (SIIntegrationError, SIParams, si_exact, si_lee,
                         si_lee_general, si_linearized, si_meanfield)
 from .experiments import RATIOS, read_config, spearman_table
@@ -33,7 +34,6 @@ from .interlacement import (InterlacementError, SeriesPolynomial,
                             heuristic_poly_pairs)
 from .spectral import EigensolverError, KrylovConvergenceError
 
-_MEASURES = ("R", "C", "T")
 _SOLVERS = ("exact", "lee", "lee-general", "linearized", "mean-field")
 
 
@@ -112,8 +112,6 @@ def _write_manifest(out_dir, command, settings, inputs, outputs, seed=None):
 def cmd_centrality(args):
     g = _load_graph(args.graph, weighted=args.weighted)
     grid = _parse_grid(args.zeta_grid)
-    if args.measure not in _MEASURES:
-        raise ValueError("measure must be one of %s" % (_MEASURES,))
     outputs = ["values_R.csv", "values_C.csv", "values_T.csv",
                "ranks.csv", "rankstd.csv"]
     _write_manifest(args.out, "centrality",
@@ -121,7 +119,7 @@ def cmd_centrality(args):
                      "measure": args.measure, "zeta_grid": grid.tolist()},
                     [args.graph], outputs)
     profile = sweep(g, grid)
-    for m in _MEASURES:
+    for m in MEASURES:
         profile.to_csv(os.path.join(args.out, "values_%s.csv" % m), m)
     report = ranking_sweep(profile, measure=args.measure)
     report.to_csv(os.path.join(args.out, "ranks.csv"))
@@ -207,8 +205,6 @@ def cmd_interlace(args):
     empty.
     """
     g = _load_graph(args.graph, weighted=args.weighted)
-    if args.measure not in _MEASURES:
-        raise ValueError("measure must be one of %s" % (_MEASURES,))
     grid = _parse_grid(args.zeta_grid)
     if grid.size < 2:
         raise ValueError("interlacement detection needs a grid of >= 2 "
@@ -419,7 +415,7 @@ def build_parser():
                    help="edge list has a third weight column")
     p.add_argument("--zeta-grid", default=None,
                    help="'lo:hi:count' or comma list (default 0.01..1)")
-    p.add_argument("--measure", default="R", help="R, C, or T")
+    p.add_argument("--measure", default="R", choices=MEASURES)
     add_common(p)
     p.set_defaults(func=cmd_centrality)
 
@@ -441,7 +437,7 @@ def build_parser():
                                          "heuristics for node pairs")
     p.add_argument("graph")
     p.add_argument("--weighted", action="store_true")
-    p.add_argument("--measure", default="C")
+    p.add_argument("--measure", default="C", choices=MEASURES)
     p.add_argument("--pairs", default=None, help="semicolon list 'i,j;k,l'")
     p.add_argument("--all-pairs", action="store_true")
     p.add_argument("--zeta-grid", default=None)
@@ -462,7 +458,7 @@ def build_parser():
     p.add_argument("--width-months", type=int, default=6)
     p.add_argument("--step-months", type=int, default=1)
     p.add_argument("--min-obs", type=float, default=0.9)
-    p.add_argument("--measure", default="R")
+    p.add_argument("--measure", default="R", choices=MEASURES)
     p.add_argument("--weight-mode", default="distance",
                    choices=("distance", "inverse"))
     p.add_argument("--zeta-grid", default=None)
@@ -475,7 +471,7 @@ def build_parser():
     p.add_argument("svc", help="company,year,value CSV")
     p.add_argument("--binary", action="store_true",
                    help="ignore shared-director counts")
-    p.add_argument("--measure", default="R")
+    p.add_argument("--measure", default="R", choices=MEASURES)
     p.add_argument("--zeta-lo", type=float, default=0.01)
     p.add_argument("--zeta-hi", type=float, default=1.0)
     p.add_argument("--threshold", type=float, default=0.05,

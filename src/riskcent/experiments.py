@@ -7,13 +7,11 @@ any replication can be regenerated in isolation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import betainc
 
-from .centrality import sweep
+from .centrality import _row_corr, _row_spearman, sweep
 from .graph import generate_er
 
 RATIOS = ("R/E[R]", "C/E[C]", "T/E[T]", "C/R")
@@ -129,38 +127,6 @@ def _check_ratios(ratios):
             raise ValueError("unknown ratio %r; options: %s"
                              % (r, ", ".join(RATIOS)))
     return tuple(ratios)
-
-
-def _row_corr(x, y):
-    """Pearson correlation of matching rows of two ``(..., n)`` arrays.
-
-    Rows with zero variance give NaN, where the coefficient is undefined;
-    the rest are clipped to [-1, 1] as ``np.corrcoef`` does.
-    """
-    x = x - x.mean(axis=-1, keepdims=True)
-    y = y - y.mean(axis=-1, keepdims=True)
-    sxy = np.einsum("...i,...i->...", x, y)
-    sxx = np.einsum("...i,...i->...", x, x)
-    syy = np.einsum("...i,...i->...", y, y)
-    out = np.full(sxy.shape, np.nan)
-    ok = (sxx > 0.0) & (syy > 0.0)
-    out[ok] = np.clip(sxy[ok] / np.sqrt(sxx[ok] * syy[ok]), -1.0, 1.0)
-    return out
-
-
-def _row_spearman(x, y):
-    """Spearman correlation of matching rows, on average ranks.
-
-    Equals :func:`riskcent.centrality.spearman` row by row, NaN rule
-    included: a constant row has zero rank variance.
-    """
-    from scipy.stats import rankdata
-
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        raise ValueError("values must be finite to rank")
-    # ranking ascending instead of descending negates the centred ranks of
-    # both inputs, which leaves the coefficient unchanged
-    return _row_corr(rankdata(x, axis=-1), rankdata(y, axis=-1))
 
 
 def _ratio_samples(ratio, R, C, T):
@@ -298,31 +264,20 @@ class TTestResult:
     df: int
 
 
-def regularized_incomplete_beta(a, b, x):
-    """I_x(a, b), the regularized incomplete beta (``scipy.special.betainc``)."""
-    if not 0.0 <= x <= 1.0:
-        raise ValueError("x must lie in [0, 1]")
-    return float(betainc(a, b, x))
-
-
 def paired_t_test(a, b):
-    """Two-sided paired t-test.
+    """Two-sided paired t-test (``scipy.stats.ttest_rel``).
 
-    The p-value is the regularized incomplete beta
-    I_{df/(df + t^2)}(df/2, 1/2).
     Degenerate pairs (zero variance of the differences) are an error.
     """
+    from scipy.stats import ttest_rel
+
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape or a.ndim != 1 or a.size < 2:
         raise ValueError("need two equal-length 1-D samples with >= 2 entries")
-    diff = a - b
-    sd = diff.std(ddof=1)
-    if sd == 0.0:
+    if (a - b).std(ddof=1) == 0.0:
         raise ValueError("zero variance of the paired differences; "
                          "the t statistic is undefined")
-    n = diff.size
-    t = float(diff.mean() / (sd / math.sqrt(n)))
-    df = n - 1
-    p = regularized_incomplete_beta(df / 2.0, 0.5, df / (df + t * t))
-    return TTestResult(statistic=t, pvalue=float(p), df=df)
+    res = ttest_rel(a, b)
+    return TTestResult(statistic=float(res.statistic),
+                       pvalue=float(res.pvalue), df=a.size - 1)

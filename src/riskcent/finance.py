@@ -18,6 +18,8 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import minimum_spanning_tree
 
 from .centrality import rank, ranking_sweep, sweep
 from .graph import Graph
@@ -205,35 +207,32 @@ def correlation_and_distance(returns):
     x = x[:, kept]
     present = present[:, kept]
 
-    if present.all():
-        rho = np.corrcoef(x.T)
-    else:
-        # pairwise-complete moments; columns are globally centered first so
-        # the E[xy] - E[x]E[y] form does not cancel catastrophically
-        x0 = np.where(present, x, 0.0)
-        shift = x0.sum(axis=0) / present.sum(axis=0)
-        x0 = np.where(present, x - shift, 0.0)
-        m = present.astype(float)
-        counts = m.T @ m
-        if (counts < 2).any():
-            i, j = np.unravel_index(int(np.argmin(counts)), counts.shape)
-            raise ValueError(
-                "columns %d and %d share only %d observations (< 2)"
-                % (kept[i], kept[j], int(counts[i, j])))
-        sums = x0.T @ m          # sums[i, j] = sum of x_i over overlap(i, j)
-        sqs = (x0 * x0).T @ m
-        cross = x0.T @ x0
-        mean_ij = sums / counts
-        cov = cross / counts - mean_ij * mean_ij.T
-        var = sqs / counts - mean_ij**2
-        if (var <= 0.0).any() or (var.T <= 0.0).any():
-            i, j = np.unravel_index(int(np.argmin(var)), var.shape)
-            raise ValueError(
-                "columns %d and %d have zero variance on their overlap"
-                % (kept[i], kept[j]))
-        rho = cov / np.sqrt(var * var.T)
-        iu = np.triu_indices(rho.shape[0], k=1)
-        rho[(iu[1], iu[0])] = rho[iu]
+    # pairwise-complete moments; columns are globally centered first so
+    # the E[xy] - E[x]E[y] form does not cancel catastrophically
+    x0 = np.where(present, x, 0.0)
+    shift = x0.sum(axis=0) / present.sum(axis=0)
+    x0 = np.where(present, x - shift, 0.0)
+    m = present.astype(float)
+    counts = m.T @ m
+    if (counts < 2).any():
+        i, j = np.unravel_index(int(np.argmin(counts)), counts.shape)
+        raise ValueError(
+            "columns %d and %d share only %d observations (< 2)"
+            % (kept[i], kept[j], int(counts[i, j])))
+    sums = x0.T @ m          # sums[i, j] = sum of x_i over overlap(i, j)
+    sqs = (x0 * x0).T @ m
+    cross = x0.T @ x0
+    mean_ij = sums / counts
+    cov = cross / counts - mean_ij * mean_ij.T
+    var = sqs / counts - mean_ij**2
+    if (var <= 0.0).any() or (var.T <= 0.0).any():
+        i, j = np.unravel_index(int(np.argmin(var)), var.shape)
+        raise ValueError(
+            "columns %d and %d have zero variance on their overlap"
+            % (kept[i], kept[j]))
+    rho = cov / np.sqrt(var * var.T)
+    iu = np.triu_indices(rho.shape[0], k=1)
+    rho[(iu[1], iu[0])] = rho[iu]
 
     # the diagonal is 1 by definition; only off-diagonal drift is reported
     np.fill_diagonal(rho, 1.0)
@@ -251,32 +250,15 @@ def correlation_and_distance(returns):
 # -- minimum spanning tree -------------------------------------------------
 
 
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, a):
-        root = a
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[a] != root:
-            self.parent[a], a = root, self.parent[a]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[rb] = ra
-        return True
-
-
 def mst(dist, labels=None):
-    """Minimum spanning tree of a symmetric distance matrix (Kruskal).
+    """Minimum spanning tree of a symmetric distance matrix.
 
     Edge weights carry the distances.  Non-finite entries mean "no edge";
-    if they disconnect the graph this is an error.  Ties are broken by the
-    lexicographic (weight, u, v) order, so the tree is deterministic.
+    if they disconnect the graph this is an error, and so is a finite
+    off-diagonal distance that is not positive.  Ties are broken by the
+    lexicographic (weight, u, v) order, so the tree is deterministic:
+    csgraph's Kruskal sorts the weights stably, and the upper-triangle CSR
+    lists them in (u, v) order.
     """
     d = np.asarray(dist, dtype=float)
     if d.ndim != 2 or d.shape[0] != d.shape[1] or d.shape[0] < 2:
@@ -289,19 +271,18 @@ def mst(dist, labels=None):
             np.abs(upper[ok] - lower[ok]) > 1e-12).any():
         raise ValueError("distance matrix is not symmetric")
     iu, ju, upper = iu[ok], ju[ok], upper[ok]
-    order = np.lexsort((ju, iu, upper))
-    uf = _UnionFind(n)
-    edges = []
-    for k in order:
-        a, b, w = int(iu[k]), int(ju[k]), float(upper[k])
-        if uf.union(a, b):
-            edges.append((a, b, w))
-            if len(edges) == n - 1:
-                break
-    if len(edges) != n - 1:
+    if (upper <= 0.0).any():
+        # csgraph reads a stored 0 as "no edge"
+        k = int(np.argmax(upper <= 0.0))
+        raise ValueError("distance %r between %d and %d is not positive"
+                         % (float(upper[k]), iu[k], ju[k]))
+    tree = minimum_spanning_tree(
+        sp.csr_array((upper, (iu, ju)), shape=(n, n)))
+    a, b = tree.nonzero()
+    if a.size != n - 1:
         raise ValueError("distances leave the graph disconnected; "
                          "no spanning tree exists")
-    return Graph(n, edges, labels=labels)
+    return Graph(n, np.column_stack([a, b, d[a, b]]), labels=labels)
 
 
 # -- market windows --------------------------------------------------------

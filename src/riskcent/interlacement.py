@@ -25,13 +25,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .centrality import _grid
+from .centrality import MEASURES, _grid
 from .graph import walk_counts
 from .spectral import decompose
 
 BRACKET_TOL_DEFAULT = 1e-8
 TANGENCY_TOL_DEFAULT = 1e-10
-_MEASURES = ("R", "C", "T")
 
 
 class InterlacementError(ValueError):
@@ -121,7 +120,7 @@ def _pair_coefficients(dec, i, j, measure):
         return u.sum(axis=0) * (u[i] - u[j])
     if measure == "T":
         return u.sum(axis=0) * (u[i] - u[j]) - (u[i] ** 2 - u[j] ** 2)
-    raise ValueError("measure must be one of %r, got %r" % (_MEASURES, measure))
+    raise ValueError("measure must be one of %r, got %r" % (MEASURES, measure))
 
 
 def _pair_index(g, pairs):
@@ -279,7 +278,7 @@ def _series_coefficients(g, measure, kmax, walks=None):
                for m in range(1, kmax + 1)]
     else:
         raise ValueError("measure must be one of %r, got %r"
-                         % (_MEASURES, measure))
+                         % (MEASURES, measure))
     return start, np.array(seq)
 
 

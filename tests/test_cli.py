@@ -180,6 +180,22 @@ def test_bad_zeta_grid_exits_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_unknown_measure_exits_2_before_manifest(tmp_path, capsys):
+    graph = write_k4(tmp_path / "k4.txt")
+    returns = write_returns(tmp_path / "returns.csv")
+    memb, svc = write_corporate(tmp_path)
+    commands = (["centrality", graph], ["interlace", graph, "--pairs", "0,1"],
+                ["market", returns], ["corporate", memb, svc])
+    for command in commands:
+        out = tmp_path / ("out-" + command[0])
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--out", str(out), "--measure", "Q"])
+        assert exc.value.code == 2
+        assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.count("invalid choice: 'Q'") == len(commands)
+
+
 def test_centrality_above_dense_limit_exits_2(tmp_path, capsys):
     n = 5001
     ring = np.column_stack([np.arange(n), (np.arange(n) + 1) % n])

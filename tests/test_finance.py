@@ -336,6 +336,36 @@ def test_mst_deterministic_tie_break():
     assert got == {(0, 1), (0, 2), (0, 3), (0, 4)}
 
 
+def test_mst_tie_rule_exhaustive():
+    # with heavy ties, the tree must be the one Kruskal builds over the
+    # (weight, u, v) order: the unique tree of least position-sum there
+    rng = np.random.default_rng(12)
+    n = 6
+    trees = np.sort([prufer_decode(s, n) for s in
+                     itertools.product(range(n), repeat=n - 2)], axis=2)
+    iu, ju = np.triu_indices(n, k=1)
+    for _ in range(200):
+        w = rng.choice([0.25, 0.5, 0.75], size=iu.size)
+        d = np.zeros((n, n))
+        d[iu, ju] = d[ju, iu] = w
+        position = np.zeros((n, n), dtype=int)
+        position[iu, ju] = np.argsort(np.lexsort((ju, iu, w)))
+        sums = position[trees[..., 0], trees[..., 1]].sum(axis=1)
+        best = np.argsort(sums)[:2]
+        assert sums[best[0]] < sums[best[1]]
+        got = {(int(a), int(b)) for a, b, _ in mst(d).edge_array()}
+        assert got == {(int(a), int(b)) for a, b in trees[best[0]]}
+
+
+def test_mst_rejects_nonpositive_distance():
+    d = np.full((4, 4), 0.5)
+    np.fill_diagonal(d, 0.0)
+    for bad in (0.0, -0.25):
+        d[1, 3] = d[3, 1] = bad
+        with pytest.raises(ValueError, match="between 1 and 3"):
+            mst(d)
+
+
 def test_mst_constant_shift_invariance():
     rng = np.random.default_rng(11)
     m = rng.uniform(0.1, 1.5, size=(7, 7))
