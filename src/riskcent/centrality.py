@@ -8,7 +8,7 @@ an effective coupling ``zeta``:
 * transmissibility  T_i = R_i - C_i, walks leaving i that end elsewhere.
 
 ``sweep`` evaluates all three on a zeta grid (``spectral.expm`` gives R or C
-alone, at one zeta or a grid, on either route).  In the SI reading,
+alone, at one zeta or a grid, on any route).  In the SI reading,
 ``zeta = (1 - beta) * gamma * t`` couples the infection rate and horizon;
 R_i orders nodes by how exposed they are.  ``rank`` is the one ranking:
 rank 1 = largest value, ties (up to ``tie_tol``) broken by node index.
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import _exp_rows, decompose
+from .spectral import _exp_rows, _routes_dense, decompose, expm
 
 MEASURES = ("R", "C", "T")
 
@@ -77,14 +77,20 @@ class RiskProfile:
 
 
 def sweep(g, zeta_grid=None):
-    """Evaluate all three measures on a zeta grid with one decomposition.
+    """Evaluate all three measures on a zeta grid.
 
-    The default grid is 0.01, 0.02, ..., 1.00.
+    The default grid is 0.01, 0.02, ..., 1.00.  The route is ``expm``'s
+    choice for the diagonal: on the dense route R and C both come from the
+    one decomposition, otherwise R from the Krylov action and C from the
+    Chebyshev moments, so the graph is never decomposed.
     """
     grid = _grid(zeta_grid)
-    d = decompose(g)
-    r = _exp_rows(d, grid, np.ones(g.n))
-    c = _exp_rows(d, grid)
+    ones = np.ones(g.n)
+    if _routes_dense(g, grid):
+        d = decompose(g)
+        r, c = _exp_rows(d, grid, ones), _exp_rows(d, grid)
+    else:
+        r, c = expm(g, grid, ones), expm(g, grid)
     return RiskProfile(grid, r, c, r - c, labels=list(g.labels))
 
 

@@ -102,29 +102,37 @@ def _initial_state(g, params, x0):
 def si_exact(g, params, x0=None, rtol=1e-10, atol=1e-12):
     """Integrate the exact SI equations with an adaptive explicit RK scheme.
 
-    ``x0`` defaults to the uniform seeding ``beta``.  The trajectory is
-    reported on ``params.t_grid``; integration always starts from t = 0
-    where ``x0`` is defined.  A failed integration raises
+    ``x0`` defaults to the uniform seeding ``beta``.  The integrated state
+    is the infection pressure ``y = -log(1 - x)``, which obeys
+    ``dy_i/dt = gamma sum_j A_ij x_j`` with ``x = -expm1(-y)``, so the
+    reported x never passes 1 however the step error falls.  Nodes seeded
+    with x0 = 1 (y = inf) stay at 1 and only feed the others.  The
+    trajectory is reported on ``params.t_grid``; integration always starts
+    from t = 0 where ``x0`` is defined.  A failed integration raises
     ``SIIntegrationError``.
     """
     x0 = _initial_state(g, params, x0)
     t = params.t_grid
     a = g.sparse_adjacency()
     gamma = params.gamma
+    free = x0 < 1.0
+    x = x0.copy()
 
-    def rhs(_, x):
-        return gamma * (1.0 - x) * (a @ x)
+    def rhs(_, y):
+        x[free] = -np.expm1(-y)
+        return gamma * (a @ x)[free]
 
     t_end = float(t[-1])
-    if t_end == 0.0 or gamma == 0.0:
+    if t_end == 0.0 or gamma == 0.0 or not free.any():
         return SITrajectory(t, np.tile(x0, (t.size, 1)), "exact",
                             labels=list(g.labels))
-    sol = solve_ivp(rhs, (0.0, t_end), x0, method="DOP853",
+    sol = solve_ivp(rhs, (0.0, t_end), -np.log1p(-x0[free]), method="DOP853",
                     t_eval=t[t > 0], rtol=rtol, atol=atol)
     if not sol.success:
         raise SIIntegrationError("SI integration failed: %s" % sol.message)
-    rows = [x0[None, :]] * int((t == 0).sum()) + [sol.y.T]
-    return SITrajectory(t, np.vstack(rows), "exact", labels=list(g.labels))
+    xs = np.tile(x0, (t.size, 1))
+    xs[np.ix_(t > 0, free)] = -np.expm1(-sol.y.T)
+    return SITrajectory(t, xs, "exact", labels=list(g.labels))
 
 
 def si_linearized(g, params, x0=None):

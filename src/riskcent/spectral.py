@@ -10,18 +10,26 @@ the diagonal ``diag(exp(z*A))`` for a symmetric adjacency A and z >= 0.
   reorthogonalization) from v/|v| whose basis serves every z of the grid
   (``_lanczos_action``), restarted from a computed row only when a run
   reaches ``KRYLOV_MAX_DIM_DEFAULT`` dimensions;
-* the diagonal of a graph of up to ``DENSE_LIMIT_DEFAULT`` nodes comes
-  from the graph's one eigendecomposition (``decompose``, computed once
-  and cached on the ``Graph``) through ``_exp_rows``, which ``sweep`` also
-  calls directly for R and C on its grid; above the limit, from one
-  Gauss-quadrature Lanczos run per node and z (``_lanczos_diag_entry``).
+* the diagonal takes the route ``_routes_dense`` predicts cheaper from
+  the graph's size, its number of edges and the top of the grid, a tie
+  going to the dense one.  The dense route reads the graph's one
+  eigendecomposition (``decompose``, computed once and cached on the
+  ``Graph``) through ``_exp_rows``, which ``sweep`` also calls directly
+  for R and C on its grid.  The moments route (``_cheb_diag``) never
+  decomposes: it scales A by a Collatz-Wielandt bound of its spectral
+  radius (``_spectral_bound``), runs the Chebyshev recurrence on blocks
+  of unit vectors (``_cheb_moments``, two moments per sparse product) and
+  sums the moments with Bessel weights for every z of the grid, to a
+  degree whose truncation error is at rounding level.  It is the only
+  route above ``DENSE_LIMIT_DEFAULT`` nodes, where ``decompose`` refuses.
 
 The unscaled formulas are written with ``expm1`` so that the small-z
 signal ``exp(z*A) - I`` is not lost to cancellation: with orthonormal
 eigenvectors, ``exp(zA)v = v + U diag(expm1(z*lam)) U^T v`` holds exactly,
-and likewise in the Lanczos basis (``_basis_rows``).  The scaled form returns
-``(value * exp(-log_scale), log_scale)`` so rankings stay finite when
-``z * lam_1`` would overflow ``exp``.
+and likewise in the Lanczos basis (``_basis_rows``); on the moments route
+every diagonal entry is at least 1 and its error is at rounding level of
+it.  The scaled form returns ``(value * exp(-log_scale), log_scale)`` so
+rankings stay finite when ``z * lam_1`` would overflow ``exp``.
 """
 
 from __future__ import annotations
@@ -30,14 +38,24 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
+from scipy.special import ive
 
 DENSE_LIMIT_DEFAULT = 5000
 KRYLOV_TOL_DEFAULT = 1e-10
 KRYLOV_MAX_DIM_DEFAULT = 200
 _BASIS_BLOCK = 16  # first Lanczos basis allocation, in rows
 _TAIL_RATIO_MAX = 0.9  # largest term ratio the action's tail estimate uses
+_CHECK_GROWTH = 1.2  # ratio of the action's convergence-check step schedule
 _SUBSTEPS = (0.5, 0.25, 0.125)  # fractions of a step a stuck run may take
 _EXP_MAX = float(np.log(np.finfo(float).max))  # largest finite exp argument
+_EPS = float(np.finfo(float).eps)
+_BOUND_STEPS = 20  # power steps behind the moments route's spectral bound
+_MOMENT_BLOCK = 64  # nodes per block of the Chebyshev moment recurrence
+# predicted cost of the moments route per m (nnz + n) n, in units of the
+# dense route's cost per n^3 (see _routes_dense).  Measured ratios run from
+# 0.3 on dense ER graphs to 3.2 on trees; 2.5 keeps weighted trees of 100
+# nodes, whose ratio is about 2.3, on the dense route
+_MOMENTS_PER_DENSE = 2.5
 
 
 class EigensolverError(RuntimeError):
@@ -84,15 +102,15 @@ def decompose(g):
 
     Computed on the first call and cached on the graph, read-only, so every
     measure of one graph reads the same ``U exp(zeta Lam) U^T``.  Refuses
-    graphs above ``DENSE_LIMIT_DEFAULT`` nodes, which only ``expm`` can
-    evaluate (by Lanczos).
+    graphs above ``DENSE_LIMIT_DEFAULT`` nodes, which ``expm`` evaluates
+    without it.
     """
     if g._dec is not None:
         return g._dec
     if g.n > DENSE_LIMIT_DEFAULT:
         raise ValueError(
-            "graph has %d nodes, above the dense limit %d; only expm "
-            "evaluates such graphs, by Lanczos" % (g.n, DENSE_LIMIT_DEFAULT))
+            "graph has %d nodes, above the dense limit %d of the "
+            "eigendecomposition" % (g.n, DENSE_LIMIT_DEFAULT))
     try:
         lam, u = np.linalg.eigh(g.adjacency())
     except np.linalg.LinAlgError as exc:
@@ -150,13 +168,13 @@ def _exp_rows(dec, zetas, v=None, scaled=False):
 def _ritz_exp(alphas, betas, z):
     """exp(z*T_m) e_1 in the eigenbasis of the Lanczos tridiagonal T_m.
 
-    Returns ``(theta, s, w, shift)`` with ``T_m = s diag(theta) s^T``,
-    ``shift = z * theta_max`` and ``w = s^T exp(z*T_m) e_1 / exp(shift)``,
-    finite for any z >= 0; a 1-D grid z gives one row of w per value.
+    Returns ``(theta, s, w)`` with ``T_m = s diag(theta) s^T`` and
+    ``w = s^T exp(z*T_m) e_1 / exp(z * theta_max)``, finite for any
+    z >= 0; a 1-D grid z gives one row of w per value.
     """
     theta, s = eigh_tridiagonal(np.asarray(alphas), np.asarray(betas))
     w = np.exp(np.multiply.outer(z, theta - theta[-1])) * s[0]
-    return theta, s, w, z * theta[-1]
+    return theta, s, w
 
 
 def _lanczos(matvec, q, max_dim):
@@ -176,6 +194,7 @@ def _lanczos(matvec, q, max_dim):
     vs[0] = q
     alphas = []
     betas = []
+    norm_est = 1.0  # largest |entry| of T_m so far, at least 1
     for m in range(1, m_cap + 1):
         w = matvec(vs[m - 1])
         if m > 1:
@@ -186,12 +205,13 @@ def _lanczos(matvec, q, max_dim):
         # full reorthogonalization keeps the basis numerically orthogonal
         w = w - vs[:m].T @ (vs[:m] @ w)
         b = float(np.linalg.norm(w))
-        norm_est = max(max(abs(x) for x in alphas), max(betas, default=0.0))
-        exact = b < 1e-12 * max(1.0, norm_est)
+        norm_est = max(norm_est, abs(a))
+        exact = b < 1e-12 * norm_est
         yield alphas, betas, 0.0 if exact else b, vs[:m]
         if exact or m == m_cap:
             return
         betas.append(b)
+        norm_est = max(norm_est, b)
         if m == vs.shape[0]:
             grown = np.empty((min(2 * m, m_cap), n))
             grown[:m] = vs
@@ -221,15 +241,20 @@ def _lanczos_action(matvec, z, v, tol, max_dim):
     """Scaled rows ``exp(-shifts[k]) exp(z[k]*A) @ v`` for an ascending grid z.
 
     K_m(A, x) does not depend on zeta, so one Lanczos run from x/|x| serves
-    every grid point.  After each step T_m = S diag(theta) S^T is
-    diagonalized once.  The error estimate at each point is the first
-    neglected term relative to the approximation, in the 2-norm,
+    every grid point.  Convergence is tested, by diagonalizing
+    T_m = S diag(theta) S^T once, on a geometric schedule of steps (each
+    about ``_CHECK_GROWTH`` times the last), on the step after one where
+    every point passed, on the last two steps before the dimension cap and
+    when the space is invariant, so a long run does not pay O(m^2) per
+    step.  The error estimate at each point is the first neglected term
+    relative to the approximation, in the 2-norm,
     ``beta_m |[exp(h T_m)]_{m,1}| / |exp(h T_m) e_1|`` with h the step from
     the run's start x (scale-free, so computed on the shifted exponential),
     divided by ``1 - q`` for the geometric tail of the neglected terms, q
-    being the term's last ratio capped at ``_TAIL_RATIO_MAX``.  The run ends
-    once the estimate is at most ``tol`` at every remaining point on two
-    consecutive steps, or when the Krylov space is invariant.
+    being the term's mean ratio per step since the last test, capped at
+    ``_TAIL_RATIO_MAX``.  The run ends once the estimate is at most ``tol``
+    at every remaining point on two consecutive steps, or when the Krylov
+    space is invariant.
 
     A run that reaches ``max_dim`` dimensions keeps the leading points that
     passed and restarts from the last of them.  If not even the next point
@@ -254,20 +279,29 @@ def _lanczos_action(matvec, z, v, tol, max_dim):
         hs = np.concatenate([np.multiply(_SUBSTEPS[::-1], h[0]), h])
         good = np.zeros(hs.size, dtype=int)
         prev = np.full(hs.size, np.inf)
+        m_cap, last, due = min(max_dim, x.size), 0, 1
         for alphas, betas, b, basis in _lanczos(matvec, x / beta0, max_dim):
-            theta, s, w, _ = _ritz_exp(alphas, betas, hs)
+            m = len(alphas)
+            if b != 0.0 and m < due and m < m_cap - 1:
+                continue
+            theta, s, w = _ritz_exp(alphas, betas, hs)
             if b == 0.0:
                 good[:] = 2  # invariant subspace: T_m is exact
                 break
             term = b * np.abs(w @ s[-1]) / np.maximum(
                 np.linalg.norm(w, axis=1), 1e-300)
             with np.errstate(divide="ignore", invalid="ignore"):
-                q = np.minimum(np.nan_to_num(term / prev), _TAIL_RATIO_MAX)
-            prev = term
+                ratio = (term / prev)**(1.0 / (m - last))
+                q = np.minimum(np.nan_to_num(ratio), _TAIL_RATIO_MAX)
             rel = term / (1.0 - q)
-            good = np.where(rel <= run_tol, good + 1, 0)
+            # passes count on consecutive steps only
+            good = np.where(rel <= run_tol, good + 1 if m == last + 1 else 1,
+                            0)
             if (good[len(_SUBSTEPS):] >= 2).all():
                 break
+            prev, last = term, m
+            due = (m + 1 if (good[len(_SUBSTEPS):] > 0).all()
+                   else max(m + 1, int(m * _CHECK_GROWTH)))
         else:
             if len(alphas) == x.size:
                 good[:] = 2  # the basis spans the whole space
@@ -333,35 +367,141 @@ def _krylov_action(a, labels, z, v, scaled, tol, max_dim):
     return (rows[back], shift[back]) if scaled else rows[back]
 
 
-def _lanczos_diag_entry(matvec, zeta, i, n, tol, max_dim):
-    """(exp(zeta*A))_{ii} by Lanczos quadrature started from e_i.
+# -- Chebyshev moments of the diagonal ---------------------------------------
 
-    Convergence is declared when two consecutive iterates agree to ``tol``
-    relatively; returns the scaled value and the log scale used.
+
+def _spectral_bound(a):
+    """Upper bound b >= rho(A) of a symmetric CSR adjacency with weights > 0.
+
+    Collatz-Wielandt: ``rho(A) <= max_i (Ax)_i / x_i`` for A >= 0 and any
+    x > 0.  x is ones after ``_BOUND_STEPS`` normalized power steps of
+    A + I, which keep it positive and turn it toward the Perron vector, so
+    b closes in on lambda_1.  A graph without edges gives 0.
     """
-    q = np.zeros(n)
-    q[i] = 1.0
-    prev = None
-    good = 0
-    rel = np.inf
-    for alphas, betas, b, _ in _lanczos(matvec, q, max_dim):
-        _, s, w, shift = _ritz_exp(alphas, betas, zeta)
-        val = float(s[0] @ w)
-        if b == 0.0:
-            break  # invariant subspace: the quadrature is exact
-        if prev is not None:
-            # compare on a common scale: prev carried its own shift
-            rel = abs(val - prev[0] * np.exp(prev[1] - shift)) / max(abs(val), 1e-300)
-            good = good + 1 if rel <= tol else 0
-            if good >= 2:
-                break
-        prev = (val, shift)
-    else:
+    x = np.ones(a.shape[0])
+    for _ in range(_BOUND_STEPS):
+        x += a @ x
+        x /= x.max()
+    return float(((a @ x) / x).max())
+
+
+def _cheb_tail_ok(s, m):
+    """Whether Chebyshev degree m resolves ``exp(s y)`` to rounding level.
+
+    ``exp(s y) = I_0(s) + 2 sum_k I_k(s) T_k(y)`` on [-1, 1].  As
+    ``|T_k| <= 1`` and, term by term in the series, ``I_{k+1}(s) <=
+    s/(2(k+1)) I_k(s)``, truncating after degree m leaves at most
+    ``2 I_{m+1}(s) / (1 - q)`` with ``q = s/(2(m+2))`` when q < 1.  The
+    answer is whether that is at most one ulp of 1: an absolute bound, and
+    a relative one on the diagonal, where ``C_ii >= exp(zeta A_ii) = 1``.
+    It falls with m, so the first degree that passes is the one needed.
+    s and m broadcast.
+    """
+    q = s / (2.0 * (m + 2))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_tail = (np.log(2.0) + s + np.log(ive(m + 1, s))
+                    - np.log1p(-np.minimum(q, 1.0)))
+    return (q < 1.0) & (log_tail <= np.log(_EPS))
+
+
+def _cheb_moments(a, b, nodes, degree):
+    """Moments ``mu[k] = diag(T_k(A/b))``, k = 0..degree, at a block of nodes.
+
+    The recurrence ``X_{k+1} = 2 (A/b) X_k - X_{k-1}`` from the unit
+    columns X_0 of the block yields two moments per sparse product, by
+    ``T_{2k} = 2 T_k^2 - 1`` and ``T_{2k-1} = 2 T_k T_{k-1} - T_1``:
+    ``diag T_{2k} = 2 |X_k col|^2 - 1`` and ``diag T_{2k-1} =
+    2 <X_k col, X_{k-1} col>`` (``diag T_1 = diag A / b = 0``: the graph
+    has no self-loops).  Three (n, block) arrays are live at a time.
+    """
+    mu = np.empty((degree + 1, nodes.size))
+    mu[0] = 1.0
+    prev = np.zeros((a.shape[0], nodes.size))
+    prev[nodes, np.arange(nodes.size)] = 1.0
+    x = prev
+    for k in range(1, (degree + 1) // 2 + 1):
+        nxt = a @ x
+        if k == 1:
+            nxt /= b
+        else:
+            nxt *= 2.0 / b
+            nxt -= prev
+        prev, x = x, nxt
+        mu[2 * k - 1] = 2.0 * np.einsum("ij,ij->j", x, prev)
+        if 2 * k <= degree:
+            mu[2 * k] = 2.0 * np.einsum("ij,ij->j", x, x) - 1.0
+    return mu
+
+
+def _cheb_diag(a, z, scaled, max_dim):
+    """Rows ``diag(exp(z[k]*A))`` for a 1-D grid z from Chebyshev moments.
+
+    With the spectral bound b, ``exp(zA) = exp(s A/b)``, ``s = z b``, and
+    ``exp(-s) diag(exp(zA)) = sum_k (2 - delta_k0) ive(k, s) mu_k`` over the
+    moments of A/b (kernel polynomial method: Weisse, Wellein, Alvermann &
+    Fehske, Rev. Mod. Phys. 78, 2006).  One pass of ``_cheb_moments`` per
+    ``_MOMENT_BLOCK`` nodes serves every grid point; each row sums its own
+    degree (``_cheb_tail_ok``), so a grid row equals the single-z call.
+    The degree at the top of the grid may use at most ``max_dim`` Krylov
+    vectors per node, degree ``2 (max_dim - 1)``; past that raises
+    ``KrylovConvergenceError``.  Scaled rows are ``(rows, s)``.
+    """
+    b = _spectral_bound(a)
+    s = z * b
+    cap = 2 * (max_dim - 1)
+    ok = _cheb_tail_ok(s.max(), np.arange(cap + 1))
+    if not ok.any():
+        with np.errstate(over="ignore"):
+            tail = 2.0 * np.exp(s.max()) * ive(cap + 1, s.max())
         raise KrylovConvergenceError(
-            "Lanczos quadrature for node %d did not reach rel tol %g "
-            "in %d dimensions" % (i, tol, len(alphas)),
-            achieved=rel, dimension=len(alphas))
-    return val, shift
+            "Chebyshev moments of the diagonal did not reach rel tol %g at "
+            "zeta = %g in %d dimensions (achieved %g)"
+            % (_EPS, z.max(), max_dim, tail),
+            achieved=float(tail), dimension=max_dim)
+    top = int(np.argmax(ok))
+    # the tail grows with s, so every row passes by degree top
+    ok = _cheb_tail_ok(s[:, None], np.arange(top + 1))
+    degrees = np.where(ok.any(axis=1), np.argmax(ok, axis=1), top)
+    n = a.shape[0]
+    mu = np.empty((top + 1, n))
+    for start in range(0, n, _MOMENT_BLOCK):
+        stop = min(start + _MOMENT_BLOCK, n)
+        mu[:, start:stop] = _cheb_moments(a, b, np.arange(start, stop), top)
+    iv = ive(np.arange(top + 1), s[:, None])
+    coef = 2.0 * iv
+    coef[:, 0] = iv[:, 0]
+    rows = np.empty((z.size, n))
+    for k, m in enumerate(degrees):
+        rows[k] = coef[k, :m + 1] @ mu[:m + 1]
+    if scaled:
+        return rows, s
+    with np.errstate(over="ignore"):
+        return rows * np.exp(s)[:, None]
+
+
+def _routes_dense(g, z):
+    """Whether the diagonal of ``exp(zA)`` on the grid z takes the dense route.
+
+    Never above ``DENSE_LIMIT_DEFAULT`` nodes.  Otherwise the predicted
+    costs decide, a tie going to the dense route: ``n^3`` for
+    ``decompose`` against ``_MOMENTS_PER_DENSE * m (nnz + n) n`` for the
+    moments, m being the Chebyshev degree the top of the grid needs.  So
+    the moments win when the largest degree they can afford resolves the
+    top of the grid, checked first with the mean strength, a lower bound
+    of lambda_1 and so of b, and only then with the spectral bound.
+    """
+    n = g.n
+    if n > DENSE_LIMIT_DEFAULT:
+        return False
+    a = g.sparse_adjacency()
+    afford = min(int(np.ceil(n**2 / (_MOMENTS_PER_DENSE * (a.nnz + n)))) - 1,
+                 2 * (KRYLOV_MAX_DIM_DEFAULT - 1))
+    top = float(np.max(z, initial=0.0))
+    lower = top * a.data.sum() / n
+    # q < 1 at the affordable degree (see _cheb_tail_ok) needs no Bessel
+    # function and already sends most small graphs to the dense route
+    return not (lower < 2.0 * (afford + 2) and _cheb_tail_ok(lower, afford)
+                and _cheb_tail_ok(top * _spectral_bound(a), afford))
 
 
 # -- the routed evaluator ----------------------------------------------------
@@ -377,10 +517,11 @@ def expm(g, zetas, v=None, scaled=False):
     ``rows``.  The action takes one Lanczos basis per connected component
     for the whole grid at every graph size (``_krylov_action``), so it
     never decomposes; past exp's range only the entries whose value passes
-    float range are +-inf.  The
-    diagonal of a graph of at most ``DENSE_LIMIT_DEFAULT`` nodes comes from
-    ``_exp_rows`` on its cached eigendecomposition; above that, from
-    per-node Lanczos quadrature, which has no scaled form.
+    float range are +-inf.  The diagonal takes the route ``_routes_dense``
+    predicts cheaper for the graph and the top of the grid: ``_exp_rows``
+    on the cached eigendecomposition, or Chebyshev moments of the sparse
+    adjacency (``_cheb_diag``), which never decompose and are the only
+    route above ``DENSE_LIMIT_DEFAULT`` nodes.  Both have a scaled form.
     """
     z = np.asarray(zetas, dtype=float)
     if z.ndim > 1 or (z < 0).any() or not np.isfinite(z).all():
@@ -388,32 +529,25 @@ def expm(g, zetas, v=None, scaled=False):
                          "grid, got %r" % (zetas,))
     if v is not None:
         v = _check_vector(v, g.n)
-    elif g.n <= DENSE_LIMIT_DEFAULT:
+    elif _routes_dense(g, z):
         return _exp_rows(decompose(g), z, None, scaled)
     return _expm_krylov(g, z, v, scaled)
 
 
 def _expm_krylov(g, z, v, scaled, tol=KRYLOV_TOL_DEFAULT,
                  max_dim=KRYLOV_MAX_DIM_DEFAULT):
-    """``expm`` by Lanczos on the cached CSR adjacency: one basis per
-    component for the action on the whole grid, and one quadrature per
-    node and zeta for the diagonal, each to relative ``tol`` with at most
-    ``max_dim`` dimensions per basis.
+    """``expm`` on the cached CSR adjacency, never decomposing: the action by
+    one Lanczos basis per component for the whole grid, to relative
+    ``tol``, and the diagonal by Chebyshev moments to rounding level, each
+    with at most ``max_dim`` Krylov vectors per basis or node.
     """
-    if scaled and v is None:
-        raise ValueError("the scaled diagonal has no Krylov route")
     a = g.sparse_adjacency()
-    mv = lambda x: a @ x
     grid = np.atleast_1d(z)
-    if v is not None:
+    if v is None:
+        out = _cheb_diag(a, grid, scaled, max_dim)
+    else:
         out = _krylov_action(a, g.component_labels(), grid, v, scaled, tol,
                              max_dim)
-        if np.ndim(z) == 0:
-            out = (out[0][0], out[1][0]) if scaled else out[0]
-        return out
-    rows = np.empty((grid.size, g.n))
-    for k, zeta in enumerate(grid):
-        for i in range(g.n):
-            val, s = _lanczos_diag_entry(mv, zeta, i, g.n, tol, max_dim)
-            rows[k, i] = val * np.exp(s)
-    return rows[0] if np.ndim(z) == 0 else rows
+    if np.ndim(z) == 0:
+        out = (out[0][0], out[1][0]) if scaled else out[0]
+    return out

@@ -5,6 +5,8 @@ import pytest
 import scipy.linalg
 from scipy.stats import rankdata
 
+import riskcent.centrality
+import riskcent.spectral
 from riskcent.centrality import (
     RiskProfile,
     default_zeta_grid,
@@ -17,7 +19,7 @@ from riskcent.centrality import (
 )
 from riskcent.finance import delta_rank
 from riskcent.graph import Graph, generate_complete, generate_er, generate_star
-from riskcent.spectral import decompose, expm
+from riskcent.spectral import _exp_rows, decompose, expm
 
 
 def measures(g, zeta):
@@ -128,6 +130,52 @@ def test_sweep_monotone_and_convex():
     for m in (prof.R, prof.C):
         assert (np.diff(m, axis=0) > 0).all()
         assert (np.diff(m, n=2, axis=0) > -1e-9).all()
+
+
+def weighted_tree(n, seed):
+    """Random recursive tree with edge weights in [0.2, 2], the range of the
+    Mantegna distances of a market tree."""
+    rng = np.random.default_rng(seed)
+    parents = [int(rng.integers(0, i)) for i in range(1, n)]
+    weights = rng.uniform(0.2, 2.0, size=n - 1)
+    return Graph(n, [(p, i, w) for i, (p, w)
+                     in enumerate(zip(parents, weights), start=1)])
+
+
+def test_sweep_routes_by_predicted_cost(monkeypatch, sparse_er):
+    # a 2000-node sparse graph never decomposes: R by the Krylov action, C
+    # by the Chebyshev moments
+    def refuse(g):
+        raise AssertionError("decomposed a graph of %d nodes" % g.n)
+
+    big = sparse_er(2000, 8.0, seed=3)
+    for module in (riskcent.centrality, riskcent.spectral):
+        monkeypatch.setattr(module, "decompose", refuse)
+    prof = sweep(big)
+    monkeypatch.undo()
+    dec = decompose(big)
+    for got, want in ((prof.R, _exp_rows(dec, prof.zeta_grid, np.ones(2000))),
+                      (prof.C, _exp_rows(dec, prof.zeta_grid))):
+        err = np.abs(got - want).max(axis=1) / np.abs(want).max(axis=1)
+        assert err.max() <= 1e-10
+    assert np.array_equal(prof.T, prof.R - prof.C)
+    # small or dense graphs decompose, and keep the dense rows bit for bit
+    calls = []
+
+    def counted(g):
+        calls.append(g.n)
+        return decompose(g)
+
+    monkeypatch.setattr(riskcent.centrality, "decompose", counted)
+    for g in (generate_complete(30), weighted_tree(100, 0),
+              generate_er(100, 0.5, seed=2)):
+        calls.clear()
+        prof = sweep(g)
+        assert calls == [g.n]
+        dec = decompose(g)
+        assert np.array_equal(prof.R, _exp_rows(dec, prof.zeta_grid,
+                                                np.ones(g.n)))
+        assert np.array_equal(prof.C, _exp_rows(dec, prof.zeta_grid))
 
 
 def test_sweep_rejects_bad_grid():

@@ -196,15 +196,46 @@ def test_unknown_measure_exits_2_before_manifest(tmp_path, capsys):
     assert err.count("invalid choice: 'Q'") == len(commands)
 
 
-def test_centrality_above_dense_limit_exits_2(tmp_path, capsys):
-    n = 5001
+def write_ring(path, n):
     ring = np.column_stack([np.arange(n), (np.arange(n) + 1) % n])
-    graph = str(tmp_path / "ring.json")
-    save_json(Graph(n, ring), graph)
-    rc = main(["centrality", graph, "--out", str(tmp_path / "out")])
+    save_json(Graph(n, ring), str(path))
+    return str(path)
+
+
+def test_centrality_above_dense_limit(tmp_path):
+    # above the dense limit R comes from the Krylov action and C from the
+    # Chebyshev moments: on the ring both have closed forms
+    n = riskcent.spectral.DENSE_LIMIT_DEFAULT + 1
+    graph = write_ring(tmp_path / "ring.json", n)
+    out = tmp_path / "out"
+    rc = main(["centrality", graph, "--out", str(out)])
+    assert rc == 0
+    with open(out / "manifest.json") as fh:
+        declared = json.load(fh)["outputs"]
+    assert len(declared) == 5
+    for name in declared:
+        assert (out / name).is_file()
+    vals = {}
+    for m in "RC":
+        _, rows = read_csv(out / ("values_%s.csv" % m))
+        vals[m] = np.array(rows, dtype=float)
+    zeta = vals["R"][:, :1]
+    assert zeta.size == 100 and vals["R"].shape == (100, n + 1)
+    cosines = np.cos(2.0 * np.pi * np.arange(n) / n)
+    want_c = np.exp(2.0 * zeta * cosines).mean(axis=1, keepdims=True)
+    assert np.abs(vals["C"][:, 1:] / want_c - 1.0).max() <= 1e-12
+    assert np.abs(vals["R"][:, 1:] / np.exp(2.0 * zeta) - 1.0).max() <= 1e-12
+
+
+def test_interlace_above_dense_limit_exits_2(tmp_path, capsys):
+    # interlacement needs eigenvectors, which only decompose gives
+    n = riskcent.spectral.DENSE_LIMIT_DEFAULT + 1
+    graph = write_ring(tmp_path / "ring.json", n)
+    rc = main(["interlace", graph, "--pairs", "0,1",
+               "--out", str(tmp_path / "out")])
     assert rc == 2
     err = capsys.readouterr().err
-    assert "above the dense limit 5000" in err
+    assert "above the dense limit %d" % (n - 1) in err
     assert "Traceback" not in err
 
 
@@ -324,7 +355,7 @@ def test_epidemics_disconnected_graph_past_overflow(tmp_path):
 
 def test_epidemics_above_dense_limit(tmp_path, sparse_er):
     # a real graph above DENSE_LIMIT_DEFAULT: the SI bounds need no
-    # eigendecomposition, so the command runs where centrality exits 2
+    # eigendecomposition
     n = riskcent.spectral.DENSE_LIMIT_DEFAULT + 1000
     g = sparse_er(n, 10.0, seed=0)
     assert g.is_connected()

@@ -12,7 +12,8 @@ from riskcent.epidemics import (
     si_meanfield,
     survival_ratio,
 )
-from riskcent.graph import Graph, generate_complete, generate_er, relabel
+from riskcent.graph import (Graph, generate_complete, generate_er,
+                            generate_star, relabel)
 
 
 def params(gamma=1.0, beta=0.01, t_end=5.0, steps=21):
@@ -134,6 +135,25 @@ def test_lee_chain_of_bounds():
         lee = si_lee(g, p)
         assert (exact.x <= lee.x + 1e-9).all()
         assert (lee.x <= 1.0 + 1e-12).all()
+
+
+def test_exact_stays_below_one_and_the_bound():
+    # integrating x itself, the step error carried the star's hub to
+    # 1 + 1e-6, above 1 and the lee bound; the pressure y = -log(1 - x)
+    # keeps x = -expm1(-y) at most 1
+    g = generate_star(20)
+    p = params(gamma=1.0, beta=0.01, t_end=20.0, steps=51)
+    exact = si_exact(g, p).x
+    assert (exact <= 1.0).all()
+    assert (exact <= si_lee(g, p).x + 1e-9).all()
+    # a hub seeded with certainty stays 1 and infects each leaf at rate
+    # gamma: x_leaf = 1 - exp(-gamma t)
+    x0 = np.zeros(20)
+    x0[0] = 1.0
+    traj = si_exact(g, p, x0=x0)
+    assert (traj.x[:, 0] == 1.0).all()
+    want = -np.expm1(-p.t_grid)
+    assert np.abs(traj.x[:, 1:] - want[:, None]).max() < 1e-9
 
 
 def test_lee_time_zero_and_y():

@@ -13,12 +13,14 @@ from riskcent.interlacement import detect_pairs
 from riskcent.spectral import (
     DENSE_LIMIT_DEFAULT,
     KRYLOV_MAX_DIM_DEFAULT,
-    KRYLOV_TOL_DEFAULT,
     KrylovConvergenceError,
+    _MOMENT_BLOCK,
+    _cheb_moments,
+    _cheb_tail_ok,
     _exp_rows,
     _expm_krylov,
     _lanczos,
-    _lanczos_diag_entry,
+    _spectral_bound,
     decompose,
     expm,
 )
@@ -287,28 +289,24 @@ def test_krylov_invariant_subspace_exit():
 
 
 def test_lanczos_basis_memory_grows_with_steps(sparse_er):
-    # one quadrature node on a 20 000-node graph: the basis buffer holds
-    # O(steps) rows, not KRYLOV_MAX_DIM_DEFAULT (200) rows
+    # one block of Chebyshev moments on a 20 000-node graph: the recurrence
+    # holds three (n, block) arrays at a time, whatever the degree
     g = sparse_er(20000, 8.0, seed=0)
     a = g.sparse_adjacency()
-    steps = []
-
-    def matvec(x):
-        steps.append(1)
-        return a @ x
-
-    tracemalloc.start()
-    try:
-        _lanczos_diag_entry(matvec, 1.0, 0, g.n, KRYLOV_TOL_DEFAULT,
-                            KRYLOV_MAX_DIM_DEFAULT)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    m = len(steps)
-    assert 2 < m < 50
-    # the buffer doubles, so a growth step briefly holds 3m rows
-    assert peak <= (3 * m + 24) * g.n * 8
-    assert peak < KRYLOV_MAX_DIM_DEFAULT * g.n * 8 / 2
+    b = _spectral_bound(a)
+    nodes = np.arange(_MOMENT_BLOCK)
+    degree = int(np.argmax(_cheb_tail_ok(b, np.arange(100))))  # zeta = 1
+    assert 2 < degree < 50
+    block = g.n * nodes.size * 8
+    for m in (degree, 4 * degree):
+        tracemalloc.start()
+        try:
+            mu = _cheb_moments(a, b, nodes, m)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert mu.shape == (m + 1, nodes.size)
+        assert 3 * block <= peak <= 3 * block + mu.nbytes + (1 << 16)
 
 
 # -- the routed evaluator -------------------------------------------------------
@@ -369,6 +367,37 @@ def test_krylov_grid_action_matches_dense_rows():
         assert_action_rows_match_dense(g, zetas, np.ones(g.n))
         # the basis must serve every grid point, not only the last one
         assert_action_rows_match_dense(g, zetas[::-1], rng.normal(size=g.n))
+
+
+def test_moments_diagonal_matches_dense_rows():
+    # every grid row of the moments route, scaled and unscaled, within
+    # 1e-10 of the dense row's largest entry
+    base = generate_er(40, 0.15, seed=3)
+    w = np.random.default_rng(5).uniform(0.2, 3.0, size=base.m)
+    weighted = Graph(40, np.column_stack([base.edge_array()[:, :2], w]))
+    isolated = Graph(8, [[0, 1], [1, 2], [2, 0], [3, 4]])
+    graphs = [generate_er(30, 0.2, seed=1), generate_er(300, 0.03, seed=2),
+              weighted, generate_complete(12), generate_star(9), isolated,
+              path_graph(60), generate_er(100, 0.5, seed=2)]
+    zetas = np.concatenate([[0.0, 1e-9, 1e-4], np.linspace(0.01, 1.0, 100),
+                            [2.0, 5.0, 20.0]])
+    # zeta b = 5 * 51 needs a degree past 2 (KRYLOV_MAX_DIM_DEFAULT - 1)
+    with pytest.raises(KrylovConvergenceError) as err:
+        _expm_krylov(graphs[-1], 5.0, None, False)
+    assert err.value.dimension == KRYLOV_MAX_DIM_DEFAULT
+    for g in graphs:
+        if g is graphs[-1]:
+            zetas = zetas[zetas <= 2.0]
+        dec = decompose(g)
+        rows = _expm_krylov(g, zetas, None, False)
+        scaled, shifts = _expm_krylov(g, zetas, None, True)
+        want_scaled, want_shifts = _exp_rows(dec, zetas, scaled=True)
+        assert np.array_equal(rows[0], np.ones(g.n))
+        pairs = [(scaled * np.exp(shifts - want_shifts)[:, None], want_scaled),
+                 (rows, _exp_rows(dec, zetas))]
+        for got, want in pairs:
+            rel = np.abs(got - want).max(axis=1) / np.abs(want).max(axis=1)
+            assert rel.max() <= 1e-10, (g, zetas[np.argmax(rel)], rel.max())
 
 
 def path_graph(n):
@@ -493,9 +522,12 @@ def test_expm_rejects_bad_input(monkeypatch):
                 expm(g, zeta, np.ones(4))
     with pytest.raises(ValueError, match="shape"):
         expm(g, 0.5, np.ones(3))
-    # the scaled diagonal is dense only
-    with pytest.raises(ValueError, match="Krylov"):
-        expm(g, 0.5, scaled=True)
+    # the scaled diagonal has both routes: dense, then the moments with the
+    # limit below n
+    for limit in (DENSE_LIMIT_DEFAULT, 3):
+        monkeypatch.setattr(riskcent.spectral, "DENSE_LIMIT_DEFAULT", limit)
+        d, s = expm(g, 0.5, scaled=True)
+        assert np.allclose(d * np.exp(s), expm(g, 0.5), rtol=1e-12)
 
 
 def test_expm_auto_routes_large_graphs_to_krylov():
