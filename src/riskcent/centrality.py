@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import _exp_rows, _routes_dense, decompose, expm
+from .spectral import decompose, expm_with_diagonal
 
 MEASURES = ("R", "C", "T")
 
@@ -79,18 +79,14 @@ class RiskProfile:
 def sweep(g, zeta_grid=None):
     """Evaluate all three measures on a zeta grid.
 
-    The default grid is 0.01, 0.02, ..., 1.00.  The route is ``expm``'s
-    choice for the diagonal: on the dense route R and C both come from the
-    one decomposition, otherwise R from the Krylov action and C from the
-    Chebyshev moments, so the graph is never decomposed.
+    The default grid is 0.01, 0.02, ..., 1.00.  R and C take the route
+    ``expm`` chooses for the diagonal (``spectral.expm_with_diagonal``): on
+    the dense route both come from the one decomposition, otherwise R from
+    the Krylov action and C from the power moments, so the graph is
+    never decomposed.
     """
     grid = _grid(zeta_grid)
-    ones = np.ones(g.n)
-    if _routes_dense(g, grid):
-        d = decompose(g)
-        r, c = _exp_rows(d, grid, ones), _exp_rows(d, grid)
-    else:
-        r, c = expm(g, grid, ones), expm(g, grid)
+    r, c = expm_with_diagonal(g, grid, np.ones(g.n))
     return RiskProfile(grid, r, c, r - c, labels=list(g.labels))
 
 

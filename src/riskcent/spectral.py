@@ -2,7 +2,8 @@
 
 Everything downstream reduces to evaluating the action ``exp(z*A) @ v`` and
 the diagonal ``diag(exp(z*A))`` for a symmetric adjacency A and z >= 0.
-``expm`` is the one public evaluator, for a scalar z or a grid of them:
+``expm`` evaluates either, for a scalar z or a grid of them, and
+``expm_with_diagonal`` both on one route:
 
 * the action takes one Krylov route at every graph size
   (``_krylov_action``), so it never decomposes: per connected component
@@ -10,26 +11,28 @@ the diagonal ``diag(exp(z*A))`` for a symmetric adjacency A and z >= 0.
   reorthogonalization) from v/|v| whose basis serves every z of the grid
   (``_lanczos_action``), restarted from a computed row only when a run
   reaches ``KRYLOV_MAX_DIM_DEFAULT`` dimensions;
-* the diagonal takes the route ``_routes_dense`` predicts cheaper from
+* the diagonal takes the route ``_moment_route`` predicts cheaper from
   the graph's size, its number of edges and the top of the grid, a tie
   going to the dense one.  The dense route reads the graph's one
   eigendecomposition (``decompose``, computed once and cached on the
-  ``Graph``) through ``_exp_rows``, which ``sweep`` also calls directly
-  for R and C on its grid.  The moments route (``_cheb_diag``) never
-  decomposes: it scales A by a Collatz-Wielandt bound of its spectral
-  radius (``_spectral_bound``), runs the Chebyshev recurrence on blocks
-  of unit vectors (``_cheb_moments``, two moments per sparse product) and
-  sums the moments with Bessel weights for every z of the grid, to a
-  degree whose truncation error is at rounding level.  It is the only
-  route above ``DENSE_LIMIT_DEFAULT`` nodes, where ``decompose`` refuses.
+  ``Graph``) through ``_exp_rows``.  The moments route (``_moment_diag``)
+  never decomposes: it scales A by a Collatz-Wielandt bound b of its
+  spectral radius (``_spectral_bound``), takes the moments
+  ``(A/b)^k_ii`` from powers of blocks of unit vectors
+  (``_power_moments``, two moments per sparse product) and sums them
+  with the Poisson weights of ``z b`` for every z of the grid, to a degree
+  whose truncation error is at rounding level of each entry
+  (``_tail_ok``).  It is the only route above ``DENSE_LIMIT_DEFAULT``
+  nodes, where ``decompose`` refuses.
 
 The unscaled formulas are written with ``expm1`` so that the small-z
 signal ``exp(z*A) - I`` is not lost to cancellation: with orthonormal
 eigenvectors, ``exp(zA)v = v + U diag(expm1(z*lam)) U^T v`` holds exactly,
 and likewise in the Lanczos basis (``_basis_rows``); on the moments route
-every diagonal entry is at least 1 and its error is at rounding level of
-it.  The scaled form returns ``(value * exp(-log_scale), log_scale)`` so
-rankings stay finite when ``z * lam_1`` would overflow ``exp``.
+every term of the sum is >= 0, so each diagonal entry keeps its relative
+accuracy and an isolated node is 1 exactly.  The scaled form returns
+``(value * exp(-log_scale), log_scale)`` so rankings stay finite when
+``z * lam_1`` would overflow ``exp``.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.special import ive
+from scipy.special import gammainc, gammaln, xlogy
 
 DENSE_LIMIT_DEFAULT = 5000
 KRYLOV_TOL_DEFAULT = 1e-10
@@ -50,11 +53,12 @@ _SUBSTEPS = (0.5, 0.25, 0.125)  # fractions of a step a stuck run may take
 _EXP_MAX = float(np.log(np.finfo(float).max))  # largest finite exp argument
 _EPS = float(np.finfo(float).eps)
 _BOUND_STEPS = 20  # power steps behind the moments route's spectral bound
-_MOMENT_BLOCK = 64  # nodes per block of the Chebyshev moment recurrence
+_MOMENT_BLOCK = 64  # nodes per block of the power moments
 # predicted cost of the moments route per m (nnz + n) n, in units of the
-# dense route's cost per n^3 (see _routes_dense).  Measured ratios run from
-# 0.3 on dense ER graphs to 3.2 on trees; 2.5 keeps weighted trees of 100
-# nodes, whose ratio is about 2.3, on the dense route
+# dense route's cost per n^3 (see _moment_route).  Measured ratios (default
+# grid, one BLAS thread) run from 0.2 on ER(100, 0.5) through 1.2-1.3 on
+# sparse ER graphs of 1000-2000 nodes to 2.3 on a 2000-node weighted tree;
+# 2.5 leans toward the dense route wherever the two are close
 _MOMENTS_PER_DENSE = 2.5
 
 
@@ -367,7 +371,7 @@ def _krylov_action(a, labels, z, v, scaled, tol, max_dim):
     return (rows[back], shift[back]) if scaled else rows[back]
 
 
-# -- Chebyshev moments of the diagonal ---------------------------------------
+# -- power moments of the diagonal -------------------------------------------
 
 
 def _spectral_bound(a):
@@ -385,166 +389,192 @@ def _spectral_bound(a):
     return float(((a @ x) / x).max())
 
 
-def _cheb_tail_ok(s, m):
-    """Whether Chebyshev degree m resolves ``exp(s y)`` to rounding level.
+def _tail_ok(s, m):
+    """Whether Taylor degree m resolves every ``exp(s A/b)_ii`` to rounding
+    level, relative to the entry.
 
-    ``exp(s y) = I_0(s) + 2 sum_k I_k(s) T_k(y)`` on [-1, 1].  As
-    ``|T_k| <= 1`` and, term by term in the series, ``I_{k+1}(s) <=
-    s/(2(k+1)) I_k(s)``, truncating after degree m leaves at most
-    ``2 I_{m+1}(s) / (1 - q)`` with ``q = s/(2(m+2))`` when q < 1.  The
-    answer is whether that is at most one ulp of 1: an absolute bound, and
-    a relative one on the diagonal, where ``C_ii >= exp(zeta A_ii) = 1``.
-    It falls with m, so the first degree that passes is the one needed.
-    s and m broadcast.
+    With ``p_k = (A/b)^k_ii`` and the Poisson weights ``w_k = exp(-s) s^k /
+    k!``, ``exp(-s) exp(s A/b)_ii = sum_k w_k p_k``, every term >= 0.  As
+    ``|A/b| <= 1`` the even moments fall with k and ``p_{2j+1} <= p_{2j}``,
+    so every neglected term has ``p_k <= p_E``, E the largest even number
+    <= m + 1, while each even k <= m has ``p_k >= p_E``.  The neglected
+    part is thus at most ``P(X > m) / (1/2 - P(X > m))`` of the kept part,
+    X ~ Poisson(s), whatever the node.  The answer is whether
+    ``P(X > m) <= eps / 4``, which keeps that ratio under one ulp.  It
+    falls with m, so the first degree that passes is the one needed.  s
+    and m broadcast.
     """
-    q = s / (2.0 * (m + 2))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_tail = (np.log(2.0) + s + np.log(ive(m + 1, s))
-                    - np.log1p(-np.minimum(q, 1.0)))
-    return (q < 1.0) & (log_tail <= np.log(_EPS))
+    return gammainc(np.asarray(m) + 1.0, s) <= _EPS / 4.0
 
 
-def _cheb_moments(a, b, nodes, degree):
-    """Moments ``mu[k] = diag(T_k(A/b))``, k = 0..degree, at a block of nodes.
+def _power_moments(ah, nodes, degree):
+    """Moments ``mu[k] = (ah^k)_ii``, k = 0..degree, at a block of nodes i.
 
-    The recurrence ``X_{k+1} = 2 (A/b) X_k - X_{k-1}`` from the unit
-    columns X_0 of the block yields two moments per sparse product, by
-    ``T_{2k} = 2 T_k^2 - 1`` and ``T_{2k-1} = 2 T_k T_{k-1} - T_1``:
-    ``diag T_{2k} = 2 |X_k col|^2 - 1`` and ``diag T_{2k-1} =
-    2 <X_k col, X_{k-1} col>`` (``diag T_1 = diag A / b = 0``: the graph
-    has no self-loops).  Three (n, block) arrays are live at a time.
+    ``ah >= 0`` is the adjacency scaled into [-1, 1].  The powers ``X_k =
+    ah^k X_0`` of the unit columns X_0 of the block yield two moments per
+    sparse product: ``mu[2k] = |X_k col|^2`` and ``mu[2k+1] = <X_k col,
+    X_{k+1} col>``.  Every number here is a sum of products of numbers
+    >= 0, so each moment keeps its relative accuracy.  Two (n, block)
+    arrays are live at a time.
     """
     mu = np.empty((degree + 1, nodes.size))
     mu[0] = 1.0
-    prev = np.zeros((a.shape[0], nodes.size))
-    prev[nodes, np.arange(nodes.size)] = 1.0
-    x = prev
+    x = np.zeros((ah.shape[0], nodes.size))
+    x[nodes, np.arange(nodes.size)] = 1.0
     for k in range(1, (degree + 1) // 2 + 1):
-        nxt = a @ x
-        if k == 1:
-            nxt /= b
-        else:
-            nxt *= 2.0 / b
-            nxt -= prev
-        prev, x = x, nxt
-        mu[2 * k - 1] = 2.0 * np.einsum("ij,ij->j", x, prev)
+        nxt = ah @ x
+        mu[2 * k - 1] = np.einsum("ij,ij->j", x, nxt)
+        x = nxt
         if 2 * k <= degree:
-            mu[2 * k] = 2.0 * np.einsum("ij,ij->j", x, x) - 1.0
+            mu[2 * k] = np.einsum("ij,ij->j", x, x)
     return mu
 
 
-def _cheb_diag(a, z, scaled, max_dim):
-    """Rows ``diag(exp(z[k]*A))`` for a 1-D grid z from Chebyshev moments.
+def _moment_diag(a, z, scaled, max_dim, b=None):
+    """Rows ``diag(exp(z[k]*A))`` for a 1-D grid z from power moments.
 
-    With the spectral bound b, ``exp(zA) = exp(s A/b)``, ``s = z b``, and
-    ``exp(-s) diag(exp(zA)) = sum_k (2 - delta_k0) ive(k, s) mu_k`` over the
-    moments of A/b (kernel polynomial method: Weisse, Wellein, Alvermann &
-    Fehske, Rev. Mod. Phys. 78, 2006).  One pass of ``_cheb_moments`` per
-    ``_MOMENT_BLOCK`` nodes serves every grid point; each row sums its own
-    degree (``_cheb_tail_ok``), so a grid row equals the single-z call.
-    The degree at the top of the grid may use at most ``max_dim`` Krylov
-    vectors per node, degree ``2 (max_dim - 1)``; past that raises
-    ``KrylovConvergenceError``.  Scaled rows are ``(rows, s)``.
+    With the spectral bound b (``_spectral_bound`` unless given) and ``s =
+    z b``, ``diag(exp(zA)) = sum_k s^k / k! mu_k`` over the moments of A/b
+    (``_power_moments``).  Every term is >= 0, so each entry is accurate
+    relative to itself, isolated nodes (1 exactly) and nodes of a small
+    component or of a small Perron weight included, where a Chebyshev sum
+    would cancel to rounding level of ``exp(s)``.  One pass of
+    ``_power_moments`` per ``_MOMENT_BLOCK`` nodes serves every grid
+    point; each row sums its own degree (``_tail_ok``), so a grid row
+    equals the single-z call.  The degree at the top of the grid may use
+    at most ``max_dim`` Krylov vectors per node, degree ``2 (max_dim -
+    1)``; past that raises ``KrylovConvergenceError``.  Scaled rows are
+    ``(rows, s)``, with the Poisson weights ``exp(-s) s^k / k!``.
     """
-    b = _spectral_bound(a)
+    if b is None:
+        b = _spectral_bound(a)
     s = z * b
     cap = 2 * (max_dim - 1)
-    ok = _cheb_tail_ok(s.max(), np.arange(cap + 1))
+    ok = _tail_ok(s.max(), np.arange(cap + 1))
     if not ok.any():
-        with np.errstate(over="ignore"):
-            tail = 2.0 * np.exp(s.max()) * ive(cap + 1, s.max())
+        tail = float(gammainc(cap + 1.0, s.max()))
         raise KrylovConvergenceError(
-            "Chebyshev moments of the diagonal did not reach rel tol %g at "
+            "power moments of the diagonal did not reach rel tol %g at "
             "zeta = %g in %d dimensions (achieved %g)"
             % (_EPS, z.max(), max_dim, tail),
-            achieved=float(tail), dimension=max_dim)
+            achieved=tail, dimension=max_dim)
     top = int(np.argmax(ok))
     # the tail grows with s, so every row passes by degree top
-    ok = _cheb_tail_ok(s[:, None], np.arange(top + 1))
+    ok = _tail_ok(s[:, None], np.arange(top + 1))
     degrees = np.where(ok.any(axis=1), np.argmax(ok, axis=1), top)
     n = a.shape[0]
+    ah = a / b if b > 0.0 else a
     mu = np.empty((top + 1, n))
     for start in range(0, n, _MOMENT_BLOCK):
         stop = min(start + _MOMENT_BLOCK, n)
-        mu[:, start:stop] = _cheb_moments(a, b, np.arange(start, stop), top)
-    iv = ive(np.arange(top + 1), s[:, None])
-    coef = 2.0 * iv
-    coef[:, 0] = iv[:, 0]
+        mu[:, start:stop] = _power_moments(ah, np.arange(start, stop), top)
+    # s^k / k! times exp(-shift): shift s when scaled, else only as much as
+    # keeps exp(s) finite, so that the weight at k = 0 is 1 exactly
+    shift = s if scaled else np.maximum(s - _EXP_MAX, 0.0)
+    k = np.arange(top + 1)
+    coef = np.exp(xlogy(k, s[:, None]) - gammaln(k + 1.0) - shift[:, None])
     rows = np.empty((z.size, n))
-    for k, m in enumerate(degrees):
-        rows[k] = coef[k, :m + 1] @ mu[:m + 1]
+    for j, m in enumerate(degrees):
+        rows[j] = coef[j, :m + 1] @ mu[:m + 1]
     if scaled:
         return rows, s
+    big = shift > 0.0
     with np.errstate(over="ignore"):
-        return rows * np.exp(s)[:, None]
+        rows[big] = np.exp(np.log(rows[big]) + shift[big, None])
+    return rows
 
 
-def _routes_dense(g, z):
-    """Whether the diagonal of ``exp(zA)`` on the grid z takes the dense route.
+def _moment_route(g, z):
+    """The spectral bound of the moments route for the diagonal of
+    ``exp(zA)`` on the grid z, or None where it takes the dense route.
 
-    Never above ``DENSE_LIMIT_DEFAULT`` nodes.  Otherwise the predicted
-    costs decide, a tie going to the dense route: ``n^3`` for
-    ``decompose`` against ``_MOMENTS_PER_DENSE * m (nnz + n) n`` for the
-    moments, m being the Chebyshev degree the top of the grid needs.  So
-    the moments win when the largest degree they can afford resolves the
-    top of the grid, checked first with the mean strength, a lower bound
-    of lambda_1 and so of b, and only then with the spectral bound.
+    Above ``DENSE_LIMIT_DEFAULT`` nodes the moments route is the only one.
+    Otherwise the predicted costs decide, a tie going to the dense route:
+    ``n^3`` for ``decompose`` against ``_MOMENTS_PER_DENSE * m (nnz + n)
+    n`` for the moments, m being the Taylor degree the top of the grid
+    needs.  So the moments win when the largest degree they can afford
+    resolves the top of the grid, checked first with the mean strength, a
+    lower bound of lambda_1 and so of b, and only then with the bound.
     """
     n = g.n
-    if n > DENSE_LIMIT_DEFAULT:
-        return False
     a = g.sparse_adjacency()
+    top = float(np.max(z, initial=0.0))
+    if n > DENSE_LIMIT_DEFAULT:
+        return _spectral_bound(a)
     afford = min(int(np.ceil(n**2 / (_MOMENTS_PER_DENSE * (a.nnz + n)))) - 1,
                  2 * (KRYLOV_MAX_DIM_DEFAULT - 1))
-    top = float(np.max(z, initial=0.0))
-    lower = top * a.data.sum() / n
-    # q < 1 at the affordable degree (see _cheb_tail_ok) needs no Bessel
-    # function and already sends most small graphs to the dense route
-    return not (lower < 2.0 * (afford + 2) and _cheb_tail_ok(lower, afford)
-                and _cheb_tail_ok(top * _spectral_bound(a), afford))
+    if not _tail_ok(top * a.data.sum() / n, afford):
+        return None
+    b = _spectral_bound(a)
+    return b if _tail_ok(top * b, afford) else None
 
 
 # -- the routed evaluator ----------------------------------------------------
+
+
+def _check_zetas(zetas):
+    z = np.asarray(zetas, dtype=float)
+    if z.ndim > 1 or (z < 0).any() or not np.isfinite(z).all():
+        raise ValueError("zeta must be a finite nonnegative scalar or 1-D "
+                         "grid, got %r" % (zetas,))
+    return z
 
 
 def expm(g, zetas, v=None, scaled=False):
     """``exp(zetas[k]*A) @ v`` on the adjacency of ``g``, or the diagonal
     ``diag(exp(zetas[k]*A))`` if v is None.
 
-    The one public evaluator: one row per value of a 1-D grid ``zetas`` or
+    One row per value of a 1-D grid ``zetas`` or
     one 1-D result for a scalar, and with ``scaled=True`` the pair
     ``(rows, s)`` with the unscaled rows equal to ``exp(s)`` times
     ``rows``.  The action takes one Lanczos basis per connected component
     for the whole grid at every graph size (``_krylov_action``), so it
     never decomposes; past exp's range only the entries whose value passes
-    float range are +-inf.  The diagonal takes the route ``_routes_dense``
+    float range are +-inf.  The diagonal takes the route ``_moment_route``
     predicts cheaper for the graph and the top of the grid: ``_exp_rows``
-    on the cached eigendecomposition, or Chebyshev moments of the sparse
-    adjacency (``_cheb_diag``), which never decompose and are the only
+    on the cached eigendecomposition, or power moments of the sparse
+    adjacency (``_moment_diag``), which never decompose and are the only
     route above ``DENSE_LIMIT_DEFAULT`` nodes.  Both have a scaled form.
     """
-    z = np.asarray(zetas, dtype=float)
-    if z.ndim > 1 or (z < 0).any() or not np.isfinite(z).all():
-        raise ValueError("zeta must be a finite nonnegative scalar or 1-D "
-                         "grid, got %r" % (zetas,))
+    z = _check_zetas(zetas)
     if v is not None:
-        v = _check_vector(v, g.n)
-    elif _routes_dense(g, z):
+        return _expm_krylov(g, z, _check_vector(v, g.n), scaled)
+    b = _moment_route(g, z)
+    if b is None:
         return _exp_rows(decompose(g), z, None, scaled)
-    return _expm_krylov(g, z, v, scaled)
+    return _expm_krylov(g, z, None, scaled, bound=b)
+
+
+def expm_with_diagonal(g, zetas, v):
+    """``(expm(g, zetas, v), expm(g, zetas))`` on the diagonal's route.
+
+    Where the diagonal takes the dense route both come from the one
+    eigendecomposition; otherwise the action from the Krylov route and the
+    diagonal from the power moments, so the graph is never decomposed.
+    The route is chosen once for the pair.
+    """
+    z = _check_zetas(zetas)
+    v = _check_vector(v, g.n)
+    b = _moment_route(g, z)
+    if b is None:
+        dec = decompose(g)
+        return _exp_rows(dec, z, v), _exp_rows(dec, z)
+    return (_expm_krylov(g, z, v, False),
+            _expm_krylov(g, z, None, False, bound=b))
 
 
 def _expm_krylov(g, z, v, scaled, tol=KRYLOV_TOL_DEFAULT,
-                 max_dim=KRYLOV_MAX_DIM_DEFAULT):
+                 max_dim=KRYLOV_MAX_DIM_DEFAULT, bound=None):
     """``expm`` on the cached CSR adjacency, never decomposing: the action by
     one Lanczos basis per component for the whole grid, to relative
-    ``tol``, and the diagonal by Chebyshev moments to rounding level, each
-    with at most ``max_dim`` Krylov vectors per basis or node.
+    ``tol``, and the diagonal by power moments to rounding level of each
+    entry, each with at most ``max_dim`` Krylov vectors per basis or node.
+    ``bound`` is the diagonal's spectral bound where the caller has it.
     """
     a = g.sparse_adjacency()
     grid = np.atleast_1d(z)
     if v is None:
-        out = _cheb_diag(a, grid, scaled, max_dim)
+        out = _moment_diag(a, grid, scaled, max_dim, bound)
     else:
         out = _krylov_action(a, g.component_labels(), grid, v, scaled, tol,
                              max_dim)

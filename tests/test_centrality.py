@@ -144,7 +144,7 @@ def weighted_tree(n, seed):
 
 def test_sweep_routes_by_predicted_cost(monkeypatch, sparse_er):
     # a 2000-node sparse graph never decomposes: R by the Krylov action, C
-    # by the Chebyshev moments
+    # by the power moments
     def refuse(g):
         raise AssertionError("decomposed a graph of %d nodes" % g.n)
 
@@ -166,7 +166,7 @@ def test_sweep_routes_by_predicted_cost(monkeypatch, sparse_er):
         calls.append(g.n)
         return decompose(g)
 
-    monkeypatch.setattr(riskcent.centrality, "decompose", counted)
+    monkeypatch.setattr(riskcent.spectral, "decompose", counted)
     for g in (generate_complete(30), weighted_tree(100, 0),
               generate_er(100, 0.5, seed=2)):
         calls.clear()

@@ -204,7 +204,7 @@ def write_ring(path, n):
 
 def test_centrality_above_dense_limit(tmp_path):
     # above the dense limit R comes from the Krylov action and C from the
-    # Chebyshev moments: on the ring both have closed forms
+    # power moments: on the ring both have closed forms
     n = riskcent.spectral.DENSE_LIMIT_DEFAULT + 1
     graph = write_ring(tmp_path / "ring.json", n)
     out = tmp_path / "out"

@@ -15,12 +15,12 @@ from riskcent.spectral import (
     KRYLOV_MAX_DIM_DEFAULT,
     KrylovConvergenceError,
     _MOMENT_BLOCK,
-    _cheb_moments,
-    _cheb_tail_ok,
     _exp_rows,
     _expm_krylov,
     _lanczos,
+    _power_moments,
     _spectral_bound,
+    _tail_ok,
     decompose,
     expm,
 )
@@ -289,24 +289,25 @@ def test_krylov_invariant_subspace_exit():
 
 
 def test_lanczos_basis_memory_grows_with_steps(sparse_er):
-    # one block of Chebyshev moments on a 20 000-node graph: the recurrence
-    # holds three (n, block) arrays at a time, whatever the degree
+    # one block of power moments on a 20 000-node graph: the powers hold
+    # two (n, block) arrays at a time, whatever the degree
     g = sparse_er(20000, 8.0, seed=0)
     a = g.sparse_adjacency()
     b = _spectral_bound(a)
     nodes = np.arange(_MOMENT_BLOCK)
-    degree = int(np.argmax(_cheb_tail_ok(b, np.arange(100))))  # zeta = 1
+    degree = int(np.argmax(_tail_ok(b, np.arange(100))))  # zeta = 1
     assert 2 < degree < 50
     block = g.n * nodes.size * 8
+    ah = a / b
     for m in (degree, 4 * degree):
         tracemalloc.start()
         try:
-            mu = _cheb_moments(a, b, nodes, m)
+            mu = _power_moments(ah, nodes, m)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert mu.shape == (m + 1, nodes.size)
-        assert 3 * block <= peak <= 3 * block + mu.nbytes + (1 << 16)
+        assert 2 * block <= peak <= 2 * block + mu.nbytes + (1 << 16)
 
 
 # -- the routed evaluator -------------------------------------------------------
@@ -381,9 +382,9 @@ def test_moments_diagonal_matches_dense_rows():
               path_graph(60), generate_er(100, 0.5, seed=2)]
     zetas = np.concatenate([[0.0, 1e-9, 1e-4], np.linspace(0.01, 1.0, 100),
                             [2.0, 5.0, 20.0]])
-    # zeta b = 5 * 51 needs a degree past 2 (KRYLOV_MAX_DIM_DEFAULT - 1)
+    # zeta b = 6 * 51 needs a degree past 2 (KRYLOV_MAX_DIM_DEFAULT - 1)
     with pytest.raises(KrylovConvergenceError) as err:
-        _expm_krylov(graphs[-1], 5.0, None, False)
+        _expm_krylov(graphs[-1], 6.0, None, False)
     assert err.value.dimension == KRYLOV_MAX_DIM_DEFAULT
     for g in graphs:
         if g is graphs[-1]:
@@ -398,6 +399,32 @@ def test_moments_diagonal_matches_dense_rows():
         for got, want in pairs:
             rel = np.abs(got - want).max(axis=1) / np.abs(want).max(axis=1)
             assert rel.max() <= 1e-10, (g, zetas[np.argmax(rel)], rel.max())
+
+
+def test_moments_diagonal_accurate_entry_by_entry():
+    # every term of the moments sum is >= 0, so each entry is accurate
+    # relative to itself: against the series sum_k zeta^k (A^k)_ii / k!,
+    # whose terms are >= 0 as well, on isolated nodes, on components of
+    # different lambda_1 and on a path hanging off a clique, whose far end
+    # has a Perron weight near 1e-40; a sum that cancels at the scale
+    # exp(zeta lambda_1) loses these entries
+    k5 = [[i, j] for i in range(5) for j in range(i + 1, 5)]
+    parts = Graph(12, k5 + [[5, j] for j in range(6, 11)])  # K5, S6, a node
+    isolated = Graph(8, [[0, 1], [1, 2], [2, 0], [3, 4]])
+    k12 = [[i, j] for i in range(12) for j in range(i + 1, 12)]
+    lollipop = Graph(32, k12 + [[i, i + 1] for i in range(11, 31)])
+    zetas = np.array([0.0, 1e-9, 1e-4, 0.3, 1.0, 2.0, 5.0, 20.0])
+    for g in (isolated, parts, lollipop):
+        a = g.adjacency()
+        rows = _expm_krylov(g, zetas, None, False)
+        scaled, shifts = _expm_krylov(g, zetas, None, True)
+        for k, zeta in enumerate(zetas):
+            want = np.diag(taylor_expm_action(a, zeta, np.eye(g.n), 700))
+            for got in (rows[k], scaled[k] * np.exp(shifts[k])):
+                rel = np.abs(got - want) / want
+                assert rel.max() <= 1e-12, (g, zeta, rel.max())
+        single = np.bincount(g.component_labels())[g.component_labels()] == 1
+        assert (rows[:, single] == 1.0).all()
 
 
 def path_graph(n):
