@@ -7,10 +7,13 @@ The exact model evolves infection probabilities through
 and three approximations are provided: the linearized flow exp(gamma t A) x0,
 the survival-function upper bound built from the risk centrality R_i at
 zeta = (1-beta)*gamma*t (exact SI solution of the linearized infection
-pressure), and the homogeneous mean-field logistic.  The bound and the
-linearized flow both dominate the exact solution componentwise.  Both are
-``expm`` actions on the time grid and the exact model multiplies by the
-sparse adjacency, so no solver decomposes A or forms it densely.
+pressure; ``si_lee_general`` for any seeding), and the homogeneous
+mean-field logistic.  The bound and the linearized flow both dominate the
+exact solution componentwise.  Each is one ``expm`` action on the time
+grid, a Poisson-weighted power series of the sparse adjacency (of its
+symmetric rescaling ``D^{1/2} A D^{1/2}`` for a general seeding), and the
+exact model multiplies by the sparse adjacency, so no solver decomposes A
+or forms it densely.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import solve_ivp
 
+from .graph import Graph
 from .spectral import expm
 from .centrality import write_grid_csv
 
@@ -68,8 +72,7 @@ class SITrajectory:
 
     ``x[k, i]`` is node i at time ``t_grid[k]``.  ``solver`` tags how the
     trajectory was produced.  The survival-function bound also exposes the
-    cumulative infection pressure ``y`` with ``x = 1 - exp(-y)``, and the
-    series path its truncation-tail estimates per time point.
+    cumulative infection pressure ``y`` with ``x = 1 - exp(-y)``.
     """
 
     t_grid: np.ndarray
@@ -77,7 +80,6 @@ class SITrajectory:
     solver: str
     labels: list = field(default_factory=list)
     y: np.ndarray | None = None
-    series_tail: np.ndarray | None = None
 
     def mean_curve(self):
         """Average infection probability at each time."""
@@ -169,46 +171,32 @@ def si_lee(g, params):
     return SITrajectory(params.t_grid, x, "lee", labels=list(g.labels), y=y)
 
 
-def si_lee_general(g, params, x0, order=60):
+def si_lee_general(g, params, x0):
     """Survival-function bound for an arbitrary seeding x0 in [0, 1).
 
-    Evaluates the truncated series of
+    With ``D = diag(s)``, ``s = 1 - x0``,
 
-        y(t) = y0 + [exp(gamma t A D) - I] D^{-1} x0,   D = diag(1 - x0),
+        y(t) = -log s + [exp(gamma t A D) - I] D^{-1} x0.
 
-    with ``order`` terms per time point and a geometric estimate of the
-    neglected tail (reported per time in ``series_tail``).  Nodes with
-    x0 = 1 are rejected: D is singular there.
+    ``A D`` is similar to ``D^{1/2} A D^{1/2}``, the adjacency of g with
+    weights ``w_uv sqrt(s_u s_v)``, so with ``w = x0 / sqrt(s)``, ``y(t) =
+    -log s + (exp(gamma t D^{1/2} A D^{1/2}) w - w) / sqrt(s)``: one
+    ``expm`` action on the time grid.  Nodes with x0 = 1 are rejected: D
+    is singular there.
     """
     x0 = _initial_state(g, params, x0)
     if (x0 >= 1.0).any():
         raise ValueError("series path needs x0 < 1 at every node")
-    a = g.sparse_adjacency()
     surv = 1.0 - x0
-    u0 = x0 / surv
-    y0 = -np.log(surv)
-    t = params.t_grid
-    x = np.empty((t.size, g.n))
-    y = np.empty((t.size, g.n))
-    tails = np.empty(t.size)
-    # row sums of |A D|, D = diag(surv) with surv > 0
-    row_norm = (abs(a) @ surv).max() if g.n else 0.0
-    for k, tk in enumerate(t):
-        coef = params.gamma * tk
-        term = u0.copy()
-        acc = np.zeros(g.n)
-        for m in range(1, order + 1):
-            term = (coef / m) * (a @ (surv * term))
-            acc += term
-        theta = coef * row_norm
-        rho = theta / (order + 1)
-        big = np.abs(term).max()
-        tails[k] = big * rho / (1.0 - rho) if rho < 1.0 else np.inf
-        yk = y0 + acc
-        y[k] = yk
-        x[k] = 1.0 - np.exp(-yk)
-    return SITrajectory(t, x, "lee-general", labels=list(g.labels),
-                        y=y, series_tail=tails)
+    root = np.sqrt(surv)
+    edges = g.edge_array()
+    u, v = edges[:, 0].astype(int), edges[:, 1].astype(int)
+    edges[:, 2] *= root[u] * root[v]
+    w = x0 / root
+    y = -np.log(surv) + (
+        expm(Graph(g.n, edges), params.gamma * params.t_grid, w) - w) / root
+    return SITrajectory(params.t_grid, 1.0 - np.exp(-y), "lee-general",
+                        labels=list(g.labels), y=y)
 
 
 def si_meanfield(kbar, params):

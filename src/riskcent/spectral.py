@@ -3,36 +3,40 @@
 Everything downstream reduces to evaluating the action ``exp(z*A) @ v`` and
 the diagonal ``diag(exp(z*A))`` for a symmetric adjacency A and z >= 0.
 ``expm`` evaluates either, for a scalar z or a grid of them, and
-``expm_with_diagonal`` both on one route:
+``expm_with_diagonal`` both on one route.  Two routes exist:
 
-* the action takes one Krylov route at every graph size
-  (``_krylov_action``), so it never decomposes: per connected component
-  of the sparse adjacency, one Lanczos run (``_lanczos``, full
-  reorthogonalization) from v/|v| whose basis serves every z of the grid
-  (``_lanczos_action``), restarted from a computed row only when a run
-  reaches ``KRYLOV_MAX_DIM_DEFAULT`` dimensions;
-* the diagonal takes the route ``_moment_route`` predicts cheaper from
-  the graph's size, its number of edges and the top of the grid, a tie
-  going to the dense one.  The dense route reads the graph's one
-  eigendecomposition (``decompose``, computed once and cached on the
-  ``Graph``) through ``_exp_rows``.  The moments route (``_moment_diag``)
-  never decomposes: it scales A by a Collatz-Wielandt bound b of its
-  spectral radius (``_spectral_bound``), takes the moments
-  ``(A/b)^k_ii`` from powers of blocks of unit vectors
-  (``_power_moments``, two moments per sparse product) and sums them
-  with the Poisson weights of ``z b`` for every z of the grid, to a degree
-  whose truncation error is at rounding level of each entry
-  (``_tail_ok``).  It is the only route above ``DENSE_LIMIT_DEFAULT``
-  nodes, where ``decompose`` refuses.
+* the dense route reads the graph's one eigendecomposition (``decompose``,
+  computed once and cached on the ``Graph``) through ``_exp_rows``;
+* the power-series route never decomposes.  It scales A by a
+  Collatz-Wielandt bound b of its spectral radius (``_spectral_bound``)
+  and sums ``exp(zA) = exp(zb) sum_k w_k(zb) (A/b)^k`` with the Poisson
+  weights ``w_k(s) = exp(-s) s^k / k!`` to the degree at which the
+  neglected weight is at rounding level (``_tail_ok``).  One run of
+  powers serves every z of the grid.
 
-The unscaled formulas are written with ``expm1`` so that the small-z
-signal ``exp(z*A) - I`` is not lost to cancellation: with orthonormal
-eigenvectors, ``exp(zA)v = v + U diag(expm1(z*lam)) U^T v`` holds exactly,
-and likewise in the Lanczos basis (``_basis_rows``); on the moments route
-every term of the sum is >= 0, so each diagonal entry keeps its relative
-accuracy and an isolated node is 1 exactly.  The scaled form returns
-``(value * exp(-log_scale), log_scale)`` so rankings stay finite when
-``z * lam_1`` would overflow ``exp``.
+The action always takes the power-series route (``_krylov_action``): per
+connected component, the powers ``(A/b)^k v`` in blocks of
+``_MOMENT_BLOCK`` rows (``_power_sum``).  A sum reaches at most ``zb =
+_REACH``, the most that degree ``_MAX_DEGREE`` resolves; a grid point
+past that restarts the sum from the last computed row, or from a step of
+``_REACH / b`` where no grid point lies within reach (``_power_action``).
+The diagonal takes the route ``_moment_route`` predicts cheaper from the
+graph's size, its number of edges and the top of the grid, a tie going to
+the dense one.  On the power-series route (``_moment_diag``) it sums the
+moments ``(A/b)^k_ii`` from powers of blocks of unit vectors
+(``_power_moments``, two moments per sparse product); it is the only route
+above ``DENSE_LIMIT_DEFAULT`` nodes, where ``decompose`` refuses, and
+raises ``KrylovConvergenceError`` past degree ``_MAX_DEGREE``.
+
+With ``A >= 0`` every power and weight is >= 0, so each diagonal entry
+keeps its relative accuracy, an isolated node is 1 exactly and z = 0 gives
+v exactly.  The dense formulas are written with ``expm1`` so that the
+small-z signal ``exp(z*A) - I`` is not lost to cancellation: with
+orthonormal eigenvectors, ``exp(zA)v = v + U diag(expm1(z*lam)) U^T v``
+holds exactly.  The scaled form returns ``(value * exp(-log_scale),
+log_scale)``, with ``log_scale`` = z lam_1 on the dense route and z b on
+the power-series route, so rankings stay finite when ``z * lam_1`` would
+overflow ``exp``.
 """
 
 from __future__ import annotations
@@ -40,20 +44,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.special import gammainc, gammaln, xlogy
+from scipy.special import gammainc, gammaincinv, gammaln, xlogy
 
 DENSE_LIMIT_DEFAULT = 5000
-KRYLOV_TOL_DEFAULT = 1e-10
 KRYLOV_MAX_DIM_DEFAULT = 200
-_BASIS_BLOCK = 16  # first Lanczos basis allocation, in rows
-_TAIL_RATIO_MAX = 0.9  # largest term ratio the action's tail estimate uses
-_CHECK_GROWTH = 1.2  # ratio of the action's convergence-check step schedule
-_SUBSTEPS = (0.5, 0.25, 0.125)  # fractions of a step a stuck run may take
 _EXP_MAX = float(np.log(np.finfo(float).max))  # largest finite exp argument
 _EPS = float(np.finfo(float).eps)
+# largest degree of one power sum: what KRYLOV_MAX_DIM_DEFAULT Krylov
+# vectors per node reach in the diagonal's moments
+_MAX_DEGREE = 2 * (KRYLOV_MAX_DIM_DEFAULT - 1)
+# largest s = z b that one sum of that degree resolves (_tail_ok), ~255
+_REACH = float(gammaincinv(_MAX_DEGREE + 1.0, _EPS / 4.0))
 _BOUND_STEPS = 20  # power steps behind the moments route's spectral bound
-_MOMENT_BLOCK = 64  # nodes per block of the power moments
+_MOMENT_BLOCK = 64  # nodes per moments block; powers per GEMM of the action
 # predicted cost of the moments route per m (nnz + n) n, in units of the
 # dense route's cost per n^3 (see _moment_route).  Measured ratios (default
 # grid, one BLAS thread) run from 0.2 on ER(100, 0.5) through 1.2-1.3 on
@@ -67,7 +70,8 @@ class EigensolverError(RuntimeError):
 
 
 class KrylovConvergenceError(RuntimeError):
-    """Lanczos iteration hit its dimension cap before the tolerance."""
+    """The power series of the diagonal needs a degree past its cap of
+    ``KRYLOV_MAX_DIM_DEFAULT`` Krylov vectors per node."""
 
     def __init__(self, message, achieved, dimension):
         super().__init__(message)
@@ -166,212 +170,7 @@ def _exp_rows(dec, zetas, v=None, scaled=False):
     return (1.0 if v is None else v) + rows
 
 
-# -- Krylov route ------------------------------------------------------------
-
-
-def _ritz_exp(alphas, betas, z):
-    """exp(z*T_m) e_1 in the eigenbasis of the Lanczos tridiagonal T_m.
-
-    Returns ``(theta, s, w)`` with ``T_m = s diag(theta) s^T`` and
-    ``w = s^T exp(z*T_m) e_1 / exp(z * theta_max)``, finite for any
-    z >= 0; a 1-D grid z gives one row of w per value.
-    """
-    theta, s = eigh_tridiagonal(np.asarray(alphas), np.asarray(betas))
-    w = np.exp(np.multiply.outer(z, theta - theta[-1])) * s[0]
-    return theta, s, w
-
-
-def _lanczos(matvec, q, max_dim):
-    """Lanczos process from the unit vector ``q`` with full reorthogonalization.
-
-    After step m yields ``(alphas, betas, b, basis)``: the m diagonal and
-    m - 1 off-diagonal entries of the tridiagonal T_m, the norm b of the
-    next residual and the orthonormal basis ``(m, n)``.  b is reported as 0
-    when the residual vanishes: the Krylov space is then invariant, T_m is
-    exact and the process stops.  It also stops after ``min(max_dim, n)``
-    steps.  The basis buffer starts at ``_BASIS_BLOCK`` rows and doubles
-    when full, so a run of m steps holds O(m n) memory, not O(max_dim n).
-    """
-    n = q.size
-    m_cap = min(max_dim, n)
-    vs = np.empty((min(_BASIS_BLOCK, m_cap), n))
-    vs[0] = q
-    alphas = []
-    betas = []
-    norm_est = 1.0  # largest |entry| of T_m so far, at least 1
-    for m in range(1, m_cap + 1):
-        w = matvec(vs[m - 1])
-        if m > 1:
-            w = w - betas[-1] * vs[m - 2]
-        a = float(vs[m - 1] @ w)
-        alphas.append(a)
-        w = w - a * vs[m - 1]
-        # full reorthogonalization keeps the basis numerically orthogonal
-        w = w - vs[:m].T @ (vs[:m] @ w)
-        b = float(np.linalg.norm(w))
-        norm_est = max(norm_est, abs(a))
-        exact = b < 1e-12 * norm_est
-        yield alphas, betas, 0.0 if exact else b, vs[:m]
-        if exact or m == m_cap:
-            return
-        betas.append(b)
-        norm_est = max(norm_est, b)
-        if m == vs.shape[0]:
-            grown = np.empty((min(2 * m, m_cap), n))
-            grown[:m] = vs
-            vs = grown
-        vs[m] = w / b
-
-
-def _basis_rows(x, beta0, basis, theta, s, h):
-    """Scaled rows ``exp(-sig) exp(h[k]*A) x`` from a Lanczos basis of x.
-
-    ``exp(-sig) x + |x| V S c`` with ``sig = h theta_max`` and
-    ``c = expm1(h theta) exp(-sig) S[0]`` (``exp(h theta - sig) -
-    exp(-sig)`` where ``|h theta| >= 1``, which neither overflows nor
-    cancels): h = 0 gives x exactly, and ``exp(sig)`` times a row keeps the
-    expm1 form's small-h signal ``exp(hA)x - x``.
-    """
-    sig = np.multiply.outer(h, theta[-1:])
-    e = np.exp(-sig)
-    ht = np.multiply.outer(h, theta)
-    small = np.abs(ht) < 1.0
-    c = np.where(small, np.expm1(np.where(small, ht, 0.0)) * e,
-                 np.exp(ht - sig) - e)
-    return e * x + beta0 * ((c * s[0]) @ s.T) @ basis, sig[:, 0]
-
-
-def _lanczos_action(matvec, z, v, tol, max_dim):
-    """Scaled rows ``exp(-shifts[k]) exp(z[k]*A) @ v`` for an ascending grid z.
-
-    K_m(A, x) does not depend on zeta, so one Lanczos run from x/|x| serves
-    every grid point.  Convergence is tested, by diagonalizing
-    T_m = S diag(theta) S^T once, on a geometric schedule of steps (each
-    about ``_CHECK_GROWTH`` times the last), on the step after one where
-    every point passed, on the last two steps before the dimension cap and
-    when the space is invariant, so a long run does not pay O(m^2) per
-    step.  The error estimate at each point is the first neglected term
-    relative to the approximation, in the 2-norm,
-    ``beta_m |[exp(h T_m)]_{m,1}| / |exp(h T_m) e_1|`` with h the step from
-    the run's start x (scale-free, so computed on the shifted exponential),
-    divided by ``1 - q`` for the geometric tail of the neglected terms, q
-    being the term's mean ratio per step since the last test, capped at
-    ``_TAIL_RATIO_MAX``.  The run ends once the estimate is at most ``tol``
-    at every remaining point on two consecutive steps, or when the Krylov
-    space is invariant.
-
-    A run that reaches ``max_dim`` dimensions keeps the leading points that
-    passed and restarts from the last of them.  If not even the next point
-    passed, it steps the largest of ``_SUBSTEPS`` of the way to it that did
-    (the candidates are tracked alongside the grid) and restarts there; if
-    none did, it raises ``KrylovConvergenceError``.  Each restart halves the
-    tolerance, so the errors the runs pass on sum to at most 2 ``tol``.
-    """
-    rows = np.empty((z.size, v.size))
-    shifts = np.empty(z.size)
-    x, base, scale, k, runs = v, 0.0, 0.0, 0, 0
-    while k < z.size:
-        beta0 = float(np.linalg.norm(x))
-        if beta0 == 0.0:
-            rows[k:] = 0.0
-            shifts[k:] = scale
-            break
-        run_tol = tol * 0.5**runs
-        runs += 1
-        h = z[k:] - base
-        # the sub-step candidates lead the grid: they pass no later than h[0]
-        hs = np.concatenate([np.multiply(_SUBSTEPS[::-1], h[0]), h])
-        good = np.zeros(hs.size, dtype=int)
-        prev = np.full(hs.size, np.inf)
-        m_cap, last, due = min(max_dim, x.size), 0, 1
-        for alphas, betas, b, basis in _lanczos(matvec, x / beta0, max_dim):
-            m = len(alphas)
-            if b != 0.0 and m < due and m < m_cap - 1:
-                continue
-            theta, s, w = _ritz_exp(alphas, betas, hs)
-            if b == 0.0:
-                good[:] = 2  # invariant subspace: T_m is exact
-                break
-            term = b * np.abs(w @ s[-1]) / np.maximum(
-                np.linalg.norm(w, axis=1), 1e-300)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = (term / prev)**(1.0 / (m - last))
-                q = np.minimum(np.nan_to_num(ratio), _TAIL_RATIO_MAX)
-            rel = term / (1.0 - q)
-            # passes count on consecutive steps only
-            good = np.where(rel <= run_tol, good + 1 if m == last + 1 else 1,
-                            0)
-            if (good[len(_SUBSTEPS):] >= 2).all():
-                break
-            prev, last = term, m
-            due = (m + 1 if (good[len(_SUBSTEPS):] > 0).all()
-                   else max(m + 1, int(m * _CHECK_GROWTH)))
-        else:
-            if len(alphas) == x.size:
-                good[:] = 2  # the basis spans the whole space
-        real = good[len(_SUBSTEPS):] >= 2
-        done = h.size if real.all() else int(np.argmin(real))
-        if done == 0:
-            hops = np.flatnonzero(good[:len(_SUBSTEPS)] >= 2)
-            if not hops.size:
-                raise KrylovConvergenceError(
-                    "Lanczos exp action did not reach rel tol %g at zeta = "
-                    "%g in %d dimensions (achieved %g)"
-                    % (run_tol, z[k], len(alphas), rel[len(_SUBSTEPS)]),
-                    achieved=float(rel[len(_SUBSTEPS)]),
-                    dimension=len(alphas))
-            y, sig = _basis_rows(x, beta0, basis, theta, s, hs[hops[-1:]])
-            x, base, scale = y[0], base + hs[hops[-1]], scale + sig[0]
-            continue
-        y, sig = _basis_rows(x, beta0, basis, theta, s, h[:done])
-        rows[k:k + done] = y
-        shifts[k:k + done] = scale + sig
-        k += done
-        x, base, scale = rows[k - 1], z[k - 1], shifts[k - 1]
-    return rows, shifts
-
-
-def _krylov_action(a, labels, z, v, scaled, tol, max_dim):
-    """Rows ``exp(z[k]*A) @ v`` for a 1-D grid z, one component at a time.
-
-    exp(zA) is block diagonal over the connected components (``labels``),
-    so each component runs its own ``_lanczos_action`` on its block of the
-    CSR adjacency ``a``, with its own shift; isolated nodes, where A is 0,
-    keep v.  Scaled rows share the largest component shift.  Unscaled rows
-    are ``exp(shift)`` times the scaled ones; where that passes exp's range
-    each component is unscaled on its own, entry by entry, so only entries
-    whose value passes float range become +-inf.
-    """
-    order = np.argsort(z, kind="stable")
-    zs = z[order]
-    single = np.bincount(labels)[labels] == 1
-    iso = np.flatnonzero(single)
-    parts = [(iso, np.broadcast_to(v[iso], (z.size, iso.size)),
-              np.zeros(z.size))] if iso.size else []
-    rest = np.flatnonzero(~single)
-    rest = rest[np.argsort(labels[rest], kind="stable")]
-    for idx in np.split(rest, np.flatnonzero(np.diff(labels[rest])) + 1):
-        if idx.size:
-            sub = a if idx.size == v.size else a[idx][:, idx]
-            y, s = _lanczos_action(lambda x: sub @ x, zs, v[idx], tol, max_dim)
-            parts.append((idx, y, s))
-    shift = np.max([s for _, _, s in parts], axis=0)
-    rows = np.empty((z.size, v.size))
-    for idx, y, s in parts:
-        rows[:, idx] = y * np.exp(s - shift)[:, None]
-    if not scaled:
-        safe = shift <= _EXP_MAX
-        rows[safe] *= np.exp(shift[safe])[:, None]
-        with np.errstate(over="ignore", divide="ignore"):
-            for idx, y, s in parts if not safe.all() else []:
-                y = y[~safe]
-                rows[np.ix_(~safe, idx)] = np.sign(y) * np.exp(
-                    np.log(np.abs(y)) + s[~safe, None])
-    back = np.argsort(order)
-    return (rows[back], shift[back]) if scaled else rows[back]
-
-
-# -- power moments of the diagonal -------------------------------------------
+# -- power series of exp(zA) ------------------------------------------------
 
 
 def _spectral_bound(a):
@@ -390,21 +189,122 @@ def _spectral_bound(a):
 
 
 def _tail_ok(s, m):
-    """Whether Taylor degree m resolves every ``exp(s A/b)_ii`` to rounding
-    level, relative to the entry.
+    """Whether Taylor degree m resolves ``exp(-s) exp(s A/b)`` to rounding
+    level: every ``exp(s A/b)_ii`` relative to the entry, and every action
+    ``exp(s A/b) v`` relative to ``|v|`` in the 2-norm.
 
-    With ``p_k = (A/b)^k_ii`` and the Poisson weights ``w_k = exp(-s) s^k /
-    k!``, ``exp(-s) exp(s A/b)_ii = sum_k w_k p_k``, every term >= 0.  As
-    ``|A/b| <= 1`` the even moments fall with k and ``p_{2j+1} <= p_{2j}``,
-    so every neglected term has ``p_k <= p_E``, E the largest even number
-    <= m + 1, while each even k <= m has ``p_k >= p_E``.  The neglected
-    part is thus at most ``P(X > m) / (1/2 - P(X > m))`` of the kept part,
-    X ~ Poisson(s), whatever the node.  The answer is whether
-    ``P(X > m) <= eps / 4``, which keeps that ratio under one ulp.  It
-    falls with m, so the first degree that passes is the one needed.  s
-    and m broadcast.
+    With the Poisson weights ``w_k = exp(-s) s^k / k!``, ``exp(-s) exp(s
+    A/b) = sum_k w_k (A/b)^k``.  As ``|A/b| <= 1`` each neglected term of
+    the action is at most ``w_k |v|``, so their sum is at most ``P(X > m)
+    |v|``, X ~ Poisson(s).  On the diagonal, with ``p_k = (A/b)^k_ii``,
+    every term is >= 0, the even moments fall with k and ``p_{2j+1} <=
+    p_{2j}``, so every neglected term has ``p_k <= p_E``, E the largest
+    even number <= m + 1, while each even k <= m has ``p_k >= p_E``.  The
+    neglected part is thus at most ``P(X > m) / (1/2 - P(X > m))`` of the
+    kept part, whatever the node.  The answer is whether ``P(X > m) <= eps
+    / 4``, which keeps that ratio under one ulp.  It falls with m, so the
+    first degree that passes is the one needed.  s and m broadcast.
     """
     return gammainc(np.asarray(m) + 1.0, s) <= _EPS / 4.0
+
+
+def _poisson_weights(s, degree, shift):
+    """``w[j, k] = exp(-shift[j]) s[j]^k / k!`` for k = 0..degree."""
+    k = np.arange(degree + 1)
+    return np.exp(xlogy(k, s[:, None]) - gammaln(k + 1.0) - shift[:, None])
+
+
+def _power_sum(ah, s, x):
+    """Rows ``exp(-s[j]) exp(s[j] ah) x = sum_k w_k(s[j]) ah^k x``, with
+    the Poisson weights ``w_k(s) = exp(-s) s^k / k!`` of ``_tail_ok``.
+
+    ``ah`` is the adjacency scaled by its spectral bound and every s is at
+    most ``_REACH``.  The sum runs to the degree ``_tail_ok`` gives the
+    largest s, at most ``_MAX_DEGREE``.  The powers ``ah^k x`` fill a
+    block of ``_MOMENT_BLOCK`` rows, which one GEMM adds to every row, so
+    one sum holds the block and the rows whatever its degree.  s = 0 gives
+    x exactly.
+    """
+    ok = _tail_ok(s.max(), np.arange(_MAX_DEGREE + 1))
+    top = int(np.argmax(ok)) if ok.any() else _MAX_DEGREE
+    coef = _poisson_weights(s, top, s)
+    rows = np.zeros((s.size, x.size))
+    pw = np.empty((min(_MOMENT_BLOCK, top + 1), x.size))
+    for first in range(0, top + 1, len(pw)):
+        stop = min(first + len(pw), top + 1)
+        for k in range(first, stop):
+            # at k = first, pw[-1] holds power k - 1 from the full block before
+            pw[k - first] = ah @ pw[k - first - 1] if k else x
+        rows += coef[:, first:stop] @ pw[:stop - first]
+    return rows
+
+
+def _power_action(a, z, v):
+    """Scaled rows ``exp(-z[k] b) exp(z[k] A) v`` for an ascending grid z on
+    the CSR adjacency ``a`` of one connected component, and their shifts
+    ``z b``, b being its spectral bound (``_spectral_bound``).
+
+    One ``_power_sum`` from the last computed row serves every next point
+    within ``_REACH / b`` of it.  Where the next point lies past that, the
+    run restarts from a step of ``_REACH / b`` instead.  Each start is a
+    row scaled by its own shift, so the rows stay finite however far z
+    runs.
+    """
+    b = _spectral_bound(a)
+    ah = a / b
+    rows = np.empty((z.size, v.size))
+    x, base, k = v, 0.0, 0
+    while k < z.size:
+        s = (z[k:] - base) * b
+        done = int(np.searchsorted(s, _REACH, side="right"))
+        if done == 0:
+            x = _power_sum(ah, np.array([_REACH]), x)[0]
+            base += _REACH / b
+            continue
+        rows[k:k + done] = _power_sum(ah, s[:done], x)
+        k += done
+        x, base = rows[k - 1], z[k - 1]
+    return rows, z * b
+
+
+def _krylov_action(a, labels, z, v, scaled):
+    """Rows ``exp(z[k]*A) @ v`` for a 1-D grid z, one component at a time.
+
+    exp(zA) is block diagonal over the connected components (``labels``),
+    so each component runs its own ``_power_action`` on its block of the
+    CSR adjacency ``a``, with its own shift; isolated nodes, where A is 0,
+    keep v.  Scaled rows share the largest component shift.  Unscaled rows
+    are ``exp(shift)`` times the scaled ones (+-inf where that passes float
+    range); where the shift passes exp's range each component is unscaled
+    on its own, entry by entry, so only entries whose value passes float
+    range become +-inf.
+    """
+    order = np.argsort(z, kind="stable")
+    zs = z[order]
+    single = np.bincount(labels)[labels] == 1
+    iso = np.flatnonzero(single)
+    parts = [(iso, np.broadcast_to(v[iso], (z.size, iso.size)),
+              np.zeros(z.size))] if iso.size else []
+    rest = np.flatnonzero(~single)
+    rest = rest[np.argsort(labels[rest], kind="stable")]
+    for idx in np.split(rest, np.flatnonzero(np.diff(labels[rest])) + 1):
+        if idx.size:
+            sub = a if idx.size == v.size else a[idx][:, idx]
+            parts.append((idx, *_power_action(sub, zs, v[idx])))
+    shift = np.max([s for _, _, s in parts], axis=0)
+    rows = np.empty((z.size, v.size))
+    for idx, y, s in parts:
+        rows[:, idx] = y * np.exp(s - shift)[:, None]
+    if not scaled:
+        safe = shift <= _EXP_MAX
+        with np.errstate(over="ignore", divide="ignore"):
+            rows[safe] *= np.exp(shift[safe])[:, None]
+            for idx, y, s in parts if not safe.all() else []:
+                y = y[~safe]
+                rows[np.ix_(~safe, idx)] = np.sign(y) * np.exp(
+                    np.log(np.abs(y)) + s[~safe, None])
+    back = np.argsort(order)
+    return (rows[back], shift[back]) if scaled else rows[back]
 
 
 def _power_moments(ah, nodes, degree):
@@ -430,7 +330,7 @@ def _power_moments(ah, nodes, degree):
     return mu
 
 
-def _moment_diag(a, z, scaled, max_dim, b=None):
+def _moment_diag(a, z, scaled, b=None):
     """Rows ``diag(exp(z[k]*A))`` for a 1-D grid z from power moments.
 
     With the spectral bound b (``_spectral_bound`` unless given) and ``s =
@@ -442,22 +342,21 @@ def _moment_diag(a, z, scaled, max_dim, b=None):
     ``_power_moments`` per ``_MOMENT_BLOCK`` nodes serves every grid
     point; each row sums its own degree (``_tail_ok``), so a grid row
     equals the single-z call.  The degree at the top of the grid may use
-    at most ``max_dim`` Krylov vectors per node, degree ``2 (max_dim -
-    1)``; past that raises ``KrylovConvergenceError``.  Scaled rows are
-    ``(rows, s)``, with the Poisson weights ``exp(-s) s^k / k!``.
+    at most ``KRYLOV_MAX_DIM_DEFAULT`` Krylov vectors per node, degree
+    ``_MAX_DEGREE``; past that raises ``KrylovConvergenceError``.  Scaled
+    rows are ``(rows, s)``, with the Poisson weights ``exp(-s) s^k / k!``.
     """
     if b is None:
         b = _spectral_bound(a)
     s = z * b
-    cap = 2 * (max_dim - 1)
-    ok = _tail_ok(s.max(), np.arange(cap + 1))
+    ok = _tail_ok(s.max(), np.arange(_MAX_DEGREE + 1))
     if not ok.any():
-        tail = float(gammainc(cap + 1.0, s.max()))
+        tail = float(gammainc(_MAX_DEGREE + 1.0, s.max()))
         raise KrylovConvergenceError(
             "power moments of the diagonal did not reach rel tol %g at "
             "zeta = %g in %d dimensions (achieved %g)"
-            % (_EPS, z.max(), max_dim, tail),
-            achieved=tail, dimension=max_dim)
+            % (_EPS, z.max(), KRYLOV_MAX_DIM_DEFAULT, tail),
+            achieved=tail, dimension=KRYLOV_MAX_DIM_DEFAULT)
     top = int(np.argmax(ok))
     # the tail grows with s, so every row passes by degree top
     ok = _tail_ok(s[:, None], np.arange(top + 1))
@@ -471,8 +370,7 @@ def _moment_diag(a, z, scaled, max_dim, b=None):
     # s^k / k! times exp(-shift): shift s when scaled, else only as much as
     # keeps exp(s) finite, so that the weight at k = 0 is 1 exactly
     shift = s if scaled else np.maximum(s - _EXP_MAX, 0.0)
-    k = np.arange(top + 1)
-    coef = np.exp(xlogy(k, s[:, None]) - gammaln(k + 1.0) - shift[:, None])
+    coef = _poisson_weights(s, top, shift)
     rows = np.empty((z.size, n))
     for j, m in enumerate(degrees):
         rows[j] = coef[j, :m + 1] @ mu[:m + 1]
@@ -502,7 +400,7 @@ def _moment_route(g, z):
     if n > DENSE_LIMIT_DEFAULT:
         return _spectral_bound(a)
     afford = min(int(np.ceil(n**2 / (_MOMENTS_PER_DENSE * (a.nnz + n)))) - 1,
-                 2 * (KRYLOV_MAX_DIM_DEFAULT - 1))
+                 _MAX_DEGREE)
     if not _tail_ok(top * a.data.sum() / n, afford):
         return None
     b = _spectral_bound(a)
@@ -527,10 +425,11 @@ def expm(g, zetas, v=None, scaled=False):
     One row per value of a 1-D grid ``zetas`` or
     one 1-D result for a scalar, and with ``scaled=True`` the pair
     ``(rows, s)`` with the unscaled rows equal to ``exp(s)`` times
-    ``rows``.  The action takes one Lanczos basis per connected component
-    for the whole grid at every graph size (``_krylov_action``), so it
-    never decomposes; past exp's range only the entries whose value passes
-    float range are +-inf.  The diagonal takes the route ``_moment_route``
+    ``rows``.  The action sums the Poisson-weighted powers of the sparse
+    adjacency per connected component for the whole grid at every graph
+    size (``_krylov_action``), so it never decomposes; past exp's range
+    only the entries whose value passes float range are +-inf.  The
+    diagonal takes the route ``_moment_route``
     predicts cheaper for the graph and the top of the grid: ``_exp_rows``
     on the cached eigendecomposition, or power moments of the sparse
     adjacency (``_moment_diag``), which never decompose and are the only
@@ -549,8 +448,8 @@ def expm_with_diagonal(g, zetas, v):
     """``(expm(g, zetas, v), expm(g, zetas))`` on the diagonal's route.
 
     Where the diagonal takes the dense route both come from the one
-    eigendecomposition; otherwise the action from the Krylov route and the
-    diagonal from the power moments, so the graph is never decomposed.
+    eigendecomposition; otherwise both from power series of the sparse
+    adjacency (``_expm_krylov``), so the graph is never decomposed.
     The route is chosen once for the pair.
     """
     z = _check_zetas(zetas)
@@ -563,21 +462,19 @@ def expm_with_diagonal(g, zetas, v):
             _expm_krylov(g, z, None, False, bound=b))
 
 
-def _expm_krylov(g, z, v, scaled, tol=KRYLOV_TOL_DEFAULT,
-                 max_dim=KRYLOV_MAX_DIM_DEFAULT, bound=None):
-    """``expm`` on the cached CSR adjacency, never decomposing: the action by
-    one Lanczos basis per component for the whole grid, to relative
-    ``tol``, and the diagonal by power moments to rounding level of each
-    entry, each with at most ``max_dim`` Krylov vectors per basis or node.
-    ``bound`` is the diagonal's spectral bound where the caller has it.
+def _expm_krylov(g, z, v, scaled, bound=None):
+    """``expm`` on the cached CSR adjacency, never decomposing, from the
+    power series ``exp(zA) = exp(zb) sum_k w_k(zb) (A/b)^k``: the action
+    per component to rounding level of its 2-norm (``_krylov_action``),
+    the diagonal to rounding level of each entry (``_moment_diag``).
+    ``bound`` is the diagonal's spectral bound b where the caller has it.
     """
     a = g.sparse_adjacency()
     grid = np.atleast_1d(z)
     if v is None:
-        out = _moment_diag(a, grid, scaled, max_dim, bound)
+        out = _moment_diag(a, grid, scaled, bound)
     else:
-        out = _krylov_action(a, g.component_labels(), grid, v, scaled, tol,
-                             max_dim)
+        out = _krylov_action(a, g.component_labels(), grid, v, scaled)
     if np.ndim(z) == 0:
         out = (out[0][0], out[1][0]) if scaled else out[0]
     return out

@@ -233,12 +233,12 @@ def test_write_grid_csv_matches_csv_writer_loop(tmp_path):
 def test_scaled_measures_agree_with_plain():
     g = generate_er(20, 0.3, seed=9)
     r, s = expm(g, 0.6, np.ones(g.n), scaled=True)
-    c, _ = expm(g, 0.6, scaled=True)
-    f = np.exp(s)
+    c, sc = expm(g, 0.6, scaled=True)
     want_r, want_c, want_t = measures(g, 0.6)
-    assert np.allclose(r * f, want_r, rtol=1e-10)
-    assert np.allclose(c * f, want_c, rtol=1e-10)
-    assert np.allclose((r - c) * f, want_t, rtol=1e-10)
+    # the action shifts by zeta b, the dense diagonal by zeta lam_1
+    assert np.allclose(r * np.exp(s), want_r, rtol=1e-10)
+    assert np.allclose(c * np.exp(sc), want_c, rtol=1e-10)
+    assert np.allclose(r * np.exp(s) - c * np.exp(sc), want_t, rtol=1e-10)
 
 
 def test_scaled_measures_rank_at_extreme_zeta():

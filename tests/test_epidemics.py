@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.integrate import solve_ivp
 
 from riskcent.spectral import expm
@@ -180,7 +181,6 @@ def test_lee_general_reduces_to_uniform():
     uni = si_lee(g, p)
     gen = si_lee_general(g, p, np.full(15, p.beta))
     assert np.abs(uni.x - gen.x).max() < 1e-10
-    assert (gen.series_tail < 1e-10).all()
 
 
 def test_lee_general_bounds_exact_nonuniform():
@@ -192,6 +192,24 @@ def test_lee_general_bounds_exact_nonuniform():
     gen = si_lee_general(g, p, x0)
     assert (exact.x <= gen.x + 1e-9).all()
     assert gen.x.min() >= 0.0 and gen.x.max() <= 1.0
+
+
+def test_lee_general_matches_nonsymmetric_exponential():
+    # y = -log(1 - x0) + [exp(gamma t A D) - I] D^{-1} x0, D = diag(1 - x0),
+    # from the dense exponential of the nonsymmetric A D, on a weighted
+    # graph with an isolated node and a seeding that varies by node
+    base = generate_er(19, 0.25, seed=3)
+    w = np.random.default_rng(4).uniform(0.2, 3.0, size=base.m)
+    g = Graph(20, np.column_stack([base.edge_array()[:, :2], w]))
+    x0 = np.random.default_rng(5).uniform(0.0, 0.6, size=20)
+    p = params(gamma=0.7, t_end=3.0, steps=7)
+    gen = si_lee_general(g, p, x0)
+    ad = g.adjacency() * (1.0 - x0)
+    for k, t in enumerate(p.t_grid):
+        want = -np.log1p(-x0) + (scipy.linalg.expm(p.gamma * t * ad)
+                                 - np.eye(20)) @ (x0 / (1.0 - x0))
+        assert np.allclose(gen.y[k], want, rtol=1e-10, atol=0)
+    assert np.array_equal(gen.x, 1.0 - np.exp(-gen.y))
 
 
 def test_lee_general_rejects_saturated_nodes():

@@ -17,8 +17,8 @@ from riskcent.spectral import (
     _MOMENT_BLOCK,
     _exp_rows,
     _expm_krylov,
-    _lanczos,
     _power_moments,
+    _power_sum,
     _spectral_bound,
     _tail_ok,
     decompose,
@@ -253,44 +253,36 @@ def test_krylov_zero_vector():
 
 
 def test_krylov_reports_nonconvergence():
+    # zeta b ~ 30 * 11 needs a diagonal degree past the cap; the action
+    # restarts instead
     g = generate_er(200, 0.05, seed=7)
-    v = np.random.default_rng(3).normal(size=200)
     with pytest.raises(KrylovConvergenceError) as err:
-        _expm_krylov(g, 3.0, v, False, max_dim=3)
-    assert err.value.dimension == 3
-    assert err.value.achieved > 0
-    with pytest.raises(KrylovConvergenceError) as err:
-        _expm_krylov(g, 3.0, None, False, max_dim=3)
-    assert err.value.dimension == 3
+        _expm_krylov(g, 30.0, None, False)
+    assert err.value.dimension == KRYLOV_MAX_DIM_DEFAULT
     assert err.value.achieved > 0
 
 
 def test_krylov_invariant_subspace_exit():
-    # 1 is an eigenvector of K_n: the Krylov space from it is invariant
-    # after one step; from the hub of a star it is after two
+    # 1 is an eigenvector of K_n, and a star's hub reads cosh(zeta
+    # sqrt(n - 1)) on the diagonal: the Krylov spaces from them are
+    # invariant after one and two steps
     g = generate_complete(12)
-    a = g.sparse_adjacency()
-    steps = list(_lanczos(lambda x: a @ x, np.ones(12) / np.sqrt(12), 50))
-    assert len(steps) == 1 and steps[-1][2] == 0.0
     for zeta in (0.3, 2.0):
         kry = _expm_krylov(g, zeta, np.ones(12), False)
         dense = expm(g, zeta, np.ones(12))
         assert np.allclose(kry, dense, rtol=1e-12)
     star = generate_star(9)
-    hub = np.zeros(9)
-    hub[0] = 1.0
-    a = star.sparse_adjacency()
-    steps = list(_lanczos(lambda x: a @ x, hub, 50))
-    assert len(steps) == 2 and steps[-1][2] == 0.0
     kry = _expm_krylov(star, 1.3, None, False)
     dense = expm(star, 1.3)
     assert np.allclose(kry, dense, rtol=1e-12)
     assert kry[0] == pytest.approx(np.cosh(1.3 * np.sqrt(8.0)), rel=1e-12)
 
 
-def test_lanczos_basis_memory_grows_with_steps(sparse_er):
+def test_power_moments_and_action_memory_bounded_by_block(sparse_er):
     # one block of power moments on a 20 000-node graph: the powers hold
-    # two (n, block) arrays at a time, whatever the degree
+    # two (n, block) arrays at a time, whatever the degree; one power sum
+    # of the action holds one block of powers, its row and two temporaries
+    # of the row's size
     g = sparse_er(20000, 8.0, seed=0)
     a = g.sparse_adjacency()
     b = _spectral_bound(a)
@@ -308,6 +300,17 @@ def test_lanczos_basis_memory_grows_with_steps(sparse_er):
             tracemalloc.stop()
         assert mu.shape == (m + 1, nodes.size)
         assert 2 * block <= peak <= 2 * block + mu.nbytes + (1 << 16)
+    x = np.ones(g.n)
+    for s in (b, 4.0 * b):  # zeta = 1, 4: degree below, then past a block
+        tracemalloc.start()
+        try:
+            rows = _power_sum(ah, np.array([s]), x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= block + 3 * rows.nbytes + (1 << 16)
+    degree = int(np.argmax(_tail_ok(4.0 * b, np.arange(400))))
+    assert degree + 1 > 1.5 * _MOMENT_BLOCK  # more powers than one block
 
 
 # -- the routed evaluator -------------------------------------------------------
@@ -438,38 +441,21 @@ def lattice_graph(k):
         np.column_stack([idx[:-1].ravel(), idx[1:].ravel()])]))
 
 
-def test_krylov_action_past_overflow(monkeypatch):
-    # zeta * lam_1 runs to 1e4, far past exp's range (~709.78).  The ER graphs
-    # converge in one short basis at every zeta; the lattice and the path,
-    # whose top eigenvalues cluster, need long ones, and the path passes
-    # the dimension cap: its runs restart at grid points, and on the coarse
-    # grid at sub-steps between them
-    sizes = []
-    lanczos = riskcent.spectral._lanczos
-
-    def counted(matvec, q, max_dim):
-        sizes.append(0)
-        for step in lanczos(matvec, q, max_dim):
-            sizes[-1] += 1
-            yield step
-
-    monkeypatch.setattr(riskcent.spectral, "_lanczos", counted)
+def test_krylov_action_past_overflow():
+    # zeta * lam_1 runs to 1e4, far past exp's range (~709.78) and far past
+    # what one power sum reaches: the runs restart at grid points, and on
+    # the coarse grid at steps between them.  The lattice and the path have
+    # clustered top eigenvalues
     weighted = generate_er(300, 0.03, seed=2)
     w = np.random.default_rng(8).uniform(0.2, 3.0, size=weighted.m)
     weighted = Graph(300, np.column_stack([weighted.edge_array()[:, :2], w]))
-    cases = [(generate_er(1999, 8.0 / 1998, seed=3), 40), (weighted, 40),
-             (lattice_graph(30), 150), (path_graph(500), None)]
-    for g, longest in cases:
+    for g in (generate_er(1999, 8.0 / 1998, seed=3), weighted,
+              lattice_graph(30), path_graph(500)):
         fine = np.linspace(0.0, 1e4 / decompose(g).eigenvalues[0], 51)
         rand = np.random.default_rng(g.n).normal(size=g.n)
         for zetas, v in ((fine, np.ones(g.n)), (fine[::-1], rand),
                          (fine[[50, 0, 25]], rand)):
-            sizes.clear()
             assert_action_rows_match_dense(g, zetas, v, entrywise=False)
-            if longest is None:
-                assert max(sizes) == KRYLOV_MAX_DIM_DEFAULT
-            else:
-                assert max(sizes) <= longest, sizes
         # v = 1 is positive on every component: past the range only the
         # entries that pass it overflow, to +inf
         rows = _expm_krylov(g, fine, np.ones(g.n), False)
@@ -506,6 +492,17 @@ def test_krylov_action_overflows_by_component_and_entry():
     traj = si_lee(g, SIParams(1000.0, 0.1, [0.0, 0.5, 1.0]))
     assert (traj.x[1:, :4] == 1.0).all()
     assert np.array_equal(traj.x[:, 4], np.full(3, 1.0 - 0.9))
+
+
+def test_krylov_action_unscales_without_overflow_warning(sparse_er):
+    # scaled entries above 1 times exp(shift) pass float range inside exp's
+    # range; they become +inf, and the SI bound reads 1 there, silently
+    g = sparse_er(300, 8.0, seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = si_lee(g, SIParams(1.0, 0.01, np.linspace(0.0, 100.0, 101)))
+    assert np.isposinf(traj.y[-1]).any()
+    assert ((traj.x >= 0.01) & (traj.x <= 1.0)).all()
 
 
 def test_expm_result_shapes(monkeypatch):
