@@ -17,6 +17,7 @@ rank 1 = largest value, ties (up to ``tie_tol``) broken by node index.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -94,12 +95,27 @@ def write_grid_csv(path, head, grid, matrix, labels):
     """Write a header of ``head`` and ``labels`` (quoted by ``csv.writer``),
     then one row per grid value: the value and its matrix row, each cell
     ``repr`` of a float (integer ranks read ``3.0``), ending in CRLF.
+
+    An integer matrix whose values span at most its size (ranks) indexes
+    a table of the cell strings instead of formatting every cell.
     """
-    rows = np.asarray(matrix, dtype=float).tolist()
+    matrix = np.asarray(matrix)
+    lo, hi = ((int(matrix.min()), int(matrix.max()))
+              if matrix.dtype.kind in "iu" and matrix.size else (0, -1))
+    if 0 <= hi - lo <= matrix.size:
+        table = np.array([repr(float(k)) for k in range(lo, hi + 1)],
+                         dtype=object)
+        cells = table[matrix - lo].tolist()
+    else:
+        cells = [list(map(repr, row))
+                 for row in np.asarray(matrix, dtype=float).tolist()]
+    buf = io.StringIO()
+    csv.writer(buf).writerow([head] + list(labels))
+    buf.writelines(
+        ",".join([repr(z)] + row) + "\r\n"
+        for z, row in zip(np.asarray(grid, dtype=float).tolist(), cells))
     with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerow([head] + list(labels))
-        for z, row in zip(np.asarray(grid, dtype=float).tolist(), rows):
-            fh.write(",".join(map(repr, [z] + row)) + "\r\n")
+        fh.write(buf.getvalue())
 
 
 # -- rankings ----------------------------------------------------------------
@@ -153,11 +169,13 @@ class RankingSweep:
                        self.labels)
 
     def std_to_csv(self, path):
+        buf = io.StringIO()
+        w = csv.writer(buf)
+        w.writerow(["node", "rank_std"])
+        w.writerows(zip(self.labels, map(repr, np.asarray(
+            self.per_node_std, dtype=float).tolist())))
         with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["node", "rank_std"])
-            for name, s in zip(self.labels, self.per_node_std):
-                w.writerow([name, repr(float(s))])
+            fh.write(buf.getvalue())
 
 
 def ranking_sweep(profile, measure="R"):

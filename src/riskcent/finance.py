@@ -85,18 +85,14 @@ def load_returns(path):
             except ValueError:
                 raise ValueError("%s:%d: unparseable date %r"
                                  % (path, lineno, cells[0])) from None
-            vals = np.empty(len(assets))
-            for j, cell in enumerate(cells[1:]):
-                s = cell.strip()
-                if not s or s.lower() == "nan":
-                    vals[j] = np.nan
-                    continue
-                try:
-                    vals[j] = float(s)
-                except ValueError:
-                    raise ValueError("%s:%d: unparseable return %r for %s"
-                                     % (path, lineno, cell,
-                                        assets[j])) from None
+            # float() skips surrounding whitespace and reads "nan" in any
+            # case, so only blank cells need a test of their own
+            try:
+                vals = [float(c) if c.strip() else math.nan
+                        for c in cells[1:]]
+            except ValueError:
+                raise ValueError(_bad_cell(path, lineno, cells[1:],
+                                           assets)) from None
             rows.append((day, vals))
     if not rows:
         raise ValueError("%s: no data rows" % path)
@@ -105,7 +101,19 @@ def load_returns(path):
         if a == b:
             raise ValueError("%s: duplicate date %s" % (path, a))
     return ReturnsPanel([r[0] for r in rows], assets,
-                        np.vstack([r[1] for r in rows]))
+                        np.array([r[1] for r in rows], dtype=float))
+
+
+def _bad_cell(path, lineno, cells, assets):
+    """The message for the first cell of a row that ``float`` rejects."""
+    for cell, asset in zip(cells, assets):
+        if cell.strip():
+            try:
+                float(cell)
+            except ValueError:
+                return ("%s:%d: unparseable return %r for %s"
+                        % (path, lineno, cell, asset))
+    raise AssertionError("no unparseable cell in %r" % (cells,))
 
 
 def save_returns(panel, path):
@@ -159,10 +167,11 @@ def rolling_windows(panel, width_months=6, step_months=1, min_obs=0.9):
     out = []
     for start in range(first, last - width_months + 2, step_months):
         wid = _month_id(start)
-        mask = (months >= start) & (months < start + width_months)
-        if not mask.any():
+        # the dates ascend, so a window's rows are one contiguous run
+        lo, hi = np.searchsorted(months, [start, start + width_months])
+        if lo == hi:
             raise ValueError("window %s contains no observations" % wid)
-        rows = panel.returns[mask]
+        rows = panel.returns[lo:hi]
         need = min_obs * rows.shape[0]
         keep = np.nonzero((~np.isnan(rows)).sum(axis=0) >= need)[0]
         if keep.size == 0:
@@ -170,7 +179,7 @@ def rolling_windows(panel, width_months=6, step_months=1, min_obs=0.9):
                              "observations" % wid)
         out.append(WindowSlice(
             window_id=wid,
-            dates=[d for d, m in zip(panel.dates, mask) if m],
+            dates=panel.dates[lo:hi],
             assets=[panel.assets[j] for j in keep],
             returns=rows[:, keep]))
     return out
@@ -183,25 +192,27 @@ def correlation_and_distance(returns):
     """Pairwise-complete correlations and Mantegna distances.
 
     ``returns`` is an (observations x assets) array with NaN for missing
-    values.  Assets whose observed values are constant are dropped with a
-    warning.  Returns ``(rho, dist, kept)`` where ``kept`` indexes the
-    surviving input columns; ``dist = sqrt(2 (1 - rho))`` with zero
-    diagonal.  Correlations nudged outside [-1, 1] by rounding are clamped
-    with a warning, so distances always land in [0, 2].
+    values.  Assets whose observed values are all equal (or that have none,
+    or an infinite one) are dropped with a warning.  Returns ``(rho, dist,
+    kept)`` where ``kept`` indexes the surviving input columns; ``dist =
+    sqrt(2 (1 - rho))`` with zero diagonal.  Correlations nudged outside
+    [-1, 1] by rounding are clamped with a warning, so distances always
+    land in [0, 2].
     """
     x = np.asarray(returns, dtype=float)
     if x.ndim != 2 or x.shape[1] < 2:
         raise ValueError("need a 2-D returns array with >= 2 columns")
     present = ~np.isnan(x)
-    kept = []
-    for j in range(x.shape[1]):
-        col = x[present[:, j], j]
-        if col.size and col.std() > 0.0:
-            kept.append(j)
-        else:
-            warnings.warn("asset column %d is constant or empty in this "
-                          "window; dropped" % j)
-    kept = np.array(kept, dtype=int)
+    # a column is kept when its observed values are not all equal; an
+    # empty column has hi = -inf < lo = inf, and one holding +-inf is
+    # dropped too, as its moments are undefined
+    hi = np.where(present, x, -np.inf).max(axis=0)
+    lo = np.where(present, x, np.inf).min(axis=0)
+    keep = (hi > lo) & np.isfinite(hi) & np.isfinite(lo)
+    for j in np.flatnonzero(~keep):
+        warnings.warn("asset column %d is constant or empty in this "
+                      "window; dropped" % j)
+    kept = np.flatnonzero(keep)
     if kept.size < 2:
         raise ValueError("fewer than 2 non-constant assets remain")
     x = x[:, kept]

@@ -140,13 +140,21 @@ class Graph:
         return self._adj
 
     def sparse_adjacency(self):
-        """Symmetric CSR adjacency (cached)."""
+        """Symmetric CSR adjacency (cached), column indices sorted per row.
+
+        Built straight from the canonical edges, which are sorted by (u, v)
+        with u < v: listing every edge as (v, u) and then as (u, v), a
+        stable sort by row puts each row's columns in ascending order.
+        """
         if self._csr is None:
-            u = np.concatenate([self._u, self._v])
-            v = np.concatenate([self._v, self._u])
-            w = np.concatenate([self._w, self._w])
-            self._csr = sp.coo_array((w, (u, v)),
-                                     shape=(self.n, self.n)).tocsr()
+            rows = np.concatenate([self._v, self._u])
+            order = np.argsort(rows, kind="stable")
+            indptr = np.zeros(self.n + 1, dtype=np.int64)
+            np.cumsum(np.bincount(rows, minlength=self.n), out=indptr[1:])
+            indices = np.concatenate([self._u, self._v])[order]
+            data = np.concatenate([self._w, self._w])[order]
+            self._csr = sp.csr_array((data, indices, indptr),
+                                     shape=(self.n, self.n))
         return self._csr
 
     def degrees(self):
@@ -175,7 +183,10 @@ class Graph:
         """Connected-component index per node."""
         if self.n == 1:
             return np.zeros(1, dtype=np.int64)
-        _, lab = connected_components(self.sparse_adjacency(), directed=False)
+        # on a symmetric adjacency the strong components are the connected
+        # ones, and the directed search skips building the transpose
+        _, lab = connected_components(self.sparse_adjacency(), directed=True,
+                                      connection="strong")
         return lab.astype(np.int64)
 
     def is_connected(self):
@@ -211,7 +222,7 @@ class Graph:
 
 def save_json(g, path):
     with open(path, "w") as fh:
-        json.dump(g.to_json_dict(), fh, indent=1)
+        fh.write(json.dumps(g.to_json_dict(), indent=1))
 
 
 def load_json(path):

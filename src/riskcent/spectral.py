@@ -239,10 +239,10 @@ def _power_sum(ah, s, x):
     return rows
 
 
-def _power_action(a, z, v):
+def _power_action(a, z, v, b=None):
     """Scaled rows ``exp(-z[k] b) exp(z[k] A) v`` for an ascending grid z on
     the CSR adjacency ``a`` of one connected component, and their shifts
-    ``z b``, b being its spectral bound (``_spectral_bound``).
+    ``z b``, b being its spectral bound (``_spectral_bound`` unless given).
 
     One ``_power_sum`` from the last computed row serves every next point
     within ``_REACH / b`` of it.  Where the next point lies past that, the
@@ -250,7 +250,8 @@ def _power_action(a, z, v):
     row scaled by its own shift, so the rows stay finite however far z
     runs.
     """
-    b = _spectral_bound(a)
+    if b is None:
+        b = _spectral_bound(a)
     ah = a / b
     rows = np.empty((z.size, v.size))
     x, base, k = v, 0.0, 0
@@ -267,17 +268,18 @@ def _power_action(a, z, v):
     return rows, z * b
 
 
-def _krylov_action(a, labels, z, v, scaled):
+def _krylov_action(a, labels, z, v, scaled, bound=None):
     """Rows ``exp(z[k]*A) @ v`` for a 1-D grid z, one component at a time.
 
     exp(zA) is block diagonal over the connected components (``labels``),
     so each component runs its own ``_power_action`` on its block of the
     CSR adjacency ``a``, with its own shift; isolated nodes, where A is 0,
-    keep v.  Scaled rows share the largest component shift.  Unscaled rows
-    are ``exp(shift)`` times the scaled ones (+-inf where that passes float
-    range); where the shift passes exp's range each component is unscaled
-    on its own, entry by entry, so only entries whose value passes float
-    range become +-inf.
+    keep v.  ``bound`` is ``_spectral_bound(a)`` where the caller has it;
+    it serves a component that holds every edge of the graph.  Scaled rows
+    share the largest component shift.  Unscaled rows are ``exp(shift)``
+    times the scaled ones (+-inf where that passes float range); where the
+    shift passes exp's range each component is unscaled on its own, entry
+    by entry, so only entries whose value passes float range become +-inf.
     """
     order = np.argsort(z, kind="stable")
     zs = z[order]
@@ -287,10 +289,14 @@ def _krylov_action(a, labels, z, v, scaled):
               np.zeros(z.size))] if iso.size else []
     rest = np.flatnonzero(~single)
     rest = rest[np.argsort(labels[rest], kind="stable")]
-    for idx in np.split(rest, np.flatnonzero(np.diff(labels[rest])) + 1):
+    comps = np.split(rest, np.flatnonzero(np.diff(labels[rest])) + 1)
+    # isolated nodes never hold the maximum of _spectral_bound's power
+    # steps, so the bound of a lone component equals the graph's bit for bit
+    b = bound if len(comps) == 1 else None
+    for idx in comps:
         if idx.size:
             sub = a if idx.size == v.size else a[idx][:, idx]
-            parts.append((idx, *_power_action(sub, zs, v[idx])))
+            parts.append((idx, *_power_action(sub, zs, v[idx], b)))
     shift = np.max([s for _, _, s in parts], axis=0)
     rows = np.empty((z.size, v.size))
     for idx, y, s in parts:
@@ -458,7 +464,7 @@ def expm_with_diagonal(g, zetas, v):
     if b is None:
         dec = decompose(g)
         return _exp_rows(dec, z, v), _exp_rows(dec, z)
-    return (_expm_krylov(g, z, v, False),
+    return (_expm_krylov(g, z, v, False, bound=b),
             _expm_krylov(g, z, None, False, bound=b))
 
 
@@ -467,14 +473,14 @@ def _expm_krylov(g, z, v, scaled, bound=None):
     power series ``exp(zA) = exp(zb) sum_k w_k(zb) (A/b)^k``: the action
     per component to rounding level of its 2-norm (``_krylov_action``),
     the diagonal to rounding level of each entry (``_moment_diag``).
-    ``bound`` is the diagonal's spectral bound b where the caller has it.
+    ``bound`` is the graph's spectral bound b where the caller has it.
     """
     a = g.sparse_adjacency()
     grid = np.atleast_1d(z)
     if v is None:
         out = _moment_diag(a, grid, scaled, bound)
     else:
-        out = _krylov_action(a, g.component_labels(), grid, v, scaled)
+        out = _krylov_action(a, g.component_labels(), grid, v, scaled, bound)
     if np.ndim(z) == 0:
         out = (out[0][0], out[1][0]) if scaled else out[0]
     return out

@@ -225,6 +225,19 @@ def test_write_grid_csv_matches_csv_writer_loop(tmp_path):
     lines = new.read_bytes().split(b"\r\n")
     assert lines[0] == b't,a,"x,""y""",c d,7'
     assert lines[1] == b"5e-324,1.0,2.0,3.0,4.0"
+    # integer grids through the string table: ranks past 100, one row,
+    # negative entries, and a span too wide for a table
+    rng = np.random.default_rng(5)
+    wide = np.array([rng.permutation(150) + 1 for _ in range(7)])
+    negative = np.array([[-3, 0, 2, -1], [5, -7, 0, 1], [-7, -7, 4, 3],
+                         [0, 1, 2, 3]])
+    for zetas, matrix in ((np.linspace(0.01, 1.0, 7), wide),
+                          (np.array([0.5]), wide[:1]), (grid, negative),
+                          (np.array([0.5]), np.array([[0, 10**6]]))):
+        labels = ["n%d" % k for k in range(matrix.shape[1])]
+        write_grid_csv(new, "zeta", zetas, matrix, labels)
+        loop_grid_csv(old, "zeta", zetas, matrix, labels)
+        assert new.read_bytes() == old.read_bytes()
 
 
 # -- scaled forms -------------------------------------------------------------

@@ -102,6 +102,35 @@ def test_load_returns_sorts_rows(tmp_path):
     assert panel.returns[:, 0].tolist() == [1.0, 2.0, 3.0]
 
 
+def test_load_returns_cell_forms(tmp_path):
+    # blank cells and NaN in any case are missing; whitespace around a
+    # number and exponent notation parse as float() reads them
+    path = tmp_path / "r.csv"
+    path.write_text(
+        "date, A ,B,C\n"
+        "2001-01-04, 1e-3 ,\t-2.5E+01,NAN\n"
+        "2001-01-02,,  ,nan\n"
+        " 2001-01-03 ,NaN, 0.25 ,4\n")
+    panel = load_returns(str(path))
+    assert panel.assets == ["A", "B", "C"]
+    assert [d.day for d in panel.dates] == [2, 3, 4]
+    assert panel.returns.dtype == np.float64
+    want = np.array([[np.nan, np.nan, np.nan],
+                     [np.nan, 0.25, 4.0],
+                     [1e-3, -25.0, np.nan]])
+    assert np.array_equal(panel.returns, want, equal_nan=True)
+
+
+def test_load_returns_unparseable_cell_message(tmp_path):
+    # the first cell float() rejects is named, as written, with its asset
+    path = tmp_path / "r.csv"
+    path.write_text("date,A,B,C\n2001-01-01,1,2,3\n"
+                    "2001-01-02,0.5, oops ,1.2.3\n")
+    with pytest.raises(ValueError) as err:
+        load_returns(str(path))
+    assert str(err.value) == "%s:3: unparseable return ' oops ' for B" % path
+
+
 def test_returns_round_trip(tmp_path):
     rng = np.random.default_rng(0)
     data = rng.normal(size=(9, 4))
@@ -268,6 +297,22 @@ def test_correlation_drops_constant_asset():
         rho, dist, kept = correlation_and_distance(data)
     assert kept.tolist() == [0, 2]
     assert rho.shape == (2, 2)
+
+
+def test_correlation_drops_asset_constant_at_a_tenth():
+    # np.full(126, 0.1).std() is 1.4e-17, not 0: the column must still be
+    # dropped, and the other columns' correlations stay as without it
+    rng = np.random.default_rng(12)
+    data = rng.normal(size=(126, 4))
+    data[rng.random(data.shape) < 0.1] = np.nan
+    data[:, 2] = 0.1
+    with pytest.warns(UserWarning) as record:
+        rho, dist, kept = correlation_and_distance(data)
+    assert [str(w.message) for w in record] == [
+        "asset column 2 is constant or empty in this window; dropped"]
+    assert kept.tolist() == [0, 1, 3]
+    want, _, _ = correlation_and_distance(data[:, [0, 1, 3]])
+    assert np.array_equal(rho, want)
 
 
 def test_correlation_overlap_too_small():

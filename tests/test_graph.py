@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from riskcent.graph import (
     Graph,
@@ -364,6 +366,33 @@ def test_largest_component_and_labels():
     lc = largest_component(g)
     assert lc.n == 3 and lc.labels == ["a", "b", "c"]
     assert lc.is_connected()
+
+
+def test_sparse_adjacency_and_components_match_scipy_builds():
+    # the CSR built from the canonical edges equals scipy's COO build, and
+    # the strong components of the symmetric adjacency are the connected
+    # ones: isolated nodes, weights, three components, random graphs
+    graphs = [Graph(10, [(4, 0, 2.5), (2, 0), (0, 1, 0.25), (6, 5, 3.0),
+                         (7, 6), (2, 4), (8, 3, 0.5)]),
+              Graph(3), Graph(1),
+              Graph(5, np.array([[3, 1, 0.5], [1, 0, 2.0]]))]
+    graphs += [generate_er(60, p, seed=s) for p in (0.02, 0.05, 0.3)
+               for s in range(4)]
+    for g in graphs:
+        a = g.sparse_adjacency()
+        u, v, w = (np.concatenate(pair) for pair in (
+            (g._u, g._v), (g._v, g._u), (g._w, g._w)))
+        ref = sp.coo_array((w, (u, v)), shape=(g.n, g.n)).tocsr()
+        assert np.array_equal(a.indptr, ref.indptr)
+        assert np.array_equal(a.indices, ref.indices)
+        assert np.array_equal(a.data, ref.data)
+        assert np.array_equal(a.toarray(), g.adjacency())
+        _, want = connected_components(ref, directed=False)
+        got = g.component_labels()
+        pairs = set(zip(got.tolist(), want.tolist()))
+        assert len(pairs) == len(set(got.tolist())) == len(set(want.tolist()))
+    # three components and isolated node 9
+    assert len(set(graphs[0].component_labels().tolist())) == 4
 
 
 def test_relabel_permutes_adjacency():

@@ -505,6 +505,31 @@ def test_krylov_action_unscales_without_overflow_warning(sparse_er):
     assert ((traj.x >= 0.01) & (traj.x <= 1.0)).all()
 
 
+def test_sweep_computes_a_lone_component_bound_once(monkeypatch, sparse_er):
+    # on the moments route the diagonal's spectral bound also serves the
+    # action when one component holds every edge (here with an isolated
+    # node); with two components each action computes its own.  Either
+    # way R and C equal the separate expm calls bit for bit
+    calls = []
+    bound = riskcent.spectral._spectral_bound
+
+    def counted(a):
+        calls.append(a.shape[0])
+        return bound(a)
+
+    monkeypatch.setattr(riskcent.spectral, "_spectral_bound", counted)
+    lone = generate_er(1999, 8 / 1998, seed=3)
+    assert (np.bincount(lone.component_labels()) > 1).sum() == 1
+    edges = sparse_er(1000, 8.0, seed=4).edge_array()
+    pair = Graph(2000, np.vstack([edges, edges + [1000, 1000, 0]]))
+    for g, want in ((lone, [1999]), (pair, [2000, 1000, 1000])):
+        calls.clear()
+        prof = sweep(g)
+        assert calls == want
+        assert np.array_equal(prof.R, expm(g, prof.zeta_grid, np.ones(g.n)))
+        assert np.array_equal(prof.C, expm(g, prof.zeta_grid))
+
+
 def test_expm_result_shapes(monkeypatch):
     g = generate_er(20, 0.3, seed=3)
     v = np.ones(20)
