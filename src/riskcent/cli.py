@@ -15,6 +15,7 @@ import json
 import os
 import sys
 import time
+from itertools import compress
 
 import numpy as np
 
@@ -210,31 +211,34 @@ def cmd_interlace(args):
         raise ValueError("interlacement detection needs a grid of >= 2 "
                          "points")
     if args.all_pairs:
-        pairs = [(i, j) for i in range(g.n) for j in range(i + 1, g.n)]
+        pairs = np.column_stack(np.triu_indices(g.n, 1))
     else:
         if not args.pairs:
             raise ValueError("give --pairs 'i,j;k,l' or --all-pairs")
-        pairs = _parse_pairs(args.pairs, g.n)
+        pairs = np.array(_parse_pairs(args.pairs, g.n))
     _write_manifest(args.out, "interlace",
                     {"graph": args.graph, "weighted": args.weighted,
                      "measure": args.measure, "zeta_grid": grid.tolist(),
                      # all n(n-1)/2 pairs would dominate the manifest's size
                      "all_pairs": args.all_pairs,
-                     "pairs": (None if args.all_pairs
-                               else [list(p) for p in pairs])},
+                     "pairs": None if args.all_pairs else pairs.tolist()},
                     [args.graph], ["events.csv"])
     results = detect_pairs(g, pairs, measure=args.measure, zeta_grid=grid)
-    # the heuristics fill columns of event rows only: skip quiet pairs
-    found = [(pair, result) for pair, result in zip(pairs, results)
-             if result.events or result.tangencies]
-    walks = walk_counts(g, 60)
-    found_pairs = [pair for pair, _ in found]
-    linears = heuristic_linear_pairs(g, found_pairs, measure=args.measure,
+    # the heuristics fill columns of event rows only: skip quiet pairs, and
+    # count closed walks only at the endpoints of the others
+    hit = np.array([bool(r.events or r.tangencies) for r in results],
+                   dtype=bool)
+    found = pairs[hit]
+    linears = polys = ()
+    if found.size:
+        walks = walk_counts(g, 60, nodes=np.unique(found))
+        linears = heuristic_linear_pairs(g, found, measure=args.measure,
+                                         walks=walks)
+        polys = heuristic_poly_pairs(g, found, measure=args.measure,
                                      walks=walks)
-    polys = heuristic_poly_pairs(g, found_pairs, measure=args.measure,
-                                 walks=walks)
     rows = []
-    for ((i, j), result), linear, poly in zip(found, linears, polys):
+    for (i, j), result, linear, poly in zip(
+            found.tolist(), compress(results, hit), linears, polys):
         poly_root = (float(poly.roots[0]) if isinstance(poly, SeriesPolynomial)
                      and poly.roots.size else None)
         for event in result.events:

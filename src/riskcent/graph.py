@@ -451,55 +451,65 @@ class WalkCounts:
     """Walk tallies of one order.
 
     ``per_node_total[i]`` counts walks of length ``order`` starting at
-    ``i`` (the i-th entry of A^k 1); ``per_node_closed[i]`` counts those
-    returning to ``i`` (the diagonal of A^k).  ``exact`` is True while the
-    values are exact integers; weighted graphs and integer overflow both
-    clear it, the latter switching accumulation to float64.
+    ``i`` (the i-th entry of A^k 1).  ``per_node_closed[c]`` counts those
+    returning to node ``nodes[c]`` (its diagonal entry of A^k); ``nodes``
+    is None when the closed walks cover every node in order.  ``exact`` is
+    True while the values are exact integers; weighted graphs and integer
+    overflow both clear it, the latter switching accumulation to float64.
     """
 
     order: int
     per_node_total: np.ndarray
     per_node_closed: np.ndarray
     exact: bool
+    nodes: np.ndarray | None = None
 
 
-def walk_counts(g, kmax):
+def walk_counts(g, kmax, nodes=None):
     """Walk totals and closed-walk counts for orders ``0..kmax``.
 
-    Each order costs one sparse product of the CSR adjacency with the
-    running total and with the running power A^k, O(m n) in all.
+    Totals cover every node; closed walks only ``nodes`` (an index
+    sequence, in its order, repeats allowed; None means all nodes).  Each
+    order costs one sparse product of the CSR adjacency with the running
+    total and one with the q unit columns of ``nodes`` carried to A^k,
+    O(kmax m (1 + q)) in all.  The product sums each column on its own, so a
+    count does not depend on which other nodes are asked for.
+
     Unweighted graphs accumulate in int64 until the next product could
-    overflow, then continue in float64 with ``exact=False``.
+    overflow, then continue in float64 with ``exact=False``.  Only the
+    totals are watched: A is nonnegative, so (A^k)_ij <= (A^k 1)_i and no
+    closed-walk column can outgrow the largest total.  The switch thus
+    comes at the same order whatever ``nodes`` is.
     """
     if kmax < 0:
         raise GraphError("kmax must be nonnegative")
     n = g.n
+    every = nodes is None
+    nodes = np.arange(n) if every else np.asarray(nodes, dtype=np.int64)
+    if nodes.ndim != 1 or ((nodes < 0) | (nodes >= n)).any():
+        raise GraphError("nodes must be indices in 0..%d" % (n - 1))
+    tag = None if every else nodes.copy()
     integer = not g.is_weighted
-    a = g.sparse_adjacency()
-    if integer:
-        a = a.astype(np.int64)
-        # one product grows entries by at most the largest row sum
-        growth = int(g.degrees().max(initial=0))
-        total = np.ones(n, dtype=np.int64)
-        closed = np.eye(n, dtype=np.int64)
-    else:
-        total = np.ones(n)
-        closed = np.eye(n)
+    dtype = np.int64 if integer else np.float64
+    a = g.sparse_adjacency().astype(dtype)
+    # one product grows entries by at most the largest row sum
+    growth = int(g.degrees().max(initial=0)) if integer else 0
+    total = np.ones(n, dtype=dtype)
+    closed = np.zeros((n, nodes.size), dtype=dtype)
+    closed[nodes, np.arange(nodes.size)] = 1
     exact = integer
-    out = [WalkCounts(0, total.copy() if exact else total.astype(float),
-                      np.ones(n, dtype=np.int64) if exact else np.ones(n),
-                      exact)]
+    out = [WalkCounts(0, total.copy(), np.ones(nodes.size, dtype=dtype),
+                      exact, tag)]
     for k in range(1, kmax + 1):
-        if exact:
-            peak = int(max(total.max(initial=0), closed.max(initial=0)))
-            if growth and peak > _INT64_CAP // growth:
-                a = a.astype(np.float64)
-                total = total.astype(np.float64)
-                closed = closed.astype(np.float64)
-                exact = False
+        if exact and growth and int(total.max()) > _INT64_CAP // growth:
+            a = a.astype(np.float64)
+            total = total.astype(np.float64)
+            closed = closed.astype(np.float64)
+            exact = False
         total = a @ total
         closed = a @ closed
-        out.append(WalkCounts(k, total.copy(), np.diagonal(closed).copy(), exact))
+        out.append(WalkCounts(k, total.copy(),
+                              closed[nodes, np.arange(nodes.size)], exact, tag))
     return out
 
 

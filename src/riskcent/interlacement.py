@@ -13,6 +13,9 @@ and certifies an upper bound beyond which the ranking is frozen
 (``finiteness_check``).  Detection and the heuristics also come in batched
 forms over a list of pairs (``detect_pairs``, ``heuristic_linear_pairs``,
 ``heuristic_poly_pairs``); the single-pair functions call into them.
+The batched heuristics count closed walks only at the endpoints of their
+pairs, and ``heuristic_poly_pairs`` finds the roots of a block's
+polynomials with one companion-matrix eigenvalue call per degree.
 
 All computations run on the scaled difference exp(-zeta*lam_1) * f, whose
 sign pattern is identical and which stays finite for any zeta.
@@ -254,32 +257,56 @@ def _detect_block(ii, jj, measure, coef, grid, scale, shift, lam1,
 # -- series heuristics -------------------------------------------------------------
 
 
-def _series_coefficients(g, measure, kmax, walks=None):
-    """Per-order walk-count differences feeding the measure's series.
+def _series_coefficients(g, measure, kmax, nodes, walks=None):
+    """Per-order walk counts feeding the measure's series at ``nodes``.
 
     C draws on closed walks from order 2; R on walk totals from order 1; T
     on open walks (total minus closed) from order 1.  Returns (start,
-    series) with series[m] the per-node float counts of walk order
-    start + m.
+    series) with series[m, c] the float count of walk order start + m at
+    node ``nodes[c]``.  For C and T, ``walks`` must hold the closed walks
+    at every one of ``nodes``; without ``walks`` they are counted there.
     """
-    wc = walks if walks is not None else walk_counts(g, kmax)
-    if len(wc) <= kmax:
-        raise ValueError("walks cover order %d, need %d" % (len(wc) - 1, kmax))
-    if measure == "C":
-        start = 2
-        seq = [wc[m].per_node_closed.astype(float) for m in range(2, kmax + 1)]
-    elif measure == "R":
-        start = 1
-        seq = [wc[m].per_node_total.astype(float) for m in range(1, kmax + 1)]
-    elif measure == "T":
-        start = 1
-        seq = [wc[m].per_node_total.astype(float)
-               - wc[m].per_node_closed.astype(float)
-               for m in range(1, kmax + 1)]
-    else:
+    if measure not in MEASURES:
         raise ValueError("measure must be one of %r, got %r"
                          % (MEASURES, measure))
-    return start, np.array(seq)
+    if walks is None:
+        walks = walk_counts(g, kmax, nodes=nodes)
+    if len(walks) <= kmax:
+        raise ValueError("walks cover order %d, need %d"
+                         % (len(walks) - 1, kmax))
+    start = 2 if measure == "C" else 1
+    orders = range(start, kmax + 1)
+    total = np.array([walks[m].per_node_total[nodes] for m in orders],
+                     dtype=float)
+    if measure == "R":
+        return start, total
+    cols = _closed_columns(walks[0].nodes, nodes)
+    closed = np.array([walks[m].per_node_closed[cols] for m in orders],
+                      dtype=float)
+    return start, closed if measure == "C" else total - closed
+
+
+def _closed_columns(have, want):
+    """Positions in ``per_node_closed`` (over nodes ``have``, None for all)
+    of the nodes ``want``."""
+    if have is None:
+        return want
+    missing = np.setdiff1d(want, have)
+    if missing.size:
+        raise ValueError("walks hold no closed walks at node %d"
+                         % missing[0])
+    order = np.argsort(have, kind="stable")
+    return order[np.searchsorted(have[order], want)]
+
+
+def _pair_series(g, pairs, measure, kmax, walks):
+    """Validated endpoints ``(i, j)`` of ``pairs`` and the series at them:
+    ``(i, j, start, series, ci, cj)`` with ``series[:, ci[p]]`` the series
+    of node ``i[p]`` and ``series[:, cj[p]]`` that of ``j[p]``."""
+    ii, jj = _pair_index(g, pairs)
+    nodes, cols = np.unique(np.concatenate([ii, jj]), return_inverse=True)
+    start, series = _series_coefficients(g, measure, kmax, nodes, walks)
+    return ii, jj, start, series, cols[:ii.size], cols[ii.size:]
 
 
 def heuristic_linear(g, i, j, measure="C", walks=None):
@@ -297,11 +324,10 @@ def heuristic_linear(g, i, j, measure="C", walks=None):
 
 def heuristic_linear_pairs(g, pairs, measure="C", walks=None):
     """``heuristic_linear`` of every pair in ``pairs``: floats and Nones."""
-    ii, jj = _pair_index(g, pairs)
-    start, series = _series_coefficients(g, measure, 3 if measure == "C" else 2,
-                                         walks=walks)
-    a = series[0, ii] - series[0, jj]
-    b = series[1, ii] - series[1, jj]
+    _, _, start, series, ci, cj = _pair_series(
+        g, pairs, measure, 3 if measure == "C" else 2, walks)
+    a = series[0, ci] - series[0, cj]
+    b = series[1, ci] - series[1, cj]
     # reduced linear truncation: a/start! + b zeta/(start+1)! = 0
     with np.errstate(divide="ignore", invalid="ignore"):
         est = -(start + 1) * a / b
@@ -332,74 +358,112 @@ def heuristic_poly_pairs(g, pairs, measure="C", k=6, walks=None):
 
     One entry per pair: its ``SeriesPolynomial``, or the
     ``InterlacementError`` that ``heuristic_poly`` raises for it.  Roots
-    are sought only for the pairs that pass ``k >= k0``.
+    are sought only for the pairs that pass ``k >= k0``, a block of pairs
+    at a time (``_positive_real_roots_rows``).
     """
-    ii, jj = _pair_index(g, pairs)
     horizon = max(k, 60)
-    start, series = _series_coefficients(g, measure, horizon, walks=walks)
+    ii, jj, start, series, ci, cj = _pair_series(g, pairs, measure, horizon,
+                                                 walks)
     orders = np.arange(start, k + 1)
     factorials = np.array([float(math.factorial(m)) for m in orders])
     block = max(1, _BLOCK_ENTRIES // series.shape[0])
     out = []
     for s in range(0, ii.size, block):
-        bi, bj = ii[s:s + block], jj[s:s + block]
-        deltas = series[:, bi] - series[:, bj]  # (orders, pairs)
+        bi, bj = ii[s:s + block].tolist(), jj[s:s + block].tolist()
+        deltas = series[:, ci[s:s + block]] - series[:, cj[s:s + block]]
         pos = deltas >= 0  # zero counts as positive
         change = pos[1:] != pos[:-1]
         never = ~change.any(axis=0)
-        k0 = (change.argmax(axis=0) + 1 + start).tolist()
+        k0 = change.argmax(axis=0) + 1 + start
         coeffs = (deltas[:orders.size] / factorials[:, None]).T
-        for p, (i, j) in enumerate(zip(bi.tolist(), bj.tolist())):
+        solve = np.flatnonzero(~never & (k >= k0))
+        solved = dict(zip(solve.tolist(), zip(
+            _positive_real_roots_rows(coeffs[solve]),
+            _sign_changes(coeffs[solve]).tolist())))
+        never, k0 = never.tolist(), k0.tolist()
+        for p, (i, j) in enumerate(zip(bi, bj)):
             if never[p]:
                 out.append(InterlacementError(
                     "pair (%d, %d): the %s series coefficients never change "
                     "sign through order %d; no crossing is indicated at "
                     "series level" % (i, j, measure, horizon)))
-            elif k < k0[p]:
+            elif p not in solved:
                 out.append(InterlacementError(
                     "pair (%d, %d): truncation order k=%d is below the first "
                     "sign change k0=%d" % (i, j, k, k0[p])))
             else:
-                c = coeffs[p].copy()
-                nz = np.abs(c) > 0
-                descartes = int(np.count_nonzero(np.diff(np.sign(c[nz])) != 0))
-                roots, residuals = _positive_real_roots(c)
+                (roots, residuals), bound = solved[p]
                 out.append(SeriesPolynomial(
-                    i=i, j=j, measure=measure, k=k, k0=k0[p], coefficients=c,
-                    roots=roots, residuals=residuals,
-                    descartes_bound=descartes))
+                    i=i, j=j, measure=measure, k=k, k0=k0[p],
+                    coefficients=coeffs[p].copy(), roots=roots,
+                    residuals=residuals, descartes_bound=bound))
     return out
 
 
-def _positive_real_roots(ascending, imag_tol=1e-8, residual_tol=1e-10):
-    """Positive real roots of a polynomial given ascending coefficients.
+def _sign_changes(rows):
+    """Sign changes between consecutive nonzero entries of each row: the
+    Descartes bound on a polynomial's positive roots."""
+    p, m = np.nonzero(rows)  # row-major: entries ascend
+    signs = np.sign(rows[p, m])
+    flips = (p[1:] == p[:-1]) & (signs[1:] != signs[:-1])
+    return np.bincount(p[1:][flips], minlength=rows.shape[0])
 
-    Uses the companion-matrix eigenvalues (np.roots).  A root is kept when
-    its imaginary part is negligible and its backward-error residual
-    |p(x)| / sum_m |c_m| x^m falls below ``residual_tol``.
+
+def _positive_real_roots(ascending, imag_tol=1e-8, residual_tol=1e-10):
+    """Positive real roots of one polynomial given ascending coefficients:
+    the one-row case of ``_positive_real_roots_rows``."""
+    return _positive_real_roots_rows(
+        np.asarray(ascending, dtype=float)[None], imag_tol, residual_tol)[0]
+
+
+def _positive_real_roots_rows(coeffs, imag_tol=1e-8, residual_tol=1e-10):
+    """Positive real roots of each row of ascending coefficients.
+
+    Returns one ``(roots, residuals)`` per row, roots ascending.  The
+    roots are the eigenvalues of the companion matrix that ``np.roots``
+    builds (zero coefficients stripped from both ends, first row
+    ``-desc[1:] / desc[0]``, ones below the diagonal), solved in one
+    ``eigvals`` call per degree.  A root is kept when its imaginary part
+    is negligible, its real part positive and its backward-error residual
+    |p(x)| / sum_m |c_m| x^m, summed by Horner's rule as ``np.polyval``
+    does, falls below ``residual_tol``.
     """
-    coeffs = np.asarray(ascending, dtype=float)
-    while coeffs.size and coeffs[-1] == 0.0:
-        coeffs = coeffs[:-1]
-    if coeffs.size < 2:
-        return np.zeros(0), np.zeros(0)
-    desc = coeffs[::-1]
-    raw = np.roots(desc)
-    keep = []
-    for r in raw:
-        if abs(r.imag) > imag_tol * (1.0 + abs(r)):
-            continue
-        x = float(r.real)
-        if x <= 0.0:
-            continue
-        res = abs(np.polyval(desc, x)) / np.polyval(np.abs(desc), x)
-        if res <= residual_tol:
-            keep.append((x, res))
-    keep.sort()
-    if not keep:
-        return np.zeros(0), np.zeros(0)
-    xs, rs = zip(*keep)
-    return np.array(xs), np.array(rs)
+    coeffs = np.asarray(coeffs, dtype=float)
+    rows, width = coeffs.shape
+    if not coeffs.size:
+        return [(np.zeros(0), np.zeros(0)) for _ in range(rows)]
+    nonzero = coeffs != 0.0
+    lo = nonzero.argmax(axis=1)
+    hi = width - 1 - nonzero[:, ::-1].argmax(axis=1)
+    degree = np.where(nonzero.any(axis=1), hi - lo, 0)
+    owner, real = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
+    for d in np.unique(degree[degree > 0]).tolist():
+        r = np.flatnonzero(degree == d)
+        desc = coeffs[r[:, None], hi[r, None] - np.arange(d + 1)]
+        companion = np.zeros((r.size, d, d))
+        companion[:, 0, :] = -desc[:, 1:] / desc[:, :1]
+        companion[:, np.arange(1, d), np.arange(d - 1)] = 1.0
+        z = np.linalg.eigvals(companion)
+        skip = (np.abs(z.imag) > imag_tol * (1.0 + np.abs(z))) | (z.real <= 0.0)
+        p, c = np.nonzero(~skip)
+        owner.append(r[p])
+        real.append(z.real[p, c])
+    owner, x = np.concatenate(owner), np.concatenate(real)
+    desc = coeffs[owner, ::-1]
+    value, scale = np.zeros_like(x), np.zeros_like(x)
+    # a residual that overflows or divides zero by zero reads inf or nan,
+    # and is dropped
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for m in range(width):
+            value = value * x + desc[:, m]
+            scale = scale * x + np.abs(desc[:, m])
+        res = np.abs(value) / scale
+    keep = res <= residual_tol
+    owner, x, res = owner[keep], x[keep], res[keep]
+    order = np.lexsort((res, x, owner))
+    x, res = x[order], res[order]
+    ends = np.cumsum(np.bincount(owner, minlength=rows)).tolist()
+    return [(x[a:b], res[a:b]) for a, b in zip([0] + ends[:-1], ends)]
 
 
 def shifted_expansion(g, i, j, measure, zeta_star, k=6,

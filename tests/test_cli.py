@@ -441,6 +441,33 @@ def test_interlace_clique_hub_crossing(tmp_path):
     assert abs(float(row[8]) - zeta_star) < 0.25
 
 
+def test_interlace_counts_walks_only_for_pairs_with_events(tmp_path,
+                                                          monkeypatch):
+    graph = write_clique_plus_hub(tmp_path / "g.json")
+    calls = []
+    walk_counts = riskcent.cli.walk_counts
+
+    def spy(g, kmax, nodes=None):
+        calls.append(None if nodes is None else list(nodes))
+        return walk_counts(g, kmax, nodes=nodes)
+
+    monkeypatch.setattr(riskcent.cli, "walk_counts", spy)
+    # clique nodes 2, 3 and leaves 6, 7 are automorphic: no events
+    quiet = str(tmp_path / "quiet")
+    assert main(["interlace", graph, "--out", quiet, "--pairs", "2,3;6,7",
+                 "--measure", "C"]) == 0
+    header, rows = read_csv(os.path.join(quiet, "events.csv"))
+    assert header[:4] == ["i", "j", "measure", "kind"] and rows == []
+    assert calls == []
+    # only the endpoints of the crossing pair (5, 1) get closed walks
+    loud = str(tmp_path / "loud")
+    assert main(["interlace", graph, "--out", loud, "--pairs", "2,3;5,1",
+                 "--measure", "C", "--zeta-grid", "0.002:4.0:800"]) == 0
+    _, rows = read_csv(os.path.join(loud, "events.csv"))
+    assert {(r[0], r[1]) for r in rows} == {("5", "1")}
+    assert calls == [[1, 5]]
+
+
 def test_interlace_all_pairs_on_path(tmp_path):
     graph = tmp_path / "p3.txt"
     graph.write_text("0 1\n1 2\n")

@@ -479,6 +479,38 @@ def test_walk_counts_match_dense_reference(make):
                                        atol=0)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: generate_complete(20),
+    lambda: Graph(6, [(0, 1, 0.5), (1, 2, 2.0), (2, 3, 1.25), (3, 0, 0.75),
+                      (0, 2, 3.0), (4, 5, 1.5)]),
+], ids=["k20", "weighted"])
+@pytest.mark.parametrize("nodes", [[5, 2, 2, 0], [3], []],
+                         ids=["unsorted-repeat", "one", "empty"])
+def test_walk_counts_at_nodes_match_full_run(make, nodes):
+    g = make()
+    full = walk_counts(g, 60)
+    some = walk_counts(g, 60, nodes=nodes)
+    assert len(some) == len(full)
+    # k20 leaves int64 near order 46, so both modes are compared there
+    assert full[1].exact != g.is_weighted and not full[60].exact
+    assert [w.exact for w in some] == [w.exact for w in full]
+    for w, ref in zip(some, full):
+        assert w.order == ref.order
+        assert np.array_equal(w.nodes, nodes)
+        assert ref.nodes is None
+        assert w.per_node_total.dtype == ref.per_node_total.dtype
+        assert np.array_equal(w.per_node_total, ref.per_node_total)
+        assert w.per_node_closed.dtype == ref.per_node_closed.dtype
+        assert np.array_equal(w.per_node_closed, ref.per_node_closed[nodes])
+
+
+def test_walk_counts_rejects_bad_nodes():
+    g = generate_complete(4)
+    for nodes in ([4], [-1], [[0, 1]]):
+        with pytest.raises(GraphError):
+            walk_counts(g, 2, nodes=nodes)
+
+
 def test_walk_counts_weighted_not_exact():
     g = Graph(3, [(0, 1, 0.5), (1, 2, 2.0)])
     wc = walk_counts(g, 3)

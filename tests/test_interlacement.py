@@ -10,6 +10,7 @@ from riskcent.interlacement import (
     InterlacementError,
     SeriesPolynomial,
     _positive_real_roots,
+    _positive_real_roots_rows,
     detect,
     detect_pairs,
     difference_derivatives,
@@ -147,6 +148,33 @@ def reference_poly(walks, i, j, measure, k):
         [math.factorial(m) for m in range(start, k + 1)])
     nz = np.abs(coeffs) > 0
     return k0, coeffs, int(np.count_nonzero(np.diff(np.sign(coeffs[nz])) != 0))
+
+
+def reference_positive_real_roots(ascending, imag_tol=1e-8,
+                                  residual_tol=1e-10):
+    """One polynomial's positive real roots, one ``np.roots`` call and one
+    ``np.polyval`` residual per root: ``(roots, residuals)``."""
+    coeffs = np.asarray(ascending, dtype=float)
+    while coeffs.size and coeffs[-1] == 0.0:
+        coeffs = coeffs[:-1]
+    if coeffs.size < 2:
+        return np.zeros(0), np.zeros(0)
+    desc = coeffs[::-1]
+    keep = []
+    for r in np.roots(desc):
+        if abs(r.imag) > imag_tol * (1.0 + abs(r)):
+            continue
+        x = float(r.real)
+        if x <= 0.0:
+            continue
+        res = abs(np.polyval(desc, x)) / np.polyval(np.abs(desc), x)
+        if res <= residual_tol:
+            keep.append((x, res))
+    keep.sort()
+    if not keep:
+        return np.zeros(0), np.zeros(0)
+    xs, rs = zip(*keep)
+    return np.array(xs), np.array(rs)
 
 
 # -- detect ---------------------------------------------------------------------
@@ -322,7 +350,7 @@ def test_batched_heuristics_match_per_pair_reference(make, measure,
                     i, j, measure, k, k0)
                 assert np.array_equal(poly.coefficients, coeffs)
                 assert poly.descartes_bound == descartes
-                roots, residuals = _positive_real_roots(coeffs)
+                roots, residuals = reference_positive_real_roots(coeffs)
                 assert np.array_equal(poly.roots, roots)
                 assert np.array_equal(poly.residuals, residuals)
         # the single-pair forms agree, rejections and messages included
@@ -335,6 +363,57 @@ def test_batched_heuristics_match_per_pair_reference(make, measure,
             else:
                 single = heuristic_poly(g, i, j, measure, k=k, walks=walks)
                 assert np.array_equal(single.roots, poly.roots)
+
+
+def random_polynomials(rng, rows, width):
+    """Ascending coefficient rows of mixed degrees, shifted by a random
+    power of x and zero-padded above: random coefficients, small integers
+    (some zero), double positive roots, complex roots only, and rows that
+    are zero or a monomial."""
+    poly = np.polynomial.polynomial
+    out = np.zeros((rows, width))
+    for r in range(rows):
+        kind = r % 5
+        degree = int(rng.integers(1, width))
+        if kind == 0:
+            c = (rng.standard_normal(degree + 1)
+                 * 10.0 ** rng.integers(-3, 4, degree + 1))
+        elif kind == 1:
+            c = rng.integers(-3, 4, degree + 1).astype(float)
+        elif kind == 2:
+            roots = np.repeat(rng.uniform(0.1, 5.0, (degree + 1) // 2), 2)
+            c = rng.uniform(-2.0, 2.0) * poly.polyfromroots(roots[:degree])
+        elif kind == 3:
+            z = (rng.uniform(0.5, 3.0, degree // 2)
+                 * np.exp(1j * rng.uniform(0.3, 2.8, degree // 2)))
+            c = poly.polyfromroots(np.concatenate([z, z.conj()])).real
+        else:
+            c = np.array([rng.choice([0.0, -1.5, 2.0])])
+        shift = int(rng.integers(0, width - c.size + 1))
+        out[r, shift:shift + c.size] = c
+    return out
+
+
+def test_batched_roots_match_np_roots_reference():
+    rng = np.random.default_rng(14)
+    coeffs = random_polynomials(rng, 400, 7)
+    degrees = {int(np.ptp(np.flatnonzero(c))) if c.any() else -1
+               for c in coeffs}
+    assert degrees >= {-1, 0, 1, 2, 3, 4, 5, 6}
+    batch = _positive_real_roots_rows(coeffs)
+    assert len(batch) == len(coeffs)
+    kept = 0
+    for c, (roots, residuals) in zip(coeffs, batch):
+        want = reference_positive_real_roots(c)
+        assert np.array_equal(roots, want[0])
+        assert np.array_equal(residuals, want[1])
+        single = _positive_real_roots(c)
+        assert np.array_equal(single[0], roots)
+        assert np.array_equal(single[1], residuals)
+        kept += roots.size
+    assert kept > 100
+    assert _positive_real_roots_rows(np.zeros((0, 4))) == []
+    assert [r.size for r, _ in _positive_real_roots_rows(np.zeros((2, 0)))] == [0, 0]
 
 
 # -- linear heuristic -------------------------------------------------------------
