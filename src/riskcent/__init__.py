@@ -1,10 +1,11 @@
 """Risk-dependent network centralities from SI contagion dynamics.
 
-The package covers the full pipeline: graph handling, a spectral/Krylov
-matrix-exponential engine, the risk-dependent centrality family and its
-rankings, SI epidemic trajectories and bounds, ranking-interlacement
-detection with series heuristics, random-graph ratio experiments, and the
-two financial-network applications (correlation MST, board-interlock
+The package covers the full pipeline: graph handling, a matrix-exponential
+engine (the eigendecomposition, or a Poisson-weighted power series of the
+sparse adjacency), the risk-dependent centrality family and its rankings,
+SI epidemic trajectories and bounds, ranking-interlacement detection with
+series heuristics, random-graph ratio experiments, and the two
+financial-network applications (correlation MST, board-interlock
 projection).
 """
 
@@ -14,7 +15,6 @@ from .graph import (  # noqa: F401
     Graph,
     GraphError,
     WalkCounts,
-    binarize,
     generate_complete,
     generate_er,
     generate_er_m,
@@ -26,7 +26,6 @@ from .graph import (  # noqa: F401
     project_bipartite,
     relabel,
     save_json,
-    triangle_counts,
     walk_counts,
 )
 from .spectral import (  # noqa: F401
@@ -40,7 +39,6 @@ from .centrality import (  # noqa: F401
     RankingSweep,
     RiskProfile,
     default_zeta_grid,
-    limit_rankings,
     rank,
     ranking_sweep,
     spearman,
@@ -55,29 +53,20 @@ from .epidemics import (  # noqa: F401
     si_lee_general,
     si_linearized,
     si_meanfield,
-    survival_ratio,
 )
 from .interlacement import (  # noqa: F401
     DetectionResult,
-    FinitenessReport,
     InterlacementError,
     InterlacementEvent,
     SeriesPolynomial,
     detect,
-    difference_derivatives,
-    finiteness_check,
     heuristic_linear,
     heuristic_poly,
-    shifted_expansion,
 )
 from .experiments import (  # noqa: F401
     CorrelationTable,
     DistributionSummary,
     ExperimentConfig,
-    TTestResult,
-    er_ratio_limit_check,
-    paired_t_test,
-    ratio_derivative_curve,
     ratio_study,
     read_config,
     spearman_table,
@@ -92,7 +81,6 @@ from .finance import (  # noqa: F401
     correlation_and_distance,
     delta_rank,
     lda_fit,
-    lda_predict,
     load_returns,
     load_svc,
     mst,

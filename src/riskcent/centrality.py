@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import decompose, expm_with_diagonal
+from .spectral import expm_with_diagonal
 
 MEASURES = ("R", "C", "T")
 
@@ -67,15 +67,6 @@ class RiskProfile:
         write_grid_csv(path, "zeta", self.zeta_grid, self.measure(measure),
                        self.labels)
 
-    def to_json_dict(self):
-        return {
-            "zeta_grid": self.zeta_grid.tolist(),
-            "labels": list(self.labels),
-            "R": self.R.tolist(),
-            "C": self.C.tolist(),
-            "T": self.T.tolist(),
-        }
-
 
 def sweep(g, zeta_grid=None):
     """Evaluate all three measures on a zeta grid.
@@ -83,7 +74,7 @@ def sweep(g, zeta_grid=None):
     The default grid is 0.01, 0.02, ..., 1.00.  R and C take the route
     ``expm`` chooses for the diagonal (``spectral.expm_with_diagonal``): on
     the dense route both come from the one decomposition, otherwise R from
-    the Krylov action and C from the power moments, so the graph is
+    the power-series action and C from the power moments, so the graph is
     never decomposed.
     """
     grid = _grid(zeta_grid)
@@ -227,16 +218,3 @@ def _row_corr(x, y):
     ok = (sxx > 0.0) & (syy > 0.0)
     out[ok] = np.clip(sxy[ok] / np.sqrt(sxx[ok] * syy[ok]), -1.0, 1.0)
     return out
-
-
-def limit_rankings(g):
-    """Rankings at the two extremes of zeta for a connected graph.
-
-    Returns ``(degree_ranks, eigenvector_ranks)``:  as zeta -> 0 the
-    measures order nodes by degree (strength when weighted); as
-    zeta -> infinity by the Perron eigenvector entry.
-    """
-    if not g.is_connected():
-        raise ValueError("limit rankings need a connected graph "
-                         "(the Perron vector is not unique otherwise)")
-    return rank(g.strengths()), rank(decompose(g).eigenvectors[:, 0])

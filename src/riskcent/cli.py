@@ -33,7 +33,7 @@ from .graph import (GraphError, load_edge_list, load_json, load_memberships,
 from .interlacement import (InterlacementError, SeriesPolynomial,
                             detect_pairs, heuristic_linear_pairs,
                             heuristic_poly_pairs)
-from .spectral import EigensolverError, KrylovConvergenceError
+from .spectral import EigensolverError, KrylovConvergenceError, decompose
 
 _SOLVERS = ("exact", "lee", "lee-general", "linearized", "mean-field")
 
@@ -216,6 +216,9 @@ def cmd_interlace(args):
         if not args.pairs:
             raise ValueError("give --pairs 'i,j;k,l' or --all-pairs")
         pairs = np.array(_parse_pairs(args.pairs, g.n))
+    # refuses a graph above the dense limit before the manifest; the
+    # decomposition is cached, so detect_pairs reuses it
+    decompose(g)
     _write_manifest(args.out, "interlace",
                     {"graph": args.graph, "weighted": args.weighted,
                      "measure": args.measure, "zeta_grid": grid.tolist(),
@@ -355,6 +358,16 @@ def cmd_corporate(args):
     memberships = load_memberships(args.memberships)
     g = project_bipartite(memberships, binary=args.binary)
     trends = svc_trend(load_svc(args.svc), threshold=args.threshold)
+    profile = sweep(g, np.array([args.zeta_lo, args.zeta_hi]))
+    shifts = delta_rank(profile, zeta_hi=args.zeta_hi, zeta_lo=args.zeta_lo,
+                        measure=args.measure)
+    used = [(k, name) for k, name in enumerate(g.labels) if name in trends]
+    if not used:
+        raise ValueError("no company has both a network position and a "
+                         "trend label")
+    x = np.array([shifts[k] for k, _ in used], dtype=float)
+    y = np.array([trends[name].label for _, name in used])
+    model = lda_fit(x, y)
     _write_manifest(args.out, "corporate",
                     {"memberships": args.memberships, "svc": args.svc,
                      "binary": args.binary, "measure": args.measure,
@@ -362,10 +375,7 @@ def cmd_corporate(args):
                      "threshold": args.threshold},
                     [args.memberships, args.svc],
                     ["delta_rank.csv", "lda.json"])
-    budget.check("start")
-    profile = sweep(g, np.array([args.zeta_lo, args.zeta_hi]))
-    shifts = delta_rank(profile, zeta_hi=args.zeta_hi, zeta_lo=args.zeta_lo,
-                        measure=args.measure)
+    budget.check("rank shifts")
     with open(os.path.join(args.out, "delta_rank.csv"), "w",
               newline="") as fh:
         w = csv.writer(fh)
@@ -375,13 +385,6 @@ def cmd_corporate(args):
             w.writerow([name, int(shift),
                         "" if t is None else repr(t.rho),
                         "" if t is None else t.label])
-    used = [(k, name) for k, name in enumerate(g.labels) if name in trends]
-    if not used:
-        raise ValueError("no company has both a network position and a "
-                         "trend label")
-    x = np.array([shifts[k] for k, _ in used], dtype=float)
-    y = np.array([trends[name].label for _, name in used])
-    model = lda_fit(x, y)
     doc = model.to_json_dict()
     doc["n"] = len(used)
     doc["companies"] = [name for _, name in used]

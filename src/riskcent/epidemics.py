@@ -212,16 +212,3 @@ def si_meanfield(kbar, params):
     x = beta / (beta + (1.0 - beta) * np.exp(-params.gamma * kbar * params.t_grid))
     return SITrajectory(params.t_grid, x[:, None], "mean-field",
                         labels=["mean"])
-
-
-def survival_ratio(g, zeta, beta, i, j):
-    """Relative survival odds of node i against node j under the bound.
-
-    (1 - x_i) / (1 - x_j) = exp((beta/alpha) * (R_j - R_i)) at the given
-    zeta; values below 1 mean node i is the more exposed one.
-    """
-    if not 0.0 < beta < 1.0:
-        raise ValueError("beta must lie strictly inside (0, 1)")
-    r = expm(g, zeta, np.ones(g.n))
-    alpha = 1.0 - beta
-    return float(np.exp((beta / alpha) * (r[j] - r[i])))

@@ -1,4 +1,4 @@
-"""Random-graph experiments: ratio spreads, rank agreement, asymptotics.
+"""Random-graph experiments: ratio spreads and rank agreement.
 
 All experiments draw connected Erdos-Renyi samples.  Replication r of
 density block d uses the substream seed ``child_seed(master, d, r)``, so
@@ -218,66 +218,3 @@ def spearman_table(config, ratios=()):
                         samples[:, z_idx].reshape(-1)))
     return CorrelationTable(config.densities, config.zetas,
                             rank_corr, value_corr, ratios=pooled)
-
-
-def er_ratio_limit_check(n_values, density, zeta, replications, seed):
-    """Mean deviation |n * C_i / R_i - 1| along a ladder of graph sizes.
-
-    The measures concentrate as n grows: C/R approaches 1/n node by node,
-    so the returned deviations should shrink along ``n_values``.
-    """
-    n_values = [int(n) for n in n_values]
-    out = np.empty(len(n_values))
-    for b, n in enumerate(n_values):
-        devs = []
-        for rep in range(replications):
-            g = generate_er(n, density, seed=child_seed(seed, b, rep),
-                            require_connected=True)
-            prof = sweep(g, [zeta])
-            devs.append(np.abs(n * prof.C[0] / prof.R[0] - 1.0).mean())
-        out[b] = float(np.mean(devs))
-    return out
-
-
-def ratio_derivative_curve(kbar, zeta_grid):
-    """Closed-form slope of the truncated mean-ratio (2+kz^2)/(2+2kz+k^2z^2).
-
-    Equals [2 k^2 z^2 - (4 k (k-1) z + 4 k)] / (2 + 2 k z + k^2 z^2)^2;
-    at (kbar, zeta) = (1, 0) the value is exactly -1.
-    """
-    kbar = float(kbar)
-    if kbar < 0:
-        raise ValueError("mean degree must be nonnegative")
-    z = np.asarray(zeta_grid, dtype=float)
-    num = 2.0 * kbar**2 * z**2 - (4.0 * kbar * (kbar - 1.0) * z + 4.0 * kbar)
-    den = (2.0 + 2.0 * kbar * z + kbar**2 * z**2) ** 2
-    return num / den
-
-
-# -- paired t-test ------------------------------------------------------------
-
-
-@dataclass
-class TTestResult:
-    statistic: float
-    pvalue: float
-    df: int
-
-
-def paired_t_test(a, b):
-    """Two-sided paired t-test (``scipy.stats.ttest_rel``).
-
-    Degenerate pairs (zero variance of the differences) are an error.
-    """
-    from scipy.stats import ttest_rel
-
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape or a.ndim != 1 or a.size < 2:
-        raise ValueError("need two equal-length 1-D samples with >= 2 entries")
-    if (a - b).std(ddof=1) == 0.0:
-        raise ValueError("zero variance of the paired differences; "
-                         "the t statistic is undefined")
-    res = ttest_rel(a, b)
-    return TTestResult(statistic=float(res.statistic),
-                       pvalue=float(res.pvalue), df=a.size - 1)

@@ -15,7 +15,7 @@ import csv
 import datetime
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -423,12 +423,6 @@ def lda_fit(x, labels):
     tn = int(((pred == -1) & ~pos).sum())
     return LdaModel(intercept=float(intercept), slope=float(slope),
                     accuracy=(tp + tn) / x.size, tp=tp, fn=fn, fp=fp, tn=tn)
-
-
-def lda_predict(model, x):
-    """Labels in {-1, +1} under the fitted score rule."""
-    x = np.asarray(x, dtype=float)
-    return np.where(model.intercept + model.slope * x > 0.0, 1, -1)
 
 
 # -- outcome trends --------------------------------------------------------

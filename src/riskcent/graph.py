@@ -164,20 +164,8 @@ class Graph:
         np.add.at(d, self._v, 1)
         return d
 
-    def strengths(self):
-        """Weighted degrees, the row sums of the adjacency."""
-        s = np.zeros(self.n)
-        np.add.at(s, self._u, self._w)
-        np.add.at(s, self._v, self._w)
-        return s
-
     def mean_degree(self):
         return 2.0 * self.m / self.n
-
-    def density(self):
-        if self.n < 2:
-            return 0.0
-        return 2.0 * self.m / (self.n * (self.n - 1))
 
     def component_labels(self):
         """Connected-component index per node."""
@@ -408,11 +396,6 @@ def project_bipartite(memberships, binary=False):
     return Graph(len(comp_labels), edges, labels=comp_labels)
 
 
-def binarize(g):
-    """Copy of ``g`` with every weight set to 1."""
-    return Graph(g.n, np.column_stack([g._u, g._v]), labels=g.labels)
-
-
 def largest_component(g):
     """Subgraph induced by the largest connected component.
 
@@ -511,11 +494,3 @@ def walk_counts(g, kmax, nodes=None):
         out.append(WalkCounts(k, total.copy(),
                               closed[nodes, np.arange(nodes.size)], exact, tag))
     return out
-
-
-def triangle_counts(g):
-    """Per-node triangle counts t_i for an unweighted graph."""
-    if g.is_weighted:
-        raise GraphError("triangle counts are defined for unweighted graphs")
-    closed3 = walk_counts(g, 3)[3].per_node_closed
-    return closed3 // 2

@@ -7,12 +7,11 @@ For a node pair (i, j) and a measure M in {R, C, T}, the difference
 is an exponential sum over the adjacency spectrum.  An interlacement is a
 zeta* > 0 where f changes sign: the pair's ranking depends on which side of
 zeta* the analysis sits.  This module locates crossings numerically
-(``detect``), predicts them from leading walk counts (``heuristic_linear``,
-``heuristic_poly``), continues past a known crossing (``shifted_expansion``),
-and certifies an upper bound beyond which the ranking is frozen
-(``finiteness_check``).  Detection and the heuristics also come in batched
-forms over a list of pairs (``detect_pairs``, ``heuristic_linear_pairs``,
-``heuristic_poly_pairs``); the single-pair functions call into them.
+(``detect``) and predicts them from leading walk counts
+(``heuristic_linear``, ``heuristic_poly``).  Detection and the heuristics
+also come in batched forms over a list of pairs (``detect_pairs``,
+``heuristic_linear_pairs``, ``heuristic_poly_pairs``); the single-pair
+functions call into them.
 The batched heuristics count closed walks only at the endpoints of their
 pairs, and ``heuristic_poly_pairs`` finds the roots of a block's
 polynomials with one companion-matrix eigenvalue call per degree.
@@ -24,7 +23,7 @@ sign pattern is identical and which stays finite for any zeta.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -88,20 +87,6 @@ class SeriesPolynomial:
     descartes_bound: int
 
 
-@dataclass
-class FinitenessReport:
-    """Tail-bound certificate that no crossing exists beyond ``zeta_bar``."""
-
-    i: int
-    j: int
-    measure: str
-    decidable: bool
-    zeta_bar: float | None
-    perron_gap: float
-    tail_at_zero: float
-    message: str
-
-
 # -- spectral difference -------------------------------------------------------
 
 # Entries (about 2 MB of float64) that one block of pairs may hold in a
@@ -135,21 +120,6 @@ def _pair_index(g, pairs):
     if (i == j).any():
         raise ValueError("need two distinct nodes")
     return i, j
-
-
-def difference_derivatives(g, i, j, measure, zeta, max_order):
-    """Derivatives d^m/dzeta^m of M_i - M_j at ``zeta``, orders 0..max_order.
-
-    Computed spectrally: the m-th derivative is sum_k lam_k^m d_k
-    exp(zeta lam_k).  Unscaled, so ``zeta * lam_1`` must stay within
-    floating range.
-    """
-    _pair_index(g, [(i, j)])
-    d = decompose(g)
-    coef = _pair_coefficients(d, i, j, measure)
-    lam = d.eigenvalues
-    powers = np.vander(lam, max_order + 1, increasing=True).T  # (orders, n)
-    return powers @ (coef * np.exp(zeta * lam))
 
 
 # -- detection -------------------------------------------------------------------
@@ -409,13 +379,6 @@ def _sign_changes(rows):
     return np.bincount(p[1:][flips], minlength=rows.shape[0])
 
 
-def _positive_real_roots(ascending, imag_tol=1e-8, residual_tol=1e-10):
-    """Positive real roots of one polynomial given ascending coefficients:
-    the one-row case of ``_positive_real_roots_rows``."""
-    return _positive_real_roots_rows(
-        np.asarray(ascending, dtype=float)[None], imag_tol, residual_tol)[0]
-
-
 def _positive_real_roots_rows(coeffs, imag_tol=1e-8, residual_tol=1e-10):
     """Positive real roots of each row of ascending coefficients.
 
@@ -464,102 +427,3 @@ def _positive_real_roots_rows(coeffs, imag_tol=1e-8, residual_tol=1e-10):
     x, res = x[order], res[order]
     ends = np.cumsum(np.bincount(owner, minlength=rows)).tolist()
     return [(x[a:b], res[a:b]) for a, b in zip([0] + ends[:-1], ends)]
-
-
-def shifted_expansion(g, i, j, measure, zeta_star, k=6,
-                      bracket_tol=BRACKET_TOL_DEFAULT):
-    """Predict the crossing after ``zeta_star`` by re-expanding there.
-
-    Builds the degree-k Taylor polynomial of the measure difference around
-    zeta_star from its spectral derivatives, takes the smallest positive
-    root eta* of the reduced polynomial, and validates the candidate
-    zeta_star + eta* with a local ``detect``.  Returns the refined event,
-    or None when no positive root exists or the candidate fails validation.
-    """
-    _pair_index(g, [(i, j)])
-    if zeta_star < 0:
-        raise ValueError("zeta_star must be nonnegative")
-    if k < 1:
-        raise ValueError("need k >= 1 derivative orders")
-    d = decompose(g)
-    coef = _pair_coefficients(d, i, j, measure)
-    lam = d.eigenvalues
-    # scaled derivatives: common factor exp(zeta* lam_1) drops out of roots
-    weights = coef * np.exp(zeta_star * (lam - lam[0]))
-    derivs = np.vander(lam, k + 1, increasing=True).T @ weights  # orders 0..k
-    coeffs = derivs[1:] / np.array([math.factorial(m) for m in range(1, k + 1)])
-    roots, _ = _positive_real_roots(coeffs)
-    if roots.size == 0:
-        return None
-    eta = float(roots[0])
-    lo = zeta_star + max(10 * bracket_tol, 0.05 * eta)
-    hi = zeta_star + 1.6 * eta
-    local = np.linspace(lo, hi, 400)
-    found = detect(g, i, j, measure=measure, zeta_grid=local,
-                   bracket_tol=bracket_tol)
-    if not found.events:
-        return None
-    ev = found.events[0]
-    ev.method = "shifted-expansion"
-    return ev
-
-
-# -- finiteness ------------------------------------------------------------------
-
-
-def finiteness_check(g, i, j, measure="C"):
-    """Certify a zeta_bar beyond which the pair's order is frozen.
-
-    Beyond zeta_bar the leading term |d_1| dominates the (monotonically
-    shrinking) tail sum_{k>=2} |d_k| exp(zeta (lam_k - lam_1)), so the
-    difference keeps the sign of d_1 and no further crossing can occur.
-    Pairs with equal Perron entries (within 1e-12) are undecidable here.
-    """
-    _pair_index(g, [(i, j)])
-    d = decompose(g)
-    u = d.eigenvectors
-    lam = d.eigenvalues
-    perron_gap = float(abs(u[i, 0] - u[j, 0]))
-    coef = _pair_coefficients(d, i, j, measure)
-    lead = abs(float(coef[0]))
-    tail0 = float(np.abs(coef[1:]).sum())
-    if perron_gap <= 1e-12:
-        return FinitenessReport(
-            i=i, j=j, measure=measure, decidable=False, zeta_bar=None,
-            perron_gap=perron_gap, tail_at_zero=tail0,
-            message="leading eigenvector entries agree within 1e-12; "
-                    "the dominance test cannot decide this pair")
-
-    gaps = lam[1:] - lam[0]
-    mags = np.abs(coef[1:])
-
-    def tail(z):
-        return float(np.exp(z * gaps) @ mags)
-
-    if tail0 < lead:
-        return FinitenessReport(
-            i=i, j=j, measure=measure, decidable=True, zeta_bar=0.0,
-            perron_gap=perron_gap, tail_at_zero=tail0,
-            message="leading term dominates already at zeta = 0")
-    hi = 1.0
-    for _ in range(80):
-        if tail(hi) < lead:
-            break
-        hi *= 2.0
-    else:
-        return FinitenessReport(
-            i=i, j=j, measure=measure, decidable=False, zeta_bar=None,
-            perron_gap=perron_gap, tail_at_zero=tail0,
-            message="tail bound did not certify dominance below zeta ~ 1e24 "
-                    "(vanishing spectral gap?)")
-    lo = 0.0
-    while hi - lo > 1e-10 * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
-        if tail(mid) < lead:
-            hi = mid
-        else:
-            lo = mid
-    return FinitenessReport(
-        i=i, j=j, measure=measure, decidable=True, zeta_bar=hi,
-        perron_gap=perron_gap, tail_at_zero=tail0,
-        message="no crossing is possible beyond zeta_bar")

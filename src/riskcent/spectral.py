@@ -47,12 +47,9 @@ import numpy as np
 from scipy.special import gammainc, gammaincinv, gammaln, xlogy
 
 DENSE_LIMIT_DEFAULT = 5000
-KRYLOV_MAX_DIM_DEFAULT = 200
 _EXP_MAX = float(np.log(np.finfo(float).max))  # largest finite exp argument
 _EPS = float(np.finfo(float).eps)
-# largest degree of one power sum: what KRYLOV_MAX_DIM_DEFAULT Krylov
-# vectors per node reach in the diagonal's moments
-_MAX_DEGREE = 2 * (KRYLOV_MAX_DIM_DEFAULT - 1)
+_MAX_DEGREE = 398  # largest degree of one power sum
 # largest s = z b that one sum of that degree resolves (_tail_ok), ~255
 _REACH = float(gammaincinv(_MAX_DEGREE + 1.0, _EPS / 4.0))
 _BOUND_STEPS = 20  # power steps behind the moments route's spectral bound
@@ -70,13 +67,8 @@ class EigensolverError(RuntimeError):
 
 
 class KrylovConvergenceError(RuntimeError):
-    """The power series of the diagonal needs a degree past its cap of
-    ``KRYLOV_MAX_DIM_DEFAULT`` Krylov vectors per node."""
-
-    def __init__(self, message, achieved, dimension):
-        super().__init__(message)
-        self.achieved = achieved
-        self.dimension = dimension
+    """The power series of the diagonal needs a degree past its cap
+    ``_MAX_DEGREE``."""
 
 
 @dataclass(frozen=True)
@@ -92,17 +84,6 @@ class SpectralDecomposition:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-
-    @property
-    def n(self):
-        return self.eigenvalues.size
-
-    @property
-    def gap(self):
-        """Spectral gap lam_1 - lam_2 (0 for a single node)."""
-        if self.n < 2:
-            return 0.0
-        return float(self.eigenvalues[0] - self.eigenvalues[1])
 
 
 def decompose(g):
@@ -347,22 +328,20 @@ def _moment_diag(a, z, scaled, b=None):
     would cancel to rounding level of ``exp(s)``.  One pass of
     ``_power_moments`` per ``_MOMENT_BLOCK`` nodes serves every grid
     point; each row sums its own degree (``_tail_ok``), so a grid row
-    equals the single-z call.  The degree at the top of the grid may use
-    at most ``KRYLOV_MAX_DIM_DEFAULT`` Krylov vectors per node, degree
-    ``_MAX_DEGREE``; past that raises ``KrylovConvergenceError``.  Scaled
-    rows are ``(rows, s)``, with the Poisson weights ``exp(-s) s^k / k!``.
+    equals the single-z call.  The degree at the top of the grid is at
+    most ``_MAX_DEGREE``, which resolves z up to ``_REACH / b``; past that
+    raises ``KrylovConvergenceError``.  Scaled rows are ``(rows, s)``, with
+    the Poisson weights ``exp(-s) s^k / k!``.
     """
     if b is None:
         b = _spectral_bound(a)
     s = z * b
     ok = _tail_ok(s.max(), np.arange(_MAX_DEGREE + 1))
     if not ok.any():
-        tail = float(gammainc(_MAX_DEGREE + 1.0, s.max()))
         raise KrylovConvergenceError(
-            "power moments of the diagonal did not reach rel tol %g at "
-            "zeta = %g in %d dimensions (achieved %g)"
-            % (_EPS, z.max(), KRYLOV_MAX_DIM_DEFAULT, tail),
-            achieved=tail, dimension=KRYLOV_MAX_DIM_DEFAULT)
+            "the power series of the diagonal needs a degree past its cap "
+            "%d at zeta = %g; this graph resolves zeta <= %.4g"
+            % (_MAX_DEGREE, z.max(), _REACH / b))
     top = int(np.argmax(ok))
     # the tail grows with s, so every row passes by degree top
     ok = _tail_ok(s[:, None], np.arange(top + 1))

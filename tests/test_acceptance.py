@@ -18,8 +18,7 @@ import pytest
 from riskcent.centrality import default_zeta_grid, sweep
 from riskcent.cli import main
 from riskcent.epidemics import SIParams, si_exact, si_lee, si_meanfield
-from riskcent.experiments import (ExperimentConfig, er_ratio_limit_check,
-                                  ratio_derivative_curve, spearman_table)
+from riskcent.experiments import ExperimentConfig, child_seed, spearman_table
 from riskcent.finance import lda_fit, mst
 from riskcent.graph import (Graph, generate_complete, generate_er,
                             generate_er_m)
@@ -167,10 +166,28 @@ def test_c04_ratio_dispersion_claims():
 # -- criterion 5: C/R concentration along a size ladder -----------------------
 
 
+def ratio_limit_deviations(n_values, density, zeta, replications, seed):
+    """Mean deviation |n * C_i / R_i - 1| along a ladder of graph sizes.
+
+    The measures concentrate as n grows: C/R approaches 1/n node by node.
+    Replication r of size b draws ``child_seed(seed, b, r)``.
+    """
+    out = np.empty(len(n_values))
+    for b, n in enumerate(n_values):
+        devs = []
+        for rep in range(replications):
+            g = generate_er(n, density, seed=child_seed(seed, b, rep),
+                            require_connected=True)
+            prof = sweep(g, [zeta])
+            devs.append(np.abs(n * prof.C[0] / prof.R[0] - 1.0).mean())
+        out[b] = float(np.mean(devs))
+    return out
+
+
 def test_c05_ratio_limit_strictly_decreasing_in_n():
     for zeta in (0.1, 1.0):
-        devs = er_ratio_limit_check((50, 100, 200, 400), density=0.5,
-                                    zeta=zeta, replications=20, seed=7)
+        devs = ratio_limit_deviations((50, 100, 200, 400), density=0.5,
+                                      zeta=zeta, replications=20, seed=7)
         assert (np.diff(devs) < 0).all(), (
             "zeta=%g: %s" % (zeta, np.array2string(devs)))
 
@@ -332,9 +349,18 @@ def test_c10_lda_oracle_and_corporate_fixture(tmp_path):
 # -- criterion 11: ratio-derivative closed form -------------------------------
 
 
+def ratio_derivative(kbar, z):
+    """Closed-form slope of the truncated mean ratio
+    (2 + k z^2) / (2 + 2 k z + k^2 z^2) at mean degree k:
+    (2 k^2 z^2 - 4 k (k - 1) z - 4 k) / (2 + 2 k z + k^2 z^2)^2."""
+    z = np.asarray(z, dtype=float)
+    num = 2.0 * kbar**2 * z**2 - (4.0 * kbar * (kbar - 1.0) * z + 4.0 * kbar)
+    return num / (2.0 + 2.0 * kbar * z + kbar**2 * z**2) ** 2
+
+
 def test_c11_ratio_derivative_sign_and_origin():
     grid = np.linspace(0.0, 1.0, 501)
     for kbar in (1.0, 2.0, 5.0, 10.0):
-        curve = ratio_derivative_curve(kbar, grid)
+        curve = ratio_derivative(kbar, grid)
         assert (curve < 0).all()
-    assert ratio_derivative_curve(1.0, np.array([0.0]))[0] == -1.0
+    assert ratio_derivative(1.0, np.array([0.0]))[0] == -1.0

@@ -5,12 +5,10 @@ import pytest
 import scipy.linalg
 from scipy.stats import rankdata
 
-import riskcent.centrality
 import riskcent.spectral
 from riskcent.centrality import (
     RiskProfile,
     default_zeta_grid,
-    limit_rankings,
     rank,
     ranking_sweep,
     spearman,
@@ -149,8 +147,7 @@ def test_sweep_routes_by_predicted_cost(monkeypatch, sparse_er):
         raise AssertionError("decomposed a graph of %d nodes" % g.n)
 
     big = sparse_er(2000, 8.0, seed=3)
-    for module in (riskcent.centrality, riskcent.spectral):
-        monkeypatch.setattr(module, "decompose", refuse)
+    monkeypatch.setattr(riskcent.spectral, "decompose", refuse)
     prof = sweep(big)
     monkeypatch.undo()
     dec = decompose(big)
@@ -436,26 +433,22 @@ def test_star_hub_always_first():
 
 
 def test_limit_rankings_star():
-    deg, eig = limit_rankings(generate_star(5))
-    assert deg[0] == 1 and eig[0] == 1
+    # the hub leads at both ends of zeta: by degree as zeta -> 0 and by
+    # the Perron entry as zeta -> infinity
+    ranks = ranking_sweep(sweep(generate_star(5), [1e-6, 50.0])).rank_matrix
+    assert (ranks[:, 0] == 1).all()
 
 
 def test_limit_rankings_bracket_sweep():
     # tiny zeta ranking refines the degree ranking; huge zeta follows the
     # Perron vector
     g = generate_er(40, 0.15, seed=21, require_connected=True)
-    deg_ranks, eig_ranks = limit_rankings(g)
+    eig_ranks = rank(decompose(g).eigenvectors[:, 0])
     r_small = expm(g, 1e-6, np.ones(g.n))
-    k = g.strengths()
+    k = g.degrees()
     # refinement: any strict degree gap is preserved at small zeta
     gap = np.subtract.outer(k, k)
     small = np.subtract.outer(r_small, r_small)
     assert (np.sign(small[gap > 0]) > 0).all()
     r_big, _ = expm(g, 60.0, np.ones(g.n), scaled=True)
     assert np.array_equal(rank(r_big), eig_ranks)
-
-
-def test_limit_rankings_require_connected():
-    g = Graph(4, [(0, 1), (2, 3)])
-    with pytest.raises(ValueError, match="connected"):
-        limit_rankings(g)

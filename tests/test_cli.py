@@ -231,12 +231,13 @@ def test_interlace_above_dense_limit_exits_2(tmp_path, capsys):
     # interlacement needs eigenvectors, which only decompose gives
     n = riskcent.spectral.DENSE_LIMIT_DEFAULT + 1
     graph = write_ring(tmp_path / "ring.json", n)
-    rc = main(["interlace", graph, "--pairs", "0,1",
-               "--out", str(tmp_path / "out")])
+    out = tmp_path / "out"
+    rc = main(["interlace", graph, "--pairs", "0,1", "--out", str(out)])
     assert rc == 2
     err = capsys.readouterr().err
     assert "above the dense limit %d" % (n - 1) in err
     assert "Traceback" not in err
+    assert not (out / "manifest.json").exists()
 
 
 # -- epidemics ----------------------------------------------------------------
@@ -501,7 +502,8 @@ def test_interlace_writes_tangency_rows(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("error", [
     riskcent.EigensolverError("eigh did not converge"),
-    riskcent.KrylovConvergenceError("Lanczos stalled", 1e-3, 200),
+    riskcent.KrylovConvergenceError("the power series of the diagonal "
+                                    "needs a degree past its cap 398"),
     riskcent.SIIntegrationError("SI integration failed: step too small"),
 ])
 def test_solver_failures_exit_2(tmp_path, capsys, monkeypatch, error):
@@ -697,6 +699,24 @@ def test_corporate_single_class_exits_2(tmp_path, capsys):
                "--out", str(tmp_path / "out")])
     assert rc == 2
     assert "class" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("svc,message", [
+    ({"Z": [1, 2, 3, 4]},
+     "no company has both a network position and a trend label"),
+    ({"A": [1, 2, 3, 4], "B": [2, 3, 5, 6]}, "both classes must be nonempty"),
+])
+def test_corporate_fails_before_manifest(tmp_path, capsys, svc, message):
+    # the rank shifts and the discriminant run before anything is written
+    _, svc_path = write_corporate(tmp_path, svc=svc)
+    memb = tmp_path / "boards.csv"
+    memb.write_text("A,x\nB,x\nB,y\nC,y\n")
+    out = tmp_path / "out"
+    rc = main(["corporate", str(memb), svc_path, "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: %s\n" % message
+    assert not (out / "manifest.json").exists()
+    assert not (out / "delta_rank.csv").exists()
 
 
 def test_corporate_bad_zeta_interval_exits_2(tmp_path, capsys):

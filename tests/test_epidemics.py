@@ -11,7 +11,6 @@ from riskcent.epidemics import (
     si_lee_general,
     si_linearized,
     si_meanfield,
-    survival_ratio,
 )
 from riskcent.graph import (Graph, generate_complete, generate_er,
                             generate_star, relabel)
@@ -247,24 +246,25 @@ def test_meanfield_limits():
 
 
 def test_survival_ratio_symmetry_and_bound_consistency():
+    # under the bound the survival odds of node i against node j are
+    # (1 - x_i) / (1 - x_j) = exp((beta / alpha) (R_j - R_i))
     g = generate_er(15, 0.3, seed=6, require_connected=True)
     beta, gamma, t = 0.05, 0.5, 2.0
     zeta = (1 - beta) * gamma * t
     p = SIParams(gamma, beta, [0.0, t])
-    lee = si_lee(g, p)
-    surv = 1.0 - lee.x[1]
+    surv = 1.0 - si_lee(g, p).x[1]
     r = expm(g, zeta, np.ones(g.n))
     i, j = int(np.argmax(r)), int(np.argmin(r))
-    got = survival_ratio(g, zeta, beta, i, j)
-    assert got == pytest.approx(surv[i] / surv[j], rel=1e-9)
-    assert got < 1.0  # the more exposed node survives less often
-    assert survival_ratio(g, zeta, beta, i, i) == 1.0
-    assert survival_ratio(g, zeta, beta, j, i) == pytest.approx(1.0 / got)
+    odds = np.exp((beta / (1.0 - beta)) * (r[j] - r[i]))
+    assert surv[i] / surv[j] == pytest.approx(odds, rel=1e-9)
+    assert odds < 1.0  # the more exposed node survives less often
 
 
 def test_survival_ratio_complete_graph_is_one():
-    g = generate_complete(6)
-    assert survival_ratio(g, 0.8, 0.1, 0, 5) == pytest.approx(1.0)
+    # zeta = alpha gamma t = 0.8 on K_6, where every node is equally exposed
+    surv = 1.0 - si_lee(generate_complete(6),
+                        SIParams(1.0, 0.1, [0.0, 0.8 / 0.9])).x[1]
+    assert surv[0] / surv[5] == pytest.approx(1.0)
 
 
 # -- structural behavior -------------------------------------------------------------

@@ -8,9 +8,9 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.stats import ttest_rel
 
 from riskcent.centrality import sweep
-from riskcent.experiments import paired_t_test
 from riskcent.finance import (
     MarketWindow,
     ReturnsPanel,
@@ -18,7 +18,6 @@ from riskcent.finance import (
     correlation_and_distance,
     delta_rank,
     lda_fit,
-    lda_predict,
     load_returns,
     load_svc,
     mst,
@@ -516,7 +515,7 @@ def test_window_reports_feed_paired_t_test():
     for data in (first, second):
         mw = build_market_window(window_from_returns(data))
         stds.append(window_rank_report(mw).per_node_std)
-    res = paired_t_test(stds[0], stds[1])
+    res = ttest_rel(stds[0], stds[1])
     assert res.df == n - 1
     assert 0.0 < res.pvalue <= 1.0
 
@@ -597,7 +596,8 @@ def test_lda_perfect_separation():
     model = lda_fit(x, y)
     assert model.accuracy == 1.0
     assert (model.tp, model.fn, model.fp, model.tn) == (12, 0, 0, 9)
-    assert np.array_equal(lda_predict(model, x), y)
+    pred = np.where(model.intercept + model.slope * x > 0.0, 1, -1)
+    assert np.array_equal(pred, y)
 
 
 def test_lda_confusion_counts_sum():
@@ -609,7 +609,7 @@ def test_lda_confusion_counts_sum():
     assert model.tp + model.fn + model.fp + model.tn == 60
     assert model.accuracy == (model.tp + model.tn) / 60.0
     assert 0.0 < model.accuracy <= 1.0
-    pred = lda_predict(model, x)
+    pred = np.where(model.intercept + model.slope * x > 0.0, 1, -1)
     assert (pred == y).sum() == model.tp + model.tn
 
 

@@ -8,7 +8,6 @@ from scipy.sparse.csgraph import connected_components
 from riskcent.graph import (
     Graph,
     GraphError,
-    binarize,
     generate_complete,
     generate_er,
     generate_er_m,
@@ -20,7 +19,6 @@ from riskcent.graph import (
     project_bipartite,
     relabel,
     save_json,
-    triangle_counts,
     walk_counts,
 )
 
@@ -168,7 +166,7 @@ def test_known_graph_adjacency():
 def test_strengths_weighted():
     g = Graph(3, [(0, 1, 2.0), (1, 2, 0.5)])
     assert g.is_weighted
-    assert np.allclose(g.strengths(), [2.0, 2.5, 0.5])
+    assert np.allclose(g.adjacency().sum(axis=1), [2.0, 2.5, 0.5])
     assert np.allclose(g.degrees(), [1, 2, 1])
 
 
@@ -204,7 +202,7 @@ def test_load_edge_list_weighted_and_commas(tmp_path):
     p.write_text("a,b,0.5\nb,c\n")
     g = load_edge_list(p, weighted=True)
     assert g.is_weighted
-    assert np.allclose(g.strengths(), [0.5, 1.5, 1.0])
+    assert np.allclose(g.adjacency().sum(axis=1), [0.5, 1.5, 1.0])
 
 
 def test_load_edge_list_duplicate_reports_line(tmp_path):
@@ -293,7 +291,7 @@ def test_generate_er_density_monte_carlo():
     # mean density over many samples approaches p; 400 samples of n=50
     # give a standard error around 0.002
     p = 0.3
-    dens = [generate_er(50, p, seed=s).density() for s in range(400)]
+    dens = [generate_er(50, p, seed=s).m / (50 * 49 / 2) for s in range(400)]
     assert abs(np.mean(dens) - p) < 0.005
 
 
@@ -358,7 +356,7 @@ def test_project_bipartite_counts_shared_directors():
     assert g.n == 4  # D kept as isolated node
     assert g.degrees()[names.index("D")] == 0
     b = project_bipartite(memberships, binary=True)
-    assert binarize(g) == b
+    assert Graph(g.n, g.edge_array()[:, :2], labels=g.labels) == b
 
 
 def test_largest_component_and_labels():
@@ -433,12 +431,17 @@ def test_walk_counts_identities():
 
 
 def test_triangle_counts_match_closed_threes():
+    # a closed walk of length 3 runs round a triangle, one per direction
     g = generate_er(20, 0.3, seed=11)
-    t = triangle_counts(g)
+    a = g.adjacency()
+    t = np.zeros(g.n, dtype=np.int64)
+    for i, j, k in itertools.combinations(range(g.n), 3):
+        if a[i, j] and a[j, k] and a[i, k]:
+            t[[i, j, k]] += 1
     closed3 = walk_counts(g, 3)[3].per_node_closed
     assert np.array_equal(2 * t, closed3)
     k3 = generate_complete(3)
-    assert list(triangle_counts(k3)) == [1, 1, 1]
+    assert list(walk_counts(k3, 3)[3].per_node_closed) == [2, 2, 2]
 
 
 def test_walk_counts_overflow_switches_to_float():

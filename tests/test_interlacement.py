@@ -9,19 +9,15 @@ from riskcent.graph import Graph, generate_complete, generate_er, generate_star,
 from riskcent.interlacement import (
     InterlacementError,
     SeriesPolynomial,
-    _positive_real_roots,
     _positive_real_roots_rows,
     detect,
     detect_pairs,
-    difference_derivatives,
-    finiteness_check,
     heuristic_linear,
     heuristic_linear_pairs,
     heuristic_poly,
     heuristic_poly_pairs,
-    shifted_expansion,
 )
-from riskcent.spectral import decompose, expm
+from riskcent.spectral import decompose
 
 
 def clique_plus_hub():
@@ -177,6 +173,23 @@ def reference_positive_real_roots(ascending, imag_tol=1e-8,
     return np.array(xs), np.array(rs)
 
 
+def frozen_beyond(g, i, j):
+    """Closed-form horizon past which the C order of pair (i, j) is frozen.
+
+    With d = u[i]^2 - u[j]^2, the tail sum_{k>=2} |d_k| exp(zeta (lam_k -
+    lam_1)) is at most exp(-zeta (lam_1 - lam_2)) sum_{k>=2} |d_k|, so past
+    max(0, log(sum_{k>=2} |d_k| / |d_1|)) / (lam_1 - lam_2) the leading term
+    fixes the sign of C_i - C_j and no crossing can follow.  The pair's
+    Perron entries must differ.
+    """
+    dec = decompose(g)
+    lam, u = dec.eigenvalues, dec.eigenvectors
+    assert abs(u[i, 0] - u[j, 0]) > 1e-12
+    d = u[i] ** 2 - u[j] ** 2
+    return (max(0.0, math.log(np.abs(d[1:]).sum() / abs(d[0])))
+            / (lam[0] - lam[1]))
+
+
 # -- detect ---------------------------------------------------------------------
 
 
@@ -239,7 +252,7 @@ def test_detect_rejects_bad_input():
 
 def test_opposite_limit_orderings_give_odd_event_count():
     # degree order vs eigenvector order disagreeing forces at least one
-    # crossing, and any count beyond the certified zeta_bar must be odd
+    # crossing, and any count through the certified horizon must be odd
     for seed in (3, 11, 29):
         g = generate_er(20, 0.2, seed=seed, require_connected=True)
         dec = decompose(g)
@@ -252,9 +265,7 @@ def test_opposite_limit_orderings_give_odd_event_count():
                     continue
                 if abs(k[i] - k[j]) < 1:
                     continue
-                rep = finiteness_check(g, i, j, measure="C")
-                assert rep.decidable
-                grid = np.linspace(1e-3, rep.zeta_bar + 0.5, 3000)
+                grid = np.linspace(1e-3, frozen_beyond(g, i, j) + 0.5, 3000)
                 res = detect(g, i, j, measure="C", zeta_grid=grid)
                 assert len(res.events) % 2 == 1
                 checked += 1
@@ -268,8 +279,7 @@ def test_walk_dominance_means_no_events():
     wc = walk_counts(g, 60)
     closed = np.array([w.per_node_closed.astype(float) for w in wc])
     assert (closed[:, 0] >= closed[:, 1]).all()
-    rep = finiteness_check(g, 0, 1, measure="C")
-    grid = np.linspace(1e-3, rep.zeta_bar + 5.0, 3000)
+    grid = np.linspace(1e-3, frozen_beyond(g, 0, 1) + 5.0, 3000)
     res = detect(g, 0, 1, measure="C", zeta_grid=grid)
     assert res.events == []
 
@@ -407,7 +417,7 @@ def test_batched_roots_match_np_roots_reference():
         want = reference_positive_real_roots(c)
         assert np.array_equal(roots, want[0])
         assert np.array_equal(residuals, want[1])
-        single = _positive_real_roots(c)
+        single = _positive_real_roots_rows(c[None])[0]
         assert np.array_equal(single[0], roots)
         assert np.array_equal(single[1], residuals)
         kept += roots.size
@@ -509,73 +519,16 @@ def test_poly_double_crossing_bound():
     assert hp.roots[0] == pytest.approx(0.123204, abs=2e-3)
 
 
-# -- shifted expansion ----------------------------------------------------------------
-
-
-def test_derivatives_match_finite_differences():
-    g = double_crossing()
-    z0 = 0.8
-    der = difference_derivatives(g, 1, 4, "C", z0, 2)
-
-    def f(z):
-        c = expm(g, z)
-        return c[1] - c[4]
-
-    h = 1e-5
-    fd1 = (f(z0 + h) - f(z0 - h)) / (2 * h)
-    fd2 = (f(z0 + h) - 2 * f(z0) + f(z0 - h)) / h**2
-    assert der[0] == pytest.approx(f(z0), rel=1e-12)
-    assert der[1] == pytest.approx(fd1, rel=1e-6)
-    assert der[2] == pytest.approx(fd2, rel=1e-4)
-
-
-def test_shifted_expansion_finds_second_crossing():
-    g = double_crossing()
-    events = detect(g, 1, 4, "C", zeta_grid=WIDE_GRID).events
-    ev = shifted_expansion(g, 1, 4, "C", events[0].zeta_star, k=8)
-    assert ev is not None
-    assert ev.method == "shifted-expansion"
-    assert ev.zeta_star == pytest.approx(events[1].zeta_star, abs=1e-6)
-
-
-def test_shifted_expansion_stops_after_last_crossing():
-    g = double_crossing()
-    events = detect(g, 1, 4, "C", zeta_grid=WIDE_GRID).events
-    assert shifted_expansion(g, 1, 4, "C", events[1].zeta_star, k=8) is None
-
-
 # -- finiteness --------------------------------------------------------------------
 
 
 def test_finiteness_bounds_all_crossings():
     g = double_crossing()
-    rep = finiteness_check(g, 1, 4, "C")
-    assert rep.decidable
+    zeta_bar = frozen_beyond(g, 1, 4)
     events = detect(g, 1, 4, "C", zeta_grid=WIDE_GRID).events
-    assert all(e.zeta_star < rep.zeta_bar for e in events)
-    beyond = np.linspace(rep.zeta_bar, rep.zeta_bar + 20.0, 2000)
+    assert all(e.zeta_star < zeta_bar for e in events)
+    beyond = np.linspace(zeta_bar, zeta_bar + 20.0, 2000)
     assert detect(g, 1, 4, "C", zeta_grid=beyond).events == []
-
-
-def test_finiteness_boundary_is_tight():
-    g = clique_plus_hub()
-    dec = decompose(g)
-    rep = finiteness_check(g, 5, 1, "C")
-    lam = dec.eigenvalues
-    u = dec.eigenvectors
-    coef = u[5] ** 2 - u[1] ** 2
-    tail = lambda z: np.exp(z * (lam[1:] - lam[0])) @ np.abs(coef[1:])
-    lead = abs(coef[0])
-    assert tail(rep.zeta_bar * (1 + 1e-6)) < lead
-    assert tail(rep.zeta_bar * (1 - 1e-6)) > lead
-
-
-def test_finiteness_undecidable_for_tied_perron_entries():
-    star = generate_star(6)
-    rep = finiteness_check(star, 1, 2, measure="C")
-    assert not rep.decidable
-    assert rep.zeta_bar is None
-    assert "1e-12" in rep.message
 
 
 def test_events_csv(tmp_path):

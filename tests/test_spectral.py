@@ -6,15 +6,16 @@ import pytest
 import scipy.linalg
 
 import riskcent.spectral
-from riskcent.centrality import limit_rankings, sweep
+from riskcent.centrality import sweep
 from riskcent.epidemics import SIParams, si_lee, si_linearized
 from riskcent.graph import Graph, generate_complete, generate_er, generate_star
 from riskcent.interlacement import detect_pairs
 from riskcent.spectral import (
     DENSE_LIMIT_DEFAULT,
-    KRYLOV_MAX_DIM_DEFAULT,
     KrylovConvergenceError,
+    _MAX_DEGREE,
     _MOMENT_BLOCK,
+    _REACH,
     _exp_rows,
     _expm_krylov,
     _power_moments,
@@ -42,7 +43,8 @@ def taylor_expm_action(a, zeta, v, order=80):
 def test_k3_spectrum():
     dec = decompose(generate_complete(3))
     assert np.allclose(dec.eigenvalues, [2.0, -1.0, -1.0], atol=1e-12)
-    assert dec.gap == pytest.approx(3.0, abs=1e-12)
+    assert dec.eigenvalues[0] - dec.eigenvalues[1] == pytest.approx(
+        3.0, abs=1e-12)
 
 
 def test_star_leading_eigenvalue():
@@ -84,7 +86,6 @@ def test_decomposition_cached_on_graph(monkeypatch):
     detect_pairs(g, [(0, 1), (2, 3)])
     si_lee(g, params)
     si_linearized(g, params)
-    limit_rankings(g)
     expm(g, 0.5, np.ones(g.n))
     expm(g, [0.1, 0.5])
     assert calls == [(30, 30)]
@@ -258,8 +259,13 @@ def test_krylov_reports_nonconvergence():
     g = generate_er(200, 0.05, seed=7)
     with pytest.raises(KrylovConvergenceError) as err:
         _expm_krylov(g, 30.0, None, False)
-    assert err.value.dimension == KRYLOV_MAX_DIM_DEFAULT
-    assert err.value.achieved > 0
+    # the message names the degree cap and the largest zeta it resolves
+    reach = _REACH / _spectral_bound(g.sparse_adjacency())
+    assert reach < 30.0
+    assert str(err.value) == (
+        "the power series of the diagonal needs a degree past its cap %d "
+        "at zeta = 30; this graph resolves zeta <= %.4g"
+        % (_MAX_DEGREE, reach))
 
 
 def test_krylov_invariant_subspace_exit():
@@ -385,10 +391,9 @@ def test_moments_diagonal_matches_dense_rows():
               path_graph(60), generate_er(100, 0.5, seed=2)]
     zetas = np.concatenate([[0.0, 1e-9, 1e-4], np.linspace(0.01, 1.0, 100),
                             [2.0, 5.0, 20.0]])
-    # zeta b = 6 * 51 needs a degree past 2 (KRYLOV_MAX_DIM_DEFAULT - 1)
-    with pytest.raises(KrylovConvergenceError) as err:
+    # zeta b = 6 * 51 needs a degree past the cap of 398
+    with pytest.raises(KrylovConvergenceError, match="past its cap 398 "):
         _expm_krylov(graphs[-1], 6.0, None, False)
-    assert err.value.dimension == KRYLOV_MAX_DIM_DEFAULT
     for g in graphs:
         if g is graphs[-1]:
             zetas = zetas[zetas <= 2.0]
