@@ -33,7 +33,7 @@ from .graph import (GraphError, load_edge_list, load_json, load_memberships,
 from .interlacement import (InterlacementError, SeriesPolynomial,
                             detect_pairs, heuristic_linear_pairs,
                             heuristic_poly_pairs)
-from .spectral import EigensolverError, KrylovConvergenceError, decompose
+from .spectral import EigensolverError, KrylovConvergenceError
 
 _SOLVERS = ("exact", "lee", "lee-general", "linearized", "mean-field")
 
@@ -113,13 +113,15 @@ def _write_manifest(out_dir, command, settings, inputs, outputs, seed=None):
 def cmd_centrality(args):
     g = _load_graph(args.graph, weighted=args.weighted)
     grid = _parse_grid(args.zeta_grid)
+    # a grid past the reach of the diagonal's power series fails here,
+    # before the manifest
+    profile = sweep(g, grid)
     outputs = ["values_R.csv", "values_C.csv", "values_T.csv",
                "ranks.csv", "rankstd.csv"]
     _write_manifest(args.out, "centrality",
                     {"graph": args.graph, "weighted": args.weighted,
                      "measure": args.measure, "zeta_grid": grid.tolist()},
                     [args.graph], outputs)
-    profile = sweep(g, grid)
     for m in MEASURES:
         profile.to_csv(os.path.join(args.out, "values_%s.csv" % m), m)
     report = ranking_sweep(profile, measure=args.measure)
@@ -216,9 +218,9 @@ def cmd_interlace(args):
         if not args.pairs:
             raise ValueError("give --pairs 'i,j;k,l' or --all-pairs")
         pairs = np.array(_parse_pairs(args.pairs, g.n))
-    # refuses a graph above the dense limit before the manifest; the
-    # decomposition is cached, so detect_pairs reuses it
-    decompose(g)
+    # a grid past the power series' reach on a graph above the dense
+    # limit fails here, before the manifest
+    results = detect_pairs(g, pairs, measure=args.measure, zeta_grid=grid)
     _write_manifest(args.out, "interlace",
                     {"graph": args.graph, "weighted": args.weighted,
                      "measure": args.measure, "zeta_grid": grid.tolist(),
@@ -226,7 +228,6 @@ def cmd_interlace(args):
                      "all_pairs": args.all_pairs,
                      "pairs": None if args.all_pairs else pairs.tolist()},
                     [args.graph], ["events.csv"])
-    results = detect_pairs(g, pairs, measure=args.measure, zeta_grid=grid)
     # the heuristics fill columns of event rows only: skip quiet pairs, and
     # count closed walks only at the endpoints of the others
     hit = np.array([bool(r.events or r.tangencies) for r in results],

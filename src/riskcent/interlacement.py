@@ -1,23 +1,31 @@
 """Ranking interlacement: where two nodes swap order along the zeta axis.
 
-For a node pair (i, j) and a measure M in {R, C, T}, the difference
+For a node pair (i, j) and a measure M in {R, C, T}, an interlacement is a
+zeta* > 0 where the difference f(zeta) = M_i(zeta) - M_j(zeta) changes
+sign: the pair's ranking depends on which side of zeta* the analysis
+sits.  This module locates crossings numerically (``detect``) and
+predicts them from leading walk counts (``heuristic_linear``,
+``heuristic_poly``).  Detection and the heuristics also come in batched
+forms over a list of pairs (``detect_pairs``, ``heuristic_linear_pairs``,
+``heuristic_poly_pairs``); the single-pair functions call into them.
 
-    f(zeta) = M_i(zeta) - M_j(zeta) = sum_k d_k exp(zeta * lam_k)
+Detection reads no spectrum where it can.  With b the spectral bound of
+the adjacency and s = zeta b, every measure of node i is a
+Poisson-weighted power series
 
-is an exponential sum over the adjacency spectrum.  An interlacement is a
-zeta* > 0 where f changes sign: the pair's ranking depends on which side of
-zeta* the analysis sits.  This module locates crossings numerically
-(``detect``) and predicts them from leading walk counts
-(``heuristic_linear``, ``heuristic_poly``).  Detection and the heuristics
-also come in batched forms over a list of pairs (``detect_pairs``,
-``heuristic_linear_pairs``, ``heuristic_poly_pairs``); the single-pair
-functions call into them.
+    exp(-s) M_i(zeta) = sum_k w_k(s) t_ik,   w_k(s) = exp(-s) s^k / k!,
+
+over a table t_ik taken once at the pairs' endpoints: the moments
+(A/b)^k_ii for C, the powers ((A/b)^k 1)_i for R, their difference for T.
+The scaled value has the sign pattern of M_i - M_j and stays finite for
+any zeta.  One sum of at most ``spectral._MAX_DEGREE`` terms reaches s up
+to ``spectral._REACH``.  A grid past that is read from the
+eigendecomposition instead on graphs of at most ``DENSE_LIMIT_DEFAULT``
+nodes, and refused above them.
+
 The batched heuristics count closed walks only at the endpoints of their
 pairs, and ``heuristic_poly_pairs`` finds the roots of a block's
 polynomials with one companion-matrix eigenvalue call per degree.
-
-All computations run on the scaled difference exp(-zeta*lam_1) * f, whose
-sign pattern is identical and which stays finite for any zeta.
 """
 
 from __future__ import annotations
@@ -29,10 +37,14 @@ import numpy as np
 
 from .centrality import MEASURES, _grid
 from .graph import walk_counts
-from .spectral import decompose
+from .spectral import (DENSE_LIMIT_DEFAULT, KrylovConvergenceError,
+                       _moment_table, _poisson_weights, _series_degree,
+                       _spectral_bound, decompose)
 
 BRACKET_TOL_DEFAULT = 1e-8
 TANGENCY_TOL_DEFAULT = 1e-10
+# grid values of a pair closer than this share of the larger one are noise
+_NOISE = 1e-12
 
 
 class InterlacementError(ValueError):
@@ -58,12 +70,17 @@ class InterlacementEvent:
     method: str = "detect"
 
 
-@dataclass
+@dataclass(frozen=True)
 class DetectionResult:
-    """Crossings on a grid, plus near-touches that never flip sign."""
+    """Crossings on a grid, plus near-touches that never flip sign: a
+    tuple of ``InterlacementEvent`` and a tuple of grid zetas."""
 
-    events: list
-    tangencies: list
+    events: tuple
+    tangencies: tuple
+
+
+# the result of every pair without crossings or tangencies
+_QUIET = DetectionResult((), ())
 
 
 @dataclass
@@ -87,28 +104,10 @@ class SeriesPolynomial:
     descartes_bound: int
 
 
-# -- spectral difference -------------------------------------------------------
-
 # Entries (about 2 MB of float64) that one block of pairs may hold in a
-# (pairs x n) or (pairs x grid) temporary: bounds the memory of the batched
-# detector and series heuristics whatever the number of pairs.
+# (pairs x grid) or (pairs x degree) temporary: bounds the memory of the
+# batched detector and series heuristics whatever the number of pairs.
 _BLOCK_ENTRIES = 1 << 18
-
-
-def _pair_coefficients(dec, i, j, measure):
-    """Coefficients d_k with M_i - M_j = sum_k d_k exp(zeta lam_k).
-
-    With index arrays ``i`` and ``j``, row p holds the coefficients of the
-    pair (i[p], j[p]).
-    """
-    u = dec.eigenvectors
-    if measure == "C":
-        return u[i] ** 2 - u[j] ** 2
-    if measure == "R":
-        return u.sum(axis=0) * (u[i] - u[j])
-    if measure == "T":
-        return u.sum(axis=0) * (u[i] - u[j]) - (u[i] ** 2 - u[j] ** 2)
-    raise ValueError("measure must be one of %r, got %r" % (MEASURES, measure))
 
 
 def _pair_index(g, pairs):
@@ -120,6 +119,111 @@ def _pair_index(g, pairs):
     if (i == j).any():
         raise ValueError("need two distinct nodes")
     return i, j
+
+
+# -- power-series tables -----------------------------------------------------
+
+
+def _measure_table(a, b, nodes, measure, degree):
+    """Table ``t[k, c]``, k = 0..degree, of the measure's power series at
+    node ``nodes[c]`` of the CSR adjacency ``a`` with spectral bound b:
+    ``(A/b)^k_ii`` for C, ``((A/b)^k 1)_i`` for R and their difference for
+    T.  Every entry of the C and R tables is a sum of products of numbers
+    >= 0."""
+    ah = a / b if b > 0.0 else a
+    if measure != "C":
+        total = np.empty((degree + 1, nodes.size))
+        x = np.ones(a.shape[0])
+        for k in range(degree + 1):
+            total[k] = x[nodes]
+            if k < degree:
+                x = ah @ x
+        if measure == "R":
+            return total
+    closed = _moment_table(ah, nodes, degree)
+    return closed if measure == "C" else total - closed
+
+
+def _order_keys(vals):
+    """Integer keys that sort like ``vals`` up to noise: the low 11 of the
+    52 mantissa bits of |value| are dropped, a bucket narrower than 2^-41
+    < 1e-12 of the value, and negative values take negative keys.
+
+    Two values whose gap passes the noise floor 1e-12 * max(|v_i|, |v_j|)
+    lie in different buckets in their own order, so every sign change of
+    a pair is still a flip of the keys; ties made of rounding noise (the
+    nodes of a complete graph) mostly share a key and flip nothing.
+    """
+    keys = np.abs(vals).view(np.int64) >> 11
+    return np.where(vals < 0, -keys, keys)
+
+
+def _flips(order):
+    """Column pairs that swap places between consecutive rows of ``order``.
+
+    Row k of ``order`` is the argsort of grid row k.  A pair swaps between
+    rows k and k + 1 exactly when it is an inversion of the places the
+    nodes of row k take in row k + 1.  A bottom-up merge sort of those
+    places, every step at once, lists the inversions: merging a sorted
+    left run with a sorted right run, each right entry is inverted with
+    the left entries above it, which follow its ``searchsorted`` position.
+    Returns the keys ``lo * q + hi`` of the pairs, q being the number of
+    columns, repeats included.  Runs over blocks of grid steps, so its
+    temporaries stay within ``_BLOCK_ENTRIES`` a few times over.
+    """
+    steps, q = order.shape[0] - 1, order.shape[1]
+    chunk = max(1, _BLOCK_ENTRIES // (2 * q))
+    if steps > chunk:
+        return np.concatenate([_flips(order[k:k + chunk + 1])
+                               for k in range(0, steps, chunk)])
+    rank = np.empty_like(order)
+    np.put_along_axis(rank, order, np.arange(q)[None], axis=1)
+    width = 1 << max(q - 1, 0).bit_length()
+    # places in row k + 1 of the nodes of row k, padded to a power of two
+    # with places above q in ascending order, which invert with nothing
+    x = np.empty((steps, width), dtype=np.int64)
+    x[:, :q] = np.take_along_axis(rank[1:], order[:-1], axis=1)
+    x[:, q:] = np.arange(q, width)
+    keys = [np.zeros(0, dtype=np.int64)]
+    run = 1
+    while run < width:
+        groups = steps * (width // (2 * run))
+        # runs of one group share an offset that keeps every left run
+        # above the runs of the groups before it
+        halves = x.reshape(groups, 2, run) + (np.arange(groups)
+                                              * width)[:, None, None]
+        left, right = halves[:, 0].ravel(), halves[:, 1].ravel()
+        pos = np.searchsorted(left, right, side="right")
+        count = np.repeat(np.arange(1, groups + 1) * run, run) - pos
+        total = int(count.sum())
+        if total:
+            r = np.repeat(np.arange(right.size), count)
+            first = np.cumsum(count) - count
+            lidx = np.repeat(pos - first, count) + np.arange(total)
+            step = r // run // (width // (2 * run))
+            u = order[step + 1, left[lidx] % width]
+            v = order[step + 1, right[r] % width]
+            keys.append(np.minimum(u, v) * q + np.maximum(u, v))
+        x = np.sort(x.reshape(groups, 2 * run), axis=1).reshape(steps, width)
+        run *= 2
+    return np.concatenate(keys)
+
+
+def _close(order, srt, reach):
+    """Column pairs within ``reach[k]`` of each other on some grid row k,
+    as ``lo * q + hi`` keys: on sorted rows ``srt`` (``order`` their
+    argsort) the pairs d places apart, for d = 1, 2, ... while any is
+    within reach.  Each distance keeps its distinct pairs only, so tied
+    nodes (a star's leaves) cost their pairs once, not once per row."""
+    q = order.shape[1]
+    keys = [np.zeros(0, dtype=np.int64)]
+    for d in range(1, q):
+        k, p = np.nonzero(srt[:, d:] - srt[:, :-d] <= reach[:, None])
+        if not k.size:
+            break
+        u, v = order[k, p], order[k, p + d]
+        keys.append(np.unique(np.minimum(u, v) * q + np.maximum(u, v)))
+    return np.concatenate(keys)
 
 
 # -- detection -------------------------------------------------------------------
@@ -140,88 +244,166 @@ def detect_pairs(g, pairs, measure="C", zeta_grid=None,
                  tangency_tol=TANGENCY_TOL_DEFAULT):
     """``DetectionResult`` of every node pair (i, j) in ``pairs``, in order.
 
-    Each pair's scaled difference exp(-zeta lam_1) (M_i - M_j) is
-    evaluated on the grid.  Grid values within the numerical noise floor
-    1e-12 * max(1, sum_k |d_k|) count as zero: exactly tied pairs
-    (automorphic nodes) produce no spurious events.  Every sign change
-    between consecutive nonzero grid values is bisected until its bracket
-    is at most ``bracket_tol`` wide.  A grid-local minimum of
-    |M_i - M_j| below ``tangency_tol`` without a sign flip is reported as
-    a tangency candidate rather than a crossing.
+    The scaled values exp(-zeta scale) M_i of every endpoint are evaluated
+    on the grid as one product of weights and a table (``_basis``).  A
+    pair's grid value within the noise floor 1e-12 * max(|M_i|, |M_j|)
+    counts as zero: exactly tied pairs (automorphic nodes) produce no
+    spurious events, at any scale.  Every sign change between consecutive
+    nonzero grid values is bisected until its bracket is at most
+    ``bracket_tol`` wide, each step one dot product of the weights at the
+    midpoint with the pair's table difference.  A grid-local minimum of
+    |M_i - M_j|, read as zeta scale + log|scaled difference|, below
+    ``tangency_tol`` without a sign flip is reported as a tangency
+    candidate rather than a crossing.
 
-    Pairs run in blocks: one matrix product evaluates a block on the grid,
-    and all of its brackets are bisected together.
+    Only candidate pairs are scanned.  A pair can change sign only where
+    its order flips between two consecutive grid rows sorted by
+    ``_order_keys``, which leave out the noise below the floor
+    (``_flips``), and it can touch within ``tangency_tol`` at grid point k
+    only where it lies that close on sorted row k (``_close``).  The
+    noise floor adds no candidates: it only turns signs to zero, and
+    every sign change across zeros is still a flip between some two
+    sorted rows.  Candidates run in blocks: one block's grid values are
+    differences of table values, and all of its brackets are bisected
+    together.  A grid past what one power series resolves raises
+    ``KrylovConvergenceError`` before any table is taken on a graph above
+    the dense limit.
     """
     ii, jj = _pair_index(g, pairs)
     grid = _grid(zeta_grid)
     if grid.size < 2:
         raise ValueError("zeta grid must have >= 2 points")
-    d = decompose(g)
-    lam = d.eigenvalues
-    shift = lam - lam[0]
-    scale = np.exp(np.outer(grid, shift))  # (grid, n)
-    block = max(1, _BLOCK_ENTRIES // max(g.n, grid.size))
-    results = []
-    for s in range(0, ii.size, block):
-        bi, bj = ii[s:s + block], jj[s:s + block]
-        coef = _pair_coefficients(d, bi, bj, measure)
-        results += _detect_block(bi, bj, measure, coef, grid, scale, shift,
-                                 float(lam[0]), bracket_tol, tangency_tol)
+    if measure not in MEASURES:
+        raise ValueError("measure must be one of %r, got %r"
+                         % (MEASURES, measure))
+    nodes, cols = np.unique(np.concatenate([ii, jj]), return_inverse=True)
+    ci, cj = cols[:ii.size], cols[ii.size:]
+    weights, table, scale = _basis(g, nodes, measure, grid)
+    if not ii.size:
+        return []
+    vals = weights(grid) @ table  # (grid, endpoints)
+    rows = np.ascontiguousarray(vals.T)
+
+    order = np.argsort(vals, axis=1, kind="stable")
+    srt = np.take_along_axis(vals, order, axis=1)
+    s = grid * scale
+    # twice the tolerance covers the rounding of the log-space comparison
+    reach = 2.0 * tangency_tol * np.exp(-s)
+    flips = _flips(np.argsort(_order_keys(vals), axis=1, kind="stable"))
+    q = nodes.size
+    wanted = np.isin(np.minimum(ci, cj) * q + np.maximum(ci, cj),
+                     np.concatenate([flips, _close(order, srt, reach)]))
+    cand = np.flatnonzero(wanted)
+
+    results = [_QUIET] * ii.size
+    block = max(1, _BLOCK_ENTRIES // max(grid.size, table.shape[0]))
+    for start in range(0, cand.size, block):
+        p = cand[start:start + block]
+        found = _detect_block(ii[p], jj[p], ci[p], cj[p], measure, rows,
+                              table, weights, grid, s, bracket_tol,
+                              tangency_tol)
+        for x, result in found.items():
+            results[p[x]] = result
     return results
 
 
-def _detect_block(ii, jj, measure, coef, grid, scale, shift, lam1,
-                  bracket_tol, tangency_tol):
-    """``detect_pairs`` on one block, ``coef`` holding its (pairs x n) rows."""
-    vals = coef @ scale.T  # (pairs, grid)
-    floor = 1e-12 * np.maximum(1.0, np.abs(coef).sum(axis=1))
-    absvals = np.abs(vals)
-    signs = np.where(absvals <= floor[:, None], 0,
-                     np.sign(vals)).astype(np.int8)
+def _basis(g, nodes, measure, grid):
+    """``(weights, table, scale)`` with ``weights(z) @ table`` the scaled
+    values exp(-z scale) M(z) of the measure at ``nodes`` for the zetas z.
 
-    # consecutive nonzero grid values of one pair with opposite signs, read
-    # off the pairs whose grid values take both signs
-    mixed = np.flatnonzero((signs > 0).any(axis=1) & (signs < 0).any(axis=1))
-    p, m = np.nonzero(signs[mixed])  # row-major: grid indices ascend
-    p = mixed[p]
-    flip = np.flatnonzero((p[1:] == p[:-1])
-                          & (signs[p[1:], m[1:]] != signs[p[:-1], m[:-1]]))
-    owner, a, b = p[flip], m[flip], m[flip + 1]
-    lo, hi, flo = grid[a], grid[b], vals[owner, a]
+    Where one power sum reaches the top of the grid, the Poisson weights
+    of s = z b and the series table (module docstring), scale being the
+    spectral bound b.  Past that reach, on a graph of at most
+    ``DENSE_LIMIT_DEFAULT`` nodes, the eigendecomposition: the weights
+    exp(z (lam_k - lam_1)) and the table of ``u_ik^2`` for C, ``u_ik sum_l
+    u_lk`` for R and their difference for T, scale being lam_1.  Above
+    the dense limit a grid past the reach raises
+    ``KrylovConvergenceError``.
+    """
+    a = g.sparse_adjacency()
+    b = _spectral_bound(a)
+    try:
+        degree = _series_degree(b, grid)
+    except KrylovConvergenceError:
+        if g.n > DENSE_LIMIT_DEFAULT:
+            raise
+    else:
+        return (lambda z: _poisson_weights(z * b, degree, z * b),
+                _measure_table(a, b, nodes, measure, degree), b)
+    dec = decompose(g)
+    lam, u = dec.eigenvalues, dec.eigenvectors
+    shift = lam - lam[0]
+    at = u[nodes].T
+    closed = at * at
+    total = u.sum(axis=0)[:, None] * at
+    table = (closed if measure == "C" else total if measure == "R"
+             else total - closed)
+    return lambda z: np.exp(np.outer(z, shift)), table, float(lam[0])
+
+
+def _detect_block(ii, jj, ci, cj, measure, rows, table, weights, grid, s,
+                  bracket_tol, tangency_tol):
+    """``detect_pairs`` on one block of pairs, whose endpoints are the
+    rows ``ci``, ``cj`` of the grid values ``rows`` and the columns of
+    ``table`` (``_basis``); ``s`` holds the grid's shifts zeta scale.
+    Returns the ``DetectionResult`` of each pair of the block that is not
+    quiet, by its place in the block."""
+    vi, vj = rows[ci], rows[cj]  # (pairs, grid)
+    diff = vi - vj
+    absvals = np.abs(diff)
+    signs = np.where(absvals <= _NOISE * np.maximum(np.abs(vi), np.abs(vj)),
+                     0, np.sign(diff)).astype(np.int8)
+
+    # consecutive nonzero grid values of one pair with opposite signs: each
+    # nonzero value against the last nonzero one before it
+    last = np.where(signs != 0, np.arange(grid.size), 0)
+    np.maximum.accumulate(last, axis=1, out=last)
+    prev = np.take_along_axis(signs, last[:, :-1], axis=1)
+    owner, hi_at = np.nonzero(signs[:, 1:] * prev < 0)
+    hi_at += 1
+    lo_at = last[owner, hi_at - 1]
+    lo, hi, flo = grid[lo_at], grid[hi_at], diff[owner, lo_at]
     active = np.flatnonzero(hi - lo > bracket_tol)
+    # (table rows, brackets) differences of the open brackets
+    coef = table[:, ci[owner[active]]] - table[:, cj[owner[active]]]
     while active.size:
         mid = 0.5 * (lo[active] + hi[active])
-        fm = np.einsum("bk,bk->b", np.exp(np.outer(mid, shift)),
-                       coef[owner[active]])
+        fm = np.einsum("bk,kb->b", weights(mid), coef)
         up = (fm != 0.0) & (np.sign(fm) == np.sign(flo[active]))
         lo[active[up]] = mid[up]
         flo[active[up]] = fm[up]
         hi[active[~up]] = mid[~up]
-        active = active[hi[active] - lo[active] > bracket_tol]
+        wide = hi[active] - lo[active] > bracket_tol
+        if not wide.all():
+            active, coef = active[wide], coef[:, wide]
 
-    # no flip across a grid-local minimum of |f| = exp(zeta lam_1) |scaled|,
-    # compared with the tolerance in log space
-    inner = absvals[:, 1:-1]
-    near = ((signs[:, :-2] != 0) & (signs[:, :-2] == signs[:, 2:])
-            & (inner <= absvals[:, :-2]) & (inner <= absvals[:, 2:]))
-    tp, tm = np.nonzero(near)
-    tm += 1
+    # no flip across a grid-local minimum of log |M_i - M_j| = s + log
+    # |scaled difference| below log(tangency_tol), sought only at the
+    # inner grid points within twice the tolerance
+    tp, tm = np.nonzero(absvals[:, 1:-1]
+                        < 2.0 * tangency_tol * np.exp(-s[1:-1]))
+    at = tm[:, None] + np.arange(3)  # the point and its two neighbours
     with np.errstate(divide="ignore"):
-        logf = grid[tm] * lam1 + np.log(absvals[tp, tm])
-    keep = logf < math.log(tangency_tol)
+        logf = s[at] + np.log(absvals[tp[:, None], at])
+    side = signs[tp[:, None], at[:, ::2]]
+    near = ((side[:, 0] != 0) & (side[:, 0] == side[:, 1])
+            & (logf[:, 1] <= logf[:, 0]) & (logf[:, 1] <= logf[:, 2])
+            & (logf[:, 1] < math.log(tangency_tol)))
+    tp, tm = tp[near], tm[near]
 
-    events = [[] for _ in range(ii.size)]
-    for x, left, right, before, after in zip(
-            owner.tolist(), lo.tolist(), hi.tolist(),
-            signs[owner, a].tolist(), signs[owner, b].tolist()):
-        events[x].append(InterlacementEvent(
-            i=int(ii[x]), j=int(jj[x]), measure=measure,
-            zeta_star=0.5 * (left + right), bracket=(left, right),
-            sign_before=before, sign_after=after))
-    tangencies = [[] for _ in range(ii.size)]
-    for x, zeta in zip(tp[keep].tolist(), grid[tm[keep]].tolist()):
-        tangencies[x].append(zeta)
-    return [DetectionResult(e, t) for e, t in zip(events, tangencies)]
+    events, tangencies = {}, {}
+    for x, i, j, left, right, before, after in zip(
+            owner.tolist(), ii[owner].tolist(), jj[owner].tolist(),
+            lo.tolist(), hi.tolist(), signs[owner, lo_at].tolist(),
+            signs[owner, hi_at].tolist()):
+        events.setdefault(x, []).append(InterlacementEvent(
+            i, j, measure, 0.5 * (left + right), (left, right), before,
+            after))
+    for x, zeta in zip(tp.tolist(), grid[tm + 1].tolist()):
+        tangencies.setdefault(x, []).append(zeta)
+    return {x: DetectionResult(tuple(events.get(x, ())),
+                               tuple(tangencies.get(x, ())))
+            for x in events.keys() | tangencies.keys()}
 
 
 # -- series heuristics -------------------------------------------------------------

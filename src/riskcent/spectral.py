@@ -26,7 +26,8 @@ the dense one.  On the power-series route (``_moment_diag``) it sums the
 moments ``(A/b)^k_ii`` from powers of blocks of unit vectors
 (``_power_moments``, two moments per sparse product); it is the only route
 above ``DENSE_LIMIT_DEFAULT`` nodes, where ``decompose`` refuses, and
-raises ``KrylovConvergenceError`` past degree ``_MAX_DEGREE``.
+raises ``KrylovConvergenceError`` past degree ``_MAX_DEGREE``
+(``_series_degree``, which the interlacement tables share).
 
 With ``A >= 0`` every power and weight is >= 0, so each diagonal entry
 keeps its relative accuracy, an isolated node is 1 exactly and z = 0 gives
@@ -67,8 +68,8 @@ class EigensolverError(RuntimeError):
 
 
 class KrylovConvergenceError(RuntimeError):
-    """The power series of the diagonal needs a degree past its cap
-    ``_MAX_DEGREE``."""
+    """A power series of exp(zeta A) without restarts (the diagonal, the
+    interlacement tables) needs a degree past its cap ``_MAX_DEGREE``."""
 
 
 @dataclass(frozen=True)
@@ -317,6 +318,32 @@ def _power_moments(ah, nodes, degree):
     return mu
 
 
+def _moment_table(ah, nodes, degree):
+    """``_power_moments`` at ``nodes``, ``_MOMENT_BLOCK`` of them at a time:
+    the ``(degree + 1, len(nodes))`` table of ``(ah^k)_ii``."""
+    mu = np.empty((degree + 1, nodes.size))
+    for start in range(0, nodes.size, _MOMENT_BLOCK):
+        stop = min(start + _MOMENT_BLOCK, nodes.size)
+        mu[:, start:stop] = _power_moments(ah, nodes[start:stop], degree)
+    return mu
+
+
+def _series_degree(b, z):
+    """The Taylor degree ``_tail_ok`` gives the top of the grid z on a graph
+    of spectral bound b, which resolves every z of the grid.
+
+    Past ``_MAX_DEGREE``, i.e. past ``z b = _REACH``, raises
+    ``KrylovConvergenceError`` naming the largest zeta the graph resolves.
+    """
+    ok = _tail_ok(float(np.max(z)) * b, np.arange(_MAX_DEGREE + 1))
+    if not ok.any():
+        raise KrylovConvergenceError(
+            "the power series of exp(zeta A) needs a degree past its cap "
+            "%d at zeta = %g; this graph resolves zeta <= %.4g"
+            % (_MAX_DEGREE, np.max(z), _REACH / b))
+    return int(np.argmax(ok))
+
+
 def _moment_diag(a, z, scaled, b=None):
     """Rows ``diag(exp(z[k]*A))`` for a 1-D grid z from power moments.
 
@@ -336,22 +363,13 @@ def _moment_diag(a, z, scaled, b=None):
     if b is None:
         b = _spectral_bound(a)
     s = z * b
-    ok = _tail_ok(s.max(), np.arange(_MAX_DEGREE + 1))
-    if not ok.any():
-        raise KrylovConvergenceError(
-            "the power series of the diagonal needs a degree past its cap "
-            "%d at zeta = %g; this graph resolves zeta <= %.4g"
-            % (_MAX_DEGREE, z.max(), _REACH / b))
-    top = int(np.argmax(ok))
+    top = _series_degree(b, z)
     # the tail grows with s, so every row passes by degree top
     ok = _tail_ok(s[:, None], np.arange(top + 1))
     degrees = np.where(ok.any(axis=1), np.argmax(ok, axis=1), top)
     n = a.shape[0]
     ah = a / b if b > 0.0 else a
-    mu = np.empty((top + 1, n))
-    for start in range(0, n, _MOMENT_BLOCK):
-        stop = min(start + _MOMENT_BLOCK, n)
-        mu[:, start:stop] = _power_moments(ah, np.arange(start, stop), top)
+    mu = _moment_table(ah, np.arange(n), top)
     # s^k / k! times exp(-shift): shift s when scaled, else only as much as
     # keeps exp(s) finite, so that the weight at k = 0 is 1 exactly
     shift = s if scaled else np.maximum(s - _EXP_MAX, 0.0)

@@ -17,7 +17,7 @@ import riskcent
 import riskcent.cli
 import riskcent.spectral
 from riskcent.cli import build_parser, main
-from riskcent.graph import Graph, load_json, save_json
+from riskcent.graph import Graph, generate_complete, load_json, save_json
 
 
 def read_csv(path):
@@ -227,17 +227,50 @@ def test_centrality_above_dense_limit(tmp_path):
     assert np.abs(vals["R"][:, 1:] / np.exp(2.0 * zeta) - 1.0).max() <= 1e-12
 
 
-def test_interlace_above_dense_limit_exits_2(tmp_path, capsys):
-    # interlacement needs eigenvectors, which only decompose gives
+def test_interlace_above_dense_limit(tmp_path):
+    # the power-series tables need no eigendecomposition at any size
     n = riskcent.spectral.DENSE_LIMIT_DEFAULT + 1
     graph = write_ring(tmp_path / "ring.json", n)
     out = tmp_path / "out"
-    rc = main(["interlace", graph, "--pairs", "0,1", "--out", str(out)])
+    rc = main(["interlace", graph, "--pairs", "0,2500", "--out", str(out)])
+    assert rc == 0
+    header, rows = read_csv(out / "events.csv")
+    assert header[:4] == ["i", "j", "measure", "kind"]
+    assert rows == []  # the ring's nodes are automorphic
+
+
+def test_interlace_past_the_reach_below_dense_limit(tmp_path):
+    # K300 needs zeta b = 299 at the default grid's top, past the reach of
+    # one power series: the eigendecomposition takes over
+    graph = tmp_path / "k300.json"
+    save_json(generate_complete(300), str(graph))
+    out = tmp_path / "out"
+    rc = main(["interlace", str(graph), "--all-pairs", "--out", str(out)])
+    assert rc == 0
+    header, rows = read_csv(out / "events.csv")
+    assert header[:4] == ["i", "j", "measure", "kind"]
+    assert rows == []  # the nodes are automorphic
+    assert (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("command", [["centrality"],
+                                     ["interlace", "--pairs", "0,2500"]])
+def test_grid_past_the_reach_exits_2_before_manifest(tmp_path, capsys,
+                                                     command):
+    # above the dense limit the diagonal (and every interlacement table)
+    # is one power series, whose degree cap the ring resolves to zeta
+    # 127.6 (b = 2)
+    n = riskcent.spectral.DENSE_LIMIT_DEFAULT + 1
+    graph = write_ring(tmp_path / "ring.json", n)
+    out = tmp_path / "out"
+    rc = main([command[0], graph, "--zeta-grid", "1:200:3", "--out",
+               str(out)] + command[1:])
     assert rc == 2
     err = capsys.readouterr().err
-    assert "above the dense limit %d" % (n - 1) in err
-    assert "Traceback" not in err
-    assert not (out / "manifest.json").exists()
+    assert err == ("error: the power series of exp(zeta A) needs a degree "
+                   "past its cap 398 at zeta = 200; this graph resolves "
+                   "zeta <= 127.6\n")
+    assert not out.exists()
 
 
 # -- epidemics ----------------------------------------------------------------

@@ -9,6 +9,10 @@ from riskcent.graph import Graph, generate_complete, generate_er, generate_star,
 from riskcent.interlacement import (
     InterlacementError,
     SeriesPolynomial,
+    _close,
+    _flips,
+    _measure_table,
+    _order_keys,
     _positive_real_roots_rows,
     detect,
     detect_pairs,
@@ -17,7 +21,8 @@ from riskcent.interlacement import (
     heuristic_poly,
     heuristic_poly_pairs,
 )
-from riskcent.spectral import decompose
+from riskcent.spectral import (_poisson_weights, _series_degree,
+                               _spectral_bound, decompose)
 
 
 def clique_plus_hub():
@@ -53,6 +58,20 @@ def double_crossing():
         (6, 7, 1.3031829291195867),
     ]
     return Graph(8, edges)
+
+
+def disconnected():
+    """K_5 (nodes 0-4), a 6-leaf star (hub 5, leaves 6-11), a 6-node path
+    (12-17) and an isolated node (18), as four components.
+
+    Pairs across components of different lambda_1 cross: the hub leads
+    the clique nodes at small zeta and loses to them in the end, and the
+    leaves swap with the path's inner nodes.
+    """
+    edges = [(a, b) for a in range(5) for b in range(a + 1, 5)]
+    edges += [(5, leaf) for leaf in range(6, 12)]
+    edges += [(k, k + 1) for k in range(12, 17)]
+    return Graph(19, edges)
 
 
 WIDE_GRID = np.linspace(0.002, 4.0, 2500)
@@ -95,16 +114,16 @@ def reference_detect(dec, i, j, measure, grid, bracket_tol, tangency_tol):
             else:
                 hi = mid
         events.append((lo, hi, int(signs[a]), int(signs[b])))
+    # a grid-local minimum of log |M_i - M_j| = zeta lam_1 + log |scaled|
     tangencies = []
-    absvals = np.abs(vals)
+    logf = [grid[m] * lam[0] + (math.log(abs(vals[m])) if vals[m] != 0
+                                else -math.inf) for m in range(grid.size)]
     for m in range(1, grid.size - 1):
         if signs[m - 1] == 0 or signs[m + 1] == 0 or signs[m - 1] != signs[m + 1]:
             continue
-        if not (absvals[m] <= absvals[m - 1] and absvals[m] <= absvals[m + 1]):
+        if not (logf[m] <= logf[m - 1] and logf[m] <= logf[m + 1]):
             continue
-        logf = grid[m] * lam[0] + (math.log(absvals[m]) if absvals[m] > 0
-                                   else -math.inf)
-        if logf < math.log(tangency_tol):
+        if logf[m] < math.log(tangency_tol):
             tangencies.append(float(grid[m]))
     return events, tangencies
 
@@ -197,10 +216,10 @@ def test_symmetric_pair_has_no_events():
     g = Graph(3, [(0, 1), (1, 2)])  # nodes 0 and 2 are automorphic
     for m in "RCT":
         res = detect(g, 0, 2, measure=m, zeta_grid=WIDE_GRID)
-        assert res.events == [] and res.tangencies == []
+        assert res.events == () and res.tangencies == ()
     star = generate_star(6)
     res = detect(star, 1, 2, measure="C", zeta_grid=WIDE_GRID)
-    assert res.events == []
+    assert res.events == ()
 
 
 def test_clique_hub_crossing_each_measure():
@@ -250,6 +269,94 @@ def test_detect_rejects_bad_input():
         detect(g, 0, 1, measure="Q", zeta_grid=[0.1, 0.2])
 
 
+def test_tangency_is_a_local_minimum_of_the_difference_itself():
+    # |R_15 - R_28| only grows around zeta = 1.39, where the difference
+    # scaled by exp(-zeta lam_1) has its grid-local minimum: no tangency
+    g = generate_er(40, 0.15, seed=4, require_connected=True)
+    grid = np.linspace(0.01, 3.0, 300)
+    gap = np.abs(np.diff(sweep(g, grid).measure("R")[:, [15, 28]], axis=1))
+    k = int(np.argmin(np.abs(grid - 1.39)))
+    assert (np.diff(gap[k - 2:k + 3, 0]) > 0).all()
+    assert 500.0 < gap[k, 0] < 1e3
+    res = detect(g, 15, 28, measure="R", zeta_grid=grid, tangency_tol=1e3)
+    assert res.events == () and res.tangencies == ()
+
+
+@pytest.mark.parametrize("entries", [interlacement._BLOCK_ENTRIES, 64])
+def test_flips_and_close_pairs_match_brute_force(entries, monkeypatch):
+    # in one pass over the grid steps, and in blocks of a few steps
+    monkeypatch.setattr(interlacement, "_BLOCK_ENTRIES", entries)
+    rng = np.random.default_rng(16)
+    for rows, q in ((2, 2), (9, 5), (30, 17), (12, 64), (5, 70)):
+        # few distinct values, so rows hold ties
+        vals = rng.integers(0, q // 2 + 2, (rows, q)).astype(float)
+        order = np.argsort(vals, axis=1, kind="stable")
+        place = np.argsort(order, axis=1)
+        srt = np.take_along_axis(vals, order, axis=1)
+        reach = rng.uniform(0.0, 2.0, rows)
+        flips, close = set(), set()
+        for a in range(q):
+            for b in range(a + 1, q):
+                before = place[:-1, a] < place[:-1, b]
+                after = place[1:, a] < place[1:, b]
+                if (before != after).any():
+                    flips.add(a * q + b)
+                if (np.abs(vals[:, a] - vals[:, b]) <= reach).any():
+                    close.add(a * q + b)
+        got = _flips(order)
+        # one key per swap: repeats only across steps
+        above = place[:, :, None] < place[:, None, :]
+        assert got.size == np.triu(above[1:] != above[:-1], 1).sum()
+        assert set(got.tolist()) == flips
+        assert set(_close(order, srt, reach).tolist()) == close
+
+
+def test_order_keys_keep_every_sign_change_and_drop_noise():
+    # values tied to within rounding, or apart by just over the noise
+    # floor, around a few magnitudes of both signs; the last columns
+    # change sign from row to row
+    rng = np.random.default_rng(18)
+    base = np.repeat(rng.uniform(0.3, 3.0, 6) * [1, 1, 1, -1, -1, 1e-3], 6)
+    base = np.concatenate([base, [0.0, 0.0], np.repeat(base[:1], 4)])
+    # +-0.51e-12 apart by just over the floor, +-0.49e-12 by just under
+    scale = rng.choice([0.0, 1e-15, 0.49e-12, 0.51e-12], (40, base.size))
+    vals = base * (1.0 + rng.choice([-1.0, 1.0], scale.shape) * scale)
+    vals[:, -4:] *= rng.choice([-1.0, 1.0], (40, 4))
+    flips = set(_flips(np.argsort(_order_keys(vals), axis=1,
+                                  kind="stable")).tolist())
+    q, changing = base.size, 0
+    for a in range(q):
+        for b in range(a + 1, q):
+            d = vals[:, a] - vals[:, b]
+            floor = 1e-12 * np.maximum(np.abs(vals[:, a]), np.abs(vals[:, b]))
+            signs = np.where(np.abs(d) <= floor, 0, np.sign(d))
+            if (signs > 0).any() and (signs < 0).any():
+                assert a * q + b in flips
+                changing += 1
+    assert changing > 100
+    # the nodes of a complete graph differ by rounding only, in the grid
+    # values that detect_pairs reads
+    g = generate_complete(60)
+    pairs = [(i, j) for i in range(60) for j in range(i + 1, 60)]
+    grid = np.linspace(0.01, 1.0, 100)
+    a = g.sparse_adjacency()
+    b = _spectral_bound(a)
+    degree = _series_degree(b, grid)
+    rows = _poisson_weights(grid * b, degree, grid * b) @ _measure_table(
+        a, b, np.arange(60), "C", degree)
+    assert _flips(np.argsort(rows, axis=1, kind="stable")).size > 1000
+    assert _flips(np.argsort(_order_keys(rows), axis=1,
+                             kind="stable")).size == 0
+    assert all(r == interlacement._QUIET for r in detect_pairs(
+        g, pairs, measure="C", zeta_grid=grid))
+
+
+def test_no_pairs_give_no_results():
+    # what `interlace --all-pairs` passes on a one-node graph
+    for g in (Graph(1), generate_complete(3)):
+        assert detect_pairs(g, np.zeros((0, 2), dtype=int)) == []
+
+
 def test_opposite_limit_orderings_give_odd_event_count():
     # degree order vs eigenvector order disagreeing forces at least one
     # crossing, and any count through the certified horizon must be odd
@@ -281,7 +388,7 @@ def test_walk_dominance_means_no_events():
     assert (closed[:, 0] >= closed[:, 1]).all()
     grid = np.linspace(1e-3, frozen_beyond(g, 0, 1) + 5.0, 3000)
     res = detect(g, 0, 1, measure="C", zeta_grid=grid)
-    assert res.events == []
+    assert res.events == ()
 
 
 BATCH_CASES = [
@@ -289,11 +396,17 @@ BATCH_CASES = [
     ("double_crossing", double_crossing, WIDE_GRID),
     ("er40", lambda: generate_er(40, 0.15, seed=4, require_connected=True),
      np.linspace(0.01, 3.0, 300)),
+    ("disconnected", disconnected, WIDE_GRID),
+]
+# zeta b passes the reach of one power sum from zeta = 62.5 on: the
+# eigendecomposition takes over
+DETECT_CASES = BATCH_CASES + [
+    ("past_reach", clique_plus_hub, np.linspace(0.01, 80.0, 2000)),
 ]
 
 
-@pytest.mark.parametrize("make,grid", [c[1:] for c in BATCH_CASES],
-                         ids=[c[0] for c in BATCH_CASES])
+@pytest.mark.parametrize("make,grid", [c[1:] for c in DETECT_CASES],
+                         ids=[c[0] for c in DETECT_CASES])
 @pytest.mark.parametrize("measure", "RCT")
 def test_detect_pairs_matches_per_pair_reference(make, grid, measure,
                                                  monkeypatch):
@@ -326,7 +439,7 @@ def test_detect_pairs_matches_per_pair_reference(make, grid, measure,
                 for (lo, hi, _, _), e in zip(events, res.events):
                     assert e.measure == measure and e.bracket[1] - e.bracket[0] <= tol
                     assert abs(e.zeta_star - 0.5 * (lo + hi)) <= tol
-                assert res.tangencies == tangencies
+                assert list(res.tangencies) == tangencies
     assert want  # every case crosses somewhere
 
 
@@ -528,7 +641,7 @@ def test_finiteness_bounds_all_crossings():
     events = detect(g, 1, 4, "C", zeta_grid=WIDE_GRID).events
     assert all(e.zeta_star < zeta_bar for e in events)
     beyond = np.linspace(zeta_bar, zeta_bar + 20.0, 2000)
-    assert detect(g, 1, 4, "C", zeta_grid=beyond).events == []
+    assert detect(g, 1, 4, "C", zeta_grid=beyond).events == ()
 
 
 def test_events_csv(tmp_path):

@@ -263,7 +263,7 @@ def test_krylov_reports_nonconvergence():
     reach = _REACH / _spectral_bound(g.sparse_adjacency())
     assert reach < 30.0
     assert str(err.value) == (
-        "the power series of the diagonal needs a degree past its cap %d "
+        "the power series of exp(zeta A) needs a degree past its cap %d "
         "at zeta = 30; this graph resolves zeta <= %.4g"
         % (_MAX_DEGREE, reach))
 
