@@ -2,7 +2,17 @@
 
 All experiments draw connected Erdos-Renyi samples.  Replication r of
 density block d uses the substream seed ``child_seed(master, d, r)``, so
-any replication can be regenerated in isolation.
+any replication can be regenerated in isolation: it is
+``generate_er(n, density, child_seed(master, d, r), require_connected=True)``.
+
+A replication never becomes a ``Graph``.  Its dense adjacency comes
+straight from the drawer behind ``generate_er`` (``graph._er_adjacency``),
+its eigensystem from the one behind ``decompose``
+(``spectral._eigensystem``), and its R and C rows from the dense route's
+evaluator ``spectral._exp_rows``; T = R - C.  These are the rows
+``centrality.sweep`` gives the same graph, which takes the dense route at
+every size the replications allow: ``ExperimentConfig`` refuses n above
+``DENSE_LIMIT_DEFAULT``.
 """
 
 from __future__ import annotations
@@ -11,8 +21,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .centrality import _row_corr, _row_spearman, sweep
-from .graph import generate_er
+from .centrality import _grid, _row_corr, _row_spearman
+from .graph import _er_adjacency
+from .spectral import DENSE_LIMIT_DEFAULT, _eigensystem, _exp_rows
 
 RATIOS = ("R/E[R]", "C/E[C]", "T/E[T]", "C/R")
 _QUANTILES = (1, 25, 50, 75, 99)
@@ -36,10 +47,13 @@ class ExperimentConfig:
         self.seed = int(self.seed)
         if self.n < 2:
             raise ValueError("need n >= 2")
+        if self.n > DENSE_LIMIT_DEFAULT:
+            raise ValueError(
+                "n = %d is above the dense limit %d of the replications' "
+                "eigendecomposition" % (self.n, DENSE_LIMIT_DEFAULT))
         if not self.densities or any(not 0.0 < d <= 1.0 for d in self.densities):
             raise ValueError("densities must lie in (0, 1]")
-        if not self.zetas or any(z <= 0 for z in self.zetas):
-            raise ValueError("zetas must be positive")
+        _grid(self.zetas)  # nonempty, positive, finite, strictly increasing
         if self.replications < 1:
             raise ValueError("need at least one replication")
 
@@ -110,13 +124,16 @@ class DistributionSummary:
                    quantiles={q: float(v) for q, v in zip(_QUANTILES, qs)})
 
 
-def _replication_measures(config, d_idx, rep):
-    """One connected ER draw and its measures at every configured zeta."""
-    density = config.densities[d_idx]
-    seed = child_seed(config.seed, d_idx, rep)
-    g = generate_er(config.n, density, seed=seed, require_connected=True)
-    prof = sweep(g, np.asarray(config.zetas))
-    return prof.R, prof.C, prof.T
+def _replication_measures(config, d_idx, rep, zetas, ones):
+    """One connected ER draw and its R, C and T rows at the grid ``zetas``;
+    ``ones`` is the all-ones vector of the graph's size."""
+    rng = np.random.default_rng(child_seed(config.seed, d_idx, rep))
+    a = _er_adjacency(config.n, config.densities[d_idx], rng,
+                      require_connected=True, max_retries=1000)
+    dec = _eigensystem(a)
+    r = _exp_rows(dec, zetas, ones)
+    c = _exp_rows(dec, zetas)
+    return r, c, r - c
 
 
 def _check_ratios(ratios):
@@ -195,17 +212,20 @@ def spearman_table(config, ratios=()):
     below 1, which makes it the informative summary at moderate zeta.
 
     This is the one replication pass: every replication is drawn and
-    decomposed once, its measures are stacked per density into
-    ``(replications, zetas, n)`` arrays, and the correlations and the
-    ``ratios`` summaries (see :func:`ratio_study`) are computed from them.
+    decomposed once, as a dense array (see the module docstring), its
+    measures are stacked per density into ``(replications, zetas, n)``
+    arrays, and the correlations and the ``ratios`` summaries (see
+    :func:`ratio_study`) are computed from them.
     """
     ratios = _check_ratios(ratios)
+    zetas = np.asarray(config.zetas, dtype=float)
+    ones = np.ones(config.n)
     shape = (len(config.densities), len(config.zetas))
     rank_corr = np.empty(shape)
     value_corr = np.empty(shape)
     pooled = {r: {} for r in ratios}
     for d_idx, density in enumerate(config.densities):
-        rows = [_replication_measures(config, d_idx, rep)
+        rows = [_replication_measures(config, d_idx, rep, zetas, ones)
                 for rep in range(config.replications)]
         R, C, T = (np.stack(m) for m in zip(*rows))
         rank_corr[d_idx] = _row_spearman(C, R).mean(axis=0)

@@ -197,7 +197,11 @@ def correlation_and_distance(returns):
     kept)`` where ``kept`` indexes the surviving input columns; ``dist =
     sqrt(2 (1 - rho))`` with zero diagonal.  Correlations nudged outside
     [-1, 1] by rounding are clamped with a warning, so distances always
-    land in [0, 2].
+    land in [0, 2].  Two columns at distance exactly 0 move as one asset,
+    which the tree cannot link: each such pair is merged into its first
+    column, i.e. the later column is dropped with a warning.  Every other
+    entry is as without the dropped columns, as each pair is correlated
+    on its own overlap.
     """
     x = np.asarray(returns, dtype=float)
     if x.ndim != 2 or x.shape[1] < 2:
@@ -255,6 +259,17 @@ def correlation_and_distance(returns):
         rho = np.clip(rho, -1.0, 1.0)
     dist = np.sqrt(np.maximum(2.0 * (1.0 - rho), 0.0))
     np.fill_diagonal(dist, 0.0)
+    twin = np.triu(dist == 0.0, k=1).any(axis=0)
+    if twin.any():
+        for j in np.flatnonzero(twin):
+            # the diagonal is 0 too, but a twin i < j comes first
+            i = int(np.argmax(dist[:, j] == 0.0))
+            warnings.warn("asset column %d is at distance 0 from column %d "
+                          "in this window; dropped" % (kept[j], kept[i]))
+        if (~twin).sum() < 2:
+            raise ValueError("fewer than 2 distinct assets remain")
+        pick = np.ix_(~twin, ~twin)
+        rho, dist, kept = rho[pick], dist[pick], kept[~twin]
     return rho, dist, kept
 
 

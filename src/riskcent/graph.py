@@ -5,10 +5,16 @@ to external names.  Graphs are simple (no self-loops, no parallel edges) and
 edge weights are strictly positive.  All heavier algebra lives in
 :mod:`riskcent.spectral`; this module only provides structure, I/O, and exact
 walk counting.
+
+The one G(n, p) drawer, ``_er_adjacency``, returns the dense 0/1
+adjacency of a draw and checks connectivity on it (``_dense_connected``)
+without building a ``Graph``: ``generate_er`` wraps it in one, and
+:mod:`riskcent.experiments` reads the array directly.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -311,24 +317,71 @@ def load_memberships(path):
 # -- generators ----------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=4)
+def _upper_mask(n):
+    """Boolean (n, n) mask of the strict upper triangle, whose True
+    entries run in the order of ``np.triu_indices(n, 1)``."""
+    mask = np.triu(np.ones((n, n), dtype=bool), k=1)
+    mask.setflags(write=False)
+    return mask
+
+
+def _dense_connected(a):
+    """Whether the dense adjacency ``a`` is connected.
+
+    Grows the set of nodes reached from node 0 by one product with the
+    rows of ``a`` per step.  When node 0 has a neighbour every reached
+    node has one among the reached, so the set never shrinks, and it is
+    node 0's whole component once a step adds no node.  When node 0 has
+    none, the first step empties the set.
+    """
+    seen = a[0] > 0
+    seen[0] = True
+    count = np.count_nonzero(seen)
+    while count < a.shape[0]:
+        seen = seen @ a > 0
+        grown = np.count_nonzero(seen)
+        if grown <= count:
+            return False
+        count = grown
+    return True
+
+
+def _er_adjacency(n, p, rng, require_connected, max_retries):
+    """Dense 0/1 adjacency (float64) of a G(n, p) draw from ``rng``.
+
+    The documented rule: pair k of ``np.triu_indices(n, 1)`` is linked
+    where ``rng.random(pairs)[k] < p``.  With ``require_connected`` a
+    disconnected draw is discarded and redrawn from the same stream, up
+    to ``max_retries`` draws.
+    """
+    if not 0.0 <= p <= 1.0:
+        raise GraphError("edge probability must lie in [0, 1], got %g" % p)
+    if n <= 0:
+        raise GraphError("graph needs at least one node, got n=%d" % n)
+    mask = _upper_mask(n)
+    pairs = n * (n - 1) // 2
+    for _ in range(max_retries):
+        upper = np.zeros((n, n))
+        upper[mask] = rng.random(pairs) < p
+        a = upper + upper.T
+        if not require_connected or _dense_connected(a):
+            return a
+    raise GraphError(
+        "no connected G(%d, %g) sample in %d attempts" % (n, p, max_retries))
+
+
 def generate_er(n, p, seed, require_connected=False, max_retries=1000):
     """Erdos-Renyi G(n, p) sample.
 
     Each of the n(n-1)/2 pairs is linked independently with probability
     ``p``.  With ``require_connected``, disconnected samples are discarded
-    and redrawn from the same stream, up to ``max_retries`` attempts.
+    and redrawn from the same stream, up to ``max_retries`` attempts.  The
+    draw is ``_er_adjacency``'s, which ``experiments`` reads directly.
     """
-    if not 0.0 <= p <= 1.0:
-        raise GraphError("edge probability must lie in [0, 1], got %g" % p)
-    rng = np.random.default_rng(seed)
-    iu, ju = np.triu_indices(n, k=1)
-    for _ in range(max_retries):
-        mask = rng.random(iu.size) < p
-        g = Graph(n, np.column_stack([iu[mask], ju[mask]]))
-        if not require_connected or g.is_connected():
-            return g
-    raise GraphError(
-        "no connected G(%d, %g) sample in %d attempts" % (n, p, max_retries))
+    a = _er_adjacency(n, p, np.random.default_rng(seed), require_connected,
+                      max_retries)
+    return Graph(n, np.argwhere(np.triu(a, k=1)))
 
 
 def generate_er_m(n, m, seed, require_connected=False, max_retries=1000):

@@ -6,7 +6,9 @@ the diagonal ``diag(exp(z*A))`` for a symmetric adjacency A and z >= 0.
 ``expm_with_diagonal`` both on one route.  Two routes exist:
 
 * the dense route reads the graph's one eigendecomposition (``decompose``,
-  computed once and cached on the ``Graph``) through ``_exp_rows``;
+  computed once by ``_eigensystem`` and cached on the ``Graph``) through
+  ``_exp_rows``; ``experiments`` calls the same two on its dense ER
+  draws;
 * the power-series route never decomposes.  It scales A by a
   Collatz-Wielandt bound b of its spectral radius (``_spectral_bound``)
   and sums ``exp(zA) = exp(zb) sum_k w_k(zb) (A/b)^k`` with the Poisson
@@ -87,8 +89,28 @@ class SpectralDecomposition:
     eigenvectors: np.ndarray
 
 
+def _eigensystem(a):
+    """Eigensystem of the dense symmetric matrix ``a``, in the order and
+    sign convention of ``SpectralDecomposition``, its arrays read-only."""
+    try:
+        lam, u = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise EigensolverError(
+            "symmetric eigensolver did not converge on n=%d: %s"
+            % (a.shape[0], exc)) from exc
+    lam = lam[::-1].copy()
+    u = u[:, ::-1].copy()
+    # deterministic sign: largest-|entry| positive per column
+    piv = np.argmax(np.abs(u), axis=0)
+    flip = u[piv, np.arange(u.shape[1])] < 0
+    u[:, flip] *= -1.0
+    lam.setflags(write=False)
+    u.setflags(write=False)
+    return SpectralDecomposition(lam, u)
+
+
 def decompose(g):
-    """Dense eigendecomposition of the adjacency of ``g``.
+    """Dense eigendecomposition of the adjacency of ``g`` (``_eigensystem``).
 
     Computed on the first call and cached on the graph, read-only, so every
     measure of one graph reads the same ``U exp(zeta Lam) U^T``.  Refuses
@@ -101,21 +123,7 @@ def decompose(g):
         raise ValueError(
             "graph has %d nodes, above the dense limit %d of the "
             "eigendecomposition" % (g.n, DENSE_LIMIT_DEFAULT))
-    try:
-        lam, u = np.linalg.eigh(g.adjacency())
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverError(
-            "symmetric eigensolver did not converge on n=%d: %s"
-            % (g.n, exc)) from exc
-    lam = lam[::-1].copy()
-    u = u[:, ::-1].copy()
-    # deterministic sign: largest-|entry| positive per column
-    piv = np.argmax(np.abs(u), axis=0)
-    flip = u[piv, np.arange(u.shape[1])] < 0
-    u[:, flip] *= -1.0
-    lam.setflags(write=False)
-    u.setflags(write=False)
-    g._dec = SpectralDecomposition(lam, u)
+    g._dec = _eigensystem(g.adjacency())
     return g._dec
 
 

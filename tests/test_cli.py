@@ -624,6 +624,20 @@ def test_experiments_bad_config_exits_2(tmp_path, capsys):
     assert "bad.cfg:2" in capsys.readouterr().err
 
 
+def test_experiments_above_dense_limit_exits_2_before_manifest(tmp_path,
+                                                               capsys):
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text("n = 5001\ndensities = 0.5\nzetas = 0.1\n"
+                   "replications = 1\nseed = 1\n")
+    out = tmp_path / "out"
+    rc = main(["experiments", str(cfg), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "dense limit 5000" in err[0]
+    assert not (out / "manifest.json").exists()
+
+
 def test_jobs_default_is_one():
     parser = build_parser()
     for argv in (["experiments", "exp.cfg"], ["market", "returns.csv"],
@@ -683,6 +697,41 @@ def test_market_jobs_do_not_change_results(tmp_path):
             first = fh.read()
         with open(os.path.join(out2, "windows", wid, name)) as fh:
             assert fh.read() == first
+
+
+def test_market_merges_perfectly_correlated_assets(tmp_path):
+    # asset B repeats A: in a window where their distance rounds to 0 the
+    # tree could not link them, and B is merged into A (dropped) there
+    import datetime
+    rng = np.random.default_rng(3)
+    names = ["A", "B", "C", "D", "E", "F"]
+    path = tmp_path / "returns.csv"
+    with open(path, "w") as fh:
+        fh.write("date," + ",".join(names) + "\n")
+        for k in range(400):
+            row = rng.standard_normal(6) * 0.01
+            row[1] = row[0]
+            day = datetime.date(2001, 1, 1) + datetime.timedelta(days=k)
+            fh.write(day.isoformat() + ","
+                     + ",".join(repr(float(v)) for v in row) + "\n")
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rc = main(["market", str(path), "--out", str(out)])
+    assert rc == 0
+    with open(out / "manifest.json") as fh:
+        declared = json.load(fh)["outputs"]
+    for name in declared:
+        assert (out / name).is_file(), name
+    merged = 0
+    for name in declared:
+        if name.endswith("mst.json"):
+            tree = load_json(str(out / name))
+            if "B" not in tree.labels:
+                merged += 1
+                assert tree.labels == ["A", "C", "D", "E", "F"]
+            assert (tree.edge_array()[:, 2] > 0.0).all()
+    assert merged >= 1
 
 
 def test_market_missing_returns_exits_2(tmp_path, capsys):

@@ -45,6 +45,14 @@ def test_config_validation():
         ExperimentConfig(zetas=(0.5, -1.0))
     with pytest.raises(ValueError):
         ExperimentConfig(replications=0)
+    # the grid rule of centrality's zeta grids
+    for zetas in ((1.0, 0.5), (0.5, 0.5), (0.5, np.inf), (np.nan,)):
+        with pytest.raises(ValueError, match="zeta grid"):
+            ExperimentConfig(zetas=zetas)
+    # every replication is decomposed densely
+    with pytest.raises(ValueError, match="dense limit 5000"):
+        ExperimentConfig(n=5001)
+    assert ExperimentConfig(n=5000).n == 5000
 
 
 def test_config_file_round_trip(tmp_path):
@@ -217,6 +225,13 @@ def test_spearman_table_cells_match_per_replication_loop():
     table = spearman_table(cfg)
     for d_idx in range(len(cfg.densities)):
         rows = per_replication_measures(cfg, d_idx)
+        # the dense replication path gives the generate_er + sweep rows
+        # bit for bit, so the cells equal the loop's statistics exactly
+        R, C, _ = (np.stack(m) for m in zip(*rows))
+        assert np.array_equal(table.rank_corr[d_idx],
+                              _row_spearman(C, R).mean(axis=0))
+        assert np.array_equal(table.value_corr[d_idx],
+                              _row_corr(C, R).mean(axis=0))
         for z_idx in range(len(cfg.zetas)):
             rank_vals = [spearman(c[z_idx], r[z_idx]) for r, c, _ in rows]
             val_vals = [np.corrcoef(c[z_idx], r[z_idx])[0, 1]
@@ -225,6 +240,28 @@ def test_spearman_table_cells_match_per_replication_loop():
                 np.mean(rank_vals), abs=1e-12)
             assert table.value_corr[d_idx, z_idx] == pytest.approx(
                 np.mean(val_vals), abs=1e-12)
+
+
+def test_replications_build_no_graph(small_config, monkeypatch):
+    # a replication goes from its dense draw to its rows without a Graph,
+    # a CSR adjacency, a csgraph call, a route decision or sweep
+    import riskcent.centrality
+    import riskcent.graph
+    import riskcent.spectral
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the replication loop called this")
+
+    want = spearman_table(small_config, ratios=RATIOS)
+    for module, name in ((riskcent.graph.Graph, "__init__"),
+                         (riskcent.graph, "connected_components"),
+                         (riskcent.spectral, "_moment_route"),
+                         (riskcent.spectral, "decompose"),
+                         (riskcent.centrality, "sweep")):
+        monkeypatch.setattr(module, name, refuse)
+    got = spearman_table(small_config, ratios=RATIOS)
+    assert np.array_equal(got.value_corr, want.value_corr)
+    assert np.array_equal(got.rank_corr, want.rank_corr)
 
 
 def test_one_pass_ratio_summaries_match_ratio_study(small_config):
@@ -249,8 +286,7 @@ def test_one_pass_ratio_summaries_match_ratio_study(small_config):
                              "C/E[C]": c_z / c_z.mean(),
                              "T/E[T]": t_z / t_z.mean(),
                              "C/R": c_z / r_z}[ratio])
-            np.testing.assert_allclose(got.samples, np.concatenate(want),
-                                       rtol=1e-12, atol=0)
+            assert np.array_equal(got.samples, np.concatenate(want))
 
 
 def test_spearman_table_without_ratios_has_none(small_config):

@@ -250,15 +250,19 @@ def test_correlation_exact_values():
     x = np.array([1.0, -1.0, 1.0, -1.0])
     y = np.array([1.0, 1.0, -1.0, -1.0])
     data = np.column_stack([x, 2.0 * x, -x, y])
-    rho, dist, kept = correlation_and_distance(data)
-    assert kept.tolist() == [0, 1, 2, 3]
-    assert rho[0, 1] == pytest.approx(1.0, abs=1e-15)
-    assert rho[0, 2] == pytest.approx(-1.0, abs=1e-15)
-    assert rho[0, 3] == pytest.approx(0.0, abs=1e-15)
-    assert dist[0, 1] == pytest.approx(0.0, abs=1e-7)
-    assert dist[0, 2] == pytest.approx(2.0, abs=1e-12)
-    assert dist[0, 3] == pytest.approx(math.sqrt(2.0), abs=1e-12)
+    rho, dist, kept = correlation_and_distance(data[:, [0, 2, 3]])
+    assert kept.tolist() == [0, 1, 2]
+    assert rho[0, 1] == pytest.approx(-1.0, abs=1e-15)
+    assert rho[0, 2] == pytest.approx(0.0, abs=1e-15)
+    assert dist[0, 1] == pytest.approx(2.0, abs=1e-12)
+    assert dist[0, 2] == pytest.approx(math.sqrt(2.0), abs=1e-12)
     assert np.all(dist.diagonal() == 0.0)
+    # 2x correlates with x to exactly 1, distance 0: merged into x
+    with pytest.warns(UserWarning, match="column 1 is at distance 0 from "
+                      "column 0"):
+        merged, _, kept = correlation_and_distance(data)
+    assert kept.tolist() == [0, 2, 3]
+    assert np.array_equal(merged, rho)
 
 
 def test_correlation_matches_numpy_when_complete():
@@ -312,6 +316,33 @@ def test_correlation_drops_asset_constant_at_a_tenth():
     assert kept.tolist() == [0, 1, 3]
     want, _, _ = correlation_and_distance(data[:, [0, 1, 3]])
     assert np.array_equal(rho, want)
+
+
+def test_correlation_merges_zero_distance_pair_into_first():
+    # integer columns with mean 0 over 16 rows correlate to exactly 1, so
+    # columns 1 and 3 are at distance 0 and column 3 goes
+    twin = np.array([3, -1, 2, -4, 1, 0, -2, 1, 5, -3, 2, -1, 0, -2, 1, -2.0])
+    data = np.random.default_rng(5).normal(size=(16, 5))
+    data[:, 1] = data[:, 3] = twin
+    data[2, 4] = np.nan
+    with pytest.warns(UserWarning) as record:
+        rho, dist, kept = correlation_and_distance(data)
+    assert [str(w.message) for w in record] == [
+        "asset column 3 is at distance 0 from column 1 in this window; "
+        "dropped"]
+    assert kept.tolist() == [0, 1, 2, 4]
+    want_rho, want_dist, _ = correlation_and_distance(data[:, [0, 1, 2, 4]])
+    assert np.array_equal(rho, want_rho)
+    assert np.array_equal(dist, want_dist)
+    assert (dist[np.triu_indices(4, k=1)] > 0.0).all()
+    # three copies merge into the first; two copies alone leave one asset
+    data[:, 0] = twin
+    with pytest.warns(UserWarning):
+        _, _, kept = correlation_and_distance(data)
+    assert kept.tolist() == [0, 2, 4]
+    with pytest.warns(UserWarning), \
+            pytest.raises(ValueError, match="fewer than 2 distinct"):
+        correlation_and_distance(data[:, [1, 3]])
 
 
 def test_correlation_overlap_too_small():

@@ -8,6 +8,8 @@ from scipy.sparse.csgraph import connected_components
 from riskcent.graph import (
     Graph,
     GraphError,
+    _dense_connected,
+    _er_adjacency,
     generate_complete,
     generate_er,
     generate_er_m,
@@ -304,6 +306,73 @@ def test_generate_er_connected_flag():
 def test_generate_er_retry_cap():
     with pytest.raises(GraphError, match="attempts"):
         generate_er(40, 0.01, seed=0, require_connected=True, max_retries=5)
+
+
+def reference_er_draws(n, p, seed):
+    """Draws of the documented G(n, p) rule up to the first connected one:
+    ``rng.random(pairs) < p`` over ``np.triu_indices(n, 1)``, redrawn from
+    the same stream while scipy finds more than one component."""
+    rng = np.random.default_rng(seed)
+    iu, ju = np.triu_indices(n, k=1)
+    draws = []
+    while True:
+        keep = rng.random(iu.size) < p
+        a = np.zeros((n, n))
+        a[iu[keep], ju[keep]] = 1.0
+        a[ju[keep], iu[keep]] = 1.0
+        draws.append(a)
+        if connected_components(sp.csr_array(a), directed=False)[0] == 1:
+            return draws
+
+
+def test_er_adjacency_matches_documented_rule():
+    # sparse enough that most seeds need a redraw before a connected sample
+    n, p = 30, 0.08
+    redraws = 0
+    for seed in range(6):
+        draws = reference_er_draws(n, p, seed)
+        redraws += len(draws) - 1
+        got = _er_adjacency(n, p, np.random.default_rng(seed),
+                            require_connected=True, max_retries=1000)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, draws[-1])
+        first = _er_adjacency(n, p, np.random.default_rng(seed),
+                              require_connected=False, max_retries=1)
+        assert np.array_equal(first, draws[0])
+        g = generate_er(n, p, seed=seed, require_connected=True)
+        assert np.array_equal(g.adjacency(), got)
+    assert redraws >= 1
+
+
+def test_dense_connected_matches_graph_components():
+    graphs = [Graph(1), Graph(2), Graph(2, [(0, 1)]), Graph(5, [(1, 2)]),
+              # node 0 isolated, the rest connected
+              Graph(4, [(1, 2), (2, 3)]),
+              # two components, then the same joined by one edge
+              Graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)]),
+              Graph(6, [(0, 1), (1, 2), (3, 4), (4, 5), (2, 5)]),
+              Graph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])]
+    graphs += [generate_er(40, p, seed=s) for p in (0.03, 0.06, 0.1, 0.3)
+               for s in range(5)]
+    verdicts = [g.is_connected() for g in graphs]
+    assert True in verdicts and False in verdicts
+    for g, want in zip(graphs, verdicts):
+        assert _dense_connected(g.adjacency()) == want, g
+
+
+def test_er_adjacency_extreme_densities():
+    with pytest.raises(GraphError, match="in 7 attempts"):
+        _er_adjacency(5, 0.0, np.random.default_rng(0),
+                      require_connected=True, max_retries=7)
+    with pytest.raises(GraphError, match="in 3 attempts"):
+        generate_er(5, 0.0, seed=0, require_connected=True, max_retries=3)
+    full = _er_adjacency(6, 1.0, np.random.default_rng(0),
+                         require_connected=True, max_retries=1)
+    assert np.array_equal(full, generate_complete(6).adjacency())
+    assert generate_er(6, 1.0, seed=4) == generate_complete(6)
+    for p in (-0.1, 1.5):
+        with pytest.raises(GraphError, match="probability"):
+            generate_er(6, p, seed=0)
 
 
 def test_generate_er_m_exact_count():
