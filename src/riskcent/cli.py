@@ -30,9 +30,8 @@ from .finance import (build_market_window, delta_rank, lda_fit, load_returns,
                       window_rank_report)
 from .graph import (GraphError, load_edge_list, load_json, load_memberships,
                     project_bipartite, save_json, walk_counts)
-from .interlacement import (InterlacementError, SeriesPolynomial,
-                            detect_pairs, heuristic_linear_pairs,
-                            heuristic_poly_pairs)
+from .interlacement import (SeriesPolynomial, detect_pairs,
+                            heuristic_linear_pairs, heuristic_poly_pairs)
 from .spectral import EigensolverError, KrylovConvergenceError
 
 _SOLVERS = ("exact", "lee", "lee-general", "linearized", "mean-field")
@@ -209,17 +208,14 @@ def cmd_interlace(args):
     """
     g = _load_graph(args.graph, weighted=args.weighted)
     grid = _parse_grid(args.zeta_grid)
-    if grid.size < 2:
-        raise ValueError("interlacement detection needs a grid of >= 2 "
-                         "points")
     if args.all_pairs:
         pairs = np.column_stack(np.triu_indices(g.n, 1))
     else:
         if not args.pairs:
             raise ValueError("give --pairs 'i,j;k,l' or --all-pairs")
         pairs = np.array(_parse_pairs(args.pairs, g.n))
-    # a grid past the power series' reach on a graph above the dense
-    # limit fails here, before the manifest
+    # a grid of one point, or past the power series' reach on a graph
+    # above the dense limit, fails here, before the manifest
     results = detect_pairs(g, pairs, measure=args.measure, zeta_grid=grid)
     _write_manifest(args.out, "interlace",
                     {"graph": args.graph, "weighted": args.weighted,
@@ -235,26 +231,23 @@ def cmd_interlace(args):
     found = pairs[hit]
     linears = polys = ()
     if found.size:
-        walks = walk_counts(g, 60, nodes=np.unique(found))
+        k = 6  # the polynomial heuristic's truncation order
+        walks = walk_counts(g, k, nodes=np.unique(found))
         linears = heuristic_linear_pairs(g, found, measure=args.measure,
                                          walks=walks)
-        polys = heuristic_poly_pairs(g, found, measure=args.measure,
+        polys = heuristic_poly_pairs(g, found, measure=args.measure, k=k,
                                      walks=walks)
     rows = []
     for (i, j), result, linear, poly in zip(
             found.tolist(), compress(results, hit), linears, polys):
-        poly_root = (float(poly.roots[0]) if isinstance(poly, SeriesPolynomial)
-                     and poly.roots.size else None)
-        for event in result.events:
-            rows.append([i, j, args.measure, "crossing",
-                         repr(event.zeta_star), repr(event.bracket[0]),
-                         repr(event.bracket[1]),
-                         "" if linear is None else repr(linear),
-                         "" if poly_root is None else repr(poly_root)])
-        for zeta in result.tangencies:
-            rows.append([i, j, args.measure, "tangency", repr(zeta), "", "",
-                         "" if linear is None else repr(linear),
-                         "" if poly_root is None else repr(poly_root)])
+        root = (poly.roots[0] if isinstance(poly, SeriesPolynomial)
+                and poly.roots.size else None)
+        tail = ["" if x is None else repr(float(x)) for x in (linear, root)]
+        rows += [[i, j, args.measure, "crossing", repr(e.zeta_star),
+                  repr(e.bracket[0]), repr(e.bracket[1])] + tail
+                 for e in result.events]
+        rows += [[i, j, args.measure, "tangency", repr(zeta), "", ""] + tail
+                 for zeta in result.tangencies]
     with open(os.path.join(args.out, "events.csv"), "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["i", "j", "measure", "kind", "zeta_star", "bracket_lo",
@@ -497,9 +490,8 @@ def main(argv=None):
     except _BudgetExceeded as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3
-    except (GraphError, InterlacementError, ValueError, OSError,
-            EigensolverError, KrylovConvergenceError,
-            SIIntegrationError) as exc:
+    except (GraphError, ValueError, OSError, EigensolverError,
+            KrylovConvergenceError, SIIntegrationError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

@@ -197,11 +197,22 @@ def correlation_and_distance(returns):
     kept)`` where ``kept`` indexes the surviving input columns; ``dist =
     sqrt(2 (1 - rho))`` with zero diagonal.  Correlations nudged outside
     [-1, 1] by rounding are clamped with a warning, so distances always
-    land in [0, 2].  Two columns at distance exactly 0 move as one asset,
-    which the tree cannot link: each such pair is merged into its first
-    column, i.e. the later column is dropped with a warning.  Every other
-    entry is as without the dropped columns, as each pair is correlated
-    on its own overlap.
+    land in [0, 2].  Two columns at distance 0 move as one asset, which
+    the tree cannot link: each such pair is merged into its first column,
+    i.e. the later column is dropped with a warning.  Every other entry is
+    as without the dropped columns, as each pair is correlated on its own
+    overlap.
+
+    A pair is at distance 0 when 1 - rho lies within the rounding bound
+    of rho, so that identical columns merge however the sums round.  On
+    an overlap of n observations, with unit roundoff u = 2^-53, each
+    variance var = S - m^2 (S the mean square, m the mean) and the
+    covariance are sums of n products less a product of means: by
+    Cauchy-Schwarz they err by at most 2 (n + 3) u t, t = S + m^2 for a
+    variance and sqrt(t_i t_j) for the covariance.  With kappa = t / var,
+    the computed rho = cov / sqrt(var_i var_j) then errs, to first order
+    in u and with |rho| <= 1, by at most (n + 3) eps (kappa_i + kappa_j)
+    + 3/2 eps, eps = 2u: 6e-14 for n = 126 and centred columns.
     """
     x = np.asarray(returns, dtype=float)
     if x.ndim != 2 or x.shape[1] < 2:
@@ -259,11 +270,14 @@ def correlation_and_distance(returns):
         rho = np.clip(rho, -1.0, 1.0)
     dist = np.sqrt(np.maximum(2.0 * (1.0 - rho), 0.0))
     np.fill_diagonal(dist, 0.0)
-    twin = np.triu(dist == 0.0, k=1).any(axis=0)
+    kappa = (sqs / counts + mean_ij**2) / var
+    eps = np.finfo(float).eps
+    same = 1.0 - rho <= eps * ((counts + 3.0) * (kappa + kappa.T) + 1.5)
+    twin = np.triu(same, k=1).any(axis=0)
     if twin.any():
         for j in np.flatnonzero(twin):
-            # the diagonal is 0 too, but a twin i < j comes first
-            i = int(np.argmax(dist[:, j] == 0.0))
+            # the diagonal is the same too, but a twin i < j comes first
+            i = int(np.argmax(same[:, j]))
             warnings.warn("asset column %d is at distance 0 from column %d "
                           "in this window; dropped" % (kept[j], kept[i]))
         if (~twin).sum() < 2:

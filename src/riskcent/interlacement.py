@@ -21,11 +21,14 @@ The scaled value has the sign pattern of M_i - M_j and stays finite for
 any zeta.  One sum of at most ``spectral._MAX_DEGREE`` terms reaches s up
 to ``spectral._REACH``.  A grid past that is read from the
 eigendecomposition instead on graphs of at most ``DENSE_LIMIT_DEFAULT``
-nodes, and refused above them.
+nodes, and refused above them.  Only the pairs that swap between two
+consecutive sorted grid rows (``_flips``) or lie within the tangency
+tolerance on one row are bisected.
 
 The batched heuristics count closed walks only at the endpoints of their
-pairs, and ``heuristic_poly_pairs`` finds the roots of a block's
-polynomials with one companion-matrix eigenvalue call per degree.
+pairs and only to the truncation order, and ``heuristic_poly_pairs`` finds
+the roots of a block's polynomials with one companion-matrix eigenvalue
+call per degree.
 """
 
 from __future__ import annotations
@@ -67,7 +70,6 @@ class InterlacementEvent:
     bracket: tuple
     sign_before: int
     sign_after: int
-    method: str = "detect"
 
 
 @dataclass(frozen=True)
@@ -158,54 +160,38 @@ def _order_keys(vals):
     return np.where(vals < 0, -keys, keys)
 
 
+def _pair_keys(u, v, q):
+    """Keys ``lo * q + hi`` of the column pairs ``(u, v)`` out of q."""
+    return np.minimum(u, v) * q + np.maximum(u, v)
+
+
 def _flips(order):
     """Column pairs that swap places between consecutive rows of ``order``.
 
     Row k of ``order`` is the argsort of grid row k.  A pair swaps between
-    rows k and k + 1 exactly when it is an inversion of the places the
-    nodes of row k take in row k + 1.  A bottom-up merge sort of those
-    places, every step at once, lists the inversions: merging a sorted
-    left run with a sorted right run, each right entry is inverted with
-    the left entries above it, which follow its ``searchsorted`` position.
-    Returns the keys ``lo * q + hi`` of the pairs, q being the number of
-    columns, repeats included.  Runs over blocks of grid steps, so its
-    temporaries stay within ``_BLOCK_ENTRIES`` a few times over.
+    rows k and k + 1 exactly when it is an inversion of x, the places in
+    row k + 1 of the nodes of row k.  An inversion a < b, x_a > x_b has
+    (x_a - a) + (b - x_b) > b - a, so one of its nodes moved more than
+    (b - a) / 2 places: with M the largest move of the step, comparing
+    ``x[:-d] > x[d:]`` for d = 1 .. 2 M - 1 finds each inversion once, at
+    d = b - a.  Steps are taken by descending M, so each d compares a
+    prefix of them.  Returns the keys ``lo * q + hi`` of the pairs, q
+    being the number of columns, one per swap.
     """
-    steps, q = order.shape[0] - 1, order.shape[1]
-    chunk = max(1, _BLOCK_ENTRIES // (2 * q))
-    if steps > chunk:
-        return np.concatenate([_flips(order[k:k + chunk + 1])
-                               for k in range(0, steps, chunk)])
-    rank = np.empty_like(order)
-    np.put_along_axis(rank, order, np.arange(q)[None], axis=1)
-    width = 1 << max(q - 1, 0).bit_length()
-    # places in row k + 1 of the nodes of row k, padded to a power of two
-    # with places above q in ascending order, which invert with nothing
-    x = np.empty((steps, width), dtype=np.int64)
-    x[:, :q] = np.take_along_axis(rank[1:], order[:-1], axis=1)
-    x[:, q:] = np.arange(q, width)
+    q = order.shape[1]
+    place = np.empty_like(order)
+    np.put_along_axis(place, order, np.arange(q)[None], axis=1)
+    x = np.take_along_axis(place[1:], order[:-1], axis=1)
+    move = np.abs(x - np.arange(q)).max(axis=1)
+    by = np.argsort(-move, kind="stable")
+    x, before, band = x[by], order[:-1][by], 2 * move[by] - 1
     keys = [np.zeros(0, dtype=np.int64)]
-    run = 1
-    while run < width:
-        groups = steps * (width // (2 * run))
-        # runs of one group share an offset that keeps every left run
-        # above the runs of the groups before it
-        halves = x.reshape(groups, 2, run) + (np.arange(groups)
-                                              * width)[:, None, None]
-        left, right = halves[:, 0].ravel(), halves[:, 1].ravel()
-        pos = np.searchsorted(left, right, side="right")
-        count = np.repeat(np.arange(1, groups + 1) * run, run) - pos
-        total = int(count.sum())
-        if total:
-            r = np.repeat(np.arange(right.size), count)
-            first = np.cumsum(count) - count
-            lidx = np.repeat(pos - first, count) + np.arange(total)
-            step = r // run // (width // (2 * run))
-            u = order[step + 1, left[lidx] % width]
-            v = order[step + 1, right[r] % width]
-            keys.append(np.minimum(u, v) * q + np.maximum(u, v))
-        x = np.sort(x.reshape(groups, 2 * run), axis=1).reshape(steps, width)
-        run *= 2
+    for d in range(1, q):
+        m = np.count_nonzero(band >= d)
+        if not m:
+            break
+        k, p = np.nonzero(x[:m, :-d] > x[:m, d:])
+        keys.append(_pair_keys(before[k, p], before[k, p + d], q))
     return np.concatenate(keys)
 
 
@@ -221,8 +207,7 @@ def _close(order, srt, reach):
         k, p = np.nonzero(srt[:, d:] - srt[:, :-d] <= reach[:, None])
         if not k.size:
             break
-        u, v = order[k, p], order[k, p + d]
-        keys.append(np.unique(np.minimum(u, v) * q + np.maximum(u, v)))
+        keys.append(np.unique(_pair_keys(order[k, p], order[k, p + d], q)))
     return np.concatenate(keys)
 
 
@@ -258,9 +243,10 @@ def detect_pairs(g, pairs, measure="C", zeta_grid=None,
 
     Only candidate pairs are scanned.  A pair can change sign only where
     its order flips between two consecutive grid rows sorted by
-    ``_order_keys``, which leave out the noise below the floor
-    (``_flips``), and it can touch within ``tangency_tol`` at grid point k
-    only where it lies that close on sorted row k (``_close``).  The
+    ``_order_keys``, which leave out the noise below the floor; ``_flips``
+    compares each step's places d apart, for d below twice the step's
+    largest move.  A pair can touch within ``tangency_tol`` at grid point
+    k only where it lies that close on sorted row k (``_close``).  The
     noise floor adds no candidates: it only turns signs to zero, and
     every sign change across zeros is still a flip between some two
     sorted rows.  Candidates run in blocks: one block's grid values are
@@ -290,8 +276,7 @@ def detect_pairs(g, pairs, measure="C", zeta_grid=None,
     # twice the tolerance covers the rounding of the log-space comparison
     reach = 2.0 * tangency_tol * np.exp(-s)
     flips = _flips(np.argsort(_order_keys(vals), axis=1, kind="stable"))
-    q = nodes.size
-    wanted = np.isin(np.minimum(ci, cj) * q + np.maximum(ci, cj),
+    wanted = np.isin(_pair_keys(ci, cj, nodes.size),
                      np.concatenate([flips, _close(order, srt, reach)]))
     cand = np.flatnonzero(wanted)
 
@@ -428,13 +413,14 @@ def _series_coefficients(g, measure, kmax, nodes, walks=None):
                          % (len(walks) - 1, kmax))
     start = 2 if measure == "C" else 1
     orders = range(start, kmax + 1)
+    shape = (len(orders), nodes.size)  # no rows below order start
     total = np.array([walks[m].per_node_total[nodes] for m in orders],
-                     dtype=float)
+                     dtype=float).reshape(shape)
     if measure == "R":
         return start, total
     cols = _closed_columns(walks[0].nodes, nodes)
     closed = np.array([walks[m].per_node_closed[cols] for m in orders],
-                      dtype=float)
+                      dtype=float).reshape(shape)
     return start, closed if measure == "C" else total - closed
 
 
@@ -492,11 +478,10 @@ def heuristic_poly(g, i, j, measure="C", k=6, walks=None):
 
     The reduced polynomial has ascending coefficients ``delta_m / m!`` for
     walk orders m up to k, divided by the common leading power of zeta.
-    The pair is rejected (``InterlacementError``) unless ``k >= k0``, where
-    k0 is the order at which the coefficient sequence first changes sign
-    (zero counts as positive).  Roots come from the eigenvalues of the
-    companion matrix; only positive real roots with small normalized
-    residual are kept.
+    The pair is rejected (``InterlacementError``) unless the coefficient
+    sequence changes sign (zero counts as positive) at some order k0 <= k.
+    Roots come from the eigenvalues of the companion matrix; only
+    positive real roots with small normalized residual are kept.
     """
     result = heuristic_poly_pairs(g, [(i, j)], measure=measure, k=k,
                                   walks=walks)[0]
@@ -509,44 +494,37 @@ def heuristic_poly_pairs(g, pairs, measure="C", k=6, walks=None):
     """``heuristic_poly`` of every pair in ``pairs``.
 
     One entry per pair: its ``SeriesPolynomial``, or the
-    ``InterlacementError`` that ``heuristic_poly`` raises for it.  Roots
-    are sought only for the pairs that pass ``k >= k0``, a block of pairs
-    at a time (``_positive_real_roots_rows``).
+    ``InterlacementError`` that ``heuristic_poly`` raises for it.  Walks
+    are read through order k only.  Roots are sought only for the pairs
+    with k0 <= k, a block of pairs at a time (``_positive_real_roots_rows``).
     """
-    horizon = max(k, 60)
-    ii, jj, start, series, ci, cj = _pair_series(g, pairs, measure, horizon,
-                                                 walks)
-    orders = np.arange(start, k + 1)
-    factorials = np.array([float(math.factorial(m)) for m in orders])
-    block = max(1, _BLOCK_ENTRIES // series.shape[0])
+    ii, jj, start, series, ci, cj = _pair_series(g, pairs, measure, k, walks)
+    factorials = np.array([float(math.factorial(m))
+                           for m in range(start, k + 1)])
+    block = max(1, _BLOCK_ENTRIES // max(1, series.shape[0]))
     out = []
     for s in range(0, ii.size, block):
         bi, bj = ii[s:s + block].tolist(), jj[s:s + block].tolist()
         deltas = series[:, ci[s:s + block]] - series[:, cj[s:s + block]]
         pos = deltas >= 0  # zero counts as positive
-        change = pos[1:] != pos[:-1]
-        never = ~change.any(axis=0)
+        # a closing row of changes puts k0 = k + 1 where none comes sooner
+        change = np.vstack([pos[1:] != pos[:-1], np.ones((1, len(bi)), bool)])
         k0 = change.argmax(axis=0) + 1 + start
-        coeffs = (deltas[:orders.size] / factorials[:, None]).T
-        solve = np.flatnonzero(~never & (k >= k0))
+        coeffs = (deltas / factorials[:, None]).T
+        solve = np.flatnonzero(k0 <= k)
         solved = dict(zip(solve.tolist(), zip(
             _positive_real_roots_rows(coeffs[solve]),
             _sign_changes(coeffs[solve]).tolist())))
-        never, k0 = never.tolist(), k0.tolist()
         for p, (i, j) in enumerate(zip(bi, bj)):
-            if never[p]:
+            if p not in solved:
                 out.append(InterlacementError(
                     "pair (%d, %d): the %s series coefficients never change "
-                    "sign through order %d; no crossing is indicated at "
-                    "series level" % (i, j, measure, horizon)))
-            elif p not in solved:
-                out.append(InterlacementError(
-                    "pair (%d, %d): truncation order k=%d is below the first "
-                    "sign change k0=%d" % (i, j, k, k0[p])))
+                    "sign through order k=%d; no crossing is indicated at "
+                    "that truncation" % (i, j, measure, k)))
             else:
                 (roots, residuals), bound = solved[p]
                 out.append(SeriesPolynomial(
-                    i=i, j=j, measure=measure, k=k, k0=k0[p],
+                    i=i, j=j, measure=measure, k=k, k0=int(k0[p]),
                     coefficients=coeffs[p].copy(), roots=roots,
                     residuals=residuals, descartes_bound=bound))
     return out

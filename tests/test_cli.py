@@ -482,6 +482,8 @@ def test_interlace_counts_walks_only_for_pairs_with_events(tmp_path,
     walk_counts = riskcent.cli.walk_counts
 
     def spy(g, kmax, nodes=None):
+        # the heuristics read walks through the polynomial's order 6 only
+        assert kmax == 6
         calls.append(None if nodes is None else list(nodes))
         return walk_counts(g, kmax, nodes=nodes)
 
@@ -555,6 +557,17 @@ def test_solver_failures_exit_2(tmp_path, capsys, monkeypatch, error):
     assert rc == 2
     err = capsys.readouterr().err.splitlines()
     assert err == ["error: %s" % error] * 2
+
+
+def test_interlace_one_point_grid_exits_2(tmp_path, capsys):
+    graph = write_k4(tmp_path / "k4.txt")
+    out = tmp_path / "out"
+    rc = main(["interlace", graph, "--out", str(out), "--pairs", "0,1",
+               "--zeta-grid", "0.5"])
+    assert rc == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == (
+        "error: zeta grid must have >= 2 points\n")
 
 
 def test_interlace_bad_pair_exits_2(tmp_path, capsys):
@@ -700,8 +713,8 @@ def test_market_jobs_do_not_change_results(tmp_path):
 
 
 def test_market_merges_perfectly_correlated_assets(tmp_path):
-    # asset B repeats A: in a window where their distance rounds to 0 the
-    # tree could not link them, and B is merged into A (dropped) there
+    # asset B repeats A: their correlation is 1 up to rounding, the tree
+    # could not link them, and B is merged into A (dropped) in every window
     import datetime
     rng = np.random.default_rng(3)
     names = ["A", "B", "C", "D", "E", "F"]
@@ -731,7 +744,7 @@ def test_market_merges_perfectly_correlated_assets(tmp_path):
                 merged += 1
                 assert tree.labels == ["A", "C", "D", "E", "F"]
             assert (tree.edge_array()[:, 2] > 0.0).all()
-    assert merged >= 1
+    assert merged == 9
 
 
 def test_market_missing_returns_exits_2(tmp_path, capsys):

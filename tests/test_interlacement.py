@@ -151,7 +151,7 @@ def reference_linear(walks, i, j, measure):
 def reference_poly(walks, i, j, measure, k):
     """``(k0, coefficients, descartes)``, or None where ``heuristic_poly``
     rejects the pair."""
-    start, deltas = reference_deltas(walks, i, j, measure, max(k, 60))
+    start, deltas = reference_deltas(walks, i, j, measure, k)
     pos = deltas >= 0
     change = np.nonzero(pos[1:] != pos[:-1])[0]
     if change.size == 0:
@@ -248,7 +248,7 @@ def test_double_crossing_pair():
     assert (first.sign_before, first.sign_after) == (1, -1)
     assert (second.sign_before, second.sign_after) == (-1, 1)
     for ev in res.events:
-        assert (ev.i, ev.j, ev.measure, ev.method) == (1, 4, "C", "detect")
+        assert (ev.i, ev.j, ev.measure) == (1, 4, "C")
         assert ev.bracket[0] <= ev.zeta_star <= ev.bracket[1]
 
 
@@ -282,31 +282,52 @@ def test_tangency_is_a_local_minimum_of_the_difference_itself():
     assert res.events == () and res.tangencies == ()
 
 
+def brute_force_pairs(vals, reach):
+    """Keys of the column pairs that swap between consecutive rows of
+    ``vals`` (stable order) and of those within ``reach`` on some row, and
+    the number of swaps."""
+    rows, q = vals.shape
+    place = np.argsort(np.argsort(vals, axis=1, kind="stable"), axis=1)
+    flips, close = set(), set()
+    for a in range(q):
+        for b in range(a + 1, q):
+            before = place[:-1, a] < place[:-1, b]
+            after = place[1:, a] < place[1:, b]
+            if (before != after).any():
+                flips.add(a * q + b)
+            if (np.abs(vals[:, a] - vals[:, b]) <= reach).any():
+                close.add(a * q + b)
+    above = place[:, :, None] < place[:, None, :]
+    return flips, close, int(np.triu(above[1:] != above[:-1], 1).sum())
+
+
 @pytest.mark.parametrize("entries", [interlacement._BLOCK_ENTRIES, 64])
 def test_flips_and_close_pairs_match_brute_force(entries, monkeypatch):
-    # in one pass over the grid steps, and in blocks of a few steps
+    # the banded scans take the whole grid in one pass: no block bound,
+    # however small, may change the keys they return
     monkeypatch.setattr(interlacement, "_BLOCK_ENTRIES", entries)
     rng = np.random.default_rng(16)
-    for rows, q in ((2, 2), (9, 5), (30, 17), (12, 64), (5, 70)):
-        # few distinct values, so rows hold ties
-        vals = rng.integers(0, q // 2 + 2, (rows, q)).astype(float)
+    # few distinct values, so rows hold ties
+    cases = [rng.integers(0, q // 2 + 2, (rows, q)).astype(float)
+             for rows, q in ((2, 2), (9, 5), (30, 17), (12, 64), (5, 70))]
+    up = np.arange(40.0)
+    jump = up.copy()
+    jump[0] = 40.0  # the first node jumps to the end, and back
+    cases += [
+        np.array([up, -up, up]),  # full reversals
+        np.array([up, jump, up]),
+        np.array([[1.0], [3.0], [2.0]]),  # one column
+        rng.normal(size=(2, 30)),  # one step
+        np.zeros((1, 6)),  # no step
+    ]
+    for vals in cases:
         order = np.argsort(vals, axis=1, kind="stable")
-        place = np.argsort(order, axis=1)
         srt = np.take_along_axis(vals, order, axis=1)
-        reach = rng.uniform(0.0, 2.0, rows)
-        flips, close = set(), set()
-        for a in range(q):
-            for b in range(a + 1, q):
-                before = place[:-1, a] < place[:-1, b]
-                after = place[1:, a] < place[1:, b]
-                if (before != after).any():
-                    flips.add(a * q + b)
-                if (np.abs(vals[:, a] - vals[:, b]) <= reach).any():
-                    close.add(a * q + b)
+        reach = rng.uniform(0.0, 2.0, vals.shape[0])
+        flips, close, swaps = brute_force_pairs(vals, reach)
         got = _flips(order)
         # one key per swap: repeats only across steps
-        above = place[:, :, None] < place[:, None, :]
-        assert got.size == np.triu(above[1:] != above[:-1], 1).sum()
+        assert got.size == swaps
         assert set(got.tolist()) == flips
         assert set(_close(order, srt, reach).tolist()) == close
 
@@ -618,9 +639,15 @@ def test_poly_rejects_complete_graph():
 
 
 def test_poly_rejects_below_k0():
+    # k0 = 3 for this pair; at k = 2 (and below) C has one coefficient or
+    # none, which cannot change sign
     g = clique_plus_hub()
-    with pytest.raises(InterlacementError, match="k0=3"):
-        heuristic_poly(g, 5, 1, "C", k=2)
+    for k in (2, 1):
+        with pytest.raises(InterlacementError,
+                           match="never change sign through order k=%d" % k):
+            heuristic_poly(g, 5, 1, "C", k=k)
+    with pytest.raises(InterlacementError, match="through order k=0"):
+        heuristic_poly(g, 5, 1, "R", k=0)
 
 
 def test_poly_double_crossing_bound():
