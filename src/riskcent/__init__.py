@@ -14,7 +14,6 @@ __version__ = "0.1.0"
 from .graph import (  # noqa: F401
     Graph,
     GraphError,
-    WalkCounts,
     generate_complete,
     generate_er,
     generate_er_m,

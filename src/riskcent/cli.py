@@ -29,7 +29,7 @@ from .finance import (build_market_window, delta_rank, lda_fit, load_returns,
                       load_svc, rolling_windows, svc_trend,
                       window_rank_report)
 from .graph import (GraphError, load_edge_list, load_json, load_memberships,
-                    project_bipartite, save_json, walk_counts)
+                    project_bipartite, save_json)
 from .interlacement import (SeriesPolynomial, detect_pairs,
                             heuristic_linear_pairs, heuristic_poly_pairs)
 from .spectral import EigensolverError, KrylovConvergenceError
@@ -224,19 +224,14 @@ def cmd_interlace(args):
                      "all_pairs": args.all_pairs,
                      "pairs": None if args.all_pairs else pairs.tolist()},
                     [args.graph], ["events.csv"])
-    # the heuristics fill columns of event rows only: skip quiet pairs, and
-    # count closed walks only at the endpoints of the others
+    # the heuristics fill columns of event rows only: skip quiet pairs
     hit = np.array([bool(r.events or r.tangencies) for r in results],
                    dtype=bool)
     found = pairs[hit]
     linears = polys = ()
     if found.size:
-        k = 6  # the polynomial heuristic's truncation order
-        walks = walk_counts(g, k, nodes=np.unique(found))
-        linears = heuristic_linear_pairs(g, found, measure=args.measure,
-                                         walks=walks)
-        polys = heuristic_poly_pairs(g, found, measure=args.measure, k=k,
-                                     walks=walks)
+        linears = heuristic_linear_pairs(g, found, measure=args.measure)
+        polys = heuristic_poly_pairs(g, found, measure=args.measure)
     rows = []
     for (i, j), result, linear, poly in zip(
             found.tolist(), compress(results, hit), linears, polys):

@@ -82,13 +82,16 @@ def read_config(path):
             key, _, value = s.partition("=")
             key = key.strip()
             value = value.strip()
-            if key in ("n", "replications", "seed"):
-                fields[key] = int(value)
-            elif key in ("densities", "zetas"):
-                fields[key] = tuple(float(v) for v in value.split(","))
-            else:
+            integer = key in ("n", "replications", "seed")
+            if not integer and key not in ("densities", "zetas"):
                 raise ValueError("%s:%d: unknown config key %r"
                                  % (path, lineno, key))
+            try:
+                fields[key] = (int(value) if integer else
+                               tuple(float(v) for v in value.split(",")))
+            except ValueError as exc:
+                raise ValueError("%s:%d: config key %r: %s"
+                                 % (path, lineno, key, exc)) from None
     return ExperimentConfig(**fields)
 
 

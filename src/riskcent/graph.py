@@ -3,8 +3,10 @@
 Nodes are dense integers ``0..n-1``; an optional label table maps them back
 to external names.  Graphs are simple (no self-loops, no parallel edges) and
 edge weights are strictly positive.  All heavier algebra lives in
-:mod:`riskcent.spectral`; this module only provides structure, I/O, and exact
-walk counting.
+:mod:`riskcent.spectral`; this module only provides structure, I/O, the
+bipartite projection, and walk counting: ``walk_counts`` returns two
+float64 tables, the walk totals of every node and the closed walks at the
+nodes asked for.
 
 The one G(n, p) drawer, ``_er_adjacency``, returns the dense 0/1
 adjacency of a draw and checks connectivity on it (``_dense_connected``)
@@ -16,7 +18,6 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -115,7 +116,6 @@ class Graph:
             if len(labels) != n:
                 raise GraphError("expected %d labels, got %d" % (n, len(labels)))
         self.labels = labels if labels is not None else [str(i) for i in range(n)]
-        self._adj = None
         self._csr = None
         self._dec = None  # spectral.decompose caches the eigensystem here
 
@@ -137,13 +137,11 @@ class Graph:
                                 self._v.astype(float), self._w])
 
     def adjacency(self):
-        """Dense symmetric adjacency matrix (float64, cached)."""
-        if self._adj is None:
-            a = np.zeros((self.n, self.n))
-            a[self._u, self._v] = self._w
-            a[self._v, self._u] = self._w
-            self._adj = a
-        return self._adj
+        """Dense symmetric adjacency matrix (float64), a new array per call."""
+        a = np.zeros((self.n, self.n))
+        a[self._u, self._v] = self._w
+        a[self._v, self._u] = self._w
+        return a
 
     def sparse_adjacency(self):
         """Symmetric CSR adjacency (cached), column indices sorted per row.
@@ -425,28 +423,23 @@ def generate_star(n):
 def project_bipartite(memberships, binary=False):
     """One-mode projection of company-director memberships.
 
-    Companies become nodes; an edge weight counts the directors two
-    companies share.  Companies sharing no director remain isolated nodes.
+    Companies become nodes, in order of first appearance; an edge weight
+    counts the directors two companies share, the off-diagonal entry of
+    B B^T for the 0/1 company-by-director incidence B (a repeated row
+    counts once).  Companies sharing no director remain isolated nodes.
     With ``binary`` every positive weight is replaced by 1.
     """
-    comp_index = {}
-    comp_labels = []
-    by_director = {}
-    for company, director in memberships:
-        if company not in comp_index:
-            comp_index[company] = len(comp_labels)
-            comp_labels.append(company)
-        by_director.setdefault(director, set()).add(comp_index[company])
-    counts = {}
-    for members in by_director.values():
-        ms = sorted(members)
-        for i in range(len(ms)):
-            for j in range(i + 1, len(ms)):
-                key = (ms[i], ms[j])
-                counts[key] = counts.get(key, 0) + 1
-    edges = [(a, b, 1.0 if binary else float(c))
-             for (a, b), c in sorted(counts.items())]
-    return Graph(len(comp_labels), edges, labels=comp_labels)
+    companies, directors = {}, {}
+    rows = [companies.setdefault(c, len(companies)) for c, _ in memberships]
+    cols = [directors.setdefault(d, len(directors)) for _, d in memberships]
+    b = sp.csr_array((np.ones(len(rows)), (rows, cols)),
+                     shape=(len(companies), len(directors)))
+    b.data[:] = 1.0  # the build summed repeated rows
+    shared = sp.triu(b @ b.T, k=1).tocoo()
+    weights = np.ones(shared.nnz) if binary else shared.data
+    return Graph(len(companies),
+                 np.column_stack([shared.row, shared.col, weights]),
+                 labels=list(companies))
 
 
 def largest_component(g):
@@ -482,37 +475,21 @@ def relabel(g, perm):
 # -- walk counts ---------------------------------------------------------
 
 
-@dataclass
-class WalkCounts:
-    """Walk tallies of one order.
-
-    ``per_node_total[i]`` counts walks of length ``order`` starting at
-    ``i`` (the i-th entry of A^k 1).  ``per_node_closed[c]`` counts those
-    returning to node ``nodes[c]`` (its diagonal entry of A^k); ``nodes``
-    is None when the closed walks cover every node in order.  ``exact`` is
-    True while the values are exact integers; weighted graphs and integer
-    overflow both clear it, the latter switching accumulation to float64.
-    """
-
-    order: int
-    per_node_total: np.ndarray
-    per_node_closed: np.ndarray
-    exact: bool
-    nodes: np.ndarray | None = None
-
-
 def walk_counts(g, kmax, nodes=None):
-    """Walk totals and closed-walk counts for orders ``0..kmax``.
+    """Walk tables ``(total, closed)`` for orders ``0..kmax``.
 
-    Totals cover every node; closed walks only ``nodes`` (an index
-    sequence, in its order, repeats allowed; None means all nodes).  Each
-    order costs one sparse product of the CSR adjacency with the running
-    total and one with the q unit columns of ``nodes`` carried to A^k,
-    O(kmax m (1 + q)) in all.  The product sums each column on its own, so a
-    count does not depend on which other nodes are asked for.
+    ``total[k, i]`` counts the walks of length k starting at node i, the
+    i-th entry of A^k 1.  ``closed[k, c]`` counts those returning to node
+    ``nodes[c]``, its diagonal entry of A^k; ``nodes`` is an index
+    sequence, in its order, repeats allowed, and None means every node.
+    Each order costs one sparse product of the CSR adjacency with the
+    running total and one with the q unit columns of ``nodes`` carried to
+    A^k, O(kmax m (1 + q)) in all.  The product sums each column on its
+    own, so a count does not depend on which other nodes are asked for.
 
-    Unweighted graphs accumulate in int64 until the next product could
-    overflow, then continue in float64 with ``exact=False``.  Only the
+    Both tables are float64.  Unweighted graphs count in int64 until the
+    next product could overflow, then continue in float64: each entry of
+    an order before the switch is its exact count rounded once.  Only the
     totals are watched: A is nonnegative, so (A^k)_ij <= (A^k 1)_i and no
     closed-walk column can outgrow the largest total.  The switch thus
     comes at the same order whatever ``nodes`` is.
@@ -520,30 +497,27 @@ def walk_counts(g, kmax, nodes=None):
     if kmax < 0:
         raise GraphError("kmax must be nonnegative")
     n = g.n
-    every = nodes is None
-    nodes = np.arange(n) if every else np.asarray(nodes, dtype=np.int64)
+    nodes = (np.arange(n) if nodes is None
+             else np.asarray(nodes, dtype=np.int64))
     if nodes.ndim != 1 or ((nodes < 0) | (nodes >= n)).any():
         raise GraphError("nodes must be indices in 0..%d" % (n - 1))
-    tag = None if every else nodes.copy()
-    integer = not g.is_weighted
-    dtype = np.int64 if integer else np.float64
+    exact = not g.is_weighted
+    dtype = np.int64 if exact else np.float64
     a = g.sparse_adjacency().astype(dtype)
     # one product grows entries by at most the largest row sum
-    growth = int(g.degrees().max(initial=0)) if integer else 0
-    total = np.ones(n, dtype=dtype)
-    closed = np.zeros((n, nodes.size), dtype=dtype)
-    closed[nodes, np.arange(nodes.size)] = 1
-    exact = integer
-    out = [WalkCounts(0, total.copy(), np.ones(nodes.size, dtype=dtype),
-                      exact, tag)]
+    growth = int(g.degrees().max(initial=0)) if exact else 0
+    diagonal = nodes, np.arange(nodes.size)
+    x = np.ones(n, dtype=dtype)
+    y = np.zeros((n, nodes.size), dtype=dtype)
+    y[diagonal] = 1
+    total = np.ones((kmax + 1, n))
+    closed = np.ones((kmax + 1, nodes.size))
     for k in range(1, kmax + 1):
-        if exact and growth and int(total.max()) > _INT64_CAP // growth:
-            a = a.astype(np.float64)
-            total = total.astype(np.float64)
-            closed = closed.astype(np.float64)
+        if exact and growth and int(x.max()) > _INT64_CAP // growth:
+            a, x, y = (z.astype(np.float64) for z in (a, x, y))
             exact = False
-        total = a @ total
-        closed = a @ closed
-        out.append(WalkCounts(k, total.copy(),
-                              closed[nodes, np.arange(nodes.size)], exact, tag))
-    return out
+        x = a @ x
+        y = a @ y
+        total[k] = x
+        closed[k] = y[diagonal]
+    return total, closed

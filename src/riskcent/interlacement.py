@@ -25,10 +25,10 @@ nodes, and refused above them.  Only the pairs that swap between two
 consecutive sorted grid rows (``_flips``) or lie within the tangency
 tolerance on one row are bisected.
 
-The batched heuristics count closed walks only at the endpoints of their
-pairs and only to the truncation order, and ``heuristic_poly_pairs`` finds
-the roots of a block's polynomials with one companion-matrix eigenvalue
-call per degree.
+The heuristics read the walk tables of ``graph.walk_counts`` at the
+endpoints of their pairs only, to the truncation order, with closed walks
+for C and T only; ``heuristic_poly_pairs`` finds the roots of a block's
+polynomials with one companion-matrix eigenvalue call per degree.
 """
 
 from __future__ import annotations
@@ -241,19 +241,22 @@ def detect_pairs(g, pairs, measure="C", zeta_grid=None,
     ``tangency_tol`` without a sign flip is reported as a tangency
     candidate rather than a crossing.
 
-    Only candidate pairs are scanned.  A pair can change sign only where
-    its order flips between two consecutive grid rows sorted by
-    ``_order_keys``, which leave out the noise below the floor; ``_flips``
-    compares each step's places d apart, for d below twice the step's
-    largest move.  A pair can touch within ``tangency_tol`` at grid point
-    k only where it lies that close on sorted row k (``_close``).  The
-    noise floor adds no candidates: it only turns signs to zero, and
-    every sign change across zeros is still a flip between some two
-    sorted rows.  Candidates run in blocks: one block's grid values are
-    differences of table values, and all of its brackets are bisected
-    together.  A grid past what one power series resolves raises
-    ``KrylovConvergenceError`` before any table is taken on a graph above
-    the dense limit.
+    Only candidate pairs are scanned, taken from the distinct grid columns
+    of the endpoints.  Two endpoints with one column (a star's leaves) tie
+    at every grid point: every sign of their pair is 0, so it neither
+    crosses nor touches, a tangency needing nonzero neighbours.  A pair
+    can change sign only where its order flips between two consecutive
+    grid rows sorted by ``_order_keys``, which leave out the noise below
+    the floor; ``_flips`` compares each step's places d apart, for d below
+    twice the step's largest move.  A pair can touch within
+    ``tangency_tol`` at grid point k only where it lies that close on
+    sorted row k (``_close``).  The noise floor adds no candidates: it
+    only turns signs to zero, and every sign change across zeros is still
+    a flip between some two sorted rows.  Candidates run in blocks: one
+    block's grid values are differences of table values, and all of its
+    brackets are bisected together.  A grid past what one power series
+    resolves raises ``KrylovConvergenceError`` before any table is taken
+    on a graph above the dense limit.
     """
     ii, jj = _pair_index(g, pairs)
     grid = _grid(zeta_grid)
@@ -270,13 +273,20 @@ def detect_pairs(g, pairs, measure="C", zeta_grid=None,
     vals = weights(grid) @ table  # (grid, endpoints)
     rows = np.ascontiguousarray(vals.T)
 
-    order = np.argsort(vals, axis=1, kind="stable")
-    srt = np.take_along_axis(vals, order, axis=1)
+    # candidates are sought among the columns with distinct bytes; two
+    # endpoints sharing one give their pair the key lo == hi, which no flip
+    # or closeness yields
+    _, first, col = np.unique(
+        rows.view(np.dtype((np.void, rows.itemsize * grid.size))).ravel(),
+        return_index=True, return_inverse=True)
+    uniq = vals[:, first]
+    order = np.argsort(uniq, axis=1, kind="stable")
+    srt = np.take_along_axis(uniq, order, axis=1)
     s = grid * scale
     # twice the tolerance covers the rounding of the log-space comparison
     reach = 2.0 * tangency_tol * np.exp(-s)
-    flips = _flips(np.argsort(_order_keys(vals), axis=1, kind="stable"))
-    wanted = np.isin(_pair_keys(ci, cj, nodes.size),
+    flips = _flips(np.argsort(_order_keys(uniq), axis=1, kind="stable"))
+    wanted = np.isin(_pair_keys(col[ci], col[cj], uniq.shape[1]),
                      np.concatenate([flips, _close(order, srt, reach)]))
     cand = np.flatnonzero(wanted)
 
@@ -394,60 +404,36 @@ def _detect_block(ii, jj, ci, cj, measure, rows, table, weights, grid, s,
 # -- series heuristics -------------------------------------------------------------
 
 
-def _series_coefficients(g, measure, kmax, nodes, walks=None):
-    """Per-order walk counts feeding the measure's series at ``nodes``.
+def _pair_series(g, pairs, measure, kmax):
+    """Validated endpoints ``(i, j)`` of ``pairs`` and the measure's series
+    at them: ``(i, j, start, series, ci, cj)`` with ``series[m, ci[p]]``
+    the float walk count of order start + m feeding the series of node
+    ``i[p]``, and ``series[:, cj[p]]`` that of ``j[p]``.
 
     C draws on closed walks from order 2; R on walk totals from order 1; T
-    on open walks (total minus closed) from order 1.  Returns (start,
-    series) with series[m, c] the float count of walk order start + m at
-    node ``nodes[c]``.  For C and T, ``walks`` must hold the closed walks
-    at every one of ``nodes``; without ``walks`` they are counted there.
+    on open walks (total minus closed) from order 1.  Walks are counted at
+    the pairs' endpoints only, through order ``kmax``, and closed walks
+    only for C and T.
     """
+    ii, jj = _pair_index(g, pairs)
     if measure not in MEASURES:
         raise ValueError("measure must be one of %r, got %r"
                          % (MEASURES, measure))
-    if walks is None:
-        walks = walk_counts(g, kmax, nodes=nodes)
-    if len(walks) <= kmax:
-        raise ValueError("walks cover order %d, need %d"
-                         % (len(walks) - 1, kmax))
-    start = 2 if measure == "C" else 1
-    orders = range(start, kmax + 1)
-    shape = (len(orders), nodes.size)  # no rows below order start
-    total = np.array([walks[m].per_node_total[nodes] for m in orders],
-                     dtype=float).reshape(shape)
-    if measure == "R":
-        return start, total
-    cols = _closed_columns(walks[0].nodes, nodes)
-    closed = np.array([walks[m].per_node_closed[cols] for m in orders],
-                      dtype=float).reshape(shape)
-    return start, closed if measure == "C" else total - closed
-
-
-def _closed_columns(have, want):
-    """Positions in ``per_node_closed`` (over nodes ``have``, None for all)
-    of the nodes ``want``."""
-    if have is None:
-        return want
-    missing = np.setdiff1d(want, have)
-    if missing.size:
-        raise ValueError("walks hold no closed walks at node %d"
-                         % missing[0])
-    order = np.argsort(have, kind="stable")
-    return order[np.searchsorted(have[order], want)]
-
-
-def _pair_series(g, pairs, measure, kmax, walks):
-    """Validated endpoints ``(i, j)`` of ``pairs`` and the series at them:
-    ``(i, j, start, series, ci, cj)`` with ``series[:, ci[p]]`` the series
-    of node ``i[p]`` and ``series[:, cj[p]]`` that of ``j[p]``."""
-    ii, jj = _pair_index(g, pairs)
     nodes, cols = np.unique(np.concatenate([ii, jj]), return_inverse=True)
-    start, series = _series_coefficients(g, measure, kmax, nodes, walks)
+    # R reads no closed walks
+    total, closed = walk_counts(g, kmax,
+                                nodes[:0] if measure == "R" else nodes)
+    start = 2 if measure == "C" else 1
+    if measure == "C":
+        series = closed[start:]
+    elif measure == "R":
+        series = total[start:, nodes]
+    else:
+        series = total[start:, nodes] - closed[start:]
     return ii, jj, start, series, cols[:ii.size], cols[ii.size:]
 
 
-def heuristic_linear(g, i, j, measure="C", walks=None):
+def heuristic_linear(g, i, j, measure="C"):
     """Leading-order crossing estimate from the first two series terms.
 
     For C the truncation 'k_i - k_j + zeta * (2t_i - 2t_j)/3 = 0' (closed
@@ -456,14 +442,13 @@ def heuristic_linear(g, i, j, measure="C", walks=None):
     two leading differences do not have strictly opposite signs, i.e. the
     minimal-order truncation has no positive root.
     """
-    return heuristic_linear_pairs(g, [(i, j)], measure=measure,
-                                  walks=walks)[0]
+    return heuristic_linear_pairs(g, [(i, j)], measure=measure)[0]
 
 
-def heuristic_linear_pairs(g, pairs, measure="C", walks=None):
+def heuristic_linear_pairs(g, pairs, measure="C"):
     """``heuristic_linear`` of every pair in ``pairs``: floats and Nones."""
     _, _, start, series, ci, cj = _pair_series(
-        g, pairs, measure, 3 if measure == "C" else 2, walks)
+        g, pairs, measure, 3 if measure == "C" else 2)
     a = series[0, ci] - series[0, cj]
     b = series[1, ci] - series[1, cj]
     # reduced linear truncation: a/start! + b zeta/(start+1)! = 0
@@ -473,7 +458,7 @@ def heuristic_linear_pairs(g, pairs, measure="C", walks=None):
     return [None if no else x for no, x in zip(absent.tolist(), est.tolist())]
 
 
-def heuristic_poly(g, i, j, measure="C", k=6, walks=None):
+def heuristic_poly(g, i, j, measure="C", k=6):
     """Roots of the order-k series truncation of the measure difference.
 
     The reduced polynomial has ascending coefficients ``delta_m / m!`` for
@@ -483,14 +468,13 @@ def heuristic_poly(g, i, j, measure="C", k=6, walks=None):
     Roots come from the eigenvalues of the companion matrix; only
     positive real roots with small normalized residual are kept.
     """
-    result = heuristic_poly_pairs(g, [(i, j)], measure=measure, k=k,
-                                  walks=walks)[0]
+    result = heuristic_poly_pairs(g, [(i, j)], measure=measure, k=k)[0]
     if isinstance(result, InterlacementError):
         raise result
     return result
 
 
-def heuristic_poly_pairs(g, pairs, measure="C", k=6, walks=None):
+def heuristic_poly_pairs(g, pairs, measure="C", k=6):
     """``heuristic_poly`` of every pair in ``pairs``.
 
     One entry per pair: its ``SeriesPolynomial``, or the
@@ -498,7 +482,7 @@ def heuristic_poly_pairs(g, pairs, measure="C", k=6, walks=None):
     are read through order k only.  Roots are sought only for the pairs
     with k0 <= k, a block of pairs at a time (``_positive_real_roots_rows``).
     """
-    ii, jj, start, series, ci, cj = _pair_series(g, pairs, measure, k, walks)
+    ii, jj, start, series, ci, cj = _pair_series(g, pairs, measure, k)
     factorials = np.array([float(math.factorial(m))
                            for m in range(start, k + 1)])
     block = max(1, _BLOCK_ENTRIES // max(1, series.shape[0]))

@@ -15,6 +15,7 @@ import pytest
 
 import riskcent
 import riskcent.cli
+import riskcent.interlacement
 import riskcent.spectral
 from riskcent.cli import build_parser, main
 from riskcent.graph import Graph, generate_complete, load_json, save_json
@@ -479,15 +480,15 @@ def test_interlace_counts_walks_only_for_pairs_with_events(tmp_path,
                                                           monkeypatch):
     graph = write_clique_plus_hub(tmp_path / "g.json")
     calls = []
-    walk_counts = riskcent.cli.walk_counts
+    walk_counts = riskcent.interlacement.walk_counts
 
     def spy(g, kmax, nodes=None):
-        # the heuristics read walks through the polynomial's order 6 only
-        assert kmax == 6
-        calls.append(None if nodes is None else list(nodes))
+        # the heuristics read walks through the polynomial's order 6 at most
+        assert kmax <= 6
+        calls.append(list(nodes))
         return walk_counts(g, kmax, nodes=nodes)
 
-    monkeypatch.setattr(riskcent.cli, "walk_counts", spy)
+    monkeypatch.setattr(riskcent.interlacement, "walk_counts", spy)
     # clique nodes 2, 3 and leaves 6, 7 are automorphic: no events
     quiet = str(tmp_path / "quiet")
     assert main(["interlace", graph, "--out", quiet, "--pairs", "2,3;6,7",
@@ -495,13 +496,22 @@ def test_interlace_counts_walks_only_for_pairs_with_events(tmp_path,
     header, rows = read_csv(os.path.join(quiet, "events.csv"))
     assert header[:4] == ["i", "j", "measure", "kind"] and rows == []
     assert calls == []
-    # only the endpoints of the crossing pair (5, 1) get closed walks
+    # only the endpoints of the crossing pair (5, 1) get closed walks, once
+    # per heuristic
     loud = str(tmp_path / "loud")
     assert main(["interlace", graph, "--out", loud, "--pairs", "2,3;5,1",
                  "--measure", "C", "--zeta-grid", "0.002:4.0:800"]) == 0
     _, rows = read_csv(os.path.join(loud, "events.csv"))
     assert {(r[0], r[1]) for r in rows} == {("5", "1")}
-    assert calls == [[1, 5]]
+    assert calls == [[1, 5], [1, 5]]
+    # R reads walk totals only: no closed walks at any node
+    calls.clear()
+    totals = str(tmp_path / "totals")
+    assert main(["interlace", graph, "--out", totals, "--pairs", "2,3;5,1",
+                 "--measure", "R", "--zeta-grid", "0.002:4.0:800"]) == 0
+    _, rows = read_csv(os.path.join(totals, "events.csv"))
+    assert {(r[0], r[1]) for r in rows} == {("5", "1")}
+    assert calls == [[], []]
 
 
 def test_interlace_all_pairs_on_path(tmp_path):
@@ -635,6 +645,17 @@ def test_experiments_bad_config_exits_2(tmp_path, capsys):
     rc = main(["experiments", str(cfg), "--out", str(tmp_path / "out")])
     assert rc == 2
     assert "bad.cfg:2" in capsys.readouterr().err
+
+
+def test_experiments_bad_number_names_its_line_and_key(tmp_path, capsys):
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text("densities = 0.5\nn = 1o0\n")
+    out = tmp_path / "out"
+    rc = main(["experiments", str(cfg), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "typo.cfg:2" in err and "'n'" in err and "'1o0'" in err
+    assert not out.exists()
 
 
 def test_experiments_above_dense_limit_exits_2_before_manifest(tmp_path,

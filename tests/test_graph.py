@@ -428,6 +428,43 @@ def test_project_bipartite_counts_shared_directors():
     assert Graph(g.n, g.edge_array()[:, :2], labels=g.labels) == b
 
 
+def test_project_bipartite_matches_pairwise_loop():
+    # repeated rows count once, company Z shares no director, and nodes
+    # follow the first appearance of each company
+    memberships = [("B", "d1"), ("A", "d1"), ("B", "d1"), ("C", "d2"),
+                   ("A", "d2"), ("B", "d2"), ("Z", "d7"), ("C", "d3"),
+                   ("A", "d3"), ("A", "d3"), ("D", "d1")]
+    rng = np.random.default_rng(5)
+    memberships += [("c%d" % c, "x%d" % d)
+                    for c, d in rng.integers(0, 30, size=(200, 2))]
+    names = list(dict.fromkeys(c for c, _ in memberships))
+    boards = {}
+    for c, d in memberships:
+        boards.setdefault(c, set()).add(d)
+    for binary in (False, True):
+        edges = []
+        for i, j in itertools.combinations(range(len(names)), 2):
+            shared = len(boards[names[i]] & boards[names[j]])
+            if shared:
+                edges.append((i, j, 1.0 if binary else float(shared)))
+        ref = Graph(len(names), edges, labels=names)
+        g = project_bipartite(memberships, binary=binary)
+        assert g == ref
+    assert g.labels[:5] == ["B", "A", "C", "Z", "D"]
+    assert g.degrees()[3] == 0
+    # B and A share d1 and d2; B's second d1 row adds nothing
+    assert project_bipartite(memberships).adjacency()[0, 1] == 2.0
+
+
+def test_adjacency_is_a_new_array_per_call():
+    g = Graph(3, [(0, 1, 2.0), (1, 2)])
+    a = g.adjacency()
+    a[0, 1] = 7.0
+    b = g.adjacency()
+    assert b is not a
+    assert b[0, 1] == 2.0
+
+
 def test_largest_component_and_labels():
     g = Graph(6, [(0, 1), (1, 2), (3, 4)], labels=list("abcdef"))
     lc = largest_component(g)
@@ -480,23 +517,22 @@ def test_walk_counts_against_enumeration():
     edges = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (4, 2), (4, 5)]
     g = Graph(6, edges)
     total_oracle, closed_oracle = enumerate_walks(g.adjacency().astype(int), 5)
-    wc = walk_counts(g, 5)
+    total, closed = walk_counts(g, 5)
+    assert total.shape == closed.shape == (6, 6)
     for k in range(6):
-        assert wc[k].exact
-        assert list(wc[k].per_node_total) == list(total_oracle[k])
-        assert list(wc[k].per_node_closed) == list(closed_oracle[k])
+        assert list(total[k]) == list(total_oracle[k])
+        assert list(closed[k]) == list(closed_oracle[k])
 
 
 def test_walk_counts_identities():
     g = generate_er(25, 0.2, seed=5)
-    wc = walk_counts(g, 4)
-    assert np.array_equal(wc[1].per_node_total, g.degrees())
-    assert np.array_equal(wc[2].per_node_closed, g.degrees())
+    total, closed = walk_counts(g, 4)
+    assert np.array_equal(total[1], g.degrees())
+    assert np.array_equal(closed[2], g.degrees())
     a = g.adjacency()
     # recurrence: totals advance by one multiplication with A
     for k in range(1, 5):
-        assert np.allclose(a @ wc[k - 1].per_node_total.astype(float),
-                           wc[k].per_node_total.astype(float))
+        assert np.allclose(a @ total[k - 1], total[k])
 
 
 def test_triangle_counts_match_closed_threes():
@@ -507,25 +543,23 @@ def test_triangle_counts_match_closed_threes():
     for i, j, k in itertools.combinations(range(g.n), 3):
         if a[i, j] and a[j, k] and a[i, k]:
             t[[i, j, k]] += 1
-    closed3 = walk_counts(g, 3)[3].per_node_closed
-    assert np.array_equal(2 * t, closed3)
+    _, closed = walk_counts(g, 3)
+    assert np.array_equal(2 * t, closed[3])
     k3 = generate_complete(3)
-    assert list(walk_counts(k3, 3)[3].per_node_closed) == [2, 2, 2]
+    assert list(walk_counts(k3, 3)[1][3]) == [2, 2, 2]
 
 
 def test_walk_counts_overflow_switches_to_float():
-    g = generate_complete(20)  # totals grow like 19^k, past int64 near k=46
-    wc = walk_counts(g, 60)
-    assert wc[5].exact
-    flipped = [w.order for w in wc if not w.exact]
-    assert flipped, "expected overflow fallback to trigger"
-    k0 = flipped[0]
-    # before the switch the counts obey the exact closed form (n-1)^k
-    assert wc[10].per_node_total[0] == 19**10
+    g = generate_complete(20)  # totals grow like 19^k, past int64 at k=15
+    total, _ = walk_counts(g, 60)
+    # through order 14 the counts are the exact closed form (n-1)^k, each
+    # rounded once to float64
+    assert total[10, 0] == 19**10
+    for k in range(15):
+        assert total[k, 0] == float(19**k)
     # after the switch values continue as floats near the true magnitude
-    assert wc[k0].per_node_total.dtype == np.float64
-    assert np.isfinite(wc[60].per_node_total).all()
-    rel = wc[60].per_node_total[0] / float(19**60)
+    assert np.isfinite(total[60]).all()
+    rel = total[60, 0] / float(19**60)
     assert abs(rel - 1) < 1e-9
 
 
@@ -536,18 +570,17 @@ def test_walk_counts_overflow_switches_to_float():
 def test_walk_counts_match_dense_reference(make):
     g = make()
     ref = dense_walk_counts(g, 60)
-    wc = walk_counts(g, 60)
-    assert [w.exact for w in wc] == [exact for _, _, exact in ref]
-    assert not wc[60].exact  # both modes are compared
-    for w, (total, closed, exact) in zip(wc, ref):
+    total, closed = walk_counts(g, 60)
+    assert not ref[60][2]  # both modes are compared
+    for k, (ref_total, ref_closed, exact) in enumerate(ref):
         if exact:
-            assert w.per_node_total.dtype == np.int64
-            assert np.array_equal(w.per_node_total, total)
-            assert np.array_equal(w.per_node_closed, closed)
+            # the exact integer count, rounded once
+            assert np.array_equal(total[k], ref_total.astype(np.float64))
+            assert np.array_equal(closed[k], ref_closed.astype(np.float64))
         else:
-            np.testing.assert_allclose(w.per_node_total, total, rtol=1e-12,
+            np.testing.assert_allclose(total[k], ref_total, rtol=1e-12,
                                        atol=0)
-            np.testing.assert_allclose(w.per_node_closed, closed, rtol=1e-12,
+            np.testing.assert_allclose(closed[k], ref_closed, rtol=1e-12,
                                        atol=0)
 
 
@@ -560,20 +593,12 @@ def test_walk_counts_match_dense_reference(make):
                          ids=["unsorted-repeat", "one", "empty"])
 def test_walk_counts_at_nodes_match_full_run(make, nodes):
     g = make()
-    full = walk_counts(g, 60)
-    some = walk_counts(g, 60, nodes=nodes)
-    assert len(some) == len(full)
-    # k20 leaves int64 near order 46, so both modes are compared there
-    assert full[1].exact != g.is_weighted and not full[60].exact
-    assert [w.exact for w in some] == [w.exact for w in full]
-    for w, ref in zip(some, full):
-        assert w.order == ref.order
-        assert np.array_equal(w.nodes, nodes)
-        assert ref.nodes is None
-        assert w.per_node_total.dtype == ref.per_node_total.dtype
-        assert np.array_equal(w.per_node_total, ref.per_node_total)
-        assert w.per_node_closed.dtype == ref.per_node_closed.dtype
-        assert np.array_equal(w.per_node_closed, ref.per_node_closed[nodes])
+    total, closed = walk_counts(g, 60)
+    some_total, some_closed = walk_counts(g, 60, nodes=nodes)
+    # k20 leaves int64 at order 15, so both modes are compared there
+    assert g.is_weighted or total[60].max() > 2.0**63
+    assert np.array_equal(some_total, total)
+    assert np.array_equal(some_closed, closed[:, nodes])
 
 
 def test_walk_counts_rejects_bad_nodes():
@@ -585,6 +610,5 @@ def test_walk_counts_rejects_bad_nodes():
 
 def test_walk_counts_weighted_not_exact():
     g = Graph(3, [(0, 1, 0.5), (1, 2, 2.0)])
-    wc = walk_counts(g, 3)
-    assert not wc[1].exact
-    assert np.allclose(wc[2].per_node_closed, [0.25, 4.25, 4.0])
+    _, closed = walk_counts(g, 3)
+    assert np.allclose(closed[2], [0.25, 4.25, 4.0])

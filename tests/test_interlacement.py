@@ -129,13 +129,14 @@ def reference_detect(dec, i, j, measure, grid, bracket_tol, tangency_tol):
 
 
 def reference_deltas(walks, i, j, measure, kmax):
-    """``(start, deltas)``: the pair's series count differences by order."""
+    """``(start, deltas)``: the pair's series count differences by order,
+    from the walk tables ``(total, closed)`` of every node."""
     start = 2 if measure == "C" else 1
+    total, closed = walks
     deltas = []
     for m in range(start, kmax + 1):
-        total = walks[m].per_node_total.astype(float)
-        closed = walks[m].per_node_closed.astype(float)
-        counts = {"C": closed, "R": total, "T": total - closed}[measure]
+        counts = {"C": closed[m], "R": total[m],
+                  "T": total[m] - closed[m]}[measure]
         deltas.append(counts[i] - counts[j])
     return start, np.array(deltas)
 
@@ -220,6 +221,23 @@ def test_symmetric_pair_has_no_events():
     star = generate_star(6)
     res = detect(star, 1, 2, measure="C", zeta_grid=WIDE_GRID)
     assert res.events == ()
+
+
+def test_tied_endpoints_never_reach_the_scan(monkeypatch):
+    # a star's leaves share one grid column: none of their pairs is scanned
+    g = generate_star(40)
+    scanned = []
+    scan = interlacement._detect_block
+
+    def spy(ii, jj, *args):
+        scanned.extend(zip(ii.tolist(), jj.tolist()))
+        return scan(ii, jj, *args)
+
+    monkeypatch.setattr(interlacement, "_detect_block", spy)
+    pairs = np.column_stack(np.triu_indices(g.n, 1))
+    results = detect_pairs(g, pairs, measure="C")
+    assert len(results) == len(pairs)
+    assert [p for p in scanned if 0 not in p] == []
 
 
 def test_clique_hub_crossing_each_measure():
@@ -404,8 +422,7 @@ def test_walk_dominance_means_no_events():
     # star hub vs leaf: closed-walk counts dominate at every order, and no
     # crossing shows up through the certified horizon
     g = generate_star(8)
-    wc = walk_counts(g, 60)
-    closed = np.array([w.per_node_closed.astype(float) for w in wc])
+    _, closed = walk_counts(g, 60)
     assert (closed[:, 0] >= closed[:, 1]).all()
     grid = np.linspace(1e-3, frozen_beyond(g, 0, 1) + 5.0, 3000)
     res = detect(g, 0, 1, measure="C", zeta_grid=grid)
@@ -479,10 +496,9 @@ def test_batched_heuristics_match_per_pair_reference(make, measure,
         # one block, and blocks of a few pairs
         for entries in (interlacement._BLOCK_ENTRIES, 700):
             monkeypatch.setattr(interlacement, "_BLOCK_ENTRIES", entries)
-            assert heuristic_linear_pairs(g, pairs, measure=measure,
-                                          walks=walks) == linear_ref
-            polys = heuristic_poly_pairs(g, pairs, measure=measure, k=k,
-                                         walks=walks)
+            assert heuristic_linear_pairs(g, pairs,
+                                          measure=measure) == linear_ref
+            polys = heuristic_poly_pairs(g, pairs, measure=measure, k=k)
             assert len(polys) == len(pairs)
             for (i, j), poly, ref in zip(pairs, polys, poly_ref):
                 if ref is None:
@@ -499,13 +515,13 @@ def test_batched_heuristics_match_per_pair_reference(make, measure,
                 assert np.array_equal(poly.residuals, residuals)
         # the single-pair forms agree, rejections and messages included
         for (i, j), linear, poly in zip(pairs, linear_ref, polys):
-            assert heuristic_linear(g, i, j, measure, walks=walks) == linear
+            assert heuristic_linear(g, i, j, measure) == linear
             if isinstance(poly, InterlacementError):
                 with pytest.raises(InterlacementError) as exc:
-                    heuristic_poly(g, i, j, measure, k=k, walks=walks)
+                    heuristic_poly(g, i, j, measure, k=k)
                 assert str(exc.value) == str(poly)
             else:
-                single = heuristic_poly(g, i, j, measure, k=k, walks=walks)
+                single = heuristic_poly(g, i, j, measure, k=k)
                 assert np.array_equal(single.roots, poly.roots)
 
 
@@ -575,14 +591,13 @@ def test_linear_heuristic_closed_forms():
 
 def test_linear_heuristic_matches_walk_formula():
     g = double_crossing()
-    wc = walk_counts(g, 3)
-    w2 = wc[2].per_node_closed
-    w3 = wc[3].per_node_closed
+    _, closed = walk_counts(g, 3)
+    w2, w3 = closed[2], closed[3]
     for i in range(g.n):
         for j in range(g.n):
             if i == j:
                 continue
-            got = heuristic_linear(g, i, j, "C", walks=wc)
+            got = heuristic_linear(g, i, j, "C")
             a, b = w2[i] - w2[j], w3[i] - w3[j]
             if a == 0 or b == 0 or np.sign(a) == np.sign(b):
                 assert got is None
