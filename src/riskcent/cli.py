@@ -12,10 +12,10 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 import time
-from itertools import compress
 
 import numpy as np
 
@@ -30,8 +30,7 @@ from .finance import (build_market_window, delta_rank, lda_fit, load_returns,
                       window_rank_report)
 from .graph import (GraphError, load_edge_list, load_json, load_memberships,
                     project_bipartite, save_json)
-from .interlacement import (SeriesPolynomial, detect_pairs,
-                            heuristic_linear_pairs, heuristic_poly_pairs)
+from .interlacement import detect_pairs, heuristic_pairs
 from .spectral import EigensolverError, KrylovConvergenceError
 
 _SOLVERS = ("exact", "lee", "lee-general", "linearized", "mean-field")
@@ -112,9 +111,10 @@ def _write_manifest(out_dir, command, settings, inputs, outputs, seed=None):
 def cmd_centrality(args):
     g = _load_graph(args.graph, weighted=args.weighted)
     grid = _parse_grid(args.zeta_grid)
-    # a grid past the reach of the diagonal's power series fails here,
-    # before the manifest
+    # a grid past the reach of the diagonal's power series, or values
+    # past float range that cannot be ranked, fail here, before the manifest
     profile = sweep(g, grid)
+    report = ranking_sweep(profile, measure=args.measure)
     outputs = ["values_R.csv", "values_C.csv", "values_T.csv",
                "ranks.csv", "rankstd.csv"]
     _write_manifest(args.out, "centrality",
@@ -123,7 +123,6 @@ def cmd_centrality(args):
                     [args.graph], outputs)
     for m in MEASURES:
         profile.to_csv(os.path.join(args.out, "values_%s.csv" % m), m)
-    report = ranking_sweep(profile, measure=args.measure)
     report.to_csv(os.path.join(args.out, "ranks.csv"))
     report.std_to_csv(os.path.join(args.out, "rankstd.csv"))
     return 0
@@ -178,7 +177,7 @@ def cmd_epidemics(args):
 # -- interlacement -----------------------------------------------------------
 
 
-def _parse_pairs(spec, n):
+def _parse_pairs(spec):
     pairs = []
     for tok in spec.split(";"):
         tok = tok.strip()
@@ -187,11 +186,7 @@ def _parse_pairs(spec, n):
         parts = tok.split(",")
         if len(parts) != 2:
             raise ValueError("pair %r is not 'i,j'" % tok)
-        i, j = int(parts[0]), int(parts[1])
-        if not (0 <= i < n and 0 <= j < n) or i == j:
-            raise ValueError("pair (%d, %d) is not two distinct nodes "
-                             "in 0..%d" % (i, j, n - 1))
-        pairs.append((i, j))
+        pairs.append((int(parts[0]), int(parts[1])))
     if not pairs:
         raise ValueError("no pairs given")
     return pairs
@@ -213,10 +208,11 @@ def cmd_interlace(args):
     else:
         if not args.pairs:
             raise ValueError("give --pairs 'i,j;k,l' or --all-pairs")
-        pairs = np.array(_parse_pairs(args.pairs, g.n))
-    # a grid of one point, or past the power series' reach on a graph
-    # above the dense limit, fails here, before the manifest
-    results = detect_pairs(g, pairs, measure=args.measure, zeta_grid=grid)
+        pairs = np.array(_parse_pairs(args.pairs))
+    # a bad pair, a grid of one point, or one past the power series' reach
+    # on a graph above the dense limit fails here, before the manifest
+    (cp, lo, hi, _, _), (tp, zetas) = detect_pairs(
+        g, pairs, measure=args.measure, zeta_grid=grid)
     _write_manifest(args.out, "interlace",
                     {"graph": args.graph, "weighted": args.weighted,
                      "measure": args.measure, "zeta_grid": grid.tolist(),
@@ -224,25 +220,22 @@ def cmd_interlace(args):
                      "all_pairs": args.all_pairs,
                      "pairs": None if args.all_pairs else pairs.tolist()},
                     [args.graph], ["events.csv"])
-    # the heuristics fill columns of event rows only: skip quiet pairs
-    hit = np.array([bool(r.events or r.tangencies) for r in results],
-                   dtype=bool)
-    found = pairs[hit]
-    linears = polys = ()
-    if found.size:
-        linears = heuristic_linear_pairs(g, found, measure=args.measure)
-        polys = heuristic_poly_pairs(g, found, measure=args.measure)
-    rows = []
-    for (i, j), result, linear, poly in zip(
-            found.tolist(), compress(results, hit), linears, polys):
-        root = (poly.roots[0] if isinstance(poly, SeriesPolynomial)
-                and poly.roots.size else None)
-        tail = ["" if x is None else repr(float(x)) for x in (linear, root)]
-        rows += [[i, j, args.measure, "crossing", repr(e.zeta_star),
-                  repr(e.bracket[0]), repr(e.bracket[1])] + tail
-                 for e in result.events]
-        rows += [[i, j, args.measure, "tangency", repr(zeta), "", ""] + tail
-                 for zeta in result.tangencies]
+    pair = np.concatenate([cp, tp])
+    found, at = np.unique(pair, return_inverse=True)
+    linear = root = np.zeros(0)
+    if found.size:  # the heuristics fill columns of event rows only
+        linear, root = heuristic_pairs(g, pairs[found], measure=args.measure)
+    tails = [["" if math.isnan(x) else repr(x) for x in xs]
+             for xs in zip(linear.tolist(), root.tolist())]
+    ij = pairs[pair].tolist()
+    rows = [[i, j, args.measure, "crossing", repr(0.5 * (a + b)), repr(a),
+             repr(b)] for (i, j), a, b in zip(ij, lo.tolist(), hi.tolist())]
+    rows += [[i, j, args.measure, "tangency", repr(zeta), "", ""]
+             for (i, j), zeta in zip(ij[cp.size:], zetas.tolist())]
+    # each pair's crossings, then its tangencies
+    order = np.argsort(pair, kind="stable")
+    rows = [rows[r] + tails[t]
+            for r, t in zip(order.tolist(), at[order].tolist())]
     with open(os.path.join(args.out, "events.csv"), "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["i", "j", "measure", "kind", "zeta_star", "bracket_lo",

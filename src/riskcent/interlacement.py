@@ -5,9 +5,9 @@ zeta* > 0 where the difference f(zeta) = M_i(zeta) - M_j(zeta) changes
 sign: the pair's ranking depends on which side of zeta* the analysis
 sits.  This module locates crossings numerically (``detect``) and
 predicts them from leading walk counts (``heuristic_linear``,
-``heuristic_poly``).  Detection and the heuristics also come in batched
-forms over a list of pairs (``detect_pairs``, ``heuristic_linear_pairs``,
-``heuristic_poly_pairs``); the single-pair functions call into them.
+``heuristic_poly``).  Over a list of pairs, ``detect_pairs`` and
+``heuristic_pairs`` return arrays indexed by pair; only the single-pair
+functions build per-pair objects.
 
 Detection reads no spectrum where it can.  With b the spectral bound of
 the adjacency and s = zeta b, every measure of node i is a
@@ -26,9 +26,9 @@ consecutive sorted grid rows (``_flips``) or lie within the tangency
 tolerance on one row are bisected.
 
 The heuristics read the walk tables of ``graph.walk_counts`` at the
-endpoints of their pairs only, to the truncation order, with closed walks
-for C and T only; ``heuristic_poly_pairs`` finds the roots of a block's
-polynomials with one companion-matrix eigenvalue call per degree.
+endpoints of their pairs only, with closed walks for C and T only;
+``heuristic_pairs`` counts them once for both estimates and finds the
+roots of a block's polynomials with one eigenvalue call per degree.
 """
 
 from __future__ import annotations
@@ -81,10 +81,6 @@ class DetectionResult:
     tangencies: tuple
 
 
-# the result of every pair without crossings or tangencies
-_QUIET = DetectionResult((), ())
-
-
 @dataclass
 class SeriesPolynomial:
     """Truncated-series crossing polynomial for one pair and measure.
@@ -113,14 +109,17 @@ _BLOCK_ENTRIES = 1 << 18
 
 
 def _pair_index(g, pairs):
-    """Endpoint arrays ``(i, j)`` of a sequence of node pairs, validated."""
-    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    """Endpoint arrays ``(i, j)`` of a sequence of node pairs, validated:
+    the first pair that is not two distinct nodes of ``g`` is named."""
+    # checked before the cast to int64, which an index past it overflows
+    pairs = np.asarray(pairs).reshape(-1, 2)
     i, j = pairs[:, 0], pairs[:, 1]
-    if ((i < 0) | (i >= g.n) | (j < 0) | (j >= g.n)).any():
-        raise ValueError("node indices out of range 0..%d" % (g.n - 1))
-    if (i == j).any():
-        raise ValueError("need two distinct nodes")
-    return i, j
+    bad = (i < 0) | (i >= g.n) | (j < 0) | (j >= g.n) | (i == j)
+    if bad.any():
+        x = bad.argmax()
+        raise ValueError("pair (%d, %d) is not two distinct nodes in 0..%d"
+                         % (i[x], j[x], g.n - 1))
+    return i.astype(np.int64), j.astype(np.int64)
 
 
 # -- power-series tables -----------------------------------------------------
@@ -182,7 +181,7 @@ def _flips(order):
     place = np.empty_like(order)
     np.put_along_axis(place, order, np.arange(q)[None], axis=1)
     x = np.take_along_axis(place[1:], order[:-1], axis=1)
-    move = np.abs(x - np.arange(q)).max(axis=1)
+    move = np.abs(x - np.arange(q)).max(axis=1, initial=0)
     by = np.argsort(-move, kind="stable")
     x, before, band = x[by], order[:-1][by], 2 * move[by] - 1
     keys = [np.zeros(0, dtype=np.int64)]
@@ -220,14 +219,30 @@ def detect(g, i, j, measure="C", zeta_grid=None,
 
     The single-pair form of ``detect_pairs``, which documents the rules.
     """
-    return detect_pairs(g, [(i, j)], measure=measure, zeta_grid=zeta_grid,
-                        bracket_tol=bracket_tol, tangency_tol=tangency_tol)[0]
+    (_, lo, hi, before, after), (_, zetas) = detect_pairs(
+        g, [(i, j)], measure=measure, zeta_grid=zeta_grid,
+        bracket_tol=bracket_tol, tangency_tol=tangency_tol)
+    return DetectionResult(
+        tuple(InterlacementEvent(int(i), int(j), measure, 0.5 * (a + b),
+                                 (a, b), s, t)
+              for a, b, s, t in zip(lo.tolist(), hi.tolist(),
+                                    before.tolist(), after.tolist())),
+        tuple(zetas.tolist()))
 
 
 def detect_pairs(g, pairs, measure="C", zeta_grid=None,
                  bracket_tol=BRACKET_TOL_DEFAULT,
                  tangency_tol=TANGENCY_TOL_DEFAULT):
-    """``DetectionResult`` of every node pair (i, j) in ``pairs``, in order.
+    """Crossings and tangencies of the node pairs (i, j) in ``pairs``.
+
+    Returns two groups of arrays, each sorted by pair, then by zeta, with
+    ``pair`` the index of a pair in ``pairs``:
+
+    - ``crossings = (pair, lo, hi, before, after)``: the bisected bracket
+      of each sign change, whose midpoint is its zeta*, and the int8 signs
+      of M_i - M_j before and after it (+1 means node i above node j);
+    - ``tangencies = (pair, zeta)``: the grid zetas of near-touches that
+      do not flip sign.
 
     The scaled values exp(-zeta scale) M_i of every endpoint are evaluated
     on the grid as one product of weights and a table (``_basis``).  A
@@ -268,8 +283,6 @@ def detect_pairs(g, pairs, measure="C", zeta_grid=None,
     nodes, cols = np.unique(np.concatenate([ii, jj]), return_inverse=True)
     ci, cj = cols[:ii.size], cols[ii.size:]
     weights, table, scale = _basis(g, nodes, measure, grid)
-    if not ii.size:
-        return []
     vals = weights(grid) @ table  # (grid, endpoints)
     rows = np.ascontiguousarray(vals.T)
 
@@ -290,16 +303,14 @@ def detect_pairs(g, pairs, measure="C", zeta_grid=None,
                      np.concatenate([flips, _close(order, srt, reach)]))
     cand = np.flatnonzero(wanted)
 
-    results = [_QUIET] * ii.size
     block = max(1, _BLOCK_ENTRIES // max(grid.size, table.shape[0]))
-    for start in range(0, cand.size, block):
-        p = cand[start:start + block]
-        found = _detect_block(ii[p], jj[p], ci[p], cj[p], measure, rows,
-                              table, weights, grid, s, bracket_tol,
-                              tangency_tol)
-        for x, result in found.items():
-            results[p[x]] = result
-    return results
+    # np.split gives one block at least: no candidates still give arrays
+    found = [_detect_block(p, ci, cj, rows, table, weights, grid, s,
+                           bracket_tol, tangency_tol)
+             for p in np.split(cand, np.arange(block, cand.size, block))]
+    crossings, tangencies = zip(*found)
+    return (tuple(map(np.concatenate, zip(*crossings))),
+            tuple(map(np.concatenate, zip(*tangencies))))
 
 
 def _basis(g, nodes, measure, grid):
@@ -336,13 +347,13 @@ def _basis(g, nodes, measure, grid):
     return lambda z: np.exp(np.outer(z, shift)), table, float(lam[0])
 
 
-def _detect_block(ii, jj, ci, cj, measure, rows, table, weights, grid, s,
-                  bracket_tol, tangency_tol):
-    """``detect_pairs`` on one block of pairs, whose endpoints are the
-    rows ``ci``, ``cj`` of the grid values ``rows`` and the columns of
-    ``table`` (``_basis``); ``s`` holds the grid's shifts zeta scale.
-    Returns the ``DetectionResult`` of each pair of the block that is not
-    quiet, by its place in the block."""
+def _detect_block(p, ci, cj, rows, table, weights, grid, s, bracket_tol,
+                  tangency_tol):
+    """``detect_pairs`` on the pairs ``p`` of one block, whose endpoints
+    are the rows ``ci[p]``, ``cj[p]`` of the grid values ``rows`` and the
+    same columns of ``table`` (``_basis``); ``s`` holds the grid's shifts
+    zeta scale.  Returns the block's two groups of arrays."""
+    ci, cj = ci[p], cj[p]
     vi, vj = rows[ci], rows[cj]  # (pairs, grid)
     diff = vi - vj
     absvals = np.abs(diff)
@@ -386,29 +397,17 @@ def _detect_block(ii, jj, ci, cj, measure, rows, table, weights, grid, s,
             & (logf[:, 1] < math.log(tangency_tol)))
     tp, tm = tp[near], tm[near]
 
-    events, tangencies = {}, {}
-    for x, i, j, left, right, before, after in zip(
-            owner.tolist(), ii[owner].tolist(), jj[owner].tolist(),
-            lo.tolist(), hi.tolist(), signs[owner, lo_at].tolist(),
-            signs[owner, hi_at].tolist()):
-        events.setdefault(x, []).append(InterlacementEvent(
-            i, j, measure, 0.5 * (left + right), (left, right), before,
-            after))
-    for x, zeta in zip(tp.tolist(), grid[tm + 1].tolist()):
-        tangencies.setdefault(x, []).append(zeta)
-    return {x: DetectionResult(tuple(events.get(x, ())),
-                               tuple(tangencies.get(x, ())))
-            for x in events.keys() | tangencies.keys()}
+    return ((p[owner], lo, hi, signs[owner, lo_at], signs[owner, hi_at]),
+            (p[tp], grid[tm + 1]))
 
 
 # -- series heuristics -------------------------------------------------------------
 
 
 def _pair_series(g, pairs, measure, kmax):
-    """Validated endpoints ``(i, j)`` of ``pairs`` and the measure's series
-    at them: ``(i, j, start, series, ci, cj)`` with ``series[m, ci[p]]``
-    the float walk count of order start + m feeding the series of node
-    ``i[p]``, and ``series[:, cj[p]]`` that of ``j[p]``.
+    """``(start, deltas)`` of the measure's series at the validated
+    ``pairs``: ``deltas[m, p]`` is the float walk count of order start + m
+    feeding the series of node i less that of node j, for pair p = (i, j).
 
     C draws on closed walks from order 2; R on walk totals from order 1; T
     on open walks (total minus closed) from order 1.  Walks are counted at
@@ -424,13 +423,23 @@ def _pair_series(g, pairs, measure, kmax):
     total, closed = walk_counts(g, kmax,
                                 nodes[:0] if measure == "R" else nodes)
     start = 2 if measure == "C" else 1
-    if measure == "C":
-        series = closed[start:]
-    elif measure == "R":
-        series = total[start:, nodes]
-    else:
-        series = total[start:, nodes] - closed[start:]
-    return ii, jj, start, series, cols[:ii.size], cols[ii.size:]
+    series = (closed if measure == "C" else total[:, nodes] if measure == "R"
+              else total[:, nodes] - closed)[start:]
+    return start, series[:, cols[:ii.size]] - series[:, cols[ii.size:]]
+
+
+def _poly_rows(start, deltas):
+    """``(k0, coeffs)`` of the truncations through the orders of
+    ``deltas``: pair p's ascending coefficients ``delta_m / m!`` first
+    change sign at order ``k0[p]``, one past the last if they never do."""
+    pos = deltas >= 0  # zero counts as positive
+    # a closing row of changes puts k0 = k + 1 where none comes sooner
+    change = np.vstack([pos[1:] != pos[:-1],
+                        np.ones((1, pos.shape[1]), bool)])
+    k0 = change.argmax(axis=0) + 1 + start
+    factorials = np.array([float(math.factorial(m))
+                           for m in range(start, start + len(deltas))])
+    return k0, (deltas / factorials[:, None]).T
 
 
 def heuristic_linear(g, i, j, measure="C"):
@@ -442,20 +451,9 @@ def heuristic_linear(g, i, j, measure="C"):
     two leading differences do not have strictly opposite signs, i.e. the
     minimal-order truncation has no positive root.
     """
-    return heuristic_linear_pairs(g, [(i, j)], measure=measure)[0]
-
-
-def heuristic_linear_pairs(g, pairs, measure="C"):
-    """``heuristic_linear`` of every pair in ``pairs``: floats and Nones."""
-    _, _, start, series, ci, cj = _pair_series(
-        g, pairs, measure, 3 if measure == "C" else 2)
-    a = series[0, ci] - series[0, cj]
-    b = series[1, ci] - series[1, cj]
-    # reduced linear truncation: a/start! + b zeta/(start+1)! = 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        est = -(start + 1) * a / b
-    absent = (a == 0.0) | (b == 0.0) | (np.sign(a) == np.sign(b))
-    return [None if no else x for no, x in zip(absent.tolist(), est.tolist())]
+    (est,), _ = heuristic_pairs(g, [(i, j)], measure,
+                                k=3 if measure == "C" else 2)
+    return None if math.isnan(est) else float(est)
 
 
 def heuristic_poly(g, i, j, measure="C", k=6):
@@ -468,50 +466,47 @@ def heuristic_poly(g, i, j, measure="C", k=6):
     Roots come from the eigenvalues of the companion matrix; only
     positive real roots with small normalized residual are kept.
     """
-    result = heuristic_poly_pairs(g, [(i, j)], measure=measure, k=k)[0]
-    if isinstance(result, InterlacementError):
-        raise result
-    return result
+    k0, coeffs = _poly_rows(*_pair_series(g, [(i, j)], measure, k))
+    if k0[0] > k:
+        raise InterlacementError(
+            "pair (%d, %d): the %s series coefficients never change sign "
+            "through order k=%d; no crossing is indicated at that "
+            "truncation" % (i, j, measure, k))
+    _, roots, residuals = _positive_real_roots_rows(coeffs)
+    return SeriesPolynomial(
+        i=int(i), j=int(j), measure=measure, k=k, k0=int(k0[0]),
+        coefficients=coeffs[0], roots=roots, residuals=residuals,
+        descartes_bound=int(_sign_changes(coeffs)[0]))
 
 
-def heuristic_poly_pairs(g, pairs, measure="C", k=6):
-    """``heuristic_poly`` of every pair in ``pairs``.
+def heuristic_pairs(g, pairs, measure="C", k=6):
+    """``(linear, root)`` float arrays over the node pairs in ``pairs``:
+    each pair's ``heuristic_linear`` and the smallest root of its
+    ``heuristic_poly`` at order k, NaN where the heuristic gives none.
 
-    One entry per pair: its ``SeriesPolynomial``, or the
-    ``InterlacementError`` that ``heuristic_poly`` raises for it.  Walks
-    are read through order k only.  Roots are sought only for the pairs
-    with k0 <= k, a block of pairs at a time (``_positive_real_roots_rows``).
+    Walks are counted once for both, through order k or the linear
+    estimate's order if that is higher.  Roots are sought only for the
+    pairs with k0 <= k, a block of pairs at a time
+    (``_positive_real_roots_rows``).
     """
-    ii, jj, start, series, ci, cj = _pair_series(g, pairs, measure, k)
-    factorials = np.array([float(math.factorial(m))
-                           for m in range(start, k + 1)])
-    block = max(1, _BLOCK_ENTRIES // max(1, series.shape[0]))
-    out = []
-    for s in range(0, ii.size, block):
-        bi, bj = ii[s:s + block].tolist(), jj[s:s + block].tolist()
-        deltas = series[:, ci[s:s + block]] - series[:, cj[s:s + block]]
-        pos = deltas >= 0  # zero counts as positive
-        # a closing row of changes puts k0 = k + 1 where none comes sooner
-        change = np.vstack([pos[1:] != pos[:-1], np.ones((1, len(bi)), bool)])
-        k0 = change.argmax(axis=0) + 1 + start
-        coeffs = (deltas / factorials[:, None]).T
-        solve = np.flatnonzero(k0 <= k)
-        solved = dict(zip(solve.tolist(), zip(
-            _positive_real_roots_rows(coeffs[solve]),
-            _sign_changes(coeffs[solve]).tolist())))
-        for p, (i, j) in enumerate(zip(bi, bj)):
-            if p not in solved:
-                out.append(InterlacementError(
-                    "pair (%d, %d): the %s series coefficients never change "
-                    "sign through order k=%d; no crossing is indicated at "
-                    "that truncation" % (i, j, measure, k)))
-            else:
-                (roots, residuals), bound = solved[p]
-                out.append(SeriesPolynomial(
-                    i=i, j=j, measure=measure, k=k, k0=int(k0[p]),
-                    coefficients=coeffs[p].copy(), roots=roots,
-                    residuals=residuals, descartes_bound=bound))
-    return out
+    start, deltas = _pair_series(g, pairs, measure,
+                                 max(k, 3 if measure == "C" else 2))
+    a, b = deltas[0], deltas[1]
+    # reduced linear truncation: a/start! + b zeta/(start+1)! = 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        est = -(start + 1) * a / b
+    absent = (a == 0.0) | (b == 0.0) | (np.sign(a) == np.sign(b))
+    linear = np.where(absent, np.nan, est)
+    k0, coeffs = _poly_rows(start, deltas[:max(0, k - start + 1)])
+    root = np.full(linear.size, np.nan)
+    solve = np.flatnonzero(k0 <= k)
+    block = max(1, _BLOCK_ENTRIES // max(1, coeffs.shape[1]))
+    for rows in np.split(solve, np.arange(block, solve.size, block)):
+        owner, roots, _ = _positive_real_roots_rows(coeffs[rows])
+        # a row's roots ascend: its first is its smallest
+        solved, first = np.unique(owner, return_index=True)
+        root[rows[solved]] = roots[first]
+    return linear, root
 
 
 def _sign_changes(rows):
@@ -526,7 +521,8 @@ def _sign_changes(rows):
 def _positive_real_roots_rows(coeffs, imag_tol=1e-8, residual_tol=1e-10):
     """Positive real roots of each row of ascending coefficients.
 
-    Returns one ``(roots, residuals)`` per row, roots ascending.  The
+    Returns flat arrays ``(owner, roots, residuals)``: the row of each
+    root, the root and its residual, sorted by row, then by root.  The
     roots are the eigenvalues of the companion matrix that ``np.roots``
     builds (zero coefficients stripped from both ends, first row
     ``-desc[1:] / desc[0]``, ones below the diagonal), solved in one
@@ -536,9 +532,9 @@ def _positive_real_roots_rows(coeffs, imag_tol=1e-8, residual_tol=1e-10):
     does, falls below ``residual_tol``.
     """
     coeffs = np.asarray(coeffs, dtype=float)
-    rows, width = coeffs.shape
+    width = coeffs.shape[1]
     if not coeffs.size:
-        return [(np.zeros(0), np.zeros(0)) for _ in range(rows)]
+        return np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0)
     nonzero = coeffs != 0.0
     lo = nonzero.argmax(axis=1)
     hi = width - 1 - nonzero[:, ::-1].argmax(axis=1)
@@ -568,6 +564,4 @@ def _positive_real_roots_rows(coeffs, imag_tol=1e-8, residual_tol=1e-10):
     keep = res <= residual_tol
     owner, x, res = owner[keep], x[keep], res[keep]
     order = np.lexsort((res, x, owner))
-    x, res = x[order], res[order]
-    ends = np.cumsum(np.bincount(owner, minlength=rows)).tolist()
-    return [(x[a:b], res[a:b]) for a, b in zip([0] + ends[:-1], ends)]
+    return owner[order], x[order], res[order]

@@ -157,6 +157,23 @@ def test_manifest_contents(tmp_path):
         assert os.path.isfile(os.path.join(out, name))
 
 
+def test_centrality_past_float_range_exits_2_before_manifest(tmp_path,
+                                                            capsys):
+    # K30 has R = exp(29 zeta): past zeta ~ 24 the values leave float
+    # range, and the ranking refuses them before any file is written
+    graph = tmp_path / "k30.json"
+    save_json(generate_complete(30), str(graph))
+    out = tmp_path / "out"
+    with pytest.warns(RuntimeWarning) as record:
+        rc = main(["centrality", str(graph), "--zeta-grid", "1:100:5",
+                   "--out", str(out)])
+    assert any("overflow" in str(w.message) for w in record)
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: values must be finite to rank\n")
+    assert not out.exists()
+
+
 def test_missing_graph_file_exits_2(tmp_path, capsys):
     missing = str(tmp_path / "nope.txt")
     rc = main(["centrality", missing, "--out", str(tmp_path / "out")])
@@ -483,8 +500,8 @@ def test_interlace_counts_walks_only_for_pairs_with_events(tmp_path,
     walk_counts = riskcent.interlacement.walk_counts
 
     def spy(g, kmax, nodes=None):
-        # the heuristics read walks through the polynomial's order 6 at most
-        assert kmax <= 6
+        # both heuristics read one count, through the polynomial's order 6
+        assert kmax == 6
         calls.append(list(nodes))
         return walk_counts(g, kmax, nodes=nodes)
 
@@ -497,13 +514,13 @@ def test_interlace_counts_walks_only_for_pairs_with_events(tmp_path,
     assert header[:4] == ["i", "j", "measure", "kind"] and rows == []
     assert calls == []
     # only the endpoints of the crossing pair (5, 1) get closed walks, once
-    # per heuristic
+    # for both heuristics
     loud = str(tmp_path / "loud")
     assert main(["interlace", graph, "--out", loud, "--pairs", "2,3;5,1",
                  "--measure", "C", "--zeta-grid", "0.002:4.0:800"]) == 0
     _, rows = read_csv(os.path.join(loud, "events.csv"))
     assert {(r[0], r[1]) for r in rows} == {("5", "1")}
-    assert calls == [[1, 5], [1, 5]]
+    assert calls == [[1, 5]]
     # R reads walk totals only: no closed walks at any node
     calls.clear()
     totals = str(tmp_path / "totals")
@@ -511,7 +528,7 @@ def test_interlace_counts_walks_only_for_pairs_with_events(tmp_path,
                  "--measure", "R", "--zeta-grid", "0.002:4.0:800"]) == 0
     _, rows = read_csv(os.path.join(totals, "events.csv"))
     assert {(r[0], r[1]) for r in rows} == {("5", "1")}
-    assert calls == [[], []]
+    assert calls == [[]]
 
 
 def test_interlace_all_pairs_on_path(tmp_path):
@@ -529,20 +546,32 @@ def test_interlace_all_pairs_on_path(tmp_path):
 
 
 def test_interlace_writes_tangency_rows(tmp_path, monkeypatch):
-    from riskcent.interlacement import DetectionResult
+    def found(g, pairs, **kwargs):
+        # one crossing of the first pair, two of the second, and a
+        # tangency of each
+        lo = np.array([0.1, 0.2, 0.6])
+        crossings = (np.array([0, 1, 1]), lo, lo + 1e-9,
+                     np.array([1, -1, 1], np.int8),
+                     np.array([-1, 1, -1], np.int8))
+        return crossings, (np.array([0, 1]), np.array([0.25, 0.4]))
 
-    monkeypatch.setattr(riskcent.cli, "detect_pairs",
-                        lambda g, pairs, **kwargs: [DetectionResult([], [0.25])
-                                                    for _ in pairs])
+    monkeypatch.setattr(riskcent.cli, "detect_pairs", found)
     graph = write_k4(tmp_path / "k4.txt")
     out = str(tmp_path / "out")
-    rc = main(["interlace", graph, "--out", out, "--pairs", "0,1",
+    rc = main(["interlace", graph, "--out", out, "--pairs", "0,1;2,3",
                "--measure", "C", "--zeta-grid", "0.05:1:20"])
     assert rc == 0
     header, rows = read_csv(os.path.join(out, "events.csv"))
     assert header[3:7] == ["kind", "zeta_star", "bracket_lo", "bracket_hi"]
-    assert len(rows) == 1
-    assert rows[0][:7] == ["0", "1", "C", "tangency", "0.25", "", ""]
+    # each pair's crossings, then its tangencies
+    assert [row[:5] for row in rows] == [
+        ["0", "1", "C", "crossing", repr(0.5 * (0.1 + (0.1 + 1e-9)))],
+        ["0", "1", "C", "tangency", "0.25"],
+        ["2", "3", "C", "crossing", repr(0.5 * (0.2 + (0.2 + 1e-9)))],
+        ["2", "3", "C", "crossing", repr(0.5 * (0.6 + (0.6 + 1e-9)))],
+        ["2", "3", "C", "tangency", "0.4"]]
+    assert rows[1][:7] == ["0", "1", "C", "tangency", "0.25", "", ""]
+    assert rows[0][5:7] == ["0.1", repr(0.1 + 1e-9)]
 
 
 @pytest.mark.parametrize("error", [
@@ -582,11 +611,22 @@ def test_interlace_one_point_grid_exits_2(tmp_path, capsys):
 
 def test_interlace_bad_pair_exits_2(tmp_path, capsys):
     graph = write_k4(tmp_path / "k4.txt")
-    for spec in ("0,9", "2,2", "0;1", "0,1,2"):
-        rc = main(["interlace", graph, "--out", str(tmp_path / "out"),
-                   "--pairs", spec])
+    cases = {
+        "0,9": "pair (0, 9) is not two distinct nodes in 0..3",
+        "1,2;2,2": "pair (2, 2) is not two distinct nodes in 0..3",
+        "2,-1": "pair (2, -1) is not two distinct nodes in 0..3",
+        "0,99999999999999999999":
+            "pair (0, 99999999999999999999) is not two distinct nodes in 0..3",
+        "0;1": "pair '0' is not 'i,j'",
+        "0,1,2": "pair '0,1,2' is not 'i,j'",
+        " ; ": "no pairs given",
+    }
+    for spec, message in cases.items():
+        out = tmp_path / "out"
+        rc = main(["interlace", graph, "--out", str(out), "--pairs", spec])
         assert rc == 2
-    capsys.readouterr()
+        assert capsys.readouterr().err == "error: %s\n" % message
+        assert not out.exists()
 
 
 # -- experiments --------------------------------------------------------------

@@ -8,6 +8,7 @@ from riskcent import interlacement
 from riskcent.graph import Graph, generate_complete, generate_er, generate_star, walk_counts
 from riskcent.interlacement import (
     InterlacementError,
+    InterlacementEvent,
     SeriesPolynomial,
     _close,
     _flips,
@@ -17,9 +18,8 @@ from riskcent.interlacement import (
     detect,
     detect_pairs,
     heuristic_linear,
-    heuristic_linear_pairs,
+    heuristic_pairs,
     heuristic_poly,
-    heuristic_poly_pairs,
 )
 from riskcent.spectral import (_poisson_weights, _series_degree,
                                _spectral_bound, decompose)
@@ -193,6 +193,19 @@ def reference_positive_real_roots(ascending, imag_tol=1e-8,
     return np.array(xs), np.array(rs)
 
 
+def by_pair(found, count):
+    """``detect_pairs``' arrays as one ``(events, tangencies)`` per pair of
+    ``count``: events as (lo, hi, before, after), tangencies as zetas.
+    Checks that both groups are sorted by pair, then by zeta."""
+    out = [([], []) for _ in range(count)]
+    for group, slot in zip(found, (0, 1)):
+        keys = list(zip(group[0].tolist(), group[1].tolist()))
+        assert keys == sorted(keys)
+        for p, *row in zip(*(x.tolist() for x in group)):
+            out[p][slot].append(tuple(row) if slot == 0 else row[0])
+    return out
+
+
 def frozen_beyond(g, i, j):
     """Closed-form horizon past which the C order of pair (i, j) is frozen.
 
@@ -228,15 +241,16 @@ def test_tied_endpoints_never_reach_the_scan(monkeypatch):
     g = generate_star(40)
     scanned = []
     scan = interlacement._detect_block
+    pairs = np.column_stack(np.triu_indices(g.n, 1))
 
-    def spy(ii, jj, *args):
-        scanned.extend(zip(ii.tolist(), jj.tolist()))
-        return scan(ii, jj, *args)
+    def spy(p, *args):
+        scanned.extend(map(tuple, pairs[p].tolist()))
+        return scan(p, *args)
 
     monkeypatch.setattr(interlacement, "_detect_block", spy)
-    pairs = np.column_stack(np.triu_indices(g.n, 1))
-    results = detect_pairs(g, pairs, measure="C")
-    assert len(results) == len(pairs)
+    results = by_pair(detect_pairs(g, pairs, measure="C"), len(pairs))
+    # the hub leads every leaf throughout
+    assert results == [([], [])] * len(pairs)
     assert [p for p in scanned if 0 not in p] == []
 
 
@@ -386,14 +400,18 @@ def test_order_keys_keep_every_sign_change_and_drop_noise():
     assert _flips(np.argsort(rows, axis=1, kind="stable")).size > 1000
     assert _flips(np.argsort(_order_keys(rows), axis=1,
                              kind="stable")).size == 0
-    assert all(r == interlacement._QUIET for r in detect_pairs(
-        g, pairs, measure="C", zeta_grid=grid))
+    assert by_pair(detect_pairs(g, pairs, measure="C", zeta_grid=grid),
+                   len(pairs)) == [([], [])] * len(pairs)
 
 
 def test_no_pairs_give_no_results():
     # what `interlace --all-pairs` passes on a one-node graph
     for g in (Graph(1), generate_complete(3)):
-        assert detect_pairs(g, np.zeros((0, 2), dtype=int)) == []
+        crossings, tangencies = detect_pairs(g, np.zeros((0, 2), dtype=int))
+        # empty, typed as if they held events
+        assert [(x.size, x.dtype) for x in crossings + tangencies] == [
+            (0, np.int64), (0, float), (0, float), (0, np.int8),
+            (0, np.int8), (0, np.int64), (0, float)]
 
 
 def test_opposite_limit_orderings_give_odd_event_count():
@@ -467,17 +485,29 @@ def test_detect_pairs_matches_per_pair_reference(make, grid, measure,
         # one block, and blocks of a few pairs
         for entries in (interlacement._BLOCK_ENTRIES, 700):
             monkeypatch.setattr(interlacement, "_BLOCK_ENTRIES", entries)
-            got = detect_pairs(g, pairs, measure=measure, zeta_grid=grid,
-                               bracket_tol=tol, tangency_tol=tangency_tol)
-            assert len(got) == len(pairs)
-            assert {((e.i, e.j), interval(*e.bracket), e.sign_before,
-                     e.sign_after) for res in got for e in res.events} == want
+            got = by_pair(detect_pairs(
+                g, pairs, measure=measure, zeta_grid=grid, bracket_tol=tol,
+                tangency_tol=tangency_tol), len(pairs))
+            assert {(pair, interval(lo, hi), before, after)
+                    for pair, (events, _) in zip(pairs, got)
+                    for lo, hi, before, after in events} == want
             for (events, tangencies), res in zip(ref, got):
-                assert len(res.events) == len(events)
-                for (lo, hi, _, _), e in zip(events, res.events):
-                    assert e.measure == measure and e.bracket[1] - e.bracket[0] <= tol
-                    assert abs(e.zeta_star - 0.5 * (lo + hi)) <= tol
-                assert list(res.tangencies) == tangencies
+                assert len(res[0]) == len(events)
+                for (lo, hi, _, _), (left, right, _, _) in zip(events, res[0]):
+                    assert right - left <= tol
+                    assert abs(0.5 * (left + right) - 0.5 * (lo + hi)) <= tol
+                assert res[1] == tangencies
+        # detect builds its result of the same arrays
+        loud = [p for p, res in enumerate(got) if res != ([], [])]
+        for p in loud[:5]:
+            (i, j), (events, tangencies) = pairs[p], got[p]
+            res = detect(g, i, j, measure=measure, zeta_grid=grid,
+                         bracket_tol=tol, tangency_tol=tangency_tol)
+            assert res.events == tuple(
+                InterlacementEvent(i, j, measure, 0.5 * (lo + hi), (lo, hi),
+                                   before, after)
+                for lo, hi, before, after in events)
+            assert res.tangencies == tuple(tangencies)
     assert want  # every case crosses somewhere
 
 
@@ -493,36 +523,37 @@ def test_batched_heuristics_match_per_pair_reference(make, measure,
         linear_ref = [reference_linear(walks, i, j, measure) for i, j in pairs]
         poly_ref = [reference_poly(walks, i, j, measure, k) for i, j in pairs]
         assert 0 < poly_ref.count(None) < len(pairs)
+        roots_ref = [reference_positive_real_roots(ref[1])[0]
+                     if ref is not None else np.zeros(0) for ref in poly_ref]
+        root_ref = [r[0] if r.size else np.nan for r in roots_ref]
         # one block, and blocks of a few pairs
         for entries in (interlacement._BLOCK_ENTRIES, 700):
             monkeypatch.setattr(interlacement, "_BLOCK_ENTRIES", entries)
-            assert heuristic_linear_pairs(g, pairs,
-                                          measure=measure) == linear_ref
-            polys = heuristic_poly_pairs(g, pairs, measure=measure, k=k)
-            assert len(polys) == len(pairs)
-            for (i, j), poly, ref in zip(pairs, polys, poly_ref):
-                if ref is None:
-                    assert isinstance(poly, InterlacementError)
-                    continue
-                k0, coeffs, descartes = ref
-                assert isinstance(poly, SeriesPolynomial)
-                assert (poly.i, poly.j, poly.measure, poly.k, poly.k0) == (
-                    i, j, measure, k, k0)
-                assert np.array_equal(poly.coefficients, coeffs)
-                assert poly.descartes_bound == descartes
-                roots, residuals = reference_positive_real_roots(coeffs)
-                assert np.array_equal(poly.roots, roots)
-                assert np.array_equal(poly.residuals, residuals)
+            linear, root = heuristic_pairs(g, pairs, measure=measure, k=k)
+            assert [None if math.isnan(x) else x
+                    for x in linear.tolist()] == linear_ref
+            assert np.array_equal(root, root_ref, equal_nan=True)
         # the single-pair forms agree, rejections and messages included
-        for (i, j), linear, poly in zip(pairs, linear_ref, polys):
+        for (i, j), linear, ref in zip(pairs, linear_ref, poly_ref):
             assert heuristic_linear(g, i, j, measure) == linear
-            if isinstance(poly, InterlacementError):
+            if ref is None:
                 with pytest.raises(InterlacementError) as exc:
                     heuristic_poly(g, i, j, measure, k=k)
-                assert str(exc.value) == str(poly)
-            else:
-                single = heuristic_poly(g, i, j, measure, k=k)
-                assert np.array_equal(single.roots, poly.roots)
+                assert str(exc.value) == (
+                    "pair (%d, %d): the %s series coefficients never change "
+                    "sign through order k=%d; no crossing is indicated at "
+                    "that truncation" % (i, j, measure, k))
+                continue
+            k0, coeffs, descartes = ref
+            poly = heuristic_poly(g, i, j, measure, k=k)
+            assert isinstance(poly, SeriesPolynomial)
+            assert (poly.i, poly.j, poly.measure, poly.k, poly.k0) == (
+                i, j, measure, k, k0)
+            assert np.array_equal(poly.coefficients, coeffs)
+            assert poly.descartes_bound == descartes
+            roots, residuals = reference_positive_real_roots(coeffs)
+            assert np.array_equal(poly.roots, roots)
+            assert np.array_equal(poly.residuals, residuals)
 
 
 def random_polynomials(rng, rows, width):
@@ -560,20 +591,20 @@ def test_batched_roots_match_np_roots_reference():
     degrees = {int(np.ptp(np.flatnonzero(c))) if c.any() else -1
                for c in coeffs}
     assert degrees >= {-1, 0, 1, 2, 3, 4, 5, 6}
-    batch = _positive_real_roots_rows(coeffs)
-    assert len(batch) == len(coeffs)
-    kept = 0
-    for c, (roots, residuals) in zip(coeffs, batch):
+    owner, roots, residuals = _positive_real_roots_rows(coeffs)
+    assert (np.diff(owner) >= 0).all()  # by row, then by root
+    for r, c in enumerate(coeffs):
         want = reference_positive_real_roots(c)
-        assert np.array_equal(roots, want[0])
-        assert np.array_equal(residuals, want[1])
-        single = _positive_real_roots_rows(c[None])[0]
-        assert np.array_equal(single[0], roots)
-        assert np.array_equal(single[1], residuals)
-        kept += roots.size
-    assert kept > 100
-    assert _positive_real_roots_rows(np.zeros((0, 4))) == []
-    assert [r.size for r, _ in _positive_real_roots_rows(np.zeros((2, 0)))] == [0, 0]
+        mine = owner == r
+        assert np.array_equal(roots[mine], want[0])
+        assert np.array_equal(residuals[mine], want[1])
+        single = _positive_real_roots_rows(c[None])
+        assert np.array_equal(single[0], np.zeros(want[0].size))
+        assert np.array_equal(single[1], want[0])
+        assert np.array_equal(single[2], want[1])
+    assert roots.size > 100
+    for empty in (np.zeros((0, 4)), np.zeros((2, 0))):
+        assert [x.size for x in _positive_real_roots_rows(empty)] == [0] * 3
 
 
 # -- linear heuristic -------------------------------------------------------------
