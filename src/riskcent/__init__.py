@@ -29,7 +29,6 @@ from .graph import (  # noqa: F401
 )
 from .spectral import (  # noqa: F401
     EigensolverError,
-    KrylovConvergenceError,
     SpectralDecomposition,
     decompose,
     expm,

@@ -31,7 +31,7 @@ from .finance import (build_market_window, delta_rank, lda_fit, load_returns,
 from .graph import (GraphError, load_edge_list, load_json, load_memberships,
                     project_bipartite, save_json)
 from .interlacement import detect_pairs, heuristic_pairs
-from .spectral import EigensolverError, KrylovConvergenceError
+from .spectral import EigensolverError
 
 _SOLVERS = ("exact", "lee", "lee-general", "linearized", "mean-field")
 
@@ -111,8 +111,8 @@ def _write_manifest(out_dir, command, settings, inputs, outputs, seed=None):
 def cmd_centrality(args):
     g = _load_graph(args.graph, weighted=args.weighted)
     grid = _parse_grid(args.zeta_grid)
-    # a grid past the reach of the diagonal's power series, or values
-    # past float range that cannot be ranked, fail here, before the manifest
+    # values past float range that cannot be ranked fail here, before the
+    # manifest
     profile = sweep(g, grid)
     report = ranking_sweep(profile, measure=args.measure)
     outputs = ["values_R.csv", "values_C.csv", "values_T.csv",
@@ -209,8 +209,7 @@ def cmd_interlace(args):
         if not args.pairs:
             raise ValueError("give --pairs 'i,j;k,l' or --all-pairs")
         pairs = np.array(_parse_pairs(args.pairs))
-    # a bad pair, a grid of one point, or one past the power series' reach
-    # on a graph above the dense limit fails here, before the manifest
+    # a bad pair or a grid of one point fails here, before the manifest
     (cp, lo, hi, _, _), (tp, zetas) = detect_pairs(
         g, pairs, measure=args.measure, zeta_grid=grid)
     _write_manifest(args.out, "interlace",
@@ -479,7 +478,7 @@ def main(argv=None):
         print("error: %s" % exc, file=sys.stderr)
         return 3
     except (GraphError, ValueError, OSError, EigensolverError,
-            KrylovConvergenceError, SIIntegrationError) as exc:
+            SIIntegrationError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

@@ -9,21 +9,19 @@ predicts them from leading walk counts (``heuristic_linear``,
 ``heuristic_pairs`` return arrays indexed by pair; only the single-pair
 functions build per-pair objects.
 
-Detection reads no spectrum where it can.  With b the spectral bound of
-the adjacency and s = zeta b, every measure of node i is a
-Poisson-weighted power series
+Detection reads no spectrum.  With b the spectral bound of the adjacency
+and s = zeta b, every measure of node i is a Poisson-weighted power series
 
     exp(-s) M_i(zeta) = sum_k w_k(s) t_ik,   w_k(s) = exp(-s) s^k / k!,
 
 over a table t_ik taken once at the pairs' endpoints: the moments
 (A/b)^k_ii for C, the powers ((A/b)^k 1)_i for R, their difference for T.
 The scaled value has the sign pattern of M_i - M_j and stays finite for
-any zeta.  One sum of at most ``spectral._MAX_DEGREE`` terms reaches s up
-to ``spectral._REACH``.  A grid past that is read from the
-eigendecomposition instead on graphs of at most ``DENSE_LIMIT_DEFAULT``
-nodes, and refused above them.  Only the pairs that swap between two
-consecutive sorted grid rows (``_flips``) or lie within the tangency
-tolerance on one row are bisected.
+any zeta.  The table runs to the degree the top of the grid needs
+(``spectral._series_degree``), whatever that top and the graph's size.
+Only the pairs that swap between two consecutive sorted grid rows
+(``_flips``) or lie within the tangency tolerance on one row are
+bisected.
 
 The heuristics read the walk tables of ``graph.walk_counts`` at the
 endpoints of their pairs only, with closed walks for C and T only;
@@ -40,9 +38,8 @@ import numpy as np
 
 from .centrality import MEASURES, _grid
 from .graph import walk_counts
-from .spectral import (DENSE_LIMIT_DEFAULT, KrylovConvergenceError,
-                       _moment_table, _poisson_weights, _series_degree,
-                       _spectral_bound, decompose)
+from .spectral import (_moment_table, _poisson_weights, _series_degree,
+                       _spectral_bound)
 
 BRACKET_TOL_DEFAULT = 1e-8
 TANGENCY_TOL_DEFAULT = 1e-10
@@ -269,9 +266,7 @@ def detect_pairs(g, pairs, measure="C", zeta_grid=None,
     only turns signs to zero, and every sign change across zeros is still
     a flip between some two sorted rows.  Candidates run in blocks: one
     block's grid values are differences of table values, and all of its
-    brackets are bisected together.  A grid past what one power series
-    resolves raises ``KrylovConvergenceError`` before any table is taken
-    on a graph above the dense limit.
+    brackets are bisected together.
     """
     ii, jj = _pair_index(g, pairs)
     grid = _grid(zeta_grid)
@@ -315,36 +310,16 @@ def detect_pairs(g, pairs, measure="C", zeta_grid=None,
 
 def _basis(g, nodes, measure, grid):
     """``(weights, table, scale)`` with ``weights(z) @ table`` the scaled
-    values exp(-z scale) M(z) of the measure at ``nodes`` for the zetas z.
-
-    Where one power sum reaches the top of the grid, the Poisson weights
-    of s = z b and the series table (module docstring), scale being the
-    spectral bound b.  Past that reach, on a graph of at most
-    ``DENSE_LIMIT_DEFAULT`` nodes, the eigendecomposition: the weights
-    exp(z (lam_k - lam_1)) and the table of ``u_ik^2`` for C, ``u_ik sum_l
-    u_lk`` for R and their difference for T, scale being lam_1.  Above
-    the dense limit a grid past the reach raises
-    ``KrylovConvergenceError``.
+    values exp(-z scale) M(z) of the measure at ``nodes`` for the zetas z:
+    the Poisson weights of s = z b and the series table (module
+    docstring) to the degree the top of the grid needs, scale being the
+    spectral bound b.
     """
     a = g.sparse_adjacency()
     b = _spectral_bound(a)
-    try:
-        degree = _series_degree(b, grid)
-    except KrylovConvergenceError:
-        if g.n > DENSE_LIMIT_DEFAULT:
-            raise
-    else:
-        return (lambda z: _poisson_weights(z * b, degree, z * b),
-                _measure_table(a, b, nodes, measure, degree), b)
-    dec = decompose(g)
-    lam, u = dec.eigenvalues, dec.eigenvectors
-    shift = lam - lam[0]
-    at = u[nodes].T
-    closed = at * at
-    total = u.sum(axis=0)[:, None] * at
-    table = (closed if measure == "C" else total if measure == "R"
-             else total - closed)
-    return lambda z: np.exp(np.outer(z, shift)), table, float(lam[0])
+    degree = int(_series_degree(grid.max() * b))
+    return (lambda z: _poisson_weights(z * b, degree, z * b),
+            _measure_table(a, b, nodes, measure, degree), b)
 
 
 def _detect_block(p, ci, cj, rows, table, weights, grid, s, bracket_tol,

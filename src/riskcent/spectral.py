@@ -18,18 +18,18 @@ the diagonal ``diag(exp(z*A))`` for a symmetric adjacency A and z >= 0.
 
 The action always takes the power-series route (``_krylov_action``): per
 connected component, the powers ``(A/b)^k v`` in blocks of
-``_MOMENT_BLOCK`` rows (``_power_sum``).  A sum reaches at most ``zb =
-_REACH``, the most that degree ``_MAX_DEGREE`` resolves; a grid point
-past that restarts the sum from the last computed row, or from a step of
-``_REACH / b`` where no grid point lies within reach (``_power_action``).
-The diagonal takes the route ``_moment_route`` predicts cheaper from the
-graph's size, its number of edges and the top of the grid, a tie going to
-the dense one.  On the power-series route (``_moment_diag``) it sums the
-moments ``(A/b)^k_ii`` from powers of blocks of unit vectors
-(``_power_moments``, two moments per sparse product); it is the only route
-above ``DENSE_LIMIT_DEFAULT`` nodes, where ``decompose`` refuses, and
-raises ``KrylovConvergenceError`` past degree ``_MAX_DEGREE``
-(``_series_degree``, which the interlacement tables share).
+``_MOMENT_BLOCK`` rows (``_power_sum``).  A sum of the action runs to
+``zb = _REACH`` at most, which keeps its Poisson weights accurate; a grid
+point past that restarts the sum from the last computed row, or from a
+step of ``_REACH / b`` where no grid point lies within it
+(``_power_action``).  The diagonal takes the route ``_moment_route``
+predicts cheaper from the graph's size, its number of edges and the top
+of the grid, a tie going to the dense one.  On the power-series route
+(``_moment_diag``) it sums the moments ``(A/b)^k_ii`` from powers of
+blocks of unit vectors (``_power_moments``, two moments per sparse
+product) to the degree the top of the grid needs (``_series_degree``,
+which the interlacement tables share), at any z; it is the only route
+above ``DENSE_LIMIT_DEFAULT`` nodes, where ``decompose`` refuses.
 
 With ``A >= 0`` every power and weight is >= 0, so each diagonal entry
 keeps its relative accuracy, an isolated node is 1 exactly and z = 0 gives
@@ -47,14 +47,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc, gammaincinv, gammaln, xlogy
+from scipy.special import gammainc, gammaln, xlogy
 
 DENSE_LIMIT_DEFAULT = 5000
 _EXP_MAX = float(np.log(np.finfo(float).max))  # largest finite exp argument
 _EPS = float(np.finfo(float).eps)
-_MAX_DEGREE = 398  # largest degree of one power sum
-# largest s = z b that one sum of that degree resolves (_tail_ok), ~255
-_REACH = float(gammaincinv(_MAX_DEGREE + 1.0, _EPS / 4.0))
+# largest s = z b of one power sum of the action, which restarts past it:
+# the Poisson weights err by 3.2e-13 relative at s = 255 against 3.2e-11 at
+# s = 1e4.  On the graphs of test_krylov_action_past_overflow (s up to
+# 1e4) the action erred by 3.1-6.9e-12 with restarts, 1.1-1.6e-11 without
+_REACH = 255.0
 _BOUND_STEPS = 20  # power steps behind the moments route's spectral bound
 _MOMENT_BLOCK = 64  # nodes per moments block; powers per GEMM of the action
 # predicted cost of the moments route per m (nnz + n) n, in units of the
@@ -67,11 +69,6 @@ _MOMENTS_PER_DENSE = 2.5
 
 class EigensolverError(RuntimeError):
     """Dense eigendecomposition failed to converge."""
-
-
-class KrylovConvergenceError(RuntimeError):
-    """A power series of exp(zeta A) without restarts (the diagonal, the
-    interlacement tables) needs a degree past its cap ``_MAX_DEGREE``."""
 
 
 @dataclass(frozen=True)
@@ -198,6 +195,23 @@ def _tail_ok(s, m):
     return gammainc(np.asarray(m) + 1.0, s) <= _EPS / 4.0
 
 
+def _series_degree(s):
+    """The first Taylor degree that passes ``_tail_ok`` at each s, for a
+    scalar s or an array of them.
+
+    The search runs up to ``s + t``, ``t = L + sqrt(L^2 + 2 L s)`` with
+    ``L = log(4 / eps)``: the Chernoff bound ``P(X >= s + t) <= exp(-t^2 /
+    (2 (s + t)))`` of X ~ Poisson(s) is ``eps / 4`` at that t, so the
+    degree ``ceil(s + t)`` passes.
+    """
+    s = np.asarray(s, dtype=float)
+    top = float(np.max(s, initial=0.0))
+    log_tail = np.log(4.0 / _EPS)
+    t = log_tail + np.sqrt(log_tail * (log_tail + 2.0 * top))
+    m = np.arange(int(np.ceil(top + t)) + 1)
+    return np.argmax(_tail_ok(s[..., None], m), axis=-1)
+
+
 def _poisson_weights(s, degree, shift):
     """``w[j, k] = exp(-shift[j]) s[j]^k / k!`` for k = 0..degree."""
     k = np.arange(degree + 1)
@@ -208,15 +222,13 @@ def _power_sum(ah, s, x):
     """Rows ``exp(-s[j]) exp(s[j] ah) x = sum_k w_k(s[j]) ah^k x``, with
     the Poisson weights ``w_k(s) = exp(-s) s^k / k!`` of ``_tail_ok``.
 
-    ``ah`` is the adjacency scaled by its spectral bound and every s is at
-    most ``_REACH``.  The sum runs to the degree ``_tail_ok`` gives the
-    largest s, at most ``_MAX_DEGREE``.  The powers ``ah^k x`` fill a
-    block of ``_MOMENT_BLOCK`` rows, which one GEMM adds to every row, so
-    one sum holds the block and the rows whatever its degree.  s = 0 gives
-    x exactly.
+    ``ah`` is the adjacency scaled by its spectral bound.  The sum runs
+    to the degree ``_series_degree`` gives the largest s.  The powers
+    ``ah^k x`` fill a block of ``_MOMENT_BLOCK`` rows, which one GEMM adds
+    to every row, so one sum holds the block and the rows whatever its
+    degree.  s = 0 gives x exactly.
     """
-    ok = _tail_ok(s.max(), np.arange(_MAX_DEGREE + 1))
-    top = int(np.argmax(ok)) if ok.any() else _MAX_DEGREE
+    top = int(_series_degree(s.max()))
     coef = _poisson_weights(s, top, s)
     rows = np.zeros((s.size, x.size))
     pw = np.empty((min(_MOMENT_BLOCK, top + 1), x.size))
@@ -336,22 +348,6 @@ def _moment_table(ah, nodes, degree):
     return mu
 
 
-def _series_degree(b, z):
-    """The Taylor degree ``_tail_ok`` gives the top of the grid z on a graph
-    of spectral bound b, which resolves every z of the grid.
-
-    Past ``_MAX_DEGREE``, i.e. past ``z b = _REACH``, raises
-    ``KrylovConvergenceError`` naming the largest zeta the graph resolves.
-    """
-    ok = _tail_ok(float(np.max(z)) * b, np.arange(_MAX_DEGREE + 1))
-    if not ok.any():
-        raise KrylovConvergenceError(
-            "the power series of exp(zeta A) needs a degree past its cap "
-            "%d at zeta = %g; this graph resolves zeta <= %.4g"
-            % (_MAX_DEGREE, np.max(z), _REACH / b))
-    return int(np.argmax(ok))
-
-
 def _moment_diag(a, z, scaled, b=None):
     """Rows ``diag(exp(z[k]*A))`` for a 1-D grid z from power moments.
 
@@ -362,29 +358,31 @@ def _moment_diag(a, z, scaled, b=None):
     component or of a small Perron weight included, where a Chebyshev sum
     would cancel to rounding level of ``exp(s)``.  One pass of
     ``_power_moments`` per ``_MOMENT_BLOCK`` nodes serves every grid
-    point; each row sums its own degree (``_tail_ok``), so a grid row
-    equals the single-z call.  The degree at the top of the grid is at
-    most ``_MAX_DEGREE``, which resolves z up to ``_REACH / b``; past that
-    raises ``KrylovConvergenceError``.  Scaled rows are ``(rows, s)``, with
-    the Poisson weights ``exp(-s) s^k / k!``.
+    point; each row sums to its own degree (``_series_degree``), at any z,
+    so a grid row equals the single-z call.  Each block's moments go into
+    the rows before the next block is taken, so beside the rows and the
+    weights one block's moments and two (n, block) powers are live,
+    whatever the degree.  Scaled rows are ``(rows, s)``, with the Poisson
+    weights ``exp(-s) s^k / k!``.
     """
     if b is None:
         b = _spectral_bound(a)
     s = z * b
-    top = _series_degree(b, z)
-    # the tail grows with s, so every row passes by degree top
-    ok = _tail_ok(s[:, None], np.arange(top + 1))
-    degrees = np.where(ok.any(axis=1), np.argmax(ok, axis=1), top)
+    degrees = _series_degree(s)
+    top = int(degrees.max())
     n = a.shape[0]
     ah = a / b if b > 0.0 else a
-    mu = _moment_table(ah, np.arange(n), top)
     # s^k / k! times exp(-shift): shift s when scaled, else only as much as
     # keeps exp(s) finite, so that the weight at k = 0 is 1 exactly
     shift = s if scaled else np.maximum(s - _EXP_MAX, 0.0)
     coef = _poisson_weights(s, top, shift)
     rows = np.empty((z.size, n))
-    for j, m in enumerate(degrees):
-        rows[j] = coef[j, :m + 1] @ mu[:m + 1]
+    for start in range(0, n, _MOMENT_BLOCK):
+        stop = min(start + _MOMENT_BLOCK, n)
+        mu = _power_moments(ah, np.arange(start, stop), top)
+        for j, m in enumerate(degrees):
+            rows[j, start:stop] = coef[j, :m + 1] @ mu[:m + 1]
+        del mu  # freed before the next block's moments are taken
     if scaled:
         return rows, s
     big = shift > 0.0
@@ -410,8 +408,7 @@ def _moment_route(g, z):
     top = float(np.max(z, initial=0.0))
     if n > DENSE_LIMIT_DEFAULT:
         return _spectral_bound(a)
-    afford = min(int(np.ceil(n**2 / (_MOMENTS_PER_DENSE * (a.nnz + n)))) - 1,
-                 _MAX_DEGREE)
+    afford = int(np.ceil(n**2 / (_MOMENTS_PER_DENSE * (a.nnz + n)))) - 1
     if not _tail_ok(top * a.data.sum() / n, afford):
         return None
     b = _spectral_bound(a)

@@ -12,6 +12,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.special
 
 import riskcent
 import riskcent.cli
@@ -258,8 +259,8 @@ def test_interlace_above_dense_limit(tmp_path):
 
 
 def test_interlace_past_the_reach_below_dense_limit(tmp_path):
-    # K300 needs zeta b = 299 at the default grid's top, past the reach of
-    # one power series: the eigendecomposition takes over
+    # K300 needs zeta b = 299 at the default grid's top: one series table
+    # of degree 453 serves the grid, with no eigendecomposition
     graph = tmp_path / "k300.json"
     save_json(generate_complete(300), str(graph))
     out = tmp_path / "out"
@@ -272,23 +273,42 @@ def test_interlace_past_the_reach_below_dense_limit(tmp_path):
 
 
 @pytest.mark.parametrize("command", [["centrality"],
-                                     ["interlace", "--pairs", "0,2500"]])
-def test_grid_past_the_reach_exits_2_before_manifest(tmp_path, capsys,
-                                                     command):
-    # above the dense limit the diagonal (and every interlacement table)
-    # is one power series, whose degree cap the ring resolves to zeta
-    # 127.6 (b = 2)
-    n = riskcent.spectral.DENSE_LIMIT_DEFAULT + 1
+                                     ["interlace", "--pairs", "0,300"]])
+def test_large_zeta_above_dense_limit_matches_closed_forms(tmp_path,
+                                                           monkeypatch,
+                                                           command):
+    # above the dense limit the diagonal and every interlacement table are
+    # one power series, here to zeta b = 400 (b = 2), of degree 577.
+    # On the ring exp(zeta A) 1 = exp(2 zeta) 1, and the diagonal is
+    # I_0(2 zeta) up to terms below exp(-390) of it
+    monkeypatch.setattr(riskcent.spectral, "DENSE_LIMIT_DEFAULT", 600)
+    n = 601
     graph = write_ring(tmp_path / "ring.json", n)
     out = tmp_path / "out"
     rc = main([command[0], graph, "--zeta-grid", "1:200:3", "--out",
                str(out)] + command[1:])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert err == ("error: the power series of exp(zeta A) needs a degree "
-                   "past its cap 398 at zeta = 200; this graph resolves "
-                   "zeta <= 127.6\n")
-    assert not out.exists()
+    assert rc == 0
+    zeta = np.linspace(1.0, 200.0, 3)[:, None]
+    want = {"R": np.ones((3, 1)), "C": scipy.special.ive(0, 2.0 * zeta)}
+    want["T"] = want["R"] - want["C"]
+    if command[0] == "centrality":
+        for m in "RCT":
+            _, rows = read_csv(out / ("values_%s.csv" % m))
+            vals = np.array(rows, dtype=float)
+            assert np.array_equal(vals[:, :1], zeta)
+            got = vals[:, 1:] * np.exp(-2.0 * zeta)
+            assert np.abs(got / want[m] - 1.0).max() <= 1e-12, m
+        return
+    header, rows = read_csv(out / "events.csv")
+    assert header[:4] == ["i", "j", "measure", "kind"]
+    assert rows == []  # the ring's nodes are automorphic
+    g = load_json(graph)
+    for m in "RCT":
+        weights, table, scale = riskcent.interlacement._basis(
+            g, np.array([0, 300]), m, zeta[:, 0])
+        assert scale == 2.0
+        got = weights(zeta[:, 0]) @ table
+        assert np.abs(got / want[m] - 1.0).max() <= 1e-12, m
 
 
 # -- epidemics ----------------------------------------------------------------
@@ -576,8 +596,7 @@ def test_interlace_writes_tangency_rows(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("error", [
     riskcent.EigensolverError("eigh did not converge"),
-    riskcent.KrylovConvergenceError("the power series of the diagonal "
-                                    "needs a degree past its cap 398"),
+    ValueError("linearized: exp(gamma t A) x0 overflows at t = 1.0"),
     riskcent.SIIntegrationError("SI integration failed: step too small"),
 ])
 def test_solver_failures_exit_2(tmp_path, capsys, monkeypatch, error):

@@ -394,7 +394,7 @@ def test_order_keys_keep_every_sign_change_and_drop_noise():
     grid = np.linspace(0.01, 1.0, 100)
     a = g.sparse_adjacency()
     b = _spectral_bound(a)
-    degree = _series_degree(b, grid)
+    degree = int(_series_degree(grid.max() * b))
     rows = _poisson_weights(grid * b, degree, grid * b) @ _measure_table(
         a, b, np.arange(60), "C", degree)
     assert _flips(np.argsort(rows, axis=1, kind="stable")).size > 1000
@@ -454,8 +454,8 @@ BATCH_CASES = [
      np.linspace(0.01, 3.0, 300)),
     ("disconnected", disconnected, WIDE_GRID),
 ]
-# zeta b passes the reach of one power sum from zeta = 62.5 on: the
-# eigendecomposition takes over
+# zeta b passes 255 from zeta = 62.5 on: the series table runs to degree
+# 487 at the grid's top, 80
 DETECT_CASES = BATCH_CASES + [
     ("past_reach", clique_plus_hub, np.linspace(0.01, 80.0, 2000)),
 ]

@@ -4,22 +4,22 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.special
 
 import riskcent.spectral
 from riskcent.centrality import sweep
 from riskcent.epidemics import SIParams, si_lee, si_linearized
 from riskcent.graph import Graph, generate_complete, generate_er, generate_star
-from riskcent.interlacement import detect_pairs
+from riskcent.interlacement import _basis, detect_pairs
 from riskcent.spectral import (
     DENSE_LIMIT_DEFAULT,
-    KrylovConvergenceError,
-    _MAX_DEGREE,
     _MOMENT_BLOCK,
-    _REACH,
     _exp_rows,
     _expm_krylov,
+    _moment_diag,
     _power_moments,
     _power_sum,
+    _series_degree,
     _spectral_bound,
     _tail_ok,
     decompose,
@@ -253,19 +253,14 @@ def test_krylov_zero_vector():
     assert np.array_equal(y, np.zeros(30))
 
 
-def test_krylov_reports_nonconvergence():
-    # zeta b ~ 30 * 11 needs a diagonal degree past the cap; the action
-    # restarts instead
+def test_krylov_diagonal_at_large_zeta_matches_dense():
+    # zeta b = 30 * 10.4 needs a diagonal degree of 470, which the moments
+    # reach as any other; the action restarts instead
     g = generate_er(200, 0.05, seed=7)
-    with pytest.raises(KrylovConvergenceError) as err:
-        _expm_krylov(g, 30.0, None, False)
-    # the message names the degree cap and the largest zeta it resolves
-    reach = _REACH / _spectral_bound(g.sparse_adjacency())
-    assert reach < 30.0
-    assert str(err.value) == (
-        "the power series of exp(zeta A) needs a degree past its cap %d "
-        "at zeta = 30; this graph resolves zeta <= %.4g"
-        % (_MAX_DEGREE, reach))
+    assert _series_degree(30.0 * _spectral_bound(g.sparse_adjacency())) > 450
+    want = _exp_rows(decompose(g), 30.0)
+    got = _expm_krylov(g, 30.0, None, False)
+    assert np.abs(got - want).max() <= 1e-10 * want.max()
 
 
 def test_krylov_invariant_subspace_exit():
@@ -282,6 +277,20 @@ def test_krylov_invariant_subspace_exit():
     dense = expm(star, 1.3)
     assert np.allclose(kry, dense, rtol=1e-12)
     assert kry[0] == pytest.approx(np.cosh(1.3 * np.sqrt(8.0)), rel=1e-12)
+
+
+def test_series_degree_is_the_first_that_passes():
+    # against a search whose range doubles until some degree passes
+    ss = [0.0, 1e-9, 1.0, 255.0, 256.0, 1e3, 1e4]
+    want = []
+    for s in ss:
+        m = np.arange(64)
+        while not _tail_ok(s, m).any():
+            m = np.arange(2 * m.size)
+        want.append(int(np.argmax(_tail_ok(s, m))))
+        assert _series_degree(s) == want[-1]
+    assert _series_degree(np.array(ss)).tolist() == want
+    assert want[0] == 0 and want[-1] > 10000
 
 
 def test_power_moments_and_action_memory_bounded_by_block(sparse_er):
@@ -317,6 +326,33 @@ def test_power_moments_and_action_memory_bounded_by_block(sparse_er):
         assert peak <= block + 3 * rows.nbytes + (1 << 16)
     degree = int(np.argmax(_tail_ok(4.0 * b, np.arange(400))))
     assert degree + 1 > 1.5 * _MOMENT_BLOCK  # more powers than one block
+
+
+def test_moment_diag_memory_bounded_by_block():
+    # the diagonal of a 640-node ring to zeta b = 300, of degree 455: beside
+    # the rows, the weights and the scaled adjacency, one block's moments
+    # and its two (n, block) powers are live, far less than the (degree +
+    # 1, n) table of every node's moments
+    n = 640
+    a = Graph(n, np.column_stack([np.arange(n), (np.arange(n) + 1) % n])
+              ).sparse_adjacency()
+    z = np.array([1.0, 75.0, 150.0])
+    degree = int(_series_degree(300.0))
+    assert degree > 400
+    tracemalloc.start()
+    try:
+        rows, s = _moment_diag(a, z, True, 2.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.abs(rows / scipy.special.ive(0, s)[:, None] - 1.0).max() < 1e-12
+    moments = (degree + 1) * _MOMENT_BLOCK * 8
+    powers = 2 * n * _MOMENT_BLOCK * 8
+    weights = z.size * (degree + 1) * 8
+    scaled = a.data.nbytes + a.indices.nbytes + a.indptr.nbytes
+    assert peak <= (rows.nbytes + moments + powers + weights + scaled
+                    + (1 << 16))
+    assert peak < (degree + 1) * n * 8 / 2
 
 
 # -- the routed evaluator -------------------------------------------------------
@@ -391,19 +427,18 @@ def test_moments_diagonal_matches_dense_rows():
               path_graph(60), generate_er(100, 0.5, seed=2)]
     zetas = np.concatenate([[0.0, 1e-9, 1e-4], np.linspace(0.01, 1.0, 100),
                             [2.0, 5.0, 20.0]])
-    # zeta b = 6 * 51 needs a degree past the cap of 398
-    with pytest.raises(KrylovConvergenceError, match="past its cap 398 "):
-        _expm_krylov(graphs[-1], 6.0, None, False)
+    # ER(100, 0.5) runs to zeta b = 20 * 50.2, of degree 1278.  Its
+    # unscaled row at zeta = 20 passes float range, where the dense
+    # reference's expm1 overflows, so unscaled rows are compared below it
     for g in graphs:
-        if g is graphs[-1]:
-            zetas = zetas[zetas <= 2.0]
         dec = decompose(g)
         rows = _expm_krylov(g, zetas, None, False)
         scaled, shifts = _expm_krylov(g, zetas, None, True)
         want_scaled, want_shifts = _exp_rows(dec, zetas, scaled=True)
         assert np.array_equal(rows[0], np.ones(g.n))
+        fits = want_shifts < 700.0
         pairs = [(scaled * np.exp(shifts - want_shifts)[:, None], want_scaled),
-                 (rows, _exp_rows(dec, zetas))]
+                 (rows[fits], _exp_rows(dec, zetas[fits]))]
         for got, want in pairs:
             rel = np.abs(got - want).max(axis=1) / np.abs(want).max(axis=1)
             assert rel.max() <= 1e-10, (g, zetas[np.argmax(rel)], rel.max())
@@ -419,10 +454,8 @@ def test_moments_diagonal_accurate_entry_by_entry():
     k5 = [[i, j] for i in range(5) for j in range(i + 1, 5)]
     parts = Graph(12, k5 + [[5, j] for j in range(6, 11)])  # K5, S6, a node
     isolated = Graph(8, [[0, 1], [1, 2], [2, 0], [3, 4]])
-    k12 = [[i, j] for i in range(12) for j in range(i + 1, 12)]
-    lollipop = Graph(32, k12 + [[i, i + 1] for i in range(11, 31)])
     zetas = np.array([0.0, 1e-9, 1e-4, 0.3, 1.0, 2.0, 5.0, 20.0])
-    for g in (isolated, parts, lollipop):
+    for g in (isolated, parts, lollipop_graph()):
         a = g.adjacency()
         rows = _expm_krylov(g, zetas, None, False)
         scaled, shifts = _expm_krylov(g, zetas, None, True)
@@ -433,6 +466,28 @@ def test_moments_diagonal_accurate_entry_by_entry():
                 assert rel.max() <= 1e-12, (g, zeta, rel.max())
         single = np.bincount(g.component_labels())[g.component_labels()] == 1
         assert (rows[:, single] == 1.0).all()
+
+
+def lollipop_graph():
+    """K12 with a 20-node path hanging off node 11."""
+    k12 = [[i, j] for i in range(12) for j in range(i + 1, 12)]
+    return Graph(32, k12 + [[i, i + 1] for i in range(11, 31)])
+
+
+def test_interlacement_table_accurate_entry_by_entry_at_large_zeta():
+    # zeta b runs to 30 * 11.0 = 330, of degree 492: the series table of
+    # the closed walks keeps every entry of C to rounding level of itself,
+    # the far end of the path included, as the moments route does
+    g = lollipop_graph()
+    grid = np.linspace(1.0, 30.0, 59)
+    weights, table, b = _basis(g, np.arange(g.n), "C", grid)
+    got = weights(grid) @ table
+    # the oracle's terms for every zeta at once, one identity per zeta
+    series = taylor_expm_action(g.adjacency(), grid[:, None, None],
+                                np.tile(np.eye(g.n), (grid.size, 1, 1)), 700)
+    want = np.diagonal(series, axis1=1, axis2=2) * np.exp(-grid * b)[:, None]
+    rel = np.abs(got - want) / want
+    assert rel.max() <= 1e-12, np.unravel_index(rel.argmax(), rel.shape)
 
 
 def path_graph(n):
