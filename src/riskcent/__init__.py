@@ -16,7 +16,6 @@ from .graph import (  # noqa: F401
     GraphError,
     generate_complete,
     generate_er,
-    generate_er_m,
     generate_star,
     largest_component,
     load_edge_list,

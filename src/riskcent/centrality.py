@@ -105,8 +105,24 @@ def write_grid_csv(path, head, grid, matrix, labels):
     buf.writelines(
         ",".join([repr(z)] + row) + "\r\n"
         for z, row in zip(np.asarray(grid, dtype=float).tolist(), cells))
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(buf.getvalue())
+
+
+def write_rows(path, header, rows):
+    """Write ``header`` and ``rows`` through ``csv.writer``, in UTF-8 with
+    CRLF line endings.
+
+    A row holds Python values: ``None`` and NaN cells are written empty,
+    every other cell as ``str`` of its value, which for a float is its
+    shortest round-trip ``repr``.
+    """
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        # NaN is the one value unequal to itself; csv.writer writes None
+        # empty and a float through repr
+        w.writerows([None if x != x else x for x in row] for row in rows)
 
 
 # -- rankings ----------------------------------------------------------------
@@ -160,13 +176,8 @@ class RankingSweep:
                        self.labels)
 
     def std_to_csv(self, path):
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["node", "rank_std"])
-        w.writerows(zip(self.labels, map(repr, np.asarray(
-            self.per_node_std, dtype=float).tolist())))
-        with open(path, "w", newline="") as fh:
-            fh.write(buf.getvalue())
+        write_rows(path, ["node", "rank_std"], zip(self.labels, np.asarray(
+            self.per_node_std, dtype=float).tolist()))
 
 
 def ranking_sweep(profile, measure="R"):

@@ -2,17 +2,19 @@
 
 Every command validates its inputs, writes a ``manifest.json`` (command,
 settings, input digests, declared outputs) into the output directory
-before any result file, then emits plain CSV/JSON reports.  Exit codes:
-0 success, 2 invalid input or a failed solver, 3 runtime budget exceeded.
+before any result file, then emits plain CSV/JSON reports.  Every CSV
+goes through ``centrality.write_grid_csv`` (grid tables) or
+``centrality.write_rows`` (the rest; ``None`` and NaN cells are empty),
+every JSON report through ``_write_json`` (sorted keys, one-space
+indent).  Exit codes: 0 success, 2 invalid input or a failed solver, 3
+runtime budget exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
-import math
 import os
 import sys
 import time
@@ -21,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .centrality import (MEASURES, _grid, ranking_sweep, sweep,
-                         write_grid_csv)
+                         write_grid_csv, write_rows)
 from .epidemics import (SIIntegrationError, SIParams, si_exact, si_lee,
                         si_lee_general, si_linearized, si_meanfield)
 from .experiments import RATIOS, read_config, spearman_table
@@ -100,7 +102,11 @@ def _write_manifest(out_dir, command, settings, inputs, outputs, seed=None):
         "inputs": {path: _sha256(path) for path in inputs},
         "outputs": sorted(outputs),
     }
-    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
+    _write_json(os.path.join(out_dir, "manifest.json"), doc)
+
+
+def _write_json(path, doc):
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
 
@@ -224,22 +230,19 @@ def cmd_interlace(args):
     linear = root = np.zeros(0)
     if found.size:  # the heuristics fill columns of event rows only
         linear, root = heuristic_pairs(g, pairs[found], measure=args.measure)
-    tails = [["" if math.isnan(x) else repr(x) for x in xs]
-             for xs in zip(linear.tolist(), root.tolist())]
-    ij = pairs[pair].tolist()
-    rows = [[i, j, args.measure, "crossing", repr(0.5 * (a + b)), repr(a),
-             repr(b)] for (i, j), a, b in zip(ij, lo.tolist(), hi.tolist())]
-    rows += [[i, j, args.measure, "tangency", repr(zeta), "", ""]
-             for (i, j), zeta in zip(ij[cp.size:], zetas.tolist())]
+    no_bracket = np.full(tp.size, np.nan)  # written as empty cells
     # each pair's crossings, then its tangencies
     order = np.argsort(pair, kind="stable")
-    rows = [rows[r] + tails[t]
-            for r, t in zip(order.tolist(), at[order].tolist())]
-    with open(os.path.join(args.out, "events.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["i", "j", "measure", "kind", "zeta_star", "bracket_lo",
-                    "bracket_hi", "heuristic_linear", "heuristic_poly"])
-        w.writerows(rows)
+    i, j = pairs[pair[order]].T
+    kind = np.repeat(["crossing", "tangency"], [cp.size, tp.size])[order]
+    cols = [np.concatenate(c)[order] for c in
+            ([0.5 * (lo + hi), zetas], [lo, no_bracket], [hi, no_bracket])]
+    cols += [linear[at[order]], root[at[order]]]
+    write_rows(os.path.join(args.out, "events.csv"),
+               ["i", "j", "measure", "kind", "zeta_star", "bracket_lo",
+                "bracket_hi", "heuristic_linear", "heuristic_poly"],
+               zip(i.tolist(), j.tolist(), [args.measure] * pair.size,
+                   kind.tolist(), *(c.tolist() for c in cols)))
     return 0
 
 
@@ -265,17 +268,13 @@ def cmd_experiments(args):
     table.to_csv(os.path.join(args.out, "table_value.csv"), "value")
     table.to_csv(os.path.join(args.out, "table_rank.csv"), "rank")
     if args.ratios:
-        with open(os.path.join(args.out, "ratios.csv"), "w",
-                  newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["ratio", "density", "zeta", "mean", "std",
-                        "q1", "q25", "q50", "q75", "q99"])
-            for ratio in RATIOS:
-                for (density, zeta), s in table.ratios[ratio].items():
-                    w.writerow([ratio, repr(density), repr(zeta),
-                                repr(s.mean), repr(s.std)]
-                               + [repr(s.quantiles[q])
-                                  for q in (1, 25, 50, 75, 99)])
+        write_rows(os.path.join(args.out, "ratios.csv"),
+                   ["ratio", "density", "zeta", "mean", "std",
+                    "q1", "q25", "q50", "q75", "q99"],
+                   ([ratio, density, zeta, s.mean, s.std]
+                    + [s.quantiles[q] for q in (1, 25, 50, 75, 99)]
+                    for ratio in RATIOS
+                    for (density, zeta), s in table.ratios[ratio].items()))
     return 0
 
 
@@ -317,12 +316,10 @@ def cmd_market(args):
         report.std_to_csv(os.path.join(wdir, "rankstd.csv"))
         save_json(market.tree, os.path.join(wdir, "mst.json"))
         summary.append([market.window_id, len(market.assets),
-                        repr(float(report.per_node_std.mean()))])
+                        float(report.per_node_std.mean())])
     budget.check("window reports")
-    with open(os.path.join(args.out, "summary.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["window", "assets", "mean_rank_std"])
-        w.writerows(summary)
+    write_rows(os.path.join(args.out, "summary.csv"),
+               ["window", "assets", "mean_rank_std"], summary)
     return 0
 
 
@@ -357,21 +354,16 @@ def cmd_corporate(args):
                     [args.memberships, args.svc],
                     ["delta_rank.csv", "lda.json"])
     budget.check("rank shifts")
-    with open(os.path.join(args.out, "delta_rank.csv"), "w",
-              newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["company", "delta_rank", "svc_rho", "trend"])
-        for name, shift in zip(g.labels, shifts):
-            t = trends.get(name)
-            w.writerow([name, int(shift),
-                        "" if t is None else repr(t.rho),
-                        "" if t is None else t.label])
+    rows = ([name, int(shift)]
+            + ([None, None] if t is None else [t.rho, t.label])
+            for name, shift, t in zip(g.labels, shifts,
+                                      map(trends.get, g.labels)))
+    write_rows(os.path.join(args.out, "delta_rank.csv"),
+               ["company", "delta_rank", "svc_rho", "trend"], rows)
     doc = model.to_json_dict()
     doc["n"] = len(used)
     doc["companies"] = [name for _, name in used]
-    with open(os.path.join(args.out, "lda.json"), "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(args.out, "lda.json"), doc)
     return 0
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .centrality import _grid, _row_corr, _row_spearman
+from .centrality import _grid, _row_corr, _row_spearman, write_rows
 from .graph import _er_adjacency
 from .spectral import DENSE_LIMIT_DEFAULT, _eigensystem, _exp_rows
 
@@ -71,7 +71,7 @@ def write_config(config, path):
 def read_config(path):
     """Parse ``key = value`` lines; '#' starts a comment, lists use commas."""
     fields = {}
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             s = raw.split("#", 1)[0].strip()
             if not s:
@@ -193,14 +193,9 @@ class CorrelationTable:
                          % (statistic,))
 
     def to_csv(self, path, statistic="value"):
-        import csv
-
-        rows = self.matrix(statistic)
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["density"] + ["zeta=%g" % z for z in self.zetas])
-            for d, row in zip(self.densities, rows):
-                w.writerow(["%g" % d] + [repr(float(x)) for x in row])
+        write_rows(path, ["density"] + ["zeta=%g" % z for z in self.zetas],
+                   (["%g" % d] + row for d, row in zip(
+                       self.densities, self.matrix(statistic).tolist())))
 
 
 def spearman_table(config, ratios=()):

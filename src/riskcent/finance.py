@@ -21,7 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import minimum_spanning_tree
 
-from .centrality import rank, ranking_sweep, sweep
+from .centrality import rank, ranking_sweep, sweep, write_rows
 from .graph import Graph
 
 
@@ -64,7 +64,7 @@ def load_returns(path):
     may arrive in any order; they are sorted by date.  Duplicate dates,
     unparseable cells, and panels with fewer than 2 assets are errors.
     """
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -118,12 +118,10 @@ def _bad_cell(path, lineno, cells, assets):
 
 def save_returns(panel, path):
     """Inverse of load_returns; missing values become empty cells."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["date"] + list(panel.assets))
-        for day, row in zip(panel.dates, panel.returns):
-            cells = ["" if np.isnan(x) else repr(float(x)) for x in row]
-            w.writerow([day.isoformat()] + cells)
+    returns = np.asarray(panel.returns, dtype=float).tolist()
+    write_rows(path, ["date"] + list(panel.assets),
+               ([day.isoformat()] + row
+                for day, row in zip(panel.dates, returns)))
 
 
 # -- rolling windows -------------------------------------------------------
@@ -472,7 +470,7 @@ def load_svc(path):
     Duplicate (company, year) pairs are an error.
     """
     out = {}
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             s = raw.strip()
             if not s:

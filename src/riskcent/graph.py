@@ -218,7 +218,7 @@ def save_json(g, path):
 
 
 def load_json(path):
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         return Graph.from_json_dict(json.load(fh))
 
 
@@ -246,7 +246,7 @@ def load_edge_list(path, weighted=False):
             labels.append(tok)
         return index[tok]
 
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             s = raw.strip()
             if not s or s.startswith("#"):
@@ -294,7 +294,7 @@ def load_memberships(path):
     equal to ``company,director`` (any case) is treated as a header.
     """
     pairs = []
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             s = raw.strip()
             if not s:
@@ -380,28 +380,6 @@ def generate_er(n, p, seed, require_connected=False, max_retries=1000):
     a = _er_adjacency(n, p, np.random.default_rng(seed), require_connected,
                       max_retries)
     return Graph(n, np.argwhere(np.triu(a, k=1)))
-
-
-def generate_er_m(n, m, seed, require_connected=False, max_retries=1000):
-    """Erdos-Renyi G(n, M) sample with exactly ``m`` edges.
-
-    The classic fixed-size model: ``m`` of the n(n-1)/2 pairs are drawn
-    uniformly without replacement, so every sample has the same density.
-    """
-    limit = n * (n - 1) // 2
-    if not 0 <= m <= limit:
-        raise GraphError("edge count must lie in [0, %d], got %d"
-                         % (limit, m))
-    rng = np.random.default_rng(seed)
-    iu, ju = np.triu_indices(n, k=1)
-    for _ in range(max_retries):
-        idx = rng.choice(limit, size=m, replace=False)
-        g = Graph(n, np.column_stack([iu[idx], ju[idx]]))
-        if not require_connected or g.is_connected():
-            return g
-    raise GraphError(
-        "no connected G(%d; m=%d) sample in %d attempts"
-        % (n, m, max_retries))
 
 
 def generate_complete(n):

@@ -14,6 +14,7 @@ from riskcent.centrality import (
     spearman,
     sweep,
     write_grid_csv,
+    write_rows,
 )
 from riskcent.finance import delta_rank
 from riskcent.graph import Graph, generate_complete, generate_er, generate_star
@@ -235,6 +236,31 @@ def test_write_grid_csv_matches_csv_writer_loop(tmp_path):
         write_grid_csv(new, "zeta", zetas, matrix, labels)
         loop_grid_csv(old, "zeta", zetas, matrix, labels)
         assert new.read_bytes() == old.read_bytes()
+
+
+def test_write_rows_matches_csv_writer_loop(tmp_path):
+    header = ["x", "y", "n", "label"]
+    rows = [[0.1, 1e-300, 7, 'x,"y"'],
+            [123456789.123, -0.0, -3, "Zürich"],
+            [5e-324, 1e22, 0, "plain"],
+            [None, np.nan, 12, None]]
+    new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+    write_rows(new, header, rows)
+    # the loop each report used to run: floats through repr, a missing
+    # value as an empty cell, the rest as csv.writer formats them
+    with open(old, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for row in rows:
+            w.writerow(["" if x is None or x != x
+                        else repr(x) if isinstance(x, float) else x
+                        for x in row])
+    assert new.read_bytes() == old.read_bytes()
+    lines = new.read_bytes().split(b"\r\n")
+    assert lines[1] == b'0.1,1e-300,7,"x,""y"""'
+    assert lines[2] == "123456789.123,-0.0,-3,Zürich".encode()
+    assert lines[4] == b",,12,"
+    assert lines[5] == b"" and len(lines) == 6
 
 
 # -- scaled forms -------------------------------------------------------------

@@ -75,6 +75,13 @@ def test_config_file_comments_and_blanks(tmp_path):
     assert cfg.zetas == (1.0,)
 
 
+def test_config_file_after_a_utf8_bom(tmp_path):
+    path = tmp_path / "exp.cfg"
+    path.write_text("n = 10\ndensities = 0.4\nzetas = 1.0\n",
+                    encoding="utf-8-sig")
+    assert read_config(str(path)).n == 10
+
+
 def test_config_file_errors(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("n = 10\nnot a pair\n")

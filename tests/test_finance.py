@@ -709,3 +709,14 @@ def test_load_svc(tmp_path):
     path.write_text("\n")
     with pytest.raises(ValueError, match="no data rows"):
         load_svc(str(path))
+
+
+def test_text_inputs_after_a_utf8_bom(tmp_path):
+    svc = tmp_path / "svc.csv"
+    svc.write_text("company,year,value\nacme,1999,1.5\n",
+                   encoding="utf-8-sig")
+    assert load_svc(str(svc)) == {"acme": {1999: 1.5}}
+    returns = tmp_path / "r.csv"
+    returns.write_text("date,A,B\n2001-01-01,0.1,0.2\n",
+                       encoding="utf-8-sig")
+    assert load_returns(str(returns)).assets == ["A", "B"]

@@ -1,3 +1,4 @@
+import codecs
 import itertools
 
 import numpy as np
@@ -12,7 +13,6 @@ from riskcent.graph import (
     _er_adjacency,
     generate_complete,
     generate_er,
-    generate_er_m,
     generate_star,
     largest_component,
     load_edge_list,
@@ -235,6 +235,28 @@ def test_load_memberships(tmp_path):
     assert pairs == [("Acme", "smith"), ("Bolt", "smith"), ("Acme", "jones")]
 
 
+def test_load_edge_list_after_a_utf8_bom(tmp_path):
+    # spreadsheet "CSV UTF-8" exports start the file with a byte-order mark
+    p = tmp_path / "tri.txt"
+    p.write_text("0 1\n1 2\n2 0\n", encoding="utf-8-sig")
+    g = load_edge_list(p)
+    assert g.labels == ["0", "1", "2"] and list(g.degrees()) == [2, 2, 2]
+
+
+def test_load_memberships_header_after_a_utf8_bom(tmp_path):
+    p = tmp_path / "mem.csv"
+    p.write_text("company,director\nAcme,smith\n", encoding="utf-8-sig")
+    assert load_memberships(p) == [("Acme", "smith")]
+
+
+def test_load_json_after_a_utf8_bom(tmp_path):
+    g = Graph(3, [(0, 1), (1, 2), (2, 0)], labels=list("abc"))
+    p = tmp_path / "g.json"
+    save_json(g, p)
+    p.write_bytes(codecs.BOM_UTF8 + p.read_bytes())
+    assert load_json(p) == g
+
+
 def test_json_round_trip(tmp_path):
     g = Graph(4, [(0, 1, 2.0), (1, 2), (2, 3, 0.25)], labels=list("abcd"))
     path = tmp_path / "g.json"
@@ -254,14 +276,12 @@ def test_generate_er_deterministic():
     assert c != a
 
 
-# SHA-256 prefixes of the (u, v) int64 edge columns drawn by the generators
-# when they still built every sample from a list of per-edge tuples; the
+# SHA-256 prefixes of the (u, v) int64 edge columns drawn by generate_er
+# when it still built every sample from a list of per-edge tuples; the
 # array path must draw and keep exactly the same edges.
 ER_SAMPLES = [((30, 0.2, 1), 88, "5077897ef24fe626"),
               ((100, 0.1, 7), 496, "30d7d0652b9d63ee"),
               ((100, 0.9, 11), 4472, "fe94d3900398cd0f")]
-ER_M_SAMPLES = [((40, 60, 3), 60, "9af8e9b4be7b61cf"),
-                ((100, 495, 4000), 495, "2a897b4045a5070e")]
 
 
 def edge_digest(g):
@@ -284,9 +304,6 @@ def test_generate_er_samples_unchanged():
             if ref.is_connected():
                 break
         assert g == ref
-    for (n, m, seed), count, digest in ER_M_SAMPLES:
-        g = generate_er_m(n, m, seed=seed, require_connected=True)
-        assert (g.m, edge_digest(g)) == (count, digest)
 
 
 def test_generate_er_density_monte_carlo():
@@ -373,25 +390,6 @@ def test_er_adjacency_extreme_densities():
     for p in (-0.1, 1.5):
         with pytest.raises(GraphError, match="probability"):
             generate_er(6, p, seed=0)
-
-
-def test_generate_er_m_exact_count():
-    for m in (0, 1, 37, 190):
-        g = generate_er_m(20, m, seed=m)
-        assert g.m == m
-    a = generate_er_m(20, 50, seed=9)
-    assert a == generate_er_m(20, 50, seed=9)
-    assert a != generate_er_m(20, 50, seed=10)
-
-
-def test_generate_er_m_connected_and_bounds():
-    for s in range(10):
-        g = generate_er_m(30, 45, seed=s, require_connected=True)
-        assert g.is_connected() and g.m == 45
-    with pytest.raises(GraphError, match="edge count"):
-        generate_er_m(10, 46, seed=0)
-    with pytest.raises(GraphError, match="attempts"):
-        generate_er_m(30, 5, seed=0, require_connected=True, max_retries=5)
 
 
 def test_generate_complete_and_star():

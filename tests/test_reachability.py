@@ -16,9 +16,8 @@ from riskcent.cli import main
 from test_cli import (write_clique_plus_hub, write_corporate, write_k4,
                       write_returns)
 
-FIXTURES = {"generate_complete", "generate_star", "generate_er",
-            "generate_er_m", "relabel", "largest_component", "write_config",
-            "save_returns"}
+FIXTURES = {"generate_complete", "generate_star", "generate_er", "relabel",
+            "largest_component", "write_config", "save_returns"}
 BENCH_WRAPPED = {"detect", "heuristic_linear", "heuristic_poly",
                  "ratio_study", "spearman"}
 
