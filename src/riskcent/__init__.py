@@ -75,14 +75,17 @@ from .finance import (  # noqa: F401
     ReturnsPanel,
     SvcTrend,
     build_market_window,
+    build_market_windows,
     correlation_and_distance,
     delta_rank,
     lda_fit,
     load_returns,
     load_svc,
     mst,
+    msts,
     rolling_windows,
     save_returns,
     svc_trend,
     window_rank_report,
+    window_rank_reports,
 )

@@ -25,6 +25,7 @@ import numpy as np
 from .spectral import expm_with_diagonal
 
 MEASURES = ("R", "C", "T")
+_EPS = float(np.finfo(float).eps)
 
 
 def default_zeta_grid():
@@ -148,14 +149,18 @@ def rank(values, tie_tol=0.0):
     desc = np.take_along_axis(values, order, axis=-1)
     scale = np.maximum(np.abs(values).max(axis=-1, keepdims=True), 1e-300)
     step = desc[..., :-1] - desc[..., 1:] > tie_tol * scale
-    group = np.zeros(values.shape, dtype=np.int64)
-    group[..., 1:] = np.cumsum(step, axis=-1)
-    # equal values share a group whatever order the sort left them in;
-    # sorting group * n + node index puts each group in node-index order
-    key = np.empty_like(group)
-    np.put_along_axis(key, order, group * n, axis=-1)
-    ranked = np.sort(key + np.arange(n), axis=-1) % n
-    out = np.empty_like(group)
+    if step.all():  # no ties: every group is one node, in the sort's order
+        ranked = order
+    else:
+        group = np.zeros(values.shape, dtype=np.int64)
+        group[..., 1:] = np.cumsum(step, axis=-1)
+        # equal values share a group whatever order the sort left them
+        # in; sorting group * n + node index puts each group in node-index
+        # order
+        key = np.empty_like(group)
+        np.put_along_axis(key, order, group * n, axis=-1)
+        ranked = np.sort(key + np.arange(n), axis=-1) % n
+    out = np.empty(values.shape, dtype=np.int64)
     np.put_along_axis(out, ranked, np.broadcast_to(np.arange(1, n + 1),
                                                    values.shape), axis=-1)
     return out
@@ -171,6 +176,13 @@ class RankingSweep:
     per_node_std: np.ndarray    # population std of each node's rank path
     labels: list = field(default_factory=list)
 
+    @classmethod
+    def from_values(cls, zeta_grid, measure, values, labels):
+        """Rank every grid row of ``values``, one row per grid value."""
+        ranks = rank(values)
+        return cls(zeta_grid, measure, ranks, ranks.std(axis=0, ddof=0),
+                   labels=list(labels))
+
     def to_csv(self, path):
         write_grid_csv(path, "zeta", self.zeta_grid, self.rank_matrix,
                        self.labels)
@@ -182,16 +194,15 @@ class RankingSweep:
 
 def ranking_sweep(profile, measure="R"):
     """Rank every grid row of a measure; std uses the population convention."""
-    ranks = rank(profile.measure(measure))
-    return RankingSweep(profile.zeta_grid, measure, ranks,
-                        ranks.std(axis=0, ddof=0), labels=list(profile.labels))
+    return RankingSweep.from_values(profile.zeta_grid, measure,
+                                    profile.measure(measure), profile.labels)
 
 
 def spearman(x, y):
     """Spearman rank correlation of two 1-D arrays, on average ranks.
 
-    Returns NaN when either input has zero rank variance (constant
-    vector), where the coefficient is undefined.
+    Returns NaN when either input is constant up to rounding (its spread
+    is within ``n eps max|x|``), where the coefficient is undefined.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -200,10 +211,17 @@ def spearman(x, y):
     return float(_row_spearman(x, y))
 
 
+def _flat(x):
+    """Whether each row of a ``(..., n)`` array is constant up to rounding:
+    its spread ``max - min`` is within ``n eps max|row|``."""
+    return np.ptp(x, axis=-1) <= x.shape[-1] * _EPS * np.abs(x).max(axis=-1)
+
+
 def _row_spearman(x, y):
     """Spearman correlation of matching rows of two ``(..., n)`` arrays.
 
-    A constant row has zero rank variance and gives NaN.
+    A row constant up to rounding (``_flat``) gives NaN: the rounding
+    noise in it would rank too.
     """
     from scipy.stats import rankdata
 
@@ -211,21 +229,24 @@ def _row_spearman(x, y):
         raise ValueError("values must be finite to rank")
     # ranking ascending instead of descending negates the centred ranks of
     # both inputs, which leaves the coefficient unchanged
-    return _row_corr(rankdata(x, axis=-1), rankdata(y, axis=-1))
+    out = _row_corr(rankdata(x, axis=-1), rankdata(y, axis=-1))
+    return np.where(_flat(x) | _flat(y), np.nan, out)
 
 
 def _row_corr(x, y):
     """Pearson correlation of matching rows of two ``(..., n)`` arrays.
 
-    Rows with zero variance give NaN, where the coefficient is undefined;
-    the rest are clipped to [-1, 1] as ``np.corrcoef`` does.
+    Rows constant up to rounding (``_flat``) give NaN, where the
+    coefficient is undefined; the rest are clipped to [-1, 1] as
+    ``np.corrcoef`` does.
     """
+    ok = ~(_flat(x) | _flat(y))
     x = x - x.mean(axis=-1, keepdims=True)
     y = y - y.mean(axis=-1, keepdims=True)
     sxy = np.einsum("...i,...i->...", x, y)
     sxx = np.einsum("...i,...i->...", x, x)
     syy = np.einsum("...i,...i->...", y, y)
     out = np.full(sxy.shape, np.nan)
-    ok = (sxx > 0.0) & (syy > 0.0)
+    ok &= (sxx > 0.0) & (syy > 0.0)
     out[ok] = np.clip(sxy[ok] / np.sqrt(sxx[ok] * syy[ok]), -1.0, 1.0)
     return out

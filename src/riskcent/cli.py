@@ -27,15 +27,19 @@ from .centrality import (MEASURES, _grid, ranking_sweep, sweep,
 from .epidemics import (SIIntegrationError, SIParams, si_exact, si_lee,
                         si_lee_general, si_linearized, si_meanfield)
 from .experiments import RATIOS, read_config, spearman_table
-from .finance import (build_market_window, delta_rank, lda_fit, load_returns,
-                      load_svc, rolling_windows, svc_trend,
-                      window_rank_report)
+from .finance import (build_market_windows, delta_rank, lda_fit,
+                      load_returns, load_svc, rolling_windows, svc_trend,
+                      window_rank_reports)
 from .graph import (GraphError, load_edge_list, load_json, load_memberships,
                     project_bipartite, save_json)
 from .interlacement import detect_pairs, heuristic_pairs
 from .spectral import EigensolverError
 
 _SOLVERS = ("exact", "lee", "lee-general", "linearized", "mean-field")
+# market windows per batch: their trees come from one Prim's run and their
+# R from one power series, while only one batch's correlations, trees and
+# rows are alive at a time
+_WINDOW_CHUNK = 16
 
 
 class _BudgetExceeded(RuntimeError):
@@ -305,18 +309,19 @@ def cmd_market(args):
                     [args.returns], outputs)
     budget.check("start")
     summary = []
-    for window in windows:
-        market = build_market_window(window)
-        report = window_rank_report(market, zeta_grid=grid,
-                                    measure=args.measure,
-                                    weight_mode=args.weight_mode)
-        wdir = os.path.join(args.out, "windows", market.window_id)
-        os.makedirs(wdir, exist_ok=True)
-        report.to_csv(os.path.join(wdir, "ranks.csv"))
-        report.std_to_csv(os.path.join(wdir, "rankstd.csv"))
-        save_json(market.tree, os.path.join(wdir, "mst.json"))
-        summary.append([market.window_id, len(market.assets),
-                        float(report.per_node_std.mean())])
+    for first in range(0, len(windows), _WINDOW_CHUNK):
+        markets = build_market_windows(windows[first:first + _WINDOW_CHUNK])
+        reports = window_rank_reports(markets, zeta_grid=grid,
+                                      measure=args.measure,
+                                      weight_mode=args.weight_mode)
+        for market, report in zip(markets, reports):
+            wdir = os.path.join(args.out, "windows", market.window_id)
+            os.makedirs(wdir, exist_ok=True)
+            report.to_csv(os.path.join(wdir, "ranks.csv"))
+            report.std_to_csv(os.path.join(wdir, "rankstd.csv"))
+            save_json(market.tree, os.path.join(wdir, "mst.json"))
+            summary.append([market.window_id, len(market.assets),
+                            float(report.per_node_std.mean())])
     budget.check("window reports")
     write_rows(os.path.join(args.out, "summary.csv"),
                ["window", "assets", "mean_rank_std"], summary)

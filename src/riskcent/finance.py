@@ -2,7 +2,14 @@
 
 Workflow (a): daily returns -> monthly-stepped six-month windows ->
 pairwise-complete correlations -> Mantegna distances -> minimum spanning
-tree -> centrality rank reports per window.
+tree -> centrality rank reports per window.  The windows run in batches:
+``msts`` builds every tree of a batch in one vectorised Prim's run over
+the stacked distance matrices, ties broken by the strict order of
+``(weight, min(u, v), max(u, v))``, and ``window_rank_reports`` takes R
+of every tree from one power-series action (``spectral.expm``) on their
+disjoint union, never decomposing.  ``mst``, ``build_market_window``
+and ``window_rank_report`` are the one-window calls of the batch
+functions.
 
 Workflow (b): company-director memberships -> one-mode projection ->
 rank shift between a low-risk and a high-risk regime (delta rank) ->
@@ -18,11 +25,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import minimum_spanning_tree
 
-from .centrality import rank, ranking_sweep, sweep, write_rows
+from .centrality import MEASURES, RankingSweep, _grid, rank, write_rows
 from .graph import Graph
+from .spectral import expm
 
 
 # -- returns panel ---------------------------------------------------------
@@ -289,38 +295,98 @@ def correlation_and_distance(returns):
 
 
 def mst(dist, labels=None):
-    """Minimum spanning tree of a symmetric distance matrix.
+    """Minimum spanning tree of a symmetric distance matrix: ``msts`` of
+    the one matrix."""
+    return msts([dist], None if labels is None else [labels])[0]
+
+
+def msts(dists, labels=None):
+    """Minimum spanning trees of a sequence of symmetric distance matrices.
 
     Edge weights carry the distances.  Non-finite entries mean "no edge";
-    if they disconnect the graph this is an error, and so is a finite
-    off-diagonal distance that is not positive.  Ties are broken by the
-    lexicographic (weight, u, v) order, so the tree is deterministic:
-    csgraph's Kruskal sorts the weights stably, and the upper-triangle CSR
-    lists them in (u, v) order.
+    if they disconnect a graph this is an error, and so is a finite
+    off-diagonal distance that is not positive.  ``labels`` holds one
+    label list (or None) per matrix.  Ties are broken by the strict total
+    order of ``(weight, min(u, v), max(u, v))``, under which the tree is
+    unique: the one Kruskal's algorithm builds when it sorts the edges in
+    that order.
+
+    One vectorised Prim's run builds every tree.  The matrices are padded
+    to the largest; a padded node has no edge and counts as already inside
+    its tree.  Each step adds to every tree the node outside it whose
+    least edge to the tree comes first in the order above.
     """
-    d = np.asarray(dist, dtype=float)
-    if d.ndim != 2 or d.shape[0] != d.shape[1] or d.shape[0] < 2:
-        raise ValueError("need a square distance matrix of size >= 2")
-    n = d.shape[0]
-    iu, ju = np.triu_indices(n, k=1)
-    upper, lower = d[iu, ju], d[ju, iu]
-    ok = np.isfinite(upper)
-    if (ok != np.isfinite(lower)).any() or (
-            np.abs(upper[ok] - lower[ok]) > 1e-12).any():
-        raise ValueError("distance matrix is not symmetric")
-    iu, ju, upper = iu[ok], ju[ok], upper[ok]
-    if (upper <= 0.0).any():
-        # csgraph reads a stored 0 as "no edge"
-        k = int(np.argmax(upper <= 0.0))
-        raise ValueError("distance %r between %d and %d is not positive"
-                         % (float(upper[k]), iu[k], ju[k]))
-    tree = minimum_spanning_tree(
-        sp.csr_array((upper, (iu, ju)), shape=(n, n)))
-    a, b = tree.nonzero()
-    if a.size != n - 1:
-        raise ValueError("distances leave the graph disconnected; "
-                         "no spanning tree exists")
-    return Graph(n, np.column_stack([a, b, d[a, b]]), labels=labels)
+    mats = [np.asarray(d, dtype=float) for d in dists]
+    for d in mats:
+        if d.ndim != 2 or d.shape[0] != d.shape[1] or d.shape[0] < 2:
+            raise ValueError("need a square distance matrix of size >= 2")
+    if not mats:
+        return []
+    count = len(mats)
+    sizes = np.array([d.shape[0] for d in mats])
+    n = int(sizes.max())
+
+    def fail(k, message):
+        raise ValueError(message if count == 1 else
+                         "distance matrix %d: %s" % (k, message))
+
+    # w[k] holds matrix k's upper triangle both ways round, with inf
+    # for "no edge": off the matrix, on the diagonal and where an entry is
+    # not finite
+    w = np.full((count, n, n), np.inf)
+    for k, d in enumerate(mats):
+        d = np.where(np.isfinite(d), d, np.inf)
+        with np.errstate(invalid="ignore"):  # inf - inf where both are absent
+            bad = np.abs(d - d.T) > 1e-12
+        # the first entry in row order lies in the upper triangle, since a
+        # bad pair is bad both ways round
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            fail(k, "distances between %d and %d are not symmetric" % (i, j))
+        bad = np.triu(d <= 0.0, k=1)
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            fail(k, "distance %r between %d and %d is not positive"
+                 % (float(d[i, j]), i, j))
+        up = np.triu(d, k=1)
+        up += up.T
+        np.fill_diagonal(up, np.inf)
+        w[k, :d.shape[0], :d.shape[0]] = up
+    nodes = np.arange(n)
+    # key[u, v] orders the edges of equal weight, and names the edge as
+    # min(u, v) n + max(u, v)
+    key = np.minimum.outer(nodes, nodes) * n + np.maximum.outer(nodes, nodes)
+    # node 0 starts each tree.  A node inside a tree has no least edge
+    # left (inf), and no edge leads to it any more
+    w[:, :, 0] = np.inf
+    best, best_key = w[:, 0].copy(), np.repeat(key[:1], count, axis=0)
+    rows = np.arange(count)
+    added = np.empty((n - 1, count), dtype=np.int64)
+    weights = np.empty((n - 1, count))
+    for step in range(n - 1):
+        low = best.min(axis=1)
+        pick = np.where(best == low[:, None], best_key, n * n).argmin(axis=1)
+        added[step], weights[step] = best_key[rows, pick], low
+        best[rows, pick] = np.inf
+        w[rows, :, pick] = np.inf
+        new, new_key = w[rows, pick], key[pick]
+        better = (new < best) | ((new == best) & (new_key < best_key))
+        np.copyto(best, new, where=better)
+        np.copyto(best_key, new_key, where=better)
+    # a tree that had to take a missing edge (inf) before its last node
+    # came in does not span
+    cut = np.isinf(weights) & (np.arange(n - 1)[:, None] < sizes - 1)
+    if cut.any():
+        fail(int(np.argmax(cut.any(axis=0))), "distances leave the graph "
+             "disconnected; no spanning tree exists")
+    ends = np.divmod(added, n)
+    trees = []
+    for k, d in enumerate(mats):
+        e = slice(d.shape[0] - 1)
+        trees.append(Graph(d.shape[0], np.column_stack(
+            [ends[0][e, k], ends[1][e, k], weights[e, k]]),
+            labels=None if labels is None else labels[k]))
+    return trees
 
 
 # -- market windows --------------------------------------------------------
@@ -338,29 +404,77 @@ class MarketWindow:
 
 
 def build_market_window(window):
-    """Correlations, distances, and MST for one window slice."""
-    rho, dist, kept = correlation_and_distance(window.returns)
-    assets = [window.assets[j] for j in kept]
-    return MarketWindow(window_id=window.window_id, assets=assets,
-                        rho=rho, dist=dist,
-                        tree=mst(dist, labels=assets))
+    """Correlations, distances, and MST for one window slice:
+    ``build_market_windows`` of the one window."""
+    return build_market_windows([window])[0]
+
+
+def build_market_windows(windows):
+    """Correlations and distances of each window slice
+    (``correlation_and_distance``), and their trees from one ``msts``
+    run."""
+    parts = [correlation_and_distance(w.returns) for w in windows]
+    assets = [[w.assets[j] for j in kept]
+              for w, (_, _, kept) in zip(windows, parts)]
+    trees = msts([dist for _, dist, _ in parts], assets)
+    return [MarketWindow(window_id=w.window_id, assets=names, rho=rho,
+                         dist=dist, tree=tree)
+            for w, names, (rho, dist, _), tree
+            in zip(windows, assets, parts, trees)]
 
 
 def window_rank_report(market_window, zeta_grid=None, measure="R",
                        weight_mode="distance"):
-    """Centrality rankings of the window's MST over a zeta grid.
+    """Centrality rankings of the window's MST over a zeta grid:
+    ``window_rank_reports`` of the one window."""
+    return window_rank_reports([market_window], zeta_grid, measure,
+                               weight_mode)[0]
+
+
+def window_rank_reports(market_windows, zeta_grid=None, measure="R",
+                        weight_mode="distance"):
+    """Centrality rankings of each window's MST over a zeta grid.
 
     ``weight_mode='distance'`` feeds the Mantegna distances straight into
     the adjacency (large distance = heavy edge); ``'inverse'`` uses their
     reciprocals so tightly correlated assets couple strongly instead.
+
+    R of every tree comes from one ``spectral.expm`` action on the
+    disjoint union of the trees, which never decomposes: each tree is a
+    component of its own, with its own spectral bound and shift.  C is
+    computed per tree on the route ``expm`` chooses for the diagonal, and
+    only for ``measure`` C or T; T = R - C.  Each window's grid rows are
+    ranked on their own (``RankingSweep.from_values``).
     """
-    tree = market_window.tree
-    if weight_mode == "inverse":
-        edges = [(int(a), int(b), 1.0 / w) for a, b, w in tree.edge_array()]
-        tree = Graph(tree.n, edges, labels=tree.labels)
-    elif weight_mode != "distance":
+    if weight_mode not in ("distance", "inverse"):
         raise ValueError("weight_mode must be 'distance' or 'inverse'")
-    return ranking_sweep(sweep(tree, zeta_grid), measure=measure)
+    if measure not in MEASURES:
+        raise ValueError("measure must be one of %r, got %r"
+                         % (MEASURES, measure))
+    grid = _grid(zeta_grid)
+    trees = []
+    for mw in market_windows:
+        tree = mw.tree
+        if weight_mode == "inverse":
+            edges = tree.edge_array()
+            edges[:, 2] = 1.0 / edges[:, 2]
+            tree = Graph(tree.n, edges, labels=tree.labels)
+        trees.append(tree)
+    sizes = [t.n for t in trees]
+    offsets = np.cumsum([0] + sizes)
+    union = Graph(offsets[-1], np.vstack(
+        [t.edge_array() + [off, off, 0.0]
+         for t, off in zip(trees, offsets)]))
+    r = expm(union, grid, np.ones(union.n))
+    reports = []
+    for tree, lo, hi in zip(trees, offsets[:-1], offsets[1:]):
+        values = r[:, lo:hi]
+        if measure != "R":
+            c = expm(tree, grid)
+            values = c if measure == "C" else values - c
+        reports.append(RankingSweep.from_values(grid, measure, values,
+                                                tree.labels))
+    return reports
 
 
 # -- delta rank ------------------------------------------------------------
@@ -467,27 +581,30 @@ def load_svc(path):
     """Read ``company,year,value`` CSV rows into {company: {year: value}}.
 
     A first row equal to ``company,year,value`` (any case) is a header.
-    Duplicate (company, year) pairs are an error.
+    Rows are read as CSV, so a quoted company name may hold a comma;
+    blank lines are skipped and cells are stripped of surrounding
+    whitespace.  Duplicate (company, year) pairs are an error.
     """
     out = {}
-    with open(path, encoding="utf-8-sig") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            s = raw.strip()
-            if not s:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        for cells in reader:
+            if not cells or (len(cells) == 1 and not cells[0].strip()):
                 continue
-            parts = [p.strip() for p in s.split(",")]
+            lineno, row = reader.line_num, ",".join(cells)
+            parts = [c.strip() for c in cells]
             if lineno == 1 and [p.lower() for p in parts] == ["company",
                                                               "year",
                                                               "value"]:
                 continue
             if len(parts) != 3 or not parts[0]:
                 raise ValueError("%s:%d: expected 'company,year,value', "
-                                 "got %r" % (path, lineno, s))
+                                 "got %r" % (path, lineno, row))
             try:
                 year, value = int(parts[1]), float(parts[2])
             except ValueError:
                 raise ValueError("%s:%d: unparseable year or value in %r"
-                                 % (path, lineno, s)) from None
+                                 % (path, lineno, row)) from None
             years = out.setdefault(parts[0], {})
             if year in years:
                 raise ValueError("%s:%d: duplicate year %d for %s"

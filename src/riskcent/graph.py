@@ -16,6 +16,7 @@ without building a ``Graph``: ``generate_er`` wraps it in one, and
 
 from __future__ import annotations
 
+import csv
 import functools
 import json
 
@@ -213,8 +214,18 @@ class Graph:
 
 
 def save_json(g, path):
+    """Write ``g.to_json_dict()`` as ``json.dumps(..., indent=1)`` does,
+    byte for byte, without its pure-Python encoder: each label through
+    ``json.dumps`` and each weight as ``float.__repr__``, as that encoder
+    writes them."""
+    labels = ["  " + json.dumps(x) for x in g.labels]
+    edges = ["  [\n   %d,\n   %d,\n   %r\n  ]" % e for e in zip(
+        g._u.tolist(), g._v.tolist(), g._w.tolist())]
+    body = ['"%s": %s' % (name, "[\n" + ",\n".join(items) + "\n ]"
+                          if items else "[]")
+            for name, items in (("labels", labels), ("edges", edges))]
     with open(path, "w") as fh:
-        fh.write(json.dumps(g.to_json_dict(), indent=1))
+        fh.write('{\n "n": %d,\n %s\n}' % (g.n, ",\n ".join(body)))
 
 
 def load_json(path):
@@ -292,19 +303,23 @@ def load_memberships(path):
 
     Returns a list of ``(company, director)`` string pairs.  A first row
     equal to ``company,director`` (any case) is treated as a header.
+    Rows are read as CSV, so a quoted name may hold a comma, as the
+    reports' ``csv.writer`` quotes it; blank lines are skipped and cells
+    are stripped of surrounding whitespace.
     """
     pairs = []
-    with open(path, encoding="utf-8-sig") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            s = raw.strip()
-            if not s:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        for cells in reader:
+            if not cells or (len(cells) == 1 and not cells[0].strip()):
                 continue
-            parts = [p.strip() for p in s.split(",")]
+            parts = [c.strip() for c in cells]
             if len(parts) != 2 or not parts[0] or not parts[1]:
                 raise GraphError(
                     "%s:%d: expected 'company,director', got %r"
-                    % (path, lineno, s))
-            if lineno == 1 and [p.lower() for p in parts] == ["company", "director"]:
+                    % (path, reader.line_num, ",".join(cells)))
+            if reader.line_num == 1 and [p.lower() for p in parts] == [
+                    "company", "director"]:
                 continue
             pairs.append((parts[0], parts[1]))
     if not pairs:

@@ -16,15 +16,17 @@ the diagonal ``diag(exp(z*A))`` for a symmetric adjacency A and z >= 0.
   neglected weight is at rounding level (``_tail_ok``).  One run of
   powers serves every z of the grid.
 
-The action always takes the power-series route (``_krylov_action``): per
-connected component, the powers ``(A/b)^k v`` in blocks of
-``_MOMENT_BLOCK`` rows (``_power_sum``).  A sum of the action runs to
-``zb = _REACH`` at most, which keeps its Poisson weights accurate; a grid
-point past that restarts the sum from the last computed row, or from a
-step of ``_REACH / b`` where no grid point lies within it
-(``_power_action``).  The diagonal takes the route ``_moment_route``
-predicts cheaper from the graph's size, its number of edges and the top
-of the grid, a tie going to the dense one.  On the power-series route
+The action always takes the power-series route (``_krylov_action``): one
+run of powers over every connected component, each component's rows of
+A scaled by its own bound b_c and summed with the weights of ``z b_c``,
+the powers in blocks of ``_MOMENT_BLOCK`` rows (``_power_sum``).  A sum
+of the action runs to ``zb = _REACH`` at most, b the largest bound,
+which keeps its Poisson weights accurate; a grid point past that
+restarts the sum from the last computed row, or from a step of
+``_REACH / b`` where no grid point lies within it (``_power_action``).
+The diagonal takes the route ``_moment_route`` predicts cheaper from the
+graph's size, its number of edges and the top of the grid, a tie going
+to the dense one.  On the power-series route
 (``_moment_diag``) it sums the moments ``(A/b)^k_ii`` from powers of
 blocks of unit vectors (``_power_moments``, two moments per sparse
 product) to the degree the top of the grid needs (``_series_degree``,
@@ -218,70 +220,90 @@ def _poisson_weights(s, degree, shift):
     return np.exp(xlogy(k, s[:, None]) - gammaln(k + 1.0) - shift[:, None])
 
 
-def _power_sum(ah, s, x):
-    """Rows ``exp(-s[j]) exp(s[j] ah) x = sum_k w_k(s[j]) ah^k x``, with
-    the Poisson weights ``w_k(s) = exp(-s) s^k / k!`` of ``_tail_ok``.
+def _power_sum(ah, s, x, spans=(slice(None),), out=None):
+    """Rows ``exp(-s[c, j]) exp(s[c, j] ah) x = sum_k w_k(s[c, j]) ah^k x``
+    on the nodes ``spans[c]`` of each component c, with the Poisson weights
+    ``w_k(s) = exp(-s) s^k / k!`` of ``_tail_ok``.
 
-    ``ah`` is the adjacency scaled by its spectral bound.  The sum runs
-    to the degree ``_series_degree`` gives the largest s.  The powers
-    ``ah^k x`` fill a block of ``_MOMENT_BLOCK`` rows, which one GEMM adds
-    to every row, so one sum holds the block and the rows whatever its
-    degree.  s = 0 gives x exactly.
+    ``ah`` is the adjacency with each component's rows scaled by its
+    spectral bound, so its powers stay within each component; ``s`` has a
+    row per component (a 1-D ``s`` is one component, every node) and a
+    column per grid point.  The sum runs to the degree ``_series_degree``
+    gives the largest s.  The powers ``ah^k x`` fill a block of
+    ``_MOMENT_BLOCK`` rows, which one GEMM per component adds to every
+    row, so one sum holds the block and the rows whatever its degree.
+    s = 0 gives x exactly.  The rows are summed into ``out`` where given,
+    which must hold zeros.
     """
+    s = np.atleast_2d(s)
     top = int(_series_degree(s.max()))
-    coef = _poisson_weights(s, top, s)
-    rows = np.zeros((s.size, x.size))
+    coef = [_poisson_weights(sc, top, sc) for sc in s]
+    rows = np.zeros((s.shape[1], x.size)) if out is None else out
     pw = np.empty((min(_MOMENT_BLOCK, top + 1), x.size))
     for first in range(0, top + 1, len(pw)):
         stop = min(first + len(pw), top + 1)
         for k in range(first, stop):
             # at k = first, pw[-1] holds power k - 1 from the full block before
             pw[k - first] = ah @ pw[k - first - 1] if k else x
-        rows += coef[:, first:stop] @ pw[:stop - first]
+        for span, c in zip(spans, coef):
+            rows[:, span] += c[:, first:stop] @ pw[:stop - first, span]
     return rows
 
 
-def _power_action(a, z, v, b=None):
-    """Scaled rows ``exp(-z[k] b) exp(z[k] A) v`` for an ascending grid z on
-    the CSR adjacency ``a`` of one connected component, and their shifts
-    ``z b``, b being its spectral bound (``_spectral_bound`` unless given).
+def _power_action(a, z, v, b=None, spans=(slice(None),)):
+    """Scaled rows ``exp(-z[k] b_c) exp(z[k] A) v`` for an ascending grid z
+    on the CSR adjacency ``a`` of components whose nodes are the runs
+    ``spans``, and their shifts ``z b_c``, b_c being component c's
+    spectral bound (``_spectral_bound`` of the one component unless
+    given; ``b`` holds one per span).
 
-    One ``_power_sum`` from the last computed row serves every next point
-    within ``_REACH / b`` of it.  Where the next point lies past that, the
-    run restarts from a step of ``_REACH / b`` instead.  Each start is a
-    row scaled by its own shift, so the rows stay finite however far z
-    runs.
+    The rows of each component are scaled by its own bound, so one run of
+    powers serves all.  One ``_power_sum`` from the last computed row
+    serves every next point within ``_REACH / b`` of it, b the largest
+    bound.  Where the next point lies past that, the run restarts from a
+    step of ``_REACH / b`` instead, which is ``_REACH b_c / b`` for
+    component c.  Each start is a row scaled by its own shifts, so the
+    rows stay finite however far z runs.  Returns the rows and the
+    ``(components, grid)`` shifts.
     """
-    if b is None:
-        b = _spectral_bound(a)
-    ah = a / b
-    rows = np.empty((z.size, v.size))
+    b = np.atleast_1d(_spectral_bound(a) if b is None else b)
+    top = b.max()
+    scale = np.empty(v.size)
+    for span, bc in zip(spans, b):
+        scale[span] = 1.0 / bc
+    ah = a.copy()
+    # times 1 / b_c, as scipy divides a sparse matrix by a scalar
+    ah.data *= np.repeat(scale, np.diff(a.indptr))
+    rows = np.zeros((z.size, v.size))
     x, base, k = v, 0.0, 0
     while k < z.size:
-        s = (z[k:] - base) * b
-        done = int(np.searchsorted(s, _REACH, side="right"))
+        done = int(np.searchsorted((z[k:] - base) * top, _REACH, side="right"))
         if done == 0:
-            x = _power_sum(ah, np.array([_REACH]), x)[0]
-            base += _REACH / b
+            x = _power_sum(ah, _REACH * (b / top)[:, None], x, spans)[0]
+            base += _REACH / top
             continue
-        rows[k:k + done] = _power_sum(ah, s[:done], x)
+        s = np.multiply.outer(b, z[k:k + done] - base)
+        _power_sum(ah, s, x, spans, out=rows[k:k + done])
         k += done
         x, base = rows[k - 1], z[k - 1]
-    return rows, z * b
+    return rows, np.multiply.outer(b, z)
 
 
 def _krylov_action(a, labels, z, v, scaled, bound=None):
-    """Rows ``exp(z[k]*A) @ v`` for a 1-D grid z, one component at a time.
+    """Rows ``exp(z[k]*A) @ v`` for a 1-D grid z, every component in one
+    power series.
 
     exp(zA) is block diagonal over the connected components (``labels``),
-    so each component runs its own ``_power_action`` on its block of the
-    CSR adjacency ``a``, with its own shift; isolated nodes, where A is 0,
-    keep v.  ``bound`` is ``_spectral_bound(a)`` where the caller has it;
-    it serves a component that holds every edge of the graph.  Scaled rows
-    share the largest component shift.  Unscaled rows are ``exp(shift)``
-    times the scaled ones (+-inf where that passes float range); where the
-    shift passes exp's range each component is unscaled on its own, entry
-    by entry, so only entries whose value passes float range become +-inf.
+    so one ``_power_action`` runs every component with its own spectral
+    bound and shift, on the CSR adjacency ``a`` with the nodes of each
+    component in one run (``a`` itself where they already are); isolated
+    nodes, where A is 0, keep v.  ``bound`` is ``_spectral_bound(a)``
+    where the caller has it; it serves a component that holds every edge
+    of the graph.  Scaled rows share the largest component shift.
+    Unscaled rows are ``exp(shift)`` times the scaled ones (+-inf where
+    that passes float range); where the shift passes exp's range each
+    component is unscaled on its own, entry by entry, so only entries
+    whose value passes float range become +-inf.
     """
     order = np.argsort(z, kind="stable")
     zs = z[order]
@@ -291,14 +313,22 @@ def _krylov_action(a, labels, z, v, scaled, bound=None):
               np.zeros(z.size))] if iso.size else []
     rest = np.flatnonzero(~single)
     rest = rest[np.argsort(labels[rest], kind="stable")]
-    comps = np.split(rest, np.flatnonzero(np.diff(labels[rest])) + 1)
-    # isolated nodes never hold the maximum of _spectral_bound's power
-    # steps, so the bound of a lone component equals the graph's bit for bit
-    b = bound if len(comps) == 1 else None
-    for idx in comps:
-        if idx.size:
-            sub = a if idx.size == v.size else a[idx][:, idx]
-            parts.append((idx, *_power_action(sub, zs, v[idx], b)))
+    if rest.size:
+        cuts = np.concatenate([[0], np.flatnonzero(np.diff(labels[rest])) + 1,
+                               [rest.size]])
+        spans = [slice(lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:])]
+        contiguous = rest.size == v.size and (np.diff(rest) == 1).all()
+        sub = a if contiguous else a[rest][:, rest]
+        # isolated nodes never hold the maximum of _spectral_bound's power
+        # steps, so the bound of a lone component equals the graph's bit
+        # for bit
+        if len(spans) == 1:
+            b = bound
+        else:
+            b = [_spectral_bound(sub[span, span]) for span in spans]
+        y, s = _power_action(sub, zs, v[rest], b, spans)
+        parts += [(span if contiguous else rest[span], y[:, span], sc)
+                  for span, sc in zip(spans, s)]
     shift = np.max([s for _, _, s in parts], axis=0)
     rows = np.empty((z.size, v.size))
     for idx, y, s in parts:
@@ -306,13 +336,15 @@ def _krylov_action(a, labels, z, v, scaled, bound=None):
     if not scaled:
         safe = shift <= _EXP_MAX
         with np.errstate(over="ignore", divide="ignore"):
-            rows[safe] *= np.exp(shift[safe])[:, None]
+            rows *= np.exp(np.where(safe, shift, 0.0))[:, None]
             for idx, y, s in parts if not safe.all() else []:
                 y = y[~safe]
-                rows[np.ix_(~safe, idx)] = np.sign(y) * np.exp(
-                    np.log(np.abs(y)) + s[~safe, None])
+                rows[np.ix_(~safe, np.arange(v.size)[idx])] = np.sign(
+                    y) * np.exp(np.log(np.abs(y)) + s[~safe, None])
     back = np.argsort(order)
-    return (rows[back], shift[back]) if scaled else rows[back]
+    if (back != np.arange(z.size)).any():  # else the grid ascends already
+        rows, shift = rows[back], shift[back]
+    return (rows, shift) if scaled else rows
 
 
 def _power_moments(ah, nodes, degree):

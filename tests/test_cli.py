@@ -827,6 +827,75 @@ def test_market_merges_perfectly_correlated_assets(tmp_path):
     assert merged == 9
 
 
+def test_market_batches_equal_the_one_window_runs(tmp_path, monkeypatch):
+    # ragged windows: asset R is missing in March, so the windows holding
+    # March drop it, and B repeats A, so B is merged into A.  Batched two
+    # windows at a time, every window's files equal, byte for byte, those
+    # of the one-window functions run on that window alone
+    import datetime
+    from riskcent.finance import (build_market_window, load_returns,
+                                  rolling_windows, window_rank_report)
+    rng = np.random.default_rng(21)
+    names = ["A", "B", "C", "D", "R", "F", "G"]
+    path = tmp_path / "returns.csv"
+    with open(path, "w") as fh:
+        fh.write("date," + ",".join(names) + "\n")
+        for k in range(330):
+            day = datetime.date(2001, 1, 1) + datetime.timedelta(days=k)
+            row = rng.standard_normal(7) * 0.01
+            row[1] = row[0]
+            cells = [repr(float(v)) for v in row]
+            if day.month == 3:
+                cells[4] = ""
+            fh.write(day.isoformat() + "," + ",".join(cells) + "\n")
+    windows = rolling_windows(load_returns(str(path)))
+    assert len(windows) == 6
+    assert {len(w.assets) for w in windows} == {6, 7}
+    monkeypatch.setattr(riskcent.cli, "_WINDOW_CHUNK", 2)
+    grid = "0.05:3:12"
+    for measure, mode in (("R", "distance"), ("T", "inverse"),
+                          ("C", "distance")):
+        out = tmp_path / ("out" + measure)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert main(["market", str(path), "--out", str(out),
+                         "--measure", measure, "--weight-mode", mode,
+                         "--zeta-grid", grid]) == 0
+            alone = [build_market_window(w) for w in windows]
+        summary = []
+        for mw in alone:
+            assert "B" not in mw.assets
+            one = tmp_path / ("one" + measure) / mw.window_id
+            one.mkdir(parents=True)
+            report = window_rank_report(
+                mw, zeta_grid=riskcent.cli._parse_grid(grid),
+                measure=measure, weight_mode=mode)
+            report.to_csv(str(one / "ranks.csv"))
+            report.std_to_csv(str(one / "rankstd.csv"))
+            save_json(mw.tree, str(one / "mst.json"))
+            for name in ("ranks.csv", "rankstd.csv", "mst.json"):
+                got = out / "windows" / mw.window_id / name
+                assert got.read_bytes() == (one / name).read_bytes(), name
+            summary.append([mw.window_id, str(len(mw.assets)),
+                            repr(float(report.per_node_std.mean()))])
+        assert read_csv(str(out / "summary.csv"))[1] == summary
+
+
+def test_market_r_never_decomposes(tmp_path, monkeypatch):
+    # R of every tree comes from the power-series action; only C takes
+    # the diagonal's dense route
+    def refuse(g):
+        raise AssertionError("decompose called")
+
+    monkeypatch.setattr(riskcent.spectral, "decompose", refuse)
+    returns = write_returns(tmp_path / "returns.csv", months=8, assets=6)
+    assert main(["market", returns, "--out", str(tmp_path / "r"),
+                 "--zeta-grid", "0.1:1.0:10"]) == 0
+    with pytest.raises(AssertionError, match="decompose called"):
+        main(["market", returns, "--out", str(tmp_path / "c"),
+              "--measure", "C", "--zeta-grid", "0.1:1.0:10"])
+
+
 def test_market_missing_returns_exits_2(tmp_path, capsys):
     missing = str(tmp_path / "void.csv")
     rc = main(["market", missing, "--out", str(tmp_path / "out")])

@@ -219,6 +219,27 @@ def test_row_statistics_match_per_vector_functions():
     assert got_rank[4, 2] == -1.0
 
 
+def test_spearman_table_complete_graph_cells_are_undefined(tmp_path):
+    # on K6 every node has the same C and R; eigh leaves them rounding
+    # noise only, which must not be correlated.  The 0.5 density stays
+    # defined, and the undefined cells are written empty
+    cfg = ExperimentConfig(n=6, densities=(0.5, 1.0), zetas=(0.5,),
+                           replications=2, seed=1)
+    table = spearman_table(cfg)
+    for stat in (table.rank_corr, table.value_corr):
+        assert np.isfinite(stat[0]).all() and np.isnan(stat[1]).all()
+    path = tmp_path / "table.csv"
+    table.to_csv(str(path), "value")
+    assert path.read_text().splitlines()[2] == "1,"
+    # a row whose spread is within n eps of its size is constant; a
+    # larger spread is not
+    base = np.full(6, 3.0)
+    noise = base + 3 * np.finfo(float).eps * 3.0 * np.linspace(0, 1, 6)
+    assert np.isnan(spearman(noise, np.arange(6.0)))
+    assert np.isnan(_row_corr(noise, np.arange(6.0)))
+    assert spearman(base + 1e-12 * np.arange(6), np.arange(6.0)) == 1.0
+
+
 def test_row_spearman_rejects_non_finite():
     x = np.ones((2, 4))
     x[1, 2] = np.inf

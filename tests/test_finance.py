@@ -711,6 +711,18 @@ def test_load_svc(tmp_path):
         load_svc(str(path))
 
 
+def test_load_svc_reads_quoted_names_back(tmp_path):
+    from riskcent.centrality import write_rows
+    path = tmp_path / "svc.csv"
+    write_rows(str(path), ["company", "year", "value"],
+               [["Acme, Inc.", 1999, 1.5], ['Bolt "B"', 2000, -0.25]])
+    assert load_svc(str(path)) == {"Acme, Inc.": {1999: 1.5},
+                                   'Bolt "B"': {2000: -0.25}}
+    path.write_text('company,year,value\n"Acme, Inc.",1999\n')
+    with pytest.raises(ValueError, match=r"svc.csv:2: expected"):
+        load_svc(str(path))
+
+
 def test_text_inputs_after_a_utf8_bom(tmp_path):
     svc = tmp_path / "svc.csv"
     svc.write_text("company,year,value\nacme,1999,1.5\n",

@@ -235,6 +235,19 @@ def test_load_memberships(tmp_path):
     assert pairs == [("Acme", "smith"), ("Bolt", "smith"), ("Acme", "jones")]
 
 
+def test_load_memberships_reads_quoted_names_back(tmp_path):
+    # the reports' csv.writer quotes a name holding a comma or a quote
+    from riskcent.centrality import write_rows
+    rows = [("Acme, Inc.", "smith"), ('Bolt "B"', "jones, jr"),
+            ("Acme, Inc.", "jones, jr")]
+    p = tmp_path / "mem.csv"
+    write_rows(str(p), ["company", "director"], rows)
+    assert load_memberships(p) == rows
+    p.write_text('company,director\n"Acme, Inc.",smith\nBolt\n')
+    with pytest.raises(GraphError, match=r"mem.csv:3: expected"):
+        load_memberships(p)
+
+
 def test_load_edge_list_after_a_utf8_bom(tmp_path):
     # spreadsheet "CSV UTF-8" exports start the file with a byte-order mark
     p = tmp_path / "tri.txt"
@@ -255,6 +268,21 @@ def test_load_json_after_a_utf8_bom(tmp_path):
     save_json(g, p)
     p.write_bytes(codecs.BOM_UTF8 + p.read_bytes())
     assert load_json(p) == g
+
+
+def test_save_json_bytes_equal_the_json_encoder(tmp_path):
+    import json
+    labels = ['say "hi"', "back\\slash", "Zürich \u2603", "tab\there", "e"]
+    weights = [1e-300, 1.0 / 3.0, 2.0, 1e20, 5e-324, 0.1]
+    edges = [(0, 1), (0, 4), (1, 2), (2, 3), (3, 4), (1, 3)]
+    for g in (Graph(5, [e + (w,) for e, w in zip(edges, weights)],
+                    labels=labels),
+              Graph(1), Graph(3, [(0, 2)])):
+        path = tmp_path / "g.json"
+        save_json(g, path)
+        assert path.read_bytes() == json.dumps(
+            g.to_json_dict(), indent=1).encode("ascii")
+        assert load_json(path) == g
 
 
 def test_json_round_trip(tmp_path):

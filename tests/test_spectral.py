@@ -17,6 +17,8 @@ from riskcent.spectral import (
     _exp_rows,
     _expm_krylov,
     _moment_diag,
+    _REACH,
+    _power_action,
     _power_moments,
     _power_sum,
     _series_degree,
@@ -521,6 +523,64 @@ def test_krylov_action_past_overflow():
         rows = _expm_krylov(g, fine, np.ones(g.n), False)
         assert (rows > 0).all()
         assert not np.isnan(rows).any()
+
+
+def components_graph(perm=None):
+    """K5, a weighted 6-cycle, a 7-node star, a weighted 8-node path and
+    three isolated nodes: spectral radii 4, 2 w, sqrt(6) and below 2 max
+    w, so each component has its own bound.  ``perm`` renames the nodes,
+    so that the components interleave."""
+    rng = np.random.default_rng(17)
+    edges = [(a, b, 1.0) for a in range(5) for b in range(a + 1, 5)]
+    edges += [(5 + k, 5 + (k + 1) % 6, 1.3) for k in range(6)]
+    edges += [(11, 12 + k, 1.0) for k in range(6)]
+    edges += [(18 + k, 19 + k, w) for k, w in
+              enumerate(rng.uniform(0.2, 2.5, size=7))]
+    n = 29
+    edges = np.array(edges)
+    if perm is not None:
+        edges[:, :2] = perm[edges[:, :2].astype(int)]
+    return Graph(n, edges)
+
+
+def test_krylov_action_batches_components_with_their_own_bounds():
+    # one power series over every component, each at s = zeta b_c, with
+    # restarts set by the largest bound: zeta b runs past _REACH, between
+    # grid points and in one step, so the components restart under
+    # different bounds.  Every R entry matches its component's expm,
+    # taken of zeta (A - lam_1 I): expm of zeta A itself errs by up to
+    # 2e-11 relative at zeta lam_1 = 600 in its squarings
+    zetas = np.array([0.0, 0.3, 10.0, 70.0, 150.0, 60.0])
+    for perm in (None, np.random.default_rng(4).permutation(29)):
+        g = components_graph(perm)
+        labels = g.component_labels()
+        assert np.bincount(np.bincount(labels)).tolist()[1] == 3
+        a = g.adjacency()
+        rows = expm(g, zetas, np.ones(g.n))
+        assert 150.0 * 4.0 > 2 * _REACH and (60.0 - 10.0) * 4.0 < _REACH
+        for comp in np.unique(labels):
+            idx = np.flatnonzero(labels == comp)
+            sub = a[np.ix_(idx, idx)]
+            top = np.linalg.eigvalsh(sub)[-1]
+            for zeta, row in zip(zetas, rows):
+                want = np.exp(zeta * top) * scipy.linalg.expm(
+                    zeta * (sub - top * np.eye(idx.size))).sum(axis=1)
+                np.testing.assert_allclose(row[idx], want, rtol=1e-12)
+
+
+def test_krylov_action_on_a_connected_graph_is_the_power_action():
+    # on one component the batched series is _power_action's, bit for bit
+    zetas = np.array([0.5, 40.0, 130.0, 2.0])
+    v = np.random.default_rng(5).normal(size=40)
+    for g in (generate_complete(5), generate_er(40, 0.15, seed=8,
+                                                require_connected=True)):
+        w = v[:g.n]
+        rows, shifts = expm(g, zetas, w, scaled=True)
+        order = np.argsort(zetas)
+        want, want_shifts = _power_action(g.sparse_adjacency(),
+                                          zetas[order], w)
+        assert np.array_equal(rows[order], want)
+        assert np.array_equal(shifts[order], want_shifts[0])
 
 
 def test_krylov_action_overflows_by_component_and_entry():
