@@ -7,8 +7,8 @@ an effective coupling ``zeta``:
 * circulability     C_i = (exp(zeta A))_ii, walks returning to i;
 * transmissibility  T_i = R_i - C_i, walks leaving i that end elsewhere.
 
-``sweep`` evaluates all three on a zeta grid (``spectral.expm`` gives R or C
-alone, at one zeta or a grid, on any route).  In the SI reading,
+``sweep`` evaluates all three on a zeta grid, R and C each from one
+``spectral.expm`` call.  In the SI reading,
 ``zeta = (1 - beta) * gamma * t`` couples the infection rate and horizon;
 R_i orders nodes by how exposed they are.  ``rank`` is the one ranking:
 rank 1 = largest value, ties (up to ``tie_tol``) broken by node index.
@@ -22,10 +22,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import expm_with_diagonal
+from .spectral import expm
 
 MEASURES = ("R", "C", "T")
 _EPS = float(np.finfo(float).eps)
+
+
+def _check_measure(name):
+    """``name`` if it is one of ``MEASURES``, else a ValueError."""
+    if name not in MEASURES:
+        raise ValueError("measure must be one of %r, got %r"
+                         % (MEASURES, name))
+    return name
 
 
 def default_zeta_grid():
@@ -59,10 +67,7 @@ class RiskProfile:
     labels: list = field(default_factory=list)
 
     def measure(self, name):
-        if name not in MEASURES:
-            raise ValueError("measure must be one of %r, got %r"
-                             % (MEASURES, name))
-        return getattr(self, name)
+        return getattr(self, _check_measure(name))
 
     def to_csv(self, path, measure):
         write_grid_csv(path, "zeta", self.zeta_grid, self.measure(measure),
@@ -72,14 +77,15 @@ class RiskProfile:
 def sweep(g, zeta_grid=None):
     """Evaluate all three measures on a zeta grid.
 
-    The default grid is 0.01, 0.02, ..., 1.00.  R and C take the route
-    ``expm`` chooses for the diagonal (``spectral.expm_with_diagonal``): on
-    the dense route both come from the one decomposition, otherwise R from
-    the power-series action and C from the power moments, so the graph is
-    never decomposed.
+    The default grid is 0.01, 0.02, ..., 1.00.  R is the power-series
+    action ``expm(g, grid, 1)`` on every graph, a sum of nonnegative terms,
+    so each entry is accurate relative to itself.  C is the diagonal
+    ``expm(g, grid)`` on the route ``expm`` chooses for it: the cached
+    eigendecomposition or the power moments.
     """
     grid = _grid(zeta_grid)
-    r, c = expm_with_diagonal(g, grid, np.ones(g.n))
+    r = expm(g, grid, np.ones(g.n))
+    c = expm(g, grid)
     return RiskProfile(grid, r, c, r - c, labels=list(g.labels))
 
 

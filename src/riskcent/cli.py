@@ -80,20 +80,23 @@ def _load_graph(path, weighted=False):
 
 
 def _parse_grid(spec):
-    """Grid spec: 'lo:hi:count' for linspace or a comma list of values."""
+    """The ``--zeta-grid`` spec: 'lo:hi:count' for linspace or a comma list
+    of values.  Every error names the option and the spec."""
     if spec is None:
         return _grid(None)
-    if ":" in spec:
-        parts = spec.split(":")
+    parts = spec.split(":")
+    try:
+        if len(parts) == 1:
+            return _grid([float(tok) for tok in spec.split(",")
+                          if tok.strip()])
         if len(parts) != 3:
-            raise ValueError("grid spec %r is not 'lo:hi:count'" % spec)
+            raise ValueError("expected 'lo:hi:count'")
         lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
         if count < 1 or hi < lo:
-            raise ValueError("grid spec %r has an empty range" % spec)
-        grid = np.linspace(lo, hi, count)
-    else:
-        grid = [float(tok) for tok in spec.split(",") if tok.strip()]
-    return _grid(grid)
+            raise ValueError("empty range")
+        return _grid(np.linspace(lo, hi, count))
+    except ValueError as exc:
+        raise ValueError("--zeta-grid %r: %s" % (spec, exc)) from None
 
 
 def _write_manifest(out_dir, command, settings, inputs, outputs, seed=None):

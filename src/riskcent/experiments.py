@@ -9,10 +9,12 @@ A replication never becomes a ``Graph``.  Its dense adjacency comes
 straight from the drawer behind ``generate_er`` (``graph._er_adjacency``),
 its eigensystem from the one behind ``decompose``
 (``spectral._eigensystem``), and its R and C rows from the dense route's
-evaluator ``spectral._exp_rows``; T = R - C.  These are the rows
-``centrality.sweep`` gives the same graph, which takes the dense route at
-every size the replications allow: ``ExperimentConfig`` refuses n above
-``DENSE_LIMIT_DEFAULT``.
+evaluator ``spectral._exp_rows``; T = R - C.  Where the diagonal of
+``centrality.sweep`` takes the dense route on the same graph, these are
+its C rows bit for bit and its R rows to rounding: ``sweep`` takes R from
+the power-series action, and a connected draw has no entry far below
+``exp(zeta lambda_1)``, where the dense rows lose accuracy.
+``ExperimentConfig`` refuses n above ``DENSE_LIMIT_DEFAULT``.
 """
 
 from __future__ import annotations

@@ -26,8 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .centrality import MEASURES, RankingSweep, _grid, rank, write_rows
-from .graph import Graph
+from .centrality import (RankingSweep, _check_measure, _grid, rank,
+                         write_rows)
+from .graph import Graph, _check_unique
 from .spectral import expm
 
 
@@ -50,6 +51,7 @@ class ReturnsPanel:
             raise ValueError("returns shape %s does not match %d dates x %d "
                              "assets" % (self.returns.shape, len(self.dates),
                                          len(self.assets)))
+        _check_unique(self.assets, "asset", "asset columns", ValueError)
         for a, b in zip(self.dates, self.dates[1:]):
             if not a < b:
                 raise ValueError("dates must be strictly ascending; %s is "
@@ -448,9 +450,7 @@ def window_rank_reports(market_windows, zeta_grid=None, measure="R",
     """
     if weight_mode not in ("distance", "inverse"):
         raise ValueError("weight_mode must be 'distance' or 'inverse'")
-    if measure not in MEASURES:
-        raise ValueError("measure must be one of %r, got %r"
-                         % (MEASURES, measure))
+    _check_measure(measure)
     grid = _grid(zeta_grid)
     trees = []
     for mw in market_windows:

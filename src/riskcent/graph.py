@@ -65,6 +65,18 @@ def _edge_columns(edges):
             np.array([r[2] for r in rows], dtype=np.float64))
 
 
+def _check_unique(names, kind, where, error=GraphError):
+    """Raise ``error`` naming the first name given twice and both of its
+    positions."""
+    if len(set(names)) < len(names):
+        seen = {}
+        for j, name in enumerate(names):
+            i = seen.setdefault(name, j)
+            if i != j:
+                raise error("%s %r is given twice, at %s %d and %d"
+                            % (kind, name, where, i, j))
+
+
 class Graph:
     """Simple undirected weighted graph.
 
@@ -116,6 +128,7 @@ class Graph:
             labels = [str(x) for x in labels]
             if len(labels) != n:
                 raise GraphError("expected %d labels, got %d" % (n, len(labels)))
+            _check_unique(labels, "label", "nodes")
         self.labels = labels if labels is not None else [str(i) for i in range(n)]
         self._csr = None
         self._dec = None  # spectral.decompose caches the eigensystem here

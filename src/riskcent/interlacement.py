@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .centrality import MEASURES, _grid
+from .centrality import _check_measure, _grid
 from .graph import walk_counts
 from .spectral import (_moment_table, _poisson_weights, _series_degree,
                        _spectral_bound)
@@ -272,9 +272,7 @@ def detect_pairs(g, pairs, measure="C", zeta_grid=None,
     grid = _grid(zeta_grid)
     if grid.size < 2:
         raise ValueError("zeta grid must have >= 2 points")
-    if measure not in MEASURES:
-        raise ValueError("measure must be one of %r, got %r"
-                         % (MEASURES, measure))
+    _check_measure(measure)
     nodes, cols = np.unique(np.concatenate([ii, jj]), return_inverse=True)
     ci, cj = cols[:ii.size], cols[ii.size:]
     weights, table, scale = _basis(g, nodes, measure, grid)
@@ -390,9 +388,7 @@ def _pair_series(g, pairs, measure, kmax):
     only for C and T.
     """
     ii, jj = _pair_index(g, pairs)
-    if measure not in MEASURES:
-        raise ValueError("measure must be one of %r, got %r"
-                         % (MEASURES, measure))
+    _check_measure(measure)
     nodes, cols = np.unique(np.concatenate([ii, jj]), return_inverse=True)
     # R reads no closed walks
     total, closed = walk_counts(g, kmax,

@@ -2,13 +2,13 @@
 
 Everything downstream reduces to evaluating the action ``exp(z*A) @ v`` and
 the diagonal ``diag(exp(z*A))`` for a symmetric adjacency A and z >= 0.
-``expm`` evaluates either, for a scalar z or a grid of them, and
-``expm_with_diagonal`` both on one route.  Two routes exist:
+``expm`` evaluates either, for a scalar z or a grid of them.  Two routes
+exist:
 
 * the dense route reads the graph's one eigendecomposition (``decompose``,
   computed once by ``_eigensystem`` and cached on the ``Graph``) through
-  ``_exp_rows``; ``experiments`` calls the same two on its dense ER
-  draws;
+  ``_exp_rows``.  ``expm`` takes it for the diagonal only; ``experiments``
+  calls the same two for both on its dense, connected ER draws;
 * the power-series route never decomposes.  It scales A by a
   Collatz-Wielandt bound b of its spectral radius (``_spectral_bound``)
   and sums ``exp(zA) = exp(zb) sum_k w_k(zb) (A/b)^k`` with the Poisson
@@ -18,27 +18,31 @@ the diagonal ``diag(exp(z*A))`` for a symmetric adjacency A and z >= 0.
 
 The action always takes the power-series route (``_krylov_action``): one
 run of powers over every connected component, each component's rows of
-A scaled by its own bound b_c and summed with the weights of ``z b_c``,
-the powers in blocks of ``_MOMENT_BLOCK`` rows (``_power_sum``).  A sum
-of the action runs to ``zb = _REACH`` at most, b the largest bound,
-which keeps its Poisson weights accurate; a grid point past that
-restarts the sum from the last computed row, or from a step of
-``_REACH / b`` where no grid point lies within it (``_power_action``).
-The diagonal takes the route ``_moment_route`` predicts cheaper from the
-graph's size, its number of edges and the top of the grid, a tie going
-to the dense one.  On the power-series route
+A scaled by its own bound b_c (one ``_spectral_bound`` pass for all, the
+isolated nodes one run of bound 0) and summed with the weights of
+``z b_c``, the powers in blocks of ``_MOMENT_BLOCK`` rows
+(``_power_sum``).  A sum of the action runs to ``zb = _REACH`` at most, b
+the largest bound, which keeps its Poisson weights accurate; a grid
+point past that restarts the sum from the last computed row, or from a
+step of ``_REACH / b`` where no grid point lies within it
+(``_power_action``).  The diagonal takes the route ``_moment_route``
+predicts cheaper from the graph's size, its number of edges and the top
+of the grid, a tie going to the dense one.  On the power-series route
 (``_moment_diag``) it sums the moments ``(A/b)^k_ii`` from powers of
 blocks of unit vectors (``_power_moments``, two moments per sparse
 product) to the degree the top of the grid needs (``_series_degree``,
 which the interlacement tables share), at any z; it is the only route
 above ``DENSE_LIMIT_DEFAULT`` nodes, where ``decompose`` refuses.
 
-With ``A >= 0`` every power and weight is >= 0, so each diagonal entry
-keeps its relative accuracy, an isolated node is 1 exactly and z = 0 gives
-v exactly.  The dense formulas are written with ``expm1`` so that the
-small-z signal ``exp(z*A) - I`` is not lost to cancellation: with
-orthonormal eigenvectors, ``exp(zA)v = v + U diag(expm1(z*lam)) U^T v``
-holds exactly.  The scaled form returns ``(value * exp(-log_scale),
+With ``A >= 0`` every power and weight is >= 0, so each entry of the
+diagonal and of the action on a v >= 0 keeps its relative accuracy, an
+isolated node's diagonal entry is 1 exactly and z = 0 gives v exactly.
+The dense formulas are written with ``expm1`` so that the small-z signal
+``exp(z*A) - I`` is not lost to cancellation: with orthonormal
+eigenvectors, ``exp(zA)v = v + U diag(expm1(z*lam)) U^T v`` holds
+exactly.  They carry rounding of order ``eps exp(z lam_1)`` into every
+entry, though, so an entry far below that, as at an isolated node, is
+lost.  The scaled form returns ``(value * exp(-log_scale),
 log_scale)``, with ``log_scale`` = z lam_1 on the dense route and z b on
 the power-series route, so rankings stay finite when ``z * lam_1`` would
 overflow ``exp``.
@@ -112,9 +116,9 @@ def decompose(g):
     """Dense eigendecomposition of the adjacency of ``g`` (``_eigensystem``).
 
     Computed on the first call and cached on the graph, read-only, so every
-    measure of one graph reads the same ``U exp(zeta Lam) U^T``.  Refuses
-    graphs above ``DENSE_LIMIT_DEFAULT`` nodes, which ``expm`` evaluates
-    without it.
+    dense diagonal of one graph (``expm`` on the dense route) reads the
+    same ``U exp(zeta Lam) U^T``.  Refuses graphs above
+    ``DENSE_LIMIT_DEFAULT`` nodes, which ``expm`` evaluates without it.
     """
     if g._dec is not None:
         return g._dec
@@ -162,19 +166,26 @@ def _exp_rows(dec, zetas, v=None, scaled=False):
 # -- power series of exp(zA) ------------------------------------------------
 
 
-def _spectral_bound(a):
+def _spectral_bound(a, starts=None):
     """Upper bound b >= rho(A) of a symmetric CSR adjacency with weights > 0.
 
     Collatz-Wielandt: ``rho(A) <= max_i (Ax)_i / x_i`` for A >= 0 and any
     x > 0.  x is ones after ``_BOUND_STEPS`` normalized power steps of
     A + I, which keep it positive and turn it toward the Perron vector, so
-    b closes in on lambda_1.  A graph without edges gives 0.
+    b closes in on lambda_1.  A graph without edges gives 0.  With
+    ``starts``, the first nodes of runs of nodes that no edge joins, the
+    one pass normalizes each run by its own maximum and returns an array
+    of one bound per run, each the bound of the run's own adjacency bit
+    for bit.
     """
     x = np.ones(a.shape[0])
+    first = [0] if starts is None else starts
+    run = np.repeat(np.arange(len(first)), np.diff(np.append(first, x.size)))
     for _ in range(_BOUND_STEPS):
         x += a @ x
-        x /= x.max()
-    return float(((a @ x) / x).max())
+        x /= np.maximum.reduceat(x, first)[run]
+    b = np.maximum.reduceat((a @ x) / x, first)
+    return float(b[0]) if starts is None else b
 
 
 def _tail_ok(s, m):
@@ -250,27 +261,28 @@ def _power_sum(ah, s, x, spans=(slice(None),), out=None):
     return rows
 
 
-def _power_action(a, z, v, b=None, spans=(slice(None),)):
+def _power_action(a, z, v, starts=(0,)):
     """Scaled rows ``exp(-z[k] b_c) exp(z[k] A) v`` for an ascending grid z
-    on the CSR adjacency ``a`` of components whose nodes are the runs
-    ``spans``, and their shifts ``z b_c``, b_c being component c's
-    spectral bound (``_spectral_bound`` of the one component unless
-    given; ``b`` holds one per span).
+    on the CSR adjacency ``a`` of components whose nodes are the runs from
+    ``starts``, and their shifts ``z b_c``, b_c being component c's
+    spectral bound (one ``_spectral_bound`` pass for every run).
 
     The rows of each component are scaled by its own bound, so one run of
-    powers serves all.  One ``_power_sum`` from the last computed row
-    serves every next point within ``_REACH / b`` of it, b the largest
-    bound.  Where the next point lies past that, the run restarts from a
-    step of ``_REACH / b`` instead, which is ``_REACH b_c / b`` for
-    component c.  Each start is a row scaled by its own shifts, so the
-    rows stay finite however far z runs.  Returns the rows and the
-    ``(components, grid)`` shifts.
+    powers serves all.  A run of isolated nodes has bound 0, and its
+    Poisson weights at s = 0, (1, 0, 0, ...), keep its rows at v.  One
+    ``_power_sum`` from the last computed row serves every next point
+    within ``_REACH / b`` of it, b the largest bound.  Where the next point
+    lies past that, the run restarts from a step of ``_REACH / b`` instead,
+    which is ``_REACH b_c / b`` for component c.  Each start is a row
+    scaled by its own shifts, so the rows stay finite however far z runs.
+    Returns the rows and the ``(components, grid)`` shifts.
     """
-    b = np.atleast_1d(_spectral_bound(a) if b is None else b)
+    b = _spectral_bound(a, starts)
+    sizes = np.diff(np.append(starts, v.size))
+    spans = [slice(lo, lo + size) for lo, size in zip(starts, sizes)]
     top = b.max()
-    scale = np.empty(v.size)
-    for span, bc in zip(spans, b):
-        scale[span] = 1.0 / bc
+    with np.errstate(divide="ignore"):  # a run of bound 0 holds no entry
+        scale = np.repeat(1.0 / b, sizes)
     ah = a.copy()
     # times 1 / b_c, as scipy divides a sparse matrix by a scalar
     ah.data *= np.repeat(scale, np.diff(a.indptr))
@@ -289,61 +301,41 @@ def _power_action(a, z, v, b=None, spans=(slice(None),)):
     return rows, np.multiply.outer(b, z)
 
 
-def _krylov_action(a, labels, z, v, scaled, bound=None):
+def _krylov_action(a, labels, z, v, scaled):
     """Rows ``exp(z[k]*A) @ v`` for a 1-D grid z, every component in one
     power series.
 
     exp(zA) is block diagonal over the connected components (``labels``),
     so one ``_power_action`` runs every component with its own spectral
     bound and shift, on the CSR adjacency ``a`` with the nodes of each
-    component in one run (``a`` itself where they already are); isolated
-    nodes, where A is 0, keep v.  ``bound`` is ``_spectral_bound(a)``
-    where the caller has it; it serves a component that holds every edge
-    of the graph.  Scaled rows share the largest component shift.
-    Unscaled rows are ``exp(shift)`` times the scaled ones (+-inf where
-    that passes float range); where the shift passes exp's range each
-    component is unscaled on its own, entry by entry, so only entries
-    whose value passes float range become +-inf.
+    component in one run and the isolated nodes in one last run (``a``
+    itself where they already are).  Scaled rows share the largest
+    component shift.  Unscaled rows are ``exp(shift)`` times the scaled
+    ones (+-inf where that passes float range); where the shift passes
+    exp's range each component is unscaled on its own, entry by entry, so
+    only entries whose value passes float range become +-inf.
     """
     order = np.argsort(z, kind="stable")
-    zs = z[order]
     single = np.bincount(labels)[labels] == 1
-    iso = np.flatnonzero(single)
-    parts = [(iso, np.broadcast_to(v[iso], (z.size, iso.size)),
-              np.zeros(z.size))] if iso.size else []
-    rest = np.flatnonzero(~single)
-    rest = rest[np.argsort(labels[rest], kind="stable")]
-    if rest.size:
-        cuts = np.concatenate([[0], np.flatnonzero(np.diff(labels[rest])) + 1,
-                               [rest.size]])
-        spans = [slice(lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:])]
-        contiguous = rest.size == v.size and (np.diff(rest) == 1).all()
-        sub = a if contiguous else a[rest][:, rest]
-        # isolated nodes never hold the maximum of _spectral_bound's power
-        # steps, so the bound of a lone component equals the graph's bit
-        # for bit
-        if len(spans) == 1:
-            b = bound
-        else:
-            b = [_spectral_bound(sub[span, span]) for span in spans]
-        y, s = _power_action(sub, zs, v[rest], b, spans)
-        parts += [(span if contiguous else rest[span], y[:, span], sc)
-                  for span, sc in zip(spans, s)]
-    shift = np.max([s for _, _, s in parts], axis=0)
-    rows = np.empty((z.size, v.size))
-    for idx, y, s in parts:
-        rows[:, idx] = y * np.exp(s - shift)[:, None]
+    key = np.where(single, labels.max() + 1, labels)
+    nodes = np.argsort(key, kind="stable")
+    first = np.diff(key[nodes], prepend=-1) != 0  # a run starts here
+    starts, run = np.flatnonzero(first), np.cumsum(first) - 1
+    inplace = (nodes == np.arange(v.size)).all()
+    sub = a if inplace else a[nodes][:, nodes]
+    y, s = _power_action(sub, z[order], v[nodes], starts)
+    shift = s.max(axis=0)
+    rows = y * np.exp(s - shift).T[:, run]
     if not scaled:
         safe = shift <= _EXP_MAX
         with np.errstate(over="ignore", divide="ignore"):
             rows *= np.exp(np.where(safe, shift, 0.0))[:, None]
-            for idx, y, s in parts if not safe.all() else []:
+            if not safe.all():
                 y = y[~safe]
-                rows[np.ix_(~safe, np.arange(v.size)[idx])] = np.sign(
-                    y) * np.exp(np.log(np.abs(y)) + s[~safe, None])
-    back = np.argsort(order)
-    if (back != np.arange(z.size)).any():  # else the grid ascends already
-        rows, shift = rows[back], shift[back]
+                rows[~safe] = np.sign(y) * np.exp(
+                    np.log(np.abs(y)) + s.T[~safe][:, run])
+    back = np.argsort(order)  # to the order of the grid and of the nodes
+    rows, shift = rows[np.ix_(back, np.argsort(nodes))], shift[back]
     return (rows, shift) if scaled else rows
 
 
@@ -462,18 +454,17 @@ def expm(g, zetas, v=None, scaled=False):
     """``exp(zetas[k]*A) @ v`` on the adjacency of ``g``, or the diagonal
     ``diag(exp(zetas[k]*A))`` if v is None.
 
-    One row per value of a 1-D grid ``zetas`` or
-    one 1-D result for a scalar, and with ``scaled=True`` the pair
-    ``(rows, s)`` with the unscaled rows equal to ``exp(s)`` times
-    ``rows``.  The action sums the Poisson-weighted powers of the sparse
+    One row per value of a 1-D grid ``zetas`` or one 1-D result for a
+    scalar, and with ``scaled=True`` the pair ``(rows, s)`` with the
+    unscaled rows equal to ``exp(s)`` times ``rows``.  The action sums the Poisson-weighted powers of the sparse
     adjacency per connected component for the whole grid at every graph
     size (``_krylov_action``), so it never decomposes; past exp's range
     only the entries whose value passes float range are +-inf.  The
-    diagonal takes the route ``_moment_route``
-    predicts cheaper for the graph and the top of the grid: ``_exp_rows``
-    on the cached eigendecomposition, or power moments of the sparse
-    adjacency (``_moment_diag``), which never decompose and are the only
-    route above ``DENSE_LIMIT_DEFAULT`` nodes.  Both have a scaled form.
+    diagonal takes the route ``_moment_route`` predicts cheaper for the
+    graph and the top of the grid: ``_exp_rows`` on the cached
+    eigendecomposition, or power moments of the sparse adjacency
+    (``_moment_diag``), which never decompose and are the only route above
+    ``DENSE_LIMIT_DEFAULT`` nodes.
     """
     z = _check_zetas(zetas)
     if v is not None:
@@ -484,37 +475,19 @@ def expm(g, zetas, v=None, scaled=False):
     return _expm_krylov(g, z, None, scaled, bound=b)
 
 
-def expm_with_diagonal(g, zetas, v):
-    """``(expm(g, zetas, v), expm(g, zetas))`` on the diagonal's route.
-
-    Where the diagonal takes the dense route both come from the one
-    eigendecomposition; otherwise both from power series of the sparse
-    adjacency (``_expm_krylov``), so the graph is never decomposed.
-    The route is chosen once for the pair.
-    """
-    z = _check_zetas(zetas)
-    v = _check_vector(v, g.n)
-    b = _moment_route(g, z)
-    if b is None:
-        dec = decompose(g)
-        return _exp_rows(dec, z, v), _exp_rows(dec, z)
-    return (_expm_krylov(g, z, v, False, bound=b),
-            _expm_krylov(g, z, None, False, bound=b))
-
-
 def _expm_krylov(g, z, v, scaled, bound=None):
     """``expm`` on the cached CSR adjacency, never decomposing, from the
     power series ``exp(zA) = exp(zb) sum_k w_k(zb) (A/b)^k``: the action
     per component to rounding level of its 2-norm (``_krylov_action``),
     the diagonal to rounding level of each entry (``_moment_diag``).
-    ``bound`` is the graph's spectral bound b where the caller has it.
+    ``bound`` is the diagonal's spectral bound b where the caller has it.
     """
     a = g.sparse_adjacency()
     grid = np.atleast_1d(z)
     if v is None:
         out = _moment_diag(a, grid, scaled, bound)
     else:
-        out = _krylov_action(a, g.component_labels(), grid, v, scaled, bound)
+        out = _krylov_action(a, g.component_labels(), grid, v, scaled)
     if np.ndim(z) == 0:
         out = (out[0][0], out[1][0]) if scaled else out[0]
     return out

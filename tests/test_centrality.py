@@ -3,6 +3,7 @@ import csv
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg
 from scipy.stats import rankdata
 
 import riskcent.spectral
@@ -157,7 +158,9 @@ def test_sweep_routes_by_predicted_cost(monkeypatch, sparse_er):
         err = np.abs(got - want).max(axis=1) / np.abs(want).max(axis=1)
         assert err.max() <= 1e-10
     assert np.array_equal(prof.T, prof.R - prof.C)
-    # small or dense graphs decompose, and keep the dense rows bit for bit
+    # small or dense graphs decompose for C, which keeps the dense rows bit
+    # for bit; R is the action on every graph, within 1e-12 of each dense
+    # entry here
     calls = []
 
     def counted(g):
@@ -171,9 +174,34 @@ def test_sweep_routes_by_predicted_cost(monkeypatch, sparse_er):
         prof = sweep(g)
         assert calls == [g.n]
         dec = decompose(g)
-        assert np.array_equal(prof.R, _exp_rows(dec, prof.zeta_grid,
-                                                np.ones(g.n)))
         assert np.array_equal(prof.C, _exp_rows(dec, prof.zeta_grid))
+        assert np.array_equal(prof.R, expm(g, prof.zeta_grid, np.ones(g.n)))
+        dense = _exp_rows(dec, prof.zeta_grid, np.ones(g.n))
+        assert np.abs(prof.R / dense - 1.0).max() <= 1e-12
+
+
+def test_sweep_r_accurate_entry_by_entry_on_the_dense_route():
+    # a 60-clique, a 10-node path off node 0 and an isolated node: the
+    # diagonal takes the dense route, whose eigenvector sum loses every R
+    # entry far below exp(zeta lambda_1), down to -1e241 here.  R is the
+    # action, a sum of nonnegative terms, so every entry is >= 1 and
+    # accurate relative to itself; the isolated node keeps v = 1, exactly
+    # in the scaled form and to the unscaling's one rounding in R
+    clique = [[i, j] for i in range(60) for j in range(i + 1, 60)]
+    tail = [[0, 60]] + [[i, i + 1] for i in range(60, 69)]
+    g = Graph(71, clique + tail)
+    grid = np.linspace(0.05, 10, 20)
+    assert riskcent.spectral._moment_route(g, grid) is None
+    prof = sweep(g, grid)
+    eps = np.finfo(float).eps
+    assert (prof.R[:, :70] >= 1.0).all()
+    assert np.abs(prof.R[:, 70] - 1.0).max() <= eps
+    scaled, shifts = expm(g, grid, np.ones(71), scaled=True)
+    assert np.array_equal(scaled[:, 70], np.exp(-shifts))
+    want = scipy.sparse.linalg.expm_multiply(
+        g.sparse_adjacency(), np.ones(71), start=grid[0], stop=grid[-1],
+        num=grid.size, endpoint=True)
+    assert np.abs(prof.R / want - 1.0).max() <= 1e-12
 
 
 def test_sweep_rejects_bad_grid():

@@ -185,7 +185,7 @@ def test_missing_graph_file_exits_2(tmp_path, capsys):
 def test_bad_zeta_grid_exits_2(tmp_path, capsys):
     graph = write_k4(tmp_path / "k4.txt")
     specs = ("1.0,0.5", "0,1", "1:0.5:5", "1:2:3:4", "0.1,0.5,inf",
-             "0.1,0.2,nan", "0.1:nan:3")
+             "0.1,0.2,nan", "0.1:nan:3", "1:2:3.5", "a,b")
     commands = (["centrality"], ["interlace", "--pairs", "0,1"])
     for k, spec in enumerate(specs):
         for command in commands:
@@ -197,6 +197,9 @@ def test_bad_zeta_grid_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("error:") == len(specs) * len(commands)
     assert "Traceback" not in err
+    # each message names the option and the spec
+    for spec in specs:
+        assert err.count("error: --zeta-grid %r: " % spec) == len(commands)
 
 
 def test_unknown_measure_exits_2_before_manifest(tmp_path, capsys):

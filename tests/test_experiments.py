@@ -17,6 +17,7 @@ from riskcent.experiments import (
     write_config,
 )
 from riskcent.graph import generate_er
+from riskcent.spectral import _exp_rows, decompose
 from test_acceptance import ratio_derivative, ratio_limit_deviations
 
 
@@ -185,14 +186,17 @@ def test_table_matrix_selector_and_csv(tmp_path):
 
 
 def per_replication_measures(cfg, d_idx):
+    """The R, C and T rows of each replication from its graph's
+    decomposition through the dense evaluator."""
     zetas = np.asarray(cfg.zetas)
     out = []
     for rep in range(cfg.replications):
         g = generate_er(cfg.n, cfg.densities[d_idx],
                         seed=child_seed(cfg.seed, d_idx, rep),
                         require_connected=True)
-        prof = sweep(g, zetas)
-        out.append((prof.R, prof.C, prof.T))
+        dec = decompose(g)
+        r, c = _exp_rows(dec, zetas, np.ones(g.n)), _exp_rows(dec, zetas)
+        out.append((r, c, r - c))
     return out
 
 
@@ -253,8 +257,9 @@ def test_spearman_table_cells_match_per_replication_loop():
     table = spearman_table(cfg)
     for d_idx in range(len(cfg.densities)):
         rows = per_replication_measures(cfg, d_idx)
-        # the dense replication path gives the generate_er + sweep rows
-        # bit for bit, so the cells equal the loop's statistics exactly
+        # the dense replication path gives the rows of generate_er's graph
+        # through decompose and _exp_rows bit for bit, so the cells equal
+        # the loop's statistics exactly
         R, C, _ = (np.stack(m) for m in zip(*rows))
         assert np.array_equal(table.rank_corr[d_idx],
                               _row_spearman(C, R).mean(axis=0))

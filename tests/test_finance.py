@@ -163,6 +163,26 @@ def test_load_returns_errors(tmp_path):
         load_returns(str(path))
 
 
+def test_duplicate_assets_rejected(tmp_path):
+    # a name given twice is named with both of its positions, by the panel
+    # and so by the loader, before market writes anything
+    from riskcent.cli import main
+
+    days = business_days(datetime.date(2001, 1, 1), 3)
+    with pytest.raises(ValueError) as err:
+        ReturnsPanel(days, ["A", "B", "A", "B"], np.zeros((3, 4)))
+    assert str(err.value) == ("asset 'A' is given twice, at asset columns 0 "
+                              "and 2")
+    path = tmp_path / "r.csv"
+    path.write_text("date,S000,S001,S000\n2001-01-01,1,2,3\n")
+    with pytest.raises(ValueError, match="'S000' is given twice, at asset "
+                                         "columns 0 and 2"):
+        load_returns(str(path))
+    out = tmp_path / "out"
+    assert main(["market", str(path), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_panel_validation():
     days = business_days(datetime.date(2001, 1, 1), 3)
     with pytest.raises(ValueError, match="at least 2 assets"):

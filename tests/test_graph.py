@@ -262,6 +262,20 @@ def test_load_memberships_header_after_a_utf8_bom(tmp_path):
     assert load_memberships(p) == [("Acme", "smith")]
 
 
+def test_duplicate_labels_rejected(tmp_path):
+    # a label given twice is named with both of its nodes, by the graph
+    # and so by load_json
+    with pytest.raises(GraphError) as err:
+        Graph(4, [(0, 1)], labels=["a", "b", "c", "b"])
+    assert str(err.value) == "label 'b' is given twice, at nodes 1 and 3"
+    path = tmp_path / "g.json"
+    path.write_text('{"n": 3, "labels": ["x", "y", "x"], '
+                    '"edges": [[0, 1, 1.0]]}')
+    with pytest.raises(GraphError, match="'x' is given twice, at nodes 0 "
+                                         "and 2"):
+        load_json(path)
+
+
 def test_load_json_after_a_utf8_bom(tmp_path):
     g = Graph(3, [(0, 1), (1, 2), (2, 0)], labels=list("abc"))
     p = tmp_path / "g.json"

@@ -625,29 +625,44 @@ def test_krylov_action_unscales_without_overflow_warning(sparse_er):
     assert ((traj.x >= 0.01) & (traj.x <= 1.0)).all()
 
 
-def test_sweep_computes_a_lone_component_bound_once(monkeypatch, sparse_er):
-    # on the moments route the diagonal's spectral bound also serves the
-    # action when one component holds every edge (here with an isolated
-    # node); with two components each action computes its own.  Either
-    # way R and C equal the separate expm calls bit for bit
+def test_each_action_takes_one_bound_pass(monkeypatch, sparse_er):
+    # one _spectral_bound pass bounds every component of the action, the
+    # isolated nodes one last run of bound 0, whatever the number of
+    # components; the diagonal's route may take a pass of its own.  Each
+    # bound equals the one of its component's own adjacency bit for bit,
+    # and R and C equal the separate expm calls bit for bit
     calls = []
     bound = riskcent.spectral._spectral_bound
 
-    def counted(a):
-        calls.append(a.shape[0])
-        return bound(a)
+    def counted(a, starts=None):
+        calls.append((a, starts, bound(a, starts)))
+        return calls[-1][2]
 
     monkeypatch.setattr(riskcent.spectral, "_spectral_bound", counted)
     lone = generate_er(1999, 8 / 1998, seed=3)
-    assert (np.bincount(lone.component_labels()) > 1).sum() == 1
     edges = sparse_er(1000, 8.0, seed=4).edge_array()
     pair = Graph(2000, np.vstack([edges, edges + [1000, 1000, 0]]))
-    for g, want in ((lone, [1999]), (pair, [2000, 1000, 1000])):
+    parts = components_graph(np.random.default_rng(4).permutation(29))
+    for g, runs in ((lone, 2), (pair, 2), (parts, 5)):
+        sizes = np.bincount(g.component_labels())
+        isolated = (sizes == 1).any()
         calls.clear()
         prof = sweep(g)
-        assert calls == want
+        # the action's one pass over its runs, then the diagonal's route
+        assert [c[1] is None for c in calls] == [False] + [True] * (
+            g.n > 1000)
+        a, starts, b = calls[0]
+        assert len(starts) == (sizes > 1).sum() + isolated == runs
+        assert (b[-1] == 0.0) == isolated
+        for lo, hi, bc in zip(starts, np.append(starts[1:], g.n), b):
+            assert bound(a[lo:hi, lo:hi]) == bc
         assert np.array_equal(prof.R, expm(g, prof.zeta_grid, np.ones(g.n)))
         assert np.array_equal(prof.C, expm(g, prof.zeta_grid))
+    # components of far apart scales: each run keeps its own maximum, where
+    # one shared maximum would underflow the small run's power steps
+    calls.clear()
+    expm(Graph(5, [(0, 1, 1e30), (2, 3), (3, 4), (2, 4)]), 1e-31, np.ones(5))
+    assert calls[0][2].tolist() == [1e30, 2.0]
 
 
 def test_expm_result_shapes(monkeypatch):
