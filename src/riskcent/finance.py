@@ -82,9 +82,10 @@ def load_returns(path):
         if len(assets) < 2:
             raise ValueError("%s: need at least 2 asset columns" % path)
         rows = []
-        for lineno, cells in enumerate(reader, start=2):
+        for cells in reader:
             if not cells or (len(cells) == 1 and not cells[0].strip()):
                 continue
+            lineno = reader.line_num  # a quoted cell may span lines
             if len(cells) != len(assets) + 1:
                 raise ValueError("%s:%d: expected %d cells, got %d"
                                  % (path, lineno, len(assets) + 1, len(cells)))

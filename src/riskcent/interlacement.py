@@ -18,7 +18,8 @@ over a table t_ik taken once at the pairs' endpoints: the moments
 (A/b)^k_ii for C, the powers ((A/b)^k 1)_i for R, their difference for T.
 The scaled value has the sign pattern of M_i - M_j and stays finite for
 any zeta.  The table runs to the degree the top of the grid needs
-(``spectral._series_degree``), whatever that top and the graph's size.
+(``spectral._series_degree``), whatever that top and the graph's size, and
+summed in the fixed order of ``spectral._series_sum``, as R and C are.
 Only the pairs that swap between two consecutive sorted grid rows
 (``_flips``) or lie within the tangency tolerance on one row are
 bisected.
@@ -39,7 +40,7 @@ import numpy as np
 from .centrality import _check_measure, _grid
 from .graph import walk_counts
 from .spectral import (_moment_table, _poisson_weights, _series_degree,
-                       _spectral_bound)
+                       _series_sum, _spectral_bound)
 
 BRACKET_TOL_DEFAULT = 1e-8
 TANGENCY_TOL_DEFAULT = 1e-10
@@ -276,7 +277,7 @@ def detect_pairs(g, pairs, measure="C", zeta_grid=None,
     nodes, cols = np.unique(np.concatenate([ii, jj]), return_inverse=True)
     ci, cj = cols[:ii.size], cols[ii.size:]
     weights, table, scale = _basis(g, nodes, measure, grid)
-    vals = weights(grid) @ table  # (grid, endpoints)
+    vals = _series_sum(weights(grid), table)  # (grid, endpoints)
     rows = np.ascontiguousarray(vals.T)
 
     # candidates are sought among the columns with distinct bytes; two
@@ -307,11 +308,11 @@ def detect_pairs(g, pairs, measure="C", zeta_grid=None,
 
 
 def _basis(g, nodes, measure, grid):
-    """``(weights, table, scale)`` with ``weights(z) @ table`` the scaled
-    values exp(-z scale) M(z) of the measure at ``nodes`` for the zetas z:
-    the Poisson weights of s = z b and the series table (module
-    docstring) to the degree the top of the grid needs, scale being the
-    spectral bound b.
+    """``(weights, table, scale)`` with ``_series_sum(weights(z), table)``
+    the scaled values exp(-z scale) M(z) of the measure at ``nodes`` for
+    the zetas z: the Poisson weights of s = z b and the series table
+    (module docstring) to the degree the top of the grid needs, scale
+    being the spectral bound b.
     """
     a = g.sparse_adjacency()
     b = _spectral_bound(a)

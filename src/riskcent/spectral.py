@@ -16,27 +16,29 @@ exist:
   neglected weight is at rounding level (``_tail_ok``).  One run of
   powers serves every z of the grid.
 
-The action always takes the power-series route (``_krylov_action``): one
-run of powers over every connected component, each component's rows of
-A scaled by its own bound b_c (one ``_spectral_bound`` pass for all, the
-isolated nodes one run of bound 0) and summed with the weights of
-``z b_c``, the powers in blocks of ``_MOMENT_BLOCK`` rows
-(``_power_sum``).  A sum of the action runs to ``zb = _REACH`` at most, b
-the largest bound, which keeps its Poisson weights accurate; a grid
-point past that restarts the sum from the last computed row, or from a
-step of ``_REACH / b`` where no grid point lies within it
+The action always takes the power-series route (``_series_action``): one
+run of powers over every connected component, each component's rows of A
+scaled by its own bound b_c (one ``_spectral_bound`` pass for all, the
+isolated nodes one run of bound 0), summed with the weights of ``z b_c``,
+the powers in blocks of ``_MOMENT_BLOCK`` rows (``_power_sum``), and
+unscaled by its own ``exp(z b_c)``.  A sum of the action runs to ``zb =
+_REACH`` at most, b the largest bound, which keeps its Poisson weights
+accurate; a grid point past that restarts the sum from the last computed
+row, or from a step of ``_REACH / b`` where no grid point lies within it
 (``_power_action``).  The diagonal takes the route ``_moment_route``
-predicts cheaper from the graph's size, its number of edges and the top
-of the grid, a tie going to the dense one.  On the power-series route
-(``_moment_diag``) it sums the moments ``(A/b)^k_ii`` from powers of
-blocks of unit vectors (``_power_moments``, two moments per sparse
-product) to the degree the top of the grid needs (``_series_degree``,
-which the interlacement tables share), at any z; it is the only route
-above ``DENSE_LIMIT_DEFAULT`` nodes, where ``decompose`` refuses.
+predicts cheaper from the graph's size, its number of edges and the top of
+the grid, a tie going to the dense one.  On the power-series route
+(``_moment_diag``) it sums the moments ``(A/b)^k_ii`` from powers of blocks
+of unit vectors (``_power_moments``, two moments per sparse product), each
+grid row to the degree it needs (``_series_degree``, which the
+interlacement tables share), at any z; it is the only route above
+``DENSE_LIMIT_DEFAULT`` nodes, where ``decompose`` refuses.  Each sum is
+one fixed-order ``_series_sum``, so equal inputs give equal entries.
 
 With ``A >= 0`` every power and weight is >= 0, so each entry of the
 diagonal and of the action on a v >= 0 keeps its relative accuracy, an
-isolated node's diagonal entry is 1 exactly and z = 0 gives v exactly.
+isolated node's diagonal entry and R are 1 exactly and z = 0 gives v
+exactly.
 The dense formulas are written with ``expm1`` so that the small-z signal
 ``exp(z*A) - I`` is not lost to cancellation: with orthonormal
 eigenvectors, ``exp(zA)v = v + U diag(expm1(z*lam)) U^T v`` holds
@@ -60,7 +62,7 @@ _EXP_MAX = float(np.log(np.finfo(float).max))  # largest finite exp argument
 _EPS = float(np.finfo(float).eps)
 # largest s = z b of one power sum of the action, which restarts past it:
 # the Poisson weights err by 3.2e-13 relative at s = 255 against 3.2e-11 at
-# s = 1e4.  On the graphs of test_krylov_action_past_overflow (s up to
+# s = 1e4.  On the graphs of the action's past-overflow test (s up to
 # 1e4) the action erred by 3.1-6.9e-12 with restarts, 1.1-1.6e-11 without
 _REACH = 255.0
 _BOUND_STEPS = 20  # power steps behind the moments route's spectral bound
@@ -231,6 +233,12 @@ def _poisson_weights(s, degree, shift):
     return np.exp(xlogy(k, s[:, None]) - gammaln(k + 1.0) - shift[:, None])
 
 
+def _series_sum(coef, terms):
+    """``coef @ terms``, each entry summed over ascending k: einsum skips
+    BLAS, whose GEMM rounds equal columns apart by their position."""
+    return np.einsum("jk,ki->ji", coef, terms)
+
+
 def _power_sum(ah, s, x, spans=(slice(None),), out=None):
     """Rows ``exp(-s[c, j]) exp(s[c, j] ah) x = sum_k w_k(s[c, j]) ah^k x``
     on the nodes ``spans[c]`` of each component c, with the Poisson weights
@@ -241,8 +249,8 @@ def _power_sum(ah, s, x, spans=(slice(None),), out=None):
     row per component (a 1-D ``s`` is one component, every node) and a
     column per grid point.  The sum runs to the degree ``_series_degree``
     gives the largest s.  The powers ``ah^k x`` fill a block of
-    ``_MOMENT_BLOCK`` rows, which one GEMM per component adds to every
-    row, so one sum holds the block and the rows whatever its degree.
+    ``_MOMENT_BLOCK`` rows, added to every row by one ``_series_sum`` per
+    component, so one sum holds the block and the rows at any degree.
     s = 0 gives x exactly.  The rows are summed into ``out`` where given,
     which must hold zeros.
     """
@@ -257,7 +265,8 @@ def _power_sum(ah, s, x, spans=(slice(None),), out=None):
             # at k = first, pw[-1] holds power k - 1 from the full block before
             pw[k - first] = ah @ pw[k - first - 1] if k else x
         for span, c in zip(spans, coef):
-            rows[:, span] += c[:, first:stop] @ pw[:stop - first, span]
+            rows[:, span] += _series_sum(c[:, first:stop],
+                                         pw[:stop - first, span])
     return rows
 
 
@@ -301,7 +310,7 @@ def _power_action(a, z, v, starts=(0,)):
     return rows, np.multiply.outer(b, z)
 
 
-def _krylov_action(a, labels, z, v, scaled):
+def _series_action(a, labels, z, v, scaled):
     """Rows ``exp(z[k]*A) @ v`` for a 1-D grid z, every component in one
     power series.
 
@@ -310,10 +319,10 @@ def _krylov_action(a, labels, z, v, scaled):
     bound and shift, on the CSR adjacency ``a`` with the nodes of each
     component in one run and the isolated nodes in one last run (``a``
     itself where they already are).  Scaled rows share the largest
-    component shift.  Unscaled rows are ``exp(shift)`` times the scaled
-    ones (+-inf where that passes float range); where the shift passes
-    exp's range each component is unscaled on its own, entry by entry, so
-    only entries whose value passes float range become +-inf.
+    component shift.  Unscaled, each component's rows are ``exp(z b_c)``
+    times its own scaled ones, so an isolated node (b_c = 0) keeps v
+    exactly; an entry whose shift passes exp's range is unscaled in log
+    space, so only entries whose value passes float range become +-inf.
     """
     order = np.argsort(z, kind="stable")
     single = np.bincount(labels)[labels] == 1
@@ -321,19 +330,15 @@ def _krylov_action(a, labels, z, v, scaled):
     nodes = np.argsort(key, kind="stable")
     first = np.diff(key[nodes], prepend=-1) != 0  # a run starts here
     starts, run = np.flatnonzero(first), np.cumsum(first) - 1
-    inplace = (nodes == np.arange(v.size)).all()
-    sub = a if inplace else a[nodes][:, nodes]
+    sub = a if (nodes == np.arange(v.size)).all() else a[nodes][:, nodes]
     y, s = _power_action(sub, z[order], v[nodes], starts)
     shift = s.max(axis=0)
-    rows = y * np.exp(s - shift).T[:, run]
-    if not scaled:
-        safe = shift <= _EXP_MAX
-        with np.errstate(over="ignore", divide="ignore"):
-            rows *= np.exp(np.where(safe, shift, 0.0))[:, None]
-            if not safe.all():
-                y = y[~safe]
-                rows[~safe] = np.sign(y) * np.exp(
-                    np.log(np.abs(y)) + s.T[~safe][:, run])
+    e = s - shift if scaled else s  # each component's own factor exp(e)
+    big = (e > _EXP_MAX).T[:, run]  # past exp's range: in log space
+    with np.errstate(over="ignore", divide="ignore"):
+        rows = y * np.exp(np.minimum(e, _EXP_MAX)).T[:, run]
+        rows[big] = np.sign(y[big]) * np.exp(
+            np.log(np.abs(y[big])) + e.T[:, run][big])
     back = np.argsort(order)  # to the order of the grid and of the nodes
     rows, shift = rows[np.ix_(back, np.argsort(nodes))], shift[back]
     return (rows, shift) if scaled else rows
@@ -382,12 +387,12 @@ def _moment_diag(a, z, scaled, b=None):
     component or of a small Perron weight included, where a Chebyshev sum
     would cancel to rounding level of ``exp(s)``.  One pass of
     ``_power_moments`` per ``_MOMENT_BLOCK`` nodes serves every grid
-    point; each row sums to its own degree (``_series_degree``), at any z,
-    so a grid row equals the single-z call.  Each block's moments go into
-    the rows before the next block is taken, so beside the rows and the
-    weights one block's moments and two (n, block) powers are live,
-    whatever the degree.  Scaled rows are ``(rows, s)``, with the Poisson
-    weights ``exp(-s) s^k / k!``.
+    point in one ``_series_sum``, each row to its own degree
+    (``_series_degree``) at any z, so a grid row equals the single-z call.
+    Each block's moments go into the rows before the next block is taken,
+    so beside the rows and the weights one block's moments and two (n,
+    block) powers are live, whatever the degree.  Scaled rows are ``(rows,
+    s)``, with the Poisson weights ``exp(-s) s^k / k!``.
     """
     if b is None:
         b = _spectral_bound(a)
@@ -400,12 +405,12 @@ def _moment_diag(a, z, scaled, b=None):
     # keeps exp(s) finite, so that the weight at k = 0 is 1 exactly
     shift = s if scaled else np.maximum(s - _EXP_MAX, 0.0)
     coef = _poisson_weights(s, top, shift)
+    coef[np.arange(top + 1) > degrees[:, None]] = 0.0  # past a row's degree
     rows = np.empty((z.size, n))
     for start in range(0, n, _MOMENT_BLOCK):
         stop = min(start + _MOMENT_BLOCK, n)
         mu = _power_moments(ah, np.arange(start, stop), top)
-        for j, m in enumerate(degrees):
-            rows[j, start:stop] = coef[j, :m + 1] @ mu[:m + 1]
+        rows[:, start:stop] = _series_sum(coef, mu)
         del mu  # freed before the next block's moments are taken
     if scaled:
         return rows, s
@@ -458,7 +463,7 @@ def expm(g, zetas, v=None, scaled=False):
     scalar, and with ``scaled=True`` the pair ``(rows, s)`` with the
     unscaled rows equal to ``exp(s)`` times ``rows``.  The action sums the Poisson-weighted powers of the sparse
     adjacency per connected component for the whole grid at every graph
-    size (``_krylov_action``), so it never decomposes; past exp's range
+    size (``_series_action``), so it never decomposes; past exp's range
     only the entries whose value passes float range are +-inf.  The
     diagonal takes the route ``_moment_route`` predicts cheaper for the
     graph and the top of the grid: ``_exp_rows`` on the cached
@@ -468,26 +473,24 @@ def expm(g, zetas, v=None, scaled=False):
     """
     z = _check_zetas(zetas)
     if v is not None:
-        return _expm_krylov(g, z, _check_vector(v, g.n), scaled)
+        return _expm_series(g, z, _check_vector(v, g.n), scaled)
     b = _moment_route(g, z)
     if b is None:
         return _exp_rows(decompose(g), z, None, scaled)
-    return _expm_krylov(g, z, None, scaled, bound=b)
+    return _expm_series(g, z, None, scaled, bound=b)
 
 
-def _expm_krylov(g, z, v, scaled, bound=None):
+def _expm_series(g, z, v, scaled, bound=None):
     """``expm`` on the cached CSR adjacency, never decomposing, from the
     power series ``exp(zA) = exp(zb) sum_k w_k(zb) (A/b)^k``: the action
-    per component to rounding level of its 2-norm (``_krylov_action``),
+    per component to rounding level of its 2-norm (``_series_action``),
     the diagonal to rounding level of each entry (``_moment_diag``).
     ``bound`` is the diagonal's spectral bound b where the caller has it.
     """
     a = g.sparse_adjacency()
     grid = np.atleast_1d(z)
-    if v is None:
-        out = _moment_diag(a, grid, scaled, bound)
-    else:
-        out = _krylov_action(a, g.component_labels(), grid, v, scaled)
+    out = (_moment_diag(a, grid, scaled, bound) if v is None else
+           _series_action(a, g.component_labels(), grid, v, scaled))
     if np.ndim(z) == 0:
         out = (out[0][0], out[1][0]) if scaled else out[0]
     return out

@@ -18,7 +18,8 @@ from riskcent.centrality import (
     write_rows,
 )
 from riskcent.finance import delta_rank
-from riskcent.graph import Graph, generate_complete, generate_er, generate_star
+from riskcent.graph import (Graph, generate_complete, generate_er,
+                            generate_star, relabel)
 from riskcent.spectral import _exp_rows, decompose, expm
 
 
@@ -421,6 +422,24 @@ def test_rank_matches_references_on_symmetric_sweeps():
                     delta_rank(prof, measure=m, tie_tol=tol),
                     tie_snap_loop_ranks(values[0], tol)
                     - tie_snap_loop_ranks(values[-1], tol))
+
+
+def test_symmetric_nodes_tie_exactly_in_r():
+    # R sums each entry's series in a fixed order, so nodes mapped onto
+    # each other by a symmetry (every node of K30 and C8, the leaves of
+    # S9 and S70) have equal R in every grid row, on relabelled copies too
+    cycle = Graph(8, [(i, (i + 1) % 8) for i in range(8)])
+    rng = np.random.default_rng(26)
+    for g, sym in ((generate_complete(30), np.arange(30)),
+                   (cycle, np.arange(8)),
+                   (generate_star(9), np.arange(1, 9)),
+                   (generate_star(70), np.arange(1, 70))):
+        perms = [np.arange(g.n)] + [rng.permutation(g.n) for _ in range(4)]
+        for perm in perms:
+            prof = sweep(relabel(g, perm))
+            r = prof.R[:, perm[sym]]
+            assert (r == r[:, :1]).all()
+            assert (ranking_sweep(prof, "R").per_node_std == 0.0).all()
 
 
 def test_spearman_textbook_cases():

@@ -130,6 +130,20 @@ def test_load_returns_unparseable_cell_message(tmp_path):
     assert str(err.value) == "%s:3: unparseable return ' oops ' for B" % path
 
 
+def test_load_returns_reports_physical_line_numbers(tmp_path):
+    # a quoted header cell that holds a newline spans two lines, so the
+    # bad cell sits on physical line 4; below a blank line, the short row
+    # sits on line 5
+    path = tmp_path / "r.csv"
+    path.write_text('date,"A\nfund",B\n2001-01-01,1,2\n2001-01-02,3,oops\n')
+    with pytest.raises(ValueError) as err:
+        load_returns(str(path))
+    assert str(err.value) == "%s:4: unparseable return 'oops' for B" % path
+    path.write_text('date,"A\nfund",B\n2001-01-01,1,2\n\n2001-01-03,1\n')
+    with pytest.raises(ValueError, match=r":5: expected 3 cells"):
+        load_returns(str(path))
+
+
 def test_returns_round_trip(tmp_path):
     rng = np.random.default_rng(0)
     data = rng.normal(size=(9, 4))

@@ -15,13 +15,14 @@ from riskcent.spectral import (
     DENSE_LIMIT_DEFAULT,
     _MOMENT_BLOCK,
     _exp_rows,
-    _expm_krylov,
+    _expm_series,
     _moment_diag,
     _REACH,
     _power_action,
     _power_moments,
     _power_sum,
     _series_degree,
+    _series_sum,
     _spectral_bound,
     _tail_ok,
     decompose,
@@ -238,20 +239,20 @@ def test_krylov_matches_dense():
         rng = np.random.default_rng(seed + 10)
         v = rng.normal(size=120)
         dense = expm(g, zeta, v)
-        kry = _expm_krylov(g, zeta, v, False)
+        kry = _expm_series(g, zeta, v, False)
         assert np.abs(kry - dense).max() < 1e-8 * np.abs(dense).max()
 
 
 def test_krylov_diagonal_matches_dense():
     g = generate_er(60, 0.1, seed=4)
     dense = expm(g, 1.0)
-    kry = _expm_krylov(g, 1.0, None, False)
+    kry = _expm_series(g, 1.0, None, False)
     assert np.abs(kry - dense).max() < 1e-8 * dense.max()
 
 
 def test_krylov_zero_vector():
     g = generate_er(30, 0.2, seed=5)
-    y = _expm_krylov(g, 1.0, np.zeros(30), False)
+    y = _expm_series(g, 1.0, np.zeros(30), False)
     assert np.array_equal(y, np.zeros(30))
 
 
@@ -261,7 +262,7 @@ def test_krylov_diagonal_at_large_zeta_matches_dense():
     g = generate_er(200, 0.05, seed=7)
     assert _series_degree(30.0 * _spectral_bound(g.sparse_adjacency())) > 450
     want = _exp_rows(decompose(g), 30.0)
-    got = _expm_krylov(g, 30.0, None, False)
+    got = _expm_series(g, 30.0, None, False)
     assert np.abs(got - want).max() <= 1e-10 * want.max()
 
 
@@ -271,11 +272,11 @@ def test_krylov_invariant_subspace_exit():
     # invariant after one and two steps
     g = generate_complete(12)
     for zeta in (0.3, 2.0):
-        kry = _expm_krylov(g, zeta, np.ones(12), False)
+        kry = _expm_series(g, zeta, np.ones(12), False)
         dense = expm(g, zeta, np.ones(12))
         assert np.allclose(kry, dense, rtol=1e-12)
     star = generate_star(9)
-    kry = _expm_krylov(star, 1.3, None, False)
+    kry = _expm_series(star, 1.3, None, False)
     dense = expm(star, 1.3)
     assert np.allclose(kry, dense, rtol=1e-12)
     assert kry[0] == pytest.approx(np.cosh(1.3 * np.sqrt(8.0)), rel=1e-12)
@@ -293,6 +294,35 @@ def test_series_degree_is_the_first_that_passes():
         assert _series_degree(s) == want[-1]
     assert _series_degree(np.array(ss)).tolist() == want
     assert want[0] == 0 and want[-1] > 10000
+
+
+def test_series_sum_gives_equal_columns_at_every_position():
+    # each entry is summed over ascending k whatever its column, so equal
+    # columns of the terms give equal sums, also in strided column spans
+    # like _power_sum's component spans; a BLAS GEMM rounds them apart
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        j, k, w = rng.integers(1, 40), rng.integers(1, 90), rng.integers(1, 70)
+        coef = rng.random((j, k)) * 10.0 ** rng.integers(-3, 4)
+        n = w + rng.integers(0, 60)
+        lo = rng.integers(0, n - w + 1)
+        terms = rng.random((k + 3, n))
+        terms[:, lo:lo + w] = rng.random(k + 3)[:, None]
+        span = terms[1:k + 1, lo:lo + w]
+        got = _series_sum(coef, span)
+        assert got.shape == (j, w)
+        assert (got == got[:, :1]).all()
+        np.testing.assert_allclose(got, coef @ span, rtol=1e-13)
+
+
+def test_isolated_nodes_read_r_exactly_one():
+    # an isolated node's row of exp(zeta A) is its unit row: R = 1 exactly
+    g = generate_er(2000, 8 / 1999, seed=3)
+    labels = g.component_labels()
+    isolated = np.flatnonzero(np.bincount(labels)[labels] == 1)
+    assert isolated.tolist() == [293, 616]
+    rows = expm(g, np.linspace(0.05, 20.0, 20), np.ones(g.n))
+    assert (rows[:, isolated] == 1.0).all()
 
 
 def test_power_moments_and_action_memory_bounded_by_block(sparse_er):
@@ -369,8 +399,8 @@ def assert_action_rows_match_dense(g, zetas, v, rtol=1e-10, entrywise=True):
     compared scaled only.
     """
     dec = decompose(g)
-    rows = _expm_krylov(g, zetas, v, False)
-    scaled, shifts = _expm_krylov(g, zetas, v, True)
+    rows = _expm_series(g, zetas, v, False)
+    scaled, shifts = _expm_series(g, zetas, v, True)
     want_scaled, want_shifts = _exp_rows(dec, zetas, v, scaled=True)
     norms = [np.linalg.norm] + ([lambda x: np.abs(x).max()] if entrywise
                                 else [])
@@ -393,9 +423,9 @@ def test_expm_krylov_grid_rows_equal_single_zeta_calls():
     g = generate_er(60, 0.1, seed=4)
     v = np.random.default_rng(6).normal(size=60)
     zetas = [0.0, 0.5, 1.3]
-    diags = _expm_krylov(g, zetas, None, False)
+    diags = _expm_series(g, zetas, None, False)
     for k, zeta in enumerate(zetas):
-        assert np.array_equal(diags[k], _expm_krylov(g, zeta, None, False))
+        assert np.array_equal(diags[k], _expm_series(g, zeta, None, False))
     # one basis serves the whole action grid, so its rows agree with the
     # dense rows rather than bit for bit with one run per zeta
     assert_action_rows_match_dense(g, zetas, v)
@@ -434,8 +464,8 @@ def test_moments_diagonal_matches_dense_rows():
     # reference's expm1 overflows, so unscaled rows are compared below it
     for g in graphs:
         dec = decompose(g)
-        rows = _expm_krylov(g, zetas, None, False)
-        scaled, shifts = _expm_krylov(g, zetas, None, True)
+        rows = _expm_series(g, zetas, None, False)
+        scaled, shifts = _expm_series(g, zetas, None, True)
         want_scaled, want_shifts = _exp_rows(dec, zetas, scaled=True)
         assert np.array_equal(rows[0], np.ones(g.n))
         fits = want_shifts < 700.0
@@ -459,8 +489,8 @@ def test_moments_diagonal_accurate_entry_by_entry():
     zetas = np.array([0.0, 1e-9, 1e-4, 0.3, 1.0, 2.0, 5.0, 20.0])
     for g in (isolated, parts, lollipop_graph()):
         a = g.adjacency()
-        rows = _expm_krylov(g, zetas, None, False)
-        scaled, shifts = _expm_krylov(g, zetas, None, True)
+        rows = _expm_series(g, zetas, None, False)
+        scaled, shifts = _expm_series(g, zetas, None, True)
         for k, zeta in enumerate(zetas):
             want = np.diag(taylor_expm_action(a, zeta, np.eye(g.n), 700))
             for got in (rows[k], scaled[k] * np.exp(shifts[k])):
@@ -520,7 +550,7 @@ def test_krylov_action_past_overflow():
             assert_action_rows_match_dense(g, zetas, v, entrywise=False)
         # v = 1 is positive on every component: past the range only the
         # entries that pass it overflow, to +inf
-        rows = _expm_krylov(g, fine, np.ones(g.n), False)
+        rows = _expm_series(g, fine, np.ones(g.n), False)
         assert (rows > 0).all()
         assert not np.isnan(rows).any()
 
@@ -594,11 +624,9 @@ def test_krylov_action_overflows_by_component_and_entry():
         scaled, shifts = expm(g, zetas, np.ones(5), scaled=True)
         # 0.1 exp(709.8) is finite though its shift passes exp's range
         near = expm(g, 236.6, np.full(5, 0.1))
-    # rows within exp's range are exp(shift) times the scaled ones, to
-    # rounding off the top component; past it each component is unscaled
-    # on its own
-    assert rows[:2, 4] == pytest.approx(1.0, rel=1e-15)
-    assert np.array_equal(rows[2:, 4], [1.0, 1.0])
+    # each component is unscaled by its own shift, which is 0 on the
+    # isolated node, so it keeps its value exactly
+    assert np.array_equal(rows[:, 4], np.ones(4))
     assert rows[1, :4] == pytest.approx(np.exp(300.0), rel=1e-12)
     assert np.isposinf(rows[2:, :4]).all()
     assert np.array_equal(shifts, 3.0 * np.asarray(zetas))
@@ -607,7 +635,7 @@ def test_krylov_action_overflows_by_component_and_entry():
     assert 3.0 * 236.6 > np.log(np.finfo(float).max)
     assert np.isfinite(near).all()
     assert near[:4] == pytest.approx(np.exp(709.8 + np.log(0.1)), rel=1e-12)
-    assert near[4] == pytest.approx(0.1, rel=1e-15)
+    assert near[4] == 0.1
     # the SI bound writes the isolated node's exact value, not the limit 1
     traj = si_lee(g, SIParams(1000.0, 0.1, [0.0, 0.5, 1.0]))
     assert (traj.x[1:, :4] == 1.0).all()
@@ -683,15 +711,29 @@ def test_expm_result_shapes(monkeypatch):
 
 
 def test_expm_scaled_krylov_action_matches_unscaled():
-    g = generate_er(120, 0.05, seed=1)
-    v = np.random.default_rng(11).normal(size=120)
-    for zeta in (0.0, 0.5, 1.3, 50.0):
-        y, s = _expm_krylov(g, zeta, v, True)
-        assert np.array_equal(y * np.exp(s), _expm_krylov(g, zeta, v, False))
-    rows, shifts = _expm_krylov(g, [0.5, 1.3], v, True)
-    plain = _expm_krylov(g, [0.5, 1.3], v, False)
-    for k in range(2):
-        assert np.array_equal(rows[k] * np.exp(shifts[k]), plain[k])
+    # each component is unscaled by its own shift z b_c: the unscaled rows
+    # are exp(z b_c) times the component's power-series rows bit for bit,
+    # so the isolated nodes keep v exactly, and the scaled rows share the
+    # largest shift.  components_graph() has its components in runs and
+    # its isolated nodes last, so the action runs it in place
+    g = components_graph()
+    labels = g.component_labels()
+    single = np.bincount(labels)[labels] == 1
+    key = np.where(single, labels.max() + 1, labels)
+    assert (np.diff(key) >= 0).all()
+    starts = np.flatnonzero(np.diff(key, prepend=-1) != 0)
+    run = np.cumsum(np.diff(key, prepend=-1) != 0) - 1
+    v = np.random.default_rng(11).normal(size=g.n)
+    zetas = np.array([0.0, 0.5, 1.3, 50.0])
+    y, s = _power_action(g.sparse_adjacency(), zetas, v, starts)
+    rows = _expm_series(g, zetas, v, False)
+    assert np.array_equal(rows, y * np.exp(s).T[:, run])
+    assert np.array_equal(rows[:, single], np.tile(v[single], (4, 1)))
+    scaled, shifts = _expm_series(g, zetas, v, True)
+    assert np.array_equal(shifts, s.max(axis=0))
+    assert np.array_equal(scaled, y * np.exp(s - shifts).T[:, run])
+    for k, zeta in enumerate(zetas):
+        assert np.array_equal(_expm_series(g, zeta, v, False), rows[k])
 
 
 def test_expm_rejects_bad_input(monkeypatch):
@@ -719,6 +761,6 @@ def test_expm_auto_routes_large_graphs_to_krylov():
     ring = np.column_stack([np.arange(n), (np.arange(n) + 1) % n])
     g = Graph(n, ring)
     v = np.random.default_rng(2).normal(size=n)
-    assert np.array_equal(expm(g, 0.5, v), _expm_krylov(g, 0.5, v, False))
+    assert np.array_equal(expm(g, 0.5, v), _expm_series(g, 0.5, v, False))
     with pytest.raises(ValueError, match="dense limit"):
         decompose(g)
