@@ -52,10 +52,6 @@ from .epidemics import (  # noqa: F401
     si_meanfield,
 )
 from .interlacement import (  # noqa: F401
-    DetectionResult,
-    InterlacementError,
-    InterlacementEvent,
-    SeriesPolynomial,
     detect,
     heuristic_linear,
     heuristic_poly,
@@ -74,7 +70,6 @@ from .finance import (  # noqa: F401
     MarketWindow,
     ReturnsPanel,
     SvcTrend,
-    build_market_window,
     build_market_windows,
     correlation_and_distance,
     delta_rank,

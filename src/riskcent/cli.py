@@ -191,18 +191,21 @@ def cmd_epidemics(args):
 
 
 def _parse_pairs(spec):
+    """The ``--pairs`` spec 'i,j;k,l' as an array of pairs.  Every error
+    names the option and the spec."""
     pairs = []
     for tok in spec.split(";"):
-        tok = tok.strip()
-        if not tok:
+        if not tok.strip():
             continue
-        parts = tok.split(",")
-        if len(parts) != 2:
-            raise ValueError("pair %r is not 'i,j'" % tok)
-        pairs.append((int(parts[0]), int(parts[1])))
+        try:
+            i, j = map(int, tok.split(","))
+        except ValueError:
+            raise ValueError("--pairs %r: pair %r is not 'i,j' of two "
+                             "integers" % (spec, tok.strip())) from None
+        pairs.append((i, j))
     if not pairs:
-        raise ValueError("no pairs given")
-    return pairs
+        raise ValueError("--pairs %r: no pairs given" % spec)
+    return np.array(pairs)
 
 
 def cmd_interlace(args):
@@ -219,9 +222,7 @@ def cmd_interlace(args):
     if args.all_pairs:
         pairs = np.column_stack(np.triu_indices(g.n, 1))
     else:
-        if not args.pairs:
-            raise ValueError("give --pairs 'i,j;k,l' or --all-pairs")
-        pairs = np.array(_parse_pairs(args.pairs))
+        pairs = _parse_pairs(args.pairs)
     # a bad pair or a grid of one point fails here, before the manifest
     (cp, lo, hi, _, _), (tp, zetas) = detect_pairs(
         g, pairs, measure=args.measure, zeta_grid=grid)
@@ -426,8 +427,9 @@ def build_parser():
     p.add_argument("graph")
     p.add_argument("--weighted", action="store_true")
     p.add_argument("--measure", default="C", choices=MEASURES)
-    p.add_argument("--pairs", default=None, help="semicolon list 'i,j;k,l'")
-    p.add_argument("--all-pairs", action="store_true")
+    which = p.add_mutually_exclusive_group(required=True)
+    which.add_argument("--pairs", help="semicolon list 'i,j;k,l'")
+    which.add_argument("--all-pairs", action="store_true")
     p.add_argument("--zeta-grid", default=None)
     add_common(p)
     p.set_defaults(func=cmd_interlace)

@@ -7,9 +7,8 @@ tree -> centrality rank reports per window.  The windows run in batches:
 the stacked distance matrices, ties broken by the strict order of
 ``(weight, min(u, v), max(u, v))``, and ``window_rank_reports`` takes R
 of every tree from one power-series action (``spectral.expm``) on their
-disjoint union, never decomposing.  ``mst``, ``build_market_window``
-and ``window_rank_report`` are the one-window calls of the batch
-functions.
+disjoint union, never decomposing.  ``mst`` and ``window_rank_report``
+are the one-window calls of the batch functions.
 
 Workflow (b): company-director memberships -> one-mode projection ->
 rank shift between a low-risk and a high-risk regime (delta rank) ->
@@ -146,12 +145,23 @@ def _month_id(index):
 
 @dataclass
 class WindowSlice:
-    """Rows of a panel covering one calendar window, filtered assets."""
+    """Rows of a panel covering one calendar window, filtered assets.
+
+    ``rows`` is a view of the panel's rows in the window, every asset
+    included; ``returns`` copies the kept columns out of it on each read,
+    so a list of windows holds no copy of the panel.
+    """
 
     window_id: str        # "M-YYYY" of the start month, no zero padding
     dates: list
     assets: list
-    returns: np.ndarray   # (len(dates), len(assets)), NaN preserved
+    rows: np.ndarray      # (len(dates), panel assets), a view of the panel
+    columns: np.ndarray   # panel column of each of ``assets``
+
+    @property
+    def returns(self):
+        """(len(dates), len(assets)) returns, NaN preserved."""
+        return self.rows[:, self.columns]
 
 
 def rolling_windows(panel, width_months=6, step_months=1, min_obs=0.9):
@@ -188,7 +198,7 @@ def rolling_windows(panel, width_months=6, step_months=1, min_obs=0.9):
             window_id=wid,
             dates=panel.dates[lo:hi],
             assets=[panel.assets[j] for j in keep],
-            returns=rows[:, keep]))
+            rows=rows, columns=keep))
     return out
 
 
@@ -404,12 +414,6 @@ class MarketWindow:
     rho: np.ndarray
     dist: np.ndarray
     tree: Graph
-
-
-def build_market_window(window):
-    """Correlations, distances, and MST for one window slice:
-    ``build_market_windows`` of the one window."""
-    return build_market_windows([window])[0]
 
 
 def build_market_windows(windows):

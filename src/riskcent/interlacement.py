@@ -6,8 +6,8 @@ sign: the pair's ranking depends on which side of zeta* the analysis
 sits.  This module locates crossings numerically (``detect``) and
 predicts them from leading walk counts (``heuristic_linear``,
 ``heuristic_poly``).  Over a list of pairs, ``detect_pairs`` and
-``heuristic_pairs`` return arrays indexed by pair; only the single-pair
-functions build per-pair objects.
+``heuristic_pairs`` return arrays indexed by pair; the single-pair
+functions are their calls on one pair.
 
 Detection reads no spectrum.  With b the spectral bound of the adjacency
 and s = zeta b, every measure of node i is a Poisson-weighted power series
@@ -33,7 +33,6 @@ roots of a block's polynomials with one eigenvalue call per degree.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,58 +45,6 @@ BRACKET_TOL_DEFAULT = 1e-8
 TANGENCY_TOL_DEFAULT = 1e-10
 # grid values of a pair closer than this share of the larger one are noise
 _NOISE = 1e-12
-
-
-class InterlacementError(ValueError):
-    """A heuristic's preconditions fail for the requested pair."""
-
-
-@dataclass
-class InterlacementEvent:
-    """One sign change of the measure difference.
-
-    ``zeta_star`` is the bracket midpoint; the difference changes sign
-    exactly once inside ``bracket``, from ``sign_before`` to ``sign_after``
-    (+1 means node i above node j).
-    """
-
-    i: int
-    j: int
-    measure: str
-    zeta_star: float
-    bracket: tuple
-    sign_before: int
-    sign_after: int
-
-
-@dataclass(frozen=True)
-class DetectionResult:
-    """Crossings on a grid, plus near-touches that never flip sign: a
-    tuple of ``InterlacementEvent`` and a tuple of grid zetas."""
-
-    events: tuple
-    tangencies: tuple
-
-
-@dataclass
-class SeriesPolynomial:
-    """Truncated-series crossing polynomial for one pair and measure.
-
-    ``coefficients`` are ascending powers of the reduced polynomial (the
-    common leading power of zeta is divided out).  ``roots`` holds the
-    positive real roots in ascending order with their normalized residuals;
-    ``descartes_bound`` caps how many there can be.
-    """
-
-    i: int
-    j: int
-    measure: str
-    k: int
-    k0: int
-    coefficients: np.ndarray
-    roots: np.ndarray
-    residuals: np.ndarray
-    descartes_bound: int
 
 
 # Entries (about 2 MB of float64) that one block of pairs may hold in a
@@ -213,19 +160,10 @@ def _close(order, srt, reach):
 
 def detect(g, i, j, measure="C", zeta_grid=None,
            bracket_tol=BRACKET_TOL_DEFAULT, tangency_tol=TANGENCY_TOL_DEFAULT):
-    """Scan a zeta grid for sign changes of M_i - M_j and bisect each one.
-
-    The single-pair form of ``detect_pairs``, which documents the rules.
-    """
-    (_, lo, hi, before, after), (_, zetas) = detect_pairs(
-        g, [(i, j)], measure=measure, zeta_grid=zeta_grid,
-        bracket_tol=bracket_tol, tangency_tol=tangency_tol)
-    return DetectionResult(
-        tuple(InterlacementEvent(int(i), int(j), measure, 0.5 * (a + b),
-                                 (a, b), s, t)
-              for a, b, s, t in zip(lo.tolist(), hi.tolist(),
-                                    before.tolist(), after.tolist())),
-        tuple(zetas.tolist()))
+    """Crossings and tangencies of M_i - M_j on a zeta grid:
+    ``detect_pairs`` of the one pair (i, j), which documents the rules."""
+    return detect_pairs(g, [(i, j)], measure=measure, zeta_grid=zeta_grid,
+                        bracket_tol=bracket_tol, tangency_tol=tangency_tol)
 
 
 def detect_pairs(g, pairs, measure="C", zeta_grid=None,
@@ -429,26 +367,19 @@ def heuristic_linear(g, i, j, measure="C"):
 
 
 def heuristic_poly(g, i, j, measure="C", k=6):
-    """Roots of the order-k series truncation of the measure difference.
+    """Smallest positive root of the order-k series truncation of the
+    measure difference, or None where it has none: the root of
+    ``heuristic_pairs`` for the one pair.
 
     The reduced polynomial has ascending coefficients ``delta_m / m!`` for
     walk orders m up to k, divided by the common leading power of zeta.
-    The pair is rejected (``InterlacementError``) unless the coefficient
-    sequence changes sign (zero counts as positive) at some order k0 <= k.
-    Roots come from the eigenvalues of the companion matrix; only
-    positive real roots with small normalized residual are kept.
+    It is solved only if the coefficient sequence changes sign (zero
+    counts as positive) at some order k0 <= k.  Roots come from the
+    eigenvalues of the companion matrix; only positive real roots with
+    small normalized residual are kept.
     """
-    k0, coeffs = _poly_rows(*_pair_series(g, [(i, j)], measure, k))
-    if k0[0] > k:
-        raise InterlacementError(
-            "pair (%d, %d): the %s series coefficients never change sign "
-            "through order k=%d; no crossing is indicated at that "
-            "truncation" % (i, j, measure, k))
-    _, roots, residuals = _positive_real_roots_rows(coeffs)
-    return SeriesPolynomial(
-        i=int(i), j=int(j), measure=measure, k=k, k0=int(k0[0]),
-        coefficients=coeffs[0], roots=roots, residuals=residuals,
-        descartes_bound=int(_sign_changes(coeffs)[0]))
+    _, (root,) = heuristic_pairs(g, [(i, j)], measure, k)
+    return None if math.isnan(root) else float(root)
 
 
 def heuristic_pairs(g, pairs, measure="C", k=6):
@@ -479,15 +410,6 @@ def heuristic_pairs(g, pairs, measure="C", k=6):
         solved, first = np.unique(owner, return_index=True)
         root[rows[solved]] = roots[first]
     return linear, root
-
-
-def _sign_changes(rows):
-    """Sign changes between consecutive nonzero entries of each row: the
-    Descartes bound on a polynomial's positive roots."""
-    p, m = np.nonzero(rows)  # row-major: entries ascend
-    signs = np.sign(rows[p, m])
-    flips = (p[1:] == p[:-1]) & (signs[1:] != signs[:-1])
-    return np.bincount(p[1:][flips], minlength=rows.shape[0])
 
 
 def _positive_real_roots_rows(coeffs, imag_tol=1e-8, residual_tol=1e-10):

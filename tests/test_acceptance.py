@@ -240,10 +240,11 @@ def test_c07_refined_crossings_and_linear_heuristic():
         seed += 1
         for i in range(g.n):
             for j in range(i + 1, g.n):
-                res = detect(g, i, j, measure="C", zeta_grid=grid)
-                if len(res.events) != 1 or res.tangencies:
+                (_, lo, hi, _, _), (tp, _) = detect(g, i, j, measure="C",
+                                                    zeta_grid=grid)
+                if lo.size != 1 or tp.size:
                     continue
-                zeta_star = res.events[0].zeta_star
+                zeta_star = 0.5 * (lo[0] + hi[0])
                 if not 0.0 < zeta_star <= 0.15:
                     continue
                 linear = heuristic_linear(g, i, j, measure="C")

@@ -639,9 +639,14 @@ def test_interlace_bad_pair_exits_2(tmp_path, capsys):
         "2,-1": "pair (2, -1) is not two distinct nodes in 0..3",
         "0,99999999999999999999":
             "pair (0, 99999999999999999999) is not two distinct nodes in 0..3",
-        "0;1": "pair '0' is not 'i,j'",
-        "0,1,2": "pair '0,1,2' is not 'i,j'",
-        " ; ": "no pairs given",
+        # a spec that does not parse: the option, the spec and the bad pair
+        "0,x": "--pairs '0,x': pair '0,x' is not 'i,j' of two integers",
+        "1,2; 0,1.5":
+            "--pairs '1,2; 0,1.5': pair '0,1.5' is not 'i,j' of two integers",
+        "0;1": "--pairs '0;1': pair '0' is not 'i,j' of two integers",
+        "0,1,2": "--pairs '0,1,2': pair '0,1,2' is not 'i,j' of two integers",
+        " ; ": "--pairs ' ; ': no pairs given",
+        "": "--pairs '': no pairs given",
     }
     for spec, message in cases.items():
         out = tmp_path / "out"
@@ -649,6 +654,21 @@ def test_interlace_bad_pair_exits_2(tmp_path, capsys):
         assert rc == 2
         assert capsys.readouterr().err == "error: %s\n" % message
         assert not out.exists()
+
+
+def test_interlace_pairs_and_all_pairs_exit_2_before_manifest(tmp_path,
+                                                              capsys):
+    # one of --pairs and --all-pairs, never both: a usage error
+    graph = write_k4(tmp_path / "k4.txt")
+    for which in (["--pairs", "0,1", "--all-pairs"], []):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["interlace", graph, "--out", str(out)] + which)
+        assert exc.value.code == 2
+        assert not out.exists()
+    err = capsys.readouterr().err
+    assert "--all-pairs: not allowed with argument --pairs" in err
+    assert "one of the arguments --pairs --all-pairs is required" in err
 
 
 # -- experiments --------------------------------------------------------------
@@ -836,7 +856,7 @@ def test_market_batches_equal_the_one_window_runs(tmp_path, monkeypatch):
     # windows at a time, every window's files equal, byte for byte, those
     # of the one-window functions run on that window alone
     import datetime
-    from riskcent.finance import (build_market_window, load_returns,
+    from riskcent.finance import (build_market_windows, load_returns,
                                   rolling_windows, window_rank_report)
     rng = np.random.default_rng(21)
     names = ["A", "B", "C", "D", "R", "F", "G"]
@@ -864,7 +884,7 @@ def test_market_batches_equal_the_one_window_runs(tmp_path, monkeypatch):
             assert main(["market", str(path), "--out", str(out),
                          "--measure", measure, "--weight-mode", mode,
                          "--zeta-grid", grid]) == 0
-            alone = [build_market_window(w) for w in windows]
+            alone = [build_market_windows([w])[0] for w in windows]
         summary = []
         for mw in alone:
             assert "B" not in mw.assets

@@ -14,7 +14,7 @@ from riskcent.centrality import sweep
 from riskcent.finance import (
     MarketWindow,
     ReturnsPanel,
-    build_market_window,
+    build_market_windows,
     correlation_and_distance,
     delta_rank,
     lda_fit,
@@ -255,6 +255,28 @@ def test_windows_min_obs_drops_asset():
     assert window.assets == ["A0", "A2"]
     full = rolling_windows(panel, width_months=2, min_obs=0.4)[0]
     assert full.assets == ["A0", "A1", "A2"]
+
+
+def test_windows_view_the_panel_until_read():
+    # a window holds a view of the panel's rows and the kept column
+    # indices; its returns, NaN included, are copied out on each read
+    rng = np.random.default_rng(4)
+    data = rng.normal(size=(70, 3))
+    data[:20, 1] = np.nan  # asset 1 misses a third of the first window
+    data[3, 0] = np.nan
+    panel = make_panel(data)
+    windows = rolling_windows(panel, width_months=2, min_obs=0.9)
+    lo = 0
+    for window in windows:
+        lo = panel.dates.index(window.dates[0])
+        rows = data[lo:lo + len(window.dates)]
+        keep = [k for k in range(3)
+                if np.isfinite(rows[:, k]).sum() >= 0.9 * len(rows)]
+        assert window.assets == ["A%d" % k for k in keep]
+        assert np.shares_memory(window.rows, panel.returns)
+        assert np.array_equal(window.returns, rows[:, keep], equal_nan=True)
+        assert not np.shares_memory(window.returns, panel.returns)
+    assert windows[0].assets == ["A0", "A2"] and lo > 0
 
 
 def test_windows_errors():
@@ -522,7 +544,7 @@ def test_build_market_window():
     rng = np.random.default_rng(12)
     f = rng.normal(size=(130, 1))
     data = 0.6 * f + 0.8 * rng.normal(size=(130, 5))
-    mw = build_market_window(window_from_returns(data))
+    mw = build_market_windows([window_from_returns(data)])[0]
     assert mw.window_id == "1-2001"
     assert mw.tree.m == 4
     assert mw.tree.labels == mw.assets
@@ -565,7 +587,7 @@ def test_window_report_crisis_more_volatile_than_diffuse():
     diffuse = 0.15 * f[:, None] + 1.0 * rng.normal(size=(t, n))
     stds = []
     for data in (crisis, diffuse):
-        mw = build_market_window(window_from_returns(data))
+        mw = build_market_windows([window_from_returns(data)])[0]
         stds.append(window_rank_report(mw).per_node_std.mean())
     assert stds[0] > stds[1]
 
@@ -578,7 +600,7 @@ def test_window_reports_feed_paired_t_test():
     second = 0.1 * f[:, None] + rng.normal(size=(t, n))
     stds = []
     for data in (first, second):
-        mw = build_market_window(window_from_returns(data))
+        mw = build_market_windows([window_from_returns(data)])[0]
         stds.append(window_rank_report(mw).per_node_std)
     res = ttest_rel(stds[0], stds[1])
     assert res.df == n - 1

@@ -7,13 +7,12 @@ import math
 from riskcent import interlacement
 from riskcent.graph import Graph, generate_complete, generate_er, generate_star, walk_counts
 from riskcent.interlacement import (
-    InterlacementError,
-    InterlacementEvent,
-    SeriesPolynomial,
     _close,
     _flips,
     _measure_table,
     _order_keys,
+    _pair_series,
+    _poly_rows,
     _positive_real_roots_rows,
     detect,
     detect_pairs,
@@ -150,8 +149,9 @@ def reference_linear(walks, i, j, measure):
 
 
 def reference_poly(walks, i, j, measure, k):
-    """``(k0, coefficients, descartes)``, or None where ``heuristic_poly``
-    rejects the pair."""
+    """``(k0, coefficients, descartes)``, descartes being the Descartes
+    bound on the positive roots, or None where the coefficients do not
+    change sign through order k."""
     start, deltas = reference_deltas(walks, i, j, measure, k)
     pos = deltas >= 0
     change = np.nonzero(pos[1:] != pos[:-1])[0]
@@ -206,6 +206,24 @@ def by_pair(found, count):
     return out
 
 
+def series_poly(g, i, j, measure, k):
+    """One pair's order-k truncation from the private row forms:
+    ``(coefficients, roots, residuals, descartes)``.  Its k0 and
+    coefficients equal ``reference_poly``'s, the roots it finds stay
+    within the reference's Descartes bound, and its smallest root is
+    ``heuristic_poly``'s."""
+    (k0,), (coeffs,) = _poly_rows(*_pair_series(g, [(i, j)], measure, k))
+    ref_k0, ref_coeffs, descartes = reference_poly(walk_counts(g, k), i, j,
+                                                   measure, k)
+    assert k0 == ref_k0
+    assert np.array_equal(coeffs, ref_coeffs)
+    _, roots, residuals = _positive_real_roots_rows(coeffs[None])
+    assert roots.size <= descartes
+    assert heuristic_poly(g, i, j, measure, k=k) == (
+        roots[0] if roots.size else None)
+    return coeffs, roots, residuals, descartes
+
+
 def frozen_beyond(g, i, j):
     """Closed-form horizon past which the C order of pair (i, j) is frozen.
 
@@ -230,10 +248,11 @@ def test_symmetric_pair_has_no_events():
     g = Graph(3, [(0, 1), (1, 2)])  # nodes 0 and 2 are automorphic
     for m in "RCT":
         res = detect(g, 0, 2, measure=m, zeta_grid=WIDE_GRID)
-        assert res.events == () and res.tangencies == ()
+        assert by_pair(res, 1) == [([], [])]
     star = generate_star(6)
-    res = detect(star, 1, 2, measure="C", zeta_grid=WIDE_GRID)
-    assert res.events == ()
+    (events, _), = by_pair(detect(star, 1, 2, measure="C",
+                                  zeta_grid=WIDE_GRID), 1)
+    assert events == []
 
 
 def test_tied_endpoints_never_reach_the_scan(monkeypatch):
@@ -257,31 +276,30 @@ def test_tied_endpoints_never_reach_the_scan(monkeypatch):
 def test_clique_hub_crossing_each_measure():
     g = clique_plus_hub()
     for m in "RCT":
-        res = detect(g, 5, 1, measure=m, zeta_grid=WIDE_GRID)
-        assert len(res.events) == 1
-        ev = res.events[0]
+        (events, _), = by_pair(detect(g, 5, 1, measure=m,
+                                      zeta_grid=WIDE_GRID), 1)
+        assert len(events) == 1
+        lo, hi, before, after = events[0]
         # hub leads at small zeta, clique node wins in the end
-        assert ev.sign_before == 1 and ev.sign_after == -1
-        lo, hi = ev.bracket
+        assert before == 1 and after == -1
         assert hi - lo <= 1e-8
-        assert lo <= ev.zeta_star <= hi
+        zeta_star = 0.5 * (lo + hi)
+        assert lo <= zeta_star <= hi
         # root contract: the measures actually tie at zeta_star
-        vals = sweep(g, [ev.zeta_star]).measure(m)[0]
+        vals = sweep(g, [zeta_star]).measure(m)[0]
         assert abs(vals[5] - vals[1]) < 1e-6 * max(vals.max(), 1.0)
 
 
 def test_double_crossing_pair():
     g = double_crossing()
-    res = detect(g, 1, 4, measure="C", zeta_grid=WIDE_GRID)
-    assert len(res.events) == 2
-    first, second = res.events
-    assert first.zeta_star == pytest.approx(0.123204, abs=1e-4)
-    assert second.zeta_star == pytest.approx(2.342520, abs=1e-4)
-    assert (first.sign_before, first.sign_after) == (1, -1)
-    assert (second.sign_before, second.sign_after) == (-1, 1)
-    for ev in res.events:
-        assert (ev.i, ev.j, ev.measure) == (1, 4, "C")
-        assert ev.bracket[0] <= ev.zeta_star <= ev.bracket[1]
+    (pair, lo, hi, before, after), _ = detect(g, 1, 4, measure="C",
+                                              zeta_grid=WIDE_GRID)
+    assert pair.tolist() == [0, 0]
+    zeta_star = 0.5 * (lo + hi)
+    assert zeta_star[0] == pytest.approx(0.123204, abs=1e-4)
+    assert zeta_star[1] == pytest.approx(2.342520, abs=1e-4)
+    assert (before.tolist(), after.tolist()) == ([1, -1], [-1, 1])
+    assert ((lo <= zeta_star) & (zeta_star <= hi)).all()
 
 
 def test_detect_rejects_bad_input():
@@ -311,7 +329,7 @@ def test_tangency_is_a_local_minimum_of_the_difference_itself():
     assert (np.diff(gap[k - 2:k + 3, 0]) > 0).all()
     assert 500.0 < gap[k, 0] < 1e3
     res = detect(g, 15, 28, measure="R", zeta_grid=grid, tangency_tol=1e3)
-    assert res.events == () and res.tangencies == ()
+    assert by_pair(res, 1) == [([], [])]
 
 
 def brute_force_pairs(vals, reach):
@@ -430,8 +448,8 @@ def test_opposite_limit_orderings_give_odd_event_count():
                 if abs(k[i] - k[j]) < 1:
                     continue
                 grid = np.linspace(1e-3, frozen_beyond(g, i, j) + 0.5, 3000)
-                res = detect(g, i, j, measure="C", zeta_grid=grid)
-                assert len(res.events) % 2 == 1
+                (pair, *_), _ = detect(g, i, j, measure="C", zeta_grid=grid)
+                assert pair.size % 2 == 1
                 checked += 1
         assert checked > 0
 
@@ -443,8 +461,8 @@ def test_walk_dominance_means_no_events():
     _, closed = walk_counts(g, 60)
     assert (closed[:, 0] >= closed[:, 1]).all()
     grid = np.linspace(1e-3, frozen_beyond(g, 0, 1) + 5.0, 3000)
-    res = detect(g, 0, 1, measure="C", zeta_grid=grid)
-    assert res.events == ()
+    (pair, *_), _ = detect(g, 0, 1, measure="C", zeta_grid=grid)
+    assert pair.size == 0
 
 
 BATCH_CASES = [
@@ -497,17 +515,13 @@ def test_detect_pairs_matches_per_pair_reference(make, grid, measure,
                     assert right - left <= tol
                     assert abs(0.5 * (left + right) - 0.5 * (lo + hi)) <= tol
                 assert res[1] == tangencies
-        # detect builds its result of the same arrays
+        # detect gives the same arrays for its one pair
         loud = [p for p, res in enumerate(got) if res != ([], [])]
         for p in loud[:5]:
-            (i, j), (events, tangencies) = pairs[p], got[p]
+            (i, j) = pairs[p]
             res = detect(g, i, j, measure=measure, zeta_grid=grid,
                          bracket_tol=tol, tangency_tol=tangency_tol)
-            assert res.events == tuple(
-                InterlacementEvent(i, j, measure, 0.5 * (lo + hi), (lo, hi),
-                                   before, after)
-                for lo, hi, before, after in events)
-            assert res.tangencies == tuple(tangencies)
+            assert by_pair(res, 1) == [got[p]]
     assert want  # every case crosses somewhere
 
 
@@ -533,27 +547,17 @@ def test_batched_heuristics_match_per_pair_reference(make, measure,
             assert [None if math.isnan(x) else x
                     for x in linear.tolist()] == linear_ref
             assert np.array_equal(root, root_ref, equal_nan=True)
-        # the single-pair forms agree, rejections and messages included
+        # the single-pair forms and the private row forms agree,
+        # rejections included
         for (i, j), linear, ref in zip(pairs, linear_ref, poly_ref):
             assert heuristic_linear(g, i, j, measure) == linear
             if ref is None:
-                with pytest.raises(InterlacementError) as exc:
-                    heuristic_poly(g, i, j, measure, k=k)
-                assert str(exc.value) == (
-                    "pair (%d, %d): the %s series coefficients never change "
-                    "sign through order k=%d; no crossing is indicated at "
-                    "that truncation" % (i, j, measure, k))
+                assert heuristic_poly(g, i, j, measure, k=k) is None
                 continue
-            k0, coeffs, descartes = ref
-            poly = heuristic_poly(g, i, j, measure, k=k)
-            assert isinstance(poly, SeriesPolynomial)
-            assert (poly.i, poly.j, poly.measure, poly.k, poly.k0) == (
-                i, j, measure, k, k0)
-            assert np.array_equal(poly.coefficients, coeffs)
-            assert poly.descartes_bound == descartes
-            roots, residuals = reference_positive_real_roots(coeffs)
-            assert np.array_equal(poly.roots, roots)
-            assert np.array_equal(poly.residuals, residuals)
+            coeffs, roots, residuals, _ = series_poly(g, i, j, measure, k)
+            want = reference_positive_real_roots(coeffs)
+            assert np.array_equal(roots, want[0])
+            assert np.array_equal(residuals, want[1])
 
 
 def random_polynomials(rng, rows, width):
@@ -656,32 +660,37 @@ def test_linear_heuristic_sign_is_symmetric():
 
 def test_poly_first_order_has_single_root():
     g = clique_plus_hub()
-    hp = heuristic_poly(g, 5, 1, "C", k=3)
-    assert hp.k0 == 3
-    assert hp.roots.size == 1
-    assert hp.descartes_bound == 1
+    (k0,), _ = _poly_rows(*_pair_series(g, [(5, 1)], "C", 3))
+    assert k0 == 3
+    _, roots, _, descartes = series_poly(g, 5, 1, "C", 3)
+    assert roots.size == 1
+    assert descartes == 1
     # at k = k0 the truncation is the linear heuristic
-    assert hp.roots[0] == pytest.approx(heuristic_linear(g, 5, 1, "C"))
+    assert heuristic_poly(g, 5, 1, "C", k=3) == pytest.approx(
+        heuristic_linear(g, 5, 1, "C"))
 
 
 def test_poly_roots_sharpen_with_order():
     g = clique_plus_hub()
-    true = detect(g, 5, 1, "C", zeta_grid=WIDE_GRID).events[0].zeta_star
+    (_, lo, hi, _, _), _ = detect(g, 5, 1, "C", zeta_grid=WIDE_GRID)
+    true = 0.5 * (lo[0] + hi[0])
     errs = []
     for k in (3, 6, 9, 12):
-        hp = heuristic_poly(g, 5, 1, "C", k=k)
-        assert hp.roots.size >= 1
-        assert hp.roots.size <= hp.descartes_bound
-        assert (hp.residuals <= 1e-10).all()
-        errs.append(abs(hp.roots[0] - true))
+        _, roots, residuals, descartes = series_poly(g, 5, 1, "C", k)
+        assert roots.size >= 1
+        assert roots.size <= descartes
+        assert (residuals <= 1e-10).all()
+        errs.append(abs(roots[0] - true))
     assert errs[-1] < errs[0]
     assert errs[-1] < 5e-3
 
 
 def test_poly_rejects_complete_graph():
+    # the nodes are automorphic: every coefficient is 0, none changes sign
     g = generate_complete(5)
-    with pytest.raises(InterlacementError, match="never change sign"):
-        heuristic_poly(g, 0, 3, "C", k=6)
+    (k0,), _ = _poly_rows(*_pair_series(g, [(0, 3)], "C", 6))
+    assert k0 == 7
+    assert heuristic_poly(g, 0, 3, "C", k=6) is None
 
 
 def test_poly_rejects_below_k0():
@@ -689,20 +698,17 @@ def test_poly_rejects_below_k0():
     # none, which cannot change sign
     g = clique_plus_hub()
     for k in (2, 1):
-        with pytest.raises(InterlacementError,
-                           match="never change sign through order k=%d" % k):
-            heuristic_poly(g, 5, 1, "C", k=k)
-    with pytest.raises(InterlacementError, match="through order k=0"):
-        heuristic_poly(g, 5, 1, "R", k=0)
+        assert heuristic_poly(g, 5, 1, "C", k=k) is None
+    assert heuristic_poly(g, 5, 1, "R", k=0) is None
 
 
 def test_poly_double_crossing_bound():
     # the truncated series for the double-crossing pair keeps both roots
     g = double_crossing()
-    hp = heuristic_poly(g, 1, 4, "C", k=14)
-    assert hp.roots.size <= hp.descartes_bound
-    assert hp.roots.size >= 1
-    assert hp.roots[0] == pytest.approx(0.123204, abs=2e-3)
+    _, roots, _, descartes = series_poly(g, 1, 4, "C", 14)
+    assert roots.size <= descartes
+    assert roots.size >= 1
+    assert roots[0] == pytest.approx(0.123204, abs=2e-3)
 
 
 # -- finiteness --------------------------------------------------------------------
@@ -711,10 +717,11 @@ def test_poly_double_crossing_bound():
 def test_finiteness_bounds_all_crossings():
     g = double_crossing()
     zeta_bar = frozen_beyond(g, 1, 4)
-    events = detect(g, 1, 4, "C", zeta_grid=WIDE_GRID).events
-    assert all(e.zeta_star < zeta_bar for e in events)
+    (pair, lo, hi, _, _), _ = detect(g, 1, 4, "C", zeta_grid=WIDE_GRID)
+    assert pair.size and (0.5 * (lo + hi) < zeta_bar).all()
     beyond = np.linspace(zeta_bar, zeta_bar + 20.0, 2000)
-    assert detect(g, 1, 4, "C", zeta_grid=beyond).events == ()
+    (pair, *_), _ = detect(g, 1, 4, "C", zeta_grid=beyond)
+    assert pair.size == 0
 
 
 def test_events_csv(tmp_path):
@@ -724,7 +731,7 @@ def test_events_csv(tmp_path):
     from riskcent.graph import save_json
 
     g = double_crossing()
-    events = detect(g, 1, 4, "C", zeta_grid=WIDE_GRID).events
+    (_, lo, hi, _, _), _ = detect(g, 1, 4, "C", zeta_grid=WIDE_GRID)
     graph = str(tmp_path / "g.json")
     save_json(g, graph)
     out = tmp_path / "out"
@@ -735,9 +742,9 @@ def test_events_csv(tmp_path):
                                        "zeta_star", "bracket_lo",
                                        "bracket_hi"]
     assert len(lines) == 3
-    for line, ev in zip(lines[1:], events):
+    for line, a, b in zip(lines[1:], lo.tolist(), hi.tolist()):
         cells = line.split(",")
         assert cells[:4] == ["1", "4", "C", "crossing"]
-        assert float(cells[4]) == ev.zeta_star
-        assert (float(cells[5]), float(cells[6])) == ev.bracket
+        assert float(cells[4]) == 0.5 * (a + b)
+        assert (float(cells[5]), float(cells[6])) == (a, b)
         assert float(cells[5]) <= float(cells[4]) <= float(cells[6])

@@ -21,8 +21,7 @@ FIXTURES = {"generate_complete", "generate_star", "generate_er", "relabel",
             "largest_component", "write_config", "save_returns"}
 BENCH_WRAPPED = {"detect", "heuristic_linear", "heuristic_poly",
                  "ratio_study", "spearman"}
-ONE_WINDOW = {"mst": "msts", "build_market_window": "build_market_windows",
-              "window_rank_report": "window_rank_reports"}
+ONE_WINDOW = {"mst": "msts", "window_rank_report": "window_rank_reports"}
 
 
 def test_every_exported_function_is_reached_by_a_command(tmp_path):
