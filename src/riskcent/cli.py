@@ -30,7 +30,7 @@ from .experiments import RATIOS, read_config, spearman_table
 from .finance import (build_market_windows, delta_rank, lda_fit,
                       load_returns, load_svc, rolling_windows, svc_trend,
                       window_rank_reports)
-from .graph import (GraphError, load_edge_list, load_json, load_memberships,
+from .graph import (load_edge_list, load_json, load_memberships,
                     project_bipartite, save_json)
 from .interlacement import detect_pairs, heuristic_pairs
 from .spectral import EigensolverError
@@ -72,8 +72,6 @@ def _sha256(path):
 
 
 def _load_graph(path, weighted=False):
-    if not os.path.isfile(path):
-        raise ValueError("no such graph file: %s" % path)
     if path.endswith(".json"):
         return load_json(path)
     return load_edge_list(path, weighted=weighted)
@@ -291,8 +289,6 @@ def cmd_experiments(args):
 
 def cmd_market(args):
     budget = _Budget(args.budget)
-    if not os.path.isfile(args.returns):
-        raise ValueError("no such returns file: %s" % args.returns)
     panel = load_returns(args.returns)
     grid = _parse_grid(args.zeta_grid)
     windows = rolling_windows(panel, width_months=args.width_months,
@@ -337,9 +333,6 @@ def cmd_market(args):
 
 def cmd_corporate(args):
     budget = _Budget(args.budget)
-    for path in (args.memberships, args.svc):
-        if not os.path.isfile(path):
-            raise ValueError("no such input file: %s" % path)
     if not 0.0 < args.zeta_lo < args.zeta_hi:
         raise ValueError("need 0 < zeta-lo < zeta-hi")
     memberships = load_memberships(args.memberships)
@@ -479,8 +472,8 @@ def main(argv=None):
     except _BudgetExceeded as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3
-    except (GraphError, ValueError, OSError, EigensolverError,
-            SIIntegrationError) as exc:
+    # a GraphError is a ValueError; an unreadable input an OSError naming it
+    except (ValueError, OSError, EigensolverError, SIIntegrationError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .centrality import _grid, _row_corr, _row_spearman, write_rows
-from .graph import _er_adjacency
+from .graph import _er_adjacency, _text_rows
 from .spectral import DENSE_LIMIT_DEFAULT, _eigensystem, _exp_rows
 
 RATIOS = ("R/E[R]", "C/E[C]", "T/E[T]", "C/R")
@@ -61,11 +61,12 @@ class ExperimentConfig:
 
 
 def write_config(config, path):
-    """Write the plain ``key = value`` config format."""
-    with open(path, "w") as fh:
+    """Write the plain ``key = value`` config format; floats as ``repr``,
+    so ``read_config`` reads the same config back."""
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("n = %d\n" % config.n)
-        fh.write("densities = %s\n" % ", ".join("%g" % d for d in config.densities))
-        fh.write("zetas = %s\n" % ", ".join("%g" % z for z in config.zetas))
+        fh.write("densities = %s\n" % ", ".join(map(repr, config.densities)))
+        fh.write("zetas = %s\n" % ", ".join(map(repr, config.zetas)))
         fh.write("replications = %d\n" % config.replications)
         fh.write("seed = %d\n" % config.seed)
 
@@ -73,27 +74,24 @@ def write_config(config, path):
 def read_config(path):
     """Parse ``key = value`` lines; '#' starts a comment, lists use commas."""
     fields = {}
-    with open(path, encoding="utf-8-sig") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            s = raw.split("#", 1)[0].strip()
-            if not s:
-                continue
-            if "=" not in s:
-                raise ValueError("%s:%d: expected 'key = value', got %r"
-                                 % (path, lineno, s))
-            key, _, value = s.partition("=")
-            key = key.strip()
-            value = value.strip()
-            integer = key in ("n", "replications", "seed")
-            if not integer and key not in ("densities", "zetas"):
-                raise ValueError("%s:%d: unknown config key %r"
-                                 % (path, lineno, key))
-            try:
-                fields[key] = (int(value) if integer else
-                               tuple(float(v) for v in value.split(",")))
-            except ValueError as exc:
-                raise ValueError("%s:%d: config key %r: %s"
-                                 % (path, lineno, key, exc)) from None
+    for lineno, text in _text_rows(path):
+        s = text.split("#", 1)[0].strip()
+        if "=" not in s:
+            raise ValueError("%s:%d: expected 'key = value', got %r"
+                             % (path, lineno, s))
+        key, _, value = s.partition("=")
+        key = key.strip()
+        value = value.strip()
+        integer = key in ("n", "replications", "seed")
+        if not integer and key not in ("densities", "zetas"):
+            raise ValueError("%s:%d: unknown config key %r"
+                             % (path, lineno, key))
+        try:
+            fields[key] = (int(value) if integer else
+                           tuple(float(v) for v in value.split(",")))
+        except ValueError as exc:
+            raise ValueError("%s:%d: config key %r: %s"
+                             % (path, lineno, key, exc)) from None
     return ExperimentConfig(**fields)
 
 

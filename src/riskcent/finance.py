@@ -17,7 +17,6 @@ one-dimensional discriminant classification against outcome trends.
 
 from __future__ import annotations
 
-import csv
 import datetime
 import math
 import warnings
@@ -27,7 +26,7 @@ import numpy as np
 
 from .centrality import (RankingSweep, _check_measure, _grid, rank,
                          write_rows)
-from .graph import Graph, _check_unique
+from .graph import Graph, _check_unique, _text_rows
 from .spectral import expm
 
 
@@ -71,37 +70,31 @@ def load_returns(path):
     may arrive in any order; they are sorted by date.  Duplicate dates,
     unparseable cells, and panels with fewer than 2 assets are errors.
     """
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
+    reader = _text_rows(path, cells=True)
+    _, header = next(reader, (0, None))
+    if header is None:
+        raise ValueError("%s: empty file" % path)
+    assets = [h.strip() for h in header[1:]]
+    if len(assets) < 2:
+        raise ValueError("%s: need at least 2 asset columns" % path)
+    rows = []
+    for lineno, cells in reader:
+        if len(cells) != len(assets) + 1:
+            raise ValueError("%s:%d: expected %d cells, got %d"
+                             % (path, lineno, len(assets) + 1, len(cells)))
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError("%s: empty file" % path) from None
-        assets = [h.strip() for h in header[1:]]
-        if len(assets) < 2:
-            raise ValueError("%s: need at least 2 asset columns" % path)
-        rows = []
-        for cells in reader:
-            if not cells or (len(cells) == 1 and not cells[0].strip()):
-                continue
-            lineno = reader.line_num  # a quoted cell may span lines
-            if len(cells) != len(assets) + 1:
-                raise ValueError("%s:%d: expected %d cells, got %d"
-                                 % (path, lineno, len(assets) + 1, len(cells)))
-            try:
-                day = datetime.date.fromisoformat(cells[0].strip())
-            except ValueError:
-                raise ValueError("%s:%d: unparseable date %r"
-                                 % (path, lineno, cells[0])) from None
-            # float() skips surrounding whitespace and reads "nan" in any
-            # case, so only blank cells need a test of their own
-            try:
-                vals = [float(c) if c.strip() else math.nan
-                        for c in cells[1:]]
-            except ValueError:
-                raise ValueError(_bad_cell(path, lineno, cells[1:],
-                                           assets)) from None
-            rows.append((day, vals))
+            day = datetime.date.fromisoformat(cells[0].strip())
+        except ValueError:
+            raise ValueError("%s:%d: unparseable date %r"
+                             % (path, lineno, cells[0])) from None
+        # float() skips surrounding whitespace and reads "nan" in any
+        # case, so only blank cells need a test of their own
+        try:
+            vals = [float(c) if c.strip() else math.nan for c in cells[1:]]
+        except ValueError:
+            raise ValueError(_bad_cell(path, lineno, cells[1:],
+                                       assets)) from None
+        rows.append((day, vals))
     if not rows:
         raise ValueError("%s: no data rows" % path)
     rows.sort(key=lambda r: r[0])
@@ -115,12 +108,11 @@ def load_returns(path):
 def _bad_cell(path, lineno, cells, assets):
     """The message for the first cell of a row that ``float`` rejects."""
     for cell, asset in zip(cells, assets):
-        if cell.strip():
-            try:
-                float(cell)
-            except ValueError:
-                return ("%s:%d: unparseable return %r for %s"
-                        % (path, lineno, cell, asset))
+        try:
+            float(cell.strip() or "nan")
+        except ValueError:
+            return ("%s:%d: unparseable return %r for %s"
+                    % (path, lineno, cell, asset))
     raise AssertionError("no unparseable cell in %r" % (cells,))
 
 
@@ -585,36 +577,28 @@ class SvcTrend:
 def load_svc(path):
     """Read ``company,year,value`` CSV rows into {company: {year: value}}.
 
-    A first row equal to ``company,year,value`` (any case) is a header.
-    Rows are read as CSV, so a quoted company name may hold a comma;
-    blank lines are skipped and cells are stripped of surrounding
+    A first non-blank row equal to ``company,year,value`` (any case) is a
+    header.  Rows are read as CSV, so a quoted company name may hold a
+    comma; blank lines are skipped and cells are stripped of surrounding
     whitespace.  Duplicate (company, year) pairs are an error.
     """
     out = {}
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        for cells in reader:
-            if not cells or (len(cells) == 1 and not cells[0].strip()):
-                continue
-            lineno, row = reader.line_num, ",".join(cells)
-            parts = [c.strip() for c in cells]
-            if lineno == 1 and [p.lower() for p in parts] == ["company",
-                                                              "year",
-                                                              "value"]:
-                continue
-            if len(parts) != 3 or not parts[0]:
-                raise ValueError("%s:%d: expected 'company,year,value', "
-                                 "got %r" % (path, lineno, row))
-            try:
-                year, value = int(parts[1]), float(parts[2])
-            except ValueError:
-                raise ValueError("%s:%d: unparseable year or value in %r"
-                                 % (path, lineno, row)) from None
-            years = out.setdefault(parts[0], {})
-            if year in years:
-                raise ValueError("%s:%d: duplicate year %d for %s"
-                                 % (path, lineno, year, parts[0]))
-            years[year] = value
+    for lineno, cells in _text_rows(path, cells=True,
+                                    header=["company", "year", "value"]):
+        parts = [c.strip() for c in cells]
+        if len(parts) != 3 or not parts[0]:
+            raise ValueError("%s:%d: expected 'company,year,value', got %r"
+                             % (path, lineno, ",".join(cells)))
+        try:
+            year, value = int(parts[1]), float(parts[2])
+        except ValueError:
+            raise ValueError("%s:%d: unparseable year or value in %r"
+                             % (path, lineno, ",".join(cells))) from None
+        years = out.setdefault(parts[0], {})
+        if year in years:
+            raise ValueError("%s:%d: duplicate year %d for %s"
+                             % (path, lineno, year, parts[0]))
+        years[year] = value
     if not out:
         raise ValueError("%s: no data rows" % path)
     return out

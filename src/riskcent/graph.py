@@ -16,6 +16,7 @@ without building a ``Graph``: ``generate_er`` wraps it in one, and
 
 from __future__ import annotations
 
+import codecs
 import csv
 import functools
 import json
@@ -57,12 +58,9 @@ def _edge_columns(edges):
         return u, v, w
     rows = [(int(e[0]), int(e[1]), float(e[2]) if len(e) > 2 else 1.0)
             for e in edges]
-    if not rows:
-        return (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
-                np.zeros(0, dtype=np.float64))
-    return (np.array([r[0] for r in rows], dtype=np.int64),
-            np.array([r[1] for r in rows], dtype=np.int64),
-            np.array([r[2] for r in rows], dtype=np.float64))
+    u, v, w = zip(*rows) if rows else ((), (), ())
+    return (np.array(u, dtype=np.int64), np.array(v, dtype=np.int64),
+            np.array(w, dtype=np.float64))
 
 
 def _check_unique(names, kind, where, error=GraphError):
@@ -75,6 +73,45 @@ def _check_unique(names, kind, where, error=GraphError):
             if i != j:
                 raise error("%s %r is given twice, at %s %d and %d"
                             % (kind, name, where, i, j))
+
+
+def _text_lines(path):
+    """The lines of ``path`` read as UTF-8 past a BOM, ends kept: the one
+    place riskcent opens an input file for reading.  Bytes split at \\n,
+    \\r and \\r\\n only (no UTF-8 sequence holds them), so line k is
+    physical line k; a line that is not UTF-8 raises ``ValueError``
+    naming ``path:line``."""
+    with open(path, "rb") as fh:
+        lines = fh.read().removeprefix(codecs.BOM_UTF8).splitlines(True)
+    for line, raw in enumerate(lines, start=1):
+        try:
+            yield raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValueError("%s:%d: %s" % (path, line, exc)) from None
+
+
+def _text_rows(path, cells=False, header=None):
+    """``(line, row)`` for each row of ``path`` that is not blank, ``line``
+    the physical line the row ends on.  A row is the stripped line, and
+    lines starting with '#' are skipped; with ``cells``, it is the row's
+    CSV cells (a quoted cell may span lines), a first row whose stripped
+    cells equal ``header`` in any case is skipped, and a ``csv.Error``
+    raises ``ValueError`` naming ``path:line``."""
+    if not cells:
+        for line, raw in enumerate(_text_lines(path), start=1):
+            text = raw.strip()
+            if text and not text.startswith("#"):
+                yield line, text
+        return
+    reader = csv.reader(_text_lines(path))
+    try:
+        for row in reader:
+            if len(row) > 1 or row and row[0].strip():
+                if not header or [c.strip().lower() for c in row] != header:
+                    yield reader.line_num, row
+                header = None
+    except csv.Error as exc:
+        raise ValueError("%s:%d: %s" % (path, reader.line_num, exc)) from None
 
 
 class Graph:
@@ -211,7 +248,15 @@ class Graph:
 
     @classmethod
     def from_json_dict(cls, doc):
-        return cls(doc["n"], doc["edges"], labels=doc.get("labels"))
+        """The graph of a document ``{"n", "edges", "labels"}``."""
+        edges = doc.get("edges") if isinstance(doc, dict) else None
+        if not (isinstance(edges, list) and isinstance(doc.get("n"), int)
+                and isinstance(doc.get("labels", []), (list, type(None)))
+                and all(isinstance(e, list) and len(e) in (2, 3)
+                        for e in edges)):
+            raise GraphError('expected {"n": int, "edges": [[u, v] or '
+                             '[u, v, w], ...], "labels": [...] or absent}')
+        return cls(doc["n"], edges, labels=doc.get("labels"))
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
@@ -237,13 +282,18 @@ def save_json(g, path):
     body = ['"%s": %s' % (name, "[\n" + ",\n".join(items) + "\n ]"
                           if items else "[]")
             for name, items in (("labels", labels), ("edges", edges))]
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write('{\n "n": %d,\n %s\n}' % (g.n, ",\n ".join(body)))
 
 
 def load_json(path):
-    with open(path, encoding="utf-8-sig") as fh:
-        return Graph.from_json_dict(json.load(fh))
+    """Read a graph as ``save_json`` writes it; every error names ``path``."""
+    text = "".join(_text_lines(path))
+    # int() and float() of an edge entry that is no finite number raise too
+    try:
+        return Graph.from_json_dict(json.loads(text))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise GraphError("%s: %s" % (path, exc)) from None
 
 
 # -- loaders -------------------------------------------------------------
@@ -259,82 +309,57 @@ def load_edge_list(path, weighted=False):
     skipped.  Structural problems are reported with the offending line
     number.
     """
-    index = {}
-    labels = []
+    index = {}  # node id -> index, in order of first appearance
     edges = []
     seen = {}
-
-    def node(tok):
-        if tok not in index:
-            index[tok] = len(labels)
-            labels.append(tok)
-        return index[tok]
-
-    with open(path, encoding="utf-8-sig") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            s = raw.strip()
-            if not s or s.startswith("#"):
-                continue
-            parts = s.replace(",", " ").split()
-            want = "u v w" if weighted else "u v"
-            if len(parts) < 2 or len(parts) > (3 if weighted else 2):
-                raise GraphError(
-                    "%s:%d: malformed line %r (expected %r)"
-                    % (path, lineno, s, want))
-            if weighted and len(parts) == 3:
-                try:
-                    w = float(parts[2])
-                except ValueError:
-                    raise GraphError(
-                        "%s:%d: weight %r is not a number"
-                        % (path, lineno, parts[2])) from None
-            else:
-                w = 1.0
-            if w <= 0 or not np.isfinite(w):
-                raise GraphError(
-                    "%s:%d: nonpositive weight %g" % (path, lineno, w))
-            a, b = node(parts[0]), node(parts[1])
-            if a == b:
-                raise GraphError(
-                    "%s:%d: self-loop on node %r" % (path, lineno, parts[0]))
-            key = (min(a, b), max(a, b))
-            if key in seen:
-                raise GraphError(
-                    "%s:%d: duplicate edge %r-%r (first seen on line %d, "
-                    "weights %g and %g)"
-                    % (path, lineno, parts[0], parts[1], seen[key][0],
-                       seen[key][1], w))
-            seen[key] = (lineno, w)
-            edges.append((a, b, w))
-    if not labels:
+    want = "u v w" if weighted else "u v"
+    for lineno, s in _text_rows(path):
+        parts = s.replace(",", " ").split()
+        if len(parts) < 2 or len(parts) > (3 if weighted else 2):
+            raise GraphError("%s:%d: malformed line %r (expected %r)"
+                             % (path, lineno, s, want))
+        try:  # a third token is only left when ``weighted``
+            w = float(parts[2]) if len(parts) == 3 else 1.0
+        except ValueError:
+            raise GraphError("%s:%d: weight %r is not a number"
+                             % (path, lineno, parts[2])) from None
+        if w <= 0 or not np.isfinite(w):
+            raise GraphError("%s:%d: nonpositive weight %g"
+                             % (path, lineno, w))
+        a, b = (index.setdefault(tok, len(index)) for tok in parts[:2])
+        if a == b:
+            raise GraphError("%s:%d: self-loop on node %r"
+                             % (path, lineno, parts[0]))
+        key = (min(a, b), max(a, b))
+        if key in seen:
+            raise GraphError("%s:%d: duplicate edge %r-%r (first seen on "
+                             "line %d, weights %g and %g)"
+                             % (path, lineno, parts[0], parts[1],
+                                seen[key][0], seen[key][1], w))
+        seen[key] = (lineno, w)
+        edges.append((a, b, w))
+    if not index:
         raise GraphError("%s: no edges found" % path)
-    return Graph(len(labels), edges, labels=labels)
+    return Graph(len(index), edges, labels=list(index))
 
 
 def load_memberships(path):
     """Read two-column ``company,director`` CSV rows.
 
-    Returns a list of ``(company, director)`` string pairs.  A first row
-    equal to ``company,director`` (any case) is treated as a header.
+    Returns a list of ``(company, director)`` string pairs.  A first
+    non-blank row equal to ``company,director`` (any case) is a header.
     Rows are read as CSV, so a quoted name may hold a comma, as the
     reports' ``csv.writer`` quotes it; blank lines are skipped and cells
     are stripped of surrounding whitespace.
     """
     pairs = []
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        for cells in reader:
-            if not cells or (len(cells) == 1 and not cells[0].strip()):
-                continue
-            parts = [c.strip() for c in cells]
-            if len(parts) != 2 or not parts[0] or not parts[1]:
-                raise GraphError(
-                    "%s:%d: expected 'company,director', got %r"
-                    % (path, reader.line_num, ",".join(cells)))
-            if reader.line_num == 1 and [p.lower() for p in parts] == [
-                    "company", "director"]:
-                continue
-            pairs.append((parts[0], parts[1]))
+    for lineno, cells in _text_rows(path, cells=True,
+                                    header=["company", "director"]):
+        parts = [c.strip() for c in cells]
+        if len(parts) != 2 or not parts[0] or not parts[1]:
+            raise GraphError("%s:%d: expected 'company,director', got %r"
+                             % (path, lineno, ",".join(cells)))
+        pairs.append((parts[0], parts[1]))
     if not pairs:
         raise GraphError("%s: no membership rows found" % path)
     return pairs

@@ -182,6 +182,22 @@ def test_missing_graph_file_exits_2(tmp_path, capsys):
     assert missing in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("doc", [
+    '{"n": 3}', '[1, 2]', '{"n": 3, "edges": [[0]]}',
+    '{"n": 2, "edges": [[0, 1]], "labels": 5}', '{"n": null, "edges": []}',
+    '{"n": 2, "edges": 5}', '{"n": 2, "edges": [[0, null]]}',
+    '{"n": 2, "edges": [[0, Infinity]]}', '{"n": 2, "edges": [[0, 1]]',
+])
+def test_malformed_json_graph_exits_2_naming_the_file(tmp_path, capsys, doc):
+    graph = tmp_path / "bad.json"
+    graph.write_text(doc)
+    out = tmp_path / "out"
+    assert main(["centrality", str(graph), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: %s: " % graph)
+    assert not (out / "manifest.json").exists()
+
+
 def test_bad_zeta_grid_exits_2(tmp_path, capsys):
     graph = write_k4(tmp_path / "k4.txt")
     specs = ("1.0,0.5", "0,1", "1:0.5:5", "1:2:3:4", "0.1,0.5,inf",
@@ -752,6 +768,60 @@ def test_experiments_above_dense_limit_exits_2_before_manifest(tmp_path,
     assert len(err) == 1 and err[0].startswith("error: ")
     assert "dense limit 5000" in err[0]
     assert not (out / "manifest.json").exists()
+
+
+def _directory_in_place(path):
+    path.unlink()
+    path.mkdir()
+
+
+# how each case spoils one input file in place
+INPUT_CASES = {
+    "missing": lambda p: p.unlink(),
+    "directory": _directory_in_place,
+    "not-utf8": lambda p: p.write_bytes(p.read_bytes()[:-1] + b"\xff\n"),
+    "long-field": lambda p: p.write_bytes(p.read_bytes()
+                                          + b"x" * 200_000 + b"\n"),
+    "bom-blank-line": lambda p: p.write_bytes(b"\xef\xbb\xbf\n"
+                                              + p.read_bytes()),
+}
+
+
+def command_inputs(folder):
+    """``(argv, input, is_csv)`` per command and input file, written into
+    ``folder``."""
+    graph = write_k4(folder / "k4.txt")
+    returns = write_returns(folder / "returns.csv")
+    memb, svc = write_corporate(folder)
+    cfg = write_experiment_config(folder / "exp.cfg", replications=2)
+    return [(["centrality", graph], graph, False),
+            (["market", returns], returns, True),
+            (["corporate", memb, svc], memb, True),
+            (["corporate", memb, svc], svc, True),
+            (["experiments", cfg], cfg, False)]
+
+
+@pytest.mark.parametrize("case", INPUT_CASES)
+def test_input_errors_exit_2_naming_the_file(tmp_path, capsys, case):
+    # a bad input exits 2 before the manifest, with one error line naming
+    # the file; a BOM and a blank line before the header are read past
+    for k in range(5):  # each entry of command_inputs on fresh files
+        folder = tmp_path / str(k)
+        folder.mkdir()
+        argv, path, is_csv = command_inputs(folder)[k]
+        if case == "long-field" and not is_csv:
+            continue  # no field limit outside CSV
+        INPUT_CASES[case](folder / os.path.basename(path))
+        out = folder / "out"
+        rc = main(argv + ["--out", str(out)])
+        err = capsys.readouterr().err.splitlines()
+        if case == "bom-blank-line":
+            assert rc == 0 and err == []
+            continue
+        assert rc == 2
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert path in err[0]
+        assert not (out / "manifest.json").exists()
 
 
 def test_jobs_default_is_one():

@@ -83,6 +83,18 @@ def test_config_file_after_a_utf8_bom(tmp_path):
     assert read_config(str(path)).n == 10
 
 
+def test_write_config_reads_back_every_float(tmp_path):
+    # written as repr, not %g, which gave 0.123457 and 2, and wrote the
+    # increasing zetas 0.1000001, 0.1000002 as 0.1, 0.1
+    path = tmp_path / "exp.cfg"
+    for densities, zetas in (((0.123456789, 0.5), (2.0000001,)),
+                             ((0.5,), (0.1000001, 0.1000002))):
+        cfg = ExperimentConfig(n=10, densities=densities, zetas=zetas,
+                               replications=3, seed=4)
+        write_config(cfg, str(path))
+        assert read_config(str(path)) == cfg
+
+
 def test_config_file_errors(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("n = 10\nnot a pair\n")

@@ -26,7 +26,7 @@ from riskcent.finance import (
     svc_trend,
     window_rank_report,
 )
-from riskcent.graph import Graph
+from riskcent.graph import Graph, load_memberships
 
 
 def business_days(start, count):
@@ -788,3 +788,42 @@ def test_text_inputs_after_a_utf8_bom(tmp_path):
     returns.write_text("date,A,B\n2001-01-01,0.1,0.2\n",
                        encoding="utf-8-sig")
     assert load_returns(str(returns)).assets == ["A", "B"]
+
+
+CSV_INPUTS = [
+    (load_memberships, "company,director\nAcme,smith\nBolt,smith\n"),
+    (load_svc, "Company,Year,Value\nacme,1999,1.5\nacme,2000,2.5\n"),
+    (load_returns, "date,A,B\n2001-01-01,0.1,0.2\n2001-01-02,,0.3\n"),
+]
+
+
+@pytest.mark.parametrize("load, text", CSV_INPUTS,
+                         ids=["memberships", "svc", "returns"])
+def test_csv_header_is_the_first_non_blank_row(tmp_path, load, text):
+    plain = tmp_path / "plain.csv"
+    plain.write_text(text)
+    want = load(str(plain))
+    path = tmp_path / "blank.csv"
+    for prefix, encoding in (("\n", "utf-8"), ("\n \n", "utf-8-sig")):
+        path.write_text(prefix + text, encoding=encoding)
+        assert load(str(path)) == want
+    # a bad row is named by its physical line
+    path.write_text("\n" + text + "x\n", encoding="utf-8-sig")
+    with pytest.raises(ValueError, match="blank.csv:5: "):
+        load(str(path))
+
+
+@pytest.mark.parametrize("load, text", CSV_INPUTS,
+                         ids=["memberships", "svc", "returns"])
+def test_csv_read_errors_name_path_and_line(tmp_path, load, text):
+    path = tmp_path / "bad.csv"
+    head, _, tail = text.encode().partition(b"\n")
+    path.write_bytes(head + b"\n\xff" + tail[1:])
+    with pytest.raises(ValueError, match="bad.csv:2: 'utf-8' codec can't "
+                                         "decode byte 0xff"):
+        load(str(path))
+    # past csv's field limit of 131072 characters
+    path.write_text(text + "x" * 200_000 + "\n")
+    with pytest.raises(ValueError, match="bad.csv:4: field larger than "
+                                         "field limit"):
+        load(str(path))

@@ -254,6 +254,22 @@ def test_load_edge_list_after_a_utf8_bom(tmp_path):
     p.write_text("0 1\n1 2\n2 0\n", encoding="utf-8-sig")
     g = load_edge_list(p)
     assert g.labels == ["0", "1", "2"] and list(g.degrees()) == [2, 2, 2]
+    # blank and comment lines after the mark still count as lines
+    p.write_text("\n# a triangle\n0 1\n0 1\n", encoding="utf-8-sig")
+    with pytest.raises(GraphError, match=r"tri.txt:4: duplicate edge"):
+        load_edge_list(p)
+
+
+def test_text_that_is_not_utf8_names_path_and_line(tmp_path):
+    p = tmp_path / "tri.txt"
+    p.write_bytes(b"0 1\r\n1 2\r\n2 \xe9\r\n")
+    with pytest.raises(ValueError, match="tri.txt:3: 'utf-8' codec can't "
+                                         "decode byte 0xe9 in position 2"):
+        load_edge_list(p)
+    g = tmp_path / "g.json"
+    g.write_bytes(b'{"n": 2,\n "labels": ["\xff", "b"],\n "edges": []}')
+    with pytest.raises(ValueError, match="g.json:2: 'utf-8' codec"):
+        load_json(g)
 
 
 def test_load_memberships_header_after_a_utf8_bom(tmp_path):
