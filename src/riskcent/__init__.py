@@ -28,8 +28,6 @@ from .graph import (  # noqa: F401
 )
 from .spectral import (  # noqa: F401
     EigensolverError,
-    SpectralDecomposition,
-    decompose,
     expm,
 )
 from .centrality import (  # noqa: F401

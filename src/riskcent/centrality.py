@@ -80,8 +80,9 @@ def sweep(g, zeta_grid=None):
     The default grid is 0.01, 0.02, ..., 1.00.  R is the power-series
     action ``expm(g, grid, 1)`` on every graph, a sum of nonnegative terms,
     so each entry is accurate relative to itself.  C is the diagonal
-    ``expm(g, grid)`` on the route ``expm`` chooses for it: the cached
-    eigendecomposition or the power moments.
+    ``expm(g, grid)``, one connected component at a time on the route
+    ``expm`` chooses for each, its own eigensystem or its power moments,
+    so an isolated node reads C = 1 and T = 0 exactly.
     """
     grid = _grid(zeta_grid)
     r = expm(g, grid, np.ones(g.n))

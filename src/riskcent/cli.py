@@ -333,6 +333,10 @@ def cmd_market(args):
 
 def cmd_corporate(args):
     budget = _Budget(args.budget)
+    for option, value in (("--zeta-lo", args.zeta_lo),
+                          ("--zeta-hi", args.zeta_hi)):
+        if not np.isfinite(value):
+            raise ValueError("%s %r: must be finite" % (option, value))
     if not 0.0 < args.zeta_lo < args.zeta_hi:
         raise ValueError("need 0 < zeta-lo < zeta-hi")
     memberships = load_memberships(args.memberships)

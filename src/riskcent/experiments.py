@@ -72,8 +72,9 @@ def write_config(config, path):
 
 
 def read_config(path):
-    """Parse ``key = value`` lines; '#' starts a comment, lists use commas."""
-    fields = {}
+    """Parse ``key = value`` lines; '#' starts a comment, lists use commas.
+    A key given twice is an error naming both of its lines."""
+    fields, lines = {}, {}
     for lineno, text in _text_rows(path):
         s = text.split("#", 1)[0].strip()
         if "=" not in s:
@@ -86,6 +87,10 @@ def read_config(path):
         if not integer and key not in ("densities", "zetas"):
             raise ValueError("%s:%d: unknown config key %r"
                              % (path, lineno, key))
+        if key in lines:
+            raise ValueError("%s:%d: config key %r given again, first on "
+                             "line %d" % (path, lineno, key, lines[key]))
+        lines[key] = lineno
         try:
             fields[key] = (int(value) if integer else
                            tuple(float(v) for v in value.split(",")))

@@ -68,13 +68,17 @@ def load_returns(path):
 
     Empty cells and the token ``NaN`` (any case) mark missing values.  Rows
     may arrive in any order; they are sorted by date.  Duplicate dates,
-    unparseable cells, and panels with fewer than 2 assets are errors.
+    unparseable cells, blank asset labels and panels with fewer than 2
+    assets are errors.
     """
     reader = _text_rows(path, cells=True)
-    _, header = next(reader, (0, None))
+    head_line, header = next(reader, (0, None))
     if header is None:
         raise ValueError("%s: empty file" % path)
     assets = [h.strip() for h in header[1:]]
+    if "" in assets:
+        raise ValueError("%s:%d: header column %d has no asset label"
+                         % (path, head_line, assets.index("") + 2))
     if len(assets) < 2:
         raise ValueError("%s: need at least 2 asset columns" % path)
     rows = []
@@ -438,12 +442,12 @@ def window_rank_reports(market_windows, zeta_grid=None, measure="R",
     the adjacency (large distance = heavy edge); ``'inverse'`` uses their
     reciprocals so tightly correlated assets couple strongly instead.
 
-    R of every tree comes from one ``spectral.expm`` action on the
-    disjoint union of the trees, which never decomposes: each tree is a
-    component of its own, with its own spectral bound and shift.  C is
-    computed per tree on the route ``expm`` chooses for the diagonal, and
-    only for ``measure`` C or T; T = R - C.  Each window's grid rows are
-    ranked on their own (``RankingSweep.from_values``).
+    R (the action) or C (the diagonal) of every tree, or both for T = R -
+    C, come from one ``spectral.expm`` call each on the disjoint union of
+    the trees: each tree is a component of its own, with its own spectral
+    bound and shift, and its C takes the route the tree alone would take.
+    Each window's grid rows are ranked on their own
+    (``RankingSweep.from_values``).
     """
     if weight_mode not in ("distance", "inverse"):
         raise ValueError("weight_mode must be 'distance' or 'inverse'")
@@ -462,16 +466,12 @@ def window_rank_reports(market_windows, zeta_grid=None, measure="R",
     union = Graph(offsets[-1], np.vstack(
         [t.edge_array() + [off, off, 0.0]
          for t, off in zip(trees, offsets)]))
-    r = expm(union, grid, np.ones(union.n))
-    reports = []
-    for tree, lo, hi in zip(trees, offsets[:-1], offsets[1:]):
-        values = r[:, lo:hi]
-        if measure != "R":
-            c = expm(tree, grid)
-            values = c if measure == "C" else values - c
-        reports.append(RankingSweep.from_values(grid, measure, values,
-                                                tree.labels))
-    return reports
+    values = expm(union, grid, None if measure == "C" else np.ones(union.n))
+    if measure == "T":
+        values -= expm(union, grid)
+    return [RankingSweep.from_values(grid, measure, values[:, lo:hi],
+                                     tree.labels)
+            for tree, lo, hi in zip(trees, offsets[:-1], offsets[1:])]
 
 
 # -- delta rank ------------------------------------------------------------

@@ -2,52 +2,54 @@
 
 Everything downstream reduces to evaluating the action ``exp(z*A) @ v`` and
 the diagonal ``diag(exp(z*A))`` for a symmetric adjacency A and z >= 0.
-``expm`` evaluates either, for a scalar z or a grid of them.  Two routes
-exist:
+``expm`` evaluates either, for a scalar z or a grid of them, one connected
+component at a time, as exp(zA) is block diagonal over them
+(``_by_component``).  The nodes of each component form one run and the
+isolated nodes one last run; one ``_spectral_bound`` pass gives every run
+a Collatz-Wielandt bound b_c of its spectral radius; a kernel returns each
+run's rows scaled by its own shift, and one unscale serves every run.
 
-* the dense route reads the graph's one eigendecomposition (``decompose``,
-  computed once by ``_eigensystem`` and cached on the ``Graph``) through
-  ``_exp_rows``.  ``expm`` takes it for the diagonal only; ``experiments``
-  calls the same two for both on its dense, connected ER draws;
-* the power-series route never decomposes.  It scales A by a
-  Collatz-Wielandt bound b of its spectral radius (``_spectral_bound``)
-  and sums ``exp(zA) = exp(zb) sum_k w_k(zb) (A/b)^k`` with the Poisson
-  weights ``w_k(s) = exp(-s) s^k / k!`` to the degree at which the
-  neglected weight is at rounding level (``_tail_ok``).  One run of
-  powers serves every z of the grid.
+* The action (``_power_action``) sums ``exp(zA) = exp(z b_c) sum_k
+  w_k(z b_c) (A/b_c)^k`` with the Poisson weights ``w_k(s) = exp(-s) s^k /
+  k!`` to the degree at which the neglected weight is at rounding level
+  (``_tail_ok``).  Each component's rows of A are scaled by its own bound,
+  so one run of powers serves every component and every z of the grid, in
+  blocks of ``_MOMENT_BLOCK`` rows (``_power_sum``).  A sum runs to ``zb
+  = _REACH`` at most, b the largest bound, which keeps its Poisson weights
+  accurate; a grid point past that restarts the sum from the last
+  computed row, or from a step of ``_REACH / b`` where no grid point lies
+  within it.
+* The diagonal (``_diag_runs``) takes for each run the route predicted
+  cheaper from the run's size, its number of edges and ``z b_c`` at the
+  top of the grid, a tie going to the dense one.  A dense run reads its
+  own eigensystem (``_eigensystem``) through ``_exp_rows``.  A moments run
+  sums the moments ``(A/b_c)^k_ii`` from powers of blocks of unit vectors
+  (``_power_moments``, two moments per sparse product), each grid row to
+  the degree it needs (``_series_degree``, which the interlacement tables
+  share), at any z (``_moment_rows``).  The moments are the only route
+  for a run above ``DENSE_LIMIT_DEFAULT`` nodes.  A run is unshifted
+  while its scale, ``z lam_1`` or ``z b_c``, is within exp's range, and
+  shifted by it past that or when scaled.
 
-The action always takes the power-series route (``_series_action``): one
-run of powers over every connected component, each component's rows of A
-scaled by its own bound b_c (one ``_spectral_bound`` pass for all, the
-isolated nodes one run of bound 0), summed with the weights of ``z b_c``,
-the powers in blocks of ``_MOMENT_BLOCK`` rows (``_power_sum``), and
-unscaled by its own ``exp(z b_c)``.  A sum of the action runs to ``zb =
-_REACH`` at most, b the largest bound, which keeps its Poisson weights
-accurate; a grid point past that restarts the sum from the last computed
-row, or from a step of ``_REACH / b`` where no grid point lies within it
-(``_power_action``).  The diagonal takes the route ``_moment_route``
-predicts cheaper from the graph's size, its number of edges and the top of
-the grid, a tie going to the dense one.  On the power-series route
-(``_moment_diag``) it sums the moments ``(A/b)^k_ii`` from powers of blocks
-of unit vectors (``_power_moments``, two moments per sparse product), each
-grid row to the degree it needs (``_series_degree``, which the
-interlacement tables share), at any z; it is the only route above
-``DENSE_LIMIT_DEFAULT`` nodes, where ``decompose`` refuses.  Each sum is
-one fixed-order ``_series_sum``, so equal inputs give equal entries.
+Each power-series sum is one fixed-order ``_series_sum``, so equal inputs
+give equal entries.  With ``A >= 0`` every power, moment and weight is >=
+0, so each entry of the moments diagonal and of the action on a v >= 0
+keeps its relative accuracy, and z = 0 gives v exactly.  The dense rows
+are written with ``expm1`` so that the small-z signal ``exp(z*A) - I`` is
+not lost to cancellation, and z = 0 gives 1 exactly: with orthonormal
+eigenvectors, ``diag(exp(zA)) = 1 + (U*U) expm1(z*lam)`` holds exactly.
+They carry rounding of order ``eps exp(z lam_1)`` of their own run into
+every entry of the run, though, so an entry far below that, as at the
+far end of a path off a clique, is lost; an isolated node or a small
+component is a run of its own and keeps its entries.  Unscaled, each
+component is multiplied by its own ``exp(shift)``, in log space past
+exp's range, so an isolated node's entries are exact and only entries
+whose value passes float range become +-inf.  The scaled form returns
+``(value * exp(-log_scale), log_scale)``, ``log_scale`` being the largest
+component shift of each grid row, so rankings stay finite at any z.
 
-With ``A >= 0`` every power and weight is >= 0, so each entry of the
-diagonal and of the action on a v >= 0 keeps its relative accuracy, an
-isolated node's diagonal entry and R are 1 exactly and z = 0 gives v
-exactly.
-The dense formulas are written with ``expm1`` so that the small-z signal
-``exp(z*A) - I`` is not lost to cancellation: with orthonormal
-eigenvectors, ``exp(zA)v = v + U diag(expm1(z*lam)) U^T v`` holds
-exactly.  They carry rounding of order ``eps exp(z lam_1)`` into every
-entry, though, so an entry far below that, as at an isolated node, is
-lost.  The scaled form returns ``(value * exp(-log_scale),
-log_scale)``, with ``log_scale`` = z lam_1 on the dense route and z b on
-the power-series route, so rankings stay finite when ``z * lam_1`` would
-overflow ``exp``.
+``decompose`` is the cached eigensystem of a whole graph, for reading its
+spectrum; ``expm`` does not use it.
 """
 
 from __future__ import annotations
@@ -65,10 +67,10 @@ _EPS = float(np.finfo(float).eps)
 # s = 1e4.  On the graphs of the action's past-overflow test (s up to
 # 1e4) the action erred by 3.1-6.9e-12 with restarts, 1.1-1.6e-11 without
 _REACH = 255.0
-_BOUND_STEPS = 20  # power steps behind the moments route's spectral bound
+_BOUND_STEPS = 20  # power steps behind each run's spectral bound
 _MOMENT_BLOCK = 64  # nodes per moments block; powers per GEMM of the action
 # predicted cost of the moments route per m (nnz + n) n, in units of the
-# dense route's cost per n^3 (see _moment_route).  Measured ratios (default
+# dense route's cost per n^3 (see _diag_runs).  Measured ratios (default
 # grid, one BLAS thread) run from 0.2 on ER(100, 0.5) through 1.2-1.3 on
 # sparse ER graphs of 1000-2000 nodes to 2.3 on a 2000-node weighted tree;
 # 2.5 leans toward the dense route wherever the two are close
@@ -117,10 +119,8 @@ def _eigensystem(a):
 def decompose(g):
     """Dense eigendecomposition of the adjacency of ``g`` (``_eigensystem``).
 
-    Computed on the first call and cached on the graph, read-only, so every
-    dense diagonal of one graph (``expm`` on the dense route) reads the
-    same ``U exp(zeta Lam) U^T``.  Refuses graphs above
-    ``DENSE_LIMIT_DEFAULT`` nodes, which ``expm`` evaluates without it.
+    Computed on the first call and cached on the graph, read-only.  Refuses
+    graphs above ``DENSE_LIMIT_DEFAULT`` nodes.
     """
     if g._dec is not None:
         return g._dec
@@ -130,13 +130,6 @@ def decompose(g):
             "eigendecomposition" % (g.n, DENSE_LIMIT_DEFAULT))
     g._dec = _eigensystem(g.adjacency())
     return g._dec
-
-
-def _check_vector(v, n):
-    v = np.asarray(v, dtype=float)
-    if v.shape != (n,):
-        raise ValueError("vector has shape %r, expected (%d,)" % (v.shape, n))
-    return v
 
 
 # -- dense route -----------------------------------------------------------
@@ -270,11 +263,10 @@ def _power_sum(ah, s, x, spans=(slice(None),), out=None):
     return rows
 
 
-def _power_action(a, z, v, starts=(0,)):
+def _power_action(a, z, v, starts, b):
     """Scaled rows ``exp(-z[k] b_c) exp(z[k] A) v`` for an ascending grid z
     on the CSR adjacency ``a`` of components whose nodes are the runs from
-    ``starts``, and their shifts ``z b_c``, b_c being component c's
-    spectral bound (one ``_spectral_bound`` pass for every run).
+    ``starts``, of spectral bounds ``b``, and their shifts ``z b_c``.
 
     The rows of each component are scaled by its own bound, so one run of
     powers serves all.  A run of isolated nodes has bound 0, and its
@@ -286,7 +278,6 @@ def _power_action(a, z, v, starts=(0,)):
     scaled by its own shifts, so the rows stay finite however far z runs.
     Returns the rows and the ``(components, grid)`` shifts.
     """
-    b = _spectral_bound(a, starts)
     sizes = np.diff(np.append(starts, v.size))
     spans = [slice(lo, lo + size) for lo, size in zip(starts, sizes)]
     top = b.max()
@@ -308,40 +299,6 @@ def _power_action(a, z, v, starts=(0,)):
         k += done
         x, base = rows[k - 1], z[k - 1]
     return rows, np.multiply.outer(b, z)
-
-
-def _series_action(a, labels, z, v, scaled):
-    """Rows ``exp(z[k]*A) @ v`` for a 1-D grid z, every component in one
-    power series.
-
-    exp(zA) is block diagonal over the connected components (``labels``),
-    so one ``_power_action`` runs every component with its own spectral
-    bound and shift, on the CSR adjacency ``a`` with the nodes of each
-    component in one run and the isolated nodes in one last run (``a``
-    itself where they already are).  Scaled rows share the largest
-    component shift.  Unscaled, each component's rows are ``exp(z b_c)``
-    times its own scaled ones, so an isolated node (b_c = 0) keeps v
-    exactly; an entry whose shift passes exp's range is unscaled in log
-    space, so only entries whose value passes float range become +-inf.
-    """
-    order = np.argsort(z, kind="stable")
-    single = np.bincount(labels)[labels] == 1
-    key = np.where(single, labels.max() + 1, labels)
-    nodes = np.argsort(key, kind="stable")
-    first = np.diff(key[nodes], prepend=-1) != 0  # a run starts here
-    starts, run = np.flatnonzero(first), np.cumsum(first) - 1
-    sub = a if (nodes == np.arange(v.size)).all() else a[nodes][:, nodes]
-    y, s = _power_action(sub, z[order], v[nodes], starts)
-    shift = s.max(axis=0)
-    e = s - shift if scaled else s  # each component's own factor exp(e)
-    big = (e > _EXP_MAX).T[:, run]  # past exp's range: in log space
-    with np.errstate(over="ignore", divide="ignore"):
-        rows = y * np.exp(np.minimum(e, _EXP_MAX)).T[:, run]
-        rows[big] = np.sign(y[big]) * np.exp(
-            np.log(np.abs(y[big])) + e.T[:, run][big])
-    back = np.argsort(order)  # to the order of the grid and of the nodes
-    rows, shift = rows[np.ix_(back, np.argsort(nodes))], shift[back]
-    return (rows, shift) if scaled else rows
 
 
 def _power_moments(ah, nodes, degree):
@@ -377,82 +334,118 @@ def _moment_table(ah, nodes, degree):
     return mu
 
 
-def _moment_diag(a, z, scaled, b=None):
-    """Rows ``diag(exp(z[k]*A))`` for a 1-D grid z from power moments.
+def _moment_rows(ah, s, shift):
+    """Rows ``exp(-shift[k]) diag(exp(s[k] ah))`` from power moments,
+    ``ah`` being the CSR adjacency of one component scaled by its spectral
+    bound.
 
-    With the spectral bound b (``_spectral_bound`` unless given) and ``s =
-    z b``, ``diag(exp(zA)) = sum_k s^k / k! mu_k`` over the moments of A/b
+    ``diag(exp(s ah)) = sum_k s^k / k! mu_k`` over the moments of ah
     (``_power_moments``).  Every term is >= 0, so each entry is accurate
-    relative to itself, isolated nodes (1 exactly) and nodes of a small
-    component or of a small Perron weight included, where a Chebyshev sum
-    would cancel to rounding level of ``exp(s)``.  One pass of
-    ``_power_moments`` per ``_MOMENT_BLOCK`` nodes serves every grid
+    relative to itself, nodes of a small Perron weight included, where a
+    Chebyshev sum would cancel to rounding level of ``exp(s)``.  One pass
+    of ``_power_moments`` per ``_MOMENT_BLOCK`` nodes serves every grid
     point in one ``_series_sum``, each row to its own degree
-    (``_series_degree``) at any z, so a grid row equals the single-z call.
+    (``_series_degree``) at any s, so a grid row equals the single-s call.
     Each block's moments go into the rows before the next block is taken,
     so beside the rows and the weights one block's moments and two (n,
-    block) powers are live, whatever the degree.  Scaled rows are ``(rows,
-    s)``, with the Poisson weights ``exp(-s) s^k / k!``.
+    block) powers are live, whatever the degree.
     """
-    if b is None:
-        b = _spectral_bound(a)
-    s = z * b
     degrees = _series_degree(s)
-    top = int(degrees.max())
-    n = a.shape[0]
-    ah = a / b if b > 0.0 else a
-    # s^k / k! times exp(-shift): shift s when scaled, else only as much as
-    # keeps exp(s) finite, so that the weight at k = 0 is 1 exactly
-    shift = s if scaled else np.maximum(s - _EXP_MAX, 0.0)
+    top = int(degrees.max(initial=0))
     coef = _poisson_weights(s, top, shift)
     coef[np.arange(top + 1) > degrees[:, None]] = 0.0  # past a row's degree
-    rows = np.empty((z.size, n))
+    n = ah.shape[0]
+    rows = np.empty((s.size, n))
     for start in range(0, n, _MOMENT_BLOCK):
         stop = min(start + _MOMENT_BLOCK, n)
-        mu = _power_moments(ah, np.arange(start, stop), top)
-        rows[:, start:stop] = _series_sum(coef, mu)
-        del mu  # freed before the next block's moments are taken
-    if scaled:
-        return rows, s
-    big = shift > 0.0
-    with np.errstate(over="ignore"):
-        rows[big] = np.exp(np.log(rows[big]) + shift[big, None])
+        rows[:, start:stop] = _series_sum(
+            coef, _power_moments(ah, np.arange(start, stop), top))
     return rows
 
 
-def _moment_route(g, z):
-    """The spectral bound of the moments route for the diagonal of
-    ``exp(zA)`` on the grid z, or None where it takes the dense route.
+def _diag_runs(a, z, starts, b, scaled):
+    """Rows ``diag(exp(z[k]*A))`` on the CSR adjacency ``a`` of components
+    whose nodes are the runs from ``starts``, of spectral bounds ``b``,
+    each run scaled by its own shift, and the ``(runs, grid)`` shifts.
 
-    Above ``DENSE_LIMIT_DEFAULT`` nodes the moments route is the only one.
-    Otherwise the predicted costs decide, a tie going to the dense route:
-    ``n^3`` for ``decompose`` against ``_MOMENTS_PER_DENSE * m (nnz + n)
-    n`` for the moments, m being the Taylor degree the top of the grid
-    needs.  So the moments win when the largest degree they can afford
-    resolves the top of the grid, checked first with the mean strength, a
-    lower bound of lambda_1 and so of b, and only then with the bound.
+    Each run takes the route with the lower predicted cost, a tie going to
+    the dense one: ``size^3`` for its eigensystem against
+    ``_MOMENTS_PER_DENSE * m (nnz + size) size`` for its moments, m being
+    the Taylor degree that ``z b_c`` at the top of the grid needs.  So the
+    moments win when the largest degree they can afford passes
+    ``_tail_ok`` there; they are the only route above
+    ``DENSE_LIMIT_DEFAULT`` nodes.  A run's scale s is ``z b_c`` on the
+    moments route (``_moment_rows``) and ``z lam_1`` of its own
+    eigensystem on the dense one (``_exp_rows``).  Its shift is 0 while s
+    is within exp's range, so z = 0 gives 1 exactly, and s past it or
+    with ``scaled``.
     """
-    n = g.n
-    a = g.sparse_adjacency()
+    n = a.shape[0]
     top = float(np.max(z, initial=0.0))
-    if n > DENSE_LIMIT_DEFAULT:
-        return _spectral_bound(a)
-    afford = int(np.ceil(n**2 / (_MOMENTS_PER_DENSE * (a.nnz + n)))) - 1
-    if not _tail_ok(top * a.data.sum() / n, afford):
-        return None
-    b = _spectral_bound(a)
-    return b if _tail_ok(top * b, afford) else None
+    rows = np.empty((z.size, n))
+    shifts = np.empty((len(starts), z.size))
+    for c, (lo, hi) in enumerate(zip(starts, np.append(starts[1:], n))):
+        size, span = hi - lo, slice(a.indptr[lo], a.indptr[hi])
+        afford = int(np.ceil(size**2 / (_MOMENTS_PER_DENSE * (
+            span.stop - span.start + size)))) - 1
+        dense = size <= DENSE_LIMIT_DEFAULT and not _tail_ok(top * b[c],
+                                                             afford)
+        if dense:  # the run's dense block: its rows hold no other column
+            block = np.zeros((size, size))
+            block[np.repeat(np.arange(size), np.diff(a.indptr[lo:hi + 1])),
+                  a.indices[span] - lo] = a.data[span]
+            dec = _eigensystem(block)
+        s = z * (dec.eigenvalues[0] if dense else b[c])
+        far = scaled | (s > _EXP_MAX)  # shifted by s, else unshifted
+        shifts[c] = np.where(far, s, 0.0)
+        if dense:
+            rows[~far, lo:hi] = _exp_rows(dec, z[~far])
+            rows[far, lo:hi] = _exp_rows(dec, z[far], scaled=True)[0]
+        else:
+            block = a[lo:hi, lo:hi]
+            rows[:, lo:hi] = _moment_rows(block / b[c] if b[c] > 0.0
+                                          else block, s, shifts[c])
+    return rows, shifts
 
 
-# -- the routed evaluator ----------------------------------------------------
+def _by_component(a, labels, z, v, scaled):
+    """Rows ``exp(z[k]*A) @ v`` for a 1-D grid z, or ``diag(exp(z[k]*A))``
+    if v is None, one connected component at a time.
+
+    exp(zA) is block diagonal over the connected components (``labels``).
+    On the CSR adjacency ``a`` with the nodes of each component in one run
+    and the isolated nodes in one last run (``a`` itself where they
+    already are), one ``_spectral_bound`` pass gives each run its bound
+    b_c, and the kernel, ``_power_action`` or ``_diag_runs``, returns each
+    run's rows scaled by its own shifts.  Scaled rows share the largest
+    component shift.  Unscaled, each component's rows are ``exp(shift)``
+    times its own scaled ones, so an isolated node keeps v, or 1, exactly;
+    an entry whose shift passes exp's range is unscaled in log space, so
+    only entries whose value passes float range become +-inf.
+    """
+    order = np.argsort(z, kind="stable")
+    single = np.bincount(labels)[labels] == 1
+    key = np.where(single, labels.max() + 1, labels)
+    nodes = np.argsort(key, kind="stable")
+    first = np.diff(key[nodes], prepend=-1) != 0  # a run starts here
+    starts, run = np.flatnonzero(first), np.cumsum(first) - 1
+    sub = a if (nodes == np.arange(nodes.size)).all() else a[nodes][:, nodes]
+    b = _spectral_bound(sub, starts)
+    y, s = (_diag_runs(sub, z[order], starts, b, scaled) if v is None else
+            _power_action(sub, z[order], v[nodes], starts, b))
+    shift = s.max(axis=0)
+    e = s - shift if scaled else s  # each component's own factor exp(e)
+    big = (e > _EXP_MAX).T[:, run]  # past exp's range: in log space
+    with np.errstate(over="ignore", divide="ignore"):
+        rows = y * np.exp(np.minimum(e, _EXP_MAX)).T[:, run]
+        rows[big] = np.sign(y[big]) * np.exp(
+            np.log(np.abs(y[big])) + e.T[:, run][big])
+    back = np.argsort(order)  # to the order of the grid and of the nodes
+    rows, shift = rows[np.ix_(back, np.argsort(nodes))], shift[back]
+    return (rows, shift) if scaled else rows
 
 
-def _check_zetas(zetas):
-    z = np.asarray(zetas, dtype=float)
-    if z.ndim > 1 or (z < 0).any() or not np.isfinite(z).all():
-        raise ValueError("zeta must be a finite nonnegative scalar or 1-D "
-                         "grid, got %r" % (zetas,))
-    return z
+# -- the evaluator -----------------------------------------------------------
 
 
 def expm(g, zetas, v=None, scaled=False):
@@ -461,36 +454,26 @@ def expm(g, zetas, v=None, scaled=False):
 
     One row per value of a 1-D grid ``zetas`` or one 1-D result for a
     scalar, and with ``scaled=True`` the pair ``(rows, s)`` with the
-    unscaled rows equal to ``exp(s)`` times ``rows``.  The action sums the Poisson-weighted powers of the sparse
-    adjacency per connected component for the whole grid at every graph
-    size (``_series_action``), so it never decomposes; past exp's range
-    only the entries whose value passes float range are +-inf.  The
-    diagonal takes the route ``_moment_route`` predicts cheaper for the
-    graph and the top of the grid: ``_exp_rows`` on the cached
-    eigendecomposition, or power moments of the sparse adjacency
-    (``_moment_diag``), which never decompose and are the only route above
-    ``DENSE_LIMIT_DEFAULT`` nodes.
+    unscaled rows equal to ``exp(s)`` times ``rows``.  Both run one
+    connected component at a time on the cached CSR adjacency
+    (``_by_component``): the action as one power series over every
+    component, the diagonal on the route each component's size, edges and
+    bound predict cheaper, its own eigensystem or its power moments.
+    Neither decomposes the whole graph, so both run above
+    ``DENSE_LIMIT_DEFAULT`` nodes.  Past exp's range only the entries
+    whose value passes float range are +-inf.
     """
-    z = _check_zetas(zetas)
+    z = np.asarray(zetas, dtype=float)
+    if z.ndim > 1 or (z < 0).any() or not np.isfinite(z).all():
+        raise ValueError("zeta must be a finite nonnegative scalar or 1-D "
+                         "grid, got %r" % (zetas,))
     if v is not None:
-        return _expm_series(g, z, _check_vector(v, g.n), scaled)
-    b = _moment_route(g, z)
-    if b is None:
-        return _exp_rows(decompose(g), z, None, scaled)
-    return _expm_series(g, z, None, scaled, bound=b)
-
-
-def _expm_series(g, z, v, scaled, bound=None):
-    """``expm`` on the cached CSR adjacency, never decomposing, from the
-    power series ``exp(zA) = exp(zb) sum_k w_k(zb) (A/b)^k``: the action
-    per component to rounding level of its 2-norm (``_series_action``),
-    the diagonal to rounding level of each entry (``_moment_diag``).
-    ``bound`` is the diagonal's spectral bound b where the caller has it.
-    """
-    a = g.sparse_adjacency()
-    grid = np.atleast_1d(z)
-    out = (_moment_diag(a, grid, scaled, bound) if v is None else
-           _series_action(a, g.component_labels(), grid, v, scaled))
-    if np.ndim(z) == 0:
+        v = np.asarray(v, dtype=float)
+        if v.shape != (g.n,):
+            raise ValueError("vector has shape %r, expected (%d,)"
+                             % (v.shape, g.n))
+    out = _by_component(g.sparse_adjacency(), g.component_labels(),
+                        np.atleast_1d(z), v, scaled)
+    if z.ndim == 0:
         out = (out[0][0], out[1][0]) if scaled else out[0]
     return out

@@ -143,15 +143,27 @@ def weighted_tree(n, seed):
                      in enumerate(zip(parents, weights), start=1)])
 
 
-def test_sweep_routes_by_predicted_cost(monkeypatch, sparse_er):
-    # a 2000-node sparse graph never decomposes: R by the Krylov action, C
-    # by the power moments
-    def refuse(g):
-        raise AssertionError("decomposed a graph of %d nodes" % g.n)
+def eigensystem_sizes(monkeypatch):
+    """The sizes of the blocks ``spectral._eigensystem`` decomposes from
+    now on, in the order of the calls."""
+    sizes = []
+    eigensystem = riskcent.spectral._eigensystem
 
+    def counted(a):
+        sizes.append(a.shape[0])
+        return eigensystem(a)
+
+    monkeypatch.setattr(riskcent.spectral, "_eigensystem", counted)
+    return sizes
+
+
+def test_sweep_routes_by_predicted_cost(monkeypatch, sparse_er):
+    # a 2000-node sparse graph takes no eigensystem: R by the power-series
+    # action, C by the power moments of each component
     big = sparse_er(2000, 8.0, seed=3)
-    monkeypatch.setattr(riskcent.spectral, "decompose", refuse)
+    calls = eigensystem_sizes(monkeypatch)
     prof = sweep(big)
+    assert calls == []
     monkeypatch.undo()
     dec = decompose(big)
     for got, want in ((prof.R, _exp_rows(dec, prof.zeta_grid, np.ones(2000))),
@@ -159,16 +171,10 @@ def test_sweep_routes_by_predicted_cost(monkeypatch, sparse_er):
         err = np.abs(got - want).max(axis=1) / np.abs(want).max(axis=1)
         assert err.max() <= 1e-10
     assert np.array_equal(prof.T, prof.R - prof.C)
-    # small or dense graphs decompose for C, which keeps the dense rows bit
-    # for bit; R is the action on every graph, within 1e-12 of each dense
-    # entry here
-    calls = []
-
-    def counted(g):
-        calls.append(g.n)
-        return decompose(g)
-
-    monkeypatch.setattr(riskcent.spectral, "decompose", counted)
+    # small or dense graphs take the eigensystem of their one component for
+    # C, which keeps the dense rows bit for bit; R is the action on every
+    # graph, within 1e-12 of each dense entry here
+    calls = eigensystem_sizes(monkeypatch)
     for g in (generate_complete(30), weighted_tree(100, 0),
               generate_er(100, 0.5, seed=2)):
         calls.clear()
@@ -181,19 +187,21 @@ def test_sweep_routes_by_predicted_cost(monkeypatch, sparse_er):
         assert np.abs(prof.R / dense - 1.0).max() <= 1e-12
 
 
-def test_sweep_r_accurate_entry_by_entry_on_the_dense_route():
+def test_sweep_r_accurate_entry_by_entry_on_the_dense_route(monkeypatch):
     # a 60-clique, a 10-node path off node 0 and an isolated node: the
-    # diagonal takes the dense route, whose eigenvector sum loses every R
-    # entry far below exp(zeta lambda_1), down to -1e241 here.  R is the
-    # action, a sum of nonnegative terms, so every entry is >= 1 and
-    # accurate relative to itself; the isolated node keeps v = 1, exactly
-    # in the scaled form and to the unscaling's one rounding in R
+    # diagonal takes the dense route on the 70-node component, whose
+    # eigenvector sum loses every R entry far below exp(zeta lambda_1),
+    # down to -1e241 here.  R is the action, a sum of nonnegative terms,
+    # so every entry is >= 1 and accurate relative to itself; the isolated
+    # node keeps v = 1, exactly in the scaled form and to the unscaling's
+    # one rounding in R
     clique = [[i, j] for i in range(60) for j in range(i + 1, 60)]
     tail = [[0, 60]] + [[i, i + 1] for i in range(60, 69)]
     g = Graph(71, clique + tail)
     grid = np.linspace(0.05, 10, 20)
-    assert riskcent.spectral._moment_route(g, grid) is None
+    calls = eigensystem_sizes(monkeypatch)
     prof = sweep(g, grid)
+    assert calls == [70]
     eps = np.finfo(float).eps
     assert (prof.R[:, :70] >= 1.0).all()
     assert np.abs(prof.R[:, 70] - 1.0).max() <= eps

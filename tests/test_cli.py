@@ -161,14 +161,14 @@ def test_manifest_contents(tmp_path):
 def test_centrality_past_float_range_exits_2_before_manifest(tmp_path,
                                                             capsys):
     # K30 has R = exp(29 zeta): past zeta ~ 24 the values leave float
-    # range, and the ranking refuses them before any file is written
+    # range, and the ranking refuses them before any file is written.  R
+    # and C unscale to +inf without a warning; T = inf - inf warns
     graph = tmp_path / "k30.json"
     save_json(generate_complete(30), str(graph))
     out = tmp_path / "out"
-    with pytest.warns(RuntimeWarning) as record:
+    with pytest.warns(RuntimeWarning):
         rc = main(["centrality", str(graph), "--zeta-grid", "1:100:5",
                    "--out", str(out)])
-    assert any("overflow" in str(w.message) for w in record)
     assert rc == 2
     assert capsys.readouterr().err == (
         "error: values must be finite to rank\n")
@@ -975,18 +975,30 @@ def test_market_batches_equal_the_one_window_runs(tmp_path, monkeypatch):
 
 
 def test_market_r_never_decomposes(tmp_path, monkeypatch):
-    # R of every tree comes from the power-series action; only C takes
-    # the diagonal's dense route
+    # R of every tree comes from the power-series action, which takes no
+    # eigensystem.  C comes from one diagonal of the union of the trees,
+    # which takes the eigensystem of each tree on its own and never
+    # decomposes the union
     def refuse(g):
         raise AssertionError("decompose called")
 
+    sizes = []
+    eigensystem = riskcent.spectral._eigensystem
+
+    def counted(a):
+        sizes.append(a.shape[0])
+        return eigensystem(a)
+
     monkeypatch.setattr(riskcent.spectral, "decompose", refuse)
+    monkeypatch.setattr(riskcent.spectral, "_eigensystem", counted)
     returns = write_returns(tmp_path / "returns.csv", months=8, assets=6)
     assert main(["market", returns, "--out", str(tmp_path / "r"),
                  "--zeta-grid", "0.1:1.0:10"]) == 0
-    with pytest.raises(AssertionError, match="decompose called"):
-        main(["market", returns, "--out", str(tmp_path / "c"),
-              "--measure", "C", "--zeta-grid", "0.1:1.0:10"])
+    assert sizes == []
+    assert main(["market", returns, "--out", str(tmp_path / "c"),
+                 "--measure", "C", "--zeta-grid", "0.1:1.0:10"]) == 0
+    _, summary = read_csv(str(tmp_path / "c" / "summary.csv"))
+    assert sizes == [int(row[1]) for row in summary] and len(sizes) > 1
 
 
 def test_market_missing_returns_exits_2(tmp_path, capsys):
@@ -1062,3 +1074,20 @@ def test_corporate_bad_zeta_interval_exits_2(tmp_path, capsys):
                "--zeta-lo", "1.0", "--zeta-hi", "0.5"])
     assert rc == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("option,value", [("--zeta-hi", "inf"),
+                                          ("--zeta-lo", "nan"),
+                                          ("--zeta-lo", "-inf")])
+def test_corporate_non_finite_zeta_names_the_option(tmp_path, capsys,
+                                                    option, value):
+    # --zeta-hi inf used to pass the interval check and fail in the grid
+    # check, whose message names no option
+    memb, svc = write_corporate(tmp_path)
+    out = tmp_path / "out"
+    rc = main(["corporate", memb, svc, "--out", str(out),
+               "%s=%s" % (option, value)])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: %s %r: must be finite\n" % (
+        option, float(value))
+    assert not out.exists()

@@ -105,6 +105,16 @@ def test_config_file_errors(tmp_path):
         read_config(str(bad))
 
 
+def test_config_key_given_twice_names_both_lines(tmp_path):
+    # the second value used to replace the first without a word
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("n = 10\ndensities = 0.4\nn = 20\nzetas = 1.0\n")
+    with pytest.raises(ValueError) as err:
+        read_config(str(bad))
+    assert str(err.value) == ("%s:3: config key 'n' given again, first on "
+                              "line 1" % bad)
+
+
 # -- seed derivation -----------------------------------------------------
 
 
@@ -300,7 +310,7 @@ def test_replications_build_no_graph(small_config, monkeypatch):
     want = spearman_table(small_config, ratios=RATIOS)
     for module, name in ((riskcent.graph.Graph, "__init__"),
                          (riskcent.graph, "connected_components"),
-                         (riskcent.spectral, "_moment_route"),
+                         (riskcent.spectral, "_diag_runs"),
                          (riskcent.spectral, "decompose"),
                          (riskcent.centrality, "sweep")):
         monkeypatch.setattr(module, name, refuse)

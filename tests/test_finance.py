@@ -144,6 +144,18 @@ def test_load_returns_reports_physical_line_numbers(tmp_path):
         load_returns(str(path))
 
 
+@pytest.mark.parametrize("header,column", [("date,,B", 2),
+                                           ("date,A, ,C", 3)])
+def test_load_returns_blank_asset_label(tmp_path, header, column):
+    # an empty or blank header cell used to load as the asset ''
+    path = tmp_path / "r.csv"
+    path.write_text("\n%s\n2001-01-01,1,2,3\n" % header)
+    with pytest.raises(ValueError) as err:
+        load_returns(str(path))
+    assert str(err.value) == ("%s:2: header column %d has no asset label"
+                              % (path, column))
+
+
 def test_returns_round_trip(tmp_path):
     rng = np.random.default_rng(0)
     data = rng.normal(size=(9, 4))

@@ -8,15 +8,14 @@ import scipy.special
 
 import riskcent.spectral
 from riskcent.centrality import sweep
-from riskcent.epidemics import SIParams, si_lee, si_linearized
+from riskcent.epidemics import SIParams, si_lee
 from riskcent.graph import Graph, generate_complete, generate_er, generate_star
-from riskcent.interlacement import _basis, detect_pairs
+from riskcent.interlacement import _basis
 from riskcent.spectral import (
     DENSE_LIMIT_DEFAULT,
     _MOMENT_BLOCK,
     _exp_rows,
-    _expm_series,
-    _moment_diag,
+    _moment_rows,
     _REACH,
     _power_action,
     _power_moments,
@@ -28,6 +27,18 @@ from riskcent.spectral import (
     decompose,
     expm,
 )
+
+
+def diag_on(route, g, zetas, scaled=False):
+    """``expm``'s diagonal with every run sent to one route through the
+    constants of the cost rule: a dense limit of 0 leaves only the
+    moments, an infinite moments cost only the eigensystems."""
+    with pytest.MonkeyPatch.context() as mp:
+        if route == "moments":
+            mp.setattr(riskcent.spectral, "DENSE_LIMIT_DEFAULT", 0)
+        else:
+            mp.setattr(riskcent.spectral, "_MOMENTS_PER_DENSE", np.inf)
+        return expm(g, zetas, scaled=scaled)
 
 
 def taylor_expm_action(a, zeta, v, order=80):
@@ -84,16 +95,9 @@ def test_decomposition_cached_on_graph(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", counting)
     g = generate_er(30, 0.2, seed=0, require_connected=True)
-    params = SIParams(0.1, 0.1, np.linspace(0.0, 2.0, 5))
-    sweep(g)
-    detect_pairs(g, [(0, 1), (2, 3)])
-    si_lee(g, params)
-    si_linearized(g, params)
-    expm(g, 0.5, np.ones(g.n))
-    expm(g, [0.1, 0.5])
-    assert calls == [(30, 30)]
     dec = decompose(g)
     assert decompose(g) is dec
+    assert calls == [(30, 30)]
     with pytest.raises(ValueError):
         dec.eigenvalues[0] = 0.0
     with pytest.raises(ValueError):
@@ -238,21 +242,21 @@ def test_krylov_matches_dense():
         g = generate_er(120, 0.05, seed=seed)
         rng = np.random.default_rng(seed + 10)
         v = rng.normal(size=120)
-        dense = expm(g, zeta, v)
-        kry = _expm_series(g, zeta, v, False)
+        dense = _exp_rows(decompose(g), zeta, v)
+        kry = expm(g, zeta, v)
         assert np.abs(kry - dense).max() < 1e-8 * np.abs(dense).max()
 
 
 def test_krylov_diagonal_matches_dense():
     g = generate_er(60, 0.1, seed=4)
-    dense = expm(g, 1.0)
-    kry = _expm_series(g, 1.0, None, False)
+    dense = diag_on("dense", g, 1.0)
+    kry = diag_on("moments", g, 1.0)
     assert np.abs(kry - dense).max() < 1e-8 * dense.max()
 
 
 def test_krylov_zero_vector():
     g = generate_er(30, 0.2, seed=5)
-    y = _expm_series(g, 1.0, np.zeros(30), False)
+    y = expm(g, 1.0, np.zeros(30))
     assert np.array_equal(y, np.zeros(30))
 
 
@@ -262,7 +266,7 @@ def test_krylov_diagonal_at_large_zeta_matches_dense():
     g = generate_er(200, 0.05, seed=7)
     assert _series_degree(30.0 * _spectral_bound(g.sparse_adjacency())) > 450
     want = _exp_rows(decompose(g), 30.0)
-    got = _expm_series(g, 30.0, None, False)
+    got = diag_on("moments", g, 30.0)
     assert np.abs(got - want).max() <= 1e-10 * want.max()
 
 
@@ -272,12 +276,12 @@ def test_krylov_invariant_subspace_exit():
     # invariant after one and two steps
     g = generate_complete(12)
     for zeta in (0.3, 2.0):
-        kry = _expm_series(g, zeta, np.ones(12), False)
-        dense = expm(g, zeta, np.ones(12))
+        kry = expm(g, zeta, np.ones(12))
+        dense = _exp_rows(decompose(g), zeta, np.ones(12))
         assert np.allclose(kry, dense, rtol=1e-12)
     star = generate_star(9)
-    kry = _expm_series(star, 1.3, None, False)
-    dense = expm(star, 1.3)
+    kry = diag_on("moments", star, 1.3)
+    dense = diag_on("dense", star, 1.3)
     assert np.allclose(kry, dense, rtol=1e-12)
     assert kry[0] == pytest.approx(np.cosh(1.3 * np.sqrt(8.0)), rel=1e-12)
 
@@ -371,9 +375,10 @@ def test_moment_diag_memory_bounded_by_block():
     z = np.array([1.0, 75.0, 150.0])
     degree = int(_series_degree(300.0))
     assert degree > 400
+    s = 2.0 * z
     tracemalloc.start()
     try:
-        rows, s = _moment_diag(a, z, True, 2.0)
+        rows = _moment_rows(a / 2.0, s, s)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -399,8 +404,8 @@ def assert_action_rows_match_dense(g, zetas, v, rtol=1e-10, entrywise=True):
     compared scaled only.
     """
     dec = decompose(g)
-    rows = _expm_series(g, zetas, v, False)
-    scaled, shifts = _expm_series(g, zetas, v, True)
+    rows = expm(g, zetas, v)
+    scaled, shifts = expm(g, zetas, v, scaled=True)
     want_scaled, want_shifts = _exp_rows(dec, zetas, v, scaled=True)
     norms = [np.linalg.norm] + ([lambda x: np.abs(x).max()] if entrywise
                                 else [])
@@ -423,9 +428,9 @@ def test_expm_krylov_grid_rows_equal_single_zeta_calls():
     g = generate_er(60, 0.1, seed=4)
     v = np.random.default_rng(6).normal(size=60)
     zetas = [0.0, 0.5, 1.3]
-    diags = _expm_series(g, zetas, None, False)
+    diags = diag_on("moments", g, zetas)
     for k, zeta in enumerate(zetas):
-        assert np.array_equal(diags[k], _expm_series(g, zeta, None, False))
+        assert np.array_equal(diags[k], diag_on("moments", g, zeta))
     # one basis serves the whole action grid, so its rows agree with the
     # dense rows rather than bit for bit with one run per zeta
     assert_action_rows_match_dense(g, zetas, v)
@@ -464,8 +469,8 @@ def test_moments_diagonal_matches_dense_rows():
     # reference's expm1 overflows, so unscaled rows are compared below it
     for g in graphs:
         dec = decompose(g)
-        rows = _expm_series(g, zetas, None, False)
-        scaled, shifts = _expm_series(g, zetas, None, True)
+        rows = diag_on("moments", g, zetas)
+        scaled, shifts = diag_on("moments", g, zetas, scaled=True)
         want_scaled, want_shifts = _exp_rows(dec, zetas, scaled=True)
         assert np.array_equal(rows[0], np.ones(g.n))
         fits = want_shifts < 700.0
@@ -489,8 +494,8 @@ def test_moments_diagonal_accurate_entry_by_entry():
     zetas = np.array([0.0, 1e-9, 1e-4, 0.3, 1.0, 2.0, 5.0, 20.0])
     for g in (isolated, parts, lollipop_graph()):
         a = g.adjacency()
-        rows = _expm_series(g, zetas, None, False)
-        scaled, shifts = _expm_series(g, zetas, None, True)
+        rows = diag_on("moments", g, zetas)
+        scaled, shifts = diag_on("moments", g, zetas, scaled=True)
         for k, zeta in enumerate(zetas):
             want = np.diag(taylor_expm_action(a, zeta, np.eye(g.n), 700))
             for got in (rows[k], scaled[k] * np.exp(shifts[k])):
@@ -498,6 +503,70 @@ def test_moments_diagonal_accurate_entry_by_entry():
                 assert rel.max() <= 1e-12, (g, zeta, rel.max())
         single = np.bincount(g.component_labels())[g.component_labels()] == 1
         assert (rows[:, single] == 1.0).all()
+
+
+@pytest.mark.parametrize("route", ["picked", "moments", "dense"])
+def test_diagonal_per_component_accurate_entry_by_entry(route):
+    # the diagonal runs one component at a time, on the route expm picks
+    # for each and on each route forced in turn: every entry against the
+    # series sum_k zeta^k (A^k)_ii / k!, whose terms are >= 0, on isolated
+    # nodes, on K5 + S6 + a node and on components of different lambda_1.
+    # A dense run carries rounding of its own exp(zeta lambda_1) only, so
+    # a small component keeps its entries and an isolated node reads 1
+    # exactly at every zeta; zeta = 0 gives 1 exactly on both routes.  A
+    # path hanging off a clique is left out: on the dense route its far
+    # end is lost to rounding of the clique's exp(zeta lambda_1) (a known
+    # defect; the moments test above holds it)
+    k5 = [[i, j] for i in range(5) for j in range(i + 1, 5)]
+    parts = Graph(12, k5 + [[5, j] for j in range(6, 11)])  # K5, S6, a node
+    isolated = Graph(8, [[0, 1], [1, 2], [2, 0], [3, 4]])
+    mixed = components_graph(np.random.default_rng(4).permutation(29))
+    zetas = np.array([0.0, 1e-9, 1e-4, 0.3, 1.0, 2.0, 5.0, 20.0])
+    for g in (isolated, parts, mixed):
+        if route == "picked":
+            rows = expm(g, zetas)
+            scaled, shifts = expm(g, zetas, scaled=True)
+        else:
+            rows = diag_on(route, g, zetas)
+            scaled, shifts = diag_on(route, g, zetas, scaled=True)
+        a = g.adjacency()
+        for k, zeta in enumerate(zetas):
+            want = np.diag(taylor_expm_action(a, zeta, np.eye(g.n), 700))
+            for got in (rows[k], scaled[k] * np.exp(shifts[k])):
+                rel = np.abs(got - want) / want
+                assert rel.max() <= 1e-12, (g, zeta, rel.max())
+        single = np.bincount(g.component_labels())[g.component_labels()] == 1
+        assert (rows[:, single] == 1.0).all()
+        assert (rows[0] == 1.0).all()
+
+
+def test_union_diagonal_equals_each_component():
+    # C of a disjoint union is C of each component on its own: each is a
+    # run with its own bound, route and shift, so one diagonal of the
+    # union, as market takes for its trees, reads every component's rows
+    # bit for bit, on dense runs (K30, S9, ER(100, 0.5)) and on a moments
+    # run (the 600-node path); the two isolated nodes read 1
+    parts = [generate_complete(30), generate_star(9), path_graph(600),
+             generate_er(100, 0.5, seed=2)]
+    offsets = np.cumsum([0] + [p.n for p in parts])
+    union = Graph(offsets[-1] + 2, np.vstack(
+        [p.edge_array() + [off, off, 0.0]
+         for p, off in zip(parts, offsets)]))
+    grid = np.linspace(0.01, 1.0, 100)
+    rows = expm(union, grid)
+    for part, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
+        assert np.array_equal(rows[:, lo:hi], expm(part, grid)), part.n
+    assert (rows[:, offsets[-1]:] == 1.0).all()
+
+
+def test_isolated_nodes_read_c_one_and_t_zero():
+    # the two isolated nodes are runs of their own for the diagonal too:
+    # C = 1 and T = 0 exactly, where one eigensystem of the whole graph
+    # read C up to 1.5e14 at the top of this grid
+    g = generate_er(2000, 8 / 1999, seed=3)
+    prof = sweep(g, np.linspace(0.05, 20.0, 20))
+    assert (prof.C[:, [293, 616]] == 1.0).all()
+    assert (prof.T[:, [293, 616]] == 0.0).all()
 
 
 def lollipop_graph():
@@ -550,7 +619,7 @@ def test_krylov_action_past_overflow():
             assert_action_rows_match_dense(g, zetas, v, entrywise=False)
         # v = 1 is positive on every component: past the range only the
         # entries that pass it overflow, to +inf
-        rows = _expm_series(g, fine, np.ones(g.n), False)
+        rows = expm(g, fine, np.ones(g.n))
         assert (rows > 0).all()
         assert not np.isnan(rows).any()
 
@@ -607,8 +676,9 @@ def test_krylov_action_on_a_connected_graph_is_the_power_action():
         w = v[:g.n]
         rows, shifts = expm(g, zetas, w, scaled=True)
         order = np.argsort(zetas)
-        want, want_shifts = _power_action(g.sparse_adjacency(),
-                                          zetas[order], w)
+        a = g.sparse_adjacency()
+        want, want_shifts = _power_action(a, zetas[order], w, [0],
+                                          _spectral_bound(a, [0]))
         assert np.array_equal(rows[order], want)
         assert np.array_equal(shifts[order], want_shifts[0])
 
@@ -654,11 +724,12 @@ def test_krylov_action_unscales_without_overflow_warning(sparse_er):
 
 
 def test_each_action_takes_one_bound_pass(monkeypatch, sparse_er):
-    # one _spectral_bound pass bounds every component of the action, the
+    # one _spectral_bound pass per expm call bounds every component, the
     # isolated nodes one last run of bound 0, whatever the number of
-    # components; the diagonal's route may take a pass of its own.  Each
-    # bound equals the one of its component's own adjacency bit for bit,
-    # and R and C equal the separate expm calls bit for bit
+    # components: sweep takes one for the action and one for the
+    # diagonal.  Each bound equals the one of its component's own
+    # adjacency bit for bit, and R and C equal the separate expm calls bit
+    # for bit
     calls = []
     bound = riskcent.spectral._spectral_bound
 
@@ -676,14 +747,15 @@ def test_each_action_takes_one_bound_pass(monkeypatch, sparse_er):
         isolated = (sizes == 1).any()
         calls.clear()
         prof = sweep(g)
-        # the action's one pass over its runs, then the diagonal's route
-        assert [c[1] is None for c in calls] == [False] + [True] * (
-            g.n > 1000)
+        # the action's one pass over its runs, then the diagonal's
+        assert [c[1] is None for c in calls] == [False, False]
         a, starts, b = calls[0]
         assert len(starts) == (sizes > 1).sum() + isolated == runs
         assert (b[-1] == 0.0) == isolated
         for lo, hi, bc in zip(starts, np.append(starts[1:], g.n), b):
             assert bound(a[lo:hi, lo:hi]) == bc
+        assert np.array_equal(calls[1][1], starts)
+        assert np.array_equal(calls[1][2], b)
         assert np.array_equal(prof.R, expm(g, prof.zeta_grid, np.ones(g.n)))
         assert np.array_equal(prof.C, expm(g, prof.zeta_grid))
     # components of far apart scales: each run keeps its own maximum, where
@@ -725,15 +797,16 @@ def test_expm_scaled_krylov_action_matches_unscaled():
     run = np.cumsum(np.diff(key, prepend=-1) != 0) - 1
     v = np.random.default_rng(11).normal(size=g.n)
     zetas = np.array([0.0, 0.5, 1.3, 50.0])
-    y, s = _power_action(g.sparse_adjacency(), zetas, v, starts)
-    rows = _expm_series(g, zetas, v, False)
+    a = g.sparse_adjacency()
+    y, s = _power_action(a, zetas, v, starts, _spectral_bound(a, starts))
+    rows = expm(g, zetas, v)
     assert np.array_equal(rows, y * np.exp(s).T[:, run])
     assert np.array_equal(rows[:, single], np.tile(v[single], (4, 1)))
-    scaled, shifts = _expm_series(g, zetas, v, True)
+    scaled, shifts = expm(g, zetas, v, scaled=True)
     assert np.array_equal(shifts, s.max(axis=0))
     assert np.array_equal(scaled, y * np.exp(s - shifts).T[:, run])
     for k, zeta in enumerate(zetas):
-        assert np.array_equal(_expm_series(g, zeta, v, False), rows[k])
+        assert np.array_equal(expm(g, zeta, v), rows[k])
 
 
 def test_expm_rejects_bad_input(monkeypatch):
@@ -757,10 +830,12 @@ def test_expm_rejects_bad_input(monkeypatch):
 
 
 def test_expm_auto_routes_large_graphs_to_krylov():
+    # above the dense limit both run as power series: on the ring
+    # exp(zeta A) 1 = exp(2 zeta) 1 and the diagonal is I_0(2 zeta)
     n = DENSE_LIMIT_DEFAULT + 1
     ring = np.column_stack([np.arange(n), (np.arange(n) + 1) % n])
     g = Graph(n, ring)
-    v = np.random.default_rng(2).normal(size=n)
-    assert np.array_equal(expm(g, 0.5, v), _expm_series(g, 0.5, v, False))
+    assert np.allclose(expm(g, 0.5, np.ones(n)), np.e, rtol=1e-12)
+    assert np.allclose(expm(g, 0.5), scipy.special.i0(1.0), rtol=1e-12)
     with pytest.raises(ValueError, match="dense limit"):
         decompose(g)
