@@ -6,7 +6,8 @@ before any result file, then emits plain CSV/JSON reports.  Every CSV
 goes through ``centrality.write_grid_csv`` (grid tables) or
 ``centrality.write_rows`` (the rest; ``None`` and NaN cells are empty),
 every JSON report through ``_write_json`` (sorted keys, one-space
-indent).  Exit codes: 0 success, 2 invalid input or a failed solver, 3
+indent, standard JSON: a NaN or infinity is refused before the file
+opens).  Exit codes: 0 success, 2 invalid input or a failed solver, 3
 runtime budget exceeded.
 """
 
@@ -47,9 +48,13 @@ class _BudgetExceeded(RuntimeError):
 
 
 class _Budget:
-    """Coarse wall-clock guard checked between pipeline phases."""
+    """Coarse wall-clock guard checked between pipeline phases: ``seconds``
+    is None for no budget, else a number >= 0 (``--budget``)."""
 
     def __init__(self, seconds):
+        if seconds is not None and not seconds >= 0.0:
+            raise ValueError("--budget %r: must be a nonnegative number of "
+                             "seconds" % seconds)
         self.seconds = seconds
         self.start = time.monotonic()
 
@@ -111,9 +116,11 @@ def _write_manifest(out_dir, command, settings, inputs, outputs, seed=None):
 
 
 def _write_json(path, doc):
+    # serialised before the file opens: a NaN or infinity, which standard
+    # JSON cannot hold, fails with a ValueError and leaves no file
+    text = json.dumps(doc, indent=1, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 # -- centrality --------------------------------------------------------------
@@ -339,6 +346,9 @@ def cmd_corporate(args):
             raise ValueError("%s %r: must be finite" % (option, value))
     if not 0.0 < args.zeta_lo < args.zeta_hi:
         raise ValueError("need 0 < zeta-lo < zeta-hi")
+    if not 0.0 <= args.threshold < np.inf:
+        raise ValueError("--threshold %r: must be finite and nonnegative"
+                         % args.threshold)
     memberships = load_memberships(args.memberships)
     g = project_bipartite(memberships, binary=args.binary)
     trends = svc_trend(load_svc(args.svc), threshold=args.threshold)

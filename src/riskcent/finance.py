@@ -611,10 +611,11 @@ def svc_trend(svc_by_year, threshold=0.05):
     1/year is computed over its years (>= 3 required).  Growing values
     give rho < 0 and the label +1; shrinking values give rho > 0 and -1.
     Companies with |rho| < threshold are dropped.  A constant value
-    series is an error.
+    series is an error, and so is a threshold that is negative or not
+    finite.
     """
-    if threshold < 0.0:
-        raise ValueError("threshold must be nonnegative")
+    if not 0.0 <= threshold < np.inf:
+        raise ValueError("threshold must be finite and nonnegative")
     out = {}
     for company, series in svc_by_year.items():
         years = sorted(series)

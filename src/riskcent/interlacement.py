@@ -22,7 +22,17 @@ any zeta.  The table runs to the degree the top of the grid needs
 summed in the fixed order of ``spectral._series_sum``, as R and C are.
 Only the pairs that swap between two consecutive sorted grid rows
 (``_flips``) or lie within the tangency tolerance on one row are
-bisected.
+scanned.  A sign change is bisected on its Poisson-shifted series: the
+weights at s0 + h are those at s0 convolved with those at h, so with the
+bracket anchored at its lower end z0, s0 = z0 b,
+
+    sum_k w_k(s0 + h) t_k = exp(-h) sum_j g_j h^j / j!,
+    g_j = sum_i w_i(s0) t_{i+j},
+
+and a bisection step takes the sign of the sum over j for the pair's
+table difference by Horner's rule at h = b (midpoint - z0): the g_j come
+from one evaluation of the weights, and no step calls exp, log or
+gammaln per term (``_detect_block``).
 
 The heuristics read the walk tables of ``graph.walk_counts`` at the
 endpoints of their pairs only, with closed walks for C and T only;
@@ -38,8 +48,8 @@ import numpy as np
 
 from .centrality import _check_measure, _grid
 from .graph import walk_counts
-from .spectral import (_moment_table, _poisson_weights, _series_degree,
-                       _series_sum, _spectral_bound)
+from .spectral import (_REACH, _moment_table, _poisson_weights,
+                       _series_degree, _series_sum, _spectral_bound)
 
 BRACKET_TOL_DEFAULT = 1e-8
 TANGENCY_TOL_DEFAULT = 1e-10
@@ -186,11 +196,12 @@ def detect_pairs(g, pairs, measure="C", zeta_grid=None,
     counts as zero: exactly tied pairs (automorphic nodes) produce no
     spurious events, at any scale.  Every sign change between consecutive
     nonzero grid values is bisected until its bracket is at most
-    ``bracket_tol`` wide, each step one dot product of the weights at the
-    midpoint with the pair's table difference.  A grid-local minimum of
-    |M_i - M_j|, read as zeta scale + log|scaled difference|, below
-    ``tangency_tol`` without a sign flip is reported as a tangency
-    candidate rather than a crossing.
+    ``bracket_tol`` wide, each step one Horner sum of the pair's
+    Poisson-shifted series at the midpoint (``_detect_block``), with
+    coefficients built once from the weights at the bracket's lower end.
+    A grid-local minimum of |M_i - M_j|, read as zeta scale +
+    log|scaled difference|, below ``tangency_tol`` without a sign flip is
+    reported as a tangency candidate rather than a crossing.
 
     Only candidate pairs are scanned, taken from the distinct grid columns
     of the endpoints.  Two endpoints with one column (a star's leaves) tie
@@ -237,7 +248,7 @@ def detect_pairs(g, pairs, measure="C", zeta_grid=None,
 
     block = max(1, _BLOCK_ENTRIES // max(grid.size, table.shape[0]))
     # np.split gives one block at least: no candidates still give arrays
-    found = [_detect_block(p, ci, cj, rows, table, weights, grid, s,
+    found = [_detect_block(p, ci, cj, rows, table, weights, grid, scale,
                            bracket_tol, tangency_tol)
              for p in np.split(cand, np.arange(block, cand.size, block))]
     crossings, tangencies = zip(*found)
@@ -259,42 +270,89 @@ def _basis(g, nodes, measure, grid):
             _measure_table(a, b, nodes, measure, degree), b)
 
 
-def _detect_block(p, ci, cj, rows, table, weights, grid, s, bracket_tol,
-                  tangency_tol):
+def _detect_block(p, ci, cj, rows, table, weights, grid, scale,
+                  bracket_tol, tangency_tol):
     """``detect_pairs`` on the pairs ``p`` of one block, whose endpoints
     are the rows ``ci[p]``, ``cj[p]`` of the grid values ``rows`` and the
-    same columns of ``table`` (``_basis``); ``s`` holds the grid's shifts
-    zeta scale.  Returns the block's two groups of arrays."""
+    same columns of ``table`` (``_basis``, with ``scale`` its b).  Returns
+    the block's two groups of arrays.
+
+    A bracket is bisected on its Poisson-shifted series.  Anchored at its
+    lower end z0, s0 = z0 b, the weights at s0 + h are those at s0
+    convolved with those at h, so with c the pair's table difference
+
+        exp(h) sum_k w_k(s0 + h) c_k = sum_j g_j h^j / j!,
+        g_j = sum_i w_i(s0) c_{i+j},
+
+    whose sign at a midpoint, h = b (mid - z0), is that of the scaled
+    difference.  The g_j are built once from the weights at the anchors,
+    for j to the degree ``_series_degree`` gives the widest bracket, and a
+    bisection step sums them by Horner's rule, ``p = g_j + h / (j + 1)
+    p``: one multiply-add per term, no factorial to underflow and nothing
+    past float range while h <= ``_REACH``.  A bracket wider than
+    ``_REACH / b`` is first halved on the weights at its midpoints until
+    it is not.  The weights are thus evaluated a number of times that
+    does not depend on ``bracket_tol``.
+    """
     ci, cj = ci[p], cj[p]
     vi, vj = rows[ci], rows[cj]  # (pairs, grid)
     diff = vi - vj
-    absvals = np.abs(diff)
-    signs = np.where(absvals <= _NOISE * np.maximum(np.abs(vi), np.abs(vj)),
-                     0, np.sign(diff)).astype(np.int8)
+    # 0 within the noise floor, else the sign of the difference
+    floor = _NOISE * np.maximum(np.abs(vi), np.abs(vj))
+    signs = (diff > floor).view(np.int8) - (diff < -floor).view(np.int8)
 
-    # consecutive nonzero grid values of one pair with opposite signs: each
-    # nonzero value against the last nonzero one before it
-    last = np.where(signs != 0, np.arange(grid.size), 0)
-    np.maximum.accumulate(last, axis=1, out=last)
-    prev = np.take_along_axis(signs, last[:, :-1], axis=1)
-    owner, hi_at = np.nonzero(signs[:, 1:] * prev < 0)
-    hi_at += 1
-    lo_at = last[owner, hi_at - 1]
-    lo, hi, flo = grid[lo_at], grid[hi_at], diff[owner, lo_at]
+    # consecutive nonzero grid values of one pair with opposite signs: the
+    # nonzero values in row-major order, each against the one before it in
+    # its row
+    flat = np.flatnonzero(signs)
+    row, col = np.divmod(flat, grid.size)
+    nz = signs.ravel()[flat]
+    k = np.flatnonzero((nz[1:] != nz[:-1]) & (row[1:] == row[:-1]))
+    owner, lo_at, hi_at = row[k + 1], col[k], col[k + 1]
+    before, after = signs[owner, lo_at], signs[owner, hi_at]
+    lo, hi = grid[lo_at], grid[hi_at]
     active = np.flatnonzero(hi - lo > bracket_tol)
     # (table rows, brackets) differences of the open brackets
     coef = table[:, ci[owner[active]]] - table[:, cj[owner[active]]]
-    while active.size:
-        mid = 0.5 * (lo[active] + hi[active])
-        fm = np.einsum("bk,kb->b", weights(mid), coef)
-        up = (fm != 0.0) & (np.sign(fm) == np.sign(flo[active]))
-        lo[active[up]] = mid[up]
-        flo[active[up]] = fm[up]
-        hi[active[~up]] = mid[~up]
-        wide = hi[active] - lo[active] > bracket_tol
-        if not wide.all():
-            active, coef = active[wide], coef[:, wide]
 
+    def halve(at, mid, fm):
+        # a midpoint where the difference fm keeps its sign at lo is the
+        # new lo of its bracket, any other the new hi
+        up = fm * before[at] > 0.0
+        lo[at[up]] = mid[up]
+        hi[at[~up]] = mid[~up]
+
+    while True:
+        width = hi[active] - lo[active]
+        far = np.flatnonzero((width > bracket_tol) & (scale * width > _REACH))
+        if not far.size:
+            break
+        mid = 0.5 * (lo[active[far]] + hi[active[far]])
+        halve(active[far], mid,
+              np.einsum("bk,kb->b", weights(mid), coef[:, far]))
+    wide = hi[active] - lo[active] > bracket_tol
+    active, coef = active[wide], coef[:, wide]
+
+    if active.size:
+        anchor = lo[active]
+        w = weights(anchor)
+        top = min(int(_series_degree(scale * (hi[active] - anchor).max())),
+                  coef.shape[0] - 1)
+        g = np.stack([np.einsum("bi,ib->b", w[:, :w.shape[1] - j], coef[j:])
+                      for j in range(top + 1)])
+        while active.size:
+            mid = 0.5 * (lo[active] + hi[active])
+            h = scale * (mid - anchor)
+            fm = g[top]
+            for j in range(top, 0, -1):
+                fm = g[j - 1] + h / j * fm
+            halve(active, mid, fm)
+            wide = hi[active] - lo[active] > bracket_tol
+            if not wide.all():
+                active, anchor, g = active[wide], anchor[wide], g[:, wide]
+
+    s = grid * scale
+    absvals = np.abs(diff)
     # no flip across a grid-local minimum of log |M_i - M_j| = s + log
     # |scaled difference| below log(tangency_tol), sought only at the
     # inner grid points within twice the tolerance
@@ -309,7 +367,7 @@ def _detect_block(p, ci, cj, rows, table, weights, grid, s, bracket_tol,
             & (logf[:, 1] < math.log(tangency_tol)))
     tp, tm = tp[near], tm[near]
 
-    return ((p[owner], lo, hi, signs[owner, lo_at], signs[owner, hi_at]),
+    return ((p[owner], lo, hi, before, after),
             (p[tp], grid[tm + 1]))
 
 

@@ -1091,3 +1091,50 @@ def test_corporate_non_finite_zeta_names_the_option(tmp_path, capsys,
     assert capsys.readouterr().err == "error: %s %r: must be finite\n" % (
         option, float(value))
     assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_corporate_bad_threshold_names_the_option(tmp_path, capsys, value):
+    # --threshold nan used to exit 0 with "threshold": NaN in the manifest
+    memb, svc = write_corporate(tmp_path)
+    out = tmp_path / "out"
+    rc = main(["corporate", memb, svc, "--out", str(out),
+               "--threshold=%s" % value])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: --threshold %r: must be finite and nonnegative\n"
+        % float(value))
+    assert not out.exists()
+
+
+def budget_command(tmp_path, command):
+    if command == "experiments":
+        return ["experiments",
+                write_experiment_config(tmp_path / "exp.cfg")]
+    if command == "market":
+        return ["market", write_returns(tmp_path / "returns.csv")]
+    return ["corporate", *write_corporate(tmp_path)]
+
+
+@pytest.mark.parametrize("value", ["nan", "-1"])
+@pytest.mark.parametrize("command", ["experiments", "market", "corporate"])
+def test_bad_budget_names_the_option(tmp_path, capsys, command, value):
+    # --budget nan used to run with no budget, --budget -1 to exit 3
+    out = tmp_path / "out"
+    rc = main(budget_command(tmp_path, command)
+              + ["--out", str(out), "--budget=%s" % value])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: --budget %r: must be a nonnegative number of seconds\n"
+        % float(value))
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_write_json_refuses_non_standard_numbers(tmp_path, value):
+    path = tmp_path / "doc.json"
+    with pytest.raises(ValueError):
+        riskcent.cli._write_json(str(path), {"ok": 1.0, "bad": [value]})
+    assert not path.exists()
+    riskcent.cli._write_json(str(path), {"ok": 1.0})
+    assert json.loads(path.read_text(encoding="utf-8")) == {"ok": 1.0}

@@ -758,8 +758,10 @@ def test_svc_trend_errors():
         svc_trend({"short": {1999: 1.0, 2000: 2.0}})
     with pytest.raises(ValueError, match="constant"):
         svc_trend({"flat": {1999: 1.0, 2000: 1.0, 2001: 1.0}})
-    with pytest.raises(ValueError):
-        svc_trend({"grow": {1999: 1.0, 2000: 2.0, 2001: 3.0}}, threshold=-0.1)
+    for threshold in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            svc_trend({"grow": {1999: 1.0, 2000: 2.0, 2001: 3.0}},
+                      threshold=threshold)
 
 
 def test_load_svc(tmp_path):

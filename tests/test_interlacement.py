@@ -7,6 +7,7 @@ import math
 from riskcent import interlacement
 from riskcent.graph import Graph, generate_complete, generate_er, generate_star, walk_counts
 from riskcent.interlacement import (
+    TANGENCY_TOL_DEFAULT,
     _close,
     _flips,
     _measure_table,
@@ -523,6 +524,95 @@ def test_detect_pairs_matches_per_pair_reference(make, grid, measure,
                          bracket_tol=tol, tangency_tol=tangency_tol)
             assert by_pair(res, 1) == [got[p]]
     assert want  # every case crosses somewhere
+
+
+# grids past exp's range: b is 4.08 on clique_plus_hub, so its 1000 and
+# 99.5 wide steps are s steps of about 4080 and 406; the ER graph's (b =
+# 6.5) steps of s = 6.6 run to s = 650
+WIDE_STEP_CASES = [
+    ("hub_0.01:2000:3", clique_plus_hub, np.linspace(0.01, 2000.0, 3)),
+    ("hub_1:200:3", clique_plus_hub, np.linspace(1.0, 200.0, 3)),
+    ("er40_0.01:100:100",
+     lambda: generate_er(40, 0.15, seed=4, require_connected=True),
+     np.linspace(0.01, 100.0, 100)),
+]
+
+
+@pytest.mark.parametrize("make,grid", [c[1:] for c in WIDE_STEP_CASES],
+                         ids=[c[0] for c in WIDE_STEP_CASES])
+@pytest.mark.parametrize("measure", "RCT")
+def test_detect_pairs_past_exp_range_matches_reference(make, grid, measure):
+    # a bracket too wide for the shifted series is halved on the weights
+    # first: every sign change still matches the per-pair reference
+    g = make()
+    dec = decompose(g)
+    pairs = [(i, j) for i in range(g.n) for j in range(i + 1, g.n)]
+    tol = 1e-8
+    got = by_pair(detect_pairs(g, pairs, measure=measure, zeta_grid=grid,
+                               bracket_tol=tol), len(pairs))
+    for (i, j), (events, tangencies) in zip(pairs, got):
+        ref, ref_tangencies = reference_detect(dec, i, j, measure, grid, tol,
+                                               TANGENCY_TOL_DEFAULT)
+        assert tangencies == ref_tangencies
+        assert len(events) == len(ref)
+        for (lo, hi, before, after), (rlo, rhi, rb, ra) in zip(events, ref):
+            assert (before, after) == (rb, ra)
+            assert 0.0 < hi - lo <= tol
+            assert abs(0.5 * (lo + hi) - 0.5 * (rlo + rhi)) <= tol
+
+
+def test_wide_step_brackets_are_pinned():
+    # brackets over grid steps past exp's range, as the weights at every
+    # midpoint found them: the hub's crossing over a 1000 wide step
+    (pair, lo, hi, before, after), _ = detect_pairs(
+        clique_plus_hub(), [(5, 1)], "C", np.linspace(0.01, 2000.0, 3))
+    assert pair.tolist() == [0]
+    assert (lo.tolist(), hi.tolist()) == ([0.5575884441563175],
+                                          [0.5575884514322387])
+    assert (before.tolist(), after.tolist()) == ([1], [-1])
+    # and the star's leaves rising past the path's inner nodes over a 99.5
+    # wide step (s = 398), which the whole-graph reference cannot see: at
+    # zeta = 100 they lie e^-200 below the clique, under its noise floor
+    g = disconnected()
+    pairs = [(i, j) for i in range(g.n) for j in range(i + 1, g.n)]
+    (pair, lo, hi, before, after), (tp, _) = detect_pairs(
+        g, pairs, "C", np.linspace(1.0, 200.0, 3))
+    outer = (1.6954421628033742, 1.6954421685950365)
+    inner = (1.864767791412305, 1.8647677972039673)
+    assert {pairs[p]: (a, b) for p, a, b in zip(pair.tolist(), lo.tolist(),
+                                                hi.tolist())} == {
+        (leaf, node): outer if node in (13, 16) else inner
+        for leaf in range(6, 12) for node in range(13, 17)}
+    assert (before == -1).all() and (after == 1).all() and tp.size == 0
+
+
+@pytest.mark.parametrize("make,grid", [
+    (clique_plus_hub, np.linspace(0.01, 2000.0, 3)),
+    (double_crossing, WIDE_GRID),
+    (lambda: generate_er(40, 0.15, seed=4, require_connected=True),
+     np.linspace(0.01, 100.0, 100)),
+], ids=["hub_wide_steps", "double_crossing", "er40"])
+def test_weights_evaluations_do_not_depend_on_bracket_tol(make, grid,
+                                                          monkeypatch):
+    # a bisection step sums the shifted series: the Poisson weights are
+    # evaluated at the grid, while halving brackets past exp's range and
+    # at the anchors, however many steps the tolerance asks for
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _poisson_weights(*args)
+
+    monkeypatch.setattr(interlacement, "_poisson_weights", counted)
+    g = make()
+    pairs = [(i, j) for i in range(g.n) for j in range(i + 1, g.n)]
+    counts = []
+    for tol in (1e-8, 1e-12):
+        calls.clear()
+        (cp, *_), _ = detect_pairs(g, pairs, "C", grid, bracket_tol=tol)
+        assert cp.size
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
 
 
 @pytest.mark.parametrize("make", [c[1] for c in BATCH_CASES],
