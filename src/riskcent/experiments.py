@@ -7,13 +7,13 @@ any replication can be regenerated in isolation: it is
 
 A replication never becomes a ``Graph``.  Its dense adjacency comes
 straight from the drawer behind ``generate_er`` (``graph._er_adjacency``),
-its eigensystem from the one behind ``decompose``
-(``spectral._eigensystem``), and its R and C rows from the dense route's
-evaluator ``spectral._exp_rows``; T = R - C.  Where the diagonal of
-``centrality.sweep`` takes the dense route on the same graph, these are
-its C rows bit for bit and its R rows to rounding: ``sweep`` takes R from
-the power-series action, and a connected draw has no entry far below
-``exp(zeta lambda_1)``, where the dense rows lose accuracy.
+its eigensystem ``(lam, u)`` from ``spectral._eigensystem``, and its R
+and C rows from the dense route's evaluator ``spectral._exp_rows``;
+T = R - C.  Where the diagonal of ``centrality.sweep`` takes the dense
+route on the same graph, these are its C rows bit for bit and its R rows
+to rounding: ``sweep`` takes R from the power-series action, and a
+connected draw has no entry far below ``exp(zeta lambda_1)``, where the
+dense rows lose accuracy.
 ``ExperimentConfig`` refuses n above ``DENSE_LIMIT_DEFAULT``.
 """
 
@@ -138,9 +138,9 @@ def _replication_measures(config, d_idx, rep, zetas, ones):
     rng = np.random.default_rng(child_seed(config.seed, d_idx, rep))
     a = _er_adjacency(config.n, config.densities[d_idx], rng,
                       require_connected=True, max_retries=1000)
-    dec = _eigensystem(a)
-    r = _exp_rows(dec, zetas, ones)
-    c = _exp_rows(dec, zetas)
+    lam, u = _eigensystem(a)
+    r = _exp_rows(lam, u, zetas, ones)
+    c = _exp_rows(lam, u, zetas)
     return r, c, r - c
 
 

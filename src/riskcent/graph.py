@@ -168,7 +168,6 @@ class Graph:
             _check_unique(labels, "label", "nodes")
         self.labels = labels if labels is not None else [str(i) for i in range(n)]
         self._csr = None
-        self._dec = None  # spectral.decompose caches the eigensystem here
 
     # -- basic structure -------------------------------------------------
 

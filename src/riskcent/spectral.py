@@ -48,13 +48,12 @@ whose value passes float range become +-inf.  The scaled form returns
 ``(value * exp(-log_scale), log_scale)``, ``log_scale`` being the largest
 component shift of each grid row, so rankings stay finite at any z.
 
-``decompose`` is the cached eigensystem of a whole graph, for reading its
-spectrum; ``expm`` does not use it.
+``decompose`` is the eigensystem ``(lam, u)`` of a whole graph: no command
+calls it and ``expm`` does not use it; the benchmark's span recorder
+(``bench/spans.py``) wraps it by name.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammainc, gammaln, xlogy
@@ -81,61 +80,34 @@ class EigensolverError(RuntimeError):
     """Dense eigendecomposition failed to converge."""
 
 
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Full eigensystem of a symmetric adjacency matrix.
-
-    ``eigenvalues`` are sorted descending and ``eigenvectors[:, j]`` is the
-    orthonormal eigenvector for ``eigenvalues[j]``.  Each eigenvector is
-    sign-normalized so its largest-magnitude entry is positive; for a
-    connected graph this makes the leading (Perron) vector entrywise
-    positive.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
 def _eigensystem(a):
-    """Eigensystem of the dense symmetric matrix ``a``, in the order and
-    sign convention of ``SpectralDecomposition``, its arrays read-only."""
+    """``(lam, u)``: the eigenvalues of the dense symmetric matrix ``a`` in
+    descending order and the orthonormal eigenvectors ``u[:, j]`` of
+    ``lam[j]``, each a contiguous array.  A column's sign is as the solver
+    left it, which no evaluation of exp(zA) reads."""
     try:
         lam, u = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(
             "symmetric eigensolver did not converge on n=%d: %s"
             % (a.shape[0], exc)) from exc
-    lam = lam[::-1].copy()
-    u = u[:, ::-1].copy()
-    # deterministic sign: largest-|entry| positive per column
-    piv = np.argmax(np.abs(u), axis=0)
-    flip = u[piv, np.arange(u.shape[1])] < 0
-    u[:, flip] *= -1.0
-    lam.setflags(write=False)
-    u.setflags(write=False)
-    return SpectralDecomposition(lam, u)
+    return lam[::-1].copy(), u[:, ::-1].copy()
 
 
 def decompose(g):
-    """Dense eigendecomposition of the adjacency of ``g`` (``_eigensystem``).
-
-    Computed on the first call and cached on the graph, read-only.  Refuses
-    graphs above ``DENSE_LIMIT_DEFAULT`` nodes.
-    """
-    if g._dec is not None:
-        return g._dec
+    """``_eigensystem`` of the adjacency of ``g``, refusing graphs above
+    ``DENSE_LIMIT_DEFAULT`` nodes."""
     if g.n > DENSE_LIMIT_DEFAULT:
         raise ValueError(
             "graph has %d nodes, above the dense limit %d of the "
             "eigendecomposition" % (g.n, DENSE_LIMIT_DEFAULT))
-    g._dec = _eigensystem(g.adjacency())
-    return g._dec
+    return _eigensystem(g.adjacency())
 
 
 # -- dense route -----------------------------------------------------------
 
 
-def _exp_rows(dec, zetas, v=None, scaled=False):
+def _exp_rows(lam, u, zetas, v=None, scaled=False):
     """Rows ``exp(zetas[k]*A) @ v``, or ``diag(exp(zetas[k]*A))`` if v is None.
 
     The one dense evaluator of the exponential.  ``zetas`` is a 1-D grid,
@@ -143,10 +115,11 @@ def _exp_rows(dec, zetas, v=None, scaled=False):
     rows are ``v + (expm1(z*lam) * (U^T v)) U^T`` (``1 + expm1(z*lam) (U*U)^T``
     for the diagonal).  With ``scaled=True`` returns ``(rows, s)`` with
     ``s = zetas * lam_1`` and each row ``exp(-s)`` times the unscaled one,
-    finite for any z >= 0.
+    finite for any z >= 0.  The eigensystem ``(lam, u)`` is
+    ``_eigensystem``'s; each column of U enters twice, so its sign does
+    not change a bit of the rows.
     """
     z = np.asarray(zetas, dtype=float)
-    lam, u = dec.eigenvalues, dec.eigenvectors
     if scaled:
         e = np.exp(np.multiply.outer(z, lam - lam[0]))
     else:
@@ -385,24 +358,20 @@ def _diag_runs(a, z, starts, b, scaled):
     rows = np.empty((z.size, n))
     shifts = np.empty((len(starts), z.size))
     for c, (lo, hi) in enumerate(zip(starts, np.append(starts[1:], n))):
-        size, span = hi - lo, slice(a.indptr[lo], a.indptr[hi])
+        size, block = hi - lo, a[lo:hi, lo:hi]
         afford = int(np.ceil(size**2 / (_MOMENTS_PER_DENSE * (
-            span.stop - span.start + size)))) - 1
+            block.nnz + size)))) - 1
         dense = size <= DENSE_LIMIT_DEFAULT and not _tail_ok(top * b[c],
                                                              afford)
-        if dense:  # the run's dense block: its rows hold no other column
-            block = np.zeros((size, size))
-            block[np.repeat(np.arange(size), np.diff(a.indptr[lo:hi + 1])),
-                  a.indices[span] - lo] = a.data[span]
-            dec = _eigensystem(block)
-        s = z * (dec.eigenvalues[0] if dense else b[c])
+        if dense:
+            lam, u = _eigensystem(block.toarray())
+        s = z * (lam[0] if dense else b[c])
         far = scaled | (s > _EXP_MAX)  # shifted by s, else unshifted
         shifts[c] = np.where(far, s, 0.0)
         if dense:
-            rows[~far, lo:hi] = _exp_rows(dec, z[~far])
-            rows[far, lo:hi] = _exp_rows(dec, z[far], scaled=True)[0]
+            rows[~far, lo:hi] = _exp_rows(lam, u, z[~far])
+            rows[far, lo:hi] = _exp_rows(lam, u, z[far], scaled=True)[0]
         else:
-            block = a[lo:hi, lo:hi]
             rows[:, lo:hi] = _moment_rows(block / b[c] if b[c] > 0.0
                                           else block, s, shifts[c])
     return rows, shifts

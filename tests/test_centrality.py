@@ -20,7 +20,7 @@ from riskcent.centrality import (
 from riskcent.finance import delta_rank
 from riskcent.graph import (Graph, generate_complete, generate_er,
                             generate_star, relabel)
-from riskcent.spectral import _exp_rows, decompose, expm
+from riskcent.spectral import _eigensystem, _exp_rows, expm
 
 
 def measures(g, zeta):
@@ -165,9 +165,10 @@ def test_sweep_routes_by_predicted_cost(monkeypatch, sparse_er):
     prof = sweep(big)
     assert calls == []
     monkeypatch.undo()
-    dec = decompose(big)
-    for got, want in ((prof.R, _exp_rows(dec, prof.zeta_grid, np.ones(2000))),
-                      (prof.C, _exp_rows(dec, prof.zeta_grid))):
+    lam, u = _eigensystem(big.adjacency())
+    for got, want in ((prof.R, _exp_rows(lam, u, prof.zeta_grid,
+                                         np.ones(2000))),
+                      (prof.C, _exp_rows(lam, u, prof.zeta_grid))):
         err = np.abs(got - want).max(axis=1) / np.abs(want).max(axis=1)
         assert err.max() <= 1e-10
     assert np.array_equal(prof.T, prof.R - prof.C)
@@ -180,10 +181,10 @@ def test_sweep_routes_by_predicted_cost(monkeypatch, sparse_er):
         calls.clear()
         prof = sweep(g)
         assert calls == [g.n]
-        dec = decompose(g)
-        assert np.array_equal(prof.C, _exp_rows(dec, prof.zeta_grid))
+        lam, u = _eigensystem(g.adjacency())
+        assert np.array_equal(prof.C, _exp_rows(lam, u, prof.zeta_grid))
         assert np.array_equal(prof.R, expm(g, prof.zeta_grid, np.ones(g.n)))
-        dense = _exp_rows(dec, prof.zeta_grid, np.ones(g.n))
+        dense = _exp_rows(lam, u, prof.zeta_grid, np.ones(g.n))
         assert np.abs(prof.R / dense - 1.0).max() <= 1e-12
 
 
@@ -320,8 +321,8 @@ def test_scaled_measures_rank_at_extreme_zeta():
     g = generate_er(60, 0.3, seed=0, require_connected=True)
     r, s = expm(g, 50.0, np.ones(g.n), scaled=True)
     assert np.isfinite(r).all()
-    dec = decompose(g)
-    assert np.array_equal(rank(r), rank(dec.eigenvectors[:, 0]))
+    _, u = _eigensystem(g.adjacency())
+    assert np.array_equal(rank(r), rank(np.abs(u[:, 0])))
 
 
 # -- ranks and correlation ------------------------------------------------------
@@ -524,7 +525,7 @@ def test_limit_rankings_bracket_sweep():
     # tiny zeta ranking refines the degree ranking; huge zeta follows the
     # Perron vector
     g = generate_er(40, 0.15, seed=21, require_connected=True)
-    eig_ranks = rank(decompose(g).eigenvectors[:, 0])
+    eig_ranks = rank(np.abs(_eigensystem(g.adjacency())[1][:, 0]))
     r_small = expm(g, 1e-6, np.ones(g.n))
     k = g.degrees()
     # refinement: any strict degree gap is preserved at small zeta

@@ -241,8 +241,8 @@ def write_ring(path, n):
 
 
 def test_centrality_above_dense_limit(tmp_path):
-    # above the dense limit R comes from the Krylov action and C from the
-    # power moments: on the ring both have closed forms
+    # above the dense limit R comes from the power-series action and C from
+    # the power moments: on the ring both have closed forms
     n = riskcent.spectral.DENSE_LIMIT_DEFAULT + 1
     graph = write_ring(tmp_path / "ring.json", n)
     out = tmp_path / "out"
@@ -382,7 +382,7 @@ def test_epidemics_trajectories_and_means(tmp_path):
 def test_epidemics_skips_decompose_when_no_solver_needs_it(tmp_path,
                                                            monkeypatch):
     # no solver decomposes or forms the dense adjacency: the SI bounds
-    # take the Krylov action, si_exact the sparse adjacency
+    # take the power-series action, si_exact the sparse adjacency
     def refuse(*args, **kwargs):
         raise AssertionError("eigh or Graph.adjacency called")
 

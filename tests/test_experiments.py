@@ -17,7 +17,7 @@ from riskcent.experiments import (
     write_config,
 )
 from riskcent.graph import generate_er
-from riskcent.spectral import _exp_rows, decompose
+from riskcent.spectral import _eigensystem, _exp_rows
 from test_acceptance import ratio_derivative, ratio_limit_deviations
 
 
@@ -216,8 +216,9 @@ def per_replication_measures(cfg, d_idx):
         g = generate_er(cfg.n, cfg.densities[d_idx],
                         seed=child_seed(cfg.seed, d_idx, rep),
                         require_connected=True)
-        dec = decompose(g)
-        r, c = _exp_rows(dec, zetas, np.ones(g.n)), _exp_rows(dec, zetas)
+        lam, u = _eigensystem(g.adjacency())
+        r = _exp_rows(lam, u, zetas, np.ones(g.n))
+        c = _exp_rows(lam, u, zetas)
         out.append((r, c, r - c))
     return out
 
@@ -280,7 +281,7 @@ def test_spearman_table_cells_match_per_replication_loop():
     for d_idx in range(len(cfg.densities)):
         rows = per_replication_measures(cfg, d_idx)
         # the dense replication path gives the rows of generate_er's graph
-        # through decompose and _exp_rows bit for bit, so the cells equal
+        # through _eigensystem and _exp_rows bit for bit, so the cells equal
         # the loop's statistics exactly
         R, C, _ = (np.stack(m) for m in zip(*rows))
         assert np.array_equal(table.rank_corr[d_idx],

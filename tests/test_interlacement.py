@@ -21,8 +21,8 @@ from riskcent.interlacement import (
     heuristic_pairs,
     heuristic_poly,
 )
-from riskcent.spectral import (_poisson_weights, _series_degree,
-                               _spectral_bound, decompose)
+from riskcent.spectral import (_eigensystem, _poisson_weights,
+                               _series_degree, _spectral_bound)
 
 
 def clique_plus_hub():
@@ -80,24 +80,33 @@ WIDE_GRID = np.linspace(0.002, 4.0, 2500)
 # -- per-pair references for the batched detector and heuristics -----------------
 
 
-def reference_coefficients(dec, i, j, measure):
-    u = dec.eigenvectors
+def reference_coefficients(u, i, j, measure):
+    """The weights of exp(zeta lam_k) in M_i - M_j."""
     closed = u[i] ** 2 - u[j] ** 2
     total = u.sum(axis=0) * (u[i] - u[j])
     return {"C": closed, "R": total, "T": total - closed}[measure]
 
 
-def reference_detect(dec, i, j, measure, grid, bracket_tol, tangency_tol):
-    """One pair's scan and bisection, one grid value and one midpoint at a
-    time: ``(events, tangencies)`` with events as (lo, hi, before, after)."""
-    coef = reference_coefficients(dec, i, j, measure)
-    lam = dec.eigenvalues
+def reference_node(u, i, measure):
+    """The weights of exp(zeta lam_k) in M_i."""
+    closed = u[i] ** 2
+    total = u.sum(axis=0) * u[i]
+    return {"C": closed, "R": total, "T": total - closed}[measure]
 
-    def scaled(z):
+
+def reference_detect(lam, u, i, j, measure, grid, bracket_tol, tangency_tol):
+    """One pair's scan and bisection, one grid value and one midpoint at a
+    time, on the eigensystem ``(lam, u)``: ``(events, tangencies)`` with
+    events as (lo, hi, before, after).  A grid value within 1e-12 of the
+    larger of the pair's own values |M_i| and |M_j| reads 0."""
+
+    def scaled(z, coef):
         return np.exp(np.outer(np.atleast_1d(z), lam - lam[0])) @ coef
 
-    vals = scaled(grid)
-    floor = 1e-12 * max(1.0, float(np.abs(coef).sum()))
+    coef = reference_coefficients(u, i, j, measure)
+    vals = scaled(grid, coef)
+    floor = 1e-12 * np.maximum(
+        *(np.abs(scaled(grid, reference_node(u, k, measure))) for k in (i, j)))
     signs = np.where(np.abs(vals) <= floor, 0, np.sign(vals)).astype(int)
     events = []
     nz = np.nonzero(signs)[0]
@@ -108,7 +117,7 @@ def reference_detect(dec, i, j, measure, grid, bracket_tol, tangency_tol):
         flo = float(vals[a])
         while hi - lo > bracket_tol:
             mid = 0.5 * (lo + hi)
-            fm = float(scaled(mid)[0])
+            fm = float(scaled(mid, coef)[0])
             if fm != 0.0 and np.sign(fm) == np.sign(flo):
                 lo, flo = mid, fm
             else:
@@ -234,8 +243,7 @@ def frozen_beyond(g, i, j):
     fixes the sign of C_i - C_j and no crossing can follow.  The pair's
     Perron entries must differ.
     """
-    dec = decompose(g)
-    lam, u = dec.eigenvalues, dec.eigenvectors
+    lam, u = _eigensystem(g.adjacency())
     assert abs(u[i, 0] - u[j, 0]) > 1e-12
     d = u[i] ** 2 - u[j] ** 2
     return (max(0.0, math.log(np.abs(d[1:]).sum() / abs(d[0])))
@@ -438,9 +446,8 @@ def test_opposite_limit_orderings_give_odd_event_count():
     # crossing, and any count through the certified horizon must be odd
     for seed in (3, 11, 29):
         g = generate_er(20, 0.2, seed=seed, require_connected=True)
-        dec = decompose(g)
         k = g.degrees().astype(float)
-        psi = dec.eigenvectors[:, 0]
+        psi = np.abs(_eigensystem(g.adjacency())[1][:, 0])
         checked = 0
         for i in range(g.n):
             for j in range(i + 1, g.n):
@@ -486,7 +493,7 @@ DETECT_CASES = BATCH_CASES + [
 def test_detect_pairs_matches_per_pair_reference(make, grid, measure,
                                                  monkeypatch):
     g = make()
-    dec = decompose(g)
+    lam, u = _eigensystem(g.adjacency())
     pairs = [(i, j) for i in range(g.n) for j in range(i + 1, g.n)]
     tol = 1e-8
 
@@ -496,8 +503,8 @@ def test_detect_pairs_matches_per_pair_reference(make, grid, measure,
 
     # the default tolerance and a loose one that reports tangencies
     for tangency_tol in (1e-10, 1e3):
-        ref = [reference_detect(dec, i, j, measure, grid, tol, tangency_tol)
-               for i, j in pairs]
+        ref = [reference_detect(lam, u, i, j, measure, grid, tol,
+                                tangency_tol) for i, j in pairs]
         want = {(pair, interval(lo, hi), before, after)
                 for pair, (events, _) in zip(pairs, ref)
                 for lo, hi, before, after in events}
@@ -528,13 +535,16 @@ def test_detect_pairs_matches_per_pair_reference(make, grid, measure,
 
 # grids past exp's range: b is 4.08 on clique_plus_hub, so its 1000 and
 # 99.5 wide steps are s steps of about 4080 and 406; the ER graph's (b =
-# 6.5) steps of s = 6.6 run to s = 650
+# 6.5) steps of s = 6.6 run to s = 650.  On disconnected the star's leaves
+# cross the path's inner nodes on C (24 crossings) where both lie far below
+# the clique, which the pair's own noise floor keeps in view
 WIDE_STEP_CASES = [
     ("hub_0.01:2000:3", clique_plus_hub, np.linspace(0.01, 2000.0, 3)),
     ("hub_1:200:3", clique_plus_hub, np.linspace(1.0, 200.0, 3)),
     ("er40_0.01:100:100",
      lambda: generate_er(40, 0.15, seed=4, require_connected=True),
      np.linspace(0.01, 100.0, 100)),
+    ("disconnected_1:200:3", disconnected, np.linspace(1.0, 200.0, 3)),
 ]
 
 
@@ -545,14 +555,14 @@ def test_detect_pairs_past_exp_range_matches_reference(make, grid, measure):
     # a bracket too wide for the shifted series is halved on the weights
     # first: every sign change still matches the per-pair reference
     g = make()
-    dec = decompose(g)
+    lam, u = _eigensystem(g.adjacency())
     pairs = [(i, j) for i in range(g.n) for j in range(i + 1, g.n)]
     tol = 1e-8
     got = by_pair(detect_pairs(g, pairs, measure=measure, zeta_grid=grid,
                                bracket_tol=tol), len(pairs))
     for (i, j), (events, tangencies) in zip(pairs, got):
-        ref, ref_tangencies = reference_detect(dec, i, j, measure, grid, tol,
-                                               TANGENCY_TOL_DEFAULT)
+        ref, ref_tangencies = reference_detect(
+            lam, u, i, j, measure, grid, tol, TANGENCY_TOL_DEFAULT)
         assert tangencies == ref_tangencies
         assert len(events) == len(ref)
         for (lo, hi, before, after), (rlo, rhi, rb, ra) in zip(events, ref):
@@ -571,8 +581,7 @@ def test_wide_step_brackets_are_pinned():
                                           [0.5575884514322387])
     assert (before.tolist(), after.tolist()) == ([1], [-1])
     # and the star's leaves rising past the path's inner nodes over a 99.5
-    # wide step (s = 398), which the whole-graph reference cannot see: at
-    # zeta = 100 they lie e^-200 below the clique, under its noise floor
+    # wide step (s = 398): at zeta = 100 they lie e^-200 below the clique
     g = disconnected()
     pairs = [(i, j) for i in range(g.n) for j in range(i + 1, g.n)]
     (pair, lo, hi, before, after), (tp, _) = detect_pairs(

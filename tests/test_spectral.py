@@ -14,6 +14,7 @@ from riskcent.interlacement import _basis
 from riskcent.spectral import (
     DENSE_LIMIT_DEFAULT,
     _MOMENT_BLOCK,
+    _eigensystem,
     _exp_rows,
     _moment_rows,
     _REACH,
@@ -55,62 +56,25 @@ def taylor_expm_action(a, zeta, v, order=80):
 
 
 def test_k3_spectrum():
-    dec = decompose(generate_complete(3))
-    assert np.allclose(dec.eigenvalues, [2.0, -1.0, -1.0], atol=1e-12)
-    assert dec.eigenvalues[0] - dec.eigenvalues[1] == pytest.approx(
-        3.0, abs=1e-12)
+    lam, _ = _eigensystem(generate_complete(3).adjacency())
+    assert np.allclose(lam, [2.0, -1.0, -1.0], atol=1e-12)
+    assert lam[0] - lam[1] == pytest.approx(3.0, abs=1e-12)
 
 
 def test_star_leading_eigenvalue():
     # S_5: lam_1 = sqrt(n-1) = 2
-    dec = decompose(generate_star(5))
-    assert dec.eigenvalues[0] == pytest.approx(2.0, abs=1e-12)
+    lam, _ = _eigensystem(generate_star(5).adjacency())
+    assert lam[0] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_eigenpairs_reconstruct():
     g = generate_er(40, 0.2, seed=3)
     a = g.adjacency()
-    dec = decompose(g)
-    lam, u = dec.eigenvalues, dec.eigenvectors
+    lam, u = _eigensystem(a)
     norm = np.abs(a).max()
     assert np.all(np.diff(lam) <= 1e-12)
     assert np.abs(a @ u - u * lam).max() < 1e-10 * max(norm, 1.0)
     assert np.abs(u.T @ u - np.eye(g.n)).max() < 1e-10
-
-
-def test_perron_vector_positive():
-    for seed in range(5):
-        g = generate_er(30, 0.2, seed=seed, require_connected=True)
-        dec = decompose(g)
-        assert (dec.eigenvectors[:, 0] > 0).all()
-
-
-def test_decomposition_cached_on_graph(monkeypatch):
-    calls = []
-    eigh = np.linalg.eigh
-
-    def counting(a):
-        calls.append(a.shape)
-        return eigh(a)
-
-    monkeypatch.setattr(np.linalg, "eigh", counting)
-    g = generate_er(30, 0.2, seed=0, require_connected=True)
-    dec = decompose(g)
-    assert decompose(g) is dec
-    assert calls == [(30, 30)]
-    with pytest.raises(ValueError):
-        dec.eigenvalues[0] = 0.0
-    with pytest.raises(ValueError):
-        dec.eigenvectors[:, 0] *= -1.0
-    with pytest.raises(AttributeError):
-        dec.eigenvalues = -dec.eigenvalues
-    # an equal but distinct graph owns its own decomposition
-    twin = Graph(g.n, g.edge_array(), labels=g.labels)
-    assert twin == g
-    other = decompose(twin)
-    assert other is not dec and len(calls) == 2
-    assert np.array_equal(other.eigenvalues, dec.eigenvalues)
-    assert np.array_equal(other.eigenvectors, dec.eigenvectors)
 
 
 def test_dense_limit_refused(monkeypatch):
@@ -118,6 +82,41 @@ def test_dense_limit_refused(monkeypatch):
     monkeypatch.setattr(riskcent.spectral, "DENSE_LIMIT_DEFAULT", 10)
     with pytest.raises(ValueError, match="dense limit"):
         decompose(g)
+
+
+def test_decompose_is_the_eigensystem_of_the_adjacency():
+    # the benchmark's span recorder wraps decompose by name
+    g = generate_er(30, 0.2, seed=0, require_connected=True)
+    got, want = decompose(g), _eigensystem(g.adjacency())
+    assert len(got) == len(want) == 2
+    for x, y in zip(got, want):
+        assert x.dtype == y.dtype and np.array_equal(x, y)
+
+
+def test_exp_rows_do_not_read_eigenvector_signs():
+    # each column of U enters the rows twice, so flipping the signs of any
+    # columns changes no bit of the diagonal or the action, scaled or not
+    rng = np.random.default_rng(11)
+    weighted = generate_er(40, 0.15, seed=3)
+    weighted = Graph(40, np.column_stack([
+        weighted.edge_array()[:, :2],
+        rng.uniform(0.2, 3.0, size=weighted.m)]))
+    graphs = [generate_er(n, p, seed=seed) for n, p, seed in
+              ((20, 0.3, 1), (60, 0.1, 2), (100, 0.5, 3), (120, 0.05, 4))]
+    graphs += [weighted, generate_complete(12), generate_star(9),
+               Graph(8, [[0, 1], [1, 2], [2, 0], [3, 4]])]
+    # unscaled to zeta lam_1 = 250, scaled past exp's range
+    zetas = np.array([0.0, 1e-9, 0.3, 1.0, 5.0, 40.0])
+    for g in graphs:
+        lam, u = _eigensystem(g.adjacency())
+        flipped = u * rng.choice([-1.0, 1.0], size=g.n)
+        assert not np.array_equal(flipped, u)
+        for v in (None, np.ones(g.n), rng.normal(size=g.n)):
+            want = _exp_rows(lam, u, zetas, v, scaled=True)
+            got = _exp_rows(lam, flipped, zetas, v, scaled=True)
+            assert all(map(np.array_equal, got, want))
+            assert np.array_equal(_exp_rows(lam, flipped, zetas[:-1], v),
+                                  _exp_rows(lam, u, zetas[:-1], v))
 
 
 # -- dense exponential action ------------------------------------------------
@@ -152,10 +151,11 @@ def test_action_matches_pade_oracle():
                          (4, 5, 1.0), (0, 5, 3.0), (1, 4, 0.7)])
     zetas = [0.0, 0.3, 0.7]
     for g in (generate_er(25, 0.2, seed=12), weighted):
-        dec = decompose(g)
+        lam, u = _eigensystem(g.adjacency())
         v = np.random.default_rng(1).normal(size=g.n)
         # the grid form of the kernel, one row per zeta
-        rows, diags = _exp_rows(dec, zetas, v), _exp_rows(dec, zetas)
+        rows = _exp_rows(lam, u, zetas, v)
+        diags = _exp_rows(lam, u, zetas)
         for k, zeta in enumerate(zetas):
             e = scipy.linalg.expm(zeta * g.adjacency())
             assert np.allclose(expm(g, zeta, v), e @ v,
@@ -225,13 +225,13 @@ def test_scaled_action_survives_huge_zeta():
     d, sd = expm(g, 50.0, scaled=True)
     assert np.isfinite(d).all() and (d > 0).all()
     assert s == pytest.approx(50.0 * 59.0, rel=1e-12)
-    dec = decompose(g)
+    lam, u = _eigensystem(g.adjacency())
     for v in (np.ones(60), None):
-        rows, scales = _exp_rows(dec, [0.0, 1.0, 50.0], v, scaled=True)
+        rows, scales = _exp_rows(lam, u, [0.0, 1.0, 50.0], v, scaled=True)
         assert np.isfinite(rows).all() and (rows > 0).all()
         assert np.allclose(scales, [0.0, 59.0, 50.0 * 59.0], rtol=1e-12)
         assert np.allclose(rows[:2] * np.exp(scales[:2, None]),
-                           _exp_rows(dec, [0.0, 1.0], v), rtol=1e-12)
+                           _exp_rows(lam, u, [0.0, 1.0], v), rtol=1e-12)
 
 
 # -- Krylov route -------------------------------------------------------------
@@ -242,7 +242,7 @@ def test_krylov_matches_dense():
         g = generate_er(120, 0.05, seed=seed)
         rng = np.random.default_rng(seed + 10)
         v = rng.normal(size=120)
-        dense = _exp_rows(decompose(g), zeta, v)
+        dense = _exp_rows(*_eigensystem(g.adjacency()), zeta, v)
         kry = expm(g, zeta, v)
         assert np.abs(kry - dense).max() < 1e-8 * np.abs(dense).max()
 
@@ -265,7 +265,7 @@ def test_krylov_diagonal_at_large_zeta_matches_dense():
     # reach as any other; the action restarts instead
     g = generate_er(200, 0.05, seed=7)
     assert _series_degree(30.0 * _spectral_bound(g.sparse_adjacency())) > 450
-    want = _exp_rows(decompose(g), 30.0)
+    want = _exp_rows(*_eigensystem(g.adjacency()), 30.0)
     got = diag_on("moments", g, 30.0)
     assert np.abs(got - want).max() <= 1e-10 * want.max()
 
@@ -277,7 +277,7 @@ def test_krylov_invariant_subspace_exit():
     g = generate_complete(12)
     for zeta in (0.3, 2.0):
         kry = expm(g, zeta, np.ones(12))
-        dense = _exp_rows(decompose(g), zeta, np.ones(12))
+        dense = _exp_rows(*_eigensystem(g.adjacency()), zeta, np.ones(12))
         assert np.allclose(kry, dense, rtol=1e-12)
     star = generate_star(9)
     kry = diag_on("moments", star, 1.3)
@@ -403,10 +403,10 @@ def assert_action_rows_match_dense(g, zetas, v, rtol=1e-10, entrywise=True):
     largest entry too.  Rows whose dense value passes exp's range are
     compared scaled only.
     """
-    dec = decompose(g)
+    lam, u = _eigensystem(g.adjacency())
     rows = expm(g, zetas, v)
     scaled, shifts = expm(g, zetas, v, scaled=True)
-    want_scaled, want_shifts = _exp_rows(dec, zetas, v, scaled=True)
+    want_scaled, want_shifts = _exp_rows(lam, u, zetas, v, scaled=True)
     norms = [np.linalg.norm] + ([lambda x: np.abs(x).max()] if entrywise
                                 else [])
     for k, zeta in enumerate(zetas):
@@ -414,7 +414,7 @@ def assert_action_rows_match_dense(g, zetas, v, rtol=1e-10, entrywise=True):
         pairs = [(scaled[k] * np.exp(shifts[k] - want_shifts[k]),
                   want_scaled[k])]
         if want_shifts[k] < 700.0:
-            pairs.append((rows[k], _exp_rows(dec, zeta, v)))
+            pairs.append((rows[k], _exp_rows(lam, u, zeta, v)))
         for got, want in pairs:
             big = np.abs(want).max()  # keeps the squares of the 2-norm finite
             for norm in norms:
@@ -468,14 +468,14 @@ def test_moments_diagonal_matches_dense_rows():
     # unscaled row at zeta = 20 passes float range, where the dense
     # reference's expm1 overflows, so unscaled rows are compared below it
     for g in graphs:
-        dec = decompose(g)
+        lam, u = _eigensystem(g.adjacency())
         rows = diag_on("moments", g, zetas)
         scaled, shifts = diag_on("moments", g, zetas, scaled=True)
-        want_scaled, want_shifts = _exp_rows(dec, zetas, scaled=True)
+        want_scaled, want_shifts = _exp_rows(lam, u, zetas, scaled=True)
         assert np.array_equal(rows[0], np.ones(g.n))
         fits = want_shifts < 700.0
         pairs = [(scaled * np.exp(shifts - want_shifts)[:, None], want_scaled),
-                 (rows[fits], _exp_rows(dec, zetas[fits]))]
+                 (rows[fits], _exp_rows(lam, u, zetas[fits]))]
         for got, want in pairs:
             rel = np.abs(got - want).max(axis=1) / np.abs(want).max(axis=1)
             assert rel.max() <= 1e-10, (g, zetas[np.argmax(rel)], rel.max())
@@ -612,7 +612,8 @@ def test_krylov_action_past_overflow():
     weighted = Graph(300, np.column_stack([weighted.edge_array()[:, :2], w]))
     for g in (generate_er(1999, 8.0 / 1998, seed=3), weighted,
               lattice_graph(30), path_graph(500)):
-        fine = np.linspace(0.0, 1e4 / decompose(g).eigenvalues[0], 51)
+        lam_1 = _eigensystem(g.adjacency())[0][0]
+        fine = np.linspace(0.0, 1e4 / lam_1, 51)
         rand = np.random.default_rng(g.n).normal(size=g.n)
         for zetas, v in ((fine, np.ones(g.n)), (fine[::-1], rand),
                          (fine[[50, 0, 25]], rand)):
