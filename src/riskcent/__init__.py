@@ -65,10 +65,8 @@ from .experiments import (  # noqa: F401
 )
 from .finance import (  # noqa: F401
     LdaModel,
-    MarketWindow,
     ReturnsPanel,
     SvcTrend,
-    build_market_windows,
     correlation_and_distance,
     delta_rank,
     lda_fit,
@@ -81,4 +79,5 @@ from .finance import (  # noqa: F401
     svc_trend,
     window_rank_report,
     window_rank_reports,
+    window_trees,
 )

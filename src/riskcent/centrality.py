@@ -178,16 +178,15 @@ class RankingSweep:
     """Per-zeta rankings of one measure plus each node's rank volatility."""
 
     zeta_grid: np.ndarray
-    measure: str
     rank_matrix: np.ndarray     # (grid, n) integer ranks, 1 = largest
     per_node_std: np.ndarray    # population std of each node's rank path
     labels: list = field(default_factory=list)
 
     @classmethod
-    def from_values(cls, zeta_grid, measure, values, labels):
+    def from_values(cls, zeta_grid, values, labels):
         """Rank every grid row of ``values``, one row per grid value."""
         ranks = rank(values)
-        return cls(zeta_grid, measure, ranks, ranks.std(axis=0, ddof=0),
+        return cls(zeta_grid, ranks, ranks.std(axis=0, ddof=0),
                    labels=list(labels))
 
     def to_csv(self, path):
@@ -201,7 +200,7 @@ class RankingSweep:
 
 def ranking_sweep(profile, measure="R"):
     """Rank every grid row of a measure; std uses the population convention."""
-    return RankingSweep.from_values(profile.zeta_grid, measure,
+    return RankingSweep.from_values(profile.zeta_grid,
                                     profile.measure(measure), profile.labels)
 
 

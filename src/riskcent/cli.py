@@ -28,9 +28,9 @@ from .centrality import (MEASURES, _grid, ranking_sweep, sweep,
 from .epidemics import (SIIntegrationError, SIParams, si_exact, si_lee,
                         si_lee_general, si_linearized, si_meanfield)
 from .experiments import RATIOS, read_config, spearman_table
-from .finance import (build_market_windows, delta_rank, lda_fit,
-                      load_returns, load_svc, rolling_windows, svc_trend,
-                      window_rank_reports)
+from .finance import (delta_rank, lda_fit, load_returns, load_svc,
+                      rolling_windows, svc_trend, window_rank_reports,
+                      window_trees)
 from .graph import (load_edge_list, load_json, load_memberships,
                     project_bipartite, save_json)
 from .interlacement import detect_pairs, heuristic_pairs
@@ -317,17 +317,18 @@ def cmd_market(args):
     budget.check("start")
     summary = []
     for first in range(0, len(windows), _WINDOW_CHUNK):
-        markets = build_market_windows(windows[first:first + _WINDOW_CHUNK])
-        reports = window_rank_reports(markets, zeta_grid=grid,
+        chunk = windows[first:first + _WINDOW_CHUNK]
+        trees = window_trees(chunk)
+        reports = window_rank_reports(trees, zeta_grid=grid,
                                       measure=args.measure,
                                       weight_mode=args.weight_mode)
-        for market, report in zip(markets, reports):
-            wdir = os.path.join(args.out, "windows", market.window_id)
+        for window, tree, report in zip(chunk, trees, reports):
+            wdir = os.path.join(args.out, "windows", window.window_id)
             os.makedirs(wdir, exist_ok=True)
             report.to_csv(os.path.join(wdir, "ranks.csv"))
             report.std_to_csv(os.path.join(wdir, "rankstd.csv"))
-            save_json(market.tree, os.path.join(wdir, "mst.json"))
-            summary.append([market.window_id, len(market.assets),
+            save_json(tree, os.path.join(wdir, "mst.json"))
+            summary.append([window.window_id, tree.n,
                             float(report.per_node_std.mean())])
     budget.check("window reports")
     write_rows(os.path.join(args.out, "summary.csv"),
@@ -352,9 +353,8 @@ def cmd_corporate(args):
     memberships = load_memberships(args.memberships)
     g = project_bipartite(memberships, binary=args.binary)
     trends = svc_trend(load_svc(args.svc), threshold=args.threshold)
-    profile = sweep(g, np.array([args.zeta_lo, args.zeta_hi]))
-    shifts = delta_rank(profile, zeta_hi=args.zeta_hi, zeta_lo=args.zeta_lo,
-                        measure=args.measure)
+    shifts = delta_rank(sweep(g, [args.zeta_lo, args.zeta_hi])
+                        .measure(args.measure))
     used = [(k, name) for k, name in enumerate(g.labels) if name in trends]
     if not used:
         raise ValueError("no company has both a network position and a "

@@ -70,14 +70,13 @@ class SIParams:
 class SITrajectory:
     """Per-node infection probabilities over a time grid.
 
-    ``x[k, i]`` is node i at time ``t_grid[k]``.  ``solver`` tags how the
-    trajectory was produced.  The survival-function bound also exposes the
-    cumulative infection pressure ``y`` with ``x = 1 - exp(-y)``.
+    ``x[k, i]`` is node i at time ``t_grid[k]``.  The survival-function
+    bounds also expose the cumulative infection pressure ``y`` with ``x =
+    1 - exp(-y)``.
     """
 
     t_grid: np.ndarray
     x: np.ndarray
-    solver: str
     labels: list = field(default_factory=list)
     y: np.ndarray | None = None
 
@@ -126,7 +125,7 @@ def si_exact(g, params, x0=None, rtol=1e-10, atol=1e-12):
 
     t_end = float(t[-1])
     if t_end == 0.0 or gamma == 0.0 or not free.any():
-        return SITrajectory(t, np.tile(x0, (t.size, 1)), "exact",
+        return SITrajectory(t, np.tile(x0, (t.size, 1)),
                             labels=list(g.labels))
     sol = solve_ivp(rhs, (0.0, t_end), -np.log1p(-x0[free]), method="DOP853",
                     t_eval=t[t > 0], rtol=rtol, atol=atol)
@@ -134,7 +133,7 @@ def si_exact(g, params, x0=None, rtol=1e-10, atol=1e-12):
         raise SIIntegrationError("SI integration failed: %s" % sol.message)
     xs = np.tile(x0, (t.size, 1))
     xs[np.ix_(t > 0, free)] = -np.expm1(-sol.y.T)
-    return SITrajectory(t, xs, "exact", labels=list(g.labels))
+    return SITrajectory(t, xs, labels=list(g.labels))
 
 
 def si_linearized(g, params, x0=None):
@@ -150,7 +149,7 @@ def si_linearized(g, params, x0=None):
     if bad.any():
         raise ValueError("linearized: exp(gamma t A) x0 overflows at t = %r"
                          % float(params.t_grid[bad][0]))
-    return SITrajectory(params.t_grid, x, "linearized", labels=list(g.labels))
+    return SITrajectory(params.t_grid, x, labels=list(g.labels))
 
 
 def si_lee(g, params):
@@ -168,7 +167,7 @@ def si_lee(g, params):
     pressure = (beta / alpha) * (r - 1.0)
     y = -np.log(alpha) + pressure
     x = 1.0 - alpha * np.exp(-pressure)
-    return SITrajectory(params.t_grid, x, "lee", labels=list(g.labels), y=y)
+    return SITrajectory(params.t_grid, x, labels=list(g.labels), y=y)
 
 
 def si_lee_general(g, params, x0):
@@ -195,7 +194,7 @@ def si_lee_general(g, params, x0):
     w = x0 / root
     y = -np.log(surv) + (
         expm(Graph(g.n, edges), params.gamma * params.t_grid, w) - w) / root
-    return SITrajectory(params.t_grid, 1.0 - np.exp(-y), "lee-general",
+    return SITrajectory(params.t_grid, 1.0 - np.exp(-y),
                         labels=list(g.labels), y=y)
 
 
@@ -210,5 +209,4 @@ def si_meanfield(kbar, params):
         raise ValueError("mean degree must be nonnegative")
     beta = params.beta
     x = beta / (beta + (1.0 - beta) * np.exp(-params.gamma * kbar * params.t_grid))
-    return SITrajectory(params.t_grid, x[:, None], "mean-field",
-                        labels=["mean"])
+    return SITrajectory(params.t_grid, x[:, None], labels=["mean"])

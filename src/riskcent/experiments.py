@@ -114,9 +114,8 @@ def child_seed(master, *indices):
 
 @dataclass
 class DistributionSummary:
-    """Pooled samples with mean, std, and fixed percentiles (1/25/50/75/99)."""
+    """Mean, std, and fixed percentiles (1/25/50/75/99) of pooled samples."""
 
-    samples: np.ndarray
     mean: float
     std: float
     quantiles: dict
@@ -127,7 +126,7 @@ class DistributionSummary:
         if samples.size == 0:
             raise ValueError("no samples to summarize")
         qs = np.quantile(samples, [q / 100.0 for q in _QUANTILES])
-        return cls(samples=samples, mean=float(samples.mean()),
+        return cls(mean=float(samples.mean()),
                    std=float(samples.std(ddof=0)),
                    quantiles={q: float(v) for q, v in zip(_QUANTILES, qs)})
 

@@ -3,16 +3,18 @@
 Workflow (a): daily returns -> monthly-stepped six-month windows ->
 pairwise-complete correlations -> Mantegna distances -> minimum spanning
 tree -> centrality rank reports per window.  The windows run in batches:
-``msts`` builds every tree of a batch in one vectorised Prim's run over
-the stacked distance matrices, ties broken by the strict order of
-``(weight, min(u, v), max(u, v))``, and ``window_rank_reports`` takes R
-of every tree from one power-series action (``spectral.expm``) on their
-disjoint union, never decomposing.  ``mst`` and ``window_rank_report``
-are the one-window calls of the batch functions.
+``window_trees`` builds every tree of a batch in one vectorised Prim's
+run (``msts``) over the stacked distance matrices, ties broken by the
+strict order of ``(weight, min(u, v), max(u, v))``, and
+``window_rank_reports`` takes R of every tree from one power-series
+action (``spectral.expm``) on their disjoint union, never decomposing,
+and C from one diagonal of that union.  ``mst`` and
+``window_rank_report`` are the one-window calls of the batch functions.
 
 Workflow (b): company-director memberships -> one-mode projection ->
-rank shift between a low-risk and a high-risk regime (delta rank) ->
-one-dimensional discriminant classification against outcome trends.
+rank shift between a low-risk and a high-risk regime (``delta_rank`` of
+one measure's two value rows) -> one-dimensional discriminant
+classification against outcome trends.
 """
 
 from __future__ import annotations
@@ -401,40 +403,24 @@ def msts(dists, labels=None):
 # -- market windows --------------------------------------------------------
 
 
-@dataclass
-class MarketWindow:
-    """One window's correlation structure and its spanning tree."""
-
-    window_id: str
-    assets: list
-    rho: np.ndarray
-    dist: np.ndarray
-    tree: Graph
-
-
-def build_market_windows(windows):
-    """Correlations and distances of each window slice
-    (``correlation_and_distance``), and their trees from one ``msts``
-    run."""
+def window_trees(windows):
+    """The minimum spanning tree of each window slice, from one ``msts``
+    run over their Mantegna distances (``correlation_and_distance``), each
+    tree labelled by its window's kept assets."""
     parts = [correlation_and_distance(w.returns) for w in windows]
-    assets = [[w.assets[j] for j in kept]
-              for w, (_, _, kept) in zip(windows, parts)]
-    trees = msts([dist for _, dist, _ in parts], assets)
-    return [MarketWindow(window_id=w.window_id, assets=names, rho=rho,
-                         dist=dist, tree=tree)
-            for w, names, (rho, dist, _), tree
-            in zip(windows, assets, parts, trees)]
+    return msts([dist for _, dist, _ in parts],
+                [[w.assets[j] for j in kept]
+                 for w, (_, _, kept) in zip(windows, parts)])
 
 
-def window_rank_report(market_window, zeta_grid=None, measure="R",
+def window_rank_report(tree, zeta_grid=None, measure="R",
                        weight_mode="distance"):
-    """Centrality rankings of the window's MST over a zeta grid:
-    ``window_rank_reports`` of the one window."""
-    return window_rank_reports([market_window], zeta_grid, measure,
-                               weight_mode)[0]
+    """Centrality rankings of one window's MST over a zeta grid:
+    ``window_rank_reports`` of the one tree."""
+    return window_rank_reports([tree], zeta_grid, measure, weight_mode)[0]
 
 
-def window_rank_reports(market_windows, zeta_grid=None, measure="R",
+def window_rank_reports(trees, zeta_grid=None, measure="R",
                         weight_mode="distance"):
     """Centrality rankings of each window's MST over a zeta grid.
 
@@ -453,51 +439,38 @@ def window_rank_reports(market_windows, zeta_grid=None, measure="R",
         raise ValueError("weight_mode must be 'distance' or 'inverse'")
     _check_measure(measure)
     grid = _grid(zeta_grid)
-    trees = []
-    for mw in market_windows:
-        tree = mw.tree
-        if weight_mode == "inverse":
-            edges = tree.edge_array()
-            edges[:, 2] = 1.0 / edges[:, 2]
-            tree = Graph(tree.n, edges, labels=tree.labels)
-        trees.append(tree)
-    sizes = [t.n for t in trees]
-    offsets = np.cumsum([0] + sizes)
-    union = Graph(offsets[-1], np.vstack(
-        [t.edge_array() + [off, off, 0.0]
-         for t, off in zip(trees, offsets)]))
+    offsets = np.cumsum([0] + [t.n for t in trees])
+    edges = np.vstack([t.edge_array() + [off, off, 0.0]
+                       for t, off in zip(trees, offsets)])
+    if weight_mode == "inverse":
+        edges[:, 2] = 1.0 / edges[:, 2]
+    union = Graph(offsets[-1], edges)
     values = expm(union, grid, None if measure == "C" else np.ones(union.n))
     if measure == "T":
         values -= expm(union, grid)
-    return [RankingSweep.from_values(grid, measure, values[:, lo:hi],
-                                     tree.labels)
+    return [RankingSweep.from_values(grid, values[:, lo:hi], tree.labels)
             for tree, lo, hi in zip(trees, offsets[:-1], offsets[1:])]
 
 
 # -- delta rank ------------------------------------------------------------
 
 
-def delta_rank(profile, zeta_hi=1.0, zeta_lo=0.01, measure="R",
-               tie_tol=1e-9):
+_TIE_TOL = 1e-9
+
+
+def delta_rank(values):
     """Rank shift between two risk regimes: rank(zeta_lo) - rank(zeta_hi).
 
-    Rank 1 is the most central node, so a positive entry means the node
-    climbs the ranking as external risk grows (increased risk exposure).
-    The shifts sum to zero over the nodes.  Both zetas must already be on
-    the profile's grid.  Values within ``tie_tol`` (relative) are treated
-    as tied and ranked by node index, so symmetric nodes whose values
-    differ only by floating-point noise report a zero shift.
+    ``values`` is a ``(2, n)`` array of one measure, its rows at zeta_lo
+    and at zeta_hi.  Rank 1 is the most central node, so a positive entry
+    means the node climbs the ranking as external risk grows (increased
+    risk exposure).  The shifts sum to zero over the nodes.  Values
+    within ``_TIE_TOL`` = 1e-9 (relative) are treated as tied and ranked
+    by node index, so symmetric nodes whose values differ only by
+    floating-point noise report a zero shift.
     """
-    values = profile.measure(measure)
-
-    def grid_row(z):
-        hits = np.nonzero(np.isclose(profile.zeta_grid, z,
-                                     rtol=1e-12, atol=1e-12))[0]
-        if hits.size == 0:
-            raise ValueError("zeta %g is not on the profile grid" % z)
-        return values[hits[0]]
-
-    return rank(grid_row(zeta_lo), tie_tol) - rank(grid_row(zeta_hi), tie_tol)
+    lo, hi = rank(values, _TIE_TOL)
+    return lo - hi
 
 
 # -- linear discriminant ---------------------------------------------------

@@ -426,11 +426,12 @@ def test_rank_matches_references_on_symmetric_sweeps():
                 want = np.vstack([tie_snap_loop_ranks(row, tol)
                                   for row in values])
                 assert np.array_equal(rank(values, tol), want)
-            for tol in (0.0, 1e-9):
-                assert np.array_equal(
-                    delta_rank(prof, measure=m, tie_tol=tol),
-                    tie_snap_loop_ranks(values[0], tol)
-                    - tie_snap_loop_ranks(values[-1], tol))
+            # delta_rank ties values within 1e-9, so the noise between
+            # symmetric nodes shifts no rank
+            assert np.array_equal(
+                delta_rank(values[[0, -1]]),
+                tie_snap_loop_ranks(values[0], 1e-9)
+                - tie_snap_loop_ranks(values[-1], 1e-9))
 
 
 def test_symmetric_nodes_tie_exactly_in_r():

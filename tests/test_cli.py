@@ -926,8 +926,8 @@ def test_market_batches_equal_the_one_window_runs(tmp_path, monkeypatch):
     # windows at a time, every window's files equal, byte for byte, those
     # of the one-window functions run on that window alone
     import datetime
-    from riskcent.finance import (build_market_windows, load_returns,
-                                  rolling_windows, window_rank_report)
+    from riskcent.finance import (load_returns, rolling_windows,
+                                  window_rank_report, window_trees)
     rng = np.random.default_rng(21)
     names = ["A", "B", "C", "D", "R", "F", "G"]
     path = tmp_path / "returns.csv"
@@ -954,22 +954,22 @@ def test_market_batches_equal_the_one_window_runs(tmp_path, monkeypatch):
             assert main(["market", str(path), "--out", str(out),
                          "--measure", measure, "--weight-mode", mode,
                          "--zeta-grid", grid]) == 0
-            alone = [build_market_windows([w])[0] for w in windows]
+            alone = [window_trees([w])[0] for w in windows]
         summary = []
-        for mw in alone:
-            assert "B" not in mw.assets
-            one = tmp_path / ("one" + measure) / mw.window_id
+        for window, tree in zip(windows, alone):
+            assert "B" not in tree.labels
+            one = tmp_path / ("one" + measure) / window.window_id
             one.mkdir(parents=True)
             report = window_rank_report(
-                mw, zeta_grid=riskcent.cli._parse_grid(grid),
+                tree, zeta_grid=riskcent.cli._parse_grid(grid),
                 measure=measure, weight_mode=mode)
             report.to_csv(str(one / "ranks.csv"))
             report.std_to_csv(str(one / "rankstd.csv"))
-            save_json(mw.tree, str(one / "mst.json"))
+            save_json(tree, str(one / "mst.json"))
             for name in ("ranks.csv", "rankstd.csv", "mst.json"):
-                got = out / "windows" / mw.window_id / name
+                got = out / "windows" / window.window_id / name
                 assert got.read_bytes() == (one / name).read_bytes(), name
-            summary.append([mw.window_id, str(len(mw.assets)),
+            summary.append([window.window_id, str(len(tree.labels)),
                             repr(float(report.per_node_std.mean()))])
         assert read_csv(str(out / "summary.csv"))[1] == summary
 
@@ -1038,6 +1038,25 @@ def test_corporate_pipeline(tmp_path):
     correct = conf["tp"] + conf["tn"]
     assert doc["accuracy"] == pytest.approx(correct / 9.0)
     assert len(doc["companies"]) == 9
+
+
+@pytest.mark.parametrize("measure,shifts", [
+    ("C", [0, 0, 0, 2, -1, -1, 0, 0, 0]),
+    ("T", [0, 0, 1, 1, -2, 0, 0, 0, 0]),
+])
+def test_corporate_measure_shifts(tmp_path, measure, shifts):
+    # the rank shifts of C and of T between zeta-lo and zeta-hi, in the
+    # order of the boards' companies
+    memb, svc = write_corporate(tmp_path)
+    out = str(tmp_path / "out")
+    assert main(["corporate", memb, svc, "--out", out,
+                 "--measure", measure]) == 0
+    _, rows = read_csv(os.path.join(out, "delta_rank.csv"))
+    assert [row[0] for row in rows] == [
+        "Alpha", "Bravo", "Chard", "Delta", "Hub",
+        "Leaf1", "Leaf2", "Leaf3", "Leaf4"]
+    assert [int(row[1]) for row in rows] == shifts
+    assert sum(shifts) == 0
 
 
 def test_corporate_single_class_exits_2(tmp_path, capsys):

@@ -9,6 +9,7 @@ import scipy.stats
 from riskcent.centrality import _row_corr, _row_spearman, spearman, sweep
 from riskcent.experiments import (
     RATIOS,
+    DistributionSummary,
     ExperimentConfig,
     child_seed,
     ratio_study,
@@ -143,20 +144,42 @@ def test_ratio_study_unknown_ratio(small_config):
         ratio_study(small_config, ratios=("R/E[R]", "bogus"))
 
 
+def pooled_samples(config, ratio, z_idx):
+    """The node-level ratio values of every replication at the zeta
+    ``config.zetas[z_idx]`` of the first density, concatenated in
+    replication order."""
+    want = []
+    for r, c, t in per_replication_measures(config, 0):
+        r_z, c_z, t_z = r[z_idx], c[z_idx], t[z_idx]
+        want.append({"R/E[R]": r_z / r_z.mean(),
+                     "C/E[C]": c_z / c_z.mean(),
+                     "T/E[T]": t_z / t_z.mean(),
+                     "C/R": c_z / r_z}[ratio])
+    return np.concatenate(want)
+
+
 def test_ratio_study_normalized_means(small_config):
     out = ratio_study(small_config, ratios=("R/E[R]", "C/E[C]", "T/E[T]"))
+    density = small_config.densities[0]
     for ratio in out:
-        for summary in out[ratio].values():
+        for z_idx, zeta in enumerate(small_config.zetas):
+            summary = out[ratio][(density, zeta)]
             # each replication contributes n samples with mean exactly 1
             assert summary.mean == pytest.approx(1.0, abs=1e-12)
-            assert summary.samples.size == 30 * 20
+            pool = pooled_samples(small_config, ratio, z_idx)
+            assert pool.size == 30 * 20
+            assert summary == DistributionSummary.from_samples(pool)
 
 
 def test_ratio_study_cr_bounded(small_config):
     out = ratio_study(small_config, ratios="C/R")
-    for summary in out["C/R"].values():
-        assert np.all(summary.samples > 0.0)
-        assert np.all(summary.samples < 1.0)
+    density = small_config.densities[0]
+    for z_idx, zeta in enumerate(small_config.zetas):
+        pool = pooled_samples(small_config, "C/R", z_idx)
+        assert np.all(pool > 0.0)
+        assert np.all(pool < 1.0)
+        assert out["C/R"][(density, zeta)] == (
+            DistributionSummary.from_samples(pool))
 
 
 def test_ratio_study_quantiles_monotone(small_config):
@@ -324,25 +347,16 @@ def test_one_pass_ratio_summaries_match_ratio_study(small_config):
     table = spearman_table(small_config, ratios=RATIOS)
     study = ratio_study(small_config, ratios=RATIOS)
     assert list(table.ratios) == list(RATIOS)
-    rows = per_replication_measures(small_config, 0)
     density = small_config.densities[0]
     for ratio in RATIOS:
         assert list(table.ratios[ratio]) == list(study[ratio])
         for z_idx, zeta in enumerate(small_config.zetas):
             got = table.ratios[ratio][(density, zeta)]
             other = study[ratio][(density, zeta)]
-            assert np.array_equal(got.samples, other.samples)
-            assert (got.mean, got.std, got.quantiles) == (
-                other.mean, other.std, other.quantiles)
+            assert got == other
             # the pooled samples of the per-replication loop
-            want = []
-            for r, c, t in rows:
-                r_z, c_z, t_z = r[z_idx], c[z_idx], t[z_idx]
-                want.append({"R/E[R]": r_z / r_z.mean(),
-                             "C/E[C]": c_z / c_z.mean(),
-                             "T/E[T]": t_z / t_z.mean(),
-                             "C/R": c_z / r_z}[ratio])
-            assert np.array_equal(got.samples, np.concatenate(want))
+            assert got == DistributionSummary.from_samples(
+                pooled_samples(small_config, ratio, z_idx))
 
 
 def test_spearman_table_without_ratios_has_none(small_config):

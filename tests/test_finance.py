@@ -12,9 +12,7 @@ from scipy.stats import ttest_rel
 
 from riskcent.centrality import sweep
 from riskcent.finance import (
-    MarketWindow,
     ReturnsPanel,
-    build_market_windows,
     correlation_and_distance,
     delta_rank,
     lda_fit,
@@ -25,6 +23,7 @@ from riskcent.finance import (
     save_returns,
     svc_trend,
     window_rank_report,
+    window_trees,
 )
 from riskcent.graph import Graph, load_memberships
 
@@ -556,19 +555,21 @@ def test_build_market_window():
     rng = np.random.default_rng(12)
     f = rng.normal(size=(130, 1))
     data = 0.6 * f + 0.8 * rng.normal(size=(130, 5))
-    mw = build_market_windows([window_from_returns(data)])[0]
-    assert mw.window_id == "1-2001"
-    assert mw.tree.m == 4
-    assert mw.tree.labels == mw.assets
-    assert mw.rho.shape == (5, 5)
-    assert np.all(mw.dist >= 0.0) and np.all(mw.dist <= 2.0)
+    window = window_from_returns(data)
+    tree = window_trees([window])[0]
+    assert tree.n == 5 and tree.m == 4
+    assert tree.labels == window.assets
+    # the tree of the window's Mantegna distances, which lie in [0, 2]
+    _, dist, kept = correlation_and_distance(window.returns)
+    assert kept.tolist() == list(range(5))
+    assert tree == mst(dist, labels=window.assets)
+    assert np.all(tree.edge_array()[:, 2] <= 2.0)
 
 
 def test_window_report_star_hub_is_stable():
     tree = Graph(5, [(0, 1, 2.0), (0, 2, 1.5), (0, 3, 1.0), (0, 4, 0.5)],
                  labels=list("abcde"))
-    mw = MarketWindow("1-2001", list("abcde"), np.eye(5), np.eye(5), tree)
-    report = window_rank_report(mw)
+    report = window_rank_report(tree)
     assert np.all(report.rank_matrix[:, 0] == 1)
     # distinct leaf weights freeze the whole ranking across the grid
     assert np.all(report.per_node_std == 0.0)
@@ -576,16 +577,15 @@ def test_window_report_star_hub_is_stable():
 
 def test_window_report_inverse_weight_mode():
     tree = Graph(3, [(0, 1, 0.5), (1, 2, 2.0)], labels=list("abc"))
-    mw = MarketWindow("1-2001", list("abc"), np.eye(3), np.eye(3), tree)
-    by_dist = window_rank_report(mw)
-    by_inv = window_rank_report(mw, weight_mode="inverse")
+    by_dist = window_rank_report(tree)
+    by_inv = window_rank_report(tree, weight_mode="inverse")
     assert np.all(by_dist.rank_matrix[:, 1] == 1)
     assert np.all(by_inv.rank_matrix[:, 1] == 1)
     # the heavy edge flips sides under reciprocal weights
     assert np.all(by_dist.rank_matrix[:, 2] == 2)
     assert np.all(by_inv.rank_matrix[:, 0] == 2)
     with pytest.raises(ValueError):
-        window_rank_report(mw, weight_mode="sqrt")
+        window_rank_report(tree, weight_mode="sqrt")
 
 
 def test_window_report_crisis_more_volatile_than_diffuse():
@@ -599,8 +599,8 @@ def test_window_report_crisis_more_volatile_than_diffuse():
     diffuse = 0.15 * f[:, None] + 1.0 * rng.normal(size=(t, n))
     stds = []
     for data in (crisis, diffuse):
-        mw = build_market_windows([window_from_returns(data)])[0]
-        stds.append(window_rank_report(mw).per_node_std.mean())
+        tree = window_trees([window_from_returns(data)])[0]
+        stds.append(window_rank_report(tree).per_node_std.mean())
     assert stds[0] > stds[1]
 
 
@@ -612,8 +612,8 @@ def test_window_reports_feed_paired_t_test():
     second = 0.1 * f[:, None] + rng.normal(size=(t, n))
     stds = []
     for data in (first, second):
-        mw = build_market_windows([window_from_returns(data)])[0]
-        stds.append(window_rank_report(mw).per_node_std)
+        tree = window_trees([window_from_returns(data)])[0]
+        stds.append(window_rank_report(tree).per_node_std)
     res = ttest_rel(stds[0], stds[1])
     assert res.df == n - 1
     assert 0.0 < res.pvalue <= 1.0
@@ -632,30 +632,23 @@ def test_delta_rank_sums_to_zero():
         edges = [(int(a), int(b), float(rng.uniform(0.5, 2.0)))
                  for a, b, _ in g.edge_array()]
         prof = sweep(Graph(12, edges), grid)
-        dr = delta_rank(prof)
-        assert dr.sum() == 0
+        for m in "RCT":
+            assert delta_rank(prof.measure(m)[[0, -1]]).sum() == 0
 
 
 def test_delta_rank_complete_graph_is_flat():
     from riskcent.graph import generate_complete
 
     prof = sweep(generate_complete(4), np.array([0.01, 1.0]))
-    assert np.all(delta_rank(prof) == 0)
+    assert np.all(delta_rank(prof.R) == 0)
 
 
 def test_delta_rank_engineered_swap():
     # weighted path whose ends trade places between the two regimes
     g = Graph(4, [(0, 1, 1.0), (1, 2, 1.7), (2, 3, 2.3)])
     prof = sweep(g, np.array([0.01, 1.0]))
-    dr = delta_rank(prof)
+    dr = delta_rank(prof.R)
     assert dr.tolist() == [0, -1, 0, 1]
-
-
-def test_delta_rank_needs_grid_points():
-    g = Graph(4, [(0, 1, 1.0), (1, 2, 1.7), (2, 3, 2.3)])
-    prof = sweep(g, np.array([0.01, 1.0]))
-    with pytest.raises(ValueError, match="not on the profile grid"):
-        delta_rank(prof, zeta_hi=0.7)
 
 
 # -- linear discriminant ------------------------------------------------------
