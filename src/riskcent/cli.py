@@ -5,10 +5,11 @@ settings, input digests, declared outputs) into the output directory
 before any result file, then emits plain CSV/JSON reports.  Every CSV
 goes through ``centrality.write_grid_csv`` (grid tables) or
 ``centrality.write_rows`` (the rest; ``None`` and NaN cells are empty),
-every JSON report through ``_write_json`` (sorted keys, one-space
-indent, standard JSON: a NaN or infinity is refused before the file
-opens).  Exit codes: 0 success, 2 invalid input or a failed solver, 3
-runtime budget exceeded.
+but ``events.csv``, which ``cmd_interlace`` formats itself in the same
+cells and line endings.  Every JSON report goes through ``_write_json``
+(sorted keys, one-space indent, standard JSON: a NaN or infinity is
+refused before the file opens).  Exit codes: 0 success, 2 invalid input
+or a failed solver, 3 runtime budget exceeded.
 """
 
 from __future__ import annotations
@@ -213,6 +214,15 @@ def _parse_pairs(spec):
     return np.array(pairs)
 
 
+def _float_cells(x):
+    """The CSV cells of a float array: each value's shortest round-trip
+    ``repr``, as ``csv.writer`` writes a float, and NaN empty."""
+    cells = list(map(float.__repr__, x.tolist()))
+    for k in np.flatnonzero(np.isnan(x)).tolist():
+        cells[k] = ""
+    return cells
+
+
 def cmd_interlace(args):
     """One ``events.csv`` row per crossing or tangency of each pair.
 
@@ -221,6 +231,11 @@ def cmd_interlace(args):
     has a local minimum below the tangency tolerance without a sign
     change; it has no bracket, so ``bracket_lo`` and ``bracket_hi`` are
     empty.
+
+    The file is formatted here, not by ``write_rows``: one ``%`` template
+    per row kind, each float through ``repr`` once (``_float_cells``),
+    and one write.  The bytes are those ``csv.writer`` writes for the
+    same rows.
     """
     g = _load_graph(args.graph, weighted=args.weighted)
     grid = _parse_grid(args.zeta_grid)
@@ -243,19 +258,25 @@ def cmd_interlace(args):
     linear = root = np.zeros(0)
     if found.size:  # the heuristics fill columns of event rows only
         linear, root = heuristic_pairs(g, pairs[found], measure=args.measure)
-    no_bracket = np.full(tp.size, np.nan)  # written as empty cells
+    # each found pair's heuristic cells, then each event row's
+    linear, root = (np.array(_float_cells(x), dtype=object)[at].tolist()
+                    for x in (linear, root))
+    crossing = "%d,%d," + args.measure + ",crossing,%s,%s,%s,%s,%s\r\n"
+    tangency = "%d,%d," + args.measure + ",tangency,%s,,,%s,%s\r\n"
+    lines = list(map(crossing.__mod__, zip(
+        *pairs[cp].T.tolist(),
+        *map(_float_cells, (0.5 * (lo + hi), lo, hi)),
+        linear[:cp.size], root[:cp.size])))
+    lines += map(tangency.__mod__, zip(
+        *pairs[tp].T.tolist(), _float_cells(zetas),
+        linear[cp.size:], root[cp.size:]))
     # each pair's crossings, then its tangencies
     order = np.argsort(pair, kind="stable")
-    i, j = pairs[pair[order]].T
-    kind = np.repeat(["crossing", "tangency"], [cp.size, tp.size])[order]
-    cols = [np.concatenate(c)[order] for c in
-            ([0.5 * (lo + hi), zetas], [lo, no_bracket], [hi, no_bracket])]
-    cols += [linear[at[order]], root[at[order]]]
-    write_rows(os.path.join(args.out, "events.csv"),
-               ["i", "j", "measure", "kind", "zeta_star", "bracket_lo",
-                "bracket_hi", "heuristic_linear", "heuristic_poly"],
-               zip(i.tolist(), j.tolist(), [args.measure] * pair.size,
-                   kind.tolist(), *(c.tolist() for c in cols)))
+    with open(os.path.join(args.out, "events.csv"), "w", newline="",
+              encoding="utf-8") as fh:
+        fh.write("".join(["i,j,measure,kind,zeta_star,bracket_lo,bracket_hi,"
+                          "heuristic_linear,heuristic_poly\r\n"]
+                         + np.array(lines, dtype=object)[order].tolist()))
     return 0
 
 

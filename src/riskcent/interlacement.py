@@ -297,39 +297,41 @@ def _detect_block(p, ci, cj, rows, table, weights, grid, scale,
     ci, cj = ci[p], cj[p]
     vi, vj = rows[ci], rows[cj]  # (pairs, grid)
     diff = vi - vj
-    # 0 within the noise floor, else the sign of the difference
-    floor = _NOISE * np.maximum(np.abs(vi), np.abs(vj))
-    signs = (diff > floor).view(np.int8) - (diff < -floor).view(np.int8)
+    # 0 within the noise floor, else the sign of the difference; the
+    # floor 1e-12 max(|M_i|, |M_j|) is built in the copies vi, vj
+    floor = np.maximum(np.abs(vi, out=vi), np.abs(vj, out=vj), out=vi)
+    floor *= _NOISE
+    signs = (diff > floor).view(np.int8)
+    signs -= (diff < np.negative(floor, out=floor)).view(np.int8)
 
     # consecutive nonzero grid values of one pair with opposite signs: the
-    # nonzero values in row-major order, each against the one before it in
-    # its row
+    # nonzero values in row-major order, each against the one before it,
+    # kept where both lie in one row
     flat = np.flatnonzero(signs)
-    row, col = np.divmod(flat, grid.size)
     nz = signs.ravel()[flat]
-    k = np.flatnonzero((nz[1:] != nz[:-1]) & (row[1:] == row[:-1]))
-    owner, lo_at, hi_at = row[k + 1], col[k], col[k + 1]
+    k = np.flatnonzero(nz[1:] != nz[:-1])
+    row, col = np.divmod(flat[np.stack([k, k + 1])], grid.size)
+    same = row[0] == row[1]
+    owner, (lo_at, hi_at) = row[1, same], col[:, same]
     before, after = signs[owner, lo_at], signs[owner, hi_at]
     lo, hi = grid[lo_at], grid[hi_at]
     active = np.flatnonzero(hi - lo > bracket_tol)
     # (table rows, brackets) differences of the open brackets
     coef = table[:, ci[owner[active]]] - table[:, cj[owner[active]]]
 
-    def halve(at, mid, fm):
-        # a midpoint where the difference fm keeps its sign at lo is the
-        # new lo of its bracket, any other the new hi
-        up = fm * before[at] > 0.0
-        lo[at[up]] = mid[up]
-        hi[at[~up]] = mid[~up]
-
+    # a midpoint where the difference keeps its sign at lo is the new lo
+    # of its bracket, any other the new hi
     while True:
         width = hi[active] - lo[active]
         far = np.flatnonzero((width > bracket_tol) & (scale * width > _REACH))
         if not far.size:
             break
-        mid = 0.5 * (lo[active[far]] + hi[active[far]])
-        halve(active[far], mid,
-              np.einsum("bk,kb->b", weights(mid), coef[:, far]))
+        at = active[far]
+        mid = 0.5 * (lo[at] + hi[at])
+        up = (np.einsum("bk,kb->b", weights(mid), coef[:, far]) * before[at]
+              > 0.0)
+        lo[at[up]] = mid[up]
+        hi[at[~up]] = mid[~up]
     wide = hi[active] - lo[active] > bracket_tol
     active, coef = active[wide], coef[:, wide]
 
@@ -340,19 +342,35 @@ def _detect_block(p, ci, cj, rows, table, weights, grid, scale,
                   coef.shape[0] - 1)
         g = np.stack([np.einsum("bi,ib->b", w[:, :w.shape[1] - j], coef[j:])
                       for j in range(top + 1)])
+        # the open brackets' ends and lower signs as arrays of their own,
+        # written back to lo and hi as brackets close.  Each step is
+        # computed in place: a product or a sum with its operands swapped
+        # is the same float, so every sign is kept bit for bit
+        blo, bhi, bsign = anchor.copy(), hi[active], before[active]
+        terms = np.arange(1, top + 1)[:, None]
         while active.size:
-            mid = 0.5 * (lo[active] + hi[active])
-            h = scale * (mid - anchor)
-            fm = g[top]
+            mid = blo + bhi
+            mid *= 0.5
+            h = mid - anchor
+            h *= scale
+            step = h / terms  # row j - 1: h / j
+            fm = g[top].copy()
             for j in range(top, 0, -1):
-                fm = g[j - 1] + h / j * fm
-            halve(active, mid, fm)
-            wide = hi[active] - lo[active] > bracket_tol
+                fm *= step[j - 1]
+                fm += g[j - 1]
+            fm *= bsign
+            up = fm > 0.0
+            np.copyto(blo, mid, where=up)
+            np.copyto(bhi, mid, where=~up)
+            wide = bhi - blo > bracket_tol
             if not wide.all():
-                active, anchor, g = active[wide], anchor[wide], g[:, wide]
+                lo[active], hi[active] = blo, bhi
+                active, anchor, g, blo, bhi, bsign = (
+                    x[..., wide] for x in (active, anchor, g, blo, bhi,
+                                           bsign))
 
     s = grid * scale
-    absvals = np.abs(diff)
+    absvals = np.abs(diff, out=diff)
     # no flip across a grid-local minimum of log |M_i - M_j| = s + log
     # |scaled difference| below log(tangency_tol), sought only at the
     # inner grid points within twice the tolerance

@@ -6,6 +6,7 @@ files written under --out.
 
 import csv
 import hashlib
+import io
 import json
 import os
 import warnings
@@ -19,7 +20,8 @@ import riskcent.cli
 import riskcent.interlacement
 import riskcent.spectral
 from riskcent.cli import build_parser, main
-from riskcent.graph import Graph, generate_complete, load_json, save_json
+from riskcent.graph import (Graph, generate_complete, generate_er,
+                            load_json, save_json)
 
 
 def read_csv(path):
@@ -611,6 +613,103 @@ def test_interlace_writes_tangency_rows(tmp_path, monkeypatch):
         ["2", "3", "C", "tangency", "0.4"]]
     assert rows[1][:7] == ["0", "1", "C", "tangency", "0.25", "", ""]
     assert rows[0][5:7] == ["0.1", repr(0.1 + 1e-9)]
+
+
+def reference_events_csv(g, pairs, measure, grid, detect):
+    """events.csv as ``csv.writer`` wrote it before ``cmd_interlace``
+    formatted it: rows by pair, each pair's crossings before its
+    tangencies, NaN and absent cells empty, floats as ``repr``."""
+    (cp, lo, hi, _, _), (tp, zetas) = detect(g, pairs, measure=measure,
+                                             zeta_grid=grid)
+    events = sorted([(p, 0, k) for k, p in enumerate(cp.tolist())]
+                    + [(p, 1, k) for k, p in enumerate(tp.tolist())])
+    found = sorted({p for p, _, _ in events})
+    heuristics = {}
+    if found:
+        linear, root = riskcent.interlacement.heuristic_pairs(
+            g, pairs[found], measure=measure)
+        heuristics = dict(zip(found, zip(linear.tolist(), root.tolist())))
+    buf = io.StringIO(newline="")
+    w = csv.writer(buf)
+    w.writerow(["i", "j", "measure", "kind", "zeta_star", "bracket_lo",
+                "bracket_hi", "heuristic_linear", "heuristic_poly"])
+    for p, tangent, k in events:
+        cells = ([zetas[k], None, None] if tangent else
+                 [0.5 * (lo[k] + hi[k]), lo[k], hi[k]])
+        row = [*pairs[p].tolist(), measure,
+               "tangency" if tangent else "crossing",
+               *(None if x is None else float(x) for x in cells),
+               *heuristics[p]]
+        w.writerow([None if x != x else x for x in row])
+    return buf.getvalue().encode("utf-8")
+
+
+def _with_tangencies(g, pairs, **kwargs):
+    # the detected crossings, plus tangencies of the pairs {1, 5} (one
+    # before and one after its crossing) and {2, 3} (automorphic: no
+    # heuristic, so NaN cells)
+    crossings, _ = riskcent.interlacement.detect_pairs(g, pairs, **kwargs)
+    keys = [frozenset(p) for p in np.asarray(pairs).tolist()]
+    tangent = [(keys.index(frozenset(p)), z)
+               for p, zs in (((1, 5), (0.25, 2.0)), ((2, 3), (1.0,)))
+               if frozenset(p) in keys for z in zs]
+    tp, zetas = np.array(sorted(tangent)).reshape(-1, 2).T
+    return crossings, (tp.astype(np.int64), zetas)
+
+
+@pytest.mark.parametrize("measure", "RCT")
+@pytest.mark.parametrize("graph,spec", [
+    ("hub", "5,1;2,3;0,5;6,7"),
+    ("hub", None),
+    # (37, 1) has no linear estimate on R and T, nor (1, 8) on C; (23, 38)
+    # crosses twice on C
+    ("er40", "37,1;2,11;1,8;0,1;23,38;2,29"),
+    ("er40", None),
+])
+def test_interlace_events_csv_bytes_match_csv_writer(tmp_path, monkeypatch,
+                                                     graph, spec, measure):
+    # cmd_interlace formats events.csv itself: byte for byte what
+    # csv.writer writes for the same events, on crossings, tangency rows
+    # with empty brackets and NaN heuristic cells
+    if graph == "hub":
+        path = write_clique_plus_hub(tmp_path / "g.json")
+        detect = _with_tangencies
+        monkeypatch.setattr(riskcent.cli, "detect_pairs", detect)
+    else:
+        path = str(tmp_path / "g.json")
+        save_json(generate_er(40, 0.15, seed=4, require_connected=True),
+                  path)
+        detect = riskcent.interlacement.detect_pairs
+    out = tmp_path / "out"
+    which = ["--all-pairs"] if spec is None else ["--pairs", spec]
+    assert main(["interlace", path, "--out", str(out), "--measure", measure,
+                 "--zeta-grid", "0.05:3:60"] + which) == 0
+    g = load_json(path)
+    pairs = (np.column_stack(np.triu_indices(g.n, 1)) if spec is None
+             else np.array([tok.split(",") for tok in spec.split(";")],
+                           dtype=np.int64))
+    want = reference_events_csv(g, pairs, measure, np.linspace(0.05, 3, 60),
+                                detect)
+    assert (out / "events.csv").read_bytes() == want
+    # the cases the comparison covers
+    rows = list(csv.reader(io.StringIO(want.decode(), newline="")))[1:]
+    assert any(r[3] == "crossing" for r in rows)
+    assert any("" in r[7:] for r in rows)  # a NaN heuristic
+    if graph == "hub":
+        hub = ["1", "5"] if spec is None else ["5", "1"]
+        assert [r[:7] for r in rows if r[3] == "tangency"] == [
+            ij + [measure, "tangency", z, "", ""]
+            for ij, z in ((hub, "0.25"), (hub, "2.0"), (["2", "3"], "1.0"))]
+
+
+def test_interlace_events_csv_without_events_is_the_header(tmp_path):
+    graph = write_clique_plus_hub(tmp_path / "g.json")
+    out = tmp_path / "out"
+    assert main(["interlace", graph, "--out", str(out), "--pairs",
+                 "2,3;6,7"]) == 0
+    assert (out / "events.csv").read_bytes() == (
+        b"i,j,measure,kind,zeta_star,bracket_lo,bracket_hi,"
+        b"heuristic_linear,heuristic_poly\r\n")
 
 
 @pytest.mark.parametrize("error", [

@@ -595,6 +595,89 @@ def test_wide_step_brackets_are_pinned():
     assert (before == -1).all() and (after == 1).all() and tp.size == 0
 
 
+# (pair, repr of zeta*, bracket_lo, bracket_hi) of the first two crossings
+# of each case, captured while the Horner step still built a new array per
+# term: the in-place step must reproduce every bit
+PINNED_BRACKETS = {
+    ("hub", "R"): [
+        ((0, 5), "0.26979411542415627",
+         "0.26979411244392404", "0.2697941184043885"),
+        ((1, 5), "0.49025823771953586",
+         "0.49025823473930363", "0.4902582406997681"),
+    ],
+    ("hub", "C"): [
+        ((0, 5), "0.38930406868457784",
+         "0.3893040657043456", "0.38930407166481007"),
+        ((1, 5), "0.5575884431600571",
+         "0.5575884401798249", "0.5575884461402894"),
+    ],
+    ("hub", "T"): [
+        ((0, 5), "0.25884897410869606",
+         "0.25884897112846383", "0.2588489770889283"),
+        ((1, 5), "0.47833994328975665",
+         "0.4783399403095244", "0.4783399462699889"),
+    ],
+    ("hubwide", "R"): [
+        ((0, 5), "0.26979411999249336",
+         "0.26979411635453276", "0.269794123630454"),
+        ((1, 5), "0.49025823683858105",
+         "0.49025823320062045", "0.4902582404765417"),
+    ],
+    ("hubwide", "C"): [
+        ((0, 5), "0.38930406573961585",
+         "0.38930406210165525", "0.38930406937757644"),
+        ((1, 5), "0.5575884477942781",
+         "0.5575884441563175", "0.5575884514322387"),
+    ],
+    ("hubwide", "T"): [
+        ((0, 5), "0.25884897350735614",
+         "0.25884896986939554", "0.2588489771453168"),
+        ((1, 5), "0.47833994316426465",
+         "0.47833993952630405", "0.47833994680222525"),
+    ],
+    ("er40", "R"): [
+        ((1, 37), "0.6063380200788377",
+         "0.6063380163162946", "0.606338023841381"),
+        ((2, 11), "0.37924179371446365",
+         "0.3792417899519204", "0.3792417974770068"),
+    ],
+    ("er40", "C"): [
+        ((1, 8), "0.2593066580966114",
+         "0.2593066543340682", "0.25930666185915463"),
+        ((1, 28), "1.1943334998562931",
+         "1.19433349609375", "1.1943335036188363"),
+    ],
+    ("er40", "T"): [
+        ((1, 37), "0.5573170712962745",
+         "0.5573170675337313", "0.5573170750588178"),
+        ((2, 11), "0.36538552101701494",
+         "0.3653855172544717", "0.3653855247795581"),
+    ],
+}
+PINNED_CASES = {
+    "hub": (clique_plus_hub, np.linspace(0.05, 3.0, 60)),
+    "hubwide": (clique_plus_hub, np.linspace(0.01, 2000.0, 3)),
+    "er40": (lambda: generate_er(40, 0.15, seed=4, require_connected=True),
+             np.linspace(0.01, 100.0, 100)),
+}
+
+
+@pytest.mark.parametrize("case,measure", list(PINNED_BRACKETS),
+                         ids=["%s-%s" % c for c in PINNED_BRACKETS])
+def test_bracket_bits_are_pinned(case, measure):
+    # the in-place Horner step takes every sign decision bit for bit: the
+    # brackets keep their last bit, on grids whose steps the shifted series
+    # covers (hub, er40) and past exp's range (hubwide: halved first)
+    make, grid = PINNED_CASES[case]
+    g = make()
+    pairs = [(i, j) for i in range(g.n) for j in range(i + 1, g.n)]
+    (pair, lo, hi, _, _), _ = detect_pairs(g, pairs, measure, grid)
+    got = [(pairs[p], repr(0.5 * (a + b)), repr(a), repr(b))
+           for p, a, b in zip(pair[:2].tolist(), lo[:2].tolist(),
+                              hi[:2].tolist())]
+    assert got == PINNED_BRACKETS[case, measure]
+
+
 @pytest.mark.parametrize("make,grid", [
     (clique_plus_hub, np.linspace(0.01, 2000.0, 3)),
     (double_crossing, WIDE_GRID),
