@@ -1,20 +1,29 @@
 """Command-line front end.
 
-Every command validates its inputs, writes a ``manifest.json`` (command,
-settings, input digests, declared outputs) into the output directory
-before any result file, then emits plain CSV/JSON reports.  Every CSV
-goes through ``centrality.write_grid_csv`` (grid tables) or
-``centrality.write_rows`` (the rest; ``None`` and NaN cells are empty),
-but ``events.csv``, which ``cmd_interlace`` formats itself in the same
-cells and line endings.  Every JSON report goes through ``_write_json``
-(sorted keys, one-space indent, standard JSON: a NaN or infinity is
-refused before the file opens).  Exit codes: 0 success, 2 invalid input
-or a failed solver, 3 runtime budget exceeded.
+``main`` parses the command line with the one parser of the process
+(``build_parser`` is cached) and calls ``cmd_<command>``, looked up by
+name at call time.  Every command validates its inputs, writes a
+``manifest.json`` (command, settings, input digests, declared outputs) into
+the output directory before any result file, then emits plain CSV/JSON
+reports.  The settings are the parsed options but ``--out``, ``--jobs``
+and ``--budget``; where a command reads a value from an option's text (a
+zeta grid, the solvers, the pairs, the experiment config), the value
+stands in place of the text.  ``centrality``, ``epidemics``,
+``interlace`` and ``corporate`` solve before the manifest, so a failed
+solve leaves no output directory.  Every CSV goes through
+``centrality.write_grid_csv`` (grid tables) or ``centrality.write_rows``
+(the rest; ``None`` and NaN cells are empty), but ``events.csv``, which
+``cmd_interlace`` formats itself in the same cells and line endings.
+Every JSON report goes through ``_write_json`` (sorted keys, one-space
+indent, standard JSON: a NaN or infinity is refused before the file
+opens).  Exit codes: 0 success, 2 invalid input or a failed solver, 3
+runtime budget exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -37,7 +46,16 @@ from .graph import (load_edge_list, load_json, load_memberships,
 from .interlacement import detect_pairs, heuristic_pairs
 from .spectral import EigensolverError
 
-_SOLVERS = ("exact", "lee", "lee-general", "linearized", "mean-field")
+# each lambda looks its si_* function up when called, so a rebound
+# cli.si_* (a test's stub, a bench span) is the one that runs
+_SOLVERS = {
+    "exact": lambda g, params: si_exact(g, params),
+    "lee": lambda g, params: si_lee(g, params),
+    "lee-general": lambda g, params: si_lee_general(
+        g, params, np.full(g.n, params.beta)),
+    "linearized": lambda g, params: si_linearized(g, params),
+    "mean-field": lambda g, params: si_meanfield(g.mean_degree(), params),
+}
 # market windows per batch: their trees come from one Prim's run and their
 # R from one power series, while only one batch's correlations, trees and
 # rows are alive at a time
@@ -103,17 +121,23 @@ def _parse_grid(spec):
         raise ValueError("--zeta-grid %r: %s" % (spec, exc)) from None
 
 
-def _write_manifest(out_dir, command, settings, inputs, outputs, seed=None):
-    os.makedirs(out_dir, exist_ok=True)
+def _write_manifest(args, inputs, outputs, seed=None, **parsed):
+    """``manifest.json`` in ``args.out``.  The settings are ``args`` but
+    the command, the output folder and the run controls, with each value
+    the command read from an option's text (``parsed``) in its place."""
+    settings = {key: value for key, value in vars(args).items()
+                if key not in ("command", "out", "jobs", "budget")}
+    settings.update(parsed)
+    os.makedirs(args.out, exist_ok=True)
     doc = {
-        "command": command,
+        "command": args.command,
         "version": __version__,
         "settings": settings,
         "seed": seed,
         "inputs": {path: _sha256(path) for path in inputs},
         "outputs": sorted(outputs),
     }
-    _write_json(os.path.join(out_dir, "manifest.json"), doc)
+    _write_json(os.path.join(args.out, "manifest.json"), doc)
 
 
 def _write_json(path, doc):
@@ -136,10 +160,7 @@ def cmd_centrality(args):
     report = ranking_sweep(profile, measure=args.measure)
     outputs = ["values_R.csv", "values_C.csv", "values_T.csv",
                "ranks.csv", "rankstd.csv"]
-    _write_manifest(args.out, "centrality",
-                    {"graph": args.graph, "weighted": args.weighted,
-                     "measure": args.measure, "zeta_grid": grid.tolist()},
-                    [args.graph], outputs)
+    _write_manifest(args, [args.graph], outputs, zeta_grid=grid.tolist())
     for m in MEASURES:
         profile.to_csv(os.path.join(args.out, "values_%s.csv" % m), m)
     report.to_csv(os.path.join(args.out, "ranks.csv"))
@@ -166,30 +187,17 @@ def cmd_epidemics(args):
         if s not in _SOLVERS:
             raise ValueError("unknown solver %r; options: %s"
                              % (s, ", ".join(_SOLVERS)))
-    outputs = (["trajectory_%s.csv" % s for s in solvers]
-               + ["mean_curves.csv"])
-    _write_manifest(args.out, "epidemics",
-                    {"graph": args.graph, "weighted": args.weighted,
-                     "beta": args.beta, "gamma": args.gamma,
-                     "tmax": args.tmax, "steps": args.steps,
-                     "solvers": solvers},
-                    [args.graph], outputs)
-    means = []
-    for s in solvers:
-        if s == "exact":
-            traj = si_exact(g, params)
-        elif s == "lee":
-            traj = si_lee(g, params)
-        elif s == "lee-general":
-            traj = si_lee_general(g, params, np.full(g.n, params.beta))
-        elif s == "linearized":
-            traj = si_linearized(g, params)
-        else:
-            traj = si_meanfield(g.mean_degree(), params)
+    # every solver runs before the manifest: an overflow or a failed
+    # integration exits 2 with no output directory
+    trajs = [_SOLVERS[s](g, params) for s in solvers]
+    _write_manifest(args, [args.graph],
+                    ["trajectory_%s.csv" % s for s in solvers]
+                    + ["mean_curves.csv"], solvers=solvers)
+    for s, traj in zip(solvers, trajs):
         traj.to_csv(os.path.join(args.out, "trajectory_%s.csv" % s))
-        means.append(traj.mean_curve())
     write_grid_csv(os.path.join(args.out, "mean_curves.csv"), "t", t_grid,
-                   np.column_stack(means), solvers)
+                   np.column_stack([traj.mean_curve() for traj in trajs]),
+                   solvers)
     return 0
 
 
@@ -246,13 +254,10 @@ def cmd_interlace(args):
     # a bad pair or a grid of one point fails here, before the manifest
     (cp, lo, hi, _, _), (tp, zetas) = detect_pairs(
         g, pairs, measure=args.measure, zeta_grid=grid)
-    _write_manifest(args.out, "interlace",
-                    {"graph": args.graph, "weighted": args.weighted,
-                     "measure": args.measure, "zeta_grid": grid.tolist(),
-                     # all n(n-1)/2 pairs would dominate the manifest's size
-                     "all_pairs": args.all_pairs,
-                     "pairs": None if args.all_pairs else pairs.tolist()},
-                    [args.graph], ["events.csv"])
+    # all n(n-1)/2 pairs would dominate the manifest's size
+    _write_manifest(args, [args.graph], ["events.csv"],
+                    zeta_grid=grid.tolist(),
+                    pairs=None if args.all_pairs else pairs.tolist())
     pair = np.concatenate([cp, tp])
     found, at = np.unique(pair, return_inverse=True)
     linear = root = np.zeros(0)
@@ -289,13 +294,8 @@ def cmd_experiments(args):
     outputs = ["table_value.csv", "table_rank.csv"]
     if args.ratios:
         outputs.append("ratios.csv")
-    _write_manifest(args.out, "experiments",
-                    {"config": args.config, "n": config.n,
-                     "densities": list(config.densities),
-                     "zetas": list(config.zetas),
-                     "replications": config.replications,
-                     "ratios": bool(args.ratios)},
-                    [args.config], outputs, seed=config.seed)
+    # the config's fields, its seed the manifest's seed
+    _write_manifest(args, [args.config], outputs, **vars(config))
     budget.check("start")
     table = spearman_table(config, ratios=RATIOS if args.ratios else ())
     budget.check("replications")
@@ -327,14 +327,7 @@ def cmd_market(args):
         outputs += ["windows/%s/ranks.csv" % w.window_id,
                     "windows/%s/rankstd.csv" % w.window_id,
                     "windows/%s/mst.json" % w.window_id]
-    _write_manifest(args.out, "market",
-                    {"returns": args.returns,
-                     "width_months": args.width_months,
-                     "step_months": args.step_months,
-                     "min_obs": args.min_obs, "measure": args.measure,
-                     "weight_mode": args.weight_mode,
-                     "zeta_grid": grid.tolist()},
-                    [args.returns], outputs)
+    _write_manifest(args, [args.returns], outputs, zeta_grid=grid.tolist())
     budget.check("start")
     summary = []
     for first in range(0, len(windows), _WINDOW_CHUNK):
@@ -383,12 +376,7 @@ def cmd_corporate(args):
     x = np.array([shifts[k] for k, _ in used], dtype=float)
     y = np.array([trends[name].label for _, name in used])
     model = lda_fit(x, y)
-    _write_manifest(args.out, "corporate",
-                    {"memberships": args.memberships, "svc": args.svc,
-                     "binary": args.binary, "measure": args.measure,
-                     "zeta_lo": args.zeta_lo, "zeta_hi": args.zeta_hi,
-                     "threshold": args.threshold},
-                    [args.memberships, args.svc],
+    _write_manifest(args, [args.memberships, args.svc],
                     ["delta_rank.csv", "lda.json"])
     budget.check("rank shifts")
     rows = ([name, int(shift)]
@@ -407,6 +395,7 @@ def cmd_corporate(args):
 # -- parser ------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="riskcent",
@@ -434,7 +423,6 @@ def build_parser():
                    help="'lo:hi:count' or comma list (default 0.01..1)")
     p.add_argument("--measure", default="R", choices=MEASURES)
     add_common(p)
-    p.set_defaults(func=cmd_centrality)
 
     p = sub.add_parser("epidemics", help="SI trajectories and bound curves")
     p.add_argument("graph")
@@ -448,7 +436,6 @@ def build_parser():
     p.add_argument("--solvers", default="exact,lee,mean-field",
                    help="comma list from: %s" % ", ".join(_SOLVERS))
     add_common(p)
-    p.set_defaults(func=cmd_epidemics)
 
     p = sub.add_parser("interlace", help="crossing detection and "
                                          "heuristics for node pairs")
@@ -460,7 +447,6 @@ def build_parser():
     which.add_argument("--all-pairs", action="store_true")
     p.add_argument("--zeta-grid", default=None)
     add_common(p)
-    p.set_defaults(func=cmd_interlace)
 
     p = sub.add_parser("experiments", help="random-graph correlation table "
                                            "and ratio distributions")
@@ -468,7 +454,6 @@ def build_parser():
     p.add_argument("--ratios", action="store_true",
                    help="also emit pooled ratio distributions")
     add_common(p, budget=True)
-    p.set_defaults(func=cmd_experiments)
 
     p = sub.add_parser("market", help="rolling correlation windows, MSTs, "
                                       "and rank reports")
@@ -481,7 +466,6 @@ def build_parser():
                    choices=("distance", "inverse"))
     p.add_argument("--zeta-grid", default=None)
     add_common(p, budget=True)
-    p.set_defaults(func=cmd_market)
 
     p = sub.add_parser("corporate", help="board projection, rank shifts, "
                                          "and trend classification")
@@ -495,7 +479,6 @@ def build_parser():
     p.add_argument("--threshold", type=float, default=0.05,
                    help="drop companies with |trend correlation| below this")
     add_common(p, budget=True)
-    p.set_defaults(func=cmd_corporate)
 
     return parser
 
@@ -503,7 +486,9 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # looked up at call time: a rebound cli.cmd_* (a test's stub, a
+        # bench span) is the one that runs
+        return globals()["cmd_" + args.command](args)
     except _BudgetExceeded as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3

@@ -49,3 +49,29 @@ def test_tracer_install_restores_every_binding(spans):
         tracer.uninstall()
     for key, original in before.items():
         assert resolve(*key) is original, key
+
+
+def test_spans_reach_commands_and_solvers_through_the_cached_parser(
+        spans, tmp_path):
+    # main looks cmd_* and the solvers' si_* up when it runs, so a parser
+    # built before the tracer installs still dispatches to its wrappers
+    from riskcent import cli
+
+    graph = tmp_path / "k4.txt"
+    graph.write_text("0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")
+    assert cli.main(["centrality", str(graph), "--out",
+                     str(tmp_path / "first")]) == 0
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        tracer.active = True
+        assert cli.main(["centrality", str(graph), "--out",
+                         str(tmp_path / "c")]) == 0
+        assert cli.main(["epidemics", str(graph), "--beta", "0.1", "--gamma",
+                         "0.5", "--tmax", "1", "--solvers", "lee", "--out",
+                         str(tmp_path / "e")]) == 0
+    finally:
+        tracer.uninstall()
+    recorded = {span[0] for span in tracer.spans}
+    assert {"cli.centrality", "cli.epidemics",
+            "epidemics.si_lee"} <= recorded

@@ -160,6 +160,65 @@ def test_manifest_contents(tmp_path):
         assert os.path.isfile(os.path.join(out, name))
 
 
+# each command's manifest settings as literals: the parsed options, with a
+# grid, the solvers, the pairs and the config as the values read from
+# their text
+SETTINGS_PINS = [
+    (["centrality", "k4.txt", "--zeta-grid", "0.5:1:3", "--measure", "C"],
+     {"graph": "k4.txt", "measure": "C", "weighted": False,
+      "zeta_grid": [0.5, 0.75, 1.0]}, None),
+    (["epidemics", "k4.txt", "--beta", "0.01", "--gamma", "0.1", "--tmax",
+      "1", "--steps", "3", "--solvers", "lee, mean-field"],
+     {"beta": 0.01, "gamma": 0.1, "graph": "k4.txt",
+      "solvers": ["lee", "mean-field"], "steps": 3, "tmax": 1.0,
+      "weighted": False}, None),
+    (["interlace", "k4.txt", "--pairs", "0,1;2,3", "--zeta-grid", "0.1,0.2"],
+     {"all_pairs": False, "graph": "k4.txt", "measure": "C",
+      "pairs": [[0, 1], [2, 3]], "weighted": False, "zeta_grid": [0.1, 0.2]},
+     None),
+    (["interlace", "k4.txt", "--all-pairs", "--measure", "T", "--zeta-grid",
+      "0.2:1:3"],
+     {"all_pairs": True, "graph": "k4.txt", "measure": "T", "pairs": None,
+      "weighted": False, "zeta_grid": [0.2, 0.6000000000000001, 1.0]}, None),
+    (["experiments", "exp.cfg", "--ratios", "--budget", "100", "--jobs", "2"],
+     {"config": "exp.cfg", "densities": [0.3, 0.6], "n": 25, "ratios": True,
+      "replications": 6, "zetas": [0.1, 1.0]}, 11),
+    (["market", "returns.csv", "--zeta-grid", "0.1,1", "--weight-mode",
+      "inverse", "--budget", "100"],
+     {"measure": "R", "min_obs": 0.9, "returns": "returns.csv",
+      "step_months": 1, "weight_mode": "inverse", "width_months": 6,
+      "zeta_grid": [0.1, 1.0]}, None),
+    (["corporate", "memb.csv", "svc.csv", "--binary", "--zeta-hi", "2"],
+     {"binary": True, "measure": "R", "memberships": "memb.csv",
+      "svc": "svc.csv", "threshold": 0.05, "zeta_hi": 2.0, "zeta_lo": 0.01},
+     None),
+]
+
+
+@pytest.mark.parametrize("argv, settings, seed", SETTINGS_PINS,
+                         ids=["centrality", "epidemics", "interlace-pairs",
+                              "interlace-all-pairs", "experiments", "market",
+                              "corporate"])
+def test_manifest_settings_pinned(tmp_path, monkeypatch, argv, settings,
+                                  seed):
+    monkeypatch.chdir(tmp_path)
+    write_k4("k4.txt")
+    write_experiment_config("exp.cfg")
+    write_returns("returns.csv")
+    write_corporate(tmp_path)
+    assert main(argv + ["--out", "out"]) == 0
+    with open(os.path.join("out", "manifest.json")) as fh:
+        man = json.load(fh)
+    assert man["command"] == argv[0]
+    assert man["settings"] == settings
+    assert man["seed"] == seed
+    assert not {"command", "out", "jobs", "budget"} & set(man["settings"])
+
+
+def test_one_parser_per_process():
+    assert build_parser() is build_parser()
+
+
 def test_centrality_past_float_range_exits_2_before_manifest(tmp_path,
                                                             capsys):
     # K30 has R = exp(29 zeta): past zeta ~ 24 the values leave float
@@ -408,22 +467,40 @@ def test_epidemics_linearized_overflow_exits_2(tmp_path, capsys):
     graph = tmp_path / "c4.txt"
     graph.write_text("0 1\n1 2\n2 3\n3 0\n")
     out = tmp_path / "out"
+    argv = ["epidemics", str(graph), "--beta", "0.1", "--gamma", "1000",
+            "--tmax", "1", "--steps", "3"]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        rc = main(["epidemics", str(graph), "--beta", "0.1", "--gamma",
-                   "1000", "--tmax", "1", "--steps", "3", "--solvers",
-                   "lee,linearized,lee-general", "--out", str(out)])
+        rc = main(argv + ["--solvers", "lee,linearized,lee-general",
+                          "--out", str(out)])
     assert rc == 2
     assert [str(w.message) for w in caught] == []
     err = capsys.readouterr().err
     assert err == "error: linearized: exp(gamma t A) x0 overflows at t = 0.5\n"
-    # lee ran first and wrote its exact limit where R overflows
-    _, rows = read_csv(out / "trajectory_lee.csv")
+    # every solver runs before the manifest: lee's trajectory is not kept
+    assert not out.exists()
+    # lee alone writes its exact limit where R overflows
+    lee = tmp_path / "lee"
+    assert main(argv + ["--solvers", "lee", "--out", str(lee)]) == 0
+    _, rows = read_csv(lee / "trajectory_lee.csv")
     vals = np.array(rows, dtype=float)
     assert np.array_equal(vals[:, 0], [0.0, 0.5, 1.0])
     assert np.allclose(vals[0, 1:], 0.1, rtol=1e-15)
     assert (vals[1:, 1:] == 1.0).all()
-    assert not (out / "trajectory_linearized.csv").exists()
+
+
+def test_epidemics_k30_overflow_leaves_no_output_directory(tmp_path, capsys):
+    # exact runs first and succeeds; the linearized flow then overflows
+    graph = str(tmp_path / "k30.json")
+    save_json(generate_complete(30), graph)
+    out = tmp_path / "out"
+    rc = main(["epidemics", graph, "--beta", "0.1", "--gamma", "50",
+               "--tmax", "10", "--solvers", "exact,linearized",
+               "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(
+        "error: linearized: exp(gamma t A) x0 overflows at t = ")
+    assert not out.exists()
 
 
 def test_epidemics_disconnected_graph_past_overflow(tmp_path):
