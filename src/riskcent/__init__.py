@@ -36,7 +36,6 @@ from .centrality import (  # noqa: F401
     default_zeta_grid,
     rank,
     ranking_sweep,
-    spearman,
     sweep,
 )
 from .epidemics import (  # noqa: F401
@@ -50,15 +49,13 @@ from .epidemics import (  # noqa: F401
     si_meanfield,
 )
 from .interlacement import (  # noqa: F401
-    detect,
-    heuristic_linear,
-    heuristic_poly,
+    detect_pairs,
+    heuristic_pairs,
 )
 from .experiments import (  # noqa: F401
     CorrelationTable,
     DistributionSummary,
     ExperimentConfig,
-    ratio_study,
     read_config,
     spearman_table,
     write_config,
@@ -72,12 +69,10 @@ from .finance import (  # noqa: F401
     lda_fit,
     load_returns,
     load_svc,
-    mst,
     msts,
     rolling_windows,
     save_returns,
     svc_trend,
-    window_rank_report,
     window_rank_reports,
     window_trees,
 )

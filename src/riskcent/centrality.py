@@ -87,7 +87,11 @@ def sweep(g, zeta_grid=None):
     grid = _grid(zeta_grid)
     r = expm(g, grid, np.ones(g.n))
     c = expm(g, grid)
-    return RiskProfile(grid, r, c, r - c, labels=list(g.labels))
+    # past float range R and C are +inf and T = inf - inf is NaN, which
+    # the ranking refuses
+    with np.errstate(invalid="ignore"):
+        t = r - c
+    return RiskProfile(grid, r, c, t, labels=list(g.labels))
 
 
 def write_grid_csv(path, head, grid, matrix, labels):

@@ -138,9 +138,11 @@ def _replication_measures(config, d_idx, rep, zetas, ones):
     a = _er_adjacency(config.n, config.densities[d_idx], rng,
                       require_connected=True, max_retries=1000)
     lam, u = _eigensystem(a)
-    r = _exp_rows(lam, u, zetas, ones)
-    c = _exp_rows(lam, u, zetas)
-    return r, c, r - c
+    # past float range the rows are +-inf or NaN, which the ranking refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = _exp_rows(lam, u, zetas, ones)
+        c = _exp_rows(lam, u, zetas)
+        return r, c, r - c
 
 
 def _check_ratios(ratios):

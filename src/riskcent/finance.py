@@ -447,7 +447,9 @@ def window_rank_reports(trees, zeta_grid=None, measure="R",
     union = Graph(offsets[-1], edges)
     values = expm(union, grid, None if measure == "C" else np.ones(union.n))
     if measure == "T":
-        values -= expm(union, grid)
+        # inf - inf past float range is NaN, which the ranking refuses
+        with np.errstate(invalid="ignore"):
+            values -= expm(union, grid)
     return [RankingSweep.from_values(grid, values[:, lo:hi], tree.labels)
             for tree, lo, hi in zip(trees, offsets[:-1], offsets[1:])]
 

@@ -236,15 +236,6 @@ class Graph:
 
     # -- serialization ---------------------------------------------------
 
-    def to_json_dict(self):
-        """Plain dict ``{n, labels, edges: [[u, v, w], ...]}``."""
-        return {
-            "n": self.n,
-            "labels": list(self.labels),
-            "edges": [[int(a), int(b), float(c)]
-                      for a, b, c in zip(self._u, self._v, self._w)],
-        }
-
     @classmethod
     def from_json_dict(cls, doc):
         """The graph of a document ``{"n", "edges", "labels"}``."""
@@ -271,10 +262,10 @@ class Graph:
 
 
 def save_json(g, path):
-    """Write ``g.to_json_dict()`` as ``json.dumps(..., indent=1)`` does,
-    byte for byte, without its pure-Python encoder: each label through
-    ``json.dumps`` and each weight as ``float.__repr__``, as that encoder
-    writes them."""
+    """Write the document ``{"n", "labels", "edges": [[u, v, w], ...]}``
+    of ``g`` as ``json.dumps(..., indent=1)`` does, byte for byte, without
+    its pure-Python encoder: each label through ``json.dumps`` and each
+    weight as ``float.__repr__``, as that encoder writes them."""
     labels = ["  " + json.dumps(x) for x in g.labels]
     edges = ["  [\n   %d,\n   %d,\n   %r\n  ]" % e for e in zip(
         g._u.tolist(), g._v.tolist(), g._w.tolist())]

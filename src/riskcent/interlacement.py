@@ -55,6 +55,10 @@ BRACKET_TOL_DEFAULT = 1e-8
 TANGENCY_TOL_DEFAULT = 1e-10
 # grid values of a pair closer than this share of the larger one are noise
 _NOISE = 1e-12
+# a root of a series truncation is kept when its imaginary part is at most
+# this share of 1 + |root| and its backward-error residual at most this
+_IMAG_TOL = 1e-8
+_RESIDUAL_TOL = 1e-10
 
 
 # Entries (about 2 MB of float64) that one block of pairs may hold in a
@@ -264,7 +268,7 @@ def _basis(g, nodes, measure, grid):
     being the spectral bound b.
     """
     a = g.sparse_adjacency()
-    b = _spectral_bound(a)
+    (b,) = _spectral_bound(a, [0])
     degree = int(_series_degree(grid.max() * b))
     return (lambda z: _poisson_weights(z * b, degree, z * b),
             _measure_table(a, b, nodes, measure, degree), b)
@@ -450,9 +454,9 @@ def heuristic_poly(g, i, j, measure="C", k=6):
     The reduced polynomial has ascending coefficients ``delta_m / m!`` for
     walk orders m up to k, divided by the common leading power of zeta.
     It is solved only if the coefficient sequence changes sign (zero
-    counts as positive) at some order k0 <= k.  Roots come from the
-    eigenvalues of the companion matrix; only positive real roots with
-    small normalized residual are kept.
+    counts as positive) at some order k0 <= k.  The root is the smallest
+    positive real eigenvalue of the companion matrix with a small
+    normalized residual (``_smallest_positive_roots``).
     """
     _, (root,) = heuristic_pairs(g, [(i, j)], measure, k)
     return None if math.isnan(root) else float(root)
@@ -466,7 +470,7 @@ def heuristic_pairs(g, pairs, measure="C", k=6):
     Walks are counted once for both, through order k or the linear
     estimate's order if that is higher.  Roots are sought only for the
     pairs with k0 <= k, a block of pairs at a time
-    (``_positive_real_roots_rows``).
+    (``_smallest_positive_roots``).
     """
     start, deltas = _pair_series(g, pairs, measure,
                                  max(k, 3 if measure == "C" else 2))
@@ -481,30 +485,27 @@ def heuristic_pairs(g, pairs, measure="C", k=6):
     solve = np.flatnonzero(k0 <= k)
     block = max(1, _BLOCK_ENTRIES // max(1, coeffs.shape[1]))
     for rows in np.split(solve, np.arange(block, solve.size, block)):
-        owner, roots, _ = _positive_real_roots_rows(coeffs[rows])
-        # a row's roots ascend: its first is its smallest
-        solved, first = np.unique(owner, return_index=True)
-        root[rows[solved]] = roots[first]
+        root[rows] = _smallest_positive_roots(coeffs[rows])
     return linear, root
 
 
-def _positive_real_roots_rows(coeffs, imag_tol=1e-8, residual_tol=1e-10):
-    """Positive real roots of each row of ascending coefficients.
+def _smallest_positive_roots(coeffs):
+    """Smallest positive real root of each row of ascending coefficients,
+    NaN where the row has none.
 
-    Returns flat arrays ``(owner, roots, residuals)``: the row of each
-    root, the root and its residual, sorted by row, then by root.  The
-    roots are the eigenvalues of the companion matrix that ``np.roots``
+    The roots are the eigenvalues of the companion matrix that ``np.roots``
     builds (zero coefficients stripped from both ends, first row
     ``-desc[1:] / desc[0]``, ones below the diagonal), solved in one
-    ``eigvals`` call per degree.  A root is kept when its imaginary part
-    is negligible, its real part positive and its backward-error residual
-    |p(x)| / sum_m |c_m| x^m, summed by Horner's rule as ``np.polyval``
-    does, falls below ``residual_tol``.
+    ``eigvals`` call per degree.  A root counts when its imaginary part is
+    at most ``_IMAG_TOL (1 + |root|)``, its real part positive and its
+    backward-error residual |p(x)| / sum_m |c_m| x^m, summed by Horner's
+    rule as ``np.polyval`` does, at most ``_RESIDUAL_TOL``.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     width = coeffs.shape[1]
+    smallest = np.full(coeffs.shape[0], np.nan)
     if not coeffs.size:
-        return np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0)
+        return smallest
     nonzero = coeffs != 0.0
     lo = nonzero.argmax(axis=1)
     hi = width - 1 - nonzero[:, ::-1].argmax(axis=1)
@@ -517,7 +518,8 @@ def _positive_real_roots_rows(coeffs, imag_tol=1e-8, residual_tol=1e-10):
         companion[:, 0, :] = -desc[:, 1:] / desc[:, :1]
         companion[:, np.arange(1, d), np.arange(d - 1)] = 1.0
         z = np.linalg.eigvals(companion)
-        skip = (np.abs(z.imag) > imag_tol * (1.0 + np.abs(z))) | (z.real <= 0.0)
+        skip = ((np.abs(z.imag) > _IMAG_TOL * (1.0 + np.abs(z)))
+                | (z.real <= 0.0))
         p, c = np.nonzero(~skip)
         owner.append(r[p])
         real.append(z.real[p, c])
@@ -531,7 +533,7 @@ def _positive_real_roots_rows(coeffs, imag_tol=1e-8, residual_tol=1e-10):
             value = value * x + desc[:, m]
             scale = scale * x + np.abs(desc[:, m])
         res = np.abs(value) / scale
-    keep = res <= residual_tol
-    owner, x, res = owner[keep], x[keep], res[keep]
-    order = np.lexsort((res, x, owner))
-    return owner[order], x[order], res[order]
+    keep = res <= _RESIDUAL_TOL
+    # fmin skips NaN: a row's first kept root replaces its NaN
+    np.fmin.at(smallest, owner[keep], x[keep])
+    return smallest

@@ -134,26 +134,24 @@ def _exp_rows(lam, u, zetas, v=None, scaled=False):
 # -- power series of exp(zA) ------------------------------------------------
 
 
-def _spectral_bound(a, starts=None):
-    """Upper bound b >= rho(A) of a symmetric CSR adjacency with weights > 0.
+def _spectral_bound(a, starts):
+    """Upper bounds b >= rho(A) of a symmetric CSR adjacency with weights
+    > 0, one per run of nodes that no edge joins, ``starts`` being the
+    first node of each run (``[0]`` for the whole graph).
 
     Collatz-Wielandt: ``rho(A) <= max_i (Ax)_i / x_i`` for A >= 0 and any
     x > 0.  x is ones after ``_BOUND_STEPS`` normalized power steps of
     A + I, which keep it positive and turn it toward the Perron vector, so
-    b closes in on lambda_1.  A graph without edges gives 0.  With
-    ``starts``, the first nodes of runs of nodes that no edge joins, the
-    one pass normalizes each run by its own maximum and returns an array
-    of one bound per run, each the bound of the run's own adjacency bit
-    for bit.
+    b closes in on lambda_1.  A run without edges gives 0.  The one pass
+    normalizes each run by its own maximum, so each bound is that of the
+    run's own adjacency bit for bit.
     """
     x = np.ones(a.shape[0])
-    first = [0] if starts is None else starts
-    run = np.repeat(np.arange(len(first)), np.diff(np.append(first, x.size)))
+    run = np.repeat(np.arange(len(starts)), np.diff(np.append(starts, x.size)))
     for _ in range(_BOUND_STEPS):
         x += a @ x
-        x /= np.maximum.reduceat(x, first)[run]
-    b = np.maximum.reduceat((a @ x) / x, first)
-    return float(b[0]) if starts is None else b
+        x /= np.maximum.reduceat(x, starts)[run]
+    return np.maximum.reduceat((a @ x) / x, starts)
 
 
 def _tail_ok(s, m):

@@ -75,3 +75,26 @@ def test_spans_reach_commands_and_solvers_through_the_cached_parser(
     recorded = {span[0] for span in tracer.spans}
     assert {"cli.centrality", "cli.epidemics",
             "epidemics.si_lee"} <= recorded
+
+
+# the single-pair, single-pass and one-window forms that only the span
+# recorder wraps: module functions, not in the package namespace
+SINGLE_FORMS = [
+    ("riskcent.interlacement", "detect"),
+    ("riskcent.interlacement", "heuristic_linear"),
+    ("riskcent.interlacement", "heuristic_poly"),
+    ("riskcent.centrality", "spearman"),
+    ("riskcent.experiments", "ratio_study"),
+    ("riskcent.finance", "mst"),
+    ("riskcent.finance", "window_rank_report"),
+]
+
+
+def test_single_forms_resolve_in_their_modules_only(spans):
+    import riskcent
+
+    targets = {(home, attr) for _, home, attr in spans.TARGETS}
+    for home, attr in SINGLE_FORMS:
+        assert (home, attr) in targets
+        assert callable(resolve(home, attr)), (home, attr)
+        assert attr not in vars(riskcent), attr

@@ -223,17 +223,39 @@ def test_centrality_past_float_range_exits_2_before_manifest(tmp_path,
                                                             capsys):
     # K30 has R = exp(29 zeta): past zeta ~ 24 the values leave float
     # range, and the ranking refuses them before any file is written.  R
-    # and C unscale to +inf without a warning; T = inf - inf warns
+    # and C unscale to +inf and T = inf - inf is NaN, none with a warning
     graph = tmp_path / "k30.json"
     save_json(generate_complete(30), str(graph))
     out = tmp_path / "out"
-    with pytest.warns(RuntimeWarning):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         rc = main(["centrality", str(graph), "--zeta-grid", "1:100:5",
                    "--out", str(out)])
     assert rc == 2
+    assert [str(w.message) for w in caught] == []
     assert capsys.readouterr().err == (
         "error: values must be finite to rank\n")
     assert not out.exists()
+
+
+def test_market_and_experiments_past_float_range_exit_2_without_a_warning(
+        tmp_path, capsys):
+    # the market's T = inf - inf and an experiments replication's expm1
+    # overflow and inf - inf are formed silently; the ranking refuses them
+    config = tmp_path / "exp.cfg"
+    config.write_text("n = 30\ndensities = 0.5\nzetas = 0.1, 100\n"
+                      "replications = 2\nseed = 1\n")
+    runs = [["market", write_returns(tmp_path / "returns.csv"), "--measure",
+             "T", "--zeta-grid", "1:2000:3"],
+            ["experiments", str(config)]]
+    for argv in runs:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(argv + ["--out", str(tmp_path / argv[0])])
+        assert rc == 2, argv
+        assert [str(w.message) for w in caught] == [], argv
+        assert capsys.readouterr().err == (
+            "error: values must be finite to rank\n"), argv
 
 
 def test_missing_graph_file_exits_2(tmp_path, capsys):

@@ -14,7 +14,7 @@ from riskcent.interlacement import (
     _order_keys,
     _pair_series,
     _poly_rows,
-    _positive_real_roots_rows,
+    _smallest_positive_roots,
     detect,
     detect_pairs,
     heuristic_linear,
@@ -218,19 +218,23 @@ def by_pair(found, count):
 
 def series_poly(g, i, j, measure, k):
     """One pair's order-k truncation from the private row forms:
-    ``(coefficients, roots, residuals, descartes)``.  Its k0 and
-    coefficients equal ``reference_poly``'s, the roots it finds stay
-    within the reference's Descartes bound, and its smallest root is
-    ``heuristic_poly``'s."""
+    ``(coefficients, roots, residuals, descartes)``, with the roots and
+    residuals of ``reference_positive_real_roots``.  Its k0 and
+    coefficients equal ``reference_poly``'s, the reference roots stay
+    within its Descartes bound, and their smallest is the one of
+    ``_smallest_positive_roots`` and ``heuristic_poly``."""
     (k0,), (coeffs,) = _poly_rows(*_pair_series(g, [(i, j)], measure, k))
     ref_k0, ref_coeffs, descartes = reference_poly(walk_counts(g, k), i, j,
                                                    measure, k)
     assert k0 == ref_k0
     assert np.array_equal(coeffs, ref_coeffs)
-    _, roots, residuals = _positive_real_roots_rows(coeffs[None])
+    roots, residuals = reference_positive_real_roots(coeffs)
     assert roots.size <= descartes
-    assert heuristic_poly(g, i, j, measure, k=k) == (
-        roots[0] if roots.size else None)
+    smallest = roots[0] if roots.size else None
+    assert np.array_equal(_smallest_positive_roots(coeffs[None]),
+                          [np.nan if smallest is None else smallest],
+                          equal_nan=True)
+    assert heuristic_poly(g, i, j, measure, k=k) == smallest
     return coeffs, roots, residuals, descartes
 
 
@@ -420,7 +424,7 @@ def test_order_keys_keep_every_sign_change_and_drop_noise():
     pairs = [(i, j) for i in range(60) for j in range(i + 1, 60)]
     grid = np.linspace(0.01, 1.0, 100)
     a = g.sparse_adjacency()
-    b = _spectral_bound(a)
+    (b,) = _spectral_bound(a, [0])
     degree = int(_series_degree(grid.max() * b))
     rows = _poisson_weights(grid * b, degree, grid * b) @ _measure_table(
         a, b, np.arange(60), "C", degree)
@@ -736,10 +740,7 @@ def test_batched_heuristics_match_per_pair_reference(make, measure,
             if ref is None:
                 assert heuristic_poly(g, i, j, measure, k=k) is None
                 continue
-            coeffs, roots, residuals, _ = series_poly(g, i, j, measure, k)
-            want = reference_positive_real_roots(coeffs)
-            assert np.array_equal(roots, want[0])
-            assert np.array_equal(residuals, want[1])
+            series_poly(g, i, j, measure, k)
 
 
 def random_polynomials(rng, rows, width):
@@ -777,20 +778,17 @@ def test_batched_roots_match_np_roots_reference():
     degrees = {int(np.ptp(np.flatnonzero(c))) if c.any() else -1
                for c in coeffs}
     assert degrees >= {-1, 0, 1, 2, 3, 4, 5, 6}
-    owner, roots, residuals = _positive_real_roots_rows(coeffs)
-    assert (np.diff(owner) >= 0).all()  # by row, then by root
+    smallest = _smallest_positive_roots(coeffs)
     for r, c in enumerate(coeffs):
-        want = reference_positive_real_roots(c)
-        mine = owner == r
-        assert np.array_equal(roots[mine], want[0])
-        assert np.array_equal(residuals[mine], want[1])
-        single = _positive_real_roots_rows(c[None])
-        assert np.array_equal(single[0], np.zeros(want[0].size))
-        assert np.array_equal(single[1], want[0])
-        assert np.array_equal(single[2], want[1])
-    assert roots.size > 100
-    for empty in (np.zeros((0, 4)), np.zeros((2, 0))):
-        assert [x.size for x in _positive_real_roots_rows(empty)] == [0] * 3
+        roots, _ = reference_positive_real_roots(c)
+        want = [roots[0] if roots.size else np.nan]
+        assert np.array_equal(smallest[r:r + 1], want, equal_nan=True)
+        assert np.array_equal(_smallest_positive_roots(c[None]), want,
+                              equal_nan=True)
+    assert 100 < np.count_nonzero(np.isfinite(smallest)) < 350
+    assert _smallest_positive_roots(np.zeros((0, 4))).shape == (0,)
+    # rows without coefficients have no root
+    assert np.isnan(_smallest_positive_roots(np.zeros((2, 0)))).all()
 
 
 # -- linear heuristic -------------------------------------------------------------

@@ -2,11 +2,8 @@
 
 The test runs each of the six commands once on tiny inputs under
 ``sys.setprofile`` and checks that every plain function exported from
-``riskcent`` was called.  Three lists are exempt: the fixtures that build
-test inputs (the README lists them), the single-pair and single-pass
-forms that the benchmark's span recorder (``bench/spans.py``) wraps by
-name, and the one-window forms of the market's batch functions, whose
-batch forms ``market`` calls and the exported set holds.
+``riskcent`` was called.  Only the fixtures that build test inputs (the
+README lists them) are exempt.
 """
 
 import inspect
@@ -19,16 +16,12 @@ from test_cli import (write_clique_plus_hub, write_corporate, write_k4,
 
 FIXTURES = {"generate_complete", "generate_star", "generate_er", "relabel",
             "largest_component", "write_config", "save_returns"}
-BENCH_WRAPPED = {"detect", "heuristic_linear", "heuristic_poly",
-                 "ratio_study", "spearman"}
-ONE_WINDOW = {"mst": "msts", "window_rank_report": "window_rank_reports"}
 
 
 def test_every_exported_function_is_reached_by_a_command(tmp_path):
     exported = {name: obj for name, obj in vars(riskcent).items()
                 if inspect.isfunction(obj)}
-    assert (FIXTURES | BENCH_WRAPPED | ONE_WINDOW.keys()
-            | set(ONE_WINDOW.values())) <= exported.keys()
+    assert FIXTURES <= exported.keys()
     names = {f.__code__: name for name, f in exported.items()}
     called = set()
 
@@ -62,6 +55,5 @@ def test_every_exported_function_is_reached_by_a_command(tmp_path):
     finally:
         sys.setprofile(None)
     assert codes == [0] * len(runs)
-    unreached = (exported.keys() - called - FIXTURES - BENCH_WRAPPED
-                 - ONE_WINDOW.keys())
+    unreached = exported.keys() - called - FIXTURES
     assert not unreached, sorted(unreached)

@@ -264,7 +264,8 @@ def test_krylov_diagonal_at_large_zeta_matches_dense():
     # zeta b = 30 * 10.4 needs a diagonal degree of 470, which the moments
     # reach as any other; the action restarts instead
     g = generate_er(200, 0.05, seed=7)
-    assert _series_degree(30.0 * _spectral_bound(g.sparse_adjacency())) > 450
+    (b,) = _spectral_bound(g.sparse_adjacency(), [0])
+    assert _series_degree(30.0 * b) > 450
     want = _exp_rows(*_eigensystem(g.adjacency()), 30.0)
     got = diag_on("moments", g, 30.0)
     assert np.abs(got - want).max() <= 1e-10 * want.max()
@@ -336,7 +337,7 @@ def test_power_moments_and_action_memory_bounded_by_block(sparse_er):
     # of the row's size
     g = sparse_er(20000, 8.0, seed=0)
     a = g.sparse_adjacency()
-    b = _spectral_bound(a)
+    (b,) = _spectral_bound(a, [0])
     nodes = np.arange(_MOMENT_BLOCK)
     degree = int(np.argmax(_tail_ok(b, np.arange(100))))  # zeta = 1
     assert 2 < degree < 50
@@ -734,7 +735,7 @@ def test_each_action_takes_one_bound_pass(monkeypatch, sparse_er):
     calls = []
     bound = riskcent.spectral._spectral_bound
 
-    def counted(a, starts=None):
+    def counted(a, starts):
         calls.append((a, starts, bound(a, starts)))
         return calls[-1][2]
 
@@ -749,12 +750,12 @@ def test_each_action_takes_one_bound_pass(monkeypatch, sparse_er):
         calls.clear()
         prof = sweep(g)
         # the action's one pass over its runs, then the diagonal's
-        assert [c[1] is None for c in calls] == [False, False]
+        assert len(calls) == 2
         a, starts, b = calls[0]
         assert len(starts) == (sizes > 1).sum() + isolated == runs
         assert (b[-1] == 0.0) == isolated
         for lo, hi, bc in zip(starts, np.append(starts[1:], g.n), b):
-            assert bound(a[lo:hi, lo:hi]) == bc
+            assert bound(a[lo:hi, lo:hi], [0]) == [bc]
         assert np.array_equal(calls[1][1], starts)
         assert np.array_equal(calls[1][2], b)
         assert np.array_equal(prof.R, expm(g, prof.zeta_grid, np.ones(g.n)))
