@@ -53,17 +53,13 @@ from .interlacement import (  # noqa: F401
     heuristic_pairs,
 )
 from .experiments import (  # noqa: F401
-    CorrelationTable,
-    DistributionSummary,
     ExperimentConfig,
     read_config,
     spearman_table,
     write_config,
 )
 from .finance import (  # noqa: F401
-    LdaModel,
     ReturnsPanel,
-    SvcTrend,
     correlation_and_distance,
     delta_rank,
     lda_fit,

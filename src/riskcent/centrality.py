@@ -94,10 +94,20 @@ def sweep(g, zeta_grid=None):
     return RiskProfile(grid, r, c, t, labels=list(g.labels))
 
 
+def _float_cells(x):
+    """The CSV cells of a 1-D float array: each value's shortest
+    round-trip ``repr``, as ``csv.writer`` writes a float, and NaN empty."""
+    cells = list(map(float.__repr__, x.tolist()))
+    for k in np.flatnonzero(np.isnan(x)).tolist():
+        cells[k] = ""
+    return cells
+
+
 def write_grid_csv(path, head, grid, matrix, labels):
     """Write a header of ``head`` and ``labels`` (quoted by ``csv.writer``),
     then one row per grid value: the value and its matrix row, each cell
-    ``repr`` of a float (integer ranks read ``3.0``), ending in CRLF.
+    ``repr`` of a float (integer ranks read ``3.0``; a float matrix's rows
+    go through ``_float_cells``), ending in CRLF.
 
     An integer matrix whose values span at most its size (ranks) indexes
     a table of the cell strings instead of formatting every cell.
@@ -110,8 +120,7 @@ def write_grid_csv(path, head, grid, matrix, labels):
                          dtype=object)
         cells = table[matrix - lo].tolist()
     else:
-        cells = [list(map(repr, row))
-                 for row in np.asarray(matrix, dtype=float).tolist()]
+        cells = list(map(_float_cells, np.asarray(matrix, dtype=float)))
     buf = io.StringIO()
     csv.writer(buf).writerow([head] + list(labels))
     buf.writelines(

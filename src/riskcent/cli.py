@@ -12,8 +12,9 @@ stands in place of the text.  ``centrality``, ``epidemics``,
 ``interlace`` and ``corporate`` solve before the manifest, so a failed
 solve leaves no output directory.  Every CSV goes through
 ``centrality.write_grid_csv`` (grid tables) or ``centrality.write_rows``
-(the rest; ``None`` and NaN cells are empty), but ``events.csv``, which
+(the rest; ``None`` cells are empty), but ``events.csv``, which
 ``cmd_interlace`` formats itself in the same cells and line endings.
+Every float cell is its shortest round-trip ``repr``, and NaN is empty.
 Every JSON report goes through ``_write_json`` (sorted keys, one-space
 indent, standard JSON: a NaN or infinity is refused before the file
 opens).  Exit codes: 0 success, 2 invalid input or a failed solver, 3
@@ -33,8 +34,8 @@ import time
 import numpy as np
 
 from . import __version__
-from .centrality import (MEASURES, _grid, ranking_sweep, sweep,
-                         write_grid_csv, write_rows)
+from .centrality import (MEASURES, _float_cells, _grid, ranking_sweep,
+                         sweep, write_grid_csv, write_rows)
 from .epidemics import (SIIntegrationError, SIParams, si_exact, si_lee,
                         si_lee_general, si_linearized, si_meanfield)
 from .experiments import RATIOS, read_config, spearman_table
@@ -222,15 +223,6 @@ def _parse_pairs(spec):
     return np.array(pairs)
 
 
-def _float_cells(x):
-    """The CSV cells of a float array: each value's shortest round-trip
-    ``repr``, as ``csv.writer`` writes a float, and NaN empty."""
-    cells = list(map(float.__repr__, x.tolist()))
-    for k in np.flatnonzero(np.isnan(x)).tolist():
-        cells[k] = ""
-    return cells
-
-
 def cmd_interlace(args):
     """One ``events.csv`` row per crossing or tangency of each pair.
 
@@ -297,18 +289,22 @@ def cmd_experiments(args):
     # the config's fields, its seed the manifest's seed
     _write_manifest(args, [args.config], outputs, **vars(config))
     budget.check("start")
-    table = spearman_table(config, ratios=RATIOS if args.ratios else ())
+    rank_corr, value_corr, pooled = spearman_table(
+        config, ratios=RATIOS if args.ratios else ())
     budget.check("replications")
-    table.to_csv(os.path.join(args.out, "table_value.csv"), "value")
-    table.to_csv(os.path.join(args.out, "table_rank.csv"), "rank")
+    header = ["density"] + ["zeta=%g" % z for z in config.zetas]
+    for name, corr in (("table_value.csv", value_corr),
+                       ("table_rank.csv", rank_corr)):
+        write_rows(os.path.join(args.out, name), header,
+                   (["%g" % d] + row
+                    for d, row in zip(config.densities, corr.tolist())))
     if args.ratios:
         write_rows(os.path.join(args.out, "ratios.csv"),
                    ["ratio", "density", "zeta", "mean", "std",
                     "q1", "q25", "q50", "q75", "q99"],
-                   ([ratio, density, zeta, s.mean, s.std]
-                    + [s.quantiles[q] for q in (1, 25, 50, 75, 99)]
+                   ([ratio, density, zeta, *summary]
                     for ratio in RATIOS
-                    for (density, zeta), s in table.ratios[ratio].items()))
+                    for (density, zeta), summary in pooled[ratio].items()))
     return 0
 
 
@@ -374,18 +370,17 @@ def cmd_corporate(args):
         raise ValueError("no company has both a network position and a "
                          "trend label")
     x = np.array([shifts[k] for k, _ in used], dtype=float)
-    y = np.array([trends[name].label for _, name in used])
-    model = lda_fit(x, y)
+    y = np.array([trends[name][1] for _, name in used])
+    doc = lda_fit(x, y)
     _write_manifest(args, [args.memberships, args.svc],
                     ["delta_rank.csv", "lda.json"])
     budget.check("rank shifts")
     rows = ([name, int(shift)]
-            + ([None, None] if t is None else [t.rho, t.label])
+            + ([None, None] if t is None else list(t))
             for name, shift, t in zip(g.labels, shifts,
                                       map(trends.get, g.labels)))
     write_rows(os.path.join(args.out, "delta_rank.csv"),
                ["company", "delta_rank", "svc_rho", "trend"], rows)
-    doc = model.to_json_dict()
     doc["n"] = len(used)
     doc["companies"] = [name for _, name in used]
     _write_json(os.path.join(args.out, "lda.json"), doc)

@@ -15,20 +15,23 @@ to rounding: ``sweep`` takes R from the power-series action, and a
 connected draw has no entry far below ``exp(zeta lambda_1)``, where the
 dense rows lose accuracy.
 ``ExperimentConfig`` refuses n above ``DENSE_LIMIT_DEFAULT``.
+
+The results are plain values: ``spearman_table`` returns its rank and
+value correlation arrays and the pooled ratio summaries, each summary the
+tuple of seven numbers a ``ratios.csv`` row writes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .centrality import _grid, _row_corr, _row_spearman, write_rows
+from .centrality import _grid, _row_corr, _row_spearman
 from .graph import _er_adjacency, _text_rows
 from .spectral import DENSE_LIMIT_DEFAULT, _eigensystem, _exp_rows
 
 RATIOS = ("R/E[R]", "C/E[C]", "T/E[T]", "C/R")
-_QUANTILES = (1, 25, 50, 75, 99)
 
 
 @dataclass
@@ -112,23 +115,12 @@ def child_seed(master, *indices):
     return int(np.random.SeedSequence(entropy).generate_state(1)[0])
 
 
-@dataclass
-class DistributionSummary:
-    """Mean, std, and fixed percentiles (1/25/50/75/99) of pooled samples."""
-
-    mean: float
-    std: float
-    quantiles: dict
-
-    @classmethod
-    def from_samples(cls, samples):
-        samples = np.asarray(samples, dtype=float)
-        if samples.size == 0:
-            raise ValueError("no samples to summarize")
-        qs = np.quantile(samples, [q / 100.0 for q in _QUANTILES])
-        return cls(mean=float(samples.mean()),
-                   std=float(samples.std(ddof=0)),
-                   quantiles={q: float(v) for q, v in zip(_QUANTILES, qs)})
+def _summary(samples):
+    """The seven ``ratios.csv`` numbers of a pool of samples: mean, std
+    and the 1/25/50/75/99 quantiles."""
+    qs = np.quantile(samples, [0.01, 0.25, 0.5, 0.75, 0.99])
+    return (float(samples.mean()), float(samples.std(ddof=0)),
+            *qs.tolist())
 
 
 def _replication_measures(config, d_idx, rep, zetas, ones):
@@ -169,45 +161,21 @@ def ratio_study(config, ratios=("R/E[R]",)):
     ``ratios`` may hold any of 'R/E[R]', 'C/E[C]', 'T/E[T]' (value against
     the graph mean of the same measure) and 'C/R'.  Samples pool all nodes
     of all replications of one (density, zeta) cell.  Returns
-    ``{ratio: {(density, zeta): DistributionSummary}}``, the ``ratios`` of
-    the :func:`spearman_table` pass that draws the replications.
+    ``{ratio: {(density, zeta): summary}}``, each summary the seven numbers
+    of a ``ratios.csv`` row: mean, std (ddof = 0) and the 1/25/50/75/99
+    quantiles.  It is the ``pooled`` of the :func:`spearman_table` pass
+    that draws the replications.
     """
-    return spearman_table(config, ratios=ratios).ratios
-
-
-@dataclass
-class CorrelationTable:
-    """Mean C-vs-R agreement per (density, zeta) cell, rank and value based.
-
-    ``ratios`` holds the pooled ratio summaries the same pass computed,
-    ``{ratio: {(density, zeta): DistributionSummary}}`` (empty when none
-    were requested).
-    """
-
-    densities: tuple
-    zetas: tuple
-    rank_corr: np.ndarray  # shape (len(densities), len(zetas))
-    value_corr: np.ndarray  # same shape
-    ratios: dict = field(default_factory=dict)
-
-    def matrix(self, statistic="value"):
-        if statistic == "value":
-            return self.value_corr
-        if statistic == "rank":
-            return self.rank_corr
-        raise ValueError("statistic must be 'value' or 'rank', got %r"
-                         % (statistic,))
-
-    def to_csv(self, path, statistic="value"):
-        write_rows(path, ["density"] + ["zeta=%g" % z for z in self.zetas],
-                   (["%g" % d] + row for d, row in zip(
-                       self.densities, self.matrix(statistic).tolist())))
+    return spearman_table(config, ratios=ratios)[2]
 
 
 def spearman_table(config, ratios=()):
     """Mean correlation of C against R per (density, zeta) cell.
 
-    Both statistics are computed over the same replications: ``rank_corr``
+    Returns ``(rank_corr, value_corr, pooled)``: two arrays of shape
+    ``(len(densities), len(zetas))`` and the ratio summaries of
+    :func:`ratio_study` (``{}`` when no ``ratios`` are asked for).  Both
+    statistics are computed over the same replications: ``rank_corr``
     is the Spearman coefficient on average ranks and ``value_corr`` the
     Pearson coefficient on the raw measures.  Once zeta clears the spectral
     mixing scale both measures order nodes by the leading eigenvector, so
@@ -218,8 +186,8 @@ def spearman_table(config, ratios=()):
     This is the one replication pass: every replication is drawn and
     decomposed once, as a dense array (see the module docstring), its
     measures are stacked per density into ``(replications, zetas, n)``
-    arrays, and the correlations and the ``ratios`` summaries (see
-    :func:`ratio_study`) are computed from them.
+    arrays, and the correlations and the ``pooled`` summaries are computed
+    from them.
     """
     ratios = _check_ratios(ratios)
     zetas = np.asarray(config.zetas, dtype=float)
@@ -237,8 +205,6 @@ def spearman_table(config, ratios=()):
         for ratio in ratios:
             samples = _ratio_samples(ratio, R, C, T)
             for z_idx, zeta in enumerate(config.zetas):
-                pooled[ratio][(density, zeta)] = (
-                    DistributionSummary.from_samples(
-                        samples[:, z_idx].reshape(-1)))
-    return CorrelationTable(config.densities, config.zetas,
-                            rank_corr, value_corr, ratios=pooled)
+                pooled[ratio][(density, zeta)] = _summary(
+                    samples[:, z_idx].reshape(-1))
+    return rank_corr, value_corr, pooled

@@ -14,7 +14,9 @@ and C from one diagonal of that union.  ``mst`` and
 Workflow (b): company-director memberships -> one-mode projection ->
 rank shift between a low-risk and a high-risk regime (``delta_rank`` of
 one measure's two value rows) -> one-dimensional discriminant
-classification against outcome trends.
+classification against outcome trends.  Both steps return plain values:
+``svc_trend`` maps each kept company to ``(rho, label)``, and ``lda_fit``
+returns the ``lda.json`` document as a dict.
 """
 
 from __future__ import annotations
@@ -478,38 +480,17 @@ def delta_rank(values):
 # -- linear discriminant ---------------------------------------------------
 
 
-@dataclass
-class LdaModel:
-    """1-D two-class discriminant: score = intercept + slope * x > 0.
-
-    The positive class is +1; confusion counts always sum to the training
-    size.
-    """
-
-    intercept: float
-    slope: float
-    accuracy: float
-    tp: int
-    fn: int
-    fp: int
-    tn: int
-
-    def to_json_dict(self):
-        return {
-            "intercept": self.intercept,
-            "slope": self.slope,
-            "accuracy": self.accuracy,
-            "confusion": {"tp": self.tp, "fn": self.fn,
-                          "fp": self.fp, "tn": self.tn},
-        }
-
-
 def lda_fit(x, labels):
     """Fisher discriminant for one predictor and labels in {-1, +1}.
 
     Equal-variance model: slope = (mu+ - mu-) / s2 with the pooled
     (ddof = n - 2) variance, intercept = -(mu+ + mu-) slope / 2 +
-    log(n+ / n-).  Empirical class frequencies act as priors.
+    log(n+ / n-).  Empirical class frequencies act as priors.  A point is
+    predicted +1 where intercept + slope * x > 0, else -1.
+
+    Returns the ``lda.json`` document: ``intercept``, ``slope``,
+    ``accuracy`` and the ``confusion`` counts ``tp``, ``fn``, ``fp`` and
+    ``tn`` of the training set, which sum to its size.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(labels)
@@ -534,19 +515,12 @@ def lda_fit(x, labels):
     fn = int(((pred == -1) & pos).sum())
     fp = int(((pred == 1) & ~pos).sum())
     tn = int(((pred == -1) & ~pos).sum())
-    return LdaModel(intercept=float(intercept), slope=float(slope),
-                    accuracy=(tp + tn) / x.size, tp=tp, fn=fn, fp=fp, tn=tn)
+    return {"intercept": float(intercept), "slope": float(slope),
+            "accuracy": (tp + tn) / x.size,
+            "confusion": {"tp": tp, "fn": fn, "fp": fp, "tn": tn}}
 
 
 # -- outcome trends --------------------------------------------------------
-
-
-@dataclass
-class SvcTrend:
-    """Per-company outcome trend: correlation with 1/year and class label."""
-
-    rho: float
-    label: int  # +1 growing outcome, -1 shrinking
 
 
 def load_svc(path):
@@ -585,7 +559,8 @@ def svc_trend(svc_by_year, threshold=0.05):
     For each company the Pearson correlation rho between its values and
     1/year is computed over its years (>= 3 required).  Growing values
     give rho < 0 and the label +1; shrinking values give rho > 0 and -1.
-    Companies with |rho| < threshold are dropped.  A constant value
+    Companies with |rho| < threshold are dropped; the rest map to
+    ``(rho, label)``.  A constant value
     series is an error, and so is a threshold that is negative or not
     finite.
     """
@@ -607,5 +582,5 @@ def svc_trend(svc_by_year, threshold=0.05):
         rho = float((v @ r) / np.sqrt((v @ v) * (r @ r)))
         if abs(rho) < threshold:
             continue
-        out[company] = SvcTrend(rho=rho, label=1 if rho < 0.0 else -1)
+        out[company] = (rho, 1 if rho < 0.0 else -1)
     return out

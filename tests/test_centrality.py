@@ -236,12 +236,14 @@ def test_profile_csv_layout(tmp_path):
 
 
 def loop_grid_csv(path, head, grid, matrix, labels):
-    """Reference writer: every cell through ``csv.writer``."""
+    """Reference writer: every cell through ``csv.writer``, a NaN cell
+    empty as ``write_rows`` writes it."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow([head] + list(labels))
         for z, row in zip(grid, matrix):
-            w.writerow([repr(float(z))] + [repr(float(x)) for x in row])
+            w.writerow([repr(float(z))] + [None if x != x else repr(float(x))
+                                           for x in row])
 
 
 def test_write_grid_csv_matches_csv_writer_loop(tmp_path):
@@ -258,6 +260,9 @@ def test_write_grid_csv_matches_csv_writer_loop(tmp_path):
         write_grid_csv(new, head, grid, matrix, labels)
         loop_grid_csv(old, head, grid, matrix, labels)
         assert new.read_bytes() == old.read_bytes()
+        if matrix is extreme:
+            assert new.read_bytes().split(b"\r\n")[2] == (
+                b"0.1,1.7976931348623157e+308,inf,-inf,")
     lines = new.read_bytes().split(b"\r\n")
     assert lines[0] == b't,a,"x,""y""",c d,7'
     assert lines[1] == b"5e-324,1.0,2.0,3.0,4.0"

@@ -19,9 +19,13 @@ import riskcent
 import riskcent.cli
 import riskcent.interlacement
 import riskcent.spectral
+from riskcent.centrality import sweep
 from riskcent.cli import build_parser, main
+from riskcent.experiments import RATIOS, read_config, spearman_table
+from riskcent.finance import delta_rank, lda_fit, load_svc, svc_trend
 from riskcent.graph import (Graph, generate_complete, generate_er,
-                            load_json, save_json)
+                            load_json, load_memberships, project_bipartite,
+                            save_json)
 
 
 def read_csv(path):
@@ -1236,6 +1240,51 @@ def test_corporate_pipeline(tmp_path):
     correct = conf["tp"] + conf["tn"]
     assert doc["accuracy"] == pytest.approx(correct / 9.0)
     assert len(doc["companies"]) == 9
+
+
+def test_experiments_and_corporate_files_match_the_library(tmp_path):
+    # every cell of the experiments and corporate files, and every field
+    # of lda.json, against the library calls behind them: a float cell is
+    # its value's repr, a missing trend two empty cells
+    cfg = write_experiment_config(tmp_path / "exp.cfg")
+    out = tmp_path / "exp"
+    assert main(["experiments", cfg, "--ratios", "--out", str(out)]) == 0
+    config = read_config(cfg)
+    rank_corr, value_corr, pooled = spearman_table(config, ratios=RATIOS)
+    for name, corr in (("table_value.csv", value_corr),
+                       ("table_rank.csv", rank_corr)):
+        header, rows = read_csv(str(out / name))
+        assert header == ["density", "zeta=0.1", "zeta=1"]
+        assert rows == [[density] + list(map(repr, row)) for density, row
+                        in zip(["0.3", "0.6"], corr.tolist())]
+    header, rows = read_csv(str(out / "ratios.csv"))
+    assert header == ["ratio", "density", "zeta", "mean", "std",
+                      "q1", "q25", "q50", "q75", "q99"]
+    assert rows == [[ratio, repr(density), repr(zeta)]
+                    + list(map(repr, pooled[ratio][(density, zeta)]))
+                    for ratio in RATIOS for density in (0.3, 0.6)
+                    for zeta in (0.1, 1.0)]
+
+    svc = {k: v for k, v in CORPORATE_SVC.items() if k != "Leaf4"}
+    memb, svc_path = write_corporate(tmp_path, svc=svc)
+    out = tmp_path / "corp"
+    assert main(["corporate", memb, svc_path, "--out", str(out)]) == 0
+    g = project_bipartite(load_memberships(memb))
+    trends = svc_trend(load_svc(svc_path))
+    assert sorted(trends) == sorted(svc)
+    shifts = delta_rank(sweep(g, [0.01, 1.0]).R).tolist()
+    header, rows = read_csv(str(out / "delta_rank.csv"))
+    assert header == ["company", "delta_rank", "svc_rho", "trend"]
+    assert rows == [[name, str(shift)]
+                    + (["", ""] if name == "Leaf4" else
+                       [repr(trends[name][0]), str(trends[name][1])])
+                    for name, shift in zip(g.labels, shifts)]
+    used = [k for k, name in enumerate(g.labels) if name in trends]
+    want = lda_fit([shifts[k] for k in used],
+                   [trends[g.labels[k]][1] for k in used])
+    want.update(n=8, companies=[g.labels[k] for k in used])
+    with open(out / "lda.json") as fh:
+        assert json.load(fh) == want
 
 
 @pytest.mark.parametrize("measure,shifts", [

@@ -7,9 +7,9 @@ import pytest
 import scipy.stats
 
 from riskcent.centrality import _row_corr, _row_spearman, spearman, sweep
+from riskcent.cli import main
 from riskcent.experiments import (
     RATIOS,
-    DistributionSummary,
     ExperimentConfig,
     child_seed,
     ratio_study,
@@ -144,6 +144,12 @@ def test_ratio_study_unknown_ratio(small_config):
         ratio_study(small_config, ratios=("R/E[R]", "bogus"))
 
 
+def summarize(pool):
+    """Mean, std and the 1/25/50/75/99 quantiles of a sample pool."""
+    return (pool.mean(), pool.std(),
+            *np.quantile(pool, [0.01, 0.25, 0.5, 0.75, 0.99]))
+
+
 def pooled_samples(config, ratio, z_idx):
     """The node-level ratio values of every replication at the zeta
     ``config.zetas[z_idx]`` of the first density, concatenated in
@@ -165,10 +171,10 @@ def test_ratio_study_normalized_means(small_config):
         for z_idx, zeta in enumerate(small_config.zetas):
             summary = out[ratio][(density, zeta)]
             # each replication contributes n samples with mean exactly 1
-            assert summary.mean == pytest.approx(1.0, abs=1e-12)
+            assert summary[0] == pytest.approx(1.0, abs=1e-12)
             pool = pooled_samples(small_config, ratio, z_idx)
             assert pool.size == 30 * 20
-            assert summary == DistributionSummary.from_samples(pool)
+            assert summary == summarize(pool)
 
 
 def test_ratio_study_cr_bounded(small_config):
@@ -178,16 +184,15 @@ def test_ratio_study_cr_bounded(small_config):
         pool = pooled_samples(small_config, "C/R", z_idx)
         assert np.all(pool > 0.0)
         assert np.all(pool < 1.0)
-        assert out["C/R"][(density, zeta)] == (
-            DistributionSummary.from_samples(pool))
+        assert out["C/R"][(density, zeta)] == summarize(pool)
 
 
 def test_ratio_study_quantiles_monotone(small_config):
     out = ratio_study(small_config, ratios=("C/R",))
     for summary in out["C/R"].values():
-        qs = [summary.quantiles[q] for q in (1, 25, 50, 75, 99)]
+        qs = list(summary[2:])
         assert qs == sorted(qs)
-        assert summary.std >= 0.0
+        assert summary[1] >= 0.0
 
 
 # -- correlation table ---------------------------------------------------
@@ -196,11 +201,11 @@ def test_ratio_study_quantiles_monotone(small_config):
 def test_spearman_table_shape_and_bounds():
     cfg = ExperimentConfig(n=25, densities=(0.2, 0.6), zetas=(0.3, 2.0),
                            replications=8, seed=11)
-    table = spearman_table(cfg)
-    assert table.rank_corr.shape == (2, 2)
-    assert table.value_corr.shape == (2, 2)
-    assert np.all(np.abs(table.rank_corr) <= 1.0 + 1e-12)
-    assert np.all(np.abs(table.value_corr) <= 1.0 + 1e-12)
+    rank_corr, value_corr, _ = spearman_table(cfg)
+    assert rank_corr.shape == (2, 2)
+    assert value_corr.shape == (2, 2)
+    assert np.all(np.abs(rank_corr) <= 1.0 + 1e-12)
+    assert np.all(np.abs(value_corr) <= 1.0 + 1e-12)
 
 
 def test_spearman_table_rank_saturates_value_does_not():
@@ -208,26 +213,9 @@ def test_spearman_table_rank_saturates_value_does_not():
     # so the rank statistic hits 1 exactly; values still differ in shape
     cfg = ExperimentConfig(n=30, densities=(0.4,), zetas=(8.0,),
                            replications=10, seed=2)
-    table = spearman_table(cfg)
-    assert table.rank_corr[0, 0] >= 1.0 - 1e-12
-    assert table.value_corr[0, 0] < 1.0 - 1e-6
-
-
-def test_table_matrix_selector_and_csv(tmp_path):
-    cfg = ExperimentConfig(n=20, densities=(0.3, 0.7), zetas=(0.5,),
-                           replications=4, seed=9)
-    table = spearman_table(cfg)
-    assert table.matrix("rank") is table.rank_corr
-    assert table.matrix("value") is table.value_corr
-    with pytest.raises(ValueError):
-        table.matrix("kendall")
-    path = tmp_path / "table.csv"
-    table.to_csv(str(path), statistic="value")
-    lines = path.read_text().strip().splitlines()
-    assert lines[0].split(",") == ["density", "zeta=0.5"]
-    assert len(lines) == 3
-    got = np.array([[float(x) for x in ln.split(",")[1:]] for ln in lines[1:]])
-    assert np.array_equal(got, table.value_corr)
+    rank_corr, value_corr, _ = spearman_table(cfg)
+    assert rank_corr[0, 0] >= 1.0 - 1e-12
+    assert value_corr[0, 0] < 1.0 - 1e-6
 
 
 def per_replication_measures(cfg, d_idx):
@@ -275,12 +263,14 @@ def test_spearman_table_complete_graph_cells_are_undefined(tmp_path):
     # defined, and the undefined cells are written empty
     cfg = ExperimentConfig(n=6, densities=(0.5, 1.0), zetas=(0.5,),
                            replications=2, seed=1)
-    table = spearman_table(cfg)
-    for stat in (table.rank_corr, table.value_corr):
+    rank_corr, value_corr, _ = spearman_table(cfg)
+    for stat in (rank_corr, value_corr):
         assert np.isfinite(stat[0]).all() and np.isnan(stat[1]).all()
-    path = tmp_path / "table.csv"
-    table.to_csv(str(path), "value")
-    assert path.read_text().splitlines()[2] == "1,"
+    path = tmp_path / "exp.cfg"
+    write_config(cfg, str(path))
+    out = tmp_path / "out"
+    assert main(["experiments", str(path), "--out", str(out)]) == 0
+    assert (out / "table_value.csv").read_text().splitlines()[2] == "1,"
     # a row whose spread is within n eps of its size is constant; a
     # larger spread is not
     base = np.full(6, 3.0)
@@ -300,24 +290,24 @@ def test_row_spearman_rejects_non_finite():
 def test_spearman_table_cells_match_per_replication_loop():
     cfg = ExperimentConfig(n=25, densities=(0.2, 0.6), zetas=(0.3, 1.0),
                            replications=7, seed=5)
-    table = spearman_table(cfg)
+    rank_corr, value_corr, _ = spearman_table(cfg)
     for d_idx in range(len(cfg.densities)):
         rows = per_replication_measures(cfg, d_idx)
         # the dense replication path gives the rows of generate_er's graph
         # through _eigensystem and _exp_rows bit for bit, so the cells equal
         # the loop's statistics exactly
         R, C, _ = (np.stack(m) for m in zip(*rows))
-        assert np.array_equal(table.rank_corr[d_idx],
+        assert np.array_equal(rank_corr[d_idx],
                               _row_spearman(C, R).mean(axis=0))
-        assert np.array_equal(table.value_corr[d_idx],
+        assert np.array_equal(value_corr[d_idx],
                               _row_corr(C, R).mean(axis=0))
         for z_idx in range(len(cfg.zetas)):
             rank_vals = [spearman(c[z_idx], r[z_idx]) for r, c, _ in rows]
             val_vals = [np.corrcoef(c[z_idx], r[z_idx])[0, 1]
                         for r, c, _ in rows]
-            assert table.rank_corr[d_idx, z_idx] == pytest.approx(
+            assert rank_corr[d_idx, z_idx] == pytest.approx(
                 np.mean(rank_vals), abs=1e-12)
-            assert table.value_corr[d_idx, z_idx] == pytest.approx(
+            assert value_corr[d_idx, z_idx] == pytest.approx(
                 np.mean(val_vals), abs=1e-12)
 
 
@@ -339,28 +329,28 @@ def test_replications_build_no_graph(small_config, monkeypatch):
                          (riskcent.centrality, "sweep")):
         monkeypatch.setattr(module, name, refuse)
     got = spearman_table(small_config, ratios=RATIOS)
-    assert np.array_equal(got.value_corr, want.value_corr)
-    assert np.array_equal(got.rank_corr, want.rank_corr)
+    assert np.array_equal(got[1], want[1])
+    assert np.array_equal(got[0], want[0])
 
 
 def test_one_pass_ratio_summaries_match_ratio_study(small_config):
-    table = spearman_table(small_config, ratios=RATIOS)
+    pooled = spearman_table(small_config, ratios=RATIOS)[2]
     study = ratio_study(small_config, ratios=RATIOS)
-    assert list(table.ratios) == list(RATIOS)
+    assert list(pooled) == list(RATIOS)
     density = small_config.densities[0]
     for ratio in RATIOS:
-        assert list(table.ratios[ratio]) == list(study[ratio])
+        assert list(pooled[ratio]) == list(study[ratio])
         for z_idx, zeta in enumerate(small_config.zetas):
-            got = table.ratios[ratio][(density, zeta)]
+            got = pooled[ratio][(density, zeta)]
             other = study[ratio][(density, zeta)]
             assert got == other
             # the pooled samples of the per-replication loop
-            assert got == DistributionSummary.from_samples(
+            assert got == summarize(
                 pooled_samples(small_config, ratio, z_idx))
 
 
 def test_spearman_table_without_ratios_has_none(small_config):
-    assert spearman_table(small_config).ratios == {}
+    assert spearman_table(small_config)[2] == {}
     with pytest.raises(ValueError, match="unknown ratio"):
         spearman_table(small_config, ratios=("C/T",))
 

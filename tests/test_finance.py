@@ -668,7 +668,7 @@ def test_lda_matches_gaussian_log_ratio():
     prior = math.log(pos.sum() / (~pos).sum())
     for t in np.linspace(-4.0, 4.0, 17):
         ref = prior + ((t - mu_n) ** 2 - (t - mu_p) ** 2) / (2.0 * s2)
-        assert model.intercept + model.slope * t == pytest.approx(
+        assert model["intercept"] + model["slope"] * t == pytest.approx(
             ref, rel=1e-10, abs=1e-10)
 
 
@@ -676,8 +676,8 @@ def test_lda_symmetric_means_give_prior_intercept():
     x = np.array([1.0, 3.0, -1.0, -3.0, -2.0, -2.0])
     y = np.array([1, 1, -1, -1, -1, -1])
     model = lda_fit(x, y)
-    assert model.slope == pytest.approx(4.0, rel=1e-12)
-    assert model.intercept == pytest.approx(math.log(0.5), rel=1e-12)
+    assert model["slope"] == pytest.approx(4.0, rel=1e-12)
+    assert model["intercept"] == pytest.approx(math.log(0.5), rel=1e-12)
 
 
 def test_lda_perfect_separation():
@@ -686,9 +686,9 @@ def test_lda_perfect_separation():
                         -10.0 + 0.1 * rng.normal(size=9)])
     y = np.concatenate([np.ones(12, dtype=int), -np.ones(9, dtype=int)])
     model = lda_fit(x, y)
-    assert model.accuracy == 1.0
-    assert (model.tp, model.fn, model.fp, model.tn) == (12, 0, 0, 9)
-    pred = np.where(model.intercept + model.slope * x > 0.0, 1, -1)
+    assert model["accuracy"] == 1.0
+    assert model["confusion"] == {"tp": 12, "fn": 0, "fp": 0, "tn": 9}
+    pred = np.where(model["intercept"] + model["slope"] * x > 0.0, 1, -1)
     assert np.array_equal(pred, y)
 
 
@@ -698,11 +698,12 @@ def test_lda_confusion_counts_sum():
                         rng.normal(-0.4, 1.0, size=30)])
     y = np.concatenate([np.ones(30, dtype=int), -np.ones(30, dtype=int)])
     model = lda_fit(x, y)
-    assert model.tp + model.fn + model.fp + model.tn == 60
-    assert model.accuracy == (model.tp + model.tn) / 60.0
-    assert 0.0 < model.accuracy <= 1.0
-    pred = np.where(model.intercept + model.slope * x > 0.0, 1, -1)
-    assert (pred == y).sum() == model.tp + model.tn
+    conf = model["confusion"]
+    assert conf["tp"] + conf["fn"] + conf["fp"] + conf["tn"] == 60
+    assert model["accuracy"] == (conf["tp"] + conf["tn"]) / 60.0
+    assert 0.0 < model["accuracy"] <= 1.0
+    pred = np.where(model["intercept"] + model["slope"] * x > 0.0, 1, -1)
+    assert (pred == y).sum() == conf["tp"] + conf["tn"]
 
 
 def test_lda_errors():
@@ -725,10 +726,10 @@ def test_svc_trend_directions():
         "shrink": {1999: 5.0, 2000: 4.0, 2001: 3.0, 2002: 2.0, 2003: 1.0},
     }
     out = svc_trend(data)
-    assert out["grow"].rho < 0.0
-    assert out["grow"].label == 1
-    assert out["shrink"].rho > 0.0
-    assert out["shrink"].label == -1
+    assert out["grow"][0] < 0.0
+    assert out["grow"][1] == 1
+    assert out["shrink"][0] > 0.0
+    assert out["shrink"][1] == -1
 
 
 def test_svc_trend_drops_weak_correlation():

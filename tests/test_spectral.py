@@ -396,15 +396,17 @@ def test_moment_diag_memory_bounded_by_block():
 # -- the routed evaluator -------------------------------------------------------
 
 
-def assert_action_rows_match_dense(g, zetas, v, rtol=1e-10, entrywise=True):
+def assert_action_rows_match_dense(g, zetas, v, rtol=1e-10, entrywise=True,
+                                   eig=None):
     """Krylov grid rows, scaled and unscaled, against the dense rows.
 
     Each row agrees within ``rtol`` of its 2-norm, the norm the Lanczos
     estimate controls, and with ``entrywise`` within ``rtol`` of its
     largest entry too.  Rows whose dense value passes exp's range are
-    compared scaled only.
+    compared scaled only.  ``eig`` is the graph's ``(lam, u)`` when the
+    caller has it already.
     """
-    lam, u = _eigensystem(g.adjacency())
+    lam, u = _eigensystem(g.adjacency()) if eig is None else eig
     rows = expm(g, zetas, v)
     scaled, shifts = expm(g, zetas, v, scaled=True)
     want_scaled, want_shifts = _exp_rows(lam, u, zetas, v, scaled=True)
@@ -613,12 +615,13 @@ def test_krylov_action_past_overflow():
     weighted = Graph(300, np.column_stack([weighted.edge_array()[:, :2], w]))
     for g in (generate_er(1999, 8.0 / 1998, seed=3), weighted,
               lattice_graph(30), path_graph(500)):
-        lam_1 = _eigensystem(g.adjacency())[0][0]
-        fine = np.linspace(0.0, 1e4 / lam_1, 51)
+        eig = _eigensystem(g.adjacency())
+        fine = np.linspace(0.0, 1e4 / eig[0][0], 51)
         rand = np.random.default_rng(g.n).normal(size=g.n)
         for zetas, v in ((fine, np.ones(g.n)), (fine[::-1], rand),
                          (fine[[50, 0, 25]], rand)):
-            assert_action_rows_match_dense(g, zetas, v, entrywise=False)
+            assert_action_rows_match_dense(g, zetas, v, entrywise=False,
+                                           eig=eig)
         # v = 1 is positive on every component: past the range only the
         # entries that pass it overflow, to +inf
         rows = expm(g, fine, np.ones(g.n))
