@@ -24,7 +24,6 @@ from .graph import (  # noqa: F401
     project_bipartite,
     relabel,
     save_json,
-    walk_counts,
 )
 from .spectral import (  # noqa: F401
     EigensolverError,

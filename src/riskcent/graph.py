@@ -1,12 +1,11 @@
-"""Undirected graph container, generators, loaders, and walk-count primitives.
+"""Undirected graph container, generators and loaders.
 
 Nodes are dense integers ``0..n-1``; an optional label table maps them back
 to external names.  Graphs are simple (no self-loops, no parallel edges) and
 edge weights are strictly positive.  All heavier algebra lives in
-:mod:`riskcent.spectral`; this module only provides structure, I/O, the
-bipartite projection, and walk counting: ``walk_counts`` returns two
-float64 tables, the walk totals of every node and the closed walks at the
-nodes asked for.
+:mod:`riskcent.spectral`; this module only provides structure, I/O and the
+bipartite projection.  No command calls ``walk_counts``: it is kept only
+because the benchmark's span recorder wraps it by name.
 
 The one G(n, p) drawer, ``_er_adjacency``, returns the dense 0/1
 adjacency of a draw and checks connectivity on it (``_dense_connected``)
@@ -313,9 +312,9 @@ def load_edge_list(path, weighted=False):
         except ValueError:
             raise GraphError("%s:%d: weight %r is not a number"
                              % (path, lineno, parts[2])) from None
-        if w <= 0 or not np.isfinite(w):
-            raise GraphError("%s:%d: nonpositive weight %g"
-                             % (path, lineno, w))
+        if not 0.0 < w < np.inf:
+            raise GraphError("%s:%d: weight %r is not a positive finite "
+                             "number" % (path, lineno, parts[2]))
         a, b = (index.setdefault(tok, len(index)) for tok in parts[:2])
         if a == b:
             raise GraphError("%s:%d: self-loop on node %r"

@@ -34,10 +34,11 @@ table difference by Horner's rule at h = b (midpoint - z0): the g_j come
 from one evaluation of the weights, and no step calls exp, log or
 gammaln per term (``_detect_block``).
 
-The heuristics read the walk tables of ``graph.walk_counts`` at the
-endpoints of their pairs only, with closed walks for C and T only;
-``heuristic_pairs`` counts them once for both estimates and finds the
-roots of a block's polynomials with one eigenvalue call per degree.
+The heuristics read walk counts from the same table at b = 1, at the
+endpoints of their pairs only: closed walks for C and T, two moments per
+sparse product, and totals for R and T.  ``heuristic_pairs`` counts them
+once for both estimates and finds the roots of a block's polynomials with
+one eigenvalue call per degree.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ import math
 import numpy as np
 
 from .centrality import _check_measure, _grid
-from .graph import walk_counts
 from .spectral import (_REACH, _moment_table, _poisson_weights,
                        _series_degree, _series_sum, _spectral_bound)
 
@@ -398,23 +398,20 @@ def _detect_block(p, ci, cj, rows, table, weights, grid, scale,
 
 def _pair_series(g, pairs, measure, kmax):
     """``(start, deltas)`` of the measure's series at the validated
-    ``pairs``: ``deltas[m, p]`` is the float walk count of order start + m
+    ``pairs``: ``deltas[m, p]`` is the walk count of order start + m
     feeding the series of node i less that of node j, for pair p = (i, j).
 
-    C draws on closed walks from order 2; R on walk totals from order 1; T
-    on open walks (total minus closed) from order 1.  Walks are counted at
-    the pairs' endpoints only, through order ``kmax``, and closed walks
-    only for C and T.
+    The counts are the series table at b = 1 (``_measure_table``), through
+    order ``kmax`` at the pairs' endpoints only: C reads closed walks from
+    order 2, R walk totals from order 1 and T their difference from order
+    1.  On a 0/1 graph they are exact integers while below 2^53.
     """
     ii, jj = _pair_index(g, pairs)
     _check_measure(measure)
     nodes, cols = np.unique(np.concatenate([ii, jj]), return_inverse=True)
-    # R reads no closed walks
-    total, closed = walk_counts(g, kmax,
-                                nodes[:0] if measure == "R" else nodes)
     start = 2 if measure == "C" else 1
-    series = (closed if measure == "C" else total[:, nodes] if measure == "R"
-              else total[:, nodes] - closed)[start:]
+    series = _measure_table(g.sparse_adjacency(), 1.0, nodes, measure,
+                            kmax)[start:]
     return start, series[:, cols[:ii.size]] - series[:, cols[ii.size:]]
 
 

@@ -77,9 +77,10 @@ def test_spans_reach_commands_and_solvers_through_the_cached_parser(
             "epidemics.si_lee"} <= recorded
 
 
-# the single-pair, single-pass and one-window forms that only the span
-# recorder wraps: module functions, not in the package namespace
-SINGLE_FORMS = [
+# the module functions that only the span recorder wraps, not in the
+# package namespace: the single-pair, single-pass and one-window forms, and
+# graph.walk_counts, which no command calls
+BENCH_ONLY = [
     ("riskcent.interlacement", "detect"),
     ("riskcent.interlacement", "heuristic_linear"),
     ("riskcent.interlacement", "heuristic_poly"),
@@ -87,6 +88,7 @@ SINGLE_FORMS = [
     ("riskcent.experiments", "ratio_study"),
     ("riskcent.finance", "mst"),
     ("riskcent.finance", "window_rank_report"),
+    ("riskcent.graph", "walk_counts"),
 ]
 
 
@@ -94,7 +96,7 @@ def test_single_forms_resolve_in_their_modules_only(spans):
     import riskcent
 
     targets = {(home, attr) for _, home, attr in spans.TARGETS}
-    for home, attr in SINGLE_FORMS:
+    for home, attr in BENCH_ONLY:
         assert (home, attr) in targets
         assert callable(resolve(home, attr)), (home, attr)
         assert attr not in vars(riskcent), attr

@@ -269,6 +269,19 @@ def test_missing_graph_file_exits_2(tmp_path, capsys):
     assert missing in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("weight", ["0", "-1", "1e400", "nan"])
+def test_weight_not_positive_finite_exits_2(tmp_path, capsys, weight):
+    # 1e400 parses as inf: each weight is named as written
+    graph = tmp_path / "w.txt"
+    graph.write_text("a b 1\nb c %s\n" % weight)
+    rc = main(["centrality", str(graph), "--weighted", "--out",
+               str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: %s:2: weight %r is not a positive finite number\n"
+        % (graph, weight))
+
+
 @pytest.mark.parametrize("doc", [
     '{"n": 3}', '[1, 2]', '{"n": 3, "edges": [[0]]}',
     '{"n": 2, "edges": [[0, 1]], "labels": 5}', '{"n": null, "edges": []}',
@@ -640,16 +653,24 @@ def test_interlace_clique_hub_crossing(tmp_path):
 def test_interlace_counts_walks_only_for_pairs_with_events(tmp_path,
                                                           monkeypatch):
     graph = write_clique_plus_hub(tmp_path / "g.json")
-    calls = []
-    walk_counts = riskcent.interlacement.walk_counts
+    calls, closed = [], []
+    table = riskcent.interlacement._measure_table
+    moments = riskcent.interlacement._moment_table
 
-    def spy(g, kmax, nodes=None):
-        # both heuristics read one count, through the polynomial's order 6
-        assert kmax == 6
-        calls.append(list(nodes))
-        return walk_counts(g, kmax, nodes=nodes)
+    def spy(a, b, nodes, measure, degree):
+        # detection reads the table at the spectral bound, the heuristics
+        # at b = 1: both read one count, through the polynomial's order 6
+        if b == 1.0:
+            assert degree == 6
+            calls.append(list(nodes))
+        return table(a, b, nodes, measure, degree)
 
-    monkeypatch.setattr(riskcent.interlacement, "walk_counts", spy)
+    def closed_spy(ah, nodes, degree):
+        closed.append(list(nodes))
+        return moments(ah, nodes, degree)
+
+    monkeypatch.setattr(riskcent.interlacement, "_measure_table", spy)
+    monkeypatch.setattr(riskcent.interlacement, "_moment_table", closed_spy)
     # clique nodes 2, 3 and leaves 6, 7 are automorphic: no events
     quiet = str(tmp_path / "quiet")
     assert main(["interlace", graph, "--out", quiet, "--pairs", "2,3;6,7",
@@ -660,19 +681,24 @@ def test_interlace_counts_walks_only_for_pairs_with_events(tmp_path,
     # only the endpoints of the crossing pair (5, 1) get closed walks, once
     # for both heuristics
     loud = str(tmp_path / "loud")
+    closed.clear()
     assert main(["interlace", graph, "--out", loud, "--pairs", "2,3;5,1",
                  "--measure", "C", "--zeta-grid", "0.002:4.0:800"]) == 0
     _, rows = read_csv(os.path.join(loud, "events.csv"))
     assert {(r[0], r[1]) for r in rows} == {("5", "1")}
     assert calls == [[1, 5]]
+    # detection's moments at the four endpoints, then the heuristics'
+    assert closed == [[1, 2, 3, 5], [1, 5]]
     # R reads walk totals only: no closed walks at any node
     calls.clear()
+    closed.clear()
     totals = str(tmp_path / "totals")
     assert main(["interlace", graph, "--out", totals, "--pairs", "2,3;5,1",
                  "--measure", "R", "--zeta-grid", "0.002:4.0:800"]) == 0
     _, rows = read_csv(os.path.join(totals, "events.csv"))
     assert {(r[0], r[1]) for r in rows} == {("5", "1")}
-    assert calls == [[]]
+    assert calls == [[1, 5]]
+    assert closed == []
 
 
 def test_interlace_all_pairs_on_path(tmp_path):

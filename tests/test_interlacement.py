@@ -137,6 +137,14 @@ def reference_detect(lam, u, i, j, measure, grid, bracket_tol, tangency_tol):
     return events, tangencies
 
 
+def series_walks(g, kmax):
+    """Walk tables ``(total, closed)`` of every node through order kmax:
+    the series tables of R and C at b = 1, which ``heuristic_pairs``
+    reads."""
+    a, nodes = g.sparse_adjacency(), np.arange(g.n)
+    return tuple(_measure_table(a, 1.0, nodes, m, kmax) for m in "RC")
+
+
 def reference_deltas(walks, i, j, measure, kmax):
     """``(start, deltas)``: the pair's series count differences by order,
     from the walk tables ``(total, closed)`` of every node."""
@@ -224,7 +232,7 @@ def series_poly(g, i, j, measure, k):
     within its Descartes bound, and their smallest is the one of
     ``_smallest_positive_roots`` and ``heuristic_poly``."""
     (k0,), (coeffs,) = _poly_rows(*_pair_series(g, [(i, j)], measure, k))
-    ref_k0, ref_coeffs, descartes = reference_poly(walk_counts(g, k), i, j,
+    ref_k0, ref_coeffs, descartes = reference_poly(series_walks(g, k), i, j,
                                                    measure, k)
     assert k0 == ref_k0
     assert np.array_equal(coeffs, ref_coeffs)
@@ -470,7 +478,7 @@ def test_walk_dominance_means_no_events():
     # star hub vs leaf: closed-walk counts dominate at every order, and no
     # crossing shows up through the certified horizon
     g = generate_star(8)
-    _, closed = walk_counts(g, 60)
+    _, closed = series_walks(g, 60)
     assert (closed[:, 0] >= closed[:, 1]).all()
     grid = np.linspace(1e-3, frozen_beyond(g, 0, 1) + 5.0, 3000)
     (pair, *_), _ = detect(g, 0, 1, measure="C", zeta_grid=grid)
@@ -711,13 +719,37 @@ def test_weights_evaluations_do_not_depend_on_bracket_tol(make, grid,
     assert counts[0] == counts[1]
 
 
+@pytest.mark.parametrize("make,rtol", [
+    (lambda: generate_complete(20), 0.0),
+    (clique_plus_hub, 0.0),
+    (lambda: generate_er(40, 0.15, seed=4, require_connected=True), 0.0),
+    (lambda: generate_star(9), 0.0),
+    (double_crossing, 1e-12),
+], ids=["K20", "clique_plus_hub", "er40", "S9", "double_crossing"])
+def test_series_table_at_b1_counts_walks(make, rtol):
+    # the table the heuristics read gives walk_counts' integers on a 0/1
+    # graph below 2^53 (K20's totals reach 19^12 ~ 2.2e15 at order 12),
+    # and its floats to rounding on a weighted one, at unsorted and
+    # repeated nodes
+    g = make()
+    nodes = np.array([g.n - 1, 0, g.n // 2, 0, 1, g.n - 1])
+    total, closed = walk_counts(g, 12, nodes)
+    want = {"R": total[:, nodes], "C": closed, "T": total[:, nodes] - closed}
+    for m in "RCT":
+        got = _measure_table(g.sparse_adjacency(), 1.0, nodes, m, 12)
+        if rtol:
+            np.testing.assert_allclose(got, want[m], rtol=rtol, atol=0.0)
+        else:
+            assert np.array_equal(got, want[m]), m
+
+
 @pytest.mark.parametrize("make", [c[1] for c in BATCH_CASES],
                          ids=[c[0] for c in BATCH_CASES])
 @pytest.mark.parametrize("measure", "RCT")
 def test_batched_heuristics_match_per_pair_reference(make, measure,
                                                      monkeypatch):
     g = make()
-    walks = walk_counts(g, 60)
+    walks = series_walks(g, 6)
     pairs = [(i, j) for i in range(g.n) for j in range(i + 1, g.n)]
     for k in (3, 6):
         linear_ref = [reference_linear(walks, i, j, measure) for i, j in pairs]
@@ -806,7 +838,7 @@ def test_linear_heuristic_closed_forms():
 
 def test_linear_heuristic_matches_walk_formula():
     g = double_crossing()
-    _, closed = walk_counts(g, 3)
+    _, closed = series_walks(g, 3)
     w2, w3 = closed[2], closed[3]
     for i in range(g.n):
         for j in range(g.n):
